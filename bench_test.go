@@ -55,24 +55,23 @@ func BenchmarkMTTKRPKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkMTTKRPKernelWorkers measures the shared-memory parallel
-// kernel's multicore scaling.
+// BenchmarkMTTKRPKernelWorkers measures the KRP-splitting engine's
+// multicore scaling.
 func BenchmarkMTTKRPKernelWorkers(b *testing.B) {
 	x, fs := benchProblem(b, 32, 16)
 	for _, w := range []int{1, 2, 4, 8} {
 		w := w
 		b.Run(sizeName("w", int64(w)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				seq.RefParallel(x, fs, 0, w)
+				kernel.FastWorkers(x, fs, 0, w)
 			}
 		})
 	}
 }
 
-// BenchmarkMTTKRPKernelEngines is the head-to-head of the three
-// shared-memory kernels — atomic reference, its multicore split, and
-// the KRP-splitting engine — across tensor orders 3-5 at roughly equal
-// element counts.
+// BenchmarkMTTKRPKernelEngines is the head-to-head of the atomic
+// reference and the KRP-splitting engine across tensor orders 3-5 at
+// roughly equal element counts.
 func BenchmarkMTTKRPKernelEngines(b *testing.B) {
 	shapes := map[int][]int{
 		3: {32, 32, 32},
@@ -88,11 +87,6 @@ func BenchmarkMTTKRPKernelEngines(b *testing.B) {
 		b.Run(sizeName("order", int64(order))+"/ref", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				seq.Ref(x, fs, n)
-			}
-		})
-		b.Run(sizeName("order", int64(order))+"/refparallel", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				seq.RefParallel(x, fs, n, 0)
 			}
 		})
 		b.Run(sizeName("order", int64(order))+"/fast", func(b *testing.B) {

@@ -92,13 +92,16 @@ go run ./cmd/tracecheck "$obsdir/tucker-trace.json" >/dev/null
 
 echo "== metrics smoke (obsserve -once /metrics scrape) =="
 # obsserve binds an ephemeral port, runs a few engine passes, scrapes
-# its own /healthz and /metrics over real HTTP, echoes the exposition
-# text, and shuts the server down gracefully. The grep pins the scrape
-# payload to the Prometheus text format.
+# its own /healthz, /spans and /metrics over real HTTP (exiting nonzero
+# when the /spans trace fails flight.Validate), echoes the exposition
+# text, and shuts the server down gracefully. The greps pin the scrape
+# payload to the Prometheus text format and the flight-events gauge to
+# the recorder that backs /spans.
 go run ./cmd/obsserve -addr localhost:0 -dims 16,16,16 -r 4 -once \
 	> "$obsdir/metrics.txt"
 grep -q '^repro_obsserve_iterations_total 3$' "$obsdir/metrics.txt"
 grep -q '^# TYPE repro_obsserve_iteration_seconds histogram$' "$obsdir/metrics.txt"
+grep -q '^repro_flight_events_total [1-9]' "$obsdir/metrics.txt"
 
 echo "== sparse smoke (measured words == hypergraph metric) =="
 # cmd/sparsemttkrp exits nonzero when either the simulated network's or
@@ -109,15 +112,23 @@ go run ./cmd/sparsemttkrp -side 20 -nnz 1500 -r 4 -p 8 -engine csf >/dev/null
 go run ./cmd/sparsemttkrp -side 20 -nnz 1500 -r 4 -p 8 -engine coo >/dev/null
 go run ./cmd/sparsemttkrp -side 20 -nnz 1500 -r 4 -p 8 -engine csf -dtype f32 >/dev/null
 
-echo "== planner smoke (-engine auto) =="
+echo "== planner smoke (auto engine selection) =="
 # The cost-model planner is the default engine selector; it must
 # calibrate from scratch (REPRO_CALIBRATION points into the temp dir
 # so CI never reads or writes the user cache), produce a runnable
 # plan, and surface the decision in the JSON report's "plan" block.
-# The second mttkrp run exercises the calibration-cache hit path.
+# The later runs exercise the calibration-cache hit path, a fixed
+# engine (-algo fast), and the f32 storage path (planned as fast32).
 REPRO_CALIBRATION="$obsdir/calibration.json" go run ./cmd/mttkrp \
 	-dims 32,32,32 -r 8 -mode 1 -obs-json "$obsdir/auto.json" >/dev/null
 grep -q '"plan"' "$obsdir/auto.json"
+REPRO_CALIBRATION="$obsdir/calibration.json" go run ./cmd/mttkrp \
+	-dims 32,32,32 -r 8 -mode 1 -algo fast > "$obsdir/fast.txt"
+grep -q '^result: verified against reference kernel$' "$obsdir/fast.txt"
+REPRO_CALIBRATION="$obsdir/calibration.json" go run ./cmd/mttkrp \
+	-dims 32,32,32 -r 8 -mode 1 -dtype f32 > "$obsdir/f32.txt"
+grep -q 'engine=fast32 (planned)' "$obsdir/f32.txt"
+grep -q '^result: verified against reference kernel$' "$obsdir/f32.txt"
 REPRO_CALIBRATION="$obsdir/calibration.json" go run ./cmd/cpals \
 	-dims 24,24,24 -rank 4 -iters 3 -obs-json "$obsdir/auto-cpals.json" >/dev/null
 grep -q '"plan"' "$obsdir/auto-cpals.json"

@@ -1,7 +1,8 @@
 // Command mttkrp runs a single MTTKRP on a generated dense tensor with
 // a chosen algorithm, verifies the result against the direct reference
 // kernel, and prints the measured communication next to the relevant
-// lower bounds.
+// lower bounds. The default -algo auto lets the cost-model planner
+// pick the shared-memory engine; -algo fast or fast32 fixes it.
 //
 // With -obs / -obs-json the run is instrumented through internal/obs:
 // the report joins the measured words moved against the paper's lower
@@ -14,6 +15,7 @@
 //	mttkrp -dims 16,16,16 -r 8 -mode 0 -algo blocked -m 512 -obs
 //	mttkrp -dims 16,16,16 -r 8 -mode 1 -algo stationary -p 8 -obs-json -
 //	mttkrp -dims 128,128,128 -r 16 -mode 1 -algo fast -workers 0
+//	mttkrp -dims 128,128,128 -r 16 -mode 1 -dtype f32
 package main
 
 import (
@@ -27,8 +29,6 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/kernel"
-	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/plan"
@@ -41,14 +41,12 @@ func main() {
 	dimsFlag := flag.String("dims", "16,16,16", "tensor dimensions, comma separated")
 	r := flag.Int("r", 8, "rank R")
 	mode := flag.Int("mode", 0, "MTTKRP mode n")
-	algo := flag.String("algo", "blocked",
-		"algorithm: unblocked | blocked | seq-matmul | stationary | general | par-matmul | fast")
-	engine := flag.String("engine", "auto",
-		"engine selection when -algo is not given: auto (cost-model planner) | fast | fast32 | tree")
+	algo := flag.String("algo", "auto",
+		"algorithm: auto (cost-model planner) | fast | fast32 (with -dtype f32) | unblocked | blocked | seq-matmul | stationary | general | par-matmul")
 	m := flag.Int64("m", 512, "fast memory words (sequential algorithms)")
 	p := flag.Int("p", 8, "processors (parallel algorithms)")
-	workers := flag.Int("workers", 0, "goroutines for -algo fast (0 = GOMAXPROCS)")
-	dtype := flag.String("dtype", "f64", "storage precision for -algo fast: f64 | f32 (accumulation stays float64)")
+	workers := flag.Int("workers", 0, "goroutine ceiling for the planned engines (0 = GOMAXPROCS)")
+	dtype := flag.String("dtype", "f64", "storage precision for the planned engines: f64 | f32 (accumulation stays float64)")
 	seed := flag.Int64("seed", 42, "workload seed")
 	obsFlag := flag.Bool("obs", false, "print the instrumented observability report")
 	obsJSON := flag.String("obs-json", "", "write the observability report as JSON to this path (- for stdout)")
@@ -68,9 +66,6 @@ func main() {
 	if *mode < 0 || *mode >= len(dims) {
 		fatal(fmt.Errorf("mode %d out of range", *mode))
 	}
-	prob := bounds.Problem{Dims: dims, R: *r}
-	ref := seq.Ref(inst.X, inst.Factors, *mode)
-
 	observing := *obsFlag || *obsJSON != "" || *obsMax > 0 || *obsMin > 0
 	var col *obs.Collector
 	if observing {
@@ -81,28 +76,14 @@ func main() {
 	var rep *obs.Report
 	runStart := time.Now()
 
-	// Without an explicit -algo, the run goes through the cost-model
-	// planner: -engine auto (the default) lets the planner pick the
-	// engine and worker count, a named engine fixes the engine but
-	// still plans workers and block sizes. An explicit -algo always
-	// takes the legacy path below, planner untouched.
-	algoSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "algo" {
-			algoSet = true
-		}
-	})
-
 	// -trace records a flight-recorder timeline of whichever path runs.
 	// Parallel algorithms get one process row per simulated rank; the
 	// sequential/shared-memory paths render on the single engine row.
 	if *traceOut != "" {
 		ranks := 0
-		if algoSet {
-			switch *algo {
-			case "stationary", "general", "par-matmul":
-				ranks = *p
-			}
+		switch *algo {
+		case "stationary", "general", "par-matmul":
+			ranks = *p
 		}
 		flush := flight.StartTrace(*traceOut, ranks)
 		defer func() {
@@ -112,12 +93,17 @@ func main() {
 		}()
 	}
 
-	if !algoSet {
-		runPlanned(*engine, inst, dims, *r, *mode, *dtype, *workers, *m,
+	// auto lets the planner pick the engine and worker count; a named
+	// engine still plans workers and block sizes.
+	switch *algo {
+	case "auto", "fast", "fast32":
+		runPlanned(*algo, inst, dims, *r, *mode, *dtype, *workers, *m,
 			runStart, observing, col, *obsFlag, *obsJSON, *obsMax, *obsMin)
 		return
 	}
 
+	prob := bounds.Problem{Dims: dims, R: *r}
+	ref := seq.Ref(inst.X, inst.Factors, *mode)
 	fmt.Printf("MTTKRP: dims=%v R=%d mode=%d algo=%s\n", dims, *r, *mode, *algo)
 	switch *algo {
 	case "unblocked", "blocked", "seq-matmul":
@@ -183,68 +169,6 @@ func main() {
 			joinAlgWords(rep, *algo, dims, *r, res.Grid)
 		}
 
-	case "fast":
-		// Shared-memory KRP-splitting engine: warm the workspace, then
-		// time one steady-state run against one atomic-reference run.
-		ws := kernel.NewWorkspace(dims, *r, *mode)
-		var tFast time.Duration
-		switch *dtype {
-		case "f64":
-			b := tensor.NewMatrix(dims[*mode], *r)
-			kernel.FastInto(b, inst.X, inst.Factors, *mode, *workers, ws)
-			if observing {
-				col.Reset() // measure the steady-state run only
-			}
-			t0 := time.Now()
-			kernel.FastInto(b, inst.X, inst.Factors, *mode, *workers, ws)
-			tFast = time.Since(t0)
-			check(b.EqualApprox(ref, 1e-9))
-		case "f32":
-			// Convert on ingest, then verify against the reference run on
-			// the exactly-widened float32 inputs (the only extra rounding
-			// the path is allowed is the final float32 store).
-			x32 := tensor.Dense32FromDense(inst.X)
-			fs32 := make([]*tensor.Matrix32, len(inst.Factors))
-			wide := make([]*tensor.Matrix, len(inst.Factors))
-			for k, f := range inst.Factors {
-				fs32[k] = tensor.Matrix32FromMatrix(f)
-				wide[k] = fs32[k].ToMatrix()
-			}
-			b := tensor.NewMatrix32(dims[*mode], *r)
-			kernel.Fast32Into(b, x32, fs32, *mode, *workers, ws)
-			if observing {
-				col.Reset() // measure the steady-state run only
-			}
-			t0 := time.Now()
-			kernel.Fast32Into(b, x32, fs32, *mode, *workers, ws)
-			tFast = time.Since(t0)
-			ref32 := seq.Ref(x32.ToDense(), wide, *mode)
-			scale := 1e-5 * float64(inst.X.Elems()) / float64(dims[*mode])
-			check(b.MaxAbsDiff(ref32) <= scale)
-		default:
-			fatal(fmt.Errorf("unknown dtype %q (want f64 or f32)", *dtype))
-		}
-		t0 := time.Now()
-		seq.Ref(inst.X, inst.Factors, *mode)
-		tRef := time.Since(t0)
-		fmt.Printf("machine: shared memory, workers = %d, dtype = %s\n",
-			linalg.ResolveWorkers(*workers), *dtype)
-		fmt.Printf("engine time    = %v\n", tFast)
-		fmt.Printf("reference time = %v\n", tRef)
-		fmt.Printf("speedup        = %.2fx\n", float64(tRef)/float64(tFast))
-		if observing {
-			rep = obs.NewReport("mttkrp", *algo, dims, *r, *mode,
-				obs.Machine{M: *m, Workers: linalg.ResolveWorkers(*workers)})
-			if *dtype == "f32" {
-				rep.WordBytes = 4
-			}
-			// Streaming-model operand traffic vs the two-level bound at
-			// M words: an optimistic proxy (each kernel operand counted
-			// once), so the ratio reads as "at least this well blocked".
-			rep.FillFromCollector(col)
-			rep.JoinSeqBounds(float64(*m))
-		}
-
 	default:
 		fatal(fmt.Errorf("unknown algorithm %q", *algo))
 	}
@@ -255,10 +179,10 @@ func main() {
 	}
 }
 
-// runPlanned is the -engine path: plan, apply the tunables, prepare
-// the chosen engine, run one warm pass and one timed steady-state
-// pass, verify against the reference kernel, and report the plan next
-// to what was measured.
+// runPlanned is the shared-memory engine path: plan, apply the
+// tunables, prepare the chosen engine, run one warm pass and one timed
+// steady-state pass, verify against the reference kernel, and report
+// the plan next to what was measured.
 func runPlanned(engineName string, inst *workload.Instance, dims []int, r, mode int,
 	dtype string, workers int, m int64, runStart time.Time,
 	observing bool, col *obs.Collector, human bool, jsonPath string, maxRatio, minRatio float64) {

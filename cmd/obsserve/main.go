@@ -19,8 +19,8 @@
 //	/metrics       Prometheus text exposition (version 0.0.4)
 //	/healthz       liveness probe ("ok")
 //	/report        current obs report joined against the Thm 4.1 bound
-//	/spans         the span ring (most recent ringCap phase spans)
-//	/reset         zero the collector (counters, phases, ring)
+//	/spans         the flight-recorder timeline as Chrome trace JSON
+//	/reset         zero the collector and start a fresh flight recorder
 //	/debug/pprof/  net/http/pprof profiles
 //
 // Usage:
@@ -32,7 +32,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -89,6 +88,13 @@ func main() {
 	col := obs.New(0)
 	obs.Enable(col)
 	defer obs.Disable()
+	// The flight recorder backs /spans and the flight-events gauge.
+	reset := func() {
+		col.Reset()
+		flight.Enable(flight.New(0, 0))
+	}
+	reset()
+	defer flight.Disable()
 
 	buildReport := func() *obs.Report {
 		rep := obs.NewReport("obsserve", *algo, dims, *r, *mode,
@@ -162,15 +168,13 @@ func main() {
 	})
 	mux.HandleFunc("/spans", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(col.Spans()); err != nil {
+		if err := flight.Rec().WriteTrace(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
 	mux.HandleFunc("/reset", func(w http.ResponseWriter, req *http.Request) {
-		col.Reset()
-		fmt.Fprintln(w, "collector reset")
+		reset()
+		fmt.Fprintln(w, "collector and flight recorder reset")
 	})
 
 	// Listen before announcing so -addr host:0 resolves to a concrete
@@ -232,13 +236,13 @@ func main() {
 		ws := kernel.NewWorkspace(dims, *r, *mode)
 		b := tensor.NewMatrix(dims[*mode], *r)
 		kernel.FastInto(b, inst.X, inst.Factors, *mode, *workers, ws)
-		col.Reset()
+		reset()
 		runLoop(func() { kernel.FastInto(b, inst.X, inst.Factors, *mode, *workers, ws) })
 	case "tree":
 		eng := dimtree.NewEngine(*workers)
 		res := &dimtree.Result{}
 		eng.AllModesInto(res, inst.X, inst.Factors)
-		col.Reset()
+		reset()
 		runLoop(func() { eng.AllModesInto(res, inst.X, inst.Factors) })
 	}
 
@@ -264,9 +268,10 @@ func main() {
 	buildReport().Format(os.Stdout)
 }
 
-// selfScrape hits the command's own /healthz and /metrics endpoints
-// over real HTTP and echoes the metrics payload, so CI exercises the
-// full scrape path with one invocation.
+// selfScrape hits the command's own /healthz, /spans and /metrics
+// endpoints over real HTTP, validates the /spans trace, and echoes the
+// metrics payload, so CI exercises the full scrape path with one
+// invocation.
 func selfScrape(base string) error {
 	body, err := get(base + "/healthz")
 	if err != nil {
@@ -274,6 +279,13 @@ func selfScrape(base string) error {
 	}
 	if strings.TrimSpace(body) != "ok" {
 		return fmt.Errorf("healthz = %q, want ok", strings.TrimSpace(body))
+	}
+	body, err = get(base + "/spans")
+	if err != nil {
+		return err
+	}
+	if _, err := flight.Validate([]byte(body)); err != nil {
+		return fmt.Errorf("/spans: %w", err)
 	}
 	body, err = get(base + "/metrics")
 	if err != nil {

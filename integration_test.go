@@ -140,7 +140,7 @@ func TestParallelInvariantsQuick(t *testing.T) {
 	}
 }
 
-// The full pipeline agrees: direct kernel, multicore kernel, dimension
+// The full pipeline agrees: direct kernel, multicore facade, dimension
 // tree, instrumented algorithms, and the parallel simulators all
 // produce the same B(n) on a shared random problem.
 func TestEndToEndAgreement(t *testing.T) {
@@ -150,8 +150,8 @@ func TestEndToEndAgreement(t *testing.T) {
 	fs := tensor.RandomFactors(204, dims, R)
 	for n := range dims {
 		want := seq.Ref(x, fs, n)
-		if got := seq.RefParallel(x, fs, n, 4); !got.EqualApprox(want, 1e-9) {
-			t.Fatalf("mode %d: multicore kernel disagrees", n)
+		if got := MTTKRPParallel(x, fs, n, 4); !got.EqualApprox(want, 1e-9) {
+			t.Fatalf("mode %d: multicore facade disagrees", n)
 		}
 		if got := dimtree.AllModes(x, fs).B[n]; !got.EqualApprox(want, 1e-9) {
 			t.Fatalf("mode %d: dimension tree disagrees", n)

@@ -1,10 +1,9 @@
 // Package core is the high-level MTTKRP API tying the paper's pieces
-// together: a plain in-memory kernel, the instrumented sequential
-// algorithms (Algorithms 1-2 and the via-matmul baseline) on the
-// two-level memory model, the parallel algorithms (Algorithms 3-4 and
-// the 1D matmul baseline) on the simulated distributed machine, and
-// automatic algorithm/grid selection guided by the paper's cost models
-// and regime analysis.
+// together: the instrumented sequential algorithms (Algorithms 1-2 and
+// the via-matmul baseline) on the two-level memory model, the parallel
+// algorithms (Algorithms 3-4 and the 1D matmul baseline) on the
+// simulated distributed machine, and automatic algorithm/grid
+// selection guided by the paper's cost models and regime analysis.
 package core
 
 import (
@@ -12,21 +11,11 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/costmodel"
-	"repro/internal/kernel"
 	"repro/internal/memsim"
 	"repro/internal/par"
 	"repro/internal/seq"
 	"repro/internal/tensor"
 )
-
-// MTTKRP computes B(n) for the dense tensor and factor matrices using
-// the KRP-splitting shared-memory engine (kernel.Fast), with no
-// communication accounting. factors[n] is ignored and may be nil.
-// Results match the atomic reference kernel (seq.Ref) up to
-// floating-point reassociation.
-func MTTKRP(x *tensor.Dense, factors []*tensor.Matrix, n int) *tensor.Matrix {
-	return kernel.Fast(x, factors, n)
-}
 
 // SeqAlgorithm selects an instrumented sequential algorithm.
 type SeqAlgorithm int

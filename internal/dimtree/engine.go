@@ -45,7 +45,7 @@ import (
 // Engine executes dimension-tree contractions with the blocked GEMM
 // kernels, reusing all internal buffers across calls. An Engine is not
 // safe for concurrent use; use one per goroutine (the package-level
-// AllModes/ContractTensor/ContractPartial helpers borrow from a pool).
+// AllModes helpers borrow from a pool).
 type Engine struct {
 	// Workers is the goroutine count handed to the underlying kernels
 	// (<= 0 selects the linalg package default). Results are bitwise
@@ -344,30 +344,6 @@ func AllModesWorkers(x *tensor.Dense, factors []*tensor.Matrix, workers int) *Re
 	res := e.AllModes(x, factors)
 	enginePool.Put(e)
 	return res
-}
-
-// ContractTensor computes the partial MTTKRP T(i_keep, r) =
-// sum_{i_drop} X(i) prod_{k in drop} A(k)(i_k, r) directly from the
-// tensor with a pooled GEMM engine (scalar fallback for
-// non-contiguous keep sets), returning the partial (dims: kept
-// extents + R) and the flop count. Exported for algorithms that manage
-// their own partials (e.g. dimension-tree ALS).
-func ContractTensor(x *tensor.Dense, factors []*tensor.Matrix, R int, keep []int) (*tensor.Dense, int64) {
-	e := enginePool.Get().(*Engine)
-	e.Workers = 0
-	defer enginePool.Put(e)
-	return e.ContractTensor(x, factors, R, keep)
-}
-
-// ContractPartial contracts away modes of an existing partial (last
-// dimension r) with a pooled GEMM engine: modes lists the partial's
-// tensor modes in order, keep the modes to retain. Returns the new
-// partial and the flop count.
-func ContractPartial(part *tensor.Dense, modes []int, factors []*tensor.Matrix, R int, keep []int) (*tensor.Dense, int64) {
-	e := enginePool.Get().(*Engine)
-	e.Workers = 0
-	defer enginePool.Put(e)
-	return e.ContractPartial(part, modes, factors, R, keep)
 }
 
 // prodDims multiplies the extents of modes [lo, hi) without

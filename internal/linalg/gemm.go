@@ -29,14 +29,17 @@ import (
 	"repro/internal/simd"
 )
 
+// DefaultBlock is the default KC and MC cache-blocking extent.
+const DefaultBlock = 256
+
 // Cache-blocking parameters: the A panel held hot across a column
 // sweep is gemmMC x gemmKC words (512 KiB at 8 bytes/word by default,
 // sized for a typical L2). They are package variables — not constants
 // — so the cost-model planner (internal/plan) can retune them from
 // measured machine constants; see SetBlockSizes.
 var (
-	gemmKC = 256
-	gemmMC = 256
+	gemmKC = DefaultBlock
+	gemmMC = DefaultBlock
 )
 
 // gemmSmall is the flop threshold below which spawning goroutines
@@ -68,7 +71,7 @@ func BlockSizes() (kc, mc int) { return gemmKC, gemmMC }
 
 func clampBlock(n int) int {
 	if n <= 0 {
-		return 256
+		return DefaultBlock
 	}
 	if n < blockMin {
 		return blockMin

@@ -11,9 +11,9 @@
 //
 //   - A Collector owns pre-allocated per-worker counter slabs (one
 //     cache line per worker; words read/written, flops, collective
-//     sends/receives) updated with atomic adds, and a fixed ring of
-//     phase spans with per-phase aggregate counts and nanoseconds.
-//     Nothing on the update path allocates, ever.
+//     sends/receives) updated with atomic adds, and per-phase span
+//     counts and nanoseconds; the span timeline itself is the flight
+//     recorder's. Nothing on the update path allocates, ever.
 //   - The package-level active collector is never nil: the default is a
 //     statically allocated disabled collector whose update methods
 //     return after a single branch, so uninstrumented runs pay one
@@ -156,24 +156,6 @@ func init() {
 // so concurrent workers never false-share counter words.
 const slotWords = 8
 
-// ringCap is the span-ring capacity. The ring wraps, overwriting the
-// oldest spans; per-phase aggregates keep exact totals regardless.
-const ringCap = 4096
-
-// spanRec is one recorded phase span (start/stop pair) in the ring.
-type spanRec struct {
-	phase Phase
-	start int64 // ns since the collector's base time
-	stop  int64
-}
-
-// SpanInfo is one exported ring entry.
-type SpanInfo struct {
-	Phase string `json:"phase"`
-	Start int64  `json:"start_ns"`
-	Stop  int64  `json:"stop_ns"`
-}
-
 // PhaseStat aggregates every span of one phase.
 type PhaseStat struct {
 	Phase string `json:"phase"`
@@ -194,9 +176,6 @@ type Collector struct {
 	phaseNs    [NumPhases]int64 // atomic
 	phaseCount [NumPhases]int64 // atomic
 
-	ring    []spanRec
-	ringPos atomic.Int64
-
 	base         time.Time
 	startMallocs uint64
 	startBytes   uint64
@@ -214,14 +193,13 @@ func New(workers int) *Collector {
 		on:      true,
 		workers: workers,
 		slabs:   make([]int64, workers*slotWords),
-		ring:    make([]spanRec, ringCap),
 	}
 	c.Reset()
 	return c
 }
 
-// Reset zeroes every counter, phase aggregate, and the span ring, and
-// re-bases the clock and the process allocation snapshot.
+// Reset zeroes every counter and phase aggregate, and re-bases the
+// clock and the process allocation snapshot.
 func (c *Collector) Reset() {
 	if !c.on {
 		return
@@ -232,10 +210,6 @@ func (c *Collector) Reset() {
 	for p := 0; p < int(NumPhases); p++ {
 		atomic.StoreInt64(&c.phaseNs[p], 0)
 		atomic.StoreInt64(&c.phaseCount[p], 0)
-	}
-	c.ringPos.Store(0)
-	for i := range c.ring {
-		c.ring[i] = spanRec{}
 	}
 	c.base = time.Now()
 	var ms runtime.MemStats
@@ -280,8 +254,7 @@ func (c *Collector) Start(p Phase) Span {
 	return Span{c: c, phase: p, start: int64(time.Since(c.base))}
 }
 
-// Stop closes the span: the phase aggregates gain its duration and the
-// start/stop pair lands in the ring (wrapping over the oldest entry).
+// Stop closes the span: the phase aggregates gain its duration.
 func (s Span) Stop() {
 	if s.fl {
 		flight.Rec().End(int(s.rank), 0, flightPhase[s.phase])
@@ -293,8 +266,6 @@ func (s Span) Stop() {
 	stop := int64(time.Since(c.base))
 	atomic.AddInt64(&c.phaseNs[s.phase], stop-s.start)
 	atomic.AddInt64(&c.phaseCount[s.phase], 1)
-	i := (c.ringPos.Add(1) - 1) % int64(len(c.ring))
-	c.ring[i] = spanRec{phase: s.phase, start: s.start, stop: stop}
 }
 
 // Totals is a point-in-time aggregate of every counter slab plus the
@@ -359,25 +330,6 @@ func (c *Collector) PhaseStats() []PhaseStat {
 			Count: n,
 			Nanos: atomic.LoadInt64(&c.phaseNs[p]),
 		})
-	}
-	return out
-}
-
-// Spans returns the ring contents, oldest first. At most the last
-// ringCap spans survive; use PhaseStats for exact totals.
-func (c *Collector) Spans() []SpanInfo {
-	if !c.on {
-		return nil
-	}
-	pos := c.ringPos.Load()
-	n := pos
-	if n > int64(len(c.ring)) {
-		n = int64(len(c.ring))
-	}
-	out := make([]SpanInfo, 0, n)
-	for i := int64(0); i < n; i++ {
-		r := c.ring[(pos-n+i)%int64(len(c.ring))]
-		out = append(out, SpanInfo{Phase: r.phase.String(), Start: r.start, Stop: r.stop})
 	}
 	return out
 }

@@ -86,9 +86,6 @@ func TestResetRebasesCounters(t *testing.T) {
 	if ps := c.PhaseStats(); len(ps) != 0 {
 		t.Fatalf("PhaseStats = %v after Reset", ps)
 	}
-	if sp := c.Spans(); len(sp) != 0 {
-		t.Fatalf("Spans = %v after Reset", sp)
-	}
 }
 
 // The disabled default never records.
@@ -106,11 +103,10 @@ func TestNoopCollectorRecordsNothing(t *testing.T) {
 	}
 }
 
-// Phase aggregates survive ring wrap-around: the ring keeps only the
-// last ringCap spans, the aggregates keep every one.
+// Phase aggregates count every span, however many are recorded.
 func TestPhaseAggregatesSurviveRingWrap(t *testing.T) {
 	c := New(1)
-	total := ringCap + 100
+	total := 5000
 	for i := 0; i < total; i++ {
 		sp := c.Start(PhaseGram)
 		sp.Stop()
@@ -118,9 +114,6 @@ func TestPhaseAggregatesSurviveRingWrap(t *testing.T) {
 	ps := c.PhaseStats()
 	if len(ps) != 1 || ps[0].Phase != "gram" || ps[0].Count != int64(total) {
 		t.Fatalf("PhaseStats = %+v, want gram count %d", ps, total)
-	}
-	if spans := c.Spans(); len(spans) != ringCap {
-		t.Fatalf("ring holds %d spans, want %d", len(spans), ringCap)
 	}
 }
 

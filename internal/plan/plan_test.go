@@ -30,19 +30,33 @@ func testCal() *Calibration {
 	}
 }
 
+// TestPlanDeterministic: the same problem and calibration give the
+// same plan, even when another problem's plan was applied in between.
 func TestPlanDeterministic(t *testing.T) {
-	p := Problem{Dims: []int{64, 64, 64}, R: 16, Mode: AllModes, MaxWorkers: 8}
+	kc0, mc0 := linalg.BlockSizes()
+	defer linalg.SetBlockSizes(kc0, mc0)
 	cal := testCal()
-	a, err := Plan(p, cal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Plan(p, cal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b { //repro:bitwise the determinism contract under test: identical plans, floats included
-		t.Errorf("same problem, same calibration, different plans:\n%+v\n%+v", a, b)
+	for _, p := range []Problem{
+		{Dims: []int{64, 64, 64}, R: 16, Mode: AllModes, MaxWorkers: 8},
+		{Dims: []int{16, 16, 16}, R: 4, Mode: 0, MaxWorkers: 8},
+	} {
+		linalg.SetBlockSizes(0, 0) // a fresh process's blocks
+		a, err := Plan(p, cal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := Plan(Problem{Dims: []int{8, 4096, 8}, R: 8, Mode: 1}, cal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other.Apply()
+		b, err := Plan(p, cal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b { //repro:bitwise the determinism contract under test: identical plans, floats included
+			t.Errorf("dims %v: same problem, same calibration, different plans:\n%+v\n%+v", p.Dims, a, b)
+		}
 	}
 }
 

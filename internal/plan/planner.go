@@ -116,10 +116,12 @@ func Auto(p Problem) (Choice, *Calibration, error) {
 }
 
 // blocksFor sizes the GEMM panel blocks for the problem's dominant
-// dense contraction. Sparse problems keep the package defaults — their
-// kernels never enter the blocked GEMMs.
+// dense contraction. Sparse problems keep linalg's defaults — their
+// kernels never enter the blocked GEMMs. Every start is the default,
+// never the blocks currently applied, so a plan does not depend on
+// which plan ran before it.
 func blocksFor(p Problem, cal *Calibration) (kc, mc int) {
-	kc, mc = linalg.BlockSizes()
+	kc, mc = linalg.DefaultBlock, linalg.DefaultBlock
 	if p.Sparse() {
 		return kc, mc
 	}
@@ -173,10 +175,10 @@ func PlanGEMM(m, k, n int, cal *Calibration) (kc, mc int) {
 	if budget < 1<<10 {
 		budget = defaultCacheWords
 	}
+	kc, mc = linalg.DefaultBlock, linalg.DefaultBlock
 	if m < 1 || k < 1 || n < 1 {
-		return linalg.BlockSizes()
+		return kc, mc
 	}
-	kc, mc = linalg.BlockSizes()
 	bestWords := gemmTrafficWords(m, k, n, kc, mc)
 	for ckc := 16; ckc <= 4096; ckc *= 2 {
 		for cmc := 16; cmc <= 4096; cmc *= 2 {

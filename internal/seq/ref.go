@@ -1,11 +1,11 @@
 // Package seq implements the paper's sequential MTTKRP algorithms:
 // the unblocked Algorithm 1, the communication-optimal blocked
 // Algorithm 2, the MTTKRP-via-matrix-multiplication baseline of
-// Section III-B / VI-A, and a shared-memory multicore kernel. The
-// instrumented variants run against a memsim.Machine and account for
-// every load and store in the two-level memory model, so their
-// measured communication can be compared directly with the lower
-// bounds of Section IV.
+// Section III-B / VI-A, and the Definition 2.1 reference kernel (Ref)
+// that every engine is checked against. The instrumented variants run
+// against a memsim.Machine and account for every load and store in the
+// two-level memory model, so their measured communication can be
+// compared directly with the lower bounds of Section IV.
 package seq
 
 import (

@@ -106,14 +106,6 @@ var features = ""
 // "scalar".
 func Path() string { return pathName }
 
-// Features reports the detected CPU features relevant to dispatch
-// (e.g. "avx2,fma"), or "" when none were probed.
-func Features() string { return features }
-
-// Disabled reports whether the REPRO_NOSIMD=1 override forced the
-// scalar path at init.
-func Disabled() bool { return noSIMD() }
-
 // Describe returns the one-line environment banner the report tools
 // print: the dispatch path and the detected features.
 func Describe() string {

@@ -30,15 +30,6 @@ func NewMatrix32(rows, cols int) *Matrix32 {
 	return &Matrix32{rows: rows, cols: cols, data: make([]float32, rows*cols)}
 }
 
-// NewMatrix32FromData wraps a column-major slice; len(data) must be
-// rows*cols.
-func NewMatrix32FromData(data []float32, rows, cols int) *Matrix32 {
-	if rows <= 0 || cols <= 0 || len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: data length %d does not match %dx%d", len(data), rows, cols))
-	}
-	return &Matrix32{rows: rows, cols: cols, data: data}
-}
-
 // Matrix32FromMatrix converts a float64 matrix on ingest, rounding
 // every element once.
 func Matrix32FromMatrix(m *Matrix) *Matrix32 {

@@ -24,6 +24,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/cpals"
 	"repro/internal/dimtree"
+	"repro/internal/kernel"
 	"repro/internal/par"
 	"repro/internal/pebble"
 	"repro/internal/seq"
@@ -58,16 +59,19 @@ func RandomFactors(seed int64, dims []int, R int) []*Matrix {
 // FromFactors materializes the rank-R tensor defined by the factors.
 func FromFactors(factors []*Matrix) *Dense { return tensor.FromFactors(factors) }
 
-// MTTKRP computes B(n) directly (Definition 2.1) with no cost
-// accounting. factors[n] is ignored and may be nil.
+// MTTKRP computes B(n) with the KRP-splitting shared-memory engine
+// (kernel.Fast) and no cost accounting. It agrees with Definition 2.1
+// up to floating-point reassociation. factors[n] is ignored and may be
+// nil.
 func MTTKRP(x *Dense, factors []*Matrix, n int) *Matrix {
-	return core.MTTKRP(x, factors, n)
+	return kernel.Fast(x, factors, n)
 }
 
-// MTTKRPParallel computes B(n) with the shared-memory parallel kernel
-// (workers goroutines; 0 means GOMAXPROCS).
+// MTTKRPParallel is MTTKRP on workers goroutines (<= 0 selects the
+// engine default, normally GOMAXPROCS). The result is bitwise
+// identical for every worker count.
 func MTTKRPParallel(x *Dense, factors []*Matrix, n, workers int) *Matrix {
-	return seq.RefParallel(x, factors, n, workers)
+	return kernel.FastWorkers(x, factors, n, workers)
 }
 
 // CPDecomposeTree runs CP-ALS with Phan-style prefix-partial reuse:

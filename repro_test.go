@@ -2,6 +2,8 @@ package repro
 
 import (
 	"testing"
+
+	"repro/internal/seq"
 )
 
 func TestFacadeMTTKRP(t *testing.T) {
@@ -11,6 +13,27 @@ func TestFacadeMTTKRP(t *testing.T) {
 	b := MTTKRP(x, fs, 0)
 	if b.Rows() != 6 || b.Cols() != 3 {
 		t.Fatalf("B shape %dx%d", b.Rows(), b.Cols())
+	}
+}
+
+// MTTKRPParallel is bitwise identical at every worker count and agrees
+// with the Definition 2.1 reference on a shape no worker count divides.
+func TestFacadeMTTKRPParallelBitwise(t *testing.T) {
+	dims := []int{17, 13, 11}
+	x := RandomDense(5, dims...)
+	fs := RandomFactors(6, dims, 7)
+	for n := range dims {
+		want := seq.Ref(x, fs, n)
+		one := MTTKRPParallel(x, fs, n, 1)
+		if !one.EqualApprox(want, 1e-9) {
+			t.Fatalf("mode %d: maxdiff %v against seq.Ref", n, one.MaxAbsDiff(want))
+		}
+		for _, w := range []int{2, 3, 8} {
+			got := MTTKRPParallel(x, fs, n, w)
+			if d := got.MaxAbsDiff(one); d != 0 { //repro:bitwise the worker-count-independence contract under test
+				t.Fatalf("mode %d workers %d: maxdiff %v against workers 1", n, w, d)
+			}
+		}
 	}
 }
 
