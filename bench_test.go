@@ -523,6 +523,25 @@ func BenchmarkTucker(b *testing.B) {
 	}
 }
 
+// BenchmarkSymEig is E30: the full symmetric eigensolve (Householder
+// tridiagonalization plus implicit-shift QL) on a mode Gram of the
+// benchmark workloads' sizes — n = 32 for tucker-hooi's 32^4 tensor,
+// n = 128 for cp-dense's 128^3. It allocates the working copy, the
+// sorted eigenvector matrix and O(n) vectors; allocs/op is reported.
+func BenchmarkSymEig(b *testing.B) {
+	for _, n := range []int{32, 128} {
+		g := linalg.Gram(tensor.RandomMatrix(int64(n), 2*n, n))
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := linalg.SymEig(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTTMChain is E29's kernel half: the full greedy TTM chain
 // (the HOOI core contraction) on a 128^3, rank-16 problem. "scalar" is
 // the retained per-element reference; "engine" is the blocked-GEMM

@@ -43,6 +43,12 @@ go run ./cmd/repolint ./...
 echo "== go test (native dispatch) =="
 go test ./...
 
+echo "== go fuzz (SymEig, 10s) =="
+# A short native fuzz pass over matrices with known spectra (dense
+# Q diag Q^T, diagonal, Clement tridiagonal): eigenvalues, residual,
+# orthogonality, descending order, untouched input.
+go test -run '^$' -fuzz '^FuzzSymEig$' -fuzztime 10s ./internal/linalg
+
 echo "== go test (REPRO_NOSIMD=1 scalar dispatch) =="
 # The identical suite must pass with the runtime override forcing the
 # portable scalar kernels, proving the two paths are interchangeable.

@@ -200,15 +200,7 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 			core := ttm.ChainWorkers(localX[rank], localFacts, -1, 1)
 			// Core partials sum across all processors.
 			coreFull := world.AllReduce(core.Data())
-			var coreNorm2 float64
-			for _, v := range coreFull {
-				coreNorm2 += v * v
-			}
-			resid2 := normX*normX - coreNorm2
-			if resid2 < 0 {
-				resid2 = 0
-			}
-			fit := 1 - math.Sqrt(resid2)/normX
+			fit := fitFromCore(normX, coreFull, x.Dims())
 			fits[rank] = append(fits[rank], fit)
 			if fit-prevFit < opts.Tol && it > 0 {
 				break
@@ -231,7 +223,7 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 	}
 	normX := x.Norm()
 	return &ParallelResult{
-		Model:       &Model{Core: core, Factors: factors, Fit: fitFromCore(normX, core)},
+		Model:       &Model{Core: core, Factors: factors, Fit: fitFromCore(normX, core.Data(), x.Dims())},
 		Trace:       trace,
 		GatherWords: gatherWords,
 		ReduceWords: reduceWords,

@@ -9,7 +9,12 @@
 // Both solvers run on the blocked TTM engine (internal/ttm): HOOI's
 // projection chains and mode Grams are GEMM over contiguous slabs
 // with a reused workspace, so steady-state sweeps allocate nothing
-// outside the eigensolves.
+// outside the eigensolves. Each factor is the leading eigenvectors of
+// a mode Gram from linalg.SymEig (Householder tridiagonalization plus
+// implicit-shift QL, O(I_k^3)); the HOSVD and HOOI eigensolves are
+// timed as the obs solve phase. The core returned by Decompose is the
+// one its last fit phase computed, and every fit goes through one
+// formula with a rounding floor (fitFromCore).
 package tucker
 
 import (
@@ -110,7 +115,9 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 		for k := 0; k < N; k++ {
 			gram := tensor.NewMatrix(x.Dim(k), x.Dim(k))
 			ttm.GramInto(gram, x, k, w, ws)
+			sspan := obs.Start(obs.PhaseSolve)
 			u, err := linalg.LeadingEigvecs(gram, opts.Ranks[k])
+			sspan.Stop()
 			if err != nil {
 				return nil, nil, fmt.Errorf("tucker: HOSVD mode %d: %w", k, err)
 			}
@@ -138,6 +145,7 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 		yBuf[k] = tensor.NewDense(ydims...)
 	}
 	coreBuf := tensor.NewDense(opts.Ranks...)
+	dims := x.Dims()
 
 	// HOOI sweeps.
 	var trace []TraceEntry
@@ -162,7 +170,7 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 		// from the core alone.
 		fspan := obs.Start(obs.PhaseFit)
 		ttm.ChainInto(coreBuf, x, factors, -1, w, ws)
-		fit = fitFromCore(normX, coreBuf)
+		fit = fitFromCore(normX, coreBuf.Data(), dims)
 		fspan.Stop()
 		trace = append(trace, TraceEntry{Iter: it, Fit: fit})
 		if fit-prevFit < opts.Tol && it > 0 {
@@ -170,8 +178,9 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 		}
 		prevFit = fit
 	}
-	core := ttm.ChainWorkers(x, factors, -1, w)
-	return &Model{Core: core, Factors: factors, Fit: fitFromCore(normX, core)}, trace, nil
+	// Every exit from the loop follows a fit phase, so coreBuf already
+	// holds X x_k U_k^T for the final factors.
+	return &Model{Core: coreBuf, Factors: factors, Fit: fit}, trace, nil
 }
 
 // HOSVD returns the truncated HOSVD model without HOOI refinement.
@@ -193,22 +202,43 @@ func HOSVD(x *tensor.Dense, ranks []int) (*Model, error) {
 		}
 		gram := tensor.NewMatrix(x.Dim(k), x.Dim(k))
 		ttm.GramInto(gram, x, k, 0, ws)
+		sspan := obs.Start(obs.PhaseSolve)
 		u, err := linalg.LeadingEigvecs(gram, ranks[k])
+		sspan.Stop()
 		if err != nil {
 			return nil, err
 		}
 		factors[k] = u
 	}
 	core := ttm.Chain(x, factors, -1)
-	return &Model{Core: core, Factors: factors, Fit: fitFromCore(normX, core)}, nil
+	return &Model{Core: core, Factors: factors, Fit: fitFromCore(normX, core.Data(), x.Dims())}, nil
 }
 
-// fitFromCore uses ||X - Xhat||^2 = ||X||^2 - ||G||^2, valid for
-// orthonormal factor matrices.
-func fitFromCore(normX float64, core *tensor.Dense) float64 {
-	resid2 := normX*normX - core.Norm()*core.Norm()
-	if resid2 < 0 {
-		resid2 = 0
+// fitFromCore returns the fit 1 - ||X - Xhat|| / ||X|| of a model
+// with orthonormal factors from ||X|| and the core's entries (whole or
+// all-reduced), using ||X - Xhat||^2 = ||X||^2 - ||G||^2. It is the one
+// fit formula of every Tucker solver. The subtraction cancels as the
+// fit nears 1: G comes out of a TTM chain whose mode-k step sums I_k
+// products per entry, so ||G||^2 carries a rounding error of order
+// (sum_k I_k)·eps·||X||^2, and a residual inside that floor has no
+// significant digits. Such a residual, like a negative one, counts as
+// exactly 0; otherwise the sqrt would turn a few ulps of noise into a
+// fit visibly below 1 (3 eps of residual becomes 1 - 2.7e-8 on an
+// exact full-rank model). dims are X's extents.
+func fitFromCore(normX float64, core []float64, dims []int) float64 {
+	const eps = 0x1p-52
+	var core2 float64
+	for _, v := range core {
+		core2 += v * v
+	}
+	inner := 0
+	for _, d := range dims {
+		inner += d
+	}
+	normX2 := normX * normX
+	resid2 := normX2 - core2
+	if resid2 <= float64(inner)*eps*normX2 {
+		return 1
 	}
 	return 1 - math.Sqrt(resid2)/normX
 }

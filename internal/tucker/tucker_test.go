@@ -107,6 +107,39 @@ func TestFullRanksGiveExactFit(t *testing.T) {
 	}
 }
 
+// TestCoreIsFinalChain pins that Decompose returns the core its last
+// fit phase computed, and that it is bitwise the chain of the returned
+// factors — after a single sweep and after an early convergence stop.
+func TestCoreIsFinalChain(t *testing.T) {
+	dims := []int{7, 6, 5}
+	ranks := []int{3, 2, 2}
+	for _, tc := range []struct {
+		name     string
+		x        *tensor.Dense
+		maxIters int
+	}{
+		{"one-sweep", tensor.RandomDense(31, dims...), 1},
+		{"converged", lowMultilinear(t, dims, ranks, 37), 25},
+	} {
+		model, trace, err := Decompose(tc.x, Options{Ranks: ranks, MaxIters: tc.maxIters, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.maxIters > 1 && len(trace) >= tc.maxIters {
+			t.Fatalf("%s: ran all %d sweeps, want an early stop", tc.name, len(trace))
+		}
+		want := ttm.Chain(tc.x, model.Factors, -1)
+		for i, v := range model.Core.Data() {
+			if v != want.Data()[i] { //repro:bitwise the returned core is the chain of the returned factors
+				t.Fatalf("%s: core[%d] = %v, chain of final factors %v", tc.name, i, v, want.Data()[i])
+			}
+		}
+		if model.Fit != trace[len(trace)-1].Fit { //repro:bitwise the model's fit is the last sweep's
+			t.Fatalf("%s: model fit %v, last sweep %v", tc.name, model.Fit, trace[len(trace)-1].Fit)
+		}
+	}
+}
+
 func TestMatrixCaseIsTruncatedSVD(t *testing.T) {
 	// N=2 Tucker with ranks (r, r) is a rank-r SVD approximation; the
 	// fit from the core must match the optimal rank-r spectral sum.
