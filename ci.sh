@@ -32,6 +32,11 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== go vet (perfbench module) =="
+# perfbench is its own module, so ./... above never compiles it; vet
+# it here so a change to an API the benchmark reads fails CI.
+(cd perfbench && go vet ./...)
+
 echo "== go build -tags purego =="
 # The purego tag compiles out every assembly kernel; the build must
 # stay viable for ports with no .s files.

@@ -26,7 +26,6 @@ import (
 func main() {
 	dimsFlag := flag.String("dims", "16,16,16", "tensor dimensions")
 	ranksFlag := flag.String("ranks", "3,3,3", "multilinear ranks")
-	engine := flag.String("engine", "auto", "engine selection: auto (cost-model planner picks the TTM chain engine, workers, and GEMM blocks) | default")
 	gridFlag := flag.String("grid", "", "processor grid; empty = sequential")
 	iters := flag.Int("iters", 10, "HOOI sweeps")
 	noise := flag.Float64("noise", 0.01, "noise half-width")
@@ -71,39 +70,26 @@ func main() {
 	}
 
 	// HOOI's hot loop is the TTM projection chains and mode Grams of
-	// internal/ttm. With -engine auto (the default) the calibrated
-	// planner plans the Tucker workload as a TTM-chain problem: the
-	// registry routes it to the chain engine, the worker count comes
-	// from the cost model, and the GEMM panel blocks are sized for the
-	// chain's dominant (first greedy) contraction. The tunables depend
-	// only on the shape and the cached calibration, never on the worker
-	// count.
-	var planInfo *obs.PlanInfo
-	workers := 0
-	switch *engine {
-	case "auto":
-		maxRank := 0
-		for _, r := range ranks {
-			if r > maxRank {
-				maxRank = r
-			}
+	// internal/ttm. The calibrated planner plans the Tucker workload as
+	// a TTM-chain problem: the registry routes it to the chain engine
+	// and the worker count comes from the cost model.
+	maxRank := 0
+	for _, r := range ranks {
+		if r > maxRank {
+			maxRank = r
 		}
-		prob := plan.Problem{Dims: dims, R: maxRank, Mode: plan.AllModes,
-			Ranks: ranks, Reuses: *iters * (len(dims) + 1)}
-		choice, _, err := plan.Auto(prob)
-		if err != nil {
-			fatal(err)
-		}
-		choice.Apply()
-		planInfo = choice.PlanInfo()
-		workers = choice.Workers
-		fmt.Printf("plan: engine=%s workers=%d gemm blocks kc=%d mc=%d\n",
-			choice.Engine, choice.Workers, choice.GemmKC, choice.GemmMC)
-	case "default":
-		// keep the package block sizes and worker default
-	default:
-		fatal(fmt.Errorf("unknown -engine %q (want auto or default)", *engine))
 	}
+	prob := plan.Problem{Dims: dims, R: maxRank, Mode: plan.AllModes,
+		Ranks: ranks, Reuses: *iters * (len(dims) + 1)}
+	choice, _, err := plan.Auto(prob)
+	if err != nil {
+		fatal(err)
+	}
+	choice.Apply()
+	planInfo := choice.PlanInfo()
+	workers := choice.Workers
+	fmt.Printf("plan: engine=%s workers=%d gemm blocks kc=%d mc=%d\n",
+		choice.Engine, choice.Workers, choice.GemmKC, choice.GemmMC)
 
 	// Synthetic data: random core expanded by orthonormal factors,
 	// plus noise.
@@ -128,12 +114,6 @@ func main() {
 		}
 		// Rank reported as the largest multilinear rank; mode -1 marks
 		// an all-modes sweep.
-		maxRank := 0
-		for _, r := range ranks {
-			if r > maxRank {
-				maxRank = r
-			}
-		}
 		rep := obs.NewReport("tucker", algo, dims, maxRank, -1, mach)
 		rep.Plan = planInfo
 		if custom != nil {

@@ -168,11 +168,3 @@ func paramObjs(fi *funcInfo) []types.Object {
 	}
 	return out
 }
-
-// recvObj returns a method's receiver object, or nil.
-func recvObj(fi *funcInfo) types.Object {
-	if fi.decl.Recv == nil || len(fi.decl.Recv.List) == 0 || len(fi.decl.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	return fi.pkg.Info.Defs[fi.decl.Recv.List[0].Names[0]]
-}

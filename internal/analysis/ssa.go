@@ -69,13 +69,6 @@ func baseObj(e ast.Expr, info *types.Info) types.Object {
 	}
 }
 
-// baseVar is baseObj narrowed to variables (fields, params, locals,
-// package-level vars).
-func baseVar(e ast.Expr, info *types.Info) *types.Var {
-	v, _ := baseObj(e, info).(*types.Var)
-	return v
-}
-
 // isNamedType reports whether t (after pointer indirection) is the
 // named type pkgPath.name.
 func isNamedType(t types.Type, pkgPath, name string) bool {

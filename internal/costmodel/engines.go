@@ -181,8 +181,9 @@ func (m Model) TTMChainCost(ranks []float64, skip int) EngineCost {
 	if skip < -1 || skip >= N {
 		panic("costmodel: TTMChainCost skip out of range")
 	}
-	// Greedy order on the original shapes, mirroring ttm.ChainOrder's
-	// cross-multiplied ratio compare and insertion-sort stability.
+	// Greedy order on the original shapes, mirroring the cross-
+	// multiplied ratio compare and insertion-sort stability of ttm's
+	// appendGreedyOrder.
 	ord := make([]int, 0, N)
 	for k := 0; k < N; k++ {
 		if k != skip {

@@ -30,7 +30,8 @@ type Options struct {
 	// (the standard lambda handling): each rank-one component's
 	// magnitude is spread evenly across the N factors, leaving the
 	// model unchanged but keeping Gram matrices well-conditioned over
-	// long runs.
+	// long runs. Decompose and DecomposeTree honour it;
+	// DecomposeParallel rejects it.
 	Normalize bool
 }
 

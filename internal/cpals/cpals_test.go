@@ -207,6 +207,9 @@ func TestDecomposeParallelErrors(t *testing.T) {
 	if _, err := DecomposeParallel(x, []int{2, 2}, Options{R: 0}); err == nil {
 		t.Fatal("R=0 should error")
 	}
+	if _, err := DecomposeParallel(x, []int{2, 2}, Options{R: 2, Normalize: true}); err == nil {
+		t.Fatal("Normalize should error: the parallel solver does not rebalance norms")
+	}
 }
 
 func TestParallelSingleProcessor(t *testing.T) {

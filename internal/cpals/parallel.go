@@ -50,10 +50,13 @@ func maxOf(xs []int64) int64 {
 // with factor block rows partitioned by whole rows so Gram matrices
 // can be summed locally). Each tensor dimension must be at least
 // prod(shape) so that every rank owns at least one row of every
-// factor.
+// factor. Options.Normalize is not supported and returns an error.
 func DecomposeParallel(x *tensor.Dense, shape []int, opts Options) (*ParallelResult, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
+	}
+	if opts.Normalize {
+		return nil, fmt.Errorf("cpals: DecomposeParallel does not support Normalize")
 	}
 	N := x.Order()
 	if len(shape) != N {

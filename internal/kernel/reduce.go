@@ -65,26 +65,3 @@ func addInto(dst, src []float64) {
 		dst[i] += v
 	}
 }
-
-// parallelChunks splits [0, total) into at most `workers` contiguous
-// chunks and runs fn on each concurrently; workers == 1 runs inline.
-func parallelChunks(total, workers int, fn func(w, lo, hi int)) {
-	if workers > total {
-		workers = total
-	}
-	if workers <= 1 {
-		fn(0, 0, total)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * total / workers
-		hi := (w + 1) * total / workers
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}

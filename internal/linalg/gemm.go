@@ -23,89 +23,29 @@ package linalg
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/simd"
 )
 
-// DefaultBlock is the default KC and MC cache-blocking extent.
-const DefaultBlock = 256
-
-// Cache-blocking parameters: the A panel held hot across a column
-// sweep is gemmMC x gemmKC words (512 KiB at 8 bytes/word by default,
-// sized for a typical L2). They are package variables — not constants
-// — so the cost-model planner (internal/plan) can retune them from
-// measured machine constants; see SetBlockSizes.
-var (
-	gemmKC = DefaultBlock
-	gemmMC = DefaultBlock
-)
+// gemmBlock is the KC and MC cache-blocking extent: the A panel held
+// hot across a column sweep is gemmBlock x gemmBlock words (512 KiB at
+// 8 bytes/word, sized for a typical L2). It is a constant, so the
+// summation order — and every result — is fixed by the shape alone.
+const gemmBlock = 256
 
 // gemmSmall is the flop threshold below which spawning goroutines
 // costs more than it saves; such products run inline.
 const gemmSmall = 1 << 15
 
-// blockMin/blockMax bound the settable cache-blocking extents: below
-// 16 the register tiles dominate and the panel bookkeeping is pure
-// overhead; above 4096 the panel no longer fits any realistic cache.
-const (
-	blockMin = 16
-	blockMax = 4096
-)
+// BlockSizes reports the GEMM cache-blocking extents (KC, MC).
+func BlockSizes() (kc, mc int) { return gemmBlock, gemmBlock }
 
-// SetBlockSizes retunes the GEMM cache-blocking extents (the KC x MC
-// A-panel held hot across a column sweep). Values are clamped to
-// [16, 4096]; n <= 0 restores a dimension's default (256). The blocks
-// change the floating-point summation order, so they must be fixed
-// before a run and never derived from the worker count — that is what
-// keeps results bitwise independent of the parallelism. Not safe to
-// call concurrently with running kernels; set once at planning time.
-func SetBlockSizes(kc, mc int) {
-	gemmKC = clampBlock(kc)
-	gemmMC = clampBlock(mc)
-}
-
-// BlockSizes reports the current GEMM cache-blocking extents (KC, MC).
-func BlockSizes() (kc, mc int) { return gemmKC, gemmMC }
-
-func clampBlock(n int) int {
-	if n <= 0 {
-		return DefaultBlock
-	}
-	if n < blockMin {
-		return blockMin
-	}
-	if n > blockMax {
-		return blockMax
-	}
-	return n
-}
-
-// defaultWorkers is the package-wide parallelism knob; 0 means
-// GOMAXPROCS at call time.
-var defaultWorkers atomic.Int32
-
-// SetWorkers sets the default goroutine count used by the blocked
-// kernels when a call does not specify one. n <= 0 restores the
-// default (GOMAXPROCS).
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int32(n))
-}
-
-// Workers reports the effective default worker count.
-func Workers() int {
-	if w := int(defaultWorkers.Load()); w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// Workers reports the default worker count: GOMAXPROCS.
+func Workers() int { return runtime.GOMAXPROCS(0) }
 
 // ResolveWorkers maps a per-call workers argument to an effective
-// count: values <= 0 select the package default.
+// count: values <= 0 select Workers().
 func ResolveWorkers(workers int) int {
 	if workers > 0 {
 		return workers
@@ -181,10 +121,10 @@ func gemmNN(c, a, b []float64, m, k, i0, i1, j0, j1 int) {
 			cj[i] = 0
 		}
 	}
-	for l0 := 0; l0 < k; l0 += gemmKC {
-		l1 := min(l0+gemmKC, k)
-		for ib := i0; ib < i1; ib += gemmMC {
-			ie := min(ib+gemmMC, i1)
+	for l0 := 0; l0 < k; l0 += gemmBlock {
+		l1 := min(l0+gemmBlock, k)
+		for ib := i0; ib < i1; ib += gemmBlock {
+			ie := min(ib+gemmBlock, i1)
 			gemmNNBlock(c, a, b, m, k, l0, l1, ib, ie, j0, j1)
 		}
 	}
@@ -324,10 +264,10 @@ func gemmNT(c, a, b []float64, m, k, nb, j0, j1 int) {
 			cj[i] = 0
 		}
 	}
-	for l0 := 0; l0 < k; l0 += gemmKC {
-		l1 := min(l0+gemmKC, k)
-		for ib := 0; ib < m; ib += gemmMC {
-			ie := min(ib+gemmMC, m)
+	for l0 := 0; l0 < k; l0 += gemmBlock {
+		l1 := min(l0+gemmBlock, k)
+		for ib := 0; ib < m; ib += gemmBlock {
+			ie := min(ib+gemmBlock, m)
 			gemmNTBlock(c, a, b, m, nb, l0, l1, ib, ie, j0, j1)
 		}
 	}

@@ -48,8 +48,8 @@ func gemm32NN(c []float64, a []float32, b []float64, m, k, j0, j1 int) {
 			cj[i] = 0
 		}
 	}
-	for l0 := 0; l0 < k; l0 += gemmKC {
-		l1 := min(l0+gemmKC, k)
+	for l0 := 0; l0 < k; l0 += gemmBlock {
+		l1 := min(l0+gemmBlock, k)
 		for j := j0; j < j1; j++ {
 			cj := c[j*m : (j+1)*m]
 			bj := b[j*k : j*k+k]

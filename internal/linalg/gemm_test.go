@@ -208,21 +208,3 @@ func TestGemmBitwiseAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-func TestSetWorkers(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(3)
-	if Workers() != 3 {
-		t.Fatalf("Workers() = %d, want 3", Workers())
-	}
-	if ResolveWorkers(5) != 5 {
-		t.Fatalf("ResolveWorkers(5) = %d", ResolveWorkers(5))
-	}
-	if ResolveWorkers(0) != 3 {
-		t.Fatalf("ResolveWorkers(0) = %d, want 3", ResolveWorkers(0))
-	}
-	SetWorkers(0)
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d after reset", Workers())
-	}
-}

@@ -2,13 +2,12 @@ package plan
 
 // Runtime calibration: a one-shot startup micro-benchmark measuring
 // the machine constants the planner's cost model multiplies against —
-// per-path GEMM flop rate and stream bandwidth (for both the active
-// SIMD dispatch path and the REPRO_NOSIMD scalar path), parallel
-// scaling, and goroutine fan-out overhead. The result is cached to
-// disk keyed by simd.Describe() plus the CPU and GOMAXPROCS, so every
-// later process start is a single JSON read; a missing, truncated, or
-// stale cache silently re-measures and rewrites — it must never crash
-// or yield a garbage plan.
+// GEMM flop rate and stream bandwidth on the active dispatch path,
+// parallel scaling, and goroutine fan-out overhead. The result is
+// cached to disk keyed by simd.Describe() plus the CPU and GOMAXPROCS,
+// so every later process start is a single JSON read; a missing,
+// truncated, or stale cache silently re-measures and rewrites — it
+// must never crash or yield a garbage plan.
 
 import (
 	"encoding/json"
@@ -26,12 +25,12 @@ import (
 
 // calibrationVersion invalidates cached files when the measurement
 // scheme (and therefore the meaning of the constants) changes.
-const calibrationVersion = 1
+const calibrationVersion = 2
 
-// defaultCacheWords is the planner's working-set budget for one hot
-// GEMM panel, in 8-byte words (512 KiB — a typical per-core L2). Cache
-// probing is deliberately out of calibration scope: the block-size
-// pick only needs the order of magnitude.
+// defaultCacheWords is the calibrated fast-memory size, in 8-byte
+// words (512 KiB — a typical per-core L2). Cache probing is
+// deliberately out of calibration scope: the consumers only need the
+// order of magnitude.
 const defaultCacheWords = 1 << 16
 
 // EnvCachePath overrides the calibration cache location when set.
@@ -47,16 +46,14 @@ type Calibration struct {
 	Key        string `json:"key"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 
-	FlopsSIMD    float64 `json:"flops_simd"`   // GEMM flops/sec, 1 worker, dispatch path
-	FlopsScalar  float64 `json:"flops_scalar"` // same, forced scalar path
-	StreamSIMD   float64 `json:"stream_simd"`  // axpy words/sec, 1 worker, dispatch path
-	StreamScalar float64 `json:"stream_scalar"`
+	FlopsSIMD  float64 `json:"flops_simd"`  // GEMM flops/sec, 1 worker, dispatch path
+	StreamSIMD float64 `json:"stream_simd"` // axpy words/sec, 1 worker, dispatch path
 
 	ParEff  float64 `json:"par_eff"`  // compute parallel efficiency increment
 	MemEff  float64 `json:"mem_eff"`  // bandwidth parallel efficiency increment
 	SpawnNs float64 `json:"spawn_ns"` // goroutine fan-out + join overhead per parallel section
 
-	CacheWords int `json:"cache_words"` // hot-panel budget for block sizing
+	CacheWords int `json:"cache_words"` // fast-memory size in words
 }
 
 // Key returns the cache key identifying the machine configuration a
@@ -111,10 +108,7 @@ func (c *Calibration) validate() error {
 	if c.GOMAXPROCS < 1 {
 		return fmt.Errorf("bad GOMAXPROCS %d", c.GOMAXPROCS)
 	}
-	for name, v := range map[string]float64{
-		"flops_simd": c.FlopsSIMD, "flops_scalar": c.FlopsScalar,
-		"stream_simd": c.StreamSIMD, "stream_scalar": c.StreamScalar,
-	} {
+	for name, v := range map[string]float64{"flops_simd": c.FlopsSIMD, "stream_simd": c.StreamSIMD} {
 		if !(v > 0) || math.IsInf(v, 0) {
 			return fmt.Errorf("non-positive rate %s = %g", name, v)
 		}
@@ -153,10 +147,10 @@ func LoadOrMeasure(path string) *Calibration {
 
 // Measure runs the one-shot startup micro-benchmark (~tens of
 // milliseconds): single-worker GEMM flop rate and stream bandwidth on
-// the active dispatch path and on the forced-scalar path, parallel
-// efficiency at GOMAXPROCS for both regimes, and goroutine fan-out
-// overhead. Implausible timer readings fall back to Default()
-// constants so the planner always has positive rates to divide by.
+// the active dispatch path, parallel efficiency at GOMAXPROCS for both
+// regimes, and goroutine fan-out overhead. Implausible timer readings
+// fall back to Default() constants so the planner always has positive
+// rates to divide by.
 //
 //repro:ignore determinism startup measurement: wall-clock timing calibrates the cost model, it never feeds a kernel
 func Measure() *Calibration {
@@ -168,15 +162,6 @@ func Measure() *Calibration {
 	b := newMicrobench()
 	if f, s := b.ratesWorkers(1); f > 0 && s > 0 {
 		c.FlopsSIMD, c.StreamSIMD = f, s
-	}
-	if simd.Path() == "scalar" {
-		c.FlopsScalar, c.StreamScalar = c.FlopsSIMD, c.StreamSIMD
-	} else {
-		restore := simd.ForceScalar()
-		if f, s := b.ratesWorkers(1); f > 0 && s > 0 {
-			c.FlopsScalar, c.StreamScalar = f, s
-		}
-		restore()
 	}
 	if maxW > 1 {
 		if f, s := b.ratesWorkers(maxW); f > 0 && s > 0 {
@@ -198,16 +183,14 @@ func Measure() *Calibration {
 // mistaken for a measured cache entry.
 func Default() *Calibration {
 	return &Calibration{
-		Version:      calibrationVersion,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		FlopsSIMD:    1e9,
-		FlopsScalar:  5e8,
-		StreamSIMD:   4e8,
-		StreamScalar: 3e8,
-		ParEff:       0.7,
-		MemEff:       0.25,
-		SpawnNs:      5000,
-		CacheWords:   defaultCacheWords,
+		Version:    calibrationVersion,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		FlopsSIMD:  1e9,
+		StreamSIMD: 4e8,
+		ParEff:     0.7,
+		MemEff:     0.25,
+		SpawnNs:    5000,
+		CacheWords: defaultCacheWords,
 	}
 }
 
@@ -340,15 +323,6 @@ func (b *microbench) spawnNs(workers int) float64 {
 	return float64(time.Since(t0).Nanoseconds()) / reps
 }
 
-// rates returns the active dispatch path's calibrated single-worker
-// (flop rate, stream bandwidth).
-func (c *Calibration) rates() (flops, bw float64) {
-	if simd.Path() == "scalar" {
-		return c.FlopsScalar, c.StreamScalar
-	}
-	return c.FlopsSIMD, c.StreamSIMD
-}
-
 // Seconds converts a streaming-model cost into predicted wall-clock
 // seconds at the given worker count: flops at the calibrated flop
 // rate with compute-efficiency scaling, words at the calibrated
@@ -358,10 +332,9 @@ func (c *Calibration) Seconds(words, flops float64, workers int) float64 {
 	if workers < 1 {
 		workers = 1
 	}
-	fl, bw := c.rates()
 	fe := 1 + float64(workers-1)*c.ParEff
 	be := 1 + float64(workers-1)*c.MemEff
-	t := flops/(fl*fe) + words/(bw*be)
+	t := flops/(c.FlopsSIMD*fe) + words/(c.StreamSIMD*be)
 	if workers > 1 {
 		t += c.SpawnNs * 1e-9
 	}

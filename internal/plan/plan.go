@@ -2,15 +2,17 @@
 // interface that every local MTTKRP engine implements (dense
 // KRP-splitting kernel, f32 kernel, dimension tree, sparse CSF, sparse
 // COO), and a planner that — given a problem descriptor — picks the
-// engine, worker count, and GEMM/tile block sizes by evaluating
-// internal/costmodel streaming formulas against machine constants
-// measured once at startup and cached to disk (see calibrate.go).
+// engine and worker count by evaluating internal/costmodel streaming
+// formulas against machine constants measured once at startup and
+// cached to disk (see calibrate.go).
 //
-// Determinism contract: a Choice's block sizes and chunk counts depend
-// only on the problem shape and the calibration constants — never on
-// the worker count — so applying a plan preserves the repository's
-// bitwise worker-count-independence guarantee. Two runs of the same
-// problem against the same calibration file produce identical plans.
+// Determinism contract: a Choice is a value. Planning and applying it
+// write no state into any other package — the GEMM panel is a linalg
+// constant and the CSF chunk count a function of the tree's own
+// nonzero count — so every engine result is bitwise independent of
+// the worker count and of every other caller, concurrent or earlier.
+// Two runs of the same problem against the same calibration file
+// produce identical plans.
 package plan
 
 import (
@@ -20,7 +22,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/dimtree"
 	"repro/internal/kernel"
-	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/sparse"
@@ -66,7 +67,7 @@ type Problem struct {
 	NNZ   int64
 	DType DType
 	// MaxWorkers caps the planner's worker search; 0 means
-	// linalg.Workers() (the package default, normally GOMAXPROCS).
+	// linalg.Workers() (GOMAXPROCS).
 	MaxWorkers int
 	// Reuses is the expected number of passes over the same tensor with
 	// the same plan (CP-ALS sets iterations x modes); 0 means 1.
@@ -156,9 +157,10 @@ type Cost struct {
 }
 
 // Choice is the planner's output: which engine to run, at how many
-// workers, with which tunables, and what the cost model predicted.
-// GemmKC/GemmMC and Chunks are derived from the shape and calibration
-// only — applying them cannot perturb worker-count independence.
+// workers, and what the cost model predicted. GemmKC/GemmMC and Chunks
+// report the tunables the engines derive on their own (the linalg
+// panel constant and sparse.Chunks of the problem's nonzero count, 0
+// when dense); no engine reads them.
 type Choice struct {
 	Engine    string `json:"engine"`
 	Workers   int    `json:"workers"`
@@ -169,18 +171,9 @@ type Choice struct {
 	CalKey    string `json:"cal_key"`
 }
 
-// Apply installs the choice's tunables into the packages that own
-// them, and records the decision as a flight-recorder instant so
-// traces carry the plan that shaped them. Call once per process before
-// the hot loop, not inside it.
+// Apply records the decision as a flight-recorder instant so traces
+// carry the plan that shaped them. It writes no package state.
 func (c Choice) Apply() {
-	if c.GemmKC > 0 && c.GemmMC > 0 {
-		// linalg clamps; the planner already keeps candidates in range.
-		linalg.SetBlockSizes(c.GemmKC, c.GemmMC)
-	}
-	if c.Chunks > 0 {
-		sparse.SetChunks(c.Chunks)
-	}
 	flight.Rec().ColdInstant("plan", map[string]string{
 		"engine":  c.Engine,
 		"workers": strconv.Itoa(c.Workers),

@@ -1,11 +1,12 @@
 package plan
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/dimtree"
 	"repro/internal/kernel"
-	"repro/internal/linalg"
 	"repro/internal/sparse"
 	"repro/internal/tensor"
 	"repro/internal/ttm"
@@ -13,34 +14,29 @@ import (
 )
 
 // testCal is a fixed calibration so planner tests are machine- and
-// SIMD-path-independent (both paths share the same rates).
+// SIMD-path-independent.
 func testCal() *Calibration {
 	return &Calibration{
-		Version:      calibrationVersion,
-		Key:          "fixture",
-		GOMAXPROCS:   8,
-		FlopsSIMD:    4e9,
-		FlopsScalar:  4e9,
-		StreamSIMD:   8e8,
-		StreamScalar: 8e8,
-		ParEff:       0.8,
-		MemEff:       0.3,
-		SpawnNs:      20000,
-		CacheWords:   1 << 16,
+		Version:    calibrationVersion,
+		Key:        "fixture",
+		GOMAXPROCS: 8,
+		FlopsSIMD:  4e9,
+		StreamSIMD: 8e8,
+		ParEff:     0.8,
+		MemEff:     0.3,
+		SpawnNs:    20000,
+		CacheWords: 1 << 16,
 	}
 }
 
 // TestPlanDeterministic: the same problem and calibration give the
 // same plan, even when another problem's plan was applied in between.
 func TestPlanDeterministic(t *testing.T) {
-	kc0, mc0 := linalg.BlockSizes()
-	defer linalg.SetBlockSizes(kc0, mc0)
 	cal := testCal()
 	for _, p := range []Problem{
 		{Dims: []int{64, 64, 64}, R: 16, Mode: AllModes, MaxWorkers: 8},
 		{Dims: []int{16, 16, 16}, R: 4, Mode: 0, MaxWorkers: 8},
 	} {
-		linalg.SetBlockSizes(0, 0) // a fresh process's blocks
 		a, err := Plan(p, cal)
 		if err != nil {
 			t.Fatal(err)
@@ -111,36 +107,116 @@ func TestPlanSmallShapeCutover(t *testing.T) {
 	}
 }
 
-func TestPlanGEMMRespectsBudget(t *testing.T) {
-	cal := testCal()
-	kc, mc := PlanGEMM(4096, 1<<20, 16, cal)
-	if kc*mc > cal.CacheWords {
-		t.Errorf("blocks %dx%d exceed the %d-word budget", kc, mc, cal.CacheWords)
-	}
-	if kc < 16 || mc < 16 {
-		t.Errorf("blocks %dx%d below the kernel minimum", kc, mc)
+// TestApplyLeavesUnplannedCSFBitwise: applying a plan writes no
+// package state, so a CSF pass that was never planned gives the same
+// bits before and after another problem's plan is applied.
+func TestApplyLeavesUnplannedCSFBitwise(t *testing.T) {
+	dims := []int{64, 48, 56}
+	csf := sparse.FromCOO(sparse.Random(19, 20000, dims...), 0)
+	fs := tensor.RandomFactors(23, dims, 8)
+	before := csf.AllModes(fs, 2)
+	Choice{Chunks: 256}.Apply()
+	after := csf.AllModes(fs, 2)
+	for k := range dims {
+		matricesEqual(t, fmt.Sprintf("csf mode %d after Apply", k), after[k], before[k])
 	}
 }
 
-func TestChoiceApply(t *testing.T) {
-	kc0, mc0 := linalg.BlockSizes()
-	ch0 := sparse.Chunks()
-	defer func() {
-		linalg.SetBlockSizes(kc0, mc0)
-		sparse.SetChunks(ch0)
-	}()
-	Choice{GemmKC: 128, GemmMC: 512, Chunks: 64}.Apply()
-	if kc, mc := linalg.BlockSizes(); kc != 128 || mc != 512 {
-		t.Errorf("Apply left blocks at %dx%d", kc, mc)
+// TestConcurrentPlansBitwise: plans are values. Problems of different
+// engines and shapes, each on its own Instance and goroutine, apply
+// their plans and run concurrently; every pass must reproduce that
+// problem's sequential run bitwise (and -race must find nothing).
+func TestConcurrentPlansBitwise(t *testing.T) {
+	denseInst := func(seed int64, dims []int, R int) *Instance {
+		return &Instance{X: tensor.RandomDense(seed, dims...), Factors: tensor.RandomFactors(seed+1, dims, R)}
 	}
-	if sparse.Chunks() != 64 {
-		t.Errorf("Apply left chunks at %d", sparse.Chunks())
+	chainDims, chainRanks := []int{30, 28, 26}, []int{6, 5, 4}
+	us := make([]*tensor.Matrix, len(chainDims))
+	for k := range us {
+		us[k] = tensor.RandomMatrix(int64(60+k), chainDims[k], chainRanks[k])
 	}
-	// Zero fields leave the installed values untouched.
-	Choice{}.Apply()
-	if kc, mc := linalg.BlockSizes(); kc != 128 || mc != 512 {
-		t.Errorf("zero Choice reset blocks to %dx%d", kc, mc)
+	sparseDims := []int{64, 48, 56}
+	jobs := []struct {
+		engine string
+		p      Problem
+		inst   *Instance
+	}{
+		{"tree", Problem{Dims: []int{24, 22, 20}, R: 8, Mode: AllModes}, denseInst(51, []int{24, 22, 20}, 8)},
+		{"fast", Problem{Dims: []int{40, 36, 32}, R: 8, Mode: 1}, denseInst(53, []int{40, 36, 32}, 8)},
+		{"csf", Problem{Dims: sparseDims, R: 8, Mode: AllModes, NNZ: 20000},
+			&Instance{COO: sparse.Random(55, 20000, sparseDims...), Factors: tensor.RandomFactors(56, sparseDims, 8)}},
+		{"ttm", Problem{Dims: chainDims, R: 6, Mode: AllModes, Ranks: chainRanks},
+			&Instance{X: tensor.RandomDense(57, chainDims...), Factors: us}},
 	}
+	cal := testCal()
+	choices := make([]Choice, len(jobs))
+	want := make([][][]float64, len(jobs))
+	for i, j := range jobs {
+		c, err := PlanEngine(j.engine, j.p, cal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _ := Lookup(c.Engine)
+		if err := e.Prepare(j.p, j.inst); err != nil {
+			t.Fatal(err)
+		}
+		c.Apply()
+		var res Result
+		e.Run(j.p, j.inst, &res, 2)
+		choices[i], want[i] = c, resultBits(&res)
+	}
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func(i int, p Problem, inst *Instance) {
+			defer wg.Done()
+			e, _ := Lookup(choices[i].Engine)
+			choices[i].Apply()
+			var res Result
+			for pass := 0; pass < 3; pass++ {
+				e.Run(p, inst, &res, 2)
+				if msg := diffBits(resultBits(&res), want[i]); msg != "" {
+					t.Errorf("%s pass %d beside other plans: %s", e.Name(), pass, msg)
+					return
+				}
+			}
+		}(i, j.p, j.inst)
+	}
+	wg.Wait()
+}
+
+// resultBits copies every float64 output a pass left in res.
+func resultBits(res *Result) [][]float64 {
+	var out [][]float64
+	if res.B != nil {
+		out = append(out, append([]float64(nil), res.B.Data()...))
+	}
+	for _, m := range res.All {
+		out = append(out, append([]float64(nil), m.Data()...))
+	}
+	if res.Y != nil {
+		out = append(out, append([]float64(nil), res.Y.Data()...))
+	}
+	return out
+}
+
+// diffBits describes the first difference between two output sets,
+// or returns "" when they are bitwise equal.
+func diffBits(got, want [][]float64) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d outputs, want %d", len(got), len(want))
+	}
+	for o := range want {
+		if len(got[o]) != len(want[o]) {
+			return fmt.Sprintf("output %d has %d elements, want %d", o, len(got[o]), len(want[o]))
+		}
+		for i := range want[o] {
+			if got[o][i] != want[o][i] { //repro:bitwise plans must not perturb any other run's bits
+				return fmt.Sprintf("output %d element %d: %g vs %g", o, i, got[o][i], want[o][i])
+			}
+		}
+	}
+	return ""
 }
 
 func TestPlanInfoRoundTrip(t *testing.T) {

@@ -7,8 +7,8 @@ package plan
 // modeled cost over every supporting engine — i.e. the planner never
 // leaves more than 10% predicted performance on the table. The
 // calibration comes from the checked-in fixture (not a live
-// measurement), with identical rates for the SIMD and scalar paths,
-// so the sweep is reproducible on any machine and under REPRO_NOSIMD.
+// measurement), so the sweep is reproducible on any machine and under
+// REPRO_NOSIMD.
 
 import (
 	"encoding/json"

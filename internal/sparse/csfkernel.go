@@ -17,12 +17,13 @@ package sparse
 // the hot loops.
 //
 // Parallel determinism: root fibers are tiled into a fixed number of
-// nnz-balanced chunks (csfChunks, never derived from the worker
-// count), each chunk accumulates into its own bucket in a fixed
-// sequential order, and buckets merge through kernel.ReduceTree's
-// fixed reduction tree — so the result is bitwise identical for every
-// worker count. When the output mode is the root, chunks own disjoint
-// output rows and write one shared accumulator directly.
+// nnz-balanced chunks (Chunks of the tree's own nonzero count, never
+// derived from the worker count), each chunk accumulates into its own
+// bucket in a fixed sequential order, and buckets merge through
+// kernel.ReduceTree's fixed reduction tree — so the result is bitwise
+// identical for every worker count and every other caller. When the
+// output mode is the root, chunks own disjoint output rows and write
+// one shared accumulator directly.
 
 import (
 	"fmt"
@@ -34,34 +35,24 @@ import (
 	"repro/internal/tensor"
 )
 
-// csfChunks is the accumulation-bucket count of the parallel CSF
-// walk. It is a package variable — settable by the cost-model planner
-// via SetChunks — but never derived from the worker count, so chunk
-// boundaries, bucket contents, and the ReduceTree merge order are
-// identical no matter how many workers drain the queue.
-var csfChunks = 32
-
-// SetChunks retunes the nnz-balanced chunk (accumulation-bucket)
-// count of the parallel CSF walk. More chunks smooth load imbalance
-// across skewed fiber trees at the price of more ReduceTree merge
-// traffic. n is clamped to [1, 1024]; n <= 0 restores the default
-// (32). The chunking changes private-bucket contents but not the
-// merge discipline, so results stay bitwise independent of the worker
-// count for any setting. Not safe to call concurrently with running
-// kernels; set once at planning time.
-func SetChunks(n int) {
-	switch {
-	case n <= 0:
-		csfChunks = 32
-	case n > 1024:
-		csfChunks = 1024
-	default:
-		csfChunks = n
+// Chunks is the accumulation-bucket count of the parallel CSF walk
+// over a tree of nnz nonzeros: 32, doubling for every 4x of nonzeros
+// from 2^21, at most maxChunks. Enough chunks that the largest is a
+// small fraction of the work, few enough that the ReduceTree merge
+// stays cheap. It is a function of the tree alone — never of the
+// worker count or of any other caller — so chunk boundaries, bucket
+// contents, and the merge order are identical no matter how many
+// workers drain the queue, or what else runs in the process.
+func Chunks(nnz int64) int {
+	chunks := 32
+	for ; nnz >= 1<<21 && chunks < maxChunks; nnz >>= 2 {
+		chunks *= 2
 	}
+	return chunks
 }
 
-// Chunks reports the current chunk count of the parallel CSF walk.
-func Chunks() int { return csfChunks }
+// maxChunks caps Chunks.
+const maxChunks = 256
 
 // csfWalker is one worker's traversal state: per-level output
 // buckets for the chunk in hand plus recursion scratch for the
@@ -179,11 +170,11 @@ func (t *CSF) AllModesInto(outs []*tensor.Matrix, factors []*tensor.Matrix, work
 }
 
 // pool resolves the worker count and bucket count for a pass: the
-// bucket count is the fixed csfChunks clamped to the root-fiber count
-// (at least 1), and workers never exceed buckets.
+// bucket count is Chunks(nnz) clamped to the root-fiber count (at
+// least 1), and workers never exceed buckets.
 func (t *CSF) pool(workers int) (int, int) {
 	workers = linalg.ResolveWorkers(workers)
-	nbuf := csfChunks
+	nbuf := Chunks(int64(len(t.vals)))
 	if f := len(t.idx[0]); nbuf > f {
 		nbuf = f
 	}

@@ -97,7 +97,8 @@ func growf(s []float64, n int) []float64 {
 //repro:ignore hotpath-alloc pool spawn: allocates only while the pool still grows
 func (ws *Workspace) ensurePool(workers int) {
 	if ws.start == nil {
-		ws.start = make(chan int, csfChunks)
+		// Room for every token a pass sends: workers-1 < nbuf <= maxChunks.
+		ws.start = make(chan int, maxChunks)
 	}
 	for ws.spawned < workers-1 {
 		ws.spawned++

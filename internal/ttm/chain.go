@@ -10,9 +10,9 @@ import (
 // Chain applies TTMs for every mode except skip (skip = -1 applies
 // all). us[k] may be nil when k == skip. The result of a full chain
 // with the Tucker factors is the core tensor. Contractions run in the
-// cost-greedy order (see ChainOrder); the result is bitwise identical
-// for every worker count but differs from ChainScalar's ascending
-// order by floating-point rounding only.
+// cost-greedy order (see appendGreedyOrder); the result is bitwise
+// identical for every worker count but differs from ChainScalar's
+// ascending order by floating-point rounding only.
 func Chain(x *tensor.Dense, us []*tensor.Matrix, skip int) *tensor.Dense {
 	return ChainWorkers(x, us, skip, 0)
 }
@@ -34,20 +34,15 @@ func ChainWorkers(x *tensor.Dense, us []*tensor.Matrix, skip, workers int) *tens
 	return out
 }
 
-// ChainOrder returns the order in which a chain contracts its modes:
-// every mode except skip, sorted by ascending Cols/Rows ratio — the
-// mode that shrinks the intermediate most is contracted first, which
-// greedily minimizes the flops and words of every later step. Ties
-// break toward the lower mode index. The order depends on operand
-// shapes only, never on values or worker count.
-func ChainOrder(us []*tensor.Matrix, skip int) []int {
-	return appendChainOrder(make([]int, 0, len(us)), us, skip)
-}
-
-// appendChainOrder writes the greedy order into ord's backing array
-// (the caller guarantees capacity, keeping the hot path
-// allocation-free).
-func appendChainOrder(ord []int, us []*tensor.Matrix, skip int) []int {
+// appendGreedyOrder writes into ord's backing array the order in which
+// a chain contracts its modes: every mode except skip, sorted by
+// ascending Cols/Rows ratio — the mode that shrinks the intermediate
+// most is contracted first, which greedily minimizes the flops and
+// words of every later step. Ties break toward the lower mode index.
+// The order depends on operand shapes only, never on values or worker
+// count. The caller guarantees capacity, keeping the hot path
+// allocation-free.
+func appendGreedyOrder(ord []int, us []*tensor.Matrix, skip int) []int {
 	ord = ord[:0]
 	for k := range us {
 		if k != skip {
@@ -90,7 +85,7 @@ func ChainInto(out, x *tensor.Dense, us []*tensor.Matrix, skip, workers int, ws 
 		}
 	}
 	ws.ord = growInts(ws.ord, N)
-	steps := appendChainOrder(ws.ord, us, skip)
+	steps := appendGreedyOrder(ws.ord, us, skip)
 	if len(steps) == 0 {
 		n := copy(out.Data(), x.Data())
 		obs.Copy(n)
