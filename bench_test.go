@@ -637,6 +637,59 @@ func BenchmarkTuckerHOOI(b *testing.B) {
 	b.Run("engine-par", func(b *testing.B) { run(b, 0) })
 }
 
+// BenchmarkModeGram times ttm.GramInto on each mode of the tucker-hooi
+// workload's 32^4 tensor (its HOSVD Grams): the leading mode's
+// outer-product form, the two interior slab cases (packed L = 32 and
+// direct L = 1024) and the trailing mode's row-chunked dot form, at
+// one worker and at GOMAXPROCS. GFLOP/s counts the symmetric product's
+// own flops, I(I+1) per contraction index.
+func BenchmarkModeGram(b *testing.B) {
+	dims := []int{32, 32, 32, 32}
+	x := tensor.RandomDense(41, dims...)
+	for mode := range dims {
+		for _, workers := range []int{1, linalg.Workers()} {
+			b.Run(fmt.Sprintf("mode%d/w%d", mode, workers), func(b *testing.B) {
+				I := dims[mode]
+				g := tensor.NewMatrix(I, I)
+				ws := ttm.NewWorkspace()
+				ttm.GramInto(g, x, mode, workers, ws)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ttm.GramInto(g, x, mode, workers, ws)
+				}
+				flops := float64(I*(I+1)) * float64(x.Elems()/I)
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}
+
+// BenchmarkGemmTN times linalg.GemmTN (C = A^T B, A m x ka, B m x n)
+// on the three TN shapes the benchmark workloads run, named m x ka x
+// n: cp-dense's dimension-tree prefix root, the planner calibration's
+// timed product, and tucker-hooi's leading-mode TTM.
+func BenchmarkGemmTN(b *testing.B) {
+	for _, s := range []struct{ m, ka, n int }{
+		{128, 16384, 16},
+		{4096, 32, 16},
+		{32, 8, 32768},
+	} {
+		a := tensor.RandomMatrix(42, s.m, s.ka).Data()
+		bb := tensor.RandomMatrix(43, s.m, s.n).Data()
+		c := make([]float64, s.ka*s.n)
+		for _, workers := range []int{1, linalg.Workers()} {
+			b.Run(fmt.Sprintf("%dx%dx%d/w%d", s.m, s.ka, s.n, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					linalg.GemmTN(c, a, bb, s.m, s.ka, s.n, workers)
+				}
+				flops := 2 * float64(s.m) * float64(s.ka) * float64(s.n)
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}
+
 // BenchmarkOptimalSchedule regenerates E16: the exact optimal I/O of a
 // tiny instance by exhaustive search, reported as opt-words.
 func BenchmarkOptimalSchedule(b *testing.B) {

@@ -29,6 +29,12 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== go vet (GOARCH=arm64) =="
+# Cross-vet for arm64: compiles the NEON kernels' Go side and runs
+# asmdecl over kernels_arm64.s, so the arm64 bindings (Dot2x4's two
+# NEON Dot4 passes among them) are checked on an amd64-only host.
+GOARCH=arm64 go vet ./...
+
 echo "== go build =="
 go build ./...
 
@@ -53,6 +59,12 @@ echo "== go fuzz (SymEig, 10s) =="
 # Q diag Q^T, diagonal, Clement tridiagonal): eigenvalues, residual,
 # orthogonality, descending order, untouched input.
 go test -run '^$' -fuzz '^FuzzSymEig$' -fuzztime 10s ./internal/linalg
+
+echo "== go fuzz (ModeGram, 10s) =="
+# Random order 1-4 tensors with extents 1-40: every mode's symmetric
+# Gram against the unfold oracle, exact symmetry, and 1 vs 3 workers
+# bitwise.
+go test -run '^$' -fuzz '^FuzzModeGram$' -fuzztime 10s ./internal/ttm
 
 echo "== go test (REPRO_NOSIMD=1 scalar dispatch) =="
 # The identical suite must pass with the runtime override forcing the

@@ -108,14 +108,13 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 			kernel.FastInto(b, x, factors, n, opts.Workers, ws)
 			v := hadamardGrams(grams, n, opts.R)
 			sspan := obs.Start(obs.PhaseSolve)
-			an, err := solveFactor(v, b)
+			err := solveFactor(factors[n], v, b)
 			sspan.Stop()
 			if err != nil {
 				return nil, nil, fmt.Errorf("cpals: mode %d solve: %w", n, err)
 			}
-			factors[n] = an
 			gspan := obs.Start(obs.PhaseGram)
-			grams[n] = linalg.Gram(an)
+			grams[n] = linalg.Gram(factors[n])
 			gspan.Stop()
 			lastB = b
 		}
@@ -186,14 +185,13 @@ func hadamardGrams(grams []*tensor.Matrix, n, R int) *tensor.Matrix {
 	return v
 }
 
-// solveFactor solves A = B V^{-1} row-wise via the SPD system
-// V A^T = B^T.
-func solveFactor(v, b *tensor.Matrix) (*tensor.Matrix, error) {
-	xt, err := linalg.SolveSPD(v, linalg.Transpose(b))
-	if err != nil {
-		return nil, err
-	}
-	return linalg.Transpose(xt), nil
+// solveFactor overwrites the factor a with B V^{-1}, the solution of
+// the normal equations A V = B: B is copied into a's storage and solved
+// there in place. a's old values are dead by then — B already holds
+// their only use — and B itself stays intact for the fit.
+func solveFactor(a, v, b *tensor.Matrix) error {
+	copy(a.Data(), b.Data())
+	return linalg.SolveSPDRight(v, a)
 }
 
 // computeFit evaluates 1 - ||X - Xhat||/||X|| using the standard

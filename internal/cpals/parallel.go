@@ -137,12 +137,10 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options) (*ParallelRes
 
 				// Normal equations (replicated) and row-wise solve.
 				v := hadamardGrams(grams, n, opts.R)
-				an, err := solveFactor(v, b)
-				if err != nil {
+				if err := solveFactor(factors[n], v, b); err != nil {
 					return fmt.Errorf("cpals: rank %d mode %d: %w", rank, n, err)
 				}
-				factors[n] = an
-				grams[n] = allReduceGram(world, an, opts.R)
+				grams[n] = allReduceGram(world, factors[n], opts.R)
 				lastB = b
 			}
 			// Fit: global inner product plus replicated Gram identity.

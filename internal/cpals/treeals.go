@@ -77,14 +77,13 @@ func DecomposeTree(x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, 
 
 			v := hadamardGrams(grams, n, opts.R)
 			sspan := obs.Start(obs.PhaseSolve)
-			an, err := solveFactor(v, b)
+			err := solveFactor(factors[n], v, b)
 			sspan.Stop()
 			if err != nil {
 				return nil, nil, 0, fmt.Errorf("cpals: mode %d solve: %w", n, err)
 			}
-			factors[n] = an
 			gspan := obs.Start(obs.PhaseGram)
-			grams[n] = linalg.Gram(an)
+			grams[n] = linalg.Gram(factors[n])
 			gspan.Stop()
 			lastB = b
 

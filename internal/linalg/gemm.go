@@ -6,15 +6,16 @@ package linalg
 // models — the communication-oblivious "do the arithmetic as fast as
 // the hardware allows" layer, blocked per the discipline of Ballard et
 // al., "Minimizing Communication in Numerical Linear Algebra": the
-// innermost kernel updates a 4x4 register tile, the middle loops keep
-// an MC x KC panel of A resident in cache, and the outer loop hands
-// disjoint column (or row) panels of C to worker goroutines.
+// innermost kernel updates a 4x4 register tile (GemmTN: a 2x4 tile of
+// dot products), the middle loops keep a panel of A resident in cache,
+// and the outer loop hands disjoint column (or row) panels of C to
+// worker goroutines.
 //
 // Three data orders cover every multiply in the repository:
 //
 //	GemmNN: C = A * B     (via-matmul baseline, mode-0 MTTKRP)
 //	GemmTN: C = A^T * B   (Gram matrices, last-mode and interior MTTKRP)
-//	GemmNT: C = A * B^T   (unfolding Grams in Tucker/HOSVD)
+//	GemmNT: C = A * B^T   (TTMs against a factor's columns, Tucker reconstruction)
 //
 // All kernels overwrite C and tolerate m, n, k of 1 (factor matrices
 // are tall and skinny; degenerate extents appear in distributed local
@@ -204,29 +205,43 @@ func GemmTN(c, a, b []float64, m, ka, n, workers int) {
 	})
 }
 
-// gemmTN fills C rows [i0,i1): C(i,j) = <A(:,i), B(:,j)>. Four B
-// columns are processed per pass so each A column is read once per
-// quadruple, and the four dot products share its stream.
+// gemmTN fills C rows [i0,i1): C(i,j) = <A(:,i), B(:,j)>. Blocks of
+// A's columns sized to the gemmBlock x gemmBlock panel form the outer
+// loop and B's four-column groups sweep each block while it is cache
+// hot, so A streams from memory once. Inside a group, rows go through
+// the 2x4 dot tile in pairs (an odd last row through Dot4). Dot2x4 is
+// bitwise two Dot4 calls, so every element of a four-column group is
+// exactly its Dot4 value and every element of the n mod 4 remainder
+// exactly its Dot value, whatever the blocking or the row pairing.
 func gemmTN(c, a, b []float64, m, ka, n, i0, i1 int) {
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		b0 := b[(j+0)*m : (j+0)*m+m]
-		b1 := b[(j+1)*m : (j+1)*m+m]
-		b2 := b[(j+2)*m : (j+2)*m+m]
-		b3 := b[(j+3)*m : (j+3)*m+m]
-		for i := i0; i < i1; i++ {
-			ai := a[i*m : i*m+m]
-			s0, s1, s2, s3 := simd.Dot4(ai, b0, b1, b2, b3)
-			c[i+(j+0)*ka] = s0
-			c[i+(j+1)*ka] = s1
-			c[i+(j+2)*ka] = s2
-			c[i+(j+3)*ka] = s3
+	nb := max(2, gemmBlock*gemmBlock/max(m, 1)&^1)
+	for ib := i0; ib < i1; ib += nb {
+		ie := min(ib+nb, i1)
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b[(j+0)*m : (j+0)*m+m]
+			b1 := b[(j+1)*m : (j+1)*m+m]
+			b2 := b[(j+2)*m : (j+2)*m+m]
+			b3 := b[(j+3)*m : (j+3)*m+m]
+			c0 := c[(j+0)*ka : (j+0)*ka+ka]
+			c1 := c[(j+1)*ka : (j+1)*ka+ka]
+			c2 := c[(j+2)*ka : (j+2)*ka+ka]
+			c3 := c[(j+3)*ka : (j+3)*ka+ka]
+			i := ib
+			for ; i+2 <= ie; i += 2 {
+				c0[i], c1[i], c2[i], c3[i],
+					c0[i+1], c1[i+1], c2[i+1], c3[i+1] = simd.Dot2x4(
+					a[i*m:i*m+m], a[(i+1)*m:(i+1)*m+m], b0, b1, b2, b3)
+			}
+			if i < ie {
+				c0[i], c1[i], c2[i], c3[i] = simd.Dot4(a[i*m:i*m+m], b0, b1, b2, b3)
+			}
 		}
-	}
-	for ; j < n; j++ {
-		bj := b[j*m : j*m+m]
-		for i := i0; i < i1; i++ {
-			c[i+j*ka] = dotUnroll(a[i*m:i*m+m], bj)
+		for ; j < n; j++ {
+			bj := b[j*m : j*m+m]
+			for i := ib; i < ie; i++ {
+				c[i+j*ka] = dotUnroll(a[i*m:i*m+m], bj)
+			}
 		}
 	}
 }

@@ -5,9 +5,11 @@ package linalg
 // float64 (KRP panels and accumulators). Accumulation is entirely in
 // float64 — the only rounding the path adds is the one on ingest and
 // the one on the final float32 store, per the accumulation rules in
-// DESIGN.md §10. The blocking mirrors GemmNN/GemmTN exactly, so the
-// word traffic per the paper's model is unchanged in count and halved
-// in bytes on the A stream.
+// DESIGN.md §10. Each records the same obs.Gemm traffic as its
+// float64 twin, so the word traffic per the paper's model is unchanged
+// in count and halved in bytes on the A stream. (Gemm32TN keeps the
+// one-row Dot4F32 loop: the 2x4 dot tile and A-column blocking of
+// GemmTN have no float32 counterpart yet.)
 
 import (
 	"repro/internal/obs"

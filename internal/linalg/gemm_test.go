@@ -208,3 +208,45 @@ func TestGemmBitwiseAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestGemmTNBitwiseDotReference pins GemmTN's element contract: every
+// C(i,j) of a four-column group is exactly the simd.Dot4 value of A's
+// column i against the group, and every C(i,j) of the n mod 4
+// remainder exactly its simd.Dot value, at workers 1-8. The shapes
+// cross the 2x4 tile's odd last row (odd ka), every n mod 4 residue,
+// short and tail-only contractions (m < 4), and, at m = 128 and 300,
+// the cache blocks of A's columns (ka beyond one block).
+func TestGemmTNBitwiseDotReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, m := range []int{1, 3, 4, 5, 128, 300} {
+		for _, ka := range []int{1, 2, 7, 37, 513, 1031} {
+			for _, n := range []int{4, 5, 6, 7, 9} {
+				a := randMat(rng, m, ka)
+				b := randMat(rng, m, n)
+				ad, bd := a.Data(), b.Data()
+				want := make([]float64, ka*n)
+				for i := 0; i < ka; i++ {
+					ai := ad[i*m : i*m+m]
+					j := 0
+					for ; j+4 <= n; j += 4 {
+						want[i+j*ka], want[i+(j+1)*ka], want[i+(j+2)*ka], want[i+(j+3)*ka] = simd.Dot4(ai,
+							bd[j*m:j*m+m], bd[(j+1)*m:(j+1)*m+m], bd[(j+2)*m:(j+2)*m+m], bd[(j+3)*m:(j+3)*m+m])
+					}
+					for ; j < n; j++ {
+						want[i+j*ka] = simd.Dot(ai, bd[j*m:j*m+m])
+					}
+				}
+				got := make([]float64, ka*n)
+				for w := 1; w <= 8; w++ {
+					GemmTN(got, ad, bd, m, ka, n, w)
+					for e, v := range got {
+						if v != want[e] { //repro:bitwise GemmTN is the per-element Dot4/Dot value
+							t.Fatalf("GemmTN m=%d ka=%d n=%d workers=%d: element %d = %g, reference %g",
+								m, ka, n, w, e, v, want[e])
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -136,19 +136,83 @@ func Cholesky(a *tensor.Matrix) (*tensor.Matrix, error) {
 // SolveSPD solves A * X = B for X where A is symmetric positive
 // definite, via Cholesky. B may have multiple right-hand-side columns.
 // If A is singular to working precision, a small ridge is added and the
-// solve retried; the ridge grows geometrically up to a cap before
-// giving up.
+// solve retried (see choleskyRidge).
 func SolveSPD(a, b *tensor.Matrix) (*tensor.Matrix, error) {
 	n := a.Rows()
 	if a.Cols() != n || b.Rows() != n {
 		panic(fmt.Sprintf("linalg: solveSPD shapes %dx%d, rhs %dx%d", a.Rows(), a.Cols(), b.Rows(), b.Cols()))
 	}
+	l, err := choleskyRidge(a)
+	if err != nil {
+		return nil, err
+	}
+	return solveWithCholesky(l, b), nil
+}
+
+// SolveSPDRight solves X * V = B for X in place, where V is n x n
+// symmetric positive definite and B is m x n: on return B holds
+// B V^{-1}. It is the CP-ALS normal-equations solve A = B V^{-1}
+// without SolveSPD's two transposes and clone. The forward and back
+// substitutions run as column updates over B's storage, in the same
+// per-element operation order SolveSPD applies to each right-hand
+// side, so B is bitwise SolveSPD(V, B^T)^T — ridge retries included.
+func SolveSPDRight(v, b *tensor.Matrix) error {
+	n := v.Rows()
+	if v.Cols() != n || b.Cols() != n {
+		panic(fmt.Sprintf("linalg: solveSPDRight shapes %dx%d, lhs %dx%d", v.Rows(), v.Cols(), b.Rows(), b.Cols()))
+	}
+	l, err := choleskyRidge(v)
+	if err != nil {
+		return err
+	}
+	m := b.Rows()
+	ld, bd := l.Data(), b.Data()
+	// Forward substitution Y L^T = B, one column of Y per step.
+	for i := 0; i < n; i++ {
+		ci := bd[i*m : i*m+m]
+		for k := 0; k < i; k++ {
+			lik := ld[i+k*n]
+			ck := bd[k*m : k*m+m]
+			for r := range ci {
+				ci[r] -= lik * ck[r]
+			}
+		}
+		lii := ld[i+i*n]
+		for r := range ci {
+			ci[r] /= lii
+		}
+	}
+	// Back substitution X L = Y.
+	for i := n - 1; i >= 0; i-- {
+		ci := bd[i*m : i*m+m]
+		for k := i + 1; k < n; k++ {
+			lki := ld[k+i*n]
+			ck := bd[k*m : k*m+m]
+			for r := range ci {
+				ci[r] -= lki * ck[r]
+			}
+		}
+		lii := ld[i+i*n]
+		for r := range ci {
+			ci[r] /= lii
+		}
+	}
+	return nil
+}
+
+// choleskyRidge returns the Cholesky factor of A, or of A plus a small
+// ridge on the diagonal when A is singular to working precision: the
+// ridge starts at 1e-12 times A's largest diagonal magnitude and grows
+// tenfold per retry, giving up after 20 retries. It is the one retry
+// policy behind SolveSPD and SolveSPDRight.
+func choleskyRidge(a *tensor.Matrix) (*tensor.Matrix, error) {
+	n := a.Rows()
 	work := a
 	ridge := 0.0
 	for attempt := 0; ; attempt++ {
 		l, err := Cholesky(work)
 		if err == nil {
-			return solveWithCholesky(l, b), nil
+			return l, nil
 		}
 		if attempt >= 20 {
 			return nil, err

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -170,6 +171,43 @@ func TestSolveSPDSingularUsesRidge(t *testing.T) {
 	if math.IsNaN(r.Norm()) || math.IsInf(r.Norm(), 0) {
 		t.Fatal("non-finite solution")
 	}
+}
+
+// TestSolveSPDRightBitwise pins SolveSPDRight to the transposing solve
+// it replaces in CP-ALS: X = SolveSPD(V, B^T)^T, bit for bit, on random
+// SPD systems of the solver's shapes and on a rank-deficient V that
+// takes the ridge retry.
+func TestSolveSPDRightBitwise(t *testing.T) {
+	check := func(t *testing.T, name string, v, b *tensor.Matrix) {
+		t.Helper()
+		xt, err := SolveSPD(v, Transpose(b))
+		if err != nil {
+			t.Fatalf("%s: SolveSPD: %v", name, err)
+		}
+		want := Transpose(xt)
+		got := b.Clone()
+		if err := SolveSPDRight(v, got); err != nil {
+			t.Fatalf("%s: SolveSPDRight: %v", name, err)
+		}
+		for i, w := range want.Data() {
+			if got.Data()[i] != w { //repro:bitwise the in-place solve keeps the transposing solve's operation order
+				t.Fatalf("%s: element %d = %g, transposing solve %g", name, i, got.Data()[i], w)
+			}
+		}
+	}
+	for si, s := range []struct{ rows, n int }{{1, 1}, {5, 3}, {128, 16}, {37, 8}, {3, 20}} {
+		v := Gram(tensor.RandomMatrix(int64(60+si), s.n+7, s.n))
+		for i := 0; i < s.n; i++ {
+			v.AddAt(i, i, 0.5)
+		}
+		check(t, fmt.Sprintf("%dx%d", s.rows, s.n), v, tensor.RandomMatrix(int64(70+si), s.rows, s.n))
+	}
+	// Rank <= 2 Gram of order 4: Cholesky fails until the ridge lands.
+	g := Gram(tensor.RandomMatrix(11, 2, 4))
+	if _, err := Cholesky(g); err == nil {
+		t.Fatal("rank-deficient Gram factored without a ridge")
+	}
+	check(t, "singular", g, tensor.RandomMatrix(12, 9, 4))
 }
 
 func TestTransposeInvolution(t *testing.T) {

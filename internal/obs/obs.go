@@ -144,6 +144,7 @@ var (
 	nameKRP     = flight.RegisterName("krp")
 	nameAxpy    = flight.RegisterName("axpy")
 	nameCopy    = flight.RegisterName("copy")
+	nameSyrk    = flight.RegisterName("syrk")
 )
 
 func init() {
@@ -387,6 +388,25 @@ func Gemm(m, k, n int) {
 	c.Add(0, Flops, 2*mm*kk*nn)
 	c.Add(0, WordsRead, mm*kk+kk*nn)
 	c.Add(0, WordsWritten, mm*nn)
+}
+
+// Syrk records one symmetric rank-k update G = A^T A with G n x n and
+// inner extent k, formed one triangle at a time: n(n+1)k flops (the
+// n(n+1)/2 upper-triangle dots), operand reads nk, result writes
+// n(n+1)/2.
+func Syrk(n, k int) {
+	nn, kk := int64(n), int64(k)
+	flops, tri := nn*(nn+1)*kk, nn*(nn+1)/2
+	if r := flight.Rec(); r.Enabled() {
+		r.Kernel(flight.AnonPid, 0, nameSyrk, flops, nn*kk+tri)
+	}
+	c := active.Load()
+	if !c.on {
+		return
+	}
+	c.Add(0, Flops, flops)
+	c.Add(0, WordsRead, nn*kk)
+	c.Add(0, WordsWritten, tri)
 }
 
 // KRP records one Khatri-Rao panel formation: rows*r result words

@@ -126,16 +126,17 @@ func TestHelperSemantics(t *testing.T) {
 	KRP(6, 5, 2)
 	Axpy(2, 7)
 	Copy(9)
+	Syrk(4, 6)
 	tot := c.Totals()
-	wantFlops := int64(2*3*4*5 + 6*2 + 2*2*7)
+	wantFlops := int64(2*3*4*5 + 6*2 + 2*2*7 + 4*5*6)
 	if tot.Flops != wantFlops {
 		t.Fatalf("Flops = %d, want %d", tot.Flops, wantFlops)
 	}
-	wantRead := int64(3*4 + 4*5 + 5*2 + 2*7 + 9)
+	wantRead := int64(3*4 + 4*5 + 5*2 + 2*7 + 9 + 4*6)
 	if tot.WordsRead != wantRead {
 		t.Fatalf("WordsRead = %d, want %d", tot.WordsRead, wantRead)
 	}
-	wantWritten := int64(3*5 + 6*2 + 2*7 + 9)
+	wantWritten := int64(3*5 + 6*2 + 2*7 + 9 + 4*5/2)
 	if tot.WordsWritten != wantWritten {
 		t.Fatalf("WordsWritten = %d, want %d", tot.WordsWritten, wantWritten)
 	}

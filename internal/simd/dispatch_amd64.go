@@ -96,6 +96,11 @@ func bindAVX2() {
 		y0, y1, y2, y3 = y0[:n], y1[:n], y2[:n], y3[:n]
 		return dot4AVX2(x, y0, y1, y2, y3)
 	}
+	Dot2x4 = func(x0, x1, y0, y1, y2, y3 []float64) (s00, s01, s02, s03, s10, s11, s12, s13 float64) {
+		n := len(x0)
+		x1, y0, y1, y2, y3 = x1[:n], y0[:n], y1[:n], y2[:n], y3[:n]
+		return dot2x4AVX2(x0, x1, y0, y1, y2, y3)
+	}
 	Mul = func(dst, a, b []float64) {
 		n := len(dst)
 		a, b = a[:n], b[:n]

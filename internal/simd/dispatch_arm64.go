@@ -60,6 +60,15 @@ func bindNEON() {
 		y0, y1, y2, y3 = y0[:n], y1[:n], y2[:n], y3[:n]
 		return dot4NEON(x, y0, y1, y2, y3)
 	}
+	// The 2x4 dot tile binds to two NEON Dot4 passes: bitwise what
+	// two Dot4 calls return, which is the Dot2x4 contract.
+	Dot2x4 = func(x0, x1, y0, y1, y2, y3 []float64) (s00, s01, s02, s03, s10, s11, s12, s13 float64) {
+		n := len(x0)
+		x1, y0, y1, y2, y3 = x1[:n], y0[:n], y1[:n], y2[:n], y3[:n]
+		s00, s01, s02, s03 = dot4NEON(x0, y0, y1, y2, y3)
+		s10, s11, s12, s13 = dot4NEON(x1, y0, y1, y2, y3)
+		return
+	}
 	Mul = func(dst, a, b []float64) {
 		n := len(dst)
 		a, b = a[:n], b[:n]

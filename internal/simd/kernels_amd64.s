@@ -481,6 +481,158 @@ dot4_done:
 	VZEROUPPER
 	RET
 
+// func dot2x4AVX2(x0, x1, y0, y1, y2, y3 []float64) (s00, s01, s02, s03, s10, s11, s12, s13 float64)
+// The 2x4 dot tile s_ij = <x_i, y_j>: eight independent accumulators
+// (Y0-Y3 for x0, Y4-Y7 for x1), enough FMA chains to cover two
+// 4-cycle FMA ports, and each y vector loaded once for both x rows.
+// Per output the FMA order, lane reduction and scalar tail are those
+// of dot4AVX2 (one vector accumulator per output, 4-wide steps in
+// order, (l0+l2)+(l1+l3), then the tail), so the tile returns bitwise
+// what two dot4AVX2 calls return. The 8-wide loop is two 4-wide steps
+// on the same accumulators, not a reassociation.
+TEXT ·dot2x4AVX2(SB), NOSPLIT, $0-208
+	MOVQ   x0_base+0(FP), SI
+	MOVQ   x1_base+24(FP), DI
+	MOVQ   y0_base+48(FP), R8
+	MOVQ   y1_base+72(FP), R9
+	MOVQ   y2_base+96(FP), R10
+	MOVQ   y3_base+120(FP), BX
+	MOVQ   x0_len+8(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ   AX, AX
+
+d2x4_loop8:
+	MOVQ AX, DX
+	ADDQ $8, DX
+	CMPQ DX, CX
+	JGT  d2x4_loop4
+	VMOVUPD     (SI)(AX*8), Y8
+	VMOVUPD     (DI)(AX*8), Y9
+	VMOVUPD     (R8)(AX*8), Y10
+	VMOVUPD     (R9)(AX*8), Y11
+	VMOVUPD     (R10)(AX*8), Y12
+	VMOVUPD     (BX)(AX*8), Y13
+	VFMADD231PD Y10, Y8, Y0
+	VFMADD231PD Y10, Y9, Y4
+	VFMADD231PD Y11, Y8, Y1
+	VFMADD231PD Y11, Y9, Y5
+	VFMADD231PD Y12, Y8, Y2
+	VFMADD231PD Y12, Y9, Y6
+	VFMADD231PD Y13, Y8, Y3
+	VFMADD231PD Y13, Y9, Y7
+	VMOVUPD     32(SI)(AX*8), Y8
+	VMOVUPD     32(DI)(AX*8), Y9
+	VMOVUPD     32(R8)(AX*8), Y10
+	VMOVUPD     32(R9)(AX*8), Y11
+	VMOVUPD     32(R10)(AX*8), Y12
+	VMOVUPD     32(BX)(AX*8), Y13
+	VFMADD231PD Y10, Y8, Y0
+	VFMADD231PD Y10, Y9, Y4
+	VFMADD231PD Y11, Y8, Y1
+	VFMADD231PD Y11, Y9, Y5
+	VFMADD231PD Y12, Y8, Y2
+	VFMADD231PD Y12, Y9, Y6
+	VFMADD231PD Y13, Y8, Y3
+	VFMADD231PD Y13, Y9, Y7
+	MOVQ        DX, AX
+	JMP         d2x4_loop8
+
+d2x4_loop4:
+	MOVQ AX, DX
+	ADDQ $4, DX
+	CMPQ DX, CX
+	JGT  d2x4_reduce
+	VMOVUPD     (SI)(AX*8), Y8
+	VMOVUPD     (DI)(AX*8), Y9
+	VMOVUPD     (R8)(AX*8), Y10
+	VMOVUPD     (R9)(AX*8), Y11
+	VMOVUPD     (R10)(AX*8), Y12
+	VMOVUPD     (BX)(AX*8), Y13
+	VFMADD231PD Y10, Y8, Y0
+	VFMADD231PD Y10, Y9, Y4
+	VFMADD231PD Y11, Y8, Y1
+	VFMADD231PD Y11, Y9, Y5
+	VFMADD231PD Y12, Y8, Y2
+	VFMADD231PD Y12, Y9, Y6
+	VFMADD231PD Y13, Y8, Y3
+	VFMADD231PD Y13, Y9, Y7
+	MOVQ        DX, AX
+
+d2x4_reduce:
+	// At most one 4-wide step remains after the 8-wide loop, so the
+	// fall-through above never skips one. Lanes: (l0+l2)+(l1+l3).
+	VEXTRACTF128 $1, Y0, X14
+	VADDPD       X14, X0, X0
+	VPERMILPD    $1, X0, X14
+	VADDSD       X14, X0, X0
+	VEXTRACTF128 $1, Y1, X14
+	VADDPD       X14, X1, X1
+	VPERMILPD    $1, X1, X14
+	VADDSD       X14, X1, X1
+	VEXTRACTF128 $1, Y2, X14
+	VADDPD       X14, X2, X2
+	VPERMILPD    $1, X2, X14
+	VADDSD       X14, X2, X2
+	VEXTRACTF128 $1, Y3, X14
+	VADDPD       X14, X3, X3
+	VPERMILPD    $1, X3, X14
+	VADDSD       X14, X3, X3
+	VEXTRACTF128 $1, Y4, X14
+	VADDPD       X14, X4, X4
+	VPERMILPD    $1, X4, X14
+	VADDSD       X14, X4, X4
+	VEXTRACTF128 $1, Y5, X14
+	VADDPD       X14, X5, X5
+	VPERMILPD    $1, X5, X14
+	VADDSD       X14, X5, X5
+	VEXTRACTF128 $1, Y6, X14
+	VADDPD       X14, X6, X6
+	VPERMILPD    $1, X6, X14
+	VADDSD       X14, X6, X6
+	VEXTRACTF128 $1, Y7, X14
+	VADDPD       X14, X7, X7
+	VPERMILPD    $1, X7, X14
+	VADDSD       X14, X7, X7
+
+d2x4_tail:
+	CMPQ AX, CX
+	JGE  d2x4_done
+	VMOVSD      (SI)(AX*8), X8
+	VMOVSD      (DI)(AX*8), X9
+	VMOVSD      (R8)(AX*8), X10
+	VMOVSD      (R9)(AX*8), X11
+	VMOVSD      (R10)(AX*8), X12
+	VMOVSD      (BX)(AX*8), X13
+	VFMADD231SD X10, X8, X0
+	VFMADD231SD X10, X9, X4
+	VFMADD231SD X11, X8, X1
+	VFMADD231SD X11, X9, X5
+	VFMADD231SD X12, X8, X2
+	VFMADD231SD X12, X9, X6
+	VFMADD231SD X13, X8, X3
+	VFMADD231SD X13, X9, X7
+	INCQ        AX
+	JMP         d2x4_tail
+
+d2x4_done:
+	VMOVSD X0, s00+144(FP)
+	VMOVSD X1, s01+152(FP)
+	VMOVSD X2, s02+160(FP)
+	VMOVSD X3, s03+168(FP)
+	VMOVSD X4, s10+176(FP)
+	VMOVSD X5, s11+184(FP)
+	VMOVSD X6, s12+192(FP)
+	VMOVSD X7, s13+200(FP)
+	VZEROUPPER
+	RET
+
 // func mulAVX2(dst, a, b []float64)
 // dst[i] = a[i] * b[i]
 TEXT ·mulAVX2(SB), NOSPLIT, $0-72

@@ -117,6 +117,18 @@ func Dot4Generic(x, y0, y1, y2, y3 []float64) (s0, s1, s2, s3 float64) {
 	return
 }
 
+// Dot2x4Generic computes the 2x4 tile of dots s_ij = <x_i, y_j>: two
+// Dot4Generic calls, which is the per-output arithmetic every
+// Dot2x4 binding reproduces bitwise.
+//
+//repro:hotpath
+func Dot2x4Generic(x0, x1, y0, y1, y2, y3 []float64) (s00, s01, s02, s03, s10, s11, s12, s13 float64) {
+	x1 = x1[:len(x0)]
+	s00, s01, s02, s03 = Dot4Generic(x0, y0, y1, y2, y3)
+	s10, s11, s12, s13 = Dot4Generic(x1, y0, y1, y2, y3)
+	return
+}
+
 // MulGeneric writes the elementwise product dst = a ⊙ b (the CSF
 // prefix-Hadamard step).
 //

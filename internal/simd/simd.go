@@ -43,6 +43,8 @@ import "os"
 //	Axpy2:    o[i] += v*p[i]; d[i] += v*l[i] (fused CSF leaf update)
 //	Dot:      Σ_i x[i]*y[i]
 //	Dot4:     four dots sharing one x stream
+//	Dot2x4:   the eight dots of two x streams against four y streams
+//	          (a 2x4 register tile); bitwise equal to two Dot4 calls
 //	Mul:      dst[i] = a[i]*b[i]            (prefix Hadamard)
 //	MulAdd:   dst[i] += a[i]*b[i]           (CSF row update)
 //	Add:      dst[i] += a[i]
@@ -68,6 +70,8 @@ var (
 	Dot func(x, y []float64) float64 = DotGeneric
 	//repro:dispatch
 	Dot4 func(x, y0, y1, y2, y3 []float64) (s0, s1, s2, s3 float64) = Dot4Generic
+	//repro:dispatch
+	Dot2x4 func(x0, x1, y0, y1, y2, y3 []float64) (s00, s01, s02, s03, s10, s11, s12, s13 float64) = Dot2x4Generic
 	//repro:dispatch
 	Mul func(dst, a, b []float64) = MulGeneric
 	//repro:dispatch
@@ -131,7 +135,7 @@ func noSIMD() bool { return os.Getenv("REPRO_NOSIMD") == "1" }
 func ForceScalar() (restore func()) {
 	saved := [...]any{
 		Axpy4x4, Axpy4x1, Axpy1x4, Axpy, Axpy2, Dot, Dot4, Mul, MulAdd, Add,
-		AxpyF32, Axpy1x4F32, DotF32, Dot4F32, AxpyRows, AxpyRowsF32,
+		AxpyF32, Axpy1x4F32, DotF32, Dot4F32, AxpyRows, AxpyRowsF32, Dot2x4,
 	}
 	savedPath := pathName
 	bindScalar()
@@ -154,6 +158,7 @@ func ForceScalar() (restore func()) {
 		Dot4F32 = saved[13].(func(x []float32, y0, y1, y2, y3 []float64) (s0, s1, s2, s3 float64))
 		AxpyRows = saved[14].(func(dst, pk []float64, idx []int32, vals []float64))
 		AxpyRowsF32 = saved[15].(func(dst, pk []float64, idx []int32, vals []float32))
+		Dot2x4 = saved[16].(func(x0, x1, y0, y1, y2, y3 []float64) (s00, s01, s02, s03, s10, s11, s12, s13 float64))
 		pathName = savedPath
 	}
 }
@@ -167,6 +172,7 @@ func bindScalar() {
 	Axpy2 = Axpy2Generic
 	Dot = DotGeneric
 	Dot4 = Dot4Generic
+	Dot2x4 = Dot2x4Generic
 	Mul = MulGeneric
 	MulAdd = MulAddGeneric
 	Add = AddGeneric

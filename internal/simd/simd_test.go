@@ -186,6 +186,44 @@ func TestDot4AgainstScalar(t *testing.T) {
 	})
 }
 
+// TestDot2x4MatchesTwoDot4 pins the Dot2x4 contract: each of its eight
+// outputs is bitwise what two Dot4 calls on the same streams return,
+// on the bound path and on the scalar one. Lengths 0-67 cover every
+// 8-wide/4-wide/tail split; the offset sub-slices start the streams
+// off 32-byte alignment and leave a longer backing array behind them.
+func TestDot2x4MatchesTwoDot4(t *testing.T) {
+	check := func(t *testing.T) {
+		back := make([][]float64, 6)
+		for k := range back {
+			back[k] = make([]float64, 80)
+			fill(back[k], uint64(40+k))
+		}
+		for n := 0; n <= 67; n++ {
+			for _, off := range []int{0, 1, 3} {
+				s := make([][]float64, 6)
+				for k := range s {
+					s[k] = back[k][off+k%2 : off+k%2+n]
+				}
+				x0, x1, y0, y1, y2, y3 := s[0], s[1], s[2], s[3], s[4], s[5]
+				g := [8]float64{}
+				g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7] = Dot2x4(x0, x1, y0, y1, y2, y3)
+				w := [8]float64{}
+				w[0], w[1], w[2], w[3] = Dot4(x0, y0, y1, y2, y3)
+				w[4], w[5], w[6], w[7] = Dot4(x1, y0, y1, y2, y3)
+				for j := range g {
+					if g[j] != w[j] { //repro:bitwise the tile's contract is bitwise equality with Dot4
+						t.Fatalf("n=%d off=%d: s%d%d = %g, two Dot4 give %g", n, off, j/4, j%4, g[j], w[j])
+					}
+				}
+			}
+		}
+	}
+	t.Run(Path(), check)
+	restore := ForceScalar()
+	defer restore()
+	t.Run("scalar", check)
+}
+
 func TestMulMulAddAddAgainstScalar(t *testing.T) {
 	forEachLen(t, func(t *testing.T, n int) {
 		a := make([]float64, n)

@@ -34,6 +34,9 @@ func dotAVX2(x, y []float64) float64
 func dot4AVX2(x, y0, y1, y2, y3 []float64) (s0, s1, s2, s3 float64)
 
 //go:noescape
+func dot2x4AVX2(x0, x1, y0, y1, y2, y3 []float64) (s00, s01, s02, s03, s10, s11, s12, s13 float64)
+
+//go:noescape
 func mulAVX2(dst, a, b []float64)
 
 //go:noescape

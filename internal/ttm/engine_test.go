@@ -2,6 +2,7 @@ package ttm
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -109,15 +110,20 @@ func TestEngineWorkerBitwise(t *testing.T) {
 		}
 	}
 	ws := NewWorkspace()
-	for mode := range dims {
-		ref := tensor.NewMatrix(dims[mode], dims[mode])
-		GramInto(ref, x, mode, 1, ws)
-		for w := 2; w <= 8; w++ {
-			got := tensor.NewMatrix(dims[mode], dims[mode])
-			GramInto(got, x, mode, w, ws)
-			for i, v := range got.Data() {
-				if v != ref.Data()[i] { //repro:bitwise worker-count independence
-					t.Fatalf("gram mode %d workers %d: element %d differs", mode, w, i)
+	for _, gdims := range append([][]int{dims}, gramShapes...) {
+		gx := tensor.RandomDense(19, gdims...)
+		for mode := range gdims {
+			I := gdims[mode]
+			ref := tensor.NewMatrix(I, I)
+			GramInto(ref, gx, mode, 1, ws)
+			checkSymmetric(t, ref, gdims, mode)
+			for w := 2; w <= 8; w++ {
+				got := tensor.NewMatrix(I, I)
+				GramInto(got, gx, mode, w, ws)
+				for i, v := range got.Data() {
+					if v != ref.Data()[i] { //repro:bitwise worker-count independence
+						t.Fatalf("gram %v mode %d workers %d: element %d differs", gdims, mode, w, i)
+					}
 				}
 			}
 		}
@@ -139,24 +145,104 @@ func TestTTMTMatchesTransposedOracle(t *testing.T) {
 	}
 }
 
-// TestGramMatchesUnfoldOracle: GramInto must reproduce the explicit
-// unfolding product Y_(k) Y_(k)^T on every mode (leading, interior,
-// trailing — all three slab cases).
-func TestGramMatchesUnfoldOracle(t *testing.T) {
-	dims := []int{4, 3, 5, 2}
-	y := tensor.RandomDense(29, dims...)
-	ws := NewWorkspace()
-	for mode := range dims {
-		g := tensor.NewMatrix(dims[mode], dims[mode])
-		GramInto(g, y, mode, 0, ws)
-		yk := tensor.Unfold(y, mode)
-		want := linalg.MatMulTransB(yk, yk)
-		for i, v := range g.Data() {
-			if d := v - want.Data()[i]; d > 1e-10 || d < -1e-10 {
-				t.Fatalf("mode %d: gram element %d differs by %g", mode, i, d)
+// gramShapes reach every branch of GramInto's symmetric update, each
+// mode of each shape becoming one Gram:
+//   - leading mode (L = 1) with Rt > 256: {5, 300}, {33, 260};
+//   - interior packed slabs, L from 1 to 127, with partial last packs:
+//     {33, 7, 5}, {100, 3, 80}, {127, 2, 40}, {2, 5, 300}, {2, 1, 70};
+//   - interior slabs with L > 256: {300, 3, 2};
+//   - trailing mode (Rt = 1), including L > 256 and chunks spanning
+//     several panels: {6, 5, 33}, {64, 65, 3}, {300, 3, 2};
+//   - I in {1, 2, 3, 5, 33}: odd last rows, columns past the last
+//     four-column group, and the 1 x 1 Gram.
+var gramShapes = [][]int{
+	{4, 3, 5, 2},
+	{6, 5, 33},
+	{33, 7, 5},
+	{5, 300},
+	{33, 260},
+	{1, 2, 3},
+	{2, 1, 70},
+	{100, 3, 80},
+	{127, 2, 40},
+	{2, 5, 300},
+	{300, 3, 2},
+	{64, 65, 3},
+}
+
+// checkSymmetric fails unless g is exactly symmetric.
+func checkSymmetric(t *testing.T, g *tensor.Matrix, dims []int, mode int) {
+	t.Helper()
+	I := g.Rows()
+	d := g.Data()
+	for j := 0; j < I; j++ {
+		for i := j + 1; i < I; i++ {
+			if d[i+j*I] != d[j+i*I] { //repro:bitwise the mirrored gram is exactly symmetric
+				t.Fatalf("gram %v mode %d: g[%d,%d] = %g but g[%d,%d] = %g", dims, mode, i, j, d[i+j*I], j, i, d[j+i*I])
 			}
 		}
 	}
+}
+
+// checkGramOracle fails unless GramInto's g matches the explicit
+// unfolding product Y_(k) Y_(k)^T to a rounding tolerance that scales
+// with the contraction length.
+func checkGramOracle(t *testing.T, g *tensor.Matrix, y *tensor.Dense, mode int) {
+	t.Helper()
+	yk := tensor.Unfold(y, mode)
+	want := linalg.MatMulTransB(yk, yk)
+	n := float64(yk.Cols())
+	for i, v := range g.Data() {
+		w := want.Data()[i]
+		if d := math.Abs(v - w); d > 1e-13*n*(1+math.Abs(w)) {
+			t.Fatalf("gram %v mode %d: element %d = %g, oracle %g", y.Dims(), mode, i, v, w)
+		}
+	}
+}
+
+// TestGramMatchesUnfoldOracle: GramInto must reproduce the explicit
+// unfolding product Y_(k) Y_(k)^T on every mode of every gramShapes
+// entry, exactly symmetric.
+func TestGramMatchesUnfoldOracle(t *testing.T) {
+	ws := NewWorkspace()
+	for si, dims := range gramShapes {
+		y := tensor.RandomDense(int64(29+si), dims...)
+		for mode := range dims {
+			g := tensor.NewMatrix(dims[mode], dims[mode])
+			g.Fill(-7) // GramInto must overwrite, not accumulate
+			GramInto(g, y, mode, 0, ws)
+			checkGramOracle(t, g, y, mode)
+			checkSymmetric(t, g, dims, mode)
+		}
+	}
+}
+
+// FuzzModeGram draws order 1-4 tensors with extents 1-40 and checks
+// every mode's Gram against the unfold oracle, for exact symmetry, and
+// for bitwise equality between 1 and 3 workers.
+func FuzzModeGram(f *testing.F) {
+	f.Add(uint8(3), uint8(5), uint8(6), uint8(32), uint8(0), int64(1))
+	f.Add(uint8(2), uint8(0), uint8(39), uint8(0), uint8(0), int64(2))
+	f.Add(uint8(4), uint8(1), uint8(7), uint8(2), uint8(3), int64(3))
+	f.Add(uint8(1), uint8(32), uint8(0), uint8(0), uint8(0), int64(4))
+	f.Fuzz(func(t *testing.T, order, d0, d1, d2, d3 uint8, seed int64) {
+		dims := []int{1 + int(d0)%40, 1 + int(d1)%40, 1 + int(d2)%40, 1 + int(d3)%40}[:1+int(order)%4]
+		y := tensor.RandomDense(seed, dims...)
+		ws := NewWorkspace()
+		for mode, I := range dims {
+			g1 := tensor.NewMatrix(I, I)
+			GramInto(g1, y, mode, 1, ws)
+			checkGramOracle(t, g1, y, mode)
+			checkSymmetric(t, g1, dims, mode)
+			g3 := tensor.NewMatrix(I, I)
+			GramInto(g3, y, mode, 3, ws)
+			for i, v := range g3.Data() {
+				if v != g1.Data()[i] { //repro:bitwise worker-count independence
+					t.Fatalf("gram %v mode %d: 3 workers differ from 1 at element %d", dims, mode, i)
+				}
+			}
+		}
+	})
 }
 
 // TestChainCostMatchesMeasuredWords: costmodel.TTMChainCost promises to

@@ -14,13 +14,14 @@
 // The package has two implementations:
 //
 //   - The engine (TTM/TTMInto, Chain/ChainInto, GramInto) computes every
-//     mode as blocked GEMM over the contiguous column-major slabs of the
-//     storage order — no explicit unfolding is ever materialized — with
-//     a pooled grow-only Workspace so steady-state chains allocate
+//     mode as blocked GEMM, and every mode Gram as a symmetric rank-k
+//     update, over the contiguous column-major slabs of the storage
+//     order — no explicit unfolding is ever materialized — with a
+//     pooled grow-only Workspace so steady-state chains allocate
 //     nothing, and a shape-derived greedy chain order. Results are
 //     bitwise independent of the worker count: parallelism moves whole
-//     single-threaded slab GEMMs between workers and merges fixed
-//     buckets with kernel.ReduceTree.
+//     single-threaded slab GEMMs or fixed Gram chunks between workers
+//     and merges fixed buckets with kernel.ReduceTree.
 //   - TTMScalar/ChainScalar below are the retained reference
 //     implementation: a per-element scatter walk with no blocking, kept
 //     readable rather than fast. The engine is property-tested against

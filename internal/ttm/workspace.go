@@ -3,33 +3,30 @@ package ttm
 import "sync"
 
 // Workspace holds every grow-only buffer the TTM engine needs: the
-// chain's ping-pong intermediates, per-worker gram slab products, and
-// the gram accumulation buckets. Buffers grow monotonically and are
+// chain's ping-pong intermediates, the gram accumulation buckets, and
+// the per-worker gram pack panels. Buffers grow monotonically and are
 // reused across calls, so a HOOI sweep that cycles through modes of
 // one tensor reaches a steady state with zero allocations.
 //
 // A Workspace is not safe for concurrent use by multiple chain or
 // gram calls; use one per goroutine (or the pool helpers below).
 type Workspace struct {
-	a, b    []float64 // chain ping-pong intermediates
-	scratch []float64 // workers * I*I per-worker gram slab products
-	priv    []float64 // (chunks-1) * I*I gram accumulation buckets
-	bufs    [][]float64
-	dims    []int // mutable extent vector during a chain
-	ord     []int // greedy contraction order
+	a, b []float64 // chain ping-pong intermediates
+	priv []float64 // (chunks-1) * I*I gram accumulation buckets
+	pack []float64 // workers * gramPanel*I gram pack panels
+	bufs [][]float64
+	dims []int // mutable extent vector during a chain
+	ord  []int // greedy contraction order
 }
 
 // NewWorkspace returns an empty workspace; buffers are grown on first
 // use. Prefer GetWorkspace/PutWorkspace for pooled reuse.
 func NewWorkspace() *Workspace { return new(Workspace) }
 
-// ensureGram grows the slab-pass buffers for an I*I = n gram over
-// nbuf buckets at the given worker count.
-func (ws *Workspace) ensureGram(n, nbuf, workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	ws.scratch = grow(ws.scratch, workers*n)
+// ensureGram grows the gram buffers for an I*I = n gram over nbuf
+// buckets with packWords words of pack panels.
+func (ws *Workspace) ensureGram(n, nbuf, packWords int) {
+	ws.pack = grow(ws.pack, packWords)
 	if nbuf > 1 {
 		ws.priv = grow(ws.priv, (nbuf-1)*n)
 	}

@@ -7,9 +7,9 @@
 //	X ~ G x_1 U_1 x_2 U_2 ... x_N U_N.
 //
 // Both solvers run on the blocked TTM engine (internal/ttm): HOOI's
-// projection chains and mode Grams are GEMM over contiguous slabs
-// with a reused workspace, so steady-state sweeps allocate nothing
-// outside the eigensolves. Each factor is the leading eigenvectors of
+// projection chains are GEMM over contiguous slabs and its mode Grams
+// symmetric rank-k updates, with a reused workspace, so steady-state
+// sweeps allocate nothing outside the eigensolves. Each factor is the leading eigenvectors of
 // a mode Gram from linalg.SymEig (Householder tridiagonalization plus
 // implicit-shift QL, O(I_k^3)); the HOSVD and HOOI eigensolves are
 // timed as the obs solve phase. The core returned by Decompose is the
@@ -30,7 +30,7 @@ import (
 // Options configures a Tucker decomposition.
 type Options struct {
 	Ranks    []int   // multilinear ranks, one per mode
-	MaxIters int     // HOOI sweeps (default 25; 0 sweeps = plain HOSVD)
+	MaxIters int     // HOOI sweeps (0 selects 25; for no sweeps call HOSVD)
 	Tol      float64 // stop when fit improves by less than Tol (default 1e-8)
 
 	// Workers is the TTM engine's worker count for chains and Grams
@@ -96,6 +96,8 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 	w := opts.Workers
 	ws := ttm.GetWorkspace()
 	defer ttm.PutWorkspace(ws)
+	dims := x.Dims()
+	grams := gramViews(dims)
 
 	// Initialize: explicit factors if given, else HOSVD
 	// (U_k = leading eigenvectors of the mode-k Gram X_(k) X_(k)^T,
@@ -113,10 +115,9 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 		}
 	} else {
 		for k := 0; k < N; k++ {
-			gram := tensor.NewMatrix(x.Dim(k), x.Dim(k))
-			ttm.GramInto(gram, x, k, w, ws)
+			ttm.GramInto(grams[k], x, k, w, ws)
 			sspan := obs.Start(obs.PhaseSolve)
-			u, err := linalg.LeadingEigvecs(gram, opts.Ranks[k])
+			u, err := linalg.LeadingEigvecs(grams[k], opts.Ranks[k])
 			sspan.Stop()
 			if err != nil {
 				return nil, nil, fmt.Errorf("tucker: HOSVD mode %d: %w", k, err)
@@ -125,27 +126,12 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 		}
 	}
 
-	// Buffers reused across HOOI sweeps: the mode-k projection keeps
-	// extent I_k on mode k and R_j elsewhere, so its shape is fixed for
-	// the whole run; likewise the Gram operands and the core.
-	// LeadingEigvecs clones its input, so overwriting each sweep is
-	// safe.
-	gramBuf := make([]*tensor.Matrix, N)
-	yBuf := make([]*tensor.Dense, N)
-	for k := 0; k < N; k++ {
-		gramBuf[k] = tensor.NewMatrix(x.Dim(k), x.Dim(k))
-		ydims := make([]int, N)
-		for j := 0; j < N; j++ {
-			if j == k {
-				ydims[j] = x.Dim(j)
-			} else {
-				ydims[j] = opts.Ranks[j]
-			}
-		}
-		yBuf[k] = tensor.NewDense(ydims...)
-	}
+	// The mode-k projection keeps extent I_k on mode k and R_j
+	// elsewhere, so its shape is fixed for the whole run; like the
+	// Gram views, the projection views share one buffer and the core
+	// has its own.
+	ys := projectionViews(dims, opts.Ranks)
 	coreBuf := tensor.NewDense(opts.Ranks...)
-	dims := x.Dims()
 
 	// HOOI sweeps.
 	var trace []TraceEntry
@@ -156,10 +142,10 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 			// Project all modes but k, then take leading eigenvectors
 			// of the partial projection's mode-k Gram. ChainInto and
 			// GramInto time themselves (PhaseTTMChain / PhaseGram).
-			ttm.ChainInto(yBuf[k], x, factors, k, w, ws)
-			ttm.GramInto(gramBuf[k], yBuf[k], k, w, ws)
+			ttm.ChainInto(ys[k], x, factors, k, w, ws)
+			ttm.GramInto(grams[k], ys[k], k, w, ws)
 			sspan := obs.Start(obs.PhaseSolve)
-			u, err := linalg.LeadingEigvecs(gramBuf[k], opts.Ranks[k])
+			u, err := linalg.LeadingEigvecs(grams[k], opts.Ranks[k])
 			sspan.Stop()
 			if err != nil {
 				return nil, nil, fmt.Errorf("tucker: HOOI mode %d: %w", k, err)
@@ -195,15 +181,15 @@ func HOSVD(x *tensor.Dense, ranks []int) (*Model, error) {
 	}
 	ws := ttm.GetWorkspace()
 	defer ttm.PutWorkspace(ws)
+	grams := gramViews(x.Dims())
 	factors := make([]*tensor.Matrix, N)
 	for k := 0; k < N; k++ {
 		if ranks[k] < 1 || ranks[k] > x.Dim(k) {
 			return nil, fmt.Errorf("tucker: rank %d invalid for mode %d", ranks[k], k)
 		}
-		gram := tensor.NewMatrix(x.Dim(k), x.Dim(k))
-		ttm.GramInto(gram, x, k, 0, ws)
+		ttm.GramInto(grams[k], x, k, 0, ws)
 		sspan := obs.Start(obs.PhaseSolve)
-		u, err := linalg.LeadingEigvecs(gram, ranks[k])
+		u, err := linalg.LeadingEigvecs(grams[k], ranks[k])
 		sspan.Stop()
 		if err != nil {
 			return nil, err
@@ -212,6 +198,48 @@ func HOSVD(x *tensor.Dense, ranks []int) (*Model, error) {
 	}
 	core := ttm.Chain(x, factors, -1)
 	return &Model{Core: core, Factors: factors, Fit: fitFromCore(normX, core.Data(), x.Dims())}, nil
+}
+
+// gramViews returns the I_k x I_k mode-Gram views of one buffer sized
+// for the largest mode. A mode's Gram is dead once its factor is
+// computed — LeadingEigvecs clones its input — so every mode can
+// overwrite the same storage.
+func gramViews(dims []int) []*tensor.Matrix {
+	size := 0
+	for _, d := range dims {
+		size = max(size, d*d)
+	}
+	buf := make([]float64, size)
+	out := make([]*tensor.Matrix, len(dims))
+	for k, d := range dims {
+		out[k] = tensor.NewMatrixFromData(buf[:d*d], d, d)
+	}
+	return out
+}
+
+// projectionViews returns the HOOI mode-k projection views (extent
+// I_k on mode k, ranks[j] on every other mode j) of one buffer sized
+// for the largest: like the Grams, a projection is dead once its
+// factor is computed.
+func projectionViews(dims, ranks []int) []*tensor.Dense {
+	shapes := make([][]int, len(dims))
+	sizes := make([]int, len(dims))
+	size := 0
+	for k := range dims {
+		shapes[k] = append([]int(nil), ranks...)
+		shapes[k][k] = dims[k]
+		sizes[k] = 1
+		for _, d := range shapes[k] {
+			sizes[k] *= d
+		}
+		size = max(size, sizes[k])
+	}
+	buf := make([]float64, size)
+	out := make([]*tensor.Dense, len(dims))
+	for k, sh := range shapes {
+		out[k] = tensor.NewDenseFromData(buf[:sizes[k]], sh...)
+	}
+	return out
 }
 
 // fitFromCore returns the fit 1 - ||X - Xhat|| / ||X|| of a model
