@@ -66,6 +66,14 @@ echo "== go fuzz (ModeGram, 10s) =="
 # bitwise.
 go test -run '^$' -fuzz '^FuzzModeGram$' -fuzztime 10s ./internal/ttm
 
+echo "== go fuzz (CSF, 10s) =="
+# Random order 2-4 COO tensors with extents 1-12, 0-300 entries with
+# repeated coordinates, R 1-20 and any root: the FromCOO/ToCOO round
+# trip against append-order duplicate sums, AllModes against the COO
+# kernel, bitwise against the single-mode passes and across 1 vs 3
+# workers, and the float32 value stream bitwise.
+go test -run '^$' -fuzz '^FuzzCSF$' -fuzztime 10s ./internal/sparse
+
 echo "== go test (REPRO_NOSIMD=1 scalar dispatch) =="
 # The identical suite must pass with the runtime override forcing the
 # portable scalar kernels, proving the two paths are interchangeable.

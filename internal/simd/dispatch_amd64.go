@@ -82,11 +82,6 @@ func bindAVX2() {
 		a = a[:len(c)]
 		axpyAVX2(c, a, w)
 	}
-	Axpy2 = func(o, p, d, l []float64, v float64) {
-		n := len(o)
-		p, d, l = p[:n], d[:n], l[:n]
-		axpy2AVX2(o, p, d, l, v)
-	}
 	Dot = func(x, y []float64) float64 {
 		y = y[:len(x)]
 		return dotAVX2(x, y)
@@ -140,6 +135,14 @@ func bindAVX2() {
 	AxpyRowsF32 = func(dst, pk []float64, idx []int32, vals []float32) {
 		vals = vals[:len(idx)]
 		axpyRowsF32AVX2(dst, pk, idx, vals)
+	}
+	Axpy2Rows = func(o, p, d, pk []float64, idx []int32, vals []float64) {
+		p, vals = p[:len(d)], vals[:len(idx)]
+		axpy2RowsAVX2(o, p, d, pk, idx, vals)
+	}
+	Axpy2RowsF32 = func(o, p, d, pk []float64, idx []int32, vals []float32) {
+		p, vals = p[:len(d)], vals[:len(idx)]
+		axpy2RowsF32AVX2(o, p, d, pk, idx, vals)
 	}
 	pathName = "avx2"
 }

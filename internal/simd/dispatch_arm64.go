@@ -8,7 +8,8 @@ package simd
 // holds it back. The float32-operand table stays on the scalar
 // generics: the Go assembler has no vector float32→float64 widening
 // (FCVTL), and the mixed-precision kernels are dominated by the
-// float64 accumulate anyway.
+// float64 accumulate anyway. The one exception is Axpy2RowsF32, which
+// widens each leaf value in Go and runs the float64 NEON axpy2.
 
 func init() {
 	features = "neon"
@@ -45,11 +46,6 @@ func bindNEON() {
 	Axpy = func(c, a []float64, w float64) {
 		a = a[:len(c)]
 		axpyNEON(c, a, w)
-	}
-	Axpy2 = func(o, p, d, l []float64, v float64) {
-		n := len(o)
-		p, d, l = p[:n], d[:n], l[:n]
-		axpy2NEON(o, p, d, l, v)
 	}
 	Dot = func(x, y []float64) float64 {
 		y = y[:len(x)]
@@ -93,6 +89,25 @@ func bindNEON() {
 		vals = vals[:len(idx)]
 		for c, ix := range idx {
 			axpyNEON(dst, pk[int(ix)*R:int(ix)*R+R], vals[c])
+		}
+	}
+	// The all-modes leaf folds bind the same way, one NEON axpy2
+	// per leaf; the float32 twin widens each value first, so it
+	// computes what the per-leaf axpy2 on the widened value did.
+	Axpy2Rows = func(o, p, d, pk []float64, idx []int32, vals []float64) {
+		R := len(d)
+		p, vals = p[:R], vals[:len(idx)]
+		for c, ix := range idx {
+			j := int(ix) * R
+			axpy2NEON(o[j:j+R], p, d, pk[j:j+R], vals[c])
+		}
+	}
+	Axpy2RowsF32 = func(o, p, d, pk []float64, idx []int32, vals []float32) {
+		R := len(d)
+		p, vals = p[:R], vals[:len(idx)]
+		for c, ix := range idx {
+			j := int(ix) * R
+			axpy2NEON(o[j:j+R], p, d, pk[j:j+R], float64(vals[c]))
 		}
 	}
 	pathName = "neon"

@@ -66,47 +66,6 @@ axpy_done:
 	VZEROUPPER
 	RET
 
-// func axpy2AVX2(o, p, d, l []float64, v float64)
-// o[i] += v*p[i]; d[i] += v*l[i]
-TEXT ·axpy2AVX2(SB), NOSPLIT, $0-104
-	MOVQ         o_base+0(FP), DI
-	MOVQ         p_base+24(FP), SI
-	MOVQ         d_base+48(FP), R8
-	MOVQ         l_base+72(FP), R9
-	MOVQ         o_len+8(FP), CX
-	VBROADCASTSD v+96(FP), Y0
-	XORQ         AX, AX
-
-axpy2_loop4:
-	MOVQ AX, DX
-	ADDQ $4, DX
-	CMPQ DX, CX
-	JGT  axpy2_tail
-	VMOVUPD     (DI)(AX*8), Y1
-	VMOVUPD     (R8)(AX*8), Y2
-	VFMADD231PD (SI)(AX*8), Y0, Y1
-	VFMADD231PD (R9)(AX*8), Y0, Y2
-	VMOVUPD     Y1, (DI)(AX*8)
-	VMOVUPD     Y2, (R8)(AX*8)
-	MOVQ        DX, AX
-	JMP         axpy2_loop4
-
-axpy2_tail:
-	CMPQ AX, CX
-	JGE  axpy2_done
-	VMOVSD      (DI)(AX*8), X1
-	VMOVSD      (R8)(AX*8), X2
-	VFMADD231SD (SI)(AX*8), X0, X1
-	VFMADD231SD (R9)(AX*8), X0, X2
-	VMOVSD      X1, (DI)(AX*8)
-	VMOVSD      X2, (R8)(AX*8)
-	INCQ        AX
-	JMP         axpy2_tail
-
-axpy2_done:
-	VZEROUPPER
-	RET
-
 // func axpy4x1AVX2(c0, c1, c2, c3, a []float64, w0, w1, w2, w3 float64)
 // c_j[i] += a[i] * w_j
 TEXT ·axpy4x1AVX2(SB), NOSPLIT, $0-152
@@ -1108,5 +1067,226 @@ rowsf16_store:
 	VMOVUPD Y4, 96(DI)
 
 rowsf_done:
+	VZEROUPPER
+	RET
+
+// func axpy2RowsAVX2(o, p, d, pk []float64, idx []int32, vals []float64)
+// For each leaf c in order, with R = len(d) and j = idx[c]*R:
+// o[j+r] += vals[c]*p[r] and d[r] += vals[c]*pk[j+r]. The batched
+// all-modes CSF leaf fold: the caller guarantees the rows lie within
+// o and pk and that o overlaps none of p, d and pk; the shim trims p
+// to R and vals to len(idx). Every element gets one VFMADD231 with
+// the broadcast value, the FMA of axpyAVX2 on the o rows and of
+// axpyRowsAVX2 on d, so the result is bitwise one axpy per leaf plus
+// one axpyRows call. R == 16 keeps p and d in eight ymm registers for
+// the whole fiber (the o rows still load and store per leaf, so a
+// repeated index sees the previous leaf's sum); the general path
+// walks each leaf in 4-wide steps and a scalar tail, re-loading the
+// L1-hot d per leaf.
+TEXT ·axpy2RowsAVX2(SB), NOSPLIT, $0-144
+	MOVQ  o_base+0(FP), DI
+	MOVQ  p_base+24(FP), SI
+	MOVQ  d_base+48(FP), R8
+	MOVQ  d_len+56(FP), CX
+	MOVQ  pk_base+72(FP), R9
+	MOVQ  idx_base+96(FP), R10
+	MOVQ  idx_len+104(FP), BX
+	MOVQ  vals_base+120(FP), R12
+	TESTQ BX, BX
+	JE    rows2_done
+	CMPQ  CX, $16
+	JE    rows216
+	MOVQ  CX, R11
+	ANDQ  $-4, R11
+
+rows2_leaf:
+	MOVLQSX      (R10), DX
+	IMULQ        CX, DX
+	SHLQ         $3, DX
+	LEAQ         (DI)(DX*1), R13
+	ADDQ         R9, DX
+	VBROADCASTSD (R12), Y0
+	XORQ         AX, AX
+
+rows2_inner4:
+	CMPQ AX, R11
+	JGE  rows2_inner_tail
+	VMOVUPD     (R13)(AX*8), Y1
+	VMOVUPD     (R8)(AX*8), Y2
+	VFMADD231PD (SI)(AX*8), Y0, Y1
+	VFMADD231PD (DX)(AX*8), Y0, Y2
+	VMOVUPD     Y1, (R13)(AX*8)
+	VMOVUPD     Y2, (R8)(AX*8)
+	ADDQ        $4, AX
+	JMP         rows2_inner4
+
+rows2_inner_tail:
+	CMPQ AX, CX
+	JGE  rows2_next
+	VMOVSD      (R13)(AX*8), X1
+	VMOVSD      (R8)(AX*8), X2
+	VFMADD231SD (SI)(AX*8), X0, X1
+	VFMADD231SD (DX)(AX*8), X0, X2
+	VMOVSD      X1, (R13)(AX*8)
+	VMOVSD      X2, (R8)(AX*8)
+	INCQ        AX
+	JMP         rows2_inner_tail
+
+rows2_next:
+	ADDQ $4, R10
+	ADDQ $8, R12
+	DECQ BX
+	JNE  rows2_leaf
+	JMP  rows2_done
+
+rows216:
+	VMOVUPD (SI), Y4
+	VMOVUPD 32(SI), Y5
+	VMOVUPD 64(SI), Y6
+	VMOVUPD 96(SI), Y7
+	VMOVUPD (R8), Y8
+	VMOVUPD 32(R8), Y9
+	VMOVUPD 64(R8), Y10
+	VMOVUPD 96(R8), Y11
+
+rows216_leaf:
+	MOVLQSX      (R10), DX
+	SHLQ         $7, DX
+	LEAQ         (DI)(DX*1), R13
+	ADDQ         R9, DX
+	VBROADCASTSD (R12), Y0
+	VMOVUPD      (R13), Y1
+	VMOVUPD      32(R13), Y2
+	VMOVUPD      64(R13), Y3
+	VMOVUPD      96(R13), Y12
+	VFMADD231PD  Y4, Y0, Y1
+	VFMADD231PD  Y5, Y0, Y2
+	VFMADD231PD  Y6, Y0, Y3
+	VFMADD231PD  Y7, Y0, Y12
+	VMOVUPD      Y1, (R13)
+	VMOVUPD      Y2, 32(R13)
+	VMOVUPD      Y3, 64(R13)
+	VMOVUPD      Y12, 96(R13)
+	VFMADD231PD  (DX), Y0, Y8
+	VFMADD231PD  32(DX), Y0, Y9
+	VFMADD231PD  64(DX), Y0, Y10
+	VFMADD231PD  96(DX), Y0, Y11
+	ADDQ         $4, R10
+	ADDQ         $8, R12
+	DECQ         BX
+	JNE          rows216_leaf
+	VMOVUPD      Y8, (R8)
+	VMOVUPD      Y9, 32(R8)
+	VMOVUPD      Y10, 64(R8)
+	VMOVUPD      Y11, 96(R8)
+
+rows2_done:
+	VZEROUPPER
+	RET
+
+// func axpy2RowsF32AVX2(o, p, d, pk []float64, idx []int32, vals []float32)
+// axpy2RowsAVX2 over a float32 value stream: each leaf value widens
+// exactly (VCVTSS2SD) before the broadcast, as in axpyRowsF32AVX2, so
+// the arithmetic is the float64 variant's fed the re-rounded stream.
+TEXT ·axpy2RowsF32AVX2(SB), NOSPLIT, $0-144
+	MOVQ  o_base+0(FP), DI
+	MOVQ  p_base+24(FP), SI
+	MOVQ  d_base+48(FP), R8
+	MOVQ  d_len+56(FP), CX
+	MOVQ  pk_base+72(FP), R9
+	MOVQ  idx_base+96(FP), R10
+	MOVQ  idx_len+104(FP), BX
+	MOVQ  vals_base+120(FP), R12
+	TESTQ BX, BX
+	JE    rows2f_done
+	CMPQ  CX, $16
+	JE    rows2f16
+	MOVQ  CX, R11
+	ANDQ  $-4, R11
+
+rows2f_leaf:
+	MOVLQSX      (R10), DX
+	IMULQ        CX, DX
+	SHLQ         $3, DX
+	LEAQ         (DI)(DX*1), R13
+	ADDQ         R9, DX
+	VCVTSS2SD    (R12), X0, X0
+	VBROADCASTSD X0, Y0
+	XORQ         AX, AX
+
+rows2f_inner4:
+	CMPQ AX, R11
+	JGE  rows2f_inner_tail
+	VMOVUPD     (R13)(AX*8), Y1
+	VMOVUPD     (R8)(AX*8), Y2
+	VFMADD231PD (SI)(AX*8), Y0, Y1
+	VFMADD231PD (DX)(AX*8), Y0, Y2
+	VMOVUPD     Y1, (R13)(AX*8)
+	VMOVUPD     Y2, (R8)(AX*8)
+	ADDQ        $4, AX
+	JMP         rows2f_inner4
+
+rows2f_inner_tail:
+	CMPQ AX, CX
+	JGE  rows2f_next
+	VMOVSD      (R13)(AX*8), X1
+	VMOVSD      (R8)(AX*8), X2
+	VFMADD231SD (SI)(AX*8), X0, X1
+	VFMADD231SD (DX)(AX*8), X0, X2
+	VMOVSD      X1, (R13)(AX*8)
+	VMOVSD      X2, (R8)(AX*8)
+	INCQ        AX
+	JMP         rows2f_inner_tail
+
+rows2f_next:
+	ADDQ $4, R10
+	ADDQ $4, R12
+	DECQ BX
+	JNE  rows2f_leaf
+	JMP  rows2f_done
+
+rows2f16:
+	VMOVUPD (SI), Y4
+	VMOVUPD 32(SI), Y5
+	VMOVUPD 64(SI), Y6
+	VMOVUPD 96(SI), Y7
+	VMOVUPD (R8), Y8
+	VMOVUPD 32(R8), Y9
+	VMOVUPD 64(R8), Y10
+	VMOVUPD 96(R8), Y11
+
+rows2f16_leaf:
+	MOVLQSX      (R10), DX
+	SHLQ         $7, DX
+	LEAQ         (DI)(DX*1), R13
+	ADDQ         R9, DX
+	VCVTSS2SD    (R12), X0, X0
+	VBROADCASTSD X0, Y0
+	VMOVUPD      (R13), Y1
+	VMOVUPD      32(R13), Y2
+	VMOVUPD      64(R13), Y3
+	VMOVUPD      96(R13), Y12
+	VFMADD231PD  Y4, Y0, Y1
+	VFMADD231PD  Y5, Y0, Y2
+	VFMADD231PD  Y6, Y0, Y3
+	VFMADD231PD  Y7, Y0, Y12
+	VMOVUPD      Y1, (R13)
+	VMOVUPD      Y2, 32(R13)
+	VMOVUPD      Y3, 64(R13)
+	VMOVUPD      Y12, 96(R13)
+	VFMADD231PD  (DX), Y0, Y8
+	VFMADD231PD  32(DX), Y0, Y9
+	VFMADD231PD  64(DX), Y0, Y10
+	VFMADD231PD  96(DX), Y0, Y11
+	ADDQ         $4, R10
+	ADDQ         $4, R12
+	DECQ         BX
+	JNE          rows2f16_leaf
+	VMOVUPD      Y8, (R8)
+	VMOVUPD      Y9, 32(R8)
+	VMOVUPD      Y10, 64(R8)
+	VMOVUPD      Y11, 96(R8)
+
+rows2f_done:
 	VZEROUPPER
 	RET

@@ -64,21 +64,6 @@ func AxpyGeneric(c, a []float64, w float64) {
 	}
 }
 
-// Axpy2Generic is the fused CSF all-modes leaf update: one leaf value
-// v scales the path prefix p into the output row o and the leaf
-// factor row l into the subtree sum d, in one pass.
-//
-//repro:hotpath
-func Axpy2Generic(o, p, d, l []float64, v float64) {
-	n := len(o)
-	p, l = p[:n], l[:n]
-	d = d[:n]
-	for i := range o {
-		o[i] += v * p[i]
-		d[i] += v * l[i]
-	}
-}
-
 // DotGeneric is a four-accumulator dot product. The unrolled body
 // reduces as (s0+s1)+(s2+s3) and the tail then folds into the reduced
 // sum — the same accumulator order as the vector kernels, which
@@ -258,6 +243,50 @@ func AxpyRowsF32Generic(dst, pk []float64, idx []int32, vals []float32) {
 		w := float64(vals[c])
 		for r := range dst {
 			dst[r] += w * row[r]
+		}
+	}
+}
+
+// Axpy2RowsGeneric is the fused CSF all-modes leaf fold over one
+// fiber: for every leaf c in order, with R = len(d) and j =
+// idx[c]*R, it accumulates o[j:j+R] += p * vals[c] (the leaf-mode
+// output row, as AxpyGeneric does) and d += vals[c] * pk[j:j+R] (the
+// subtree sum, as AxpyRowsGeneric does). The caller guarantees every
+// idx[c]*R+R <= len(o) and len(pk), and that o overlaps none of p, d
+// and pk; idx and vals have equal length.
+//
+//repro:hotpath
+func Axpy2RowsGeneric(o, p, d, pk []float64, idx []int32, vals []float64) {
+	R := len(d)
+	p = p[:R]
+	vals = vals[:len(idx)]
+	for c, ix := range idx {
+		j := int(ix) * R
+		orow, row := o[j:j+R], pk[j:j+R]
+		w := vals[c]
+		for r := range d {
+			orow[r] += p[r] * w
+			d[r] += w * row[r]
+		}
+	}
+}
+
+// Axpy2RowsF32Generic is Axpy2RowsGeneric over a float32 value
+// stream: each leaf value widens exactly to float64 first, so the
+// arithmetic is the float64 variant's fed the re-rounded stream.
+//
+//repro:hotpath
+func Axpy2RowsF32Generic(o, p, d, pk []float64, idx []int32, vals []float32) {
+	R := len(d)
+	p = p[:R]
+	vals = vals[:len(idx)]
+	for c, ix := range idx {
+		j := int(ix) * R
+		orow, row := o[j:j+R], pk[j:j+R]
+		w := float64(vals[c])
+		for r := range d {
+			orow[r] += p[r] * w
+			d[r] += w * row[r]
 		}
 	}
 }

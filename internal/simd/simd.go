@@ -40,7 +40,6 @@ import "os"
 //	Axpy4x1:  c_j[i] += a[i] * w_j          (one source, four dests)
 //	Axpy1x4:  c[i]   += Σ_k a_k[i] * w_k    (four sources, one dest)
 //	Axpy:     c[i]   += a[i] * w
-//	Axpy2:    o[i] += v*p[i]; d[i] += v*l[i] (fused CSF leaf update)
 //	Dot:      Σ_i x[i]*y[i]
 //	Dot4:     four dots sharing one x stream
 //	Dot2x4:   the eight dots of two x streams against four y streams
@@ -51,6 +50,13 @@ import "os"
 //	AxpyRows: dst += Σ_c vals[c] * pk-row(idx[c])  (batched CSF leaf
 //	          fold; the caller, not the shim, guarantees the gathered
 //	          rows idx[c]*len(dst)+len(dst) lie within pk)
+//	Axpy2Rows: for each leaf c in order, o-row(idx[c]) += vals[c] * p
+//	          and d += vals[c] * pk-row(idx[c]), R = len(d) (batched
+//	          all-modes CSF leaf fold: per element the FMA of Axpy on
+//	          the o rows and of AxpyRows on d, so bitwise equal to an
+//	          Axpy loop plus one AxpyRows call; the caller guarantees
+//	          the rows lie within o and pk, and o overlaps none of p,
+//	          d and pk)
 var (
 	//repro:dispatch
 	Axpy4x4 func(c0, c1, c2, c3, a0, a1, a2, a3 []float64,
@@ -65,8 +71,6 @@ var (
 	//repro:dispatch
 	Axpy func(c, a []float64, w float64) = AxpyGeneric
 	//repro:dispatch
-	Axpy2 func(o, p, d, l []float64, v float64) = Axpy2Generic
-	//repro:dispatch
 	Dot func(x, y []float64) float64 = DotGeneric
 	//repro:dispatch
 	Dot4 func(x, y0, y1, y2, y3 []float64) (s0, s1, s2, s3 float64) = Dot4Generic
@@ -80,6 +84,8 @@ var (
 	Add func(dst, a []float64) = AddGeneric
 	//repro:dispatch
 	AxpyRows func(dst, pk []float64, idx []int32, vals []float64) = AxpyRowsGeneric
+	//repro:dispatch
+	Axpy2Rows func(o, p, d, pk []float64, idx []int32, vals []float64) = Axpy2RowsGeneric
 )
 
 // The float32-operand dispatch table: the memory-bound side of the
@@ -96,6 +102,8 @@ var (
 	Dot4F32 func(x []float32, y0, y1, y2, y3 []float64) (s0, s1, s2, s3 float64) = Dot4F32Generic
 	//repro:dispatch
 	AxpyRowsF32 func(dst, pk []float64, idx []int32, vals []float32) = AxpyRowsF32Generic
+	//repro:dispatch
+	Axpy2RowsF32 func(o, p, d, pk []float64, idx []int32, vals []float32) = Axpy2RowsF32Generic
 )
 
 // pathName is set by the per-arch init that installs wide kernels;
@@ -134,8 +142,9 @@ func noSIMD() bool { return os.Getenv("REPRO_NOSIMD") == "1" }
 // a race, so callers serialize around it.
 func ForceScalar() (restore func()) {
 	saved := [...]any{
-		Axpy4x4, Axpy4x1, Axpy1x4, Axpy, Axpy2, Dot, Dot4, Mul, MulAdd, Add,
+		Axpy4x4, Axpy4x1, Axpy1x4, Axpy, Dot, Dot4, Mul, MulAdd, Add,
 		AxpyF32, Axpy1x4F32, DotF32, Dot4F32, AxpyRows, AxpyRowsF32, Dot2x4,
+		Axpy2Rows, Axpy2RowsF32,
 	}
 	savedPath := pathName
 	bindScalar()
@@ -146,19 +155,20 @@ func ForceScalar() (restore func()) {
 		Axpy4x1 = saved[1].(func(c0, c1, c2, c3, a []float64, w0, w1, w2, w3 float64))
 		Axpy1x4 = saved[2].(func(c, a0, a1, a2, a3 []float64, w0, w1, w2, w3 float64))
 		Axpy = saved[3].(func(c, a []float64, w float64))
-		Axpy2 = saved[4].(func(o, p, d, l []float64, v float64))
-		Dot = saved[5].(func(x, y []float64) float64)
-		Dot4 = saved[6].(func(x, y0, y1, y2, y3 []float64) (s0, s1, s2, s3 float64))
-		Mul = saved[7].(func(dst, a, b []float64))
-		MulAdd = saved[8].(func(dst, a, b []float64))
-		Add = saved[9].(func(dst, a []float64))
-		AxpyF32 = saved[10].(func(c []float64, a []float32, w float64))
-		Axpy1x4F32 = saved[11].(func(c []float64, a0, a1, a2, a3 []float32, w0, w1, w2, w3 float64))
-		DotF32 = saved[12].(func(x []float32, y []float64) float64)
-		Dot4F32 = saved[13].(func(x []float32, y0, y1, y2, y3 []float64) (s0, s1, s2, s3 float64))
-		AxpyRows = saved[14].(func(dst, pk []float64, idx []int32, vals []float64))
-		AxpyRowsF32 = saved[15].(func(dst, pk []float64, idx []int32, vals []float32))
-		Dot2x4 = saved[16].(func(x0, x1, y0, y1, y2, y3 []float64) (s00, s01, s02, s03, s10, s11, s12, s13 float64))
+		Dot = saved[4].(func(x, y []float64) float64)
+		Dot4 = saved[5].(func(x, y0, y1, y2, y3 []float64) (s0, s1, s2, s3 float64))
+		Mul = saved[6].(func(dst, a, b []float64))
+		MulAdd = saved[7].(func(dst, a, b []float64))
+		Add = saved[8].(func(dst, a []float64))
+		AxpyF32 = saved[9].(func(c []float64, a []float32, w float64))
+		Axpy1x4F32 = saved[10].(func(c []float64, a0, a1, a2, a3 []float32, w0, w1, w2, w3 float64))
+		DotF32 = saved[11].(func(x []float32, y []float64) float64)
+		Dot4F32 = saved[12].(func(x []float32, y0, y1, y2, y3 []float64) (s0, s1, s2, s3 float64))
+		AxpyRows = saved[13].(func(dst, pk []float64, idx []int32, vals []float64))
+		AxpyRowsF32 = saved[14].(func(dst, pk []float64, idx []int32, vals []float32))
+		Dot2x4 = saved[15].(func(x0, x1, y0, y1, y2, y3 []float64) (s00, s01, s02, s03, s10, s11, s12, s13 float64))
+		Axpy2Rows = saved[16].(func(o, p, d, pk []float64, idx []int32, vals []float64))
+		Axpy2RowsF32 = saved[17].(func(o, p, d, pk []float64, idx []int32, vals []float32))
 		pathName = savedPath
 	}
 }
@@ -169,7 +179,6 @@ func bindScalar() {
 	Axpy4x1 = Axpy4x1Generic
 	Axpy1x4 = Axpy1x4Generic
 	Axpy = AxpyGeneric
-	Axpy2 = Axpy2Generic
 	Dot = DotGeneric
 	Dot4 = Dot4Generic
 	Dot2x4 = Dot2x4Generic
@@ -182,5 +191,7 @@ func bindScalar() {
 	Dot4F32 = Dot4F32Generic
 	AxpyRows = AxpyRowsGeneric
 	AxpyRowsF32 = AxpyRowsF32Generic
+	Axpy2Rows = Axpy2RowsGeneric
+	Axpy2RowsF32 = Axpy2RowsF32Generic
 	pathName = "scalar"
 }

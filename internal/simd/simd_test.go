@@ -78,25 +78,6 @@ func TestAxpyAgainstScalar(t *testing.T) {
 	})
 }
 
-func TestAxpy2AgainstScalar(t *testing.T) {
-	forEachLen(t, func(t *testing.T, n int) {
-		p := make([]float64, n)
-		l := make([]float64, n)
-		fill(p, 3)
-		fill(l, 4)
-		o, d := make([]float64, n), make([]float64, n)
-		ow, dw := make([]float64, n), make([]float64, n)
-		fill(o, 5)
-		fill(d, 6)
-		copy(ow, o)
-		copy(dw, d)
-		Axpy2(o, p, d, l, -0.75)
-		Axpy2Generic(ow, p, dw, l, -0.75)
-		checkSlices(t, "Axpy2 o", o, ow)
-		checkSlices(t, "Axpy2 d", d, dw)
-	})
-}
-
 func TestAxpy4x1AgainstScalar(t *testing.T) {
 	forEachLen(t, func(t *testing.T, n int) {
 		a := make([]float64, n)
@@ -411,4 +392,93 @@ func TestAxpyRowsF32MatchesF64OnRounded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAxpy2RowsMatchesAxpyAndAxpyRows pins the fused all-modes leaf
+// fold to the two kernels it fuses, bitwise: the output rows equal one
+// Axpy call per leaf and the subtree sum equals one AxpyRows call (for
+// the float32 twin, Axpy on the widened value and AxpyRowsF32), on the
+// bound path and under ForceScalar. Both kernels also agree with their
+// scalar generics to relTol. Row widths are the fringe lengths (the
+// R=16 register path among them), leaf counts run 0-33 over five rows
+// so indices repeat, and every operand is an offset window into a
+// longer backing array whose guard words must stay untouched.
+func TestAxpy2RowsMatchesAxpyAndAxpyRows(t *testing.T) {
+	forEachLen(t, func(t *testing.T, r int) {
+		checkAxpy2Rows(t, r)
+		restore := ForceScalar()
+		defer restore()
+		checkAxpy2Rows(t, r)
+	})
+}
+
+// checkAxpy2Rows runs TestAxpy2RowsMatchesAxpyAndAxpyRows's checks at
+// row width r on the kernel set bound now.
+func checkAxpy2Rows(t *testing.T, r int) {
+	t.Helper()
+	const rows = 5
+	for leaves := 0; leaves <= 33; leaves++ {
+		idx := make([]int32, leaves)
+		for c := range idx {
+			idx[c] = int32((c * 3) % rows)
+		}
+		vals32 := make([]float32, leaves)
+		fill32(vals32, 100)
+		for _, off := range []int{0, 1, 3} {
+			p, _ := window(r, off, 101)
+			pk, _ := window(rows*r, off, 102)
+			vals, _ := window(leaves, off, 103)
+			// Per variant: the fused kernel, its two-kernel oracle, and
+			// its scalar generic.
+			variants := [2][3]func(o, d []float64){{
+				func(o, d []float64) { Axpy2Rows(o, p, d, pk, idx, vals) },
+				func(o, d []float64) {
+					for c, ix := range idx {
+						Axpy(o[int(ix)*r:int(ix)*r+r], p, vals[c])
+					}
+					AxpyRows(d, pk, idx, vals)
+				},
+				func(o, d []float64) { Axpy2RowsGeneric(o, p, d, pk, idx, vals) },
+			}, {
+				func(o, d []float64) { Axpy2RowsF32(o, p, d, pk, idx, vals32) },
+				func(o, d []float64) {
+					for c, ix := range idx {
+						Axpy(o[int(ix)*r:int(ix)*r+r], p, float64(vals32[c]))
+					}
+					AxpyRowsF32(d, pk, idx, vals32)
+				},
+				func(o, d []float64) { Axpy2RowsF32Generic(o, p, d, pk, idx, vals32) },
+			}}
+			for k, fns := range variants {
+				name := fmt.Sprintf("%s %s leaves=%d off=%d", Path(), [2]string{"Axpy2Rows", "Axpy2RowsF32"}[k], leaves, off)
+				var oBack, dBack [3][]float64
+				for i, fn := range fns {
+					var o, d []float64
+					o, oBack[i] = window(rows*r, off, 104)
+					d, dBack[i] = window(r, off, 105)
+					fn(o, d)
+				}
+				for i := range oBack[0] {
+					if oBack[0][i] != oBack[1][i] { //repro:bitwise the fused fold's contract is Axpy's FMA per output element
+						t.Fatalf("%s: o[%d] = %v, Axpy per leaf gives %v", name, i-off, oBack[0][i], oBack[1][i])
+					}
+				}
+				for i := range dBack[0] {
+					if dBack[0][i] != dBack[1][i] { //repro:bitwise the fused fold's contract is AxpyRows' FMA per subtree-sum element
+						t.Fatalf("%s: d[%d] = %v, AxpyRows gives %v", name, i-off, dBack[0][i], dBack[1][i])
+					}
+				}
+				checkSlices(t, name+" o vs generic", oBack[0], oBack[2])
+				checkSlices(t, name+" d vs generic", dBack[0], dBack[2])
+			}
+		}
+	}
+}
+
+// window returns n pseudorandom words starting off words into a
+// backing array with guard words on both sides, and that array.
+func window(n, off int, seed uint64) (s, back []float64) {
+	back = make([]float64, off+n+3)
+	fill(back, seed)
+	return back[off : off+n], back
 }

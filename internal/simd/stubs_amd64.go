@@ -12,9 +12,6 @@ package simd
 func axpyAVX2(c, a []float64, w float64)
 
 //go:noescape
-func axpy2AVX2(o, p, d, l []float64, v float64)
-
-//go:noescape
 func axpy4x1AVX2(c0, c1, c2, c3, a []float64, w0, w1, w2, w3 float64)
 
 //go:noescape
@@ -62,6 +59,12 @@ func axpyRowsAVX2(dst, pk []float64, idx []int32, vals []float64)
 
 //go:noescape
 func axpyRowsF32AVX2(dst, pk []float64, idx []int32, vals []float32)
+
+//go:noescape
+func axpy2RowsAVX2(o, p, d, pk []float64, idx []int32, vals []float64)
+
+//go:noescape
+func axpy2RowsF32AVX2(o, p, d, pk []float64, idx []int32, vals []float32)
 
 // cpuid executes CPUID with the given leaf/subleaf (cpuid_amd64.s).
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

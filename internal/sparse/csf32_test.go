@@ -23,38 +23,49 @@ func round32Factors(fs []*tensor.Matrix) ([]*tensor.Matrix32, []*tensor.Matrix) 
 // float64 value stream, the float32 kernel walks exactly the numbers
 // the float64 kernel walks (factor widening is exact, accumulation is
 // shared), so MTTKRP32 must equal the rounded float64 MTTKRP bitwise —
-// on the active dispatch path and forced scalar.
+// on the active dispatch path and forced scalar. The inputs cover a
+// general rank, R=16 (the kernels' register paths) and an order-2
+// tensor, whose leaves hang directly under the root.
 func TestCSFF32MatchesF64Bitwise(t *testing.T) {
+	cases := []struct {
+		dims   []int
+		nnz, R int
+	}{
+		{[]int{7, 6, 5, 4}, 180, 3},
+		{[]int{7, 6, 5, 4}, 180, 16},
+		{[]int{9, 7}, 30, 3},
+	}
 	run := func(t *testing.T) {
-		dims := []int{7, 6, 5, 4}
-		R := 3
-		s := Random(71, 180, dims...)
-		fs := tensor.RandomFactors(72, dims, R)
-		fs32, wide := round32Factors(fs)
-		for root := range dims {
-			cs := FromCOO(s, root)
-			cs.EnableF32Values()
-			if !cs.F32Values() {
-				t.Fatal("EnableF32Values did not stick")
-			}
-			for n := range dims {
-				want := cs.MTTKRP(wide, n)
-				got := cs.MTTKRP32(fs32, n)
-				wd := want.Data()
-				for i, v := range got.Data() {
-					if v != float32(wd[i]) { //repro:bitwise shared walk + exact widening: only the final store rounds
-						t.Fatalf("root %d mode %d: f32 kernel diverges at %d: %v vs %v",
-							root, n, i, v, float32(wd[i]))
+		for _, tc := range cases {
+			dims, R := tc.dims, tc.R
+			s := Random(71, tc.nnz, dims...)
+			fs := tensor.RandomFactors(72, dims, R)
+			fs32, wide := round32Factors(fs)
+			for root := range dims {
+				cs := FromCOO(s, root)
+				cs.EnableF32Values()
+				if !cs.F32Values() {
+					t.Fatal("EnableF32Values did not stick")
+				}
+				for n := range dims {
+					want := cs.MTTKRP(wide, n)
+					got := cs.MTTKRP32(fs32, n)
+					wd := want.Data()
+					for i, v := range got.Data() {
+						if v != float32(wd[i]) { //repro:bitwise shared walk + exact widening: only the final store rounds
+							t.Fatalf("%v R=%d root %d mode %d: f32 kernel diverges at %d: %v vs %v",
+								dims, R, root, n, i, v, float32(wd[i]))
+						}
 					}
 				}
-			}
-			w64 := cs.AllModes(wide, 1)
-			w32 := cs.AllModes32(fs32, 1)
-			for k := range dims {
-				wd := w64[k].Data()
-				for i, v := range w32[k].Data() {
-					if v != float32(wd[i]) { //repro:bitwise all-modes pass shares the identical walk
-						t.Fatalf("root %d all-modes out %d: diverges at %d", root, k, i)
+				w64 := cs.AllModes(wide, 1)
+				w32 := cs.AllModes32(fs32, 1)
+				for k := range dims {
+					wd := w64[k].Data()
+					for i, v := range w32[k].Data() {
+						if v != float32(wd[i]) { //repro:bitwise all-modes pass shares the identical walk
+							t.Fatalf("%v R=%d root %d all-modes out %d: diverges at %d", dims, R, root, k, i)
+						}
 					}
 				}
 			}
@@ -68,24 +79,34 @@ func TestCSFF32MatchesF64Bitwise(t *testing.T) {
 
 // TestCSFF32WorkersBitwise: the float32 entry points keep the
 // fixed-chunk scheduling, so every worker count stores the identical
-// float32 result.
+// float32 result. The inputs cover a general rank, R=16 and an order-2
+// tensor.
 func TestCSFF32WorkersBitwise(t *testing.T) {
-	dims := []int{16, 12, 9}
-	R := 4
-	s := Random(73, 500, dims...)
-	fs := tensor.RandomFactors(74, dims, R)
-	fs32, _ := round32Factors(fs)
-	cs := FromCOO(s, 0)
-	cs.EnableF32Values()
-	for n := range dims {
-		serial := tensor.NewMatrix32(dims[n], R)
-		cs.MTTKRPInto32(serial, fs32, n, 1, nil)
-		for _, w := range []int{2, 3, 8} {
-			par := tensor.NewMatrix32(dims[n], R)
-			cs.MTTKRPInto32(par, fs32, n, w, nil)
-			for i, v := range par.Data() {
-				if v != serial.Data()[i] { //repro:bitwise the worker-count-independence contract under test
-					t.Fatalf("mode %d workers=%d: differs from serial at %d", n, w, i)
+	cases := []struct {
+		dims   []int
+		nnz, R int
+	}{
+		{[]int{16, 12, 9}, 500, 4},
+		{[]int{16, 12, 9}, 500, 16},
+		{[]int{40, 30}, 500, 4},
+	}
+	for _, tc := range cases {
+		dims, R := tc.dims, tc.R
+		s := Random(73, tc.nnz, dims...)
+		fs := tensor.RandomFactors(74, dims, R)
+		fs32, _ := round32Factors(fs)
+		cs := FromCOO(s, 0)
+		cs.EnableF32Values()
+		for n := range dims {
+			serial := tensor.NewMatrix32(dims[n], R)
+			cs.MTTKRPInto32(serial, fs32, n, 1, nil)
+			for _, w := range []int{2, 3, 8} {
+				par := tensor.NewMatrix32(dims[n], R)
+				cs.MTTKRPInto32(par, fs32, n, w, nil)
+				for i, v := range par.Data() {
+					if v != serial.Data()[i] { //repro:bitwise the worker-count-independence contract under test
+						t.Fatalf("%v R=%d mode %d workers=%d: differs from serial at %d", dims, R, n, w, i)
+					}
 				}
 			}
 		}

@@ -1,7 +1,10 @@
 package sparse
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/tensor"
@@ -137,41 +140,53 @@ func TestCSFDegenerate(t *testing.T) {
 
 // TestCSFWorkerBitwise: the determinism contract — every worker count
 // from 1 to 8 produces bitwise-identical output for every mode, for
-// both the single-mode and the all-modes kernels.
+// both the single-mode and the all-modes kernels. The inputs cover a
+// general rank, R=16 (the kernels' register paths) and an order-2
+// tensor, whose leaves hang directly under the root.
 func TestCSFWorkerBitwise(t *testing.T) {
-	dims := []int{40, 31, 17, 9}
-	c := Random(31, 6000, dims...)
-	fs := tensor.RandomFactors(37, dims, 6)
-	f := FromCOO(c, 0)
-	base := make([]*tensor.Matrix, len(dims))
-	for n := range dims {
-		base[n] = f.MTTKRPWorkers(fs, n, 1)
+	cases := []struct {
+		dims   []int
+		nnz, R int
+	}{
+		{[]int{40, 31, 17, 9}, 6000, 6},
+		{[]int{40, 31, 17, 9}, 6000, 16},
+		{[]int{90, 70}, 2000, 6},
 	}
-	baseAll := f.AllModes(fs, 1)
-	for n := range dims {
-		bd, ad := base[n].Data(), baseAll[n].Data()
-		for i := range bd {
-			if bd[i] != ad[i] { //repro:bitwise all-modes pass shares the single-mode arithmetic order
-				t.Fatalf("mode %d elem %d: all-modes %x != single %x", n, i, ad[i], bd[i])
-			}
-		}
-	}
-	for w := 2; w <= 8; w++ {
+	for _, tc := range cases {
+		dims := tc.dims
+		c := Random(31, tc.nnz, dims...)
+		fs := tensor.RandomFactors(37, dims, tc.R)
+		f := FromCOO(c, 0)
+		base := make([]*tensor.Matrix, len(dims))
 		for n := range dims {
-			got := f.MTTKRPWorkers(fs, n, w)
-			gd, bd := got.Data(), base[n].Data()
-			for i := range gd {
-				if gd[i] != bd[i] { //repro:bitwise the worker-count-independence contract under test
-					t.Fatalf("workers %d mode %d elem %d: %x != %x", w, n, i, gd[i], bd[i])
+			base[n] = f.MTTKRPWorkers(fs, n, 1)
+		}
+		baseAll := f.AllModes(fs, 1)
+		for n := range dims {
+			bd, ad := base[n].Data(), baseAll[n].Data()
+			for i := range bd {
+				if bd[i] != ad[i] { //repro:bitwise all-modes pass shares the single-mode arithmetic order
+					t.Fatalf("%v R=%d mode %d elem %d: all-modes %x != single %x", dims, tc.R, n, i, ad[i], bd[i])
 				}
 			}
 		}
-		gotAll := f.AllModes(fs, w)
-		for n := range dims {
-			gd, bd := gotAll[n].Data(), base[n].Data()
-			for i := range gd {
-				if gd[i] != bd[i] { //repro:bitwise the worker-count-independence contract under test
-					t.Fatalf("all-modes workers %d mode %d elem %d: %x != %x", w, n, i, gd[i], bd[i])
+		for w := 2; w <= 8; w++ {
+			for n := range dims {
+				got := f.MTTKRPWorkers(fs, n, w)
+				gd, bd := got.Data(), base[n].Data()
+				for i := range gd {
+					if gd[i] != bd[i] { //repro:bitwise the worker-count-independence contract under test
+						t.Fatalf("%v R=%d workers %d mode %d elem %d: %x != %x", dims, tc.R, w, n, i, gd[i], bd[i])
+					}
+				}
+			}
+			gotAll := f.AllModes(fs, w)
+			for n := range dims {
+				gd, bd := gotAll[n].Data(), base[n].Data()
+				for i := range gd {
+					if gd[i] != bd[i] { //repro:bitwise the worker-count-independence contract under test
+						t.Fatalf("%v R=%d all-modes workers %d mode %d elem %d: %x != %x", dims, tc.R, w, n, i, gd[i], bd[i])
+					}
 				}
 			}
 		}
@@ -204,6 +219,46 @@ func TestCSFZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestCSFPoolReleasesDroppedWorkspace: a workspace dropped right after
+// a 4-worker all-modes pass, without Release, pins neither its pool
+// goroutines nor the last tree it walked. Within a bounded GC loop the
+// workspace finalizer closes the pool, the three parked goroutines
+// exit, and a finalizer set on the tree runs.
+func TestCSFPoolReleasesDroppedWorkspace(t *testing.T) {
+	dims := []int{32, 24, 28}
+	c := Random(45, 4000, dims...)
+	fs := tensor.RandomFactors(46, dims, 8)
+	outs := make([]*tensor.Matrix, len(dims))
+	for k := range outs {
+		outs[k] = tensor.NewMatrix(dims[k], 8)
+	}
+	base := runtime.NumGoroutine()
+	treeFreed := make(chan struct{})
+	func() {
+		f := FromCOO(c, 0)
+		runtime.SetFinalizer(f, func(*CSF) { close(treeFreed) })
+		f.AllModesInto(outs, fs, 4, NewWorkspace())
+	}()
+	if n := runtime.NumGoroutine(); n < base+3 {
+		t.Fatalf("%d goroutines after a 4-worker pass, want at least %d parked", n, base+3)
+	}
+	freed := false
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-treeFreed:
+			freed = true
+		default:
+		}
+		if freed && runtime.NumGoroutine() <= base {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("after 100 GCs: tree finalized %v, %d goroutines against %d before the pass",
+		freed, runtime.NumGoroutine(), base)
+}
+
 // TestCSFSharedAcrossModes: one CSF serves every output mode without
 // rebuilding, and the pooled-workspace path (ws == nil) works.
 func TestCSFSharedAcrossModes(t *testing.T) {
@@ -225,4 +280,99 @@ func TestCSFSharedAcrossModes(t *testing.T) {
 			t.Fatalf("all-modes mode %d: differ by %g", n, d)
 		}
 	}
+}
+
+// FuzzCSF draws order 2-4 COO tensors with extents 1-12 and 0-300
+// entries, a quarter of them repeating an earlier coordinate, a rank
+// of 1-20 and any root. It checks that ToCOO(FromCOO) is the COO with
+// duplicates summed in append order, that AllModes matches the COO
+// kernel to 1e-10, is bitwise the N single-mode passes and bitwise
+// the same at 3 workers as at 1, and that after EnableF32Values on a
+// second tree AllModes32 is bitwise the rounded float64 result.
+func FuzzCSF(f *testing.F) {
+	f.Add(uint8(1), uint8(11), uint8(11), uint8(0), uint8(0), uint16(120), uint8(15), uint8(0), int64(1))
+	f.Add(uint8(0), uint8(4), uint8(9), uint8(0), uint8(0), uint16(60), uint8(5), uint8(1), int64(2))
+	f.Add(uint8(2), uint8(5), uint8(0), uint8(6), uint8(3), uint16(300), uint8(2), uint8(3), int64(3))
+	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint8(0), uint8(2), int64(4))
+	f.Fuzz(func(t *testing.T, order, d0, d1, d2, d3 uint8, nnz uint16, rank, root uint8, seed int64) {
+		dims := []int{1 + int(d0)%12, 1 + int(d1)%12, 1 + int(d2)%12, 1 + int(d3)%12}[:2+int(order)%3]
+		R := 1 + int(rank)%20
+		rt := int(root) % len(dims)
+		rng := rand.New(rand.NewSource(seed))
+		c := NewCOO(dims...)
+		idx := make([]int, len(dims))
+		for e := 0; e < int(nnz)%301; e++ {
+			if ents := c.Entries(); len(ents) > 0 && rng.Intn(4) == 0 {
+				copy(idx, ents[rng.Intn(len(ents))].Idx)
+			} else {
+				for k, d := range dims {
+					idx[k] = rng.Intn(d)
+				}
+			}
+			c.Append(2*rng.Float64()-1, idx...)
+		}
+		fs := tensor.RandomFactors(seed+1, dims, R)
+
+		cs := FromCOO(c, rt)
+		sums := make(map[int]float64)
+		for _, e := range c.Entries() {
+			key := linearKey(e.Idx, dims)
+			if v, ok := sums[key]; ok {
+				sums[key] = v + e.Val
+			} else {
+				sums[key] = e.Val
+			}
+		}
+		back := cs.ToCOO().Entries()
+		if len(back) != len(sums) {
+			t.Fatalf("%v root %d: ToCOO has %d entries, want %d distinct coordinates", dims, rt, len(back), len(sums))
+		}
+		for _, e := range back {
+			key := linearKey(e.Idx, dims)
+			if v, ok := sums[key]; !ok || v != e.Val { //repro:bitwise duplicates sum in append order, exactly
+				t.Fatalf("%v root %d: ToCOO entry %v = %v, want %v (present %v)", dims, rt, e.Idx, e.Val, v, ok)
+			}
+			delete(sums, key)
+		}
+
+		all := cs.AllModes(fs, 1)
+		all3 := cs.AllModes(fs, 3)
+		for n := range dims {
+			if d := matDiff(all[n], MTTKRP(c, fs, n)); d > 1e-10 {
+				t.Fatalf("%v R=%d root %d mode %d: all-modes vs coo differ by %g", dims, R, rt, n, d)
+			}
+			single := cs.MTTKRPWorkers(fs, n, 1).Data()
+			for i, v := range all[n].Data() {
+				if v != single[i] { //repro:bitwise all-modes pass shares the single-mode arithmetic order
+					t.Fatalf("%v R=%d root %d mode %d elem %d: all-modes %x != single %x", dims, R, rt, n, i, v, single[i])
+				}
+				if w := all3[n].Data()[i]; w != v { //repro:bitwise the worker-count-independence contract under test
+					t.Fatalf("%v R=%d root %d mode %d elem %d: 3 workers %x != 1 worker %x", dims, R, rt, n, i, w, v)
+				}
+			}
+		}
+
+		cs32 := FromCOO(c, rt)
+		cs32.EnableF32Values()
+		fs32, wide := round32Factors(fs)
+		w64 := cs32.AllModes(wide, 1)
+		w32 := cs32.AllModes32(fs32, 1)
+		for n := range dims {
+			wd := w64[n].Data()
+			for i, v := range w32[n].Data() {
+				if v != float32(wd[i]) { //repro:bitwise shared walk + exact widening: only the final store rounds
+					t.Fatalf("%v R=%d root %d all-modes32 mode %d elem %d: %v vs %v", dims, R, rt, n, i, v, float32(wd[i]))
+				}
+			}
+		}
+	})
+}
+
+// linearKey is a coordinate's column-major linear offset.
+func linearKey(idx, dims []int) int {
+	key := 0
+	for k := len(dims) - 1; k >= 0; k-- {
+		key = key*dims[k] + idx[k]
+	}
+	return key
 }

@@ -56,11 +56,14 @@ const maxChunks = 256
 
 // csfWalker is one worker's traversal state: per-level output
 // buckets for the chunk in hand plus recursion scratch for the
-// subtree sums and prefixes (one R-vector per tree level each).
+// subtree sums and prefixes (one R-vector per tree level each). The
+// tree and workspace pointers are set for one pass only and cleared
+// when it ends, so a parked pool goroutine pins neither.
 type csfWalker struct {
 	t      *CSF
+	ws     *Workspace // the pass's chunk queue, buckets and bounds
 	R      int
-	lout   int         // output level of the single-mode walk
+	lout   int         // output level of the single-mode walk; < 0 selects the all-modes walk
 	packed [][]float64 // per-level row-major factor mirrors (shared, read-only)
 	outs   [][]float64 // per-level row-major output buckets for the current chunk
 	sub    []float64   // N*R subtree-sum scratch; level lv uses [lv*R, (lv+1)*R)
@@ -223,7 +226,6 @@ func (t *CSF) checkFactors(factors []*tensor.Matrix, n int) int {
 //repro:hotpath
 func (t *CSF) kernelPass(R, lout, workers, nbuf, total int, ws *Workspace) {
 	N := len(t.dims)
-	allModes := lout < 0
 	acc := ws.acc[:total]
 	for i := range acc {
 		acc[i] = 0
@@ -250,13 +252,14 @@ func (t *CSF) kernelPass(R, lout, workers, nbuf, total int, ws *Workspace) {
 	for w := 0; w < workers; w++ {
 		wk := &ws.walkers[w]
 		wk.t = t
+		wk.ws = ws
 		wk.R = R
 		wk.lout = lout
 		wk.packed = ws.packed
 		wk.sub = ws.stack[w*2*N*R : w*2*N*R+N*R]
 		wk.pre = ws.stack[w*2*N*R+N*R : (w+1)*2*N*R]
 	}
-	t.runChunks(ws, workers, nbuf, allModes)
+	ws.runChunks(workers)
 	if !shared {
 		kernel.ReduceTree(ws.bufs[:nbuf], workers)
 	}
@@ -288,79 +291,77 @@ func (t *CSF) chunkBounds(ws *Workspace, nbuf int) {
 	ws.bounds[nbuf] = int32(F)
 }
 
-// runChunks drains the chunk queue, inline when workers <= 1 and
-// with the workspace's persistent goroutine pool otherwise. Bucket
-// assignment is by chunk id alone, so any number of workers produces
-// bitwise-identical buckets.
+// runChunks drains the chunk queue with the workspace's walkers: the
+// calling goroutine is walker 0, and each further walker goes to a
+// parked pool goroutine as its start token. Bucket assignment is by
+// chunk id alone, so any number of workers produces bitwise-identical
+// buckets. When the pass ends the walkers drop the tree and the
+// workspace.
 //
 //repro:hotpath
-func (t *CSF) runChunks(ws *Workspace, workers, nbuf int, allModes bool) {
+func (ws *Workspace) runChunks(workers int) {
 	ws.queue.Store(0)
-	if workers <= 1 {
-		for c := 0; c < nbuf; c++ {
-			runChunk(t, &ws.walkers[0], ws, c, allModes)
+	if workers > 1 {
+		ws.ensurePool(workers)
+		ws.wg.Add(workers - 1)
+		for i := 1; i < workers; i++ {
+			ws.start <- &ws.walkers[i]
 		}
-		return
 	}
-	ws.passT, ws.passNbuf, ws.passAll = t, nbuf, allModes
-	ws.ensurePool(workers)
-	ws.wg.Add(workers - 1)
-	for i := 1; i < workers; i++ {
-		ws.start <- i
-	}
-	// The calling goroutine is worker 0 and drains alongside the pool.
-	drainQueue(t, &ws.walkers[0], ws, nbuf, allModes)
+	ws.walkers[0].drain()
 	ws.wg.Wait()
-	ws.passT = nil
-}
-
-// poolWorker is one persistent pool goroutine: each token on start
-// names the walker slot to drain the chunk queue with, and closing
-// the channel (Workspace.Release) terminates it. The channel comes in
-// as an argument — never re-read from the workspace — so Release can
-// swap the field without racing parked workers. A named top-level
-// function, so only its one-time spawn allocates; goroutines meet
-// only in disjoint per-chunk buckets (or disjoint root rows), merged
-// deterministically afterwards.
-func poolWorker(ws *Workspace, start chan int) {
-	for i := range start {
-		drainQueue(ws.passT, &ws.walkers[i], ws, ws.passNbuf, ws.passAll)
-		ws.wg.Done()
+	for i := range ws.walkers[:workers] {
+		ws.walkers[i].t, ws.walkers[i].ws = nil, nil
 	}
 }
 
-// drainQueue claims chunks off the shared queue until it is empty.
-func drainQueue(t *CSF, wk *csfWalker, ws *Workspace, nbuf int, allModes bool) {
+// poolWorker is one persistent pool goroutine: each walker received
+// on start drains its pass's chunk queue, and closing the channel
+// (Workspace.Release, or the workspace's finalizer) terminates it.
+// It holds nothing but the channel between passes, so a dropped
+// workspace stays collectable. The channel comes in as an argument,
+// never re-read from the workspace, so Release can swap the field
+// without racing parked workers. A named top-level function, so only
+// its one-time spawn allocates; goroutines meet only in disjoint
+// per-chunk buckets (or disjoint root rows), merged deterministically
+// afterwards.
+func poolWorker(start chan *csfWalker) {
+	for wk := range start {
+		wk.drain()
+		wk.ws.wg.Done()
+	}
+}
+
+// drain claims chunks off the pass's shared queue until every
+// chunk's bucket has been claimed.
+func (w *csfWalker) drain() {
 	for {
-		c := int(ws.queue.Add(1)) - 1
-		if c >= nbuf {
+		c := int(w.ws.queue.Add(1)) - 1
+		if c >= len(w.ws.bufs) {
 			return
 		}
-		runChunk(t, wk, ws, c, allModes)
+		w.runChunk(c)
 	}
 }
 
 // runChunk points the walker's per-level outputs at chunk c's bucket
 // and walks the chunk's root-fiber range.
-func runChunk(t *CSF, wk *csfWalker, ws *Workspace, c int, allModes bool) {
+func (w *csfWalker) runChunk(c int) {
+	t, ws, R := w.t, w.ws, w.R
 	buf := ws.bufs[c]
-	R := wk.R
-	if allModes {
+	f0, f1 := int(ws.bounds[c]), int(ws.bounds[c+1])
+	if w.lout < 0 {
 		off := 0
-		for lv := range wk.outs {
+		for lv := range w.outs {
 			sz := t.dims[t.perm[lv]] * R
-			wk.outs[lv] = buf[off : off+sz]
+			w.outs[lv] = buf[off : off+sz]
 			off += sz
 		}
-	} else {
-		wk.outs[wk.lout] = buf
+		w.runAll(f0, f1)
+		return
 	}
-	f0, f1 := int(ws.bounds[c]), int(ws.bounds[c+1])
-	if allModes {
-		wk.runAll(f0, f1)
-	} else {
-		wk.run(f0, f1)
-	}
+	w.outs[w.lout] = buf
+	w.run(f0, f1)
 }
 
 // run processes root fibers [f0, f1) of the single-mode walk. With
@@ -481,21 +482,15 @@ func (w *csfWalker) walkAll(lv int, node int32, prefix, dst []float64) {
 	c0, c1 := t.ptr[lv][node], t.ptr[lv][node+1]
 	pk := w.packed[lv+1]
 	if lv+1 == len(t.dims)-1 {
-		leafIdx := t.idx[lv+1]
-		outLeaf := w.outs[lv+1]
-		// Fused leaf update: one value drives both the leaf-mode
-		// output row and this node's subtree sum. The value-stream
-		// branch is hoisted out of the leaf loop.
+		// One fused call folds the whole fiber's leaves: each leaf
+		// value scales the prefix into its leaf-mode output row and
+		// its factor row into this node's subtree sum (at R=16 the
+		// AVX2 kernel keeps both R-vectors in registers for the run).
+		leafIdx := t.idx[lv+1][c0:c1]
 		if v32 := t.vals32; v32 != nil {
-			for c := c0; c < c1; c++ {
-				j := int(leafIdx[c]) * R
-				simd.Axpy2(outLeaf[j:j+R], cp, dst, pk[j:j+R], float64(v32[c]))
-			}
+			simd.Axpy2RowsF32(w.outs[lv+1], cp, dst, pk, leafIdx, v32[c0:c1])
 		} else {
-			for c := c0; c < c1; c++ {
-				j := int(leafIdx[c]) * R
-				simd.Axpy2(outLeaf[j:j+R], cp, dst, pk[j:j+R], t.vals[c])
-			}
+			simd.Axpy2Rows(w.outs[lv+1], cp, dst, pk, leafIdx, t.vals[c0:c1])
 		}
 	} else {
 		cs := w.sub[(lv+1)*R : (lv+2)*R]

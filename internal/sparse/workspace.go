@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -26,20 +27,22 @@ type Workspace struct {
 
 	// Persistent worker pool. Goroutines are spawned once (lazily,
 	// up to the worker count in use) and parked on the start channel;
-	// each pass publishes its parameters in the pass* fields and
-	// sends one walker-index token per worker, so the steady state
-	// allocates nothing — not even the compiler-generated argument
-	// closure a per-pass `go f(args)` spawn would cost.
-	queue    atomic.Int64 // chunk work queue, drained by all workers
-	wg       sync.WaitGroup
-	start    chan int // walker-index tokens; closing terminates the pool
-	spawned  int      // live pool goroutines (they serve walkers 1..spawned)
-	passT    *CSF     // current pass: tree, bucket count, walk kind
-	passNbuf int
-	passAll  bool
+	// each pass sends one walker per extra worker, carrying the pass's
+	// tree and this workspace, so the steady state allocates nothing —
+	// not even the compiler-generated argument closure a per-pass
+	// `go f(args)` spawn would cost. The parked goroutines hold only
+	// the channel, so an unreachable workspace is finalized, and its
+	// finalizer closes the channel.
+	queue   atomic.Int64 // chunk work queue, drained by all workers
+	wg      sync.WaitGroup
+	start   chan *csfWalker // walkers 1..workers-1 of a pass; closing terminates the pool
+	spawned int             // live pool goroutines (they serve walkers 1..spawned)
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
+// A workspace must be its own allocation (NewWorkspace, GetWorkspace
+// or new), never a field of another struct: the pool's finalizer is
+// set on it.
 func NewWorkspace() *Workspace { return new(Workspace) }
 
 // ensure grows every buffer for a kernel pass over t at rank R with
@@ -98,24 +101,27 @@ func growf(s []float64, n int) []float64 {
 func (ws *Workspace) ensurePool(workers int) {
 	if ws.start == nil {
 		// Room for every token a pass sends: workers-1 < nbuf <= maxChunks.
-		ws.start = make(chan int, maxChunks)
+		ws.start = make(chan *csfWalker, maxChunks)
+		runtime.SetFinalizer(ws, (*Workspace).Release)
 	}
 	for ws.spawned < workers-1 {
 		ws.spawned++
-		//repro:worker-pool parked CSF workers: woken by start tokens, drained by runChunks' WaitGroup, terminated by Release
-		go poolWorker(ws, ws.start)
+		//repro:worker-pool parked CSF workers: woken by start tokens, drained by runChunks' WaitGroup, terminated by Release or the workspace finalizer
+		go poolWorker(ws.start)
 	}
 }
 
 // Release terminates the workspace's persistent worker goroutines.
 // The workspace stays usable afterwards — the pool respawns on
-// demand. Call it (or PutWorkspace) when dropping a workspace that
-// ran multi-worker passes, so no goroutines stay parked on it.
+// demand. Dropping a workspace without Release is safe: its finalizer
+// releases the pool once the workspace is unreachable. Releasing
+// explicitly (or through PutWorkspace) ends the goroutines at once.
 func (ws *Workspace) Release() {
 	if ws.start != nil {
 		close(ws.start)
 		ws.start = nil
 		ws.spawned = 0
+		runtime.SetFinalizer(ws, nil)
 	}
 }
 
