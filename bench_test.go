@@ -583,16 +583,32 @@ func BenchmarkTTMChain(b *testing.B) {
 	})
 }
 
-// BenchmarkTuckerHOOI is E29's application half: one full HOOI sweep
-// body at 128^3 ranks 16 — per-mode projection chain plus mode Gram,
+// BenchmarkTuckerHOOI is E29's application half and E34's tree: one
+// full HOOI sweep body — every mode's projection plus its mode Gram,
 // then the core contraction — with the eigensolves excluded so the
-// comparison isolates the TTM substrate. "scalar" pairs the scalar
-// chain with the explicit Unfold + MatMulTransB Gram (the pre-engine
-// formulation); "engine" is the production ChainInto/GramInto path
-// with every buffer reused.
+// comparison isolates the TTM substrate, at 128^3 ranks 16, at the
+// tucker-hooi workload's 32^4 ranks 8, and at 32^4 with skewed ranks
+// (16, 16, 4, 4), where the balanced split would cost more than the
+// per-mode chains. "scalar" pairs the scalar chain with the explicit
+// Unfold + MatMulTransB Gram (the pre-engine formulation); "engine"
+// runs one ChainInto per mode (the per-mode sweep the tree replaced,
+// kept as the reference); "tree" is the production sweep, ttm.TreeInto
+// sharing the projections' partial contractions on its planned
+// dimension tree. Every engine buffer is reused.
 func BenchmarkTuckerHOOI(b *testing.B) {
-	dims := []int{128, 128, 128}
-	ranks := []int{16, 16, 16}
+	for _, tc := range []struct {
+		name        string
+		dims, ranks []int
+	}{
+		{"I128-N3-R16", []int{128, 128, 128}, []int{16, 16, 16}},
+		{"I32-N4-R8", []int{32, 32, 32, 32}, []int{8, 8, 8, 8}},
+		{"I32-N4-R16-16-4-4", []int{32, 32, 32, 32}, []int{16, 16, 4, 4}},
+	} {
+		b.Run(tc.name, func(b *testing.B) { benchTuckerSweep(b, tc.dims, tc.ranks) })
+	}
+}
+
+func benchTuckerSweep(b *testing.B, dims, ranks []int) {
 	x := tensor.RandomDense(7, dims...)
 	us := make([]*tensor.Matrix, len(dims))
 	for k := range dims {
@@ -608,7 +624,7 @@ func BenchmarkTuckerHOOI(b *testing.B) {
 			ttm.ChainScalar(x, us, -1)
 		}
 	})
-	run := func(b *testing.B, workers int) {
+	run := func(b *testing.B, workers int, tree bool) {
 		ws := ttm.NewWorkspace()
 		yBuf := make([]*tensor.Dense, len(dims))
 		gramBuf := make([]*tensor.Matrix, len(dims))
@@ -619,10 +635,20 @@ func BenchmarkTuckerHOOI(b *testing.B) {
 			gramBuf[k] = tensor.NewMatrix(dims[k], dims[k])
 		}
 		coreBuf := tensor.NewDense(ranks...)
+		gram := func(k int, y *tensor.Dense) error {
+			ttm.GramInto(gramBuf[k], y, k, workers, ws)
+			return nil
+		}
 		sweep := func() {
-			for k := range dims {
-				ttm.ChainInto(yBuf[k], x, us, k, workers, ws)
-				ttm.GramInto(gramBuf[k], yBuf[k], k, workers, ws)
+			if tree {
+				if err := ttm.TreeInto(yBuf, x, us, workers, ws, gram); err != nil {
+					b.Fatal(err)
+				}
+			} else {
+				for k := range dims {
+					ttm.ChainInto(yBuf[k], x, us, k, workers, ws)
+					ttm.GramInto(gramBuf[k], yBuf[k], k, workers, ws)
+				}
 			}
 			ttm.ChainInto(coreBuf, x, us, -1, workers, ws)
 		}
@@ -633,8 +659,10 @@ func BenchmarkTuckerHOOI(b *testing.B) {
 			sweep()
 		}
 	}
-	b.Run("engine", func(b *testing.B) { run(b, 1) })
-	b.Run("engine-par", func(b *testing.B) { run(b, 0) })
+	b.Run("engine", func(b *testing.B) { run(b, 1, false) })
+	b.Run("engine-par", func(b *testing.B) { run(b, 0, false) })
+	b.Run("tree", func(b *testing.B) { run(b, 1, true) })
+	b.Run("tree-par", func(b *testing.B) { run(b, 0, true) })
 }
 
 // BenchmarkModeGram times ttm.GramInto on each mode of the tucker-hooi

@@ -66,6 +66,15 @@ echo "== go fuzz (ModeGram, 10s) =="
 # bitwise.
 go test -run '^$' -fuzz '^FuzzModeGram$' -fuzztime 10s ./internal/ttm
 
+echo "== go fuzz (Chain, 10s) =="
+# Random order 1-5 tensors with extents 1-9, ranks from 1 to each
+# extent, any skip and a random contiguous mode range: ChainInto
+# against ChainScalar, a tree node's range contraction against a
+# TTMScalar loop, and every TreeInto leaf against its chain, within a
+# rounding tolerance scaled by the contraction length; 1 vs 3 workers
+# bitwise.
+go test -run '^$' -fuzz '^FuzzChain$' -fuzztime 10s ./internal/ttm
+
 echo "== go fuzz (CSF, 10s) =="
 # Random order 2-4 COO tensors with extents 1-12, 0-300 entries with
 # repeated coordinates, R 1-20 and any root: the FromCOO/ToCOO round
@@ -81,8 +90,9 @@ REPRO_NOSIMD=1 go test ./...
 
 echo "== go test -tags purego (simd + engine packages) =="
 # Same contract for the compile-time opt-out on the layers that call
-# the kernels.
-go test -tags purego ./internal/simd/... ./internal/linalg/... ./internal/kernel/... ./internal/sparse/... ./internal/dimtree/...
+# the kernels, directly (ttm's Gram and plan call simd) or through
+# linalg and ttm (tucker).
+go test -tags purego ./internal/simd/... ./internal/linalg/... ./internal/kernel/... ./internal/sparse/... ./internal/dimtree/... ./internal/ttm/... ./internal/plan/... ./internal/tucker/...
 
 echo "== go test -race (engine packages) =="
 go test -race ./internal/kernel/... ./internal/seq/... ./internal/par/... ./internal/dimtree/... ./internal/cpals/... ./internal/sparse/... ./internal/linalg/... ./internal/obs/... ./internal/comm/... ./internal/plan/... ./internal/ttm/... ./internal/tucker/...

@@ -69,10 +69,12 @@ func main() {
 		}()
 	}
 
-	// HOOI's hot loop is the TTM projection chains and mode Grams of
+	// HOOI's hot loop is the TTM projections and mode Grams of
 	// internal/ttm. The calibrated planner plans the Tucker workload as
 	// a TTM-chain problem: the registry routes it to the chain engine
-	// and the worker count comes from the cost model.
+	// and the worker count comes from the cost model. It prices N+1
+	// full chains per sweep, while the sweep shares its N projections'
+	// partial contractions on a dimension tree (ttm.TreeInto).
 	maxRank := 0
 	for _, r := range ranks {
 		if r > maxRank {

@@ -112,8 +112,10 @@ const (
 	PhaseFold
 	// PhaseTTM covers one mode-k TTM GEMM pass (ttm.TTMInto).
 	PhaseTTM
-	// PhaseTTMChain covers one multi-TTM chain (ttm.ChainInto), the
-	// projection step of Tucker HOOI sweeps.
+	// PhaseTTMChain covers one multi-TTM contraction: a chain
+	// (ttm.ChainInto, the core of a Tucker HOOI sweep) or one node's
+	// contraction into a child in the ttm.TreeInto walk that computes
+	// a sweep's projections.
 	PhaseTTMChain
 
 	// NumPhases is the number of phase kinds.

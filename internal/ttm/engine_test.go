@@ -245,6 +245,130 @@ func FuzzModeGram(f *testing.F) {
 	})
 }
 
+// FuzzChain draws order 1-5 tensors with extents 1-9, ranks from 1 to
+// each extent, a skip from -1 to N-1 and a contiguous mode range
+// [a, b). ChainInto must match ChainScalar, contractRange — a TreeInto
+// node's contraction — on the modes of [a, b) other than skip a
+// TTMScalar loop over them (with nil matrices outside the range), and
+// every TreeInto leaf ChainInto with its skip — each within a rounding
+// tolerance that scales with the contraction length, since the greedy,
+// ascending and tree orders associate differently — and 1 and 3
+// workers must agree bitwise.
+func FuzzChain(f *testing.F) {
+	f.Add(uint8(2), uint64(0x0908070605), uint64(0x0403020100), uint8(0), uint8(1), uint8(2), int64(1))
+	f.Add(uint8(4), uint64(0x0302030403), uint64(0x0101020301), uint8(3), uint8(0), uint8(5), int64(2))
+	f.Add(uint8(0), uint64(0x08), uint64(0x07), uint8(1), uint8(0), uint8(1), int64(3))
+	f.Add(uint8(3), uint64(0x0001000900), uint64(0x0000000800), uint8(0), uint8(2), uint8(1), int64(4))
+	f.Fuzz(func(t *testing.T, order uint8, shape, rank uint64, skipB, aB, bB uint8, seed int64) {
+		N := 1 + int(order)%5
+		dims, ranks := make([]int, N), make([]int, N)
+		us := make([]*tensor.Matrix, N)
+		for k := range dims {
+			dims[k] = 1 + int(shape>>(8*k)&0xff)%9
+			ranks[k] = 1 + int(rank>>(8*k)&0xff)%dims[k]
+			us[k] = tensor.RandomMatrix(seed+int64(k)+1, dims[k], ranks[k])
+		}
+		skip := int(skipB)%(N+1) - 1
+		a := int(aB) % (N + 1)
+		b := a + int(bB)%(N+1-a)
+		x := tensor.RandomDense(seed, dims...)
+		ws := NewWorkspace()
+
+		// Full or skipped chain.
+		chain1 := ChainWorkers(x, us, skip, 1)
+		checkChainTol(t, "chain", chain1, ChainScalar(x, us, skip), x, us, 0, N, skip)
+		checkBitwise(t, "chain", ChainWorkers(x, us, skip, 3), chain1)
+
+		// A node's contraction: the range but skip, with the matrices
+		// outside the range unset.
+		inRange := make([]*tensor.Matrix, N)
+		copy(inRange[a:b], us[a:b])
+		want := x
+		for k := a; k < b; k++ {
+			if k != skip {
+				want = TTMScalar(want, us[k], k)
+			}
+		}
+		var got1 *tensor.Dense
+		for _, workers := range []int{1, 3} {
+			got := tensor.NewDense(want.Dims()...)
+			contractRange(got.Data(), x.Data(), ws.extents(x), inRange, a, b, skip, skip+1, workers, ws)
+			if workers == 1 {
+				checkChainTol(t, "range", got, want, x, us, a, b, skip)
+				got1 = got
+			} else {
+				checkBitwise(t, "range", got, got1)
+			}
+		}
+
+		// Tree walk: every leaf against the chain with its skip.
+		leaves := make([]*tensor.Dense, N)
+		for _, workers := range []int{1, 3} {
+			err := TreeInto(projViews(dims, ranks), x, us, workers, ws, func(k int, y *tensor.Dense) error {
+				if workers == 1 {
+					checkChainTol(t, "tree", y, ChainScalar(x, us, k), x, us, 0, N, k)
+					leaves[k] = y.Clone()
+				} else {
+					checkBitwise(t, "tree", y, leaves[k])
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// checkChainTol fails unless got matches the reference contraction
+// want of the modes [lo, hi) other than skip elementwise to within
+// 4·n·eps of the same contraction on |x| and |us|, n the summed
+// extents of the contracted modes — a first-order bound on the
+// rounding of two associations of one sum.
+func checkChainTol(t *testing.T, what string, got, want, x *tensor.Dense, us []*tensor.Matrix, lo, hi, skip int) {
+	t.Helper()
+	const eps = 0x1p-52
+	abs := absDense(x)
+	n := 0
+	for k := lo; k < hi; k++ {
+		if k != skip {
+			abs = TTMScalar(abs, absMatrix(us[k]), k)
+			n += x.Dim(k)
+		}
+	}
+	for i, v := range got.Data() {
+		if d := math.Abs(v - want.Data()[i]); d > 4*float64(n)*eps*abs.Data()[i] {
+			t.Fatalf("%s %v [%d, %d) skip %d: element %d = %g, reference %g", what, x.Dims(), lo, hi, skip, i, v, want.Data()[i])
+		}
+	}
+}
+
+// checkBitwise fails unless got and want are bitwise equal.
+func checkBitwise(t *testing.T, what string, got, want *tensor.Dense) {
+	t.Helper()
+	for i, v := range got.Data() {
+		if v != want.Data()[i] { //repro:bitwise worker-count independence
+			t.Fatalf("%s %v: 3 workers differ from 1 at element %d", what, got.Dims(), i)
+		}
+	}
+}
+
+func absDense(x *tensor.Dense) *tensor.Dense {
+	out := x.Clone()
+	for i, v := range out.Data() {
+		out.Data()[i] = math.Abs(v)
+	}
+	return out
+}
+
+func absMatrix(u *tensor.Matrix) *tensor.Matrix {
+	out := u.Clone()
+	for i, v := range out.Data() {
+		out.Data()[i] = math.Abs(v)
+	}
+	return out
+}
+
 // TestChainCostMatchesMeasuredWords: costmodel.TTMChainCost promises to
 // reproduce obs.Gemm's operand accounting exactly — the planner's
 // prediction for a chain equals the measured streaming totals to the

@@ -79,7 +79,7 @@ func TTMScalar(x *tensor.Dense, u *tensor.Matrix, mode int) *tensor.Dense {
 // nil when k == skip. This is the reference path; use Chain for the
 // blocked engine with its greedy contraction order.
 func ChainScalar(x *tensor.Dense, us []*tensor.Matrix, skip int) *tensor.Dense {
-	checkChain(x, us, skip)
+	checkChain(x, us, 0, x.Order(), skip)
 	out := x
 	for k := 0; k < x.Order(); k++ {
 		if k == skip {
@@ -107,15 +107,17 @@ func checkTTM(x *tensor.Dense, u *tensor.Matrix, mode int) {
 	}
 }
 
-// checkChain validates a chain's matrices against x.
-func checkChain(x *tensor.Dense, us []*tensor.Matrix, skip int) {
+// checkChain validates the matrices of the modes [lo, hi) other than
+// skip against x.
+func checkChain(x *tensor.Dense, us []*tensor.Matrix, lo, hi, skip int) {
 	if len(us) != x.Order() {
 		panic(fmt.Sprintf("ttm: %d matrices for order-%d tensor", len(us), x.Order()))
 	}
-	for k, u := range us {
+	for k := lo; k < hi; k++ {
 		if k == skip {
 			continue
 		}
+		u := us[k]
 		if u == nil {
 			panic(fmt.Sprintf("ttm: matrix %d is nil", k))
 		}

@@ -110,6 +110,18 @@ func TestPanics(t *testing.T) {
 		func() { TTM(x, tensor.NewMatrix(5, 2), 0) },
 		func() { Chain(x, []*tensor.Matrix{nil}, -1) },
 		func() { Chain(x, []*tensor.Matrix{nil, nil}, 0) },
+		func() {
+			us := []*tensor.Matrix{tensor.NewMatrix(3, 2), tensor.NewMatrix(4, 2)}
+			_ = TreeInto([]*tensor.Dense{tensor.NewDense(3, 2)}, x, us, 1, NewWorkspace(), nil) // panics first
+		},
+		func() {
+			us := []*tensor.Matrix{tensor.NewMatrix(3, 2), tensor.NewMatrix(4, 2)}
+			ys := []*tensor.Dense{tensor.NewDense(3, 2), tensor.NewDense(2, 4)}
+			_ = TreeInto(ys, x, us, 1, NewWorkspace(), func(k int, _ *tensor.Dense) error { // panics first
+				us[k] = tensor.NewMatrix(x.Dim(k), 3) // a leaf may not change the shape
+				return nil
+			})
+		},
 	} {
 		func() {
 			defer func() {

@@ -1,22 +1,30 @@
 package ttm
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/tensor"
+)
 
 // Workspace holds every grow-only buffer the TTM engine needs: the
-// chain's ping-pong intermediates, the gram accumulation buckets, and
-// the per-worker gram pack panels. Buffers grow monotonically and are
-// reused across calls, so a HOOI sweep that cycles through modes of
-// one tensor reaches a steady state with zero allocations.
+// chain's ping-pong intermediates, TreeInto's plan and partial stack,
+// the gram accumulation buckets, and the per-worker gram pack panels.
+// Buffers grow monotonically and are reused across calls, so a HOOI
+// sweep over one tensor reaches a steady state with zero allocations.
 //
 // A Workspace is not safe for concurrent use by multiple chain or
 // gram calls; use one per goroutine (or the pool helpers below).
 type Workspace struct {
-	a, b []float64 // chain ping-pong intermediates
-	priv []float64 // (chunks-1) * I*I gram accumulation buckets
-	pack []float64 // workers * gramPanel*I gram pack panels
-	bufs [][]float64
-	dims []int // mutable extent vector during a chain
-	ord  []int // greedy contraction order
+	a, b  []float64   // chain ping-pong intermediates
+	stack [][]float64 // TreeInto's partial tensors, one slot per tree level
+	sp    int         // partial-stack depth
+	priv  []float64   // (chunks-1) * I*I gram accumulation buckets
+	pack  []float64   // workers * gramPanel*I gram pack panels
+	bufs  [][]float64
+	dims  []int // mutable extent vector during a chain
+	ord   []int // greedy contraction order
+	cost  []int // TreeInto's plan: multiply-adds of each node's subtree
+	split []int // TreeInto's plan: each node's split mode or leafChains
 }
 
 // NewWorkspace returns an empty workspace; buffers are grown on first
@@ -35,6 +43,34 @@ func (ws *Workspace) ensureGram(n, nbuf, packWords int) {
 	}
 	ws.bufs = ws.bufs[:0]
 }
+
+// extents loads x's extents into the mutable extent vector and
+// returns it.
+func (ws *Workspace) extents(x *tensor.Dense) []int {
+	N := x.Order()
+	ws.dims = growInts(ws.dims, N)
+	for k := 0; k < N; k++ {
+		ws.dims[k] = x.Dim(k)
+	}
+	return ws.dims
+}
+
+// push returns the next slot of the partial stack grown to n words.
+// TreeInto's traversal is fixed by the tensor's shape, so each slot
+// settles at its largest size after the first walk and push allocates
+// nothing in steady state. Contractions overwrite their output, so the
+// slot is not cleared.
+func (ws *Workspace) push(n int) []float64 {
+	if ws.sp == len(ws.stack) {
+		ws.stack = append(ws.stack, nil) //repro:ignore hotpath-alloc grow-only partial stack, depth <= N-2; settles after the first walk
+	}
+	ws.stack[ws.sp] = grow(ws.stack[ws.sp], n)
+	buf := ws.stack[ws.sp]
+	ws.sp++
+	return buf
+}
+
+func (ws *Workspace) pop() { ws.sp-- }
 
 //repro:ignore hotpath-alloc grow-only workspace primitive; allocates only while capacity still grows
 func grow(s []float64, n int) []float64 {

@@ -164,8 +164,11 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 
 				// Local multi-TTM over all modes but k: partial
 				// projection of the local block, via the engine's
-				// greedy-ordered chain (identical to the sequential
-				// solver's, so a P = 1 run reproduces it bitwise).
+				// greedy-ordered chain. The sequential solver shares
+				// its projections on a dimension tree, whose
+				// contraction order can differ from the chain's, so a
+				// P = 1 run matches it to rounding (bitwise at order 2,
+				// where the tree runs the chains' contractions).
 				before = net.RankStats(rank).Words()
 				z := ttm.ChainWorkers(localX[rank], gathered, k, 1)
 				// Embed into the full Y (I_k x prod R_j) and All-Reduce.

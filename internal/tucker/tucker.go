@@ -6,15 +6,22 @@
 //
 //	X ~ G x_1 U_1 x_2 U_2 ... x_N U_N.
 //
-// Both solvers run on the blocked TTM engine (internal/ttm): HOOI's
-// projection chains are GEMM over contiguous slabs and its mode Grams
-// symmetric rank-k updates, with a reused workspace, so steady-state
-// sweeps allocate nothing outside the eigensolves. Each factor is the leading eigenvectors of
-// a mode Gram from linalg.SymEig (Householder tridiagonalization plus
-// implicit-shift QL, O(I_k^3)); the HOSVD and HOOI eigensolves are
-// timed as the obs solve phase. The core returned by Decompose is the
-// one its last fit phase computed, and every fit goes through one
-// formula with a rounding floor (fitFromCore).
+// Both solvers run on the blocked TTM engine (internal/ttm). A HOOI
+// sweep computes its N mode projections with ttm.TreeInto, which
+// shares their partial contractions on a dimension tree of contiguous
+// mode ranges planned from the shapes to the fewest multiply-adds,
+// never more than N separate chains take. At uniform ranks that is
+// the balanced tree CP's dimtree engine walks, and a sweep reads X
+// three times (the root's two children and the core chain) instead of
+// N+1.
+// Every contraction is GEMM over contiguous slabs and every mode Gram
+// a symmetric rank-k update, with a reused workspace, so steady-state
+// sweeps allocate nothing outside the eigensolves. Each factor is the
+// leading eigenvectors of a mode Gram from linalg.SymEig (Householder
+// tridiagonalization plus implicit-shift QL, O(I_k^3)); the HOSVD and
+// HOOI eigensolves are timed as the obs solve phase. The core returned
+// by Decompose is the one its last fit phase computed, and every fit
+// goes through one formula with a rounding floor (fitFromCore).
 package tucker
 
 import (
@@ -133,24 +140,32 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 	ys := projectionViews(dims, opts.Ranks)
 	coreBuf := tensor.NewDense(opts.Ranks...)
 
+	// A HOOI sweep updates the factors in ascending mode order: mode
+	// k's factor is the leading eigenvectors of the mode-k Gram of
+	// Y_k, X projected on every other mode with the factors current at
+	// that point. ttm.TreeInto shares the projections' partial
+	// contractions on a dimension tree and hands each Y_k to update,
+	// whose new factor the later projections read. The contractions
+	// and GramInto time themselves (PhaseTTMChain / PhaseGram).
+	update := func(k int, y *tensor.Dense) error {
+		ttm.GramInto(grams[k], y, k, w, ws)
+		sspan := obs.Start(obs.PhaseSolve)
+		u, err := linalg.LeadingEigvecs(grams[k], opts.Ranks[k])
+		sspan.Stop()
+		if err != nil {
+			return fmt.Errorf("tucker: HOOI mode %d: %w", k, err)
+		}
+		factors[k] = u
+		return nil
+	}
+
 	// HOOI sweeps.
 	var trace []TraceEntry
 	prevFit := math.Inf(-1)
 	fit := 0.0
 	for it := 0; it < opts.MaxIters; it++ {
-		for k := 0; k < N; k++ {
-			// Project all modes but k, then take leading eigenvectors
-			// of the partial projection's mode-k Gram. ChainInto and
-			// GramInto time themselves (PhaseTTMChain / PhaseGram).
-			ttm.ChainInto(ys[k], x, factors, k, w, ws)
-			ttm.GramInto(grams[k], ys[k], k, w, ws)
-			sspan := obs.Start(obs.PhaseSolve)
-			u, err := linalg.LeadingEigvecs(grams[k], opts.Ranks[k])
-			sspan.Stop()
-			if err != nil {
-				return nil, nil, fmt.Errorf("tucker: HOOI mode %d: %w", k, err)
-			}
-			factors[k] = u
+		if err := ttm.TreeInto(ys, x, factors, w, ws, update); err != nil {
+			return nil, nil, err
 		}
 		// With orthonormal factors, ||Xhat|| = ||G||, so the fit comes
 		// from the core alone.

@@ -1,6 +1,7 @@
 package tucker
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/linalg"
@@ -225,4 +226,92 @@ func TestHOOISweepBodyZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 { //repro:bitwise exact allocation count
 		t.Errorf("HOOI sweep body: %v allocs/op, want 0", allocs)
 	}
+}
+
+// TestHOOITreeSweepZeroAlloc guards the production sweep body: with
+// the workspace's partial stack and ping-pong buffers warmed, the tree
+// projections, their Grams and the core chain — all a Decompose sweep
+// runs but the eigensolves — touch the heap zero times. Order 5 nests
+// two partials on the stack.
+func TestHOOITreeSweepZeroAlloc(t *testing.T) {
+	dims := []int{9, 8, 7, 6, 5}
+	ranks := []int{3, 3, 2, 2, 2}
+	x := lowMultilinear(t, dims, ranks, 67)
+	model, _, err := Decompose(x, Options{Ranks: ranks, MaxIters: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := ttm.GetWorkspace()
+	defer ttm.PutWorkspace(ws)
+	ys := projectionViews(dims, ranks)
+	grams := gramViews(dims)
+	coreBuf := tensor.NewDense(ranks...)
+	gram := func(k int, y *tensor.Dense) error {
+		ttm.GramInto(grams[k], y, k, 1, ws)
+		return nil
+	}
+	sweep := func() {
+		if err := ttm.TreeInto(ys, x, model.Factors, 1, ws, gram); err != nil {
+			t.Fatal(err)
+		}
+		ttm.ChainInto(coreBuf, x, model.Factors, -1, 1, ws)
+	}
+	sweep()                                                     // warm the partial stack and ping-pong buffers
+	if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 { //repro:bitwise exact allocation count
+		t.Errorf("HOOI tree sweep body: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestDecomposeWorkerBitwise pins Options.Workers' promise: factors,
+// core, fit and trace are bitwise identical for every worker count, on
+// orders 1-5 with unequal extents and ranks, rank 1 and rank = extent
+// among them.
+func TestDecomposeWorkerBitwise(t *testing.T) {
+	cases := []struct{ dims, ranks []int }{
+		{[]int{9}, []int{1}},
+		{[]int{9, 7}, []int{9, 2}},
+		{[]int{10, 7, 5}, []int{3, 7, 1}},
+		{[]int{8, 6, 7, 5}, []int{2, 1, 7, 3}},
+		{[]int{6, 5, 4, 5, 3}, []int{2, 5, 1, 3, 3}},
+	}
+	for ci, tc := range cases {
+		x := tensor.RandomDense(int64(71+ci), tc.dims...)
+		var ref *Model
+		var refTrace []TraceEntry
+		for _, workers := range []int{1, 2, 3, 8} {
+			model, trace, err := Decompose(x, Options{Ranks: tc.ranks, MaxIters: 3, Tol: 0, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref, refTrace = model, trace
+				continue
+			}
+			same := func(what string, got, want []float64) {
+				t.Helper()
+				if len(got) != len(want) {
+					t.Fatalf("%v workers %d: %s has %d values, want %d", tc.dims, workers, what, len(got), len(want))
+				}
+				for i, v := range got {
+					if v != want[i] { //repro:bitwise worker-count independence
+						t.Fatalf("%v workers %d: %s[%d] = %v, 1 worker %v", tc.dims, workers, what, i, v, want[i])
+					}
+				}
+			}
+			for k, u := range model.Factors {
+				same(fmt.Sprintf("factor %d", k), u.Data(), ref.Factors[k].Data())
+			}
+			same("core", model.Core.Data(), ref.Core.Data())
+			same("fit", []float64{model.Fit}, []float64{ref.Fit})
+			same("trace", traceFits(trace), traceFits(refTrace))
+		}
+	}
+}
+
+func traceFits(trace []TraceEntry) []float64 {
+	fits := make([]float64, len(trace))
+	for i, e := range trace {
+		fits[i] = e.Fit
+	}
+	return fits
 }
