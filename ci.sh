@@ -5,11 +5,12 @@
 # channel-discipline, lock-order, workspace-aliasing — all nine are
 # hard failures), the full test suite on both dispatch paths (native simd
 # and REPRO_NOSIMD=1 scalar), a purego-tag build+test (the no-assembly
-# configuration), then a race-detector pass over the packages with
-# goroutine-parallel accumulation and tree reductions (kernel, seq,
-# par, dimtree, cpals — including the float32 storage-path kernels in
-# kernel and sparse) plus the blocked linear algebra and sparse layers
-# they fan out into.
+# configuration), then a race-detector pass over the fanout pool every
+# parallel engine runs on (including its nested and concurrent section
+# test), the packages with parallel accumulation and tree reductions
+# (kernel, seq, par, dimtree, cpals — including the float32
+# storage-path kernels in kernel and sparse) plus the blocked linear
+# algebra and sparse layers they fan out into.
 #
 # Usage: ./ci.sh
 set -eu
@@ -95,7 +96,7 @@ echo "== go test -tags purego (simd + engine packages) =="
 go test -tags purego ./internal/simd/... ./internal/linalg/... ./internal/kernel/... ./internal/sparse/... ./internal/dimtree/... ./internal/ttm/... ./internal/plan/... ./internal/tucker/...
 
 echo "== go test -race (engine packages) =="
-go test -race ./internal/kernel/... ./internal/seq/... ./internal/par/... ./internal/dimtree/... ./internal/cpals/... ./internal/sparse/... ./internal/linalg/... ./internal/obs/... ./internal/comm/... ./internal/plan/... ./internal/ttm/... ./internal/tucker/...
+go test -race ./internal/fanout/... ./internal/kernel/... ./internal/seq/... ./internal/par/... ./internal/dimtree/... ./internal/cpals/... ./internal/sparse/... ./internal/linalg/... ./internal/obs/... ./internal/comm/... ./internal/plan/... ./internal/ttm/... ./internal/tucker/...
 
 echo "== instrumented smoke (obs bound ratios) =="
 # The blocked algorithm must land within a small constant of the best

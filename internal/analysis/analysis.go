@@ -67,7 +67,7 @@ type Config struct {
 // DefaultConfig returns the configuration repolint ships with.
 func DefaultConfig() Config {
 	return Config{
-		EnginePackages: []string{"kernel", "dimtree", "seq", "par", "cpals", "sparse", "plan", "flight", "ttm", "tucker"},
+		EnginePackages: []string{"fanout", "kernel", "dimtree", "seq", "par", "cpals", "sparse", "plan", "flight", "ttm", "tucker"},
 		ErrorAllowlist: []string{
 			"fmt.Print",
 			"fmt.Fprint",

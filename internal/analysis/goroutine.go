@@ -13,13 +13,14 @@ package analysis
 // receive case). Objects are matched through the SSA-lite layer:
 // cross-unit identity by declaration position, and call-argument to
 // parameter aliasing one interprocedural hop at a time, so
-// `go poolWorker(ws, ws.start)` is matched against joins on the same
-// `start` field wherever the BFS can see them.
+// `go worker(&s.wg, s.jobs)` is matched against joins on the same
+// `wg` or `jobs` field wherever the BFS can see them.
 //
 // Deliberately-unjoined goroutines come in two sanctioned flavors:
 // parked worker pools (mark the spawn or the spawning function with
 // //repro:worker-pool — the workers outlive the call by design and
-// wake on tokens) and process-lifetime daemons (audit them with
+// wake on tokens; the fanout pool's helper spawn is the one in the
+// tree) and process-lifetime daemons (audit them with
 // //repro:ignore goroutine-leak). A spawn whose body the analyzer
 // cannot see (an external or dynamic callee) cannot prove a join and
 // is diagnosed: keep spawn targets direct or annotate them.

@@ -353,14 +353,20 @@ func (a HotpathAlloc) checkBody(prog *Program, body *ast.BlockStmt, pkg *Package
 
 // calleeObject resolves the object a call's Fun refers to, or nil for
 // dynamic calls (function values, interface methods) and conversions.
+// A method of an instantiated generic type resolves to its generic
+// declaration, the object the call graph is keyed by.
 func calleeObject(call *ast.CallExpr, info *types.Info) types.Object {
+	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		return info.Uses[fun]
+		obj = info.Uses[fun]
 	case *ast.SelectorExpr:
-		return info.Uses[fun.Sel]
+		obj = info.Uses[fun.Sel]
 	}
-	return nil
+	if f, ok := obj.(*types.Func); ok {
+		return f.Origin()
+	}
+	return obj
 }
 
 type posRange struct{ pos, end token.Pos }

@@ -109,3 +109,14 @@ func cold(n int) []int {
 func NotHot() []int {
 	return make([]int, 1)
 }
+
+// box is a generic type. A hot call to one of its methods resolves to
+// the generic declaration, so the walk checks the method's body.
+type box[T any] struct{ items []T }
+
+func (b *box[T]) grow(n int) { b.items = make([]T, n) }
+
+// HotGeneric reaches box.grow through an instantiated receiver.
+//
+//repro:hotpath
+func HotGeneric(b *box[float64]) { b.grow(4) }

@@ -18,24 +18,26 @@ package dimtree
 //     passes: per rank, the partial's slab is an (L', M', Rt')
 //     column-major block and the kept result is slab * kr_r (dropped
 //     suffix) or slab^T * kl_r (dropped prefix), each a call into the
-//     blocked linalg kernels. Ranks split across goroutines with
-//     disjoint output columns.
+//     blocked linalg kernels. Ranks split into contiguous ranges, one
+//     chunk of a fanout section each, with disjoint output columns.
 //
 // Every temporary — partial tensors (a stack, depth <= log2 N), the
-// dropped-mode KRP panels, per-worker GEMV scratch, and the interior
-// kernel's accumulation buckets — lives in a grow-only workspace owned
-// by the Engine, so repeated traversals allocate nothing in steady
-// state. Results are bitwise independent of the worker count: the
-// boundary GEMMs compute each output element in a partition-invariant
-// order, rank splitting only moves whole output columns between
-// goroutines, and the interior kernel accumulates into a fixed bucket
-// count combined by kernel.ReduceTree. AllModesRef (the scalar tree)
-// remains the correctness oracle.
+// dropped-mode KRP panels, per-slot GEMV scratch, the interior
+// kernel's accumulation buckets and the rank split's fanout task —
+// lives in a grow-only workspace owned by the Engine, so repeated
+// traversals allocate nothing in steady state at any worker count.
+// Results are bitwise independent of the worker count: the boundary
+// GEMMs compute each output element in a partition-invariant order,
+// rank splitting only moves whole output columns between slots, and
+// the interior kernel accumulates into a fixed bucket count combined
+// by kernel.ReduceTree. AllModesRef (the scalar tree) remains the
+// correctness oracle.
 
 import (
 	"fmt"
 	"sync"
 
+	"repro/internal/fanout"
 	"repro/internal/kernel"
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -58,6 +60,7 @@ type Engine struct {
 	tmp   []float64         // workers * M' scratch for two-sided partials
 	stack [][]float64       // partial-tensor slots, stack discipline
 	sp    int
+	ranks rankTask // the partial contraction's fanout task, set for one call
 }
 
 // NewEngine returns an engine with the given worker count (<= 0 means
@@ -77,9 +80,8 @@ func (e *Engine) AllModes(x *tensor.Dense, factors []*tensor.Matrix) *Result {
 
 // AllModesInto computes B(n) for every mode n into res, reusing
 // res.B matrices whose shapes already match. With a warmed engine and
-// Workers == 1 the call performs no allocations, which is what keeps
-// gradient-CP and multi-MTTKRP inner loops allocation-free; parallel
-// calls allocate only goroutine bookkeeping.
+// any Workers the call performs no allocations, which is what keeps
+// gradient-CP and multi-MTTKRP inner loops allocation-free.
 //
 //repro:hotpath
 func (e *Engine) AllModesInto(res *Result, x *tensor.Dense, factors []*tensor.Matrix) {
@@ -227,20 +229,13 @@ func (e *Engine) contractPartExtents(out, part []float64, factors []*tensor.Matr
 		copy(out[:S*R], part[:S*R])
 		return fl + int64(S)*int64(R)
 	}
-	workers := linalg.ResolveWorkers(e.Workers)
-	if workers > R {
-		workers = R
-	}
+	workers := min(linalg.ResolveWorkers(e.Workers), R)
 	if kl != nil && kr != nil {
 		e.tmp = growf(e.tmp, workers*Mp)
 	}
-	if workers <= 1 {
-		// Direct call — no closure, so the serial path (the one the
-		// zero-alloc contract covers) allocates nothing.
-		partialRanks(out, part, kl, kr, e.tmp, Lp, Mp, Rtp, 0, R)
-	} else {
-		partialRanksParallel(out, part, kl, kr, e.tmp, Lp, Mp, Rtp, R, workers)
-	}
+	e.ranks = rankTask{out: out, part: part, kl: kl, kr: kr, tmp: e.tmp, Lp: Lp, Mp: Mp, Rtp: Rtp, R: R, parts: workers}
+	fanout.Run(&e.ranks, workers, workers)
+	e.ranks = rankTask{}
 	fl += 2 * int64(S) * int64(R)
 	if kl != nil && kr != nil {
 		fl += 2 * int64(Mp) * int64(Rtp) * int64(R)
@@ -378,12 +373,22 @@ func growf(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// partialRanks runs the per-rank GEMV passes for ranks [r0, r1). tmp
-// supplies the two-sided scratch column starting at its front (callers
-// hand each worker a disjoint sub-slice). Each rank touches only its
-// own output column and is processed in an order fixed by the rank
-// alone, so any partition of [0, R) gives bitwise-identical results.
-func partialRanks(out, part, kl, kr, tmp []float64, Lp, Mp, Rtp, r0, r1 int) {
+// rankTask is contractPartExtents' rank split as a fanout task.
+type rankTask struct {
+	out, part, kl, kr, tmp []float64
+	Lp, Mp, Rtp, R, parts  int
+}
+
+// Chunk runs the per-rank GEMV passes of ranks [c*R/parts,
+// (c+1)*R/parts), the two-sided ones through the slot's scratch column
+// of tmp. Each rank touches only its own output column and is
+// processed in an order fixed by the rank alone, so any partition of
+// [0, R) gives bitwise-identical results.
+//
+//repro:hotpath
+func (t *rankTask) Chunk(c, slot int) {
+	out, part, kl, kr, Lp, Mp, Rtp := t.out, t.part, t.kl, t.kr, t.Lp, t.Mp, t.Rtp
+	r0, r1 := c*t.R/t.parts, (c+1)*t.R/t.parts
 	if kl != nil && kr != nil {
 		// The per-slab GEMV passes count themselves; the KR-weighted fold
 		// adds Rtp accumulate passes of Mp words per rank.
@@ -404,10 +409,10 @@ func partialRanks(out, part, kl, kr, tmp []float64, Lp, Mp, Rtp, r0, r1 int) {
 			}
 			slab := Lp * Mp
 			klcol := kl[r*Lp : (r+1)*Lp]
-			wcol := tmp[:Mp]
-			for t := 0; t < Rtp; t++ {
-				linalg.GemmTN(wcol, pr[t*slab:(t+1)*slab], klcol, Lp, Mp, 1, 1)
-				krv := kr[t+r*Rtp]
+			wcol := t.tmp[slot*Mp : (slot+1)*Mp]
+			for j := 0; j < Rtp; j++ {
+				linalg.GemmTN(wcol, pr[j*slab:(j+1)*slab], klcol, Lp, Mp, 1, 1)
+				krv := kr[j+r*Rtp]
 				if krv == 0 { //repro:bitwise exact-zero sparsity skip; krv was stored, never computed
 					continue
 				}
@@ -417,27 +422,4 @@ func partialRanks(out, part, kl, kr, tmp []float64, Lp, Mp, Rtp, r0, r1 int) {
 			}
 		}
 	}
-}
-
-// partialRanksParallel splits the ranks into contiguous chunks across
-// `workers` goroutines, each with its own scratch column from tmp. A
-// separate function so its closure never taxes the serial path.
-//
-//repro:ignore hotpath-alloc goroutine fan-out: the parallel path allocates bookkeeping only
-func partialRanksParallel(out, part, kl, kr, tmp []float64, Lp, Mp, Rtp, R, workers int) {
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * R / workers
-		hi := (w + 1) * R / workers
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var wtmp []float64
-			if kl != nil && kr != nil {
-				wtmp = tmp[w*Mp : (w+1)*Mp]
-			}
-			partialRanks(out, part, kl, kr, wtmp, Lp, Mp, Rtp, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
 }

@@ -77,15 +77,20 @@ func TestEngineBitwiseWorkerIndependence(t *testing.T) {
 // into a reused Result allocates nothing — the multi-MTTKRP analogue
 // of the kernel package's FastInto guarantee.
 func TestEngineZeroAllocSteadyState(t *testing.T) {
-	for _, dims := range [][]int{{16, 16, 16}, {8, 6, 4, 5, 3}} {
-		R := 4
-		x := tensor.RandomDense(59, dims...)
-		fs := tensor.RandomFactors(61, dims, R)
-		e := NewEngine(1)
+	// The 2-worker case is past the serial cutoffs: both root GEMMs
+	// exceed gemmSmall and the partials split their 16 ranks. The
+	// worker count is explicit because AllocsPerRun pins GOMAXPROCS to 1.
+	for _, c := range []struct {
+		dims       []int
+		R, workers int
+	}{{[]int{16, 16, 16}, 4, 1}, {[]int{8, 6, 4, 5, 3}, 4, 1}, {[]int{32, 32, 32}, 16, 2}} {
+		x := tensor.RandomDense(59, c.dims...)
+		fs := tensor.RandomFactors(61, c.dims, c.R)
+		e := NewEngine(c.workers)
 		res := &Result{}
 		e.AllModesInto(res, x, fs)                                                                  // warm buffers and output matrices
 		if allocs := testing.AllocsPerRun(10, func() { e.AllModesInto(res, x, fs) }); allocs != 0 { //repro:bitwise exact allocation count
-			t.Errorf("dims %v: steady state allocates %v objects/op, want 0", dims, allocs)
+			t.Errorf("dims %v workers %d: steady state allocates %v objects/op, want 0", c.dims, c.workers, allocs)
 		}
 	}
 }

@@ -11,8 +11,6 @@ package kernel
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -75,71 +73,9 @@ func Fast32Into(b *tensor.Matrix32, x *tensor.Dense32, factors []*tensor.Matrix3
 	default:
 		KRPInto32(ws.krLeft, factors, 0, n, R)
 		KRPInto32(ws.krRight, factors, n+1, N, R)
-		interior32(acc, data, ws.krLeft, ws.krRight, L, In, Rt, R, workers, ws)
+		ws.interior(acc, slabTask{data32: data, kl: ws.krLeft, kr: ws.krRight, L: L, M: In, Rt: Rt, R: R}, workers)
 	}
 	store32(b.Data(), acc)
-}
-
-// interior32 mirrors interior with a float32 tensor stream: same
-// fixed chunk tiling, same ReduceTree association, float64 buckets.
-func interior32(out []float64, data []float32, kl, kr []float64, L, M, Rt, R, workers int, ws *Workspace) {
-	nbuf := interiorChunks
-	if nbuf > Rt {
-		nbuf = Rt
-	}
-	MR := M * R
-	out = out[:MR]
-	for i := range out {
-		out[i] = 0
-	}
-	if nbuf == 1 {
-		interiorSlabs32(out, ws.scratch[:MR], data, kl, kr, L, M, Rt, R, 0, Rt)
-		return
-	}
-	bufs := append(ws.bufs[:0], out) //repro:ignore hotpath-alloc bucket list reuses workspace capacity ensured by ensureScratch
-	priv := ws.priv[:(nbuf-1)*MR]
-	for i := range priv {
-		priv[i] = 0
-	}
-	for c := 1; c < nbuf; c++ {
-		bufs = append(bufs, priv[(c-1)*MR:c*MR]) //repro:ignore hotpath-alloc appends within capacity ensured by ensureScratch
-	}
-	if workers > nbuf {
-		workers = nbuf
-	}
-	if workers <= 1 {
-		for c := 0; c < nbuf; c++ {
-			interiorSlabs32(bufs[c], ws.scratch[:MR], data, kl, kr, L, M, Rt, R, c*Rt/nbuf, (c+1)*Rt/nbuf)
-		}
-	} else {
-		interiorParallel32(bufs, ws.scratch, data, kl, kr, L, M, Rt, R, nbuf, workers)
-	}
-	ReduceTree(bufs, workers)
-	ws.bufs = bufs[:0]
-}
-
-// interiorParallel32 is interiorParallel over a float32 tensor.
-//
-//repro:ignore hotpath-alloc goroutine fan-out: the parallel path allocates bookkeeping only
-func interiorParallel32(bufs [][]float64, scratch []float64, data []float32, kl, kr []float64, L, M, Rt, R, nbuf, workers int) {
-	MR := M * R
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			wbuf := scratch[w*MR : (w+1)*MR]
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nbuf {
-					return
-				}
-				interiorSlabs32(bufs[c], wbuf, data, kl, kr, L, M, Rt, R, c*Rt/nbuf, (c+1)*Rt/nbuf)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // interiorSlabs32 accumulates slabs [t0, t1) into acc (In x R) with a

@@ -97,6 +97,23 @@ func TestFast32ZeroAllocSteadyState(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 { //repro:bitwise exact allocation count
 		t.Errorf("steady-state float32 sweep allocates %v objects/op, want 0", allocs)
 	}
+	// Two workers past the serial cutoffs, as in
+	// TestFastIntoZeroAllocSteadyState.
+	x2 := tensor.RandomDense(48, 24, 48, 20)
+	x2f32, fs2f32, _, _ := round32(x2, tensor.RandomFactors(49, x2.Dims(), 24))
+	ws2 := kernel.NewWorkspace(x2.Dims(), 24, 1)
+	for n := range bs {
+		bs[n] = tensor.NewMatrix32(x2.Dim(n), 24)
+	}
+	sweep2 := func() {
+		for n := 0; n < 3; n++ {
+			kernel.Fast32Into(bs[n], x2f32, fs2f32, n, 2, ws2)
+		}
+	}
+	sweep2()
+	if allocs := testing.AllocsPerRun(10, sweep2); allocs != 0 { //repro:bitwise exact allocation count
+		t.Errorf("steady-state 2-worker float32 sweep allocates %v objects/op, want 0", allocs)
+	}
 }
 
 // TestFast32ObsHalfWords: the float32 engine runs the identical

@@ -33,9 +33,8 @@ package kernel
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -52,7 +51,7 @@ func Fast(x *tensor.Dense, factors []*tensor.Matrix, n int) *tensor.Matrix {
 	return FastWorkers(x, factors, n, 0)
 }
 
-// FastWorkers is Fast with an explicit goroutine count (<= 0 selects
+// FastWorkers is Fast with an explicit worker count (<= 0 selects
 // the linalg package default, itself defaulting to GOMAXPROCS).
 func FastWorkers(x *tensor.Dense, factors []*tensor.Matrix, n, workers int) *tensor.Matrix {
 	R := checkArgs(x, factors, n)
@@ -64,11 +63,10 @@ func FastWorkers(x *tensor.Dense, factors []*tensor.Matrix, n, workers int) *ten
 }
 
 // FastInto computes the MTTKRP into b (x.Dim(n) x R, overwritten)
-// using the caller's workspace. With a reused workspace and workers=1
-// the call performs no allocations in steady state, which is what
-// keeps CP-ALS inner iterations allocation-free; parallel calls
-// allocate only goroutine bookkeeping. ws must not be shared between
-// concurrent calls; a nil ws borrows one from the pool.
+// using the caller's workspace. With a reused workspace the call
+// performs no allocations in steady state at any worker count, which
+// is what keeps CP-ALS inner iterations allocation-free. ws must not be
+// shared between concurrent calls; a nil ws borrows one from the pool.
 //
 //repro:hotpath
 func FastInto(b *tensor.Matrix, x *tensor.Dense, factors []*tensor.Matrix, n, workers int, ws *Workspace) {
@@ -108,7 +106,7 @@ func FastInto(b *tensor.Matrix, x *tensor.Dense, factors []*tensor.Matrix, n, wo
 	default:
 		KRPInto(ws.krLeft, factors, 0, n, R)
 		KRPInto(ws.krRight, factors, n+1, N, R)
-		interior(bd, data, ws.krLeft, ws.krRight, L, In, Rt, R, workers, ws)
+		ws.interior(bd, slabTask{data: data, kl: ws.krLeft, kr: ws.krRight, L: L, M: In, Rt: Rt, R: R}, workers)
 	}
 }
 
@@ -153,7 +151,7 @@ func Contract3(out, data, kl, kr []float64, L, M, Rt, R, workers int, ws *Worksp
 			defer PutWorkspace(ws)
 		}
 		ws.ensureScratch(M, Rt, R, workers)
-		interior(out, data, kl, kr, L, M, Rt, R, workers, ws)
+		ws.interior(out, slabTask{data: data, kl: kl, kr: kr, L: L, M: M, Rt: Rt, R: R}, workers)
 	}
 }
 
@@ -169,83 +167,60 @@ var slabName = flight.RegisterName("slab")
 // the interior result is bitwise reproducible at any parallelism.
 const interiorChunks = 16
 
-// interior runs the split-mode slab passes: the Rt slabs are cut into
-// a fixed set of contiguous chunks, each chunk accumulates KR-weighted
-// W_t = X_t^T * KL contributions into its own bucket (bucket 0 is
-// out's storage), workers drain the chunk queue, and the buckets
-// combine by tree reduction.
-func interior(out, data, kl, kr []float64, L, M, Rt, R, workers int, ws *Workspace) {
-	nbuf := interiorChunks
-	if nbuf > Rt {
-		nbuf = Rt
-	}
-	MR := M * R
-	out = out[:MR]
-	for i := range out {
-		out[i] = 0
-	}
-	if nbuf == 1 {
-		fr := flight.Rec()
-		fr.Begin(flight.AnonPid, 0, slabName)
-		interiorSlabs(out, ws.scratch[:MR], data, kl, kr, L, M, Rt, R, 0, Rt)
-		fr.End(flight.AnonPid, 0, slabName)
-		return
-	}
-	bufs := append(ws.bufs[:0], out) //repro:ignore hotpath-alloc bucket list reuses workspace capacity ensured by ensureScratch
+// interior runs the split-mode slab passes of t into out (M x R,
+// overwritten): the Rt slabs are cut into a fixed set of contiguous
+// chunks, each chunk accumulates KR-weighted W_t = X_t^T * KL
+// contributions into its own bucket (bucket 0 is out's storage), the
+// chunks run as one fanout section on up to `workers` slots, and the
+// buckets combine by tree reduction. Chunk c always covers slabs
+// [c*Rt/nbuf, (c+1)*Rt/nbuf) and accumulates into bucket c whichever
+// slot runs it.
+func (ws *Workspace) interior(out []float64, t slabTask, workers int) {
+	nbuf := min(interiorChunks, t.Rt)
+	MR := t.M * t.R
+	bufs := ws.bufs[:nbuf]
+	bufs[0] = out[:MR]
 	priv := ws.priv[:(nbuf-1)*MR]
-	for i := range priv {
-		priv[i] = 0
-	}
 	for c := 1; c < nbuf; c++ {
-		bufs = append(bufs, priv[(c-1)*MR:c*MR]) //repro:ignore hotpath-alloc appends within capacity ensured by ensureScratch
+		bufs[c] = priv[(c-1)*MR : c*MR]
 	}
-	if workers > nbuf {
-		workers = nbuf
+	for _, b := range bufs {
+		clear(b)
 	}
-	if workers <= 1 {
-		fr := flight.Rec()
-		for c := 0; c < nbuf; c++ {
-			fr.Begin(flight.AnonPid, 0, slabName)
-			interiorSlabs(bufs[c], ws.scratch[:MR], data, kl, kr, L, M, Rt, R, c*Rt/nbuf, (c+1)*Rt/nbuf)
-			fr.End(flight.AnonPid, 0, slabName)
-		}
-	} else {
-		// A separate function so the goroutine closure's captures don't
-		// force bufs/nbuf onto the heap in the serial path above.
-		interiorParallel(bufs, ws.scratch, data, kl, kr, L, M, Rt, R, nbuf, workers)
-	}
+	t.bufs, t.scratch = bufs, ws.scratch
+	ws.slabs = t
+	workers = min(workers, nbuf)
+	fanout.Run(&ws.slabs, nbuf, workers)
+	ws.slabs = slabTask{}
 	ReduceTree(bufs, workers)
-	ws.bufs = bufs[:0]
 }
 
-// interiorParallel drains the fixed chunk queue with `workers`
-// goroutines, each writing through its own GEMM scratch. Chunk c
-// always covers slabs [c*Rt/nbuf, (c+1)*Rt/nbuf) and accumulates into
-// bufs[c] regardless of which worker claims it.
+// slabTask is the interior pass as a fanout task; exactly one of data
+// and data32 is set.
+type slabTask struct {
+	bufs          [][]float64
+	scratch, data []float64
+	data32        []float32
+	kl, kr        []float64
+	L, M, Rt, R   int
+}
+
+// Chunk accumulates chunk c's slabs into bucket c through the slot's
+// GEMM scratch.
 //
-//repro:ignore hotpath-alloc goroutine fan-out: the parallel path allocates bookkeeping only
-func interiorParallel(bufs [][]float64, scratch, data, kl, kr []float64, L, M, Rt, R, nbuf, workers int) {
-	MR := M * R
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			fr := flight.Rec()
-			wbuf := scratch[w*MR : (w+1)*MR]
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nbuf {
-					return
-				}
-				fr.Begin(flight.AnonPid, w, slabName)
-				interiorSlabs(bufs[c], wbuf, data, kl, kr, L, M, Rt, R, c*Rt/nbuf, (c+1)*Rt/nbuf)
-				fr.End(flight.AnonPid, w, slabName)
-			}
-		}(w)
+//repro:hotpath
+func (t *slabTask) Chunk(c, slot int) {
+	nbuf, MR := len(t.bufs), t.M*t.R
+	t0, t1 := c*t.Rt/nbuf, (c+1)*t.Rt/nbuf
+	wbuf := t.scratch[slot*MR : (slot+1)*MR]
+	if t.data32 != nil {
+		interiorSlabs32(t.bufs[c], wbuf, t.data32, t.kl, t.kr, t.L, t.M, t.Rt, t.R, t0, t1)
+		return
 	}
-	wg.Wait()
+	fr := flight.Rec()
+	fr.Begin(flight.AnonPid, slot, slabName)
+	interiorSlabs(t.bufs[c], wbuf, t.data, t.kl, t.kr, t.L, t.M, t.Rt, t.R, t0, t1)
+	fr.End(flight.AnonPid, slot, slabName)
 }
 
 // interiorSlabs accumulates slabs [t0, t1) into acc (In x R).

@@ -156,6 +156,25 @@ func TestFastIntoZeroAllocSteadyState(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 { //repro:bitwise exact allocation count
 		t.Errorf("steady-state sweep allocates %v objects/op, want 0", allocs)
 	}
+	// Two workers past the serial cutoffs: the boundary modes' GEMMs
+	// exceed gemmSmall and the interior mode's 16 buckets of 48x24
+	// words reach ReduceTree's parallel section. AllocsPerRun pins
+	// GOMAXPROCS to 1, so the worker count is explicit.
+	x2 := tensor.RandomDense(14, 24, 48, 20)
+	fs2 := tensor.RandomFactors(15, x2.Dims(), 24)
+	ws2 := kernel.NewWorkspace(x2.Dims(), 24, 1)
+	for n := range bs {
+		bs[n] = tensor.NewMatrix(x2.Dim(n), 24)
+	}
+	sweep2 := func() {
+		for n := 0; n < 3; n++ {
+			kernel.FastInto(bs[n], x2, fs2, n, 2, ws2)
+		}
+	}
+	sweep2()
+	if allocs := testing.AllocsPerRun(10, sweep2); allocs != 0 { //repro:bitwise exact allocation count
+		t.Errorf("steady-state 2-worker sweep allocates %v objects/op, want 0", allocs)
+	}
 }
 
 // TestReduceTree checks the reduction against a serial sum and its

@@ -16,12 +16,13 @@ import (
 // A Workspace is not safe for concurrent use by multiple MTTKRP calls;
 // use one per goroutine (or the pool helpers below).
 type Workspace struct {
-	krLeft  []float64 // L x R column-major partial KRP of modes < n
-	krRight []float64 // Rt x R column-major partial KRP of modes > n
-	scratch []float64 // workers * In*R slab GEMM outputs
-	priv    []float64 // (chunks-1) * In*R accumulation buckets
-	bufs    [][]float64
-	out64   []float64 // In x R float64 accumulator of the float32 path
+	krLeft  []float64   // L x R column-major partial KRP of modes < n
+	krRight []float64   // Rt x R column-major partial KRP of modes > n
+	scratch []float64   // workers * In*R slab GEMM outputs
+	priv    []float64   // (chunks-1) * In*R accumulation buckets
+	bufs    [][]float64 // bucket headers, len >= chunks
+	out64   []float64   // In x R float64 accumulator of the float32 path
+	slabs   slabTask    // the interior pass's fanout task, set for one pass
 }
 
 // NewWorkspace returns a workspace pre-sized for mode n of a tensor
@@ -63,8 +64,8 @@ func (ws *Workspace) ensureScratch(M, Rt, R, workers int) {
 	if nbuf > 1 {
 		ws.priv = grow(ws.priv, (nbuf-1)*M*R)
 	}
-	if cap(ws.bufs) < nbuf {
-		ws.bufs = make([][]float64, 0, nbuf) //repro:ignore hotpath-alloc grow-only bucket headers; settles after the first call
+	if len(ws.bufs) < nbuf {
+		ws.bufs = make([][]float64, nbuf) //repro:ignore hotpath-alloc grow-only bucket headers; settles after the first call
 	}
 }
 

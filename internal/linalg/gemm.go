@@ -1,15 +1,15 @@
 package linalg
 
 // The dense GEMM execution engine: cache-blocked, register-blocked,
-// goroutine-parallel matrix kernels operating on raw column-major
+// parallel matrix kernels operating on raw column-major
 // slices. These are the flop-carrying substrate under the paper's cost
 // models — the communication-oblivious "do the arithmetic as fast as
 // the hardware allows" layer, blocked per the discipline of Ballard et
 // al., "Minimizing Communication in Numerical Linear Algebra": the
 // innermost kernel updates a 4x4 register tile (GemmTN: a 2x4 tile of
 // dot products), the middle loops keep a panel of A resident in cache,
-// and the outer loop hands disjoint column (or row) panels of C to
-// worker goroutines.
+// and the outer loop hands disjoint column (or row) panels of C to the
+// slots of one fanout section.
 //
 // Three data orders cover every multiply in the repository:
 //
@@ -23,8 +23,8 @@ package linalg
 
 import (
 	"runtime"
-	"sync"
 
+	"repro/internal/fanout"
 	"repro/internal/obs"
 	"repro/internal/simd"
 )
@@ -35,7 +35,7 @@ import (
 // summation order — and every result — is fixed by the shape alone.
 const gemmBlock = 256
 
-// gemmSmall is the flop threshold below which spawning goroutines
+// gemmSmall is the flop threshold below which a parallel section
 // costs more than it saves; such products run inline.
 const gemmSmall = 1 << 15
 
@@ -54,30 +54,66 @@ func ResolveWorkers(workers int) int {
 	return Workers()
 }
 
-// parallelChunks splits [0, total) into at most `workers` contiguous
-// chunks and runs fn on each concurrently. workers must already be
-// resolved; workers == 1 runs inline.
+// gemmKind selects the kernel and the dimension a gemmTask splits.
+type gemmKind uint8
+
+const (
+	nnCols gemmKind = iota
+	nnRows
+	tnRows
+	ntCols
+	nn32Cols
+	tn32Rows
+)
+
+// gemmTask is one parallel GEMM: part c of `parts` covers columns (or
+// rows) [c*total/parts, (c+1)*total/parts) of C and runs one
+// single-threaded kernel call, so every element of C is computed in
+// the same order whatever the part count or the slot that runs it.
+type gemmTask struct {
+	kind         gemmKind
+	c, a, b      []float64
+	a32          []float32
+	m, k, n      int
+	total, parts int
+}
+
+// gemmTasks holds the descriptors of the GEMMs in flight: a GEMM has
+// no workspace to keep one in.
+var gemmTasks fanout.Free[gemmTask]
+
+// Chunk runs part c.
 //
-//repro:ignore hotpath-alloc goroutine fan-out primitive: allocates bookkeeping only on the parallel path
-func parallelChunks(total, workers int, fn func(lo, hi int)) {
-	if workers > total {
-		workers = total
+//repro:hotpath
+func (t *gemmTask) Chunk(c, _ int) {
+	lo, hi := c*t.total/t.parts, (c+1)*t.total/t.parts
+	switch t.kind {
+	case nnCols:
+		gemmNN(t.c, t.a, t.b, t.m, t.k, 0, t.m, lo, hi)
+	case nnRows:
+		gemmNN(t.c, t.a, t.b, t.m, t.k, lo, hi, 0, t.n)
+	case tnRows:
+		gemmTN(t.c, t.a, t.b, t.m, t.k, t.n, lo, hi)
+	case ntCols:
+		gemmNT(t.c, t.a, t.b, t.m, t.k, t.n, lo, hi)
+	case nn32Cols:
+		gemm32NN(t.c, t.a32, t.b, t.m, t.k, lo, hi)
+	case tn32Rows:
+		gemm32TN(t.c, t.a32, t.b, t.m, t.k, t.n, lo, hi)
 	}
-	if workers <= 1 {
-		fn(0, total)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * total / workers
-		hi := (w + 1) * total / workers
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+}
+
+// parallelGemm splits `total` columns (or rows) of C into
+// min(workers, total) contiguous parts and runs them on as many fanout
+// slots. m, k, n are the kernel's own extents (GemmTN's m, ka, n;
+// GemmNT's m, k, nb).
+func parallelGemm(kind gemmKind, c, a, b []float64, a32 []float32, m, k, n, total, workers int) {
+	t := gemmTasks.Get()
+	parts := min(workers, total)
+	*t = gemmTask{kind: kind, c: c, a: a, b: b, a32: a32, m: m, k: k, n: n, total: total, parts: parts}
+	fanout.Run(t, parts, parts)
+	*t = gemmTask{}
+	gemmTasks.Put(t)
 }
 
 // GemmNN computes C = A * B on column-major slices: A is m x k, B is
@@ -102,15 +138,9 @@ func GemmNN(c, a, b []float64, m, k, n, workers int) {
 	// wide in rows but narrow in columns (e.g. GEMM against a rank-R
 	// Khatri-Rao product with small R).
 	if n >= 2*w {
-		//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
-		parallelChunks(n, w, func(j0, j1 int) {
-			gemmNN(c, a, b, m, k, 0, m, j0, j1)
-		})
+		parallelGemm(nnCols, c, a, b, nil, m, k, n, n, w)
 	} else {
-		//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
-		parallelChunks(m, w, func(i0, i1 int) {
-			gemmNN(c, a, b, m, k, i0, i1, 0, n)
-		})
+		parallelGemm(nnRows, c, a, b, nil, m, k, n, m, w)
 	}
 }
 
@@ -197,12 +227,9 @@ func GemmTN(c, a, b []float64, m, ka, n, workers int) {
 		gemmTN(c, a, b, m, ka, n, 0, ka)
 		return
 	}
-	// Rows of C are columns of A: each worker owns a disjoint row
-	// range and streams its A columns exactly once.
-	//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
-	parallelChunks(ka, w, func(i0, i1 int) {
-		gemmTN(c, a, b, m, ka, n, i0, i1)
-	})
+	// Rows of C are columns of A: each part owns a disjoint row range
+	// and streams its A columns exactly once.
+	parallelGemm(tnRows, c, a, b, nil, m, ka, n, ka, w)
 }
 
 // gemmTN fills C rows [i0,i1): C(i,j) = <A(:,i), B(:,j)>. Blocks of
@@ -264,10 +291,7 @@ func GemmNT(c, a, b []float64, m, k, nb, workers int) {
 		gemmNT(c, a, b, m, k, nb, 0, nb)
 		return
 	}
-	//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
-	parallelChunks(nb, w, func(j0, j1 int) {
-		gemmNT(c, a, b, m, k, nb, j0, j1)
-	})
+	parallelGemm(ntCols, c, a, b, nil, m, k, nb, nb, w)
 }
 
 // gemmNT computes C columns [j0,j1); the coefficient tile comes from

@@ -34,10 +34,7 @@ func Gemm32NN(c []float64, a []float32, b []float64, m, k, n, workers int) {
 		gemm32NN(c, a, b, m, k, 0, n)
 		return
 	}
-	//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
-	parallelChunks(n, w, func(j0, j1 int) {
-		gemm32NN(c, a, b, m, k, j0, j1)
-	})
+	parallelGemm(nn32Cols, c, nil, b, a, m, k, n, n, w)
 }
 
 // gemm32NN fills C columns [j0,j1), cache-blocked over the
@@ -88,10 +85,7 @@ func Gemm32TN(c []float64, a []float32, b []float64, m, ka, n, workers int) {
 		gemm32TN(c, a, b, m, ka, n, 0, ka)
 		return
 	}
-	//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
-	parallelChunks(ka, w, func(i0, i1 int) {
-		gemm32TN(c, a, b, m, ka, n, i0, i1)
-	})
+	parallelGemm(tn32Rows, c, nil, b, a, m, ka, n, ka, w)
 }
 
 // gemm32TN fills C rows [i0,i1): C(i,j) = <A(:,i), B(:,j)> with the

@@ -250,3 +250,36 @@ func TestGemmTNBitwiseDotReference(t *testing.T) {
 		}
 	}
 }
+
+// TestGemmZeroAlloc: at two workers and past gemmSmall, every GEMM
+// kernel — GemmNN on column and on row panels, GemmTN, GemmNT,
+// Gemm32NN and Gemm32TN — allocates nothing once the fanout pool has
+// grown. The worker count is explicit because AllocsPerRun pins
+// GOMAXPROCS to 1.
+func TestGemmZeroAlloc(t *testing.T) {
+	const m, k, n = 4096, 32, 16
+	rng := rand.New(rand.NewSource(14))
+	a := randMat(rng, m, k).Data()
+	b := randMat(rng, m, n).Data()
+	a32 := make([]float32, len(a))
+	for i, v := range a {
+		a32[i] = float32(v)
+	}
+	c := make([]float64, m*n)
+	for _, g := range []struct {
+		name string
+		run  func()
+	}{
+		{"GemmNN/cols", func() { GemmNN(c[:m*n], a[:m*k], b[:k*n], m, k, n, 2) }},
+		{"GemmNN/rows", func() { GemmNN(c[:m], a[:m*k], b[:k], m, k, 1, 2) }},
+		{"GemmTN", func() { GemmTN(c[:k*n], a, b, m, k, n, 2) }},
+		{"GemmNT", func() { GemmNT(c[:m*n], a[:m*k], b[:n*k], m, k, n, 2) }},
+		{"Gemm32NN", func() { Gemm32NN(c[:m*n], a32[:m*k], b[:k*n], m, k, n, 2) }},
+		{"Gemm32TN", func() { Gemm32TN(c[:k*n], a32, b, m, k, n, 2) }},
+	} {
+		g.run()
+		if allocs := testing.AllocsPerRun(10, g.run); allocs != 0 { //repro:bitwise exact allocation count
+			t.Errorf("%s at 2 workers: %v allocs/op, want 0", g.name, allocs)
+		}
+	}
+}

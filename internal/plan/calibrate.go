@@ -3,7 +3,7 @@ package plan
 // Runtime calibration: a one-shot startup micro-benchmark measuring
 // the machine constants the planner's cost model multiplies against —
 // GEMM flop rate and stream bandwidth on the active dispatch path,
-// parallel scaling, and goroutine fan-out overhead. The result is
+// parallel scaling, and fanout section overhead. The result is
 // cached to disk keyed by simd.Describe() plus the CPU and GOMAXPROCS,
 // so every later process start is a single JSON read; a missing,
 // truncated, or stale cache silently re-measures and rewrites — it
@@ -19,13 +19,14 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/fanout"
 	"repro/internal/linalg"
 	"repro/internal/simd"
 )
 
 // calibrationVersion invalidates cached files when the measurement
 // scheme (and therefore the meaning of the constants) changes.
-const calibrationVersion = 2
+const calibrationVersion = 3
 
 // defaultCacheWords is the calibrated fast-memory size, in 8-byte
 // words (512 KiB — a typical per-core L2). Cache probing is
@@ -51,7 +52,7 @@ type Calibration struct {
 
 	ParEff  float64 `json:"par_eff"`  // compute parallel efficiency increment
 	MemEff  float64 `json:"mem_eff"`  // bandwidth parallel efficiency increment
-	SpawnNs float64 `json:"spawn_ns"` // goroutine fan-out + join overhead per parallel section
+	SpawnNs float64 `json:"spawn_ns"` // fanout section overhead: waking and joining the parked helpers
 
 	CacheWords int `json:"cache_words"` // fast-memory size in words
 }
@@ -148,7 +149,7 @@ func LoadOrMeasure(path string) *Calibration {
 // Measure runs the one-shot startup micro-benchmark (~tens of
 // milliseconds): single-worker GEMM flop rate and stream bandwidth on
 // the active dispatch path, parallel efficiency at GOMAXPROCS for both
-// regimes, and goroutine fan-out overhead. Implausible timer readings
+// regimes, and fanout section overhead. Implausible timer readings
 // fall back to Default() constants so the planner always has positive
 // rates to divide by.
 //
@@ -287,38 +288,36 @@ func (b *microbench) ratesWorkers(workers int) (flopRate, wordRate float64) {
 	return flopRate, wordRate
 }
 
-// parallelAxpy streams disjoint chunks from `workers` goroutines.
-func parallelAxpy(dst, src []float64, workers int) {
-	done := make(chan struct{}, workers)
-	n := len(dst)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		go func(lo, hi int) {
-			simd.Axpy(dst[lo:hi], src[lo:hi], 1.000001)
-			done <- struct{}{}
-		}(lo, hi)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
+// axpyTask is one axpy split into parts contiguous chunks.
+type axpyTask struct {
+	dst, src []float64
+	parts    int
 }
 
-// spawnNs times an empty parallel section (spawn + join of `workers`
-// goroutines) — the fixed price the planner charges any parallel
-// engine pass.
+// Chunk streams chunk c.
+func (t *axpyTask) Chunk(c, _ int) {
+	n := len(t.dst)
+	lo, hi := c*n/t.parts, (c+1)*n/t.parts
+	simd.Axpy(t.dst[lo:hi], t.src[lo:hi], 1.000001)
+}
+
+// parallelAxpy streams disjoint chunks on `workers` fanout slots.
+func parallelAxpy(dst, src []float64, workers int) {
+	fanout.Run(&axpyTask{dst: dst, src: src, parts: workers}, workers, workers)
+}
+
+// spawnNs times an empty fanout section at `workers` slots (waking the
+// parked helpers and joining them) — the fixed price the planner
+// charges any parallel engine pass.
 //
 //repro:ignore determinism startup measurement: wall-clock timing calibrates the cost model, it never feeds a kernel
 func (b *microbench) spawnNs(workers int) float64 {
 	const reps = 64
-	done := make(chan struct{}, workers)
+	empty := &axpyTask{parts: workers}  // no words to stream
+	fanout.Run(empty, workers, workers) // grow the pool first
 	t0 := time.Now()
 	for r := 0; r < reps; r++ {
-		for w := 0; w < workers; w++ {
-			go func() { done <- struct{}{} }()
-		}
-		for w := 0; w < workers; w++ {
-			<-done
-		}
+		fanout.Run(empty, workers, workers)
 	}
 	return float64(time.Since(t0).Nanoseconds()) / reps
 }
@@ -326,8 +325,8 @@ func (b *microbench) spawnNs(workers int) float64 {
 // Seconds converts a streaming-model cost into predicted wall-clock
 // seconds at the given worker count: flops at the calibrated flop
 // rate with compute-efficiency scaling, words at the calibrated
-// bandwidth with (weaker) bandwidth scaling, plus the goroutine
-// fan-out overhead for parallel sections.
+// bandwidth with (weaker) bandwidth scaling, plus the fanout
+// section overhead for parallel sections.
 func (c *Calibration) Seconds(words, flops float64, workers int) float64 {
 	if workers < 1 {
 		workers = 1

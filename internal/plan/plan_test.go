@@ -369,32 +369,45 @@ func TestAdapterWorkerIndependence(t *testing.T) {
 // TestAdapterZeroAllocSteadyState: after a warm first pass, Run must
 // not allocate — the planner must not tax the hot loops it schedules.
 func TestAdapterZeroAllocSteadyState(t *testing.T) {
-	dims := []int{16, 12, 10}
-	p, inst := denseProblem(t, dims, 8)
-	var res Result
-	for _, name := range []string{"fast", "tree"} {
-		e, _ := Lookup(name)
-		if err := e.Prepare(p, inst); err != nil {
-			t.Fatal(err)
-		}
-		e.Run(p, inst, &res, 1)                                                                  // warm: grows outputs and workspaces
-		if allocs := testing.AllocsPerRun(10, func() { e.Run(p, inst, &res, 1) }); allocs != 0 { //repro:bitwise exact allocation count
-			t.Errorf("%s: %v allocs/op in steady state, want 0", name, allocs)
+	// The 2-worker cases are past the serial cutoffs: the boundary
+	// GEMMs exceed gemmSmall, and the interior and all-modes CSF
+	// buckets reach ReduceTree's parallel section. The worker count is
+	// explicit because AllocsPerRun pins GOMAXPROCS to 1.
+	for _, c := range []struct {
+		dims       []int
+		R, workers int
+	}{{[]int{16, 12, 10}, 8, 1}, {[]int{24, 48, 20}, 24, 2}} {
+		p, inst := denseProblem(t, c.dims, c.R)
+		var res Result
+		for _, name := range []string{"fast", "tree"} {
+			e, _ := Lookup(name)
+			if err := e.Prepare(p, inst); err != nil {
+				t.Fatal(err)
+			}
+			e.Run(p, inst, &res, c.workers)                                                                  // warm: grows outputs and workspaces
+			if allocs := testing.AllocsPerRun(10, func() { e.Run(p, inst, &res, c.workers) }); allocs != 0 { //repro:bitwise exact allocation count
+				t.Errorf("%s workers %d: %v allocs/op in steady state, want 0", name, c.workers, allocs)
+			}
 		}
 	}
 	// Sparse CSF path.
-	coo := sparse.Random(17, 400, 30, 24, 18)
-	fs := tensor.RandomFactors(9, []int{30, 24, 18}, 8)
-	sp := Problem{Dims: []int{30, 24, 18}, R: 8, Mode: 0, NNZ: 400}
-	sinst := &Instance{COO: coo, Factors: fs}
-	e, _ := Lookup("csf")
-	if err := e.Prepare(sp, sinst); err != nil {
-		t.Fatal(err)
-	}
-	var sres Result
-	e.Run(sp, sinst, &sres, 1)
-	if allocs := testing.AllocsPerRun(10, func() { e.Run(sp, sinst, &sres, 1) }); allocs != 0 { //repro:bitwise exact allocation count
-		t.Errorf("csf: %v allocs/op in steady state, want 0", allocs)
+	for _, c := range []struct {
+		dims               []int
+		nnz, R, mode, work int
+	}{{[]int{30, 24, 18}, 400, 8, 0, 1}, {[]int{64, 48, 56}, 4000, 16, AllModes, 2}} {
+		coo := sparse.Random(17, c.nnz, c.dims...)
+		fs := tensor.RandomFactors(9, c.dims, c.R)
+		sp := Problem{Dims: c.dims, R: c.R, Mode: c.mode, NNZ: int64(c.nnz)}
+		sinst := &Instance{COO: coo, Factors: fs}
+		e, _ := Lookup("csf")
+		if err := e.Prepare(sp, sinst); err != nil {
+			t.Fatal(err)
+		}
+		var sres Result
+		e.Run(sp, sinst, &sres, c.work)
+		if allocs := testing.AllocsPerRun(10, func() { e.Run(sp, sinst, &sres, c.work) }); allocs != 0 { //repro:bitwise exact allocation count
+			t.Errorf("csf workers %d: %v allocs/op in steady state, want 0", c.work, allocs)
+		}
 	}
 }
 
@@ -487,23 +500,29 @@ func TestPlanPicksTTMForChains(t *testing.T) {
 // TestTTMAdapterZeroAllocSteadyState: once warm, the chain adapter
 // must be allocation-free like the other dense engines.
 func TestTTMAdapterZeroAllocSteadyState(t *testing.T) {
-	dims := []int{16, 12, 10}
-	ranks := []int{6, 5, 4}
-	x := tensor.RandomDense(33, dims...)
-	us := make([]*tensor.Matrix, len(dims))
-	for k := range dims {
-		us[k] = tensor.RandomMatrix(int64(40+k), dims[k], ranks[k])
-	}
-	p := Problem{Dims: dims, R: 6, Mode: AllModes, Ranks: ranks}
-	inst := &Instance{X: x, Factors: us}
-	e, _ := Lookup("ttm")
-	if err := e.Prepare(p, inst); err != nil {
-		t.Fatal(err)
-	}
-	var res Result
-	e.Run(p, inst, &res, 1)
-	if allocs := testing.AllocsPerRun(10, func() { e.Run(p, inst, &res, 1) }); allocs != 0 { //repro:bitwise exact allocation count
-		t.Errorf("ttm: %v allocs/op in steady state, want 0", allocs)
+	// The 2-worker case is past the serial cutoffs: its interior slab
+	// sections and trailing GEMMs run on two slots. The worker count is
+	// explicit because AllocsPerRun pins GOMAXPROCS to 1.
+	for _, c := range []struct {
+		dims, ranks []int
+		workers     int
+	}{{[]int{16, 12, 10}, []int{6, 5, 4}, 1}, {[]int{40, 36, 32}, []int{8, 8, 8}, 2}} {
+		x := tensor.RandomDense(33, c.dims...)
+		us := make([]*tensor.Matrix, len(c.dims))
+		for k := range c.dims {
+			us[k] = tensor.RandomMatrix(int64(40+k), c.dims[k], c.ranks[k])
+		}
+		p := Problem{Dims: c.dims, R: 6, Mode: AllModes, Ranks: c.ranks}
+		inst := &Instance{X: x, Factors: us}
+		e, _ := Lookup("ttm")
+		if err := e.Prepare(p, inst); err != nil {
+			t.Fatal(err)
+		}
+		var res Result
+		e.Run(p, inst, &res, c.workers)
+		if allocs := testing.AllocsPerRun(10, func() { e.Run(p, inst, &res, c.workers) }); allocs != 0 { //repro:bitwise exact allocation count
+			t.Errorf("ttm workers %d: %v allocs/op in steady state, want 0", c.workers, allocs)
+		}
 	}
 }
 

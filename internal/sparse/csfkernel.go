@@ -28,6 +28,7 @@ package sparse
 import (
 	"fmt"
 
+	"repro/internal/fanout"
 	"repro/internal/kernel"
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -54,14 +55,13 @@ func Chunks(nnz int64) int {
 // maxChunks caps Chunks.
 const maxChunks = 256
 
-// csfWalker is one worker's traversal state: per-level output
-// buckets for the chunk in hand plus recursion scratch for the
-// subtree sums and prefixes (one R-vector per tree level each). The
-// tree and workspace pointers are set for one pass only and cleared
-// when it ends, so a parked pool goroutine pins neither.
+// csfWalker is one slot's traversal state: per-level output buckets
+// for the chunk in hand plus recursion scratch for the subtree sums
+// and prefixes (one R-vector per tree level each). The tree pointer is
+// set for one pass only, so a pooled workspace does not pin the last
+// tree it walked.
 type csfWalker struct {
 	t      *CSF
-	ws     *Workspace // the pass's chunk queue, buckets and bounds
 	R      int
 	lout   int         // output level of the single-mode walk; < 0 selects the all-modes walk
 	packed [][]float64 // per-level row-major factor mirrors (shared, read-only)
@@ -234,34 +234,35 @@ func (t *CSF) kernelPass(R, lout, workers, nbuf, total int, ws *Workspace) {
 	// and share one accumulator; otherwise each chunk past the first
 	// gets a private bucket, merged below by ReduceTree.
 	shared := lout == 0
-	ws.bufs = append(ws.bufs[:0], acc) //repro:ignore hotpath-alloc bucket list reuses workspace capacity ensured by ensure
+	bufs := ws.bufs[:nbuf]
+	bufs[0] = acc
 	if shared {
 		for c := 1; c < nbuf; c++ {
-			ws.bufs = append(ws.bufs, acc) //repro:ignore hotpath-alloc appends within capacity ensured by ensure
+			bufs[c] = acc
 		}
 	} else {
 		priv := ws.priv[:(nbuf-1)*total]
-		for i := range priv {
-			priv[i] = 0
-		}
+		clear(priv)
 		for c := 1; c < nbuf; c++ {
-			ws.bufs = append(ws.bufs, priv[(c-1)*total:c*total]) //repro:ignore hotpath-alloc appends within capacity ensured by ensure
+			bufs[c] = priv[(c-1)*total : c*total]
 		}
 	}
 	t.chunkBounds(ws, nbuf)
 	for w := 0; w < workers; w++ {
 		wk := &ws.walkers[w]
 		wk.t = t
-		wk.ws = ws
 		wk.R = R
 		wk.lout = lout
 		wk.packed = ws.packed
 		wk.sub = ws.stack[w*2*N*R : w*2*N*R+N*R]
 		wk.pre = ws.stack[w*2*N*R+N*R : (w+1)*2*N*R]
 	}
-	ws.runChunks(workers)
+	fanout.Run(ws, nbuf, workers)
+	for w := range ws.walkers[:workers] {
+		ws.walkers[w].t = nil
+	}
 	if !shared {
-		kernel.ReduceTree(ws.bufs[:nbuf], workers)
+		kernel.ReduceTree(bufs, workers)
 	}
 }
 
@@ -291,63 +292,19 @@ func (t *CSF) chunkBounds(ws *Workspace, nbuf int) {
 	ws.bounds[nbuf] = int32(F)
 }
 
-// runChunks drains the chunk queue with the workspace's walkers: the
-// calling goroutine is walker 0, and each further walker goes to a
-// parked pool goroutine as its start token. Bucket assignment is by
-// chunk id alone, so any number of workers produces bitwise-identical
-// buckets. When the pass ends the walkers drop the tree and the
-// workspace.
+// Chunk makes the workspace the fanout task of the pass in flight:
+// slot w walks chunk c with walker w. Bucket assignment is by chunk
+// alone, so any number of slots produces bitwise-identical buckets.
 //
 //repro:hotpath
-func (ws *Workspace) runChunks(workers int) {
-	ws.queue.Store(0)
-	if workers > 1 {
-		ws.ensurePool(workers)
-		ws.wg.Add(workers - 1)
-		for i := 1; i < workers; i++ {
-			ws.start <- &ws.walkers[i]
-		}
-	}
-	ws.walkers[0].drain()
-	ws.wg.Wait()
-	for i := range ws.walkers[:workers] {
-		ws.walkers[i].t, ws.walkers[i].ws = nil, nil
-	}
-}
-
-// poolWorker is one persistent pool goroutine: each walker received
-// on start drains its pass's chunk queue, and closing the channel
-// (Workspace.Release, or the workspace's finalizer) terminates it.
-// It holds nothing but the channel between passes, so a dropped
-// workspace stays collectable. The channel comes in as an argument,
-// never re-read from the workspace, so Release can swap the field
-// without racing parked workers. A named top-level function, so only
-// its one-time spawn allocates; goroutines meet only in disjoint
-// per-chunk buckets (or disjoint root rows), merged deterministically
-// afterwards.
-func poolWorker(start chan *csfWalker) {
-	for wk := range start {
-		wk.drain()
-		wk.ws.wg.Done()
-	}
-}
-
-// drain claims chunks off the pass's shared queue until every
-// chunk's bucket has been claimed.
-func (w *csfWalker) drain() {
-	for {
-		c := int(w.ws.queue.Add(1)) - 1
-		if c >= len(w.ws.bufs) {
-			return
-		}
-		w.runChunk(c)
-	}
+func (ws *Workspace) Chunk(c, slot int) {
+	ws.walkers[slot].runChunk(ws, c)
 }
 
 // runChunk points the walker's per-level outputs at chunk c's bucket
 // and walks the chunk's root-fiber range.
-func (w *csfWalker) runChunk(c int) {
-	t, ws, R := w.t, w.ws, w.R
+func (w *csfWalker) runChunk(ws *Workspace, c int) {
+	t, R := w.t, w.R
 	buf := ws.bufs[c]
 	f0, f1 := int(ws.bounds[c]), int(ws.bounds[c+1])
 	if w.lout < 0 {

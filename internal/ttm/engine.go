@@ -2,9 +2,8 @@ package ttm
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -165,25 +164,47 @@ func ttmSlices(out, data []float64, u *tensor.Matrix, L, I, Rt, workers int, tra
 const ttmChunks = 16
 
 // ttmSlabs computes the interior-mode case: for each of the Rt slabs,
-// Y_t (L x R) = X_t (L x I) * op(U).
+// Y_t (L x R) = X_t (L x I) * op(U). The slabs run as one fanout
+// section over a fixed chunk queue.
 //
 //repro:hotpath
 func ttmSlabs(out, data, ud []float64, L, I, Rt, R, workers int, trans bool) {
-	workers = linalg.ResolveWorkers(workers)
-	nchunk := ttmChunks
-	if nchunk > Rt {
-		nchunk = Rt
+	nchunk := min(ttmChunks, Rt)
+	t := slabTasks.Get()
+	*t = slabTask{out: out, data: data, ud: ud, L: L, I: I, Rt: Rt, R: R, nchunk: nchunk, trans: trans}
+	fanout.Run(t, nchunk, min(linalg.ResolveWorkers(workers), nchunk))
+	*t = slabTask{}
+	slabTasks.Put(t)
+}
+
+// slabTask is the interior-mode TTM as a fanout task. Chunk c covers
+// slabs [c*Rt/nchunk, (c+1)*Rt/nchunk), a range fixed by (Rt, nchunk),
+// and every slab's GEMM writes a disjoint out range single-threaded, so
+// any assignment of chunks to slots produces bitwise identical output.
+type slabTask struct {
+	out, data, ud       []float64
+	L, I, Rt, R, nchunk int
+	trans               bool
+}
+
+// slabTasks holds the descriptors of the TTMs in flight: TTMInto has
+// no workspace to keep one in.
+var slabTasks fanout.Free[slabTask]
+
+// Chunk runs the slab GEMMs of chunk c.
+//
+//repro:hotpath
+func (t *slabTask) Chunk(c, slot int) {
+	fr := flight.Rec()
+	if fr.Enabled() {
+		fr.Begin(flight.AnonPid, slot, ttmSlabName)
 	}
-	if workers > nchunk {
-		workers = nchunk
+	for s := c * t.Rt / t.nchunk; s < (c+1)*t.Rt/t.nchunk; s++ {
+		slabGemm(t.out, t.data, t.ud, t.L, t.I, t.R, s, t.trans)
 	}
-	if workers <= 1 {
-		for t := 0; t < Rt; t++ {
-			slabGemm(out, data, ud, L, I, R, t, trans)
-		}
-		return
+	if fr.Enabled() {
+		fr.End(flight.AnonPid, slot, ttmSlabName)
 	}
-	ttmSlabsParallel(out, data, ud, L, I, Rt, R, nchunk, workers, trans)
 }
 
 // slabGemm runs the single-threaded GEMM of slab t.
@@ -197,39 +218,4 @@ func slabGemm(out, data, ud []float64, L, I, R, t int, trans bool) {
 	} else {
 		linalg.GemmNN(y, x, ud, L, I, R, 1)
 	}
-}
-
-// ttmSlabsParallel drains a fixed queue of slab chunks with `workers`
-// goroutines. Chunk boundaries depend only on (Rt, nchunk), and every
-// slab's GEMM writes a disjoint out range single-threaded, so any
-// assignment of chunks to workers produces bitwise identical output.
-//
-//repro:ignore hotpath-alloc goroutine fan-out: the parallel path allocates bookkeeping only
-func ttmSlabsParallel(out, data, ud []float64, L, I, Rt, R, nchunk, workers int, trans bool) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	fr := flight.Rec()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1) - 1)
-				if c >= nchunk {
-					return
-				}
-				if fr.Enabled() {
-					fr.Begin(flight.AnonPid, tid, ttmSlabName)
-				}
-				t0, t1 := c*Rt/nchunk, (c+1)*Rt/nchunk
-				for t := t0; t < t1; t++ {
-					slabGemm(out, data, ud, L, I, R, t, trans)
-				}
-				if fr.Enabled() {
-					fr.End(flight.AnonPid, tid, ttmSlabName)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }

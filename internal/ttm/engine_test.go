@@ -416,31 +416,43 @@ func TestChainCostMatchesMeasuredWords(t *testing.T) {
 // TestSteadyStateZeroAlloc: a warmed chain + gram pipeline — the HOOI
 // sweep body — must allocate nothing.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	dims := []int{16, 12, 10}
-	ranks := []int{6, 5, 4}
-	x := tensor.RandomDense(37, dims...)
-	us := make([]*tensor.Matrix, len(dims))
-	for k := range dims {
-		us[k] = tensor.RandomMatrix(int64(800+k), dims[k], ranks[k])
-	}
-	ws := NewWorkspace()
-	outs := make([]*tensor.Dense, len(dims))
-	grams := make([]*tensor.Matrix, len(dims))
-	for k := range dims {
-		ydims := append([]int(nil), ranks...)
-		ydims[k] = dims[k]
-		outs[k] = tensor.NewDense(ydims...)
-		grams[k] = tensor.NewMatrix(dims[k], dims[k])
-		ChainInto(outs[k], x, us, k, 1, ws) // warm the ping-pong buffers
-		GramInto(grams[k], outs[k], k, 1, ws)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
+	// The 2-worker case is past the serial cutoffs: the interior slab
+	// sections and the trailing GEMMs run on two slots, and mode 0's
+	// 16 Gram buckets of 40x40 words reach ReduceTree's parallel
+	// section. TTMInto covers the workspace-less slab task. The worker
+	// count is explicit because AllocsPerRun pins GOMAXPROCS to 1.
+	for _, c := range []struct {
+		dims, ranks []int
+		workers     int
+	}{{[]int{16, 12, 10}, []int{6, 5, 4}, 1}, {[]int{40, 36, 32}, []int{8, 8, 8}, 2}} {
+		dims, ranks, w := c.dims, c.ranks, c.workers
+		x := tensor.RandomDense(37, dims...)
+		us := make([]*tensor.Matrix, len(dims))
 		for k := range dims {
-			ChainInto(outs[k], x, us, k, 1, ws)
-			GramInto(grams[k], outs[k], k, 1, ws)
+			us[k] = tensor.RandomMatrix(int64(800+k), dims[k], ranks[k])
 		}
-	})
-	if allocs != 0 { //repro:bitwise exact allocation count
-		t.Errorf("steady-state sweep body: %v allocs/op, want 0", allocs)
+		ws := NewWorkspace()
+		outs := make([]*tensor.Dense, len(dims))
+		grams := make([]*tensor.Matrix, len(dims))
+		y := tensor.NewDense(dims[0], ranks[1], dims[2])
+		for k := range dims {
+			ydims := append([]int(nil), ranks...)
+			ydims[k] = dims[k]
+			outs[k] = tensor.NewDense(ydims...)
+			grams[k] = tensor.NewMatrix(dims[k], dims[k])
+			ChainInto(outs[k], x, us, k, w, ws) // warm the ping-pong buffers
+			GramInto(grams[k], outs[k], k, w, ws)
+		}
+		TTMInto(y, x, us[1], 1, w)
+		allocs := testing.AllocsPerRun(10, func() {
+			for k := range dims {
+				ChainInto(outs[k], x, us, k, w, ws)
+				GramInto(grams[k], outs[k], k, w, ws)
+			}
+			TTMInto(y, x, us[1], 1, w)
+		})
+		if allocs != 0 { //repro:bitwise exact allocation count
+			t.Errorf("workers %d: steady-state sweep body: %v allocs/op, want 0", w, allocs)
+		}
 	}
 }

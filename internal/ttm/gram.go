@@ -2,9 +2,8 @@ package ttm
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/kernel"
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -78,24 +77,44 @@ func GramInto(g *tensor.Matrix, y *tensor.Dense, mode, workers int, ws *Workspac
 		packWords = gramPanel * I
 	}
 	ws.ensureGram(n, nbuf, workers*packWords)
-	bufs := append(ws.bufs, g.Data()[:n]) //repro:ignore hotpath-alloc ensureGram reserves nbuf slots
+	bufs := ws.bufs[:nbuf]
+	bufs[0] = g.Data()[:n]
 	for b := 1; b < nbuf; b++ {
-		bufs = append(bufs, ws.priv[(b-1)*n:b*n]) //repro:ignore hotpath-alloc ensureGram reserves nbuf slots
+		bufs[b] = ws.priv[(b-1)*n : b*n]
 	}
 	for _, b := range bufs {
 		clear(b)
 	}
-	if workers <= 1 {
-		for c := 0; c < nbuf; c++ {
-			symChunk(bufs[c], ws.pack, y.Data(), L, I, Rt, c, nbuf)
-		}
-	} else {
-		gramParallel(bufs, ws.pack, y.Data(), L, I, Rt, nbuf, workers, packWords)
-	}
+	ws.gram = gramTask{bufs: bufs, pack: ws.pack, data: y.Data(), L: L, I: I, Rt: Rt, packWords: packWords}
+	fanout.Run(&ws.gram, nbuf, workers)
+	ws.gram = gramTask{}
 	kernel.ReduceTree(bufs, workers)
 	mirrorUpper(bufs[0], I)
-	ws.bufs = bufs[:0]
 	sp.Stop()
+}
+
+// gramTask is GramInto's chunk pass as a fanout task. Chunk c's
+// bucket is touched only by the slot that runs c, so buckets need no
+// locking and the ReduceTree merge is the only combine.
+type gramTask struct {
+	bufs                [][]float64
+	pack, data          []float64 // pack: packWords per slot
+	L, I, Rt, packWords int
+}
+
+// Chunk adds chunk c's share into bucket c, packing through the
+// slot's panel.
+//
+//repro:hotpath
+func (t *gramTask) Chunk(c, slot int) {
+	fr := flight.Rec()
+	if fr.Enabled() {
+		fr.Begin(flight.AnonPid, slot, gramSlabName)
+	}
+	symChunk(t.bufs[c], t.pack[slot*t.packWords:(slot+1)*t.packWords], t.data, t.L, t.I, t.Rt, c, len(t.bufs))
+	if fr.Enabled() {
+		fr.End(flight.AnonPid, slot, gramSlabName)
+	}
 }
 
 // symChunk adds the upper triangle of chunk c's share of the
@@ -129,39 +148,6 @@ func symChunk(bucket, pack, data []float64, L, I, Rt, c, nbuf int) {
 			}
 		}
 	}
-}
-
-// gramParallel drains the fixed chunk queue with `workers` goroutines,
-// each with its own pack panel; chunk c's bucket is touched only by
-// the worker that claimed c, so buckets need no locking and the
-// ReduceTree merge is the only cross-worker combine.
-//
-//repro:ignore hotpath-alloc goroutine fan-out: the parallel path allocates bookkeeping only
-func gramParallel(bufs [][]float64, pack, data []float64, L, I, Rt, nbuf, workers, packWords int) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	fr := flight.Rec()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			pk := pack[tid*packWords : (tid+1)*packWords]
-			for {
-				c := int(next.Add(1) - 1)
-				if c >= nbuf {
-					return
-				}
-				if fr.Enabled() {
-					fr.Begin(flight.AnonPid, tid, gramSlabName)
-				}
-				symChunk(bufs[c], pk, data, L, I, Rt, c, nbuf)
-				if fr.Enabled() {
-					fr.End(flight.AnonPid, tid, gramSlabName)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // symDots adds the upper triangle of P^T P into the I x I bucket g,

@@ -20,11 +20,12 @@ type Workspace struct {
 	sp    int         // partial-stack depth
 	priv  []float64   // (chunks-1) * I*I gram accumulation buckets
 	pack  []float64   // workers * gramPanel*I gram pack panels
-	bufs  [][]float64
-	dims  []int // mutable extent vector during a chain
-	ord   []int // greedy contraction order
-	cost  []int // TreeInto's plan: multiply-adds of each node's subtree
-	split []int // TreeInto's plan: each node's split mode or leafChains
+	bufs  [][]float64 // gram bucket headers, len >= chunks
+	dims  []int       // mutable extent vector during a chain
+	ord   []int       // greedy contraction order
+	cost  []int       // TreeInto's plan: multiply-adds of each node's subtree
+	split []int       // TreeInto's plan: each node's split mode or leafChains
+	gram  gramTask    // GramInto's task, set for one call
 }
 
 // NewWorkspace returns an empty workspace; buffers are grown on first
@@ -38,10 +39,9 @@ func (ws *Workspace) ensureGram(n, nbuf, packWords int) {
 	if nbuf > 1 {
 		ws.priv = grow(ws.priv, (nbuf-1)*n)
 	}
-	if cap(ws.bufs) < nbuf {
-		ws.bufs = make([][]float64, 0, nbuf) //repro:ignore hotpath-alloc grow-only bucket headers; settles after the first call
+	if len(ws.bufs) < nbuf {
+		ws.bufs = make([][]float64, nbuf) //repro:ignore hotpath-alloc grow-only bucket headers; settles after the first call
 	}
-	ws.bufs = ws.bufs[:0]
 }
 
 // extents loads x's extents into the mutable extent vector and

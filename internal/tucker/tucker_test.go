@@ -234,31 +234,39 @@ func TestHOOISweepBodyZeroAlloc(t *testing.T) {
 // runs but the eigensolves — touch the heap zero times. Order 5 nests
 // two partials on the stack.
 func TestHOOITreeSweepZeroAlloc(t *testing.T) {
-	dims := []int{9, 8, 7, 6, 5}
-	ranks := []int{3, 3, 2, 2, 2}
-	x := lowMultilinear(t, dims, ranks, 67)
-	model, _, err := Decompose(x, Options{Ranks: ranks, MaxIters: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := ttm.GetWorkspace()
-	defer ttm.PutWorkspace(ws)
-	ys := projectionViews(dims, ranks)
-	grams := gramViews(dims)
-	coreBuf := tensor.NewDense(ranks...)
-	gram := func(k int, y *tensor.Dense) error {
-		ttm.GramInto(grams[k], y, k, 1, ws)
-		return nil
-	}
-	sweep := func() {
-		if err := ttm.TreeInto(ys, x, model.Factors, 1, ws, gram); err != nil {
+	// The 2-worker case is past the serial cutoffs: the interior slab
+	// sections, the boundary GEMMs and the 16 Gram buckets of 40x40
+	// words all run on two slots. The worker count is explicit because
+	// AllocsPerRun pins GOMAXPROCS to 1.
+	for _, c := range []struct {
+		dims, ranks []int
+		workers     int
+	}{{[]int{9, 8, 7, 6, 5}, []int{3, 3, 2, 2, 2}, 1}, {[]int{40, 36, 32, 12}, []int{8, 8, 8, 4}, 2}} {
+		dims, ranks, w := c.dims, c.ranks, c.workers
+		x := lowMultilinear(t, dims, ranks, 67)
+		model, _, err := Decompose(x, Options{Ranks: ranks, MaxIters: 2})
+		if err != nil {
 			t.Fatal(err)
 		}
-		ttm.ChainInto(coreBuf, x, model.Factors, -1, 1, ws)
-	}
-	sweep()                                                     // warm the partial stack and ping-pong buffers
-	if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 { //repro:bitwise exact allocation count
-		t.Errorf("HOOI tree sweep body: %v allocs/op, want 0", allocs)
+		ws := ttm.GetWorkspace()
+		ys := projectionViews(dims, ranks)
+		grams := gramViews(dims)
+		coreBuf := tensor.NewDense(ranks...)
+		gram := func(k int, y *tensor.Dense) error {
+			ttm.GramInto(grams[k], y, k, w, ws)
+			return nil
+		}
+		sweep := func() {
+			if err := ttm.TreeInto(ys, x, model.Factors, w, ws, gram); err != nil {
+				t.Fatal(err)
+			}
+			ttm.ChainInto(coreBuf, x, model.Factors, -1, w, ws)
+		}
+		sweep()                                                     // warm the partial stack and ping-pong buffers
+		if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 { //repro:bitwise exact allocation count
+			t.Errorf("workers %d: HOOI tree sweep body: %v allocs/op, want 0", w, allocs)
+		}
+		ttm.PutWorkspace(ws)
 	}
 }
 
