@@ -56,15 +56,24 @@ func BenchmarkMTTKRPKernel(b *testing.B) {
 }
 
 // BenchmarkMTTKRPKernelWorkers measures the KRP-splitting engine's
-// multicore scaling.
+// multicore scaling on mode 0 at GOMAXPROCS workers, so one
+// `-cpu 1,2` run compares the two. At 128^3 R16 the kept-prefix root
+// runs on fixed buckets and reads X once at any worker count; at
+// 32^3 R16 it stays one GEMM. GFLOP/s counts the contraction's 2·I·R
+// flops.
 func BenchmarkMTTKRPKernelWorkers(b *testing.B) {
-	x, fs := benchProblem(b, 32, 16)
-	for _, w := range []int{1, 2, 4, 8} {
-		w := w
-		b.Run(sizeName("w", int64(w)), func(b *testing.B) {
+	const R = 16
+	for _, side := range []int{32, 128} {
+		x, fs := benchProblem(b, side, R)
+		b.Run(sizeName("side", int64(side))+"/"+sizeName("R", R), func(b *testing.B) {
+			ws := kernel.NewWorkspace(x.Dims(), R, 0)
+			out := tensor.NewMatrix(side, R)
+			kernel.FastInto(out, x, fs, 0, 0, ws)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kernel.FastWorkers(x, fs, 0, w)
+				kernel.FastInto(out, x, fs, 0, 0, ws)
 			}
+			b.ReportMetric(2*float64(x.Elems()*R)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}
 }

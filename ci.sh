@@ -92,8 +92,9 @@ REPRO_NOSIMD=1 go test ./...
 echo "== go test -tags purego (simd + engine packages) =="
 # Same contract for the compile-time opt-out on the layers that call
 # the kernels, directly (ttm's Gram and plan call simd) or through
-# linalg and ttm (tucker).
-go test -tags purego ./internal/simd/... ./internal/linalg/... ./internal/kernel/... ./internal/sparse/... ./internal/dimtree/... ./internal/ttm/... ./internal/plan/... ./internal/tucker/...
+# linalg and ttm (tucker), and on the solvers whose tensor norm runs
+# on simd.Dot (cpals, tucker) beside its scalar oracle (tensor).
+go test -tags purego ./internal/simd/... ./internal/linalg/... ./internal/kernel/... ./internal/sparse/... ./internal/dimtree/... ./internal/ttm/... ./internal/plan/... ./internal/tucker/... ./internal/cpals/... ./internal/tensor/...
 
 echo "== go test -race (engine packages) =="
 go test -race ./internal/fanout/... ./internal/kernel/... ./internal/seq/... ./internal/par/... ./internal/dimtree/... ./internal/cpals/... ./internal/sparse/... ./internal/linalg/... ./internal/obs/... ./internal/comm/... ./internal/plan/... ./internal/ttm/... ./internal/tucker/...

@@ -82,17 +82,17 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 	for k, f := range factors {
 		grams[k] = linalg.Gram(f)
 	}
-	normX := x.Norm()
-	if normX == 0 { //repro:bitwise zero-tensor guard: norm is exactly 0 iff all entries are 0
-		return nil, nil, fmt.Errorf("cpals: zero tensor")
-	}
-
 	// MTTKRP state reused across all sweeps: one workspace plus one
 	// output buffer per mode, so the per-iteration bottleneck runs
 	// through the KRP-splitting engine with zero steady-state
-	// allocations.
+	// allocations. The pooled workspace is taken before the norm's
+	// parallel section, as in tucker.Decompose.
 	ws := kernel.GetWorkspace()
 	defer kernel.PutWorkspace(ws)
+	normX := linalg.Norm(x.Data(), opts.Workers)
+	if normX == 0 { //repro:bitwise zero-tensor guard: norm is exactly 0 iff all entries are 0
+		return nil, nil, fmt.Errorf("cpals: zero tensor")
+	}
 	bs := make([]*tensor.Matrix, N)
 	for n := 0; n < N; n++ {
 		bs[n] = tensor.NewMatrix(x.Dim(n), opts.R)

@@ -39,7 +39,7 @@ func DecomposeTree(x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, 
 	for k, f := range factors {
 		grams[k] = linalg.Gram(f)
 	}
-	normX := x.Norm()
+	normX := linalg.Norm(x.Data(), opts.Workers)
 	if normX == 0 { //repro:bitwise zero-tensor guard: norm is exactly 0 iff all entries are 0
 		return nil, nil, 0, fmt.Errorf("cpals: zero tensor")
 	}
@@ -49,31 +49,34 @@ func DecomposeTree(x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, 
 	// once and are reused for the rest of the decomposition.
 	eng := dimtree.NewEngine(opts.Workers)
 
+	// Every MTTKRP result and prefix partial keeps its shape for the
+	// whole run, so each lives in a buffer made once: bs[n] holds B(n),
+	// and prefixes[n] views P_n (modes n..N-1 plus r; P_0 is the tensor
+	// itself) in one of two buffers that alternate, since P_{n+1} is
+	// contracted out of P_n.
+	bs := make([]*tensor.Matrix, N)
+	for n := range bs {
+		bs[n] = tensor.NewMatrix(x.Dim(n), opts.R)
+	}
+	prefixes := prefixViews(x.Dims(), opts.R)
+	modes := make([]int, N)
+	for i := range modes {
+		modes[i] = i
+	}
+
 	var totalFlops int64
 	var trace []TraceEntry
 	prevFit := math.Inf(-1)
 	fit := 0.0
 	for it := 0; it < opts.MaxIters; it++ {
-		// Prefix partial over modes k..N-1 (plus r); starts as the
-		// tensor itself (no r index yet).
-		var prefix *tensor.Dense
-		prefixModes := make([]int, N)
-		for i := range prefixModes {
-			prefixModes[i] = i
-		}
-		var lastB *tensor.Matrix
 		for n := 0; n < N; n++ {
-			modes := prefixModes[n:]
 			// B(n): drop all modes but n from the prefix.
-			var bPart *tensor.Dense
-			var fl int64
-			if prefix == nil {
-				bPart, fl = eng.ContractTensor(x, factors, opts.R, []int{n})
+			b := bs[n]
+			if n == 0 {
+				totalFlops += eng.ContractTensorInto(b.Data(), x, factors, opts.R, modes[:1])
 			} else {
-				bPart, fl = eng.ContractPartial(prefix, modes, factors, opts.R, []int{n})
+				totalFlops += eng.ContractPartialInto(b.Data(), prefixes[n], modes[n:], factors, opts.R, modes[n:n+1])
 			}
-			totalFlops += fl
-			b := tensor.NewMatrixFromData(bPart.Data(), x.Dim(n), opts.R)
 
 			v := hadamardGrams(grams, n, opts.R)
 			sspan := obs.Start(obs.PhaseSolve)
@@ -85,21 +88,19 @@ func DecomposeTree(x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, 
 			gspan := obs.Start(obs.PhaseGram)
 			grams[n] = linalg.Gram(factors[n])
 			gspan.Stop()
-			lastB = b
 
 			// Advance the prefix: contract mode n with the updated
 			// factor (not needed after the last mode).
 			if n < N-1 {
-				if prefix == nil {
-					prefix, fl = eng.ContractTensor(x, factors, opts.R, prefixModes[n+1:])
+				if n == 0 {
+					totalFlops += eng.ContractTensorInto(prefixes[1].Data(), x, factors, opts.R, modes[1:])
 				} else {
-					prefix, fl = eng.ContractPartial(prefix, modes, factors, opts.R, prefixModes[n+1:])
+					totalFlops += eng.ContractPartialInto(prefixes[n+1].Data(), prefixes[n], modes[n:], factors, opts.R, modes[n+1:])
 				}
-				totalFlops += fl
 			}
 		}
 		fspan := obs.Start(obs.PhaseFit)
-		fit = computeFit(normX, lastB, factors[N-1], grams)
+		fit = computeFit(normX, bs[N-1], factors[N-1], grams)
 		fspan.Stop()
 		trace = append(trace, TraceEntry{Iter: it, Fit: fit})
 		if fit-prevFit < opts.Tol && it > 0 {
@@ -114,4 +115,28 @@ func DecomposeTree(x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, 
 		}
 	}
 	return &Model{Factors: factors, Fit: fit}, trace, totalFlops, nil
+}
+
+// prefixViews returns the prefix partials' views for an order-N
+// tensor of the given extents at rank R: entry n (1 <= n < N) has
+// extents dims[n:] then R, and entries of one parity share a buffer
+// sized for the largest of them (entry 0, the tensor, is nil).
+func prefixViews(dims []int, R int) []*tensor.Dense {
+	N := len(dims)
+	sizes := make([]int, N)
+	var bufLen [2]int
+	for n := 1; n < N; n++ {
+		sizes[n] = R
+		for _, d := range dims[n:] {
+			sizes[n] *= d
+		}
+		bufLen[n%2] = max(bufLen[n%2], sizes[n])
+	}
+	bufs := [2][]float64{make([]float64, bufLen[0]), make([]float64, bufLen[1])}
+	views := make([]*tensor.Dense, N)
+	for n := 1; n < N; n++ {
+		shape := append(append([]int(nil), dims[n:]...), R)
+		views[n] = tensor.NewDenseFromData(bufs[n%2][:sizes[n]], shape...)
+	}
+	return views
 }

@@ -9,10 +9,13 @@ package dimtree
 //   - a root contraction keeping [lo, hi) views the tensor in place as
 //     an (L, M, Rt) 3-tensor (L = prod I_0..I_{lo-1},
 //     M = prod I_lo..I_{hi-1}, Rt = prod I_hi..I_{N-1}) and is exactly
-//     kernel.Contract3: one blocked GEMM when the kept range touches a
-//     boundary (GemmNN for prefixes — the natural unfolding IS the
-//     layout — GemmTN for suffixes), the slab-splitting interior
-//     kernel otherwise;
+//     kernel.Contract3: one blocked GemmTN for suffixes, the
+//     slab-splitting interior kernel for two-sided ranges, and for
+//     prefixes (the natural unfolding IS the layout) one GemmNN — or,
+//     once the M x Rt view exceeds a GEMM panel while the buckets fit
+//     in one, fixed chunks of the contracted index, each forming its
+//     own rows of the KR panel and contracting its own columns of X
+//     into its own bucket, so X streams once at any worker count;
 //   - a partial contraction shares the rank index r between the source
 //     and the dropped factors, so it is R independent GEMV-shaped
 //     passes: per rank, the partial's slab is an (L', M', Rt')
@@ -22,15 +25,16 @@ package dimtree
 //     chunk of a fanout section each, with disjoint output columns.
 //
 // Every temporary — partial tensors (a stack, depth <= log2 N), the
-// dropped-mode KRP panels, per-slot GEMV scratch, the interior
-// kernel's accumulation buckets and the rank split's fanout task —
+// dropped-mode KRP panels, per-slot GEMV scratch, the kernel
+// workspace's panels, slot scratch and accumulation buckets, and the
+// rank split's fanout task —
 // lives in a grow-only workspace owned by the Engine, so repeated
 // traversals allocate nothing in steady state at any worker count.
 // Results are bitwise independent of the worker count: the boundary
 // GEMMs compute each output element in a partition-invariant order,
 // rank splitting only moves whole output columns between slots, and
-// the interior kernel accumulates into a fixed bucket count combined
-// by kernel.ReduceTree. AllModesRef (the scalar tree) remains the
+// the interior kernel and the chunked prefix accumulate into a fixed
+// bucket count combined by kernel.ReduceTree. AllModesRef (the scalar tree) remains the
 // correctness oracle.
 
 import (
@@ -54,9 +58,9 @@ type Engine struct {
 	// identical for every value.
 	Workers int
 
-	kws   *kernel.Workspace // Contract3 scratch (slab GEMM + buckets)
-	kl    []float64         // dropped-prefix KRP panel
-	kr    []float64         // dropped-suffix KRP panel
+	kws   *kernel.Workspace // Contract3's KRP panels, slot scratch and buckets
+	kl    []float64         // a partial's dropped-prefix KRP panel
+	kr    []float64         // a partial's dropped-suffix KRP panel
 	tmp   []float64         // workers * M' scratch for two-sided partials
 	stack [][]float64       // partial-tensor slots, stack discipline
 	sp    int
@@ -154,32 +158,26 @@ func (e *Engine) contractRoot(out []float64, x *tensor.Dense, factors []*tensor.
 	L := prodDims(x, 0, lo)
 	M := prodDims(x, lo, hi)
 	Rt := prodDims(x, hi, N)
-	var fl int64
-	var kl, kr []float64
-	if lo > 0 {
-		e.kl = growf(e.kl, L*R)
-		kernel.KRPInto(e.kl, factors, 0, lo, R)
-		kl = e.kl
-		fl += int64(L) * int64(R)
-	}
-	if hi < N {
-		e.kr = growf(e.kr, Rt*R)
-		kernel.KRPInto(e.kr, factors, hi, N, R)
-		kr = e.kr
-		fl += int64(Rt) * int64(R)
-	}
-	if kl == nil && kr == nil {
+	if lo == 0 && hi == N {
 		// Nothing dropped: the empty product broadcasts X across the R
 		// rank columns (the scalar oracle's behavior and accounting).
 		obs.Copy(M * R)
 		for r := 0; r < R; r++ {
 			copy(out[r*M:(r+1)*M], x.Data())
 		}
-		return fl + int64(M)*int64(R)
+		return int64(M) * int64(R)
 	}
-	kernel.Contract3(out, x.Data(), kl, kr, L, M, Rt, R, e.Workers, e.kws)
+	kernel.Contract3(out, x, factors, lo, hi, R, e.Workers, e.kws)
+	// The dropped sides' KRP panels, then the contraction itself.
+	var fl int64
+	if lo > 0 {
+		fl += int64(L) * int64(R)
+	}
+	if hi < N {
+		fl += int64(Rt) * int64(R)
+	}
 	fl += 2 * int64(L) * int64(M) * int64(Rt) * int64(R)
-	if kl != nil && kr != nil {
+	if lo > 0 && hi < N {
 		fl += 2 * int64(M) * int64(Rt) * int64(R) // interior slab fold
 	}
 	return fl
@@ -243,37 +241,41 @@ func (e *Engine) contractPartExtents(out, part []float64, factors []*tensor.Matr
 	return fl
 }
 
-// ContractTensor computes the partial MTTKRP keeping the given modes
-// directly from the tensor — the GEMM-based counterpart of
-// ContractTensorRef. keep must be non-empty and ascending; a
-// non-contiguous keep set falls back to the scalar kernel (the layout
-// admits no GEMM view). Returns the partial (kept extents + R) and the
-// flop count.
-func (e *Engine) ContractTensor(x *tensor.Dense, factors []*tensor.Matrix, R int, keep []int) (*tensor.Dense, int64) {
+// ContractTensorInto computes the partial MTTKRP keeping the given
+// modes directly from the tensor — the GEMM-based counterpart of
+// ContractTensorRef — into out (the kept extents times R words,
+// column-major with the rank index last, overwritten) and returns the
+// flop count. keep must be non-empty and ascending; a non-contiguous
+// keep set falls back to the scalar kernel (the layout admits no GEMM
+// view).
+func (e *Engine) ContractTensorInto(out []float64, x *tensor.Dense, factors []*tensor.Matrix, R int, keep []int) int64 {
 	if !contiguousAscending(keep) {
-		return ContractTensorRef(x, factors, R, keep)
+		ref, fl := ContractTensorRef(x, factors, R, keep)
+		copy(out[:ref.Elems()], ref.Data())
+		return fl
 	}
 	lo, hi := keep[0], keep[len(keep)-1]+1
 	if lo < 0 || hi > x.Order() {
 		panic(fmt.Sprintf("dimtree: keep %v out of range for order-%d tensor", keep, x.Order()))
 	}
-	outDims := make([]int, len(keep)+1)
-	for i, k := range keep {
-		outDims[i] = x.Dim(k)
+	if len(out) < prodDims(x, lo, hi)*R {
+		panic("dimtree: ContractTensorInto output too short")
 	}
-	outDims[len(keep)] = R
-	out := tensor.NewDense(outDims...)
-	return out, e.contractRoot(out.Data(), x, factors, R, lo, hi)
+	return e.contractRoot(out, x, factors, R, lo, hi)
 }
 
-// ContractPartial contracts away modes of an existing partial (last
-// dimension r) — the GEMM-based counterpart of ContractPartialRef.
+// ContractPartialInto contracts away modes of an existing partial
+// (last dimension r) — the GEMM-based counterpart of
+// ContractPartialRef — into out (the kept extents times R words,
+// overwritten; it must not overlap part) and returns the flop count.
 // modes lists the partial's tensor modes in order, keep the modes to
 // retain; when either is non-contiguous the call falls back to the
-// scalar kernel. Returns the new partial and the flop count.
-func (e *Engine) ContractPartial(part *tensor.Dense, modes []int, factors []*tensor.Matrix, R int, keep []int) (*tensor.Dense, int64) {
+// scalar kernel.
+func (e *Engine) ContractPartialInto(out []float64, part *tensor.Dense, modes []int, factors []*tensor.Matrix, R int, keep []int) int64 {
 	if !contiguousAscending(modes) || !contiguousAscending(keep) {
-		return ContractPartialRef(part, modes, factors, R, keep)
+		ref, fl := ContractPartialRef(part, modes, factors, R, keep)
+		copy(out[:ref.Elems()], ref.Data())
+		return fl
 	}
 	plo, phi := modes[0], modes[len(modes)-1]+1
 	klo, khi := keep[0], keep[len(keep)-1]+1
@@ -292,14 +294,10 @@ func (e *Engine) ContractPartial(part *tensor.Dense, modes []int, factors []*ten
 			Rtp *= d
 		}
 	}
-	outDims := make([]int, len(keep)+1)
-	for i, k := range keep {
-		outDims[i] = part.Dim(k - plo)
+	if len(out) < Mp*R {
+		panic("dimtree: ContractPartialInto output too short")
 	}
-	outDims[len(keep)] = R
-	out := tensor.NewDense(outDims...)
-	fl := e.contractPartExtents(out.Data(), part.Data(), factors, R, plo, phi, klo, khi, Lp, Mp, Rtp)
-	return out, fl
+	return e.contractPartExtents(out, part.Data(), factors, R, plo, phi, klo, khi, Lp, Mp, Rtp)
 }
 
 // push returns the grow-only buffer for the next partial-stack slot.

@@ -1,6 +1,7 @@
 package dimtree
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/kernel"
@@ -49,9 +50,14 @@ func TestEngineMatchesOracleAndKernel(t *testing.T) {
 
 // TestEngineBitwiseWorkerIndependence: the engine's documented
 // contract — not tolerance-equal, bitwise-equal at any parallelism.
+// 64^3 R8 puts the mode-0 root on the chunked prefix path and 32^3 R8
+// keeps it one GEMM.
 func TestEngineBitwiseWorkerIndependence(t *testing.T) {
-	for _, dims := range [][]int{{8, 8, 8}, {6, 5, 4, 3}, {3, 4, 2, 3, 2}} {
-		R := 5
+	for _, c := range []struct {
+		dims []int
+		R    int
+	}{{[]int{8, 8, 8}, 5}, {[]int{6, 5, 4, 3}, 5}, {[]int{3, 4, 2, 3, 2}, 5}, {[]int{64, 64, 64}, 8}, {[]int{32, 32, 32}, 8}} {
+		dims, R := c.dims, c.R
 		x := tensor.RandomDense(47, dims...)
 		fs := tensor.RandomFactors(53, dims, R)
 		base := AllModesWorkers(x, fs, 1)
@@ -73,17 +79,42 @@ func TestEngineBitwiseWorkerIndependence(t *testing.T) {
 	}
 }
 
+// TestEngineChunkedRootMatchesSeqRef: with the root keeping [0, 1) of
+// 64^3 R8 and [0, 2) of 16x16x24x24 R4 on the chunked prefix path,
+// every leaf agrees with the Definition 2.1 oracle to 1e-12 relative.
+func TestEngineChunkedRootMatchesSeqRef(t *testing.T) {
+	for _, c := range []struct {
+		dims []int
+		R    int
+	}{{[]int{64, 64, 64}, 8}, {[]int{16, 16, 24, 24}, 4}} {
+		x := tensor.RandomDense(97, c.dims...)
+		fs := tensor.RandomFactors(101, c.dims, c.R)
+		res := AllModesWorkers(x, fs, 2)
+		for n := range c.dims {
+			want := seq.Ref(x, fs, n)
+			scale := 0.0
+			for _, v := range want.Data() {
+				scale = math.Max(scale, math.Abs(v))
+			}
+			if e := res.B[n].MaxAbsDiff(want) / scale; e > 1e-12 {
+				t.Errorf("dims %v R=%d mode %d: differs from seq.Ref by %.3g relative", c.dims, c.R, n, e)
+			}
+		}
+	}
+}
+
 // TestEngineZeroAllocSteadyState: a warmed engine traversing the tree
 // into a reused Result allocates nothing — the multi-MTTKRP analogue
 // of the kernel package's FastInto guarantee.
 func TestEngineZeroAllocSteadyState(t *testing.T) {
-	// The 2-worker case is past the serial cutoffs: both root GEMMs
-	// exceed gemmSmall and the partials split their 16 ranks. The
+	// The 2-worker cases are past the serial cutoffs: both root GEMMs
+	// exceed gemmSmall and the partials split their ranks, and at 64^3
+	// the mode-0 root runs chunked on slot scratch and buckets. The
 	// worker count is explicit because AllocsPerRun pins GOMAXPROCS to 1.
 	for _, c := range []struct {
 		dims       []int
 		R, workers int
-	}{{[]int{16, 16, 16}, 4, 1}, {[]int{8, 6, 4, 5, 3}, 4, 1}, {[]int{32, 32, 32}, 16, 2}} {
+	}{{[]int{16, 16, 16}, 4, 1}, {[]int{8, 6, 4, 5, 3}, 4, 1}, {[]int{32, 32, 32}, 16, 2}, {[]int{64, 64, 64}, 8, 2}} {
 		x := tensor.RandomDense(59, c.dims...)
 		fs := tensor.RandomFactors(61, c.dims, c.R)
 		e := NewEngine(c.workers)
@@ -111,13 +142,15 @@ func TestEngineContractTensorMatchesRef(t *testing.T) {
 				keep = append(keep, k)
 			}
 			want, _ := ContractTensorRef(x, fs, R, keep)
-			got, _ := e.ContractTensor(x, fs, R, keep)
+			got := tensor.NewDense(want.Dims()...)
+			e.ContractTensorInto(got.Data(), x, fs, R, keep)
 			assertDenseApprox(t, got, want, 1e-10, "keep", keep)
 		}
 	}
 	// Non-contiguous keep routes through the scalar fallback.
 	want, wantFl := ContractTensorRef(x, fs, R, []int{0, 2})
-	got, gotFl := e.ContractTensor(x, fs, R, []int{0, 2})
+	got := tensor.NewDense(want.Dims()...)
+	gotFl := e.ContractTensorInto(got.Data(), x, fs, R, []int{0, 2})
 	assertDenseApprox(t, got, want, 0, "keep", []int{0, 2})
 	if gotFl != wantFl {
 		t.Fatalf("fallback flops %d != %d", gotFl, wantFl)
@@ -143,13 +176,15 @@ func TestEngineContractPartialMatchesRef(t *testing.T) {
 				keep = append(keep, k)
 			}
 			want, _ := ContractPartialRef(part, modes, fs, R, keep)
-			got, _ := e.ContractPartial(part, modes, fs, R, keep)
+			got := tensor.NewDense(want.Dims()...)
+			e.ContractPartialInto(got.Data(), part, modes, fs, R, keep)
 			assertDenseApprox(t, got, want, 1e-10, "partial keep", keep)
 		}
 	}
 	// Non-contiguous keep routes through the scalar fallback.
 	want, _ := ContractPartialRef(part, modes, fs, R, []int{1, 3})
-	got, _ := e.ContractPartial(part, modes, fs, R, []int{1, 3})
+	got := tensor.NewDense(want.Dims()...)
+	e.ContractPartialInto(got.Data(), part, modes, fs, R, []int{1, 3})
 	assertDenseApprox(t, got, want, 0, "partial keep", []int{1, 3})
 }
 

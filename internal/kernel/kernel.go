@@ -16,7 +16,10 @@
 // materialized, and no mode requires a tensor permutation:
 //
 //   - n == 0:   L = 1, so B = X_(0) * KR — one GEMM over the natural
-//     layout (the mode-0 unfolding IS the memory layout);
+//     layout (the mode-0 unfolding IS the memory layout); past one
+//     GEMM panel, fixed chunks of the contracted index instead, each
+//     forming its own KR rows into its own bucket, so the tensor
+//     streams once at any worker count;
 //   - n == N-1: Rt = 1, so B = X_flat^T * KL — one transposed GEMM,
 //     again over the natural layout;
 //   - interior: for each of the Rt contiguous (L x I_n) column-major
@@ -63,10 +66,11 @@ func FastWorkers(x *tensor.Dense, factors []*tensor.Matrix, n, workers int) *ten
 }
 
 // FastInto computes the MTTKRP into b (x.Dim(n) x R, overwritten)
-// using the caller's workspace. With a reused workspace the call
-// performs no allocations in steady state at any worker count, which
-// is what keeps CP-ALS inner iterations allocation-free. ws must not be
-// shared between concurrent calls; a nil ws borrows one from the pool.
+// using the caller's workspace: the root contraction keeping mode n
+// alone. With a reused workspace the call performs no allocations in
+// steady state at any worker count, which is what keeps CP-ALS inner
+// iterations allocation-free. ws must not be shared between concurrent
+// calls; a nil ws borrows one from the pool.
 //
 //repro:hotpath
 func FastInto(b *tensor.Matrix, x *tensor.Dense, factors []*tensor.Matrix, n, workers int, ws *Workspace) {
@@ -75,84 +79,73 @@ func FastInto(b *tensor.Matrix, x *tensor.Dense, factors []*tensor.Matrix, n, wo
 	if b.Rows() != In || b.Cols() != R {
 		panic(fmt.Sprintf("kernel: output is %dx%d, want %dx%d", b.Rows(), b.Cols(), In, R))
 	}
+	span := obs.Start(obs.PhaseKernel)
+	defer span.Stop()
+	Contract3(b.Data(), x, factors, n, n+1, R, workers, ws)
+}
+
+// Contract3 computes the contraction of x keeping the contiguous mode
+// range [lo, hi): viewing x as an (L, M, Rt) column-major 3-tensor
+// (L = prod I_0..I_{lo-1}, M = prod I_lo..I_{hi-1}, Rt = prod
+// I_hi..I_{N-1}),
+//
+//	out(i, r) = sum_{l, t} x(l, i, t) * KL(l, r) * KR(t, r)
+//
+// where KL and KR are the Khatri-Rao products of factors[0:lo] and
+// factors[hi:N]; out is M x R, overwritten, and factors[lo:hi] are not
+// read. This is the substrate shared by the single-mode MTTKRP (the
+// range [n, n+1)) and the dimension tree's root contractions. A kept
+// suffix is one blocked GemmTN over the natural layout; a two-sided
+// range runs slab passes accumulated into a fixed number of buckets
+// combined by ReduceTree; a kept prefix is one GemmNN, or, when the
+// view is large and the buckets small (prefixChunked), fixed chunks of
+// the contracted index that each form their own KR rows and accumulate
+// into a bucket (see prefixTask). Results are bitwise independent of
+// the worker count. ws supplies the KRP panels and scratch (nil
+// borrows a pooled one); workers <= 0 selects the linalg default.
+//
+//repro:hotpath
+func Contract3(out []float64, x *tensor.Dense, factors []*tensor.Matrix, lo, hi, R, workers int, ws *Workspace) {
+	N := x.Order()
+	if lo == 0 && hi == N {
+		panic("kernel: Contract3 needs at least one contracted mode")
+	}
+	L, M, Rt := prodDims(x, 0, lo), prodDims(x, lo, hi), prodDims(x, hi, N)
+	if len(out) < M*R {
+		panic("kernel: Contract3 output too short")
+	}
 	if ws == nil {
 		ws = GetWorkspace()
 		defer PutWorkspace(ws)
 	}
-	span := obs.Start(obs.PhaseKernel)
-	defer span.Stop()
-	N := x.Order()
-	L, Rt := 1, 1
-	for k := 0; k < n; k++ {
-		L *= x.Dim(k)
-	}
-	for k := n + 1; k < N; k++ {
-		Rt *= x.Dim(k)
-	}
 	workers = linalg.ResolveWorkers(workers)
-	ws.ensure(L, Rt, In, R, workers)
-
+	ws.ensureRoot(L, M, Rt, R, workers, lo == 0, hi == N)
 	data := x.Data()
-	bd := b.Data()
 	switch {
-	case n == 0:
-		// B = X_(0) * KR: the mode-0 unfolding is the memory layout.
-		KRPInto(ws.krRight, factors, 1, N, R)
-		linalg.GemmNN(bd, data, ws.krRight, In, Rt, R, workers)
-	case n == N-1:
-		// B = X_flat^T * KL over the (L x I_n) natural reshape.
-		KRPInto(ws.krLeft, factors, 0, N-1, R)
-		linalg.GemmTN(bd, data, ws.krLeft, L, In, R, workers)
+	case lo == 0 && prefixChunked(M, Rt, R):
+		ws.prefix(out, data, factors, hi, M, Rt, R, workers)
+	case lo == 0:
+		// The kept prefix's unfolding is the memory layout.
+		KRPInto(ws.krRight, factors, hi, N, R)
+		linalg.GemmNN(out, data, ws.krRight, M, Rt, R, workers)
+	case hi == N:
+		// The kept suffix: out = X_flat^T * KL over the (L x M) reshape.
+		KRPInto(ws.krLeft, factors, 0, lo, R)
+		linalg.GemmTN(out, data, ws.krLeft, L, M, R, workers)
 	default:
-		KRPInto(ws.krLeft, factors, 0, n, R)
-		KRPInto(ws.krRight, factors, n+1, N, R)
-		ws.interior(bd, slabTask{data: data, kl: ws.krLeft, kr: ws.krRight, L: L, M: In, Rt: Rt, R: R}, workers)
+		KRPInto(ws.krLeft, factors, 0, lo, R)
+		KRPInto(ws.krRight, factors, hi, N, R)
+		ws.interior(out, slabTask{data: data, kl: ws.krLeft, kr: ws.krRight, L: L, M: M, Rt: Rt, R: R}, workers)
 	}
 }
 
-// Contract3 computes the generic KRP-weighted 3-way contraction
-//
-//	out(i, r) = sum_{l, t} data(l, i, t) * kl(l, r) * kr(t, r)
-//
-// treating data as an (L, M, Rt) column-major 3-tensor; out is M x R,
-// overwritten. kl must be L x R and kr Rt x R, both column-major. A nil
-// kl asserts that no left modes are contracted (L must be 1, the
-// weight is 1); a nil kr likewise requires Rt == 1. This is the
-// substrate shared by the single-mode MTTKRP (M = I_n) and the
-// dimension tree's root contractions (M = a product of kept modes):
-// the boundary cases are one blocked GEMM over the natural layout, the
-// two-sided case runs slab passes accumulated into a fixed number of
-// buckets combined by ReduceTree, so results are bitwise independent
-// of the worker count. ws supplies scratch (nil borrows a pooled one);
-// workers <= 0 selects the linalg default.
-//
-//repro:hotpath
-func Contract3(out, data, kl, kr []float64, L, M, Rt, R, workers int, ws *Workspace) {
-	if len(out) < M*R || len(data) < L*M*Rt {
-		panic("kernel: Contract3 slice too short")
+// prodDims multiplies the extents of modes [lo, hi).
+func prodDims(x *tensor.Dense, lo, hi int) int {
+	p := 1
+	for k := lo; k < hi; k++ {
+		p *= x.Dim(k)
 	}
-	switch {
-	case kl == nil && kr == nil:
-		panic("kernel: Contract3 needs at least one KRP panel")
-	case kl == nil:
-		if L != 1 {
-			panic("kernel: Contract3 nil kl with L > 1")
-		}
-		linalg.GemmNN(out, data, kr, M, Rt, R, workers)
-	case kr == nil:
-		if Rt != 1 {
-			panic("kernel: Contract3 nil kr with Rt > 1")
-		}
-		linalg.GemmTN(out, data, kl, L, M, R, workers)
-	default:
-		workers = linalg.ResolveWorkers(workers)
-		if ws == nil {
-			ws = GetWorkspace()
-			defer PutWorkspace(ws)
-		}
-		ws.ensureScratch(M, Rt, R, workers)
-		ws.interior(out, slabTask{data: data, kl: kl, kr: kr, L: L, M: M, Rt: Rt, R: R}, workers)
-	}
+	return p
 }
 
 // slabName tags one interior slab chunk on the flight recorder's
@@ -177,13 +170,7 @@ const interiorChunks = 16
 // slot runs it.
 func (ws *Workspace) interior(out []float64, t slabTask, workers int) {
 	nbuf := min(interiorChunks, t.Rt)
-	MR := t.M * t.R
-	bufs := ws.bufs[:nbuf]
-	bufs[0] = out[:MR]
-	priv := ws.priv[:(nbuf-1)*MR]
-	for c := 1; c < nbuf; c++ {
-		bufs[c] = priv[(c-1)*MR : c*MR]
-	}
+	bufs := ws.buckets(out, nbuf, t.M*t.R)
 	for _, b := range bufs {
 		clear(b)
 	}
@@ -193,6 +180,18 @@ func (ws *Workspace) interior(out []float64, t slabTask, workers int) {
 	fanout.Run(&ws.slabs, nbuf, workers)
 	ws.slabs = slabTask{}
 	ReduceTree(bufs, workers)
+}
+
+// buckets returns nbuf accumulation buckets of MR words each: bucket 0
+// is out's storage, the others are slices of priv.
+func (ws *Workspace) buckets(out []float64, nbuf, MR int) [][]float64 {
+	bufs := ws.bufs[:nbuf]
+	bufs[0] = out[:MR]
+	priv := ws.priv[:(nbuf-1)*MR]
+	for c := 1; c < nbuf; c++ {
+		bufs[c] = priv[(c-1)*MR : c*MR]
+	}
+	return bufs
 }
 
 // slabTask is the interior pass as a fanout task; exactly one of data
@@ -243,40 +242,121 @@ func interiorSlabs(acc, wbuf, data, krLeft, krRight []float64, L, In, Rt, R, t0,
 	}
 }
 
+// prefixChunked reports whether the kept-prefix root of an M x Rt
+// view at rank R runs on fixed accumulation buckets (prefix) instead of
+// one GemmNN: the view exceeds one GEMM panel and the buckets fit in
+// one. GemmNN hands each worker its own output columns, so every
+// worker streams all of X; the chunks split the contracted index
+// instead, so X streams once in total at any worker count and the KR
+// panel forms in parallel — Algorithm 3's stationary tensor, applied
+// inside one node. Small views (cp-grid's 32^3 local blocks) keep the
+// single GEMM and its bits.
+func prefixChunked(M, Rt, R int) bool {
+	kc, mc := linalg.BlockSizes()
+	return M*Rt > kc*mc && min(interiorChunks, Rt)*M*R <= kc*mc
+}
+
+// prefix runs the chunked kept-prefix root into out (M x R,
+// overwritten). Chunk c of nbuf covers the contracted rows
+// [c*Rt/nbuf, (c+1)*Rt/nbuf): it forms those rows of the Khatri-Rao
+// product of factors[hi:] in its slot's scratch and contracts its
+// contiguous columns of the M x Rt unfolding into bucket c (bucket 0 is
+// out's storage); the chunks run as one fanout section and ReduceTree
+// merges the buckets. Chunk ranges, bucket contents and the merge
+// depend on the shape only.
+func (ws *Workspace) prefix(out, data []float64, factors []*tensor.Matrix, hi, M, Rt, R, workers int) {
+	nbuf := min(interiorChunks, Rt)
+	bufs := ws.buckets(out, nbuf, M*R)
+	sumRows := 0
+	for _, f := range factors[hi:] {
+		sumRows += f.Rows()
+	}
+	// The panel is formed chunk by chunk but counted once, as KRPInto
+	// counts it; each chunk's GEMM counts itself.
+	obs.KRP(Rt, sumRows, R)
+	ws.roots = prefixTask{bufs: bufs, scratch: ws.scratch, data: data, factors: factors,
+		hi: hi, M: M, Rt: Rt, R: R, rows: (Rt + nbuf - 1) / nbuf}
+	workers = min(workers, nbuf)
+	fanout.Run(&ws.roots, nbuf, workers)
+	ws.roots = prefixTask{}
+	ReduceTree(bufs, workers)
+}
+
+// prefixTask is the chunked kept-prefix root as a fanout task; each
+// slot owns rows*R words of scratch for its chunk's KR rows.
+type prefixTask struct {
+	bufs               [][]float64
+	scratch, data      []float64
+	factors            []*tensor.Matrix
+	hi, M, Rt, R, rows int
+}
+
+// Chunk forms chunk c's KR rows in the slot's scratch and contracts
+// chunk c's columns of X against them into bucket c.
+//
+//repro:hotpath
+func (t *prefixTask) Chunk(c, slot int) {
+	nbuf := len(t.bufs)
+	t0, t1 := c*t.Rt/nbuf, (c+1)*t.Rt/nbuf
+	k := t1 - t0
+	kr := t.scratch[slot*t.rows*t.R:][:k*t.R]
+	krpRows(kr, t.factors, t.hi, len(t.factors), t.R, t0, t1)
+	linalg.GemmNN(t.bufs[c], t.data[t0*t.M:t1*t.M], kr, t.M, k, t.R, 1)
+}
+
+// krpRows fills dst, a (t1-t0) x R column-major block, with rows
+// [t0, t1) of the Khatri-Rao product of factors[lo:hi]. Entry (t, r)
+// is the product of row i_k of factors[k]'s column r over the modes of
+// t's multi-index, multiplied left to right from mode lo, so any row
+// range of the panel has the same bits as the whole panel's rows.
+func krpRows(dst []float64, factors []*tensor.Matrix, lo, hi, R, t0, t1 int) {
+	n := t1 - t0
+	for r := 0; r < R; r++ {
+		krpColRows(dst[r*n:(r+1)*n], factors, lo, hi, r, t0)
+	}
+}
+
+// krpColRows fills col with rows [t0, t0+len(col)) of column r of the
+// Khatri-Rao product of factors[lo:hi]: row t is row t mod P of the
+// product over factors[lo:hi-1] (P rows) times row t / P of the last
+// factor.
+func krpColRows(col []float64, factors []*tensor.Matrix, lo, hi, r, t0 int) {
+	last := factors[hi-1].Col(r)
+	if hi-lo == 1 {
+		copy(col, last[t0:])
+		return
+	}
+	P := 1
+	for _, f := range factors[lo : hi-1] {
+		P *= f.Rows()
+	}
+	for len(col) > 0 {
+		i := t0 % P
+		seg := col[:min(P-i, len(col))]
+		krpColRows(seg, factors, lo, hi-1, r, i)
+		v := last[t0/P]
+		for q, base := range seg {
+			seg[q] = base * v
+		}
+		col, t0 = col[len(seg):], t0+len(seg)
+	}
+}
+
 // KRPInto fills dst with the Khatri-Rao product of factors[lo:hi]
 // (all participating, ascending mode order, smallest mode varying
 // fastest — matching the tensor layout), a (prod dims) x R
-// column-major matrix. Each column is expanded in place: growing the
-// product by one mode writes offsets >= the current length first, so
-// no temporary is needed. Requires lo < hi and non-nil factors in the
-// range.
+// column-major matrix: krpRows over every row. Requires lo < hi and
+// non-nil factors in the range.
 //
 //repro:hotpath
 func KRPInto(dst []float64, factors []*tensor.Matrix, lo, hi, R int) {
-	rows := 1
-	sumRows := 0
-	for k := lo; k < hi; k++ {
-		rows *= factors[k].Rows()
-		sumRows += factors[k].Rows()
+	rows, sumRows := 1, 0
+	for _, f := range factors[lo:hi] {
+		rows *= f.Rows()
+		sumRows += f.Rows()
 	}
 	obs.KRP(rows, sumRows, R)
-	for r := 0; r < R; r++ {
-		col := dst[r*rows : (r+1)*rows]
-		f0 := factors[lo].Col(r)
-		copy(col, f0)
-		cur := len(f0)
-		for k := lo + 1; k < hi; k++ {
-			fk := factors[k].Col(r)
-			for j := len(fk) - 1; j >= 0; j-- {
-				v := fk[j]
-				out := col[j*cur : j*cur+cur]
-				for i, base := range col[:cur] {
-					out[i] = base * v
-				}
-			}
-			cur *= len(fk)
-		}
-	}
+	krpRows(dst, factors, lo, hi, R, 0, rows)
 }
 
 // checkArgs validates the (tensor, factors, mode) triple and returns

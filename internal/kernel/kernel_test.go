@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -134,6 +135,43 @@ func TestFastWorkersEquivalence(t *testing.T) {
 	}
 }
 
+// TestFastMode0BitwiseWorkers: FastInto's mode 0 is bitwise equal at
+// workers 1/2/3/8 on both sides of the chunked-prefix rule — 64^3 R8
+// runs on fixed buckets, 32^3 R8 stays one GEMM — and the chunked root
+// agrees with seq.Ref to 1e-12 relative at orders 3 and 4.
+func TestFastMode0BitwiseWorkers(t *testing.T) {
+	for _, c := range []struct {
+		dims []int
+		R    int
+	}{{[]int{64, 64, 64}, 8}, {[]int{32, 32, 32}, 8}, {[]int{24, 24, 24, 24}, 8}} {
+		x := tensor.RandomDense(19, c.dims...)
+		fs := tensor.RandomFactors(23, c.dims, c.R)
+		base := kernel.FastWorkers(x, fs, 0, 1)
+		for _, w := range []int{2, 3, 8} {
+			got := kernel.FastWorkers(x, fs, 0, w)
+			bd, gd := base.Data(), got.Data()
+			for i := range bd {
+				if gd[i] != bd[i] { //repro:bitwise the bitwise worker-count-independence contract under test
+					t.Fatalf("dims %v R=%d workers %d elem %d: %x != %x", c.dims, c.R, w, i, gd[i], bd[i])
+				}
+			}
+		}
+		if e := relDiff(base, seq.Ref(x, fs, 0)); e > 1e-12 {
+			t.Errorf("dims %v R=%d: mode 0 differs from seq.Ref by %.3g relative", c.dims, c.R, e)
+		}
+	}
+}
+
+// relDiff is the largest elementwise difference relative to want's
+// largest magnitude.
+func relDiff(got, want *tensor.Matrix) float64 {
+	scale := 0.0
+	for _, v := range want.Data() {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	return got.MaxAbsDiff(want) / scale
+}
+
 // TestFastIntoZeroAllocSteadyState enforces the engine contract: after
 // warmup, a serial FastInto with a reused workspace and preallocated
 // output allocates nothing — the property CP-ALS inner iterations
@@ -174,6 +212,17 @@ func TestFastIntoZeroAllocSteadyState(t *testing.T) {
 	sweep2()
 	if allocs := testing.AllocsPerRun(10, sweep2); allocs != 0 { //repro:bitwise exact allocation count
 		t.Errorf("steady-state 2-worker sweep allocates %v objects/op, want 0", allocs)
+	}
+	// Two workers on a chunked prefix root: mode 0 of 64^3 R8 forms its
+	// KR rows in slot scratch and merges 16 buckets.
+	x3 := tensor.RandomDense(16, 64, 64, 64)
+	fs3 := tensor.RandomFactors(17, x3.Dims(), 8)
+	ws3 := kernel.NewWorkspace(x3.Dims(), 8, 0)
+	b3 := tensor.NewMatrix(64, 8)
+	mode0 := func() { kernel.FastInto(b3, x3, fs3, 0, 2, ws3) }
+	mode0()
+	if allocs := testing.AllocsPerRun(10, mode0); allocs != 0 { //repro:bitwise exact allocation count
+		t.Errorf("steady-state 2-worker chunked mode 0 allocates %v objects/op, want 0", allocs)
 	}
 }
 

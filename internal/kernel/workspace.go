@@ -7,8 +7,9 @@ import (
 )
 
 // Workspace holds every buffer the KRP-splitting MTTKRP needs: the
-// left and right partial Khatri-Rao products, per-worker GEMM scratch,
-// and per-chunk accumulation buckets for the slab reduction. Buffers
+// left and right partial Khatri-Rao products, per-slot scratch (slab
+// GEMM outputs, or a chunked prefix root's KR rows), and per-chunk
+// accumulation buckets for the slab and prefix reductions. Buffers
 // grow monotonically and are reused across calls, so a CP-ALS or HOOI
 // iteration that cycles through modes of one tensor reaches a steady
 // state with zero allocations.
@@ -18,11 +19,12 @@ import (
 type Workspace struct {
 	krLeft  []float64   // L x R column-major partial KRP of modes < n
 	krRight []float64   // Rt x R column-major partial KRP of modes > n
-	scratch []float64   // workers * In*R slab GEMM outputs
-	priv    []float64   // (chunks-1) * In*R accumulation buckets
+	scratch []float64   // per-slot slab GEMM outputs or KR rows
+	priv    []float64   // (chunks-1) * M*R accumulation buckets
 	bufs    [][]float64 // bucket headers, len >= chunks
 	out64   []float64   // In x R float64 accumulator of the float32 path
 	slabs   slabTask    // the interior pass's fanout task, set for one pass
+	roots   prefixTask  // the chunked prefix root's fanout task, set for one call
 }
 
 // NewWorkspace returns a workspace pre-sized for mode n of a tensor
@@ -37,32 +39,46 @@ func NewWorkspace(dims []int, R, n int) *Workspace {
 		Rt *= dims[k]
 	}
 	ws := new(Workspace)
-	ws.ensure(L, Rt, dims[n], R, linalg.Workers())
+	ws.ensureRoot(L, dims[n], Rt, R, linalg.Workers(), n == 0, n == len(dims)-1)
 	return ws
 }
 
-// ensure grows the buffers to fit an (L, In, Rt, R) problem at the
-// given worker count. Existing capacity is kept.
+// ensureRoot grows the buffers Contract3 uses for the root over an
+// (L, M, Rt) view that keeps a prefix (no left panel), a suffix (no
+// right panel), or neither. Existing capacity is kept.
+func (ws *Workspace) ensureRoot(L, M, Rt, R, workers int, prefix, suffix bool) {
+	switch {
+	case prefix && prefixChunked(M, Rt, R):
+		nbuf := min(interiorChunks, Rt)
+		rows := (Rt + nbuf - 1) / nbuf
+		ws.scratch = grow(ws.scratch, min(workers, nbuf)*rows*R)
+		ws.ensureBuckets(nbuf, M*R)
+	case prefix:
+		ws.krRight = grow(ws.krRight, Rt*R)
+	case suffix:
+		ws.krLeft = grow(ws.krLeft, L*R)
+	default:
+		ws.ensure(L, Rt, M, R, workers)
+	}
+}
+
+// ensure grows both KRP panels and the slab-pass buffers to fit an
+// (L, In, Rt, R) problem at the given worker count — what the
+// two-sided root and every mode of the float32 path use. Existing
+// capacity is kept.
 func (ws *Workspace) ensure(L, Rt, In, R, workers int) {
 	ws.krLeft = grow(ws.krLeft, L*R)
 	ws.krRight = grow(ws.krRight, Rt*R)
-	ws.ensureScratch(In, Rt, R, workers)
+	ws.scratch = grow(ws.scratch, max(workers, 1)*In*R)
+	ws.ensureBuckets(min(interiorChunks, Rt), In*R)
 }
 
-// ensureScratch grows only the slab-pass buffers (GEMM scratch and
-// accumulation buckets) for an M x R output over Rt slabs — what
-// Contract3 needs when the KRP panels live elsewhere.
-func (ws *Workspace) ensureScratch(M, Rt, R, workers int) {
-	nbuf := interiorChunks
-	if nbuf > Rt {
-		nbuf = Rt
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ws.scratch = grow(ws.scratch, workers*M*R)
+// ensureBuckets grows the private accumulation buckets and their
+// headers for nbuf buckets of MR words (bucket 0 is the caller's
+// output).
+func (ws *Workspace) ensureBuckets(nbuf, MR int) {
 	if nbuf > 1 {
-		ws.priv = grow(ws.priv, (nbuf-1)*M*R)
+		ws.priv = grow(ws.priv, (nbuf-1)*MR)
 	}
 	if len(ws.bufs) < nbuf {
 		ws.bufs = make([][]float64, nbuf) //repro:ignore hotpath-alloc grow-only bucket headers; settles after the first call

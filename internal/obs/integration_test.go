@@ -71,7 +71,9 @@ func TestDimTreeFlopCountersMatchEngine(t *testing.T) {
 	tot := col.Totals()
 	// The streaming count includes the KR-weighted interior folds the
 	// engine also books, so the two totals agree exactly for 3-way
-	// trees (root GEMMs + partial GEMV passes + folds + KRP panels).
+	// trees (root GEMMs + partial GEMV passes + folds + KRP panels)
+	// whose roots are single GEMMs; a chunked prefix root (past one
+	// GEMM panel) adds its bucket merge to the streaming count only.
 	if tot.Flops != res.Flops {
 		t.Fatalf("collector flops %d != engine accounting %d", tot.Flops, res.Flops)
 	}

@@ -179,7 +179,8 @@ func (t *Dense) EqualApprox(u *Dense, tol float64) bool {
 }
 
 // SubTensor extracts the block t[lo[0]:hi[0], ..., lo[N-1]:hi[N-1])
-// into a freshly allocated tensor.
+// into a freshly allocated tensor. The block's mode-0 runs are
+// contiguous in both tensors, so it copies one run at a time.
 func (t *Dense) SubTensor(lo, hi []int) *Dense {
 	if len(lo) != len(t.dims) || len(hi) != len(t.dims) {
 		panic("tensor: SubTensor bounds rank mismatch")
@@ -192,14 +193,15 @@ func (t *Dense) SubTensor(lo, hi []int) *Dense {
 		dims[k] = hi[k] - lo[k]
 	}
 	out := NewDense(dims...)
-	idx := make([]int, len(dims))
-	for off := 0; off < out.Elems(); off++ {
-		src := 0
-		for k := range idx {
+	run := dims[0]
+	idx := make([]int, len(dims)) // modes 1..N-1 of the run's start
+	for off := 0; off < len(out.data); off += run {
+		src := lo[0]
+		for k := 1; k < len(idx); k++ {
 			src += (lo[k] + idx[k]) * t.strides[k]
 		}
-		out.data[off] = t.data[src]
-		incIndex(idx, dims)
+		copy(out.data[off:off+run], t.data[src:src+run])
+		incIndex(idx[1:], dims[1:])
 	}
 	return out
 }

@@ -166,6 +166,37 @@ func TestSubTensor(t *testing.T) {
 	}
 }
 
+// TestSubTensorMatchesElementwise: random blocks of random tensors of
+// orders 1-5, unit extents included, equal the per-element definition
+// out(i) = x(lo + i) bitwise.
+func TestSubTensorMatchesElementwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		order := 1 + trial%5
+		dims := make([]int, order)
+		lo := make([]int, order)
+		hi := make([]int, order)
+		for k := range dims {
+			dims[k] = 1 + rng.Intn(6)
+			lo[k] = rng.Intn(dims[k])
+			hi[k] = lo[k] + 1 + rng.Intn(dims[k]-lo[k])
+		}
+		x := RandomDense(int64(trial), dims...)
+		s := x.SubTensor(lo, hi)
+		idx := make([]int, order)
+		src := make([]int, order)
+		for off := 0; off < s.Elems(); off++ {
+			for k := range idx {
+				src[k] = lo[k] + idx[k]
+			}
+			if got, want := s.Data()[off], x.At(src...); got != want { //repro:bitwise a copy must reproduce every element exactly
+				t.Fatalf("dims %v block [%v, %v) at %v: got %v, want %v", dims, lo, hi, idx, got, want)
+			}
+			incIndex(idx, s.dims)
+		}
+	}
+}
+
 func TestSubTensorFull(t *testing.T) {
 	x := RandomDense(5, 3, 4)
 	s := x.SubTensor([]int{0, 0}, []int{3, 4})

@@ -96,13 +96,17 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 	if opts.Tol == 0 { //repro:bitwise unset-option sentinel, exact
 		opts.Tol = 1e-8
 	}
-	normX := x.Norm()
-	if normX == 0 { //repro:bitwise zero-tensor guard: norm is exactly 0 iff all entries are 0
-		return nil, nil, fmt.Errorf("tucker: zero tensor")
-	}
+	// Take the pooled workspace before the norm's parallel section,
+	// whose join can move this goroutine to another P: a sync.Pool Put
+	// sits in the putting P's private slot, which no other P can take,
+	// so back-to-back runs would miss the pool.
 	w := opts.Workers
 	ws := ttm.GetWorkspace()
 	defer ttm.PutWorkspace(ws)
+	normX := linalg.Norm(x.Data(), w)
+	if normX == 0 { //repro:bitwise zero-tensor guard: norm is exactly 0 iff all entries are 0
+		return nil, nil, fmt.Errorf("tucker: zero tensor")
+	}
 	dims := x.Dims()
 	grams := gramViews(dims)
 
@@ -190,12 +194,12 @@ func HOSVD(x *tensor.Dense, ranks []int) (*Model, error) {
 	if len(ranks) != N {
 		return nil, fmt.Errorf("tucker: %d ranks for order-%d tensor", len(ranks), N)
 	}
-	normX := x.Norm()
+	ws := ttm.GetWorkspace() // before the norm's section, as in Decompose
+	defer ttm.PutWorkspace(ws)
+	normX := linalg.Norm(x.Data(), 0)
 	if normX == 0 { //repro:bitwise zero-tensor guard: norm is exactly 0 iff all entries are 0
 		return nil, fmt.Errorf("tucker: zero tensor")
 	}
-	ws := ttm.GetWorkspace()
-	defer ttm.PutWorkspace(ws)
 	grams := gramViews(x.Dims())
 	factors := make([]*tensor.Matrix, N)
 	for k := 0; k < N; k++ {
