@@ -594,16 +594,17 @@ func BenchmarkTTMChain(b *testing.B) {
 
 // BenchmarkTuckerHOOI is E29's application half and E34's tree: one
 // full HOOI sweep body — every mode's projection plus its mode Gram,
-// then the core contraction — with the eigensolves excluded so the
-// comparison isolates the TTM substrate, at 128^3 ranks 16, at the
-// tucker-hooi workload's 32^4 ranks 8, and at 32^4 with skewed ranks
+// then the core — with the eigensolves excluded so the comparison
+// isolates the TTM substrate, at 128^3 ranks 16, at the tucker-hooi
+// workload's 32^4 ranks 8, and at 32^4 with skewed ranks
 // (16, 16, 4, 4), where the balanced split would cost more than the
 // per-mode chains. "scalar" pairs the scalar chain with the explicit
 // Unfold + MatMulTransB Gram (the pre-engine formulation); "engine"
-// runs one ChainInto per mode (the per-mode sweep the tree replaced,
-// kept as the reference); "tree" is the production sweep, ttm.TreeInto
-// sharing the projections' partial contractions on its planned
-// dimension tree. Every engine buffer is reused.
+// runs one ChainInto per mode and the full core chain (the per-mode
+// sweep the tree replaced, kept as the reference); "tree" is the
+// production sweep, ttm.TreeInto sharing the projections' partial
+// contractions on its planned dimension tree, and the core as one TTM
+// of the last leaf's projection (E37). Every engine buffer is reused.
 func BenchmarkTuckerHOOI(b *testing.B) {
 	for _, tc := range []struct {
 		name        string
@@ -644,8 +645,11 @@ func benchTuckerSweep(b *testing.B, dims, ranks []int) {
 			gramBuf[k] = tensor.NewMatrix(dims[k], dims[k])
 		}
 		coreBuf := tensor.NewDense(ranks...)
+		N := len(dims)
+		var last *tensor.Dense
 		gram := func(k int, y *tensor.Dense) error {
 			ttm.GramInto(gramBuf[k], y, k, workers, ws)
+			last = y
 			return nil
 		}
 		sweep := func() {
@@ -653,11 +657,12 @@ func benchTuckerSweep(b *testing.B, dims, ranks []int) {
 				if err := ttm.TreeInto(yBuf, x, us, workers, ws, gram); err != nil {
 					b.Fatal(err)
 				}
-			} else {
-				for k := range dims {
-					ttm.ChainInto(yBuf[k], x, us, k, workers, ws)
-					ttm.GramInto(gramBuf[k], yBuf[k], k, workers, ws)
-				}
+				ttm.TTMInto(coreBuf, last, us[N-1], N-1, workers)
+				return
+			}
+			for k := range dims {
+				ttm.ChainInto(yBuf[k], x, us, k, workers, ws)
+				ttm.GramInto(gramBuf[k], yBuf[k], k, workers, ws)
 			}
 			ttm.ChainInto(coreBuf, x, us, -1, workers, ws)
 		}
@@ -675,11 +680,14 @@ func benchTuckerSweep(b *testing.B, dims, ranks []int) {
 }
 
 // BenchmarkModeGram times ttm.GramInto on each mode of the tucker-hooi
-// workload's 32^4 tensor (its HOSVD Grams): the leading mode's
-// outer-product form, the two interior slab cases (packed L = 32 and
-// direct L = 1024) and the trailing mode's row-chunked dot form, at
-// one worker and at GOMAXPROCS. GFLOP/s counts the symmetric product's
-// own flops, I(I+1) per contraction index.
+// workload's 32^4 tensor: the leading mode's outer-product form, the
+// two interior slab cases (packed L = 32 and direct L = 1024) and the
+// trailing mode's row-chunked dot form, at one worker and at
+// GOMAXPROCS. Only the trailing mode's Gram reads the full tensor in
+// the truncated initialization (BenchmarkTuckerInit); the others run
+// on the tensor already truncated in the modes after them. GFLOP/s
+// counts the symmetric product's own flops, I(I+1) per contraction
+// index.
 func BenchmarkModeGram(b *testing.B) {
 	dims := []int{32, 32, 32, 32}
 	x := tensor.RandomDense(41, dims...)
@@ -698,6 +706,71 @@ func BenchmarkModeGram(b *testing.B) {
 				flops := float64(I*(I+1)) * float64(x.Elems()/I)
 				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
+		}
+	}
+}
+
+// BenchmarkTuckerInit is E37's initialization: the factor-finding
+// pass before the first HOOI sweep, with the eigensolves excluded (the
+// factors are fixed) so the comparison isolates the Grams and
+// contractions, at the tucker-hooi workload's 32^4 ranks 8 and at 32^4
+// with skewed ranks (16, 16, 4, 4), at one worker and at GOMAXPROCS.
+// "truncated" is the production pass, ttm.TruncateInto without the
+// core, as Decompose runs it: each mode's Gram on the tensor already
+// truncated in the modes visited before it, the trailing mode first at
+// uniform ranks. "full" is the HOSVD reference it replaced, every mode
+// Gram of the full tensor. MFLOP is the count obs records for one op.
+func BenchmarkTuckerInit(b *testing.B) {
+	for _, tc := range []struct {
+		name        string
+		dims, ranks []int
+	}{
+		{"I32-N4-R8", []int{32, 32, 32, 32}, []int{8, 8, 8, 8}},
+		{"I32-N4-R16-16-4-4", []int{32, 32, 32, 32}, []int{16, 16, 4, 4}},
+	} {
+		x := tensor.RandomDense(7, tc.dims...)
+		N := len(tc.dims)
+		us := make([]*tensor.Matrix, N)
+		grams := make([]*tensor.Matrix, N)
+		for k := range tc.dims {
+			us[k] = tensor.RandomMatrix(int64(8+k), tc.dims[k], tc.ranks[k])
+			grams[k] = tensor.NewMatrix(tc.dims[k], tc.dims[k])
+		}
+		for _, workers := range []int{1, linalg.Workers()} {
+			ws := ttm.NewWorkspace()
+			out := make([]*tensor.Matrix, N)
+			factor := func(k int, y *tensor.Dense) (*tensor.Matrix, error) {
+				ttm.GramInto(grams[k], y, k, workers, ws)
+				return us[k], nil
+			}
+			for _, v := range []struct {
+				name string
+				op   func()
+			}{
+				{"truncated", func() {
+					if err := ttm.TruncateInto(nil, x, tc.ranks, out, workers, ws, factor); err != nil {
+						b.Fatal(err)
+					}
+				}},
+				{"full", func() {
+					for k := range tc.dims {
+						ttm.GramInto(grams[k], x, k, workers, ws)
+					}
+				}},
+			} {
+				b.Run(fmt.Sprintf("%s/%s/w%d", tc.name, v.name, workers), func(b *testing.B) {
+					col := obs.New(0)
+					obs.Enable(col)
+					v.op() // count one op and warm the workspace
+					obs.Disable()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						v.op()
+					}
+					b.ReportMetric(float64(col.Totals().Flops)/1e6, "MFLOP")
+				})
+			}
 		}
 	}
 }

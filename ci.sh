@@ -76,6 +76,15 @@ echo "== go fuzz (Chain, 10s) =="
 # bitwise.
 go test -run '^$' -fuzz '^FuzzChain$' -fuzztime 10s ./internal/ttm
 
+echo "== go fuzz (Decompose, 10s) =="
+# Random order 1-5 tensors with extents 1-9, ranks from 1 to each
+# extent and 1-3 HOOI sweeps: orthonormal factors, Decompose's core
+# (the last tree leaf's TTM) and HOSVD's (the last truncation step)
+# against ChainScalar of their factors within a rounding tolerance
+# scaled by the contraction length, the model's fit equal to the last
+# sweep's, and 1 vs 3 workers bitwise.
+go test -run '^$' -fuzz '^FuzzDecompose$' -fuzztime 10s ./internal/tucker
+
 echo "== go fuzz (CSF, 10s) =="
 # Random order 2-4 COO tensors with extents 1-12, 0-300 entries with
 # repeated coordinates, R 1-20 and any root: the FromCOO/ToCOO round

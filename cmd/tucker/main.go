@@ -1,8 +1,13 @@
 // Command tucker computes a Tucker decomposition of a synthetic
-// low-multilinear-rank tensor with HOSVD + HOOI, sequentially or on
-// the simulated distributed machine, reporting fit per sweep and the
-// communication breakdown (factor gathers vs projection reduces) — the
-// Tucker-side extension of the paper's MTTKRP communication analysis.
+// low-multilinear-rank tensor with HOOI, sequentially (started from
+// the sequentially truncated HOSVD) or on the simulated distributed
+// machine (started from seeded orthonormal factors), reporting fit per
+// sweep and the communication breakdown (factor gathers vs projection
+// reduces) — the Tucker-side extension of the paper's MTTKRP
+// communication analysis. With -obs, the sequential run's counters
+// show what the truncation saves: at -dims 32,32,32,32 -ranks 8,8,8,8
+// -iters 1 they read 116 752 384 flops, 68 MFLOP of them in the
+// initialization's Grams and contractions.
 //
 // Usage:
 //

@@ -1,8 +1,9 @@
 // Tucker decomposition example: the other decomposition family the
 // paper names. A noisy tensor with low multilinear rank is compressed
-// by HOSVD + HOOI; the core captures almost all the energy at a
-// fraction of the storage. The TTM chains inside HOOI are the kernels
-// to which the paper's lower-bound machinery extends (Section VII).
+// by HOOI, started from the sequentially truncated HOSVD; the core
+// captures almost all the energy at a fraction of the storage. The
+// TTM chains inside HOOI are the kernels to which the paper's
+// lower-bound machinery extends (Section VII).
 package main
 
 import (

@@ -67,16 +67,13 @@ func maxOf(xs []int64) int64 {
 // Factors are initialized to QR-orthonormalized seeded random matrices
 // (replicated deterministically), so a sequential run with the same
 // Init reproduces the fit trace exactly. Every tensor dimension must
-// be at least prod(shape).
+// be at least prod(shape). The model is rank 0's: the replicated
+// factors, the last sweep's all-reduced core and its fit, so no step
+// outside the simulated machine touches X.
 func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (*ParallelResult, error) {
 	N := x.Order()
-	if len(opts.Ranks) != N {
-		return nil, fmt.Errorf("tucker: %d ranks for order-%d tensor", len(opts.Ranks), N)
-	}
-	for k, r := range opts.Ranks {
-		if r < 1 || r > x.Dim(k) {
-			return nil, fmt.Errorf("tucker: rank %d invalid for mode %d", r, k)
-		}
+	if err := checkRanks(x, opts.Ranks); err != nil {
+		return nil, err
 	}
 	if len(shape) != N {
 		return nil, fmt.Errorf("tucker: grid shape %v for order-%d tensor", shape, N)
@@ -128,6 +125,7 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 	reduceWords := make([]int64, P)
 	fits := make([][]float64, P)
 	finalFact := make([][]*tensor.Matrix, P)
+	finalCore := make([][]float64, P)
 	err = net.Run(func(rank int) error {
 		coords := g.Coords(rank)
 		world := comm.New(net, worldRanks(P), rank)
@@ -205,6 +203,7 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 			coreFull := world.AllReduce(core.Data())
 			fit := fitFromCore(normX, coreFull, x.Dims())
 			fits[rank] = append(fits[rank], fit)
+			finalCore[rank] = coreFull
 			if fit-prevFit < opts.Tol && it > 0 {
 				break
 			}
@@ -217,16 +216,19 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 		return nil, err
 	}
 
-	// Assemble: replicated factors are identical on every rank.
-	factors := finalFact[0]
-	core := ttm.Chain(x, factors, -1)
+	// Assemble from rank 0's copies: the replicated factors, the last
+	// sweep's all-reduced core, and the fit that core gave.
 	trace := make([]TraceEntry, len(fits[0]))
 	for i, f := range fits[0] {
 		trace[i] = TraceEntry{Iter: i, Fit: f}
 	}
-	normX := x.Norm()
+	model := &Model{
+		Core:    tensor.NewDenseFromData(finalCore[0], opts.Ranks...),
+		Factors: finalFact[0],
+		Fit:     trace[len(trace)-1].Fit,
+	}
 	return &ParallelResult{
-		Model:       &Model{Core: core, Factors: factors, Fit: fitFromCore(normX, core.Data(), x.Dims())},
+		Model:       model,
 		Trace:       trace,
 		GatherWords: gatherWords,
 		ReduceWords: reduceWords,

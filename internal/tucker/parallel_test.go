@@ -4,7 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/comm"
+	"repro/internal/dist"
+	"repro/internal/grid"
+	"repro/internal/simnet"
 	"repro/internal/tensor"
+	"repro/internal/ttm"
 )
 
 func TestParallelMatchesSequentialTrace(t *testing.T) {
@@ -117,4 +122,61 @@ func TestSequentialInitOptionErrors(t *testing.T) {
 	if _, _, err := Decompose(x, Options{Ranks: []int{2, 2}, Init: []*tensor.Matrix{tensor.NewMatrix(4, 2)}}); err == nil {
 		t.Fatal("init length mismatch should error")
 	}
+}
+
+// TestParallelModelMatchesTrace: DecomposeParallel's model is the one
+// its last sweep computed on the simulated machine. Model.Fit is
+// bitwise the trace's last fit, and Model.Core bitwise the all-reduced
+// core of the returned factors, which the test rebuilds through the
+// same per-rank chains and All-Reduce.
+func TestParallelModelMatchesTrace(t *testing.T) {
+	for _, tc := range []struct{ dims, ranks, shape []int }{
+		{[]int{32, 32, 32}, []int{24, 24, 24}, []int{2, 2, 2}},
+		{[]int{16, 12, 10}, []int{4, 3, 5}, []int{2, 2, 1}},
+	} {
+		x := tensor.RandomDense(81, tc.dims...)
+		res, err := DecomposeParallel(x, tc.shape, Options{Ranks: tc.ranks, MaxIters: 3, Tol: 0}, 81)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := res.Trace[len(res.Trace)-1].Fit
+		if res.Model.Fit != last { //repro:bitwise the model's fit is the last sweep's
+			t.Fatalf("%v: model fit %v, last sweep %v (diff %g)", tc.dims, res.Model.Fit, last, res.Model.Fit-last)
+		}
+		want := allReducedCore(t, x, tc.shape, res.Model.Factors)
+		for i, v := range res.Model.Core.Data() {
+			if v != want[i] { //repro:bitwise the model's core is the last all-reduced core
+				t.Fatalf("%v: core[%d] = %v, all-reduced %v", tc.dims, i, v, want[i])
+			}
+		}
+	}
+}
+
+// allReducedCore returns rank 0's All-Reduce of the per-rank local
+// core chains over factors, as DecomposeParallel's fit phase forms it.
+func allReducedCore(t *testing.T, x *tensor.Dense, shape []int, factors []*tensor.Matrix) []float64 {
+	t.Helper()
+	g := grid.New(shape...)
+	P := g.P()
+	lay := dist.NewStationary(x.Dims(), 1, g)
+	net := simnet.New(P)
+	var out []float64
+	err := net.Run(func(rank int) error {
+		coords := g.Coords(rank)
+		local := make([]*tensor.Matrix, len(factors))
+		for j, u := range factors {
+			lo, hi := lay.FactorRowRange(j, coords[j])
+			local[j] = u.RowBlock(lo, hi)
+		}
+		core := ttm.ChainWorkers(lay.LocalTensor(coords, x), local, -1, 1)
+		full := comm.New(net, worldRanks(P), rank).AllReduce(core.Data())
+		if rank == 0 {
+			out = full
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -1,26 +1,34 @@
-// Package tucker computes Tucker decompositions by HOSVD and HOOI
-// (higher-order orthogonal iteration) on the TTM substrate — the
-// second decomposition family the paper names (Section I) and the one
-// its conclusion extends the lower-bound machinery toward. A Tucker
-// model is a small core G and per-mode orthonormal factors U_k with
+// Package tucker computes Tucker decompositions by sequentially
+// truncated HOSVD and HOOI (higher-order orthogonal iteration) on the
+// TTM substrate — the second decomposition family the paper names
+// (Section I) and the one its conclusion extends the lower-bound
+// machinery toward. A Tucker model is a small core G and per-mode
+// orthonormal factors U_k with
 //
 //	X ~ G x_1 U_1 x_2 U_2 ... x_N U_N.
 //
-// Both solvers run on the blocked TTM engine (internal/ttm). A HOOI
-// sweep computes its N mode projections with ttm.TreeInto, which
-// shares their partial contractions on a dimension tree of contiguous
-// mode ranges planned from the shapes to the fewest multiply-adds,
-// never more than N separate chains take. At uniform ranks that is
-// the balanced tree CP's dimtree engine walks, and a sweep reads X
-// three times (the root's two children and the core chain) instead of
-// N+1.
+// Both solvers run on the blocked TTM engine (internal/ttm). The
+// initialization is ST-HOSVD (ttm.TruncateInto): each mode's factor
+// comes from the Gram of X already truncated in the modes before it,
+// in a mode order planned from the shapes to the fewest flops — the
+// trailing mode first at uniform ranks — so only the first mode's
+// Gram and contraction read X. A HOOI sweep computes its N mode
+// projections with ttm.TreeInto, which shares their partial
+// contractions on a dimension tree of contiguous mode ranges planned
+// from the shapes to the fewest multiply-adds, never more than N
+// separate chains take. At uniform ranks that is the balanced tree
+// CP's dimtree engine walks, and a sweep reads X twice (the root's two
+// children) instead of N+1: the core is one TTM of the last leaf's
+// projection, which already holds X contracted on every other mode
+// with the final factors.
 // Every contraction is GEMM over contiguous slabs and every mode Gram
-// a symmetric rank-k update, with a reused workspace, so steady-state
-// sweeps allocate nothing outside the eigensolves. Each factor is the
-// leading eigenvectors of a mode Gram from linalg.SymEig (Householder
-// tridiagonalization plus implicit-shift QL, O(I_k^3)); the HOSVD and
-// HOOI eigensolves are timed as the obs solve phase. The core returned
-// by Decompose is the one its last fit phase computed, and every fit
+// a symmetric rank-k update, with a reused workspace, so the
+// initialization and steady-state sweeps allocate nothing outside the
+// eigensolves. Each factor is the leading eigenvectors of a mode Gram
+// from linalg.SymEig (Householder tridiagonalization plus
+// implicit-shift QL, O(I_k^3)); the initialization's and HOOI's
+// eigensolves are timed as the obs solve phase. The core returned by
+// Decompose is the one its last fit phase computed, and every fit
 // goes through one formula with a rounding floor (fitFromCore).
 package tucker
 
@@ -46,8 +54,8 @@ type Options struct {
 	Workers int
 
 	// Init provides explicit initial factors (orthonormal columns,
-	// I_k x Ranks[k]) instead of the HOSVD initialization. Used by the
-	// distributed solver and its parity tests.
+	// I_k x Ranks[k]) instead of the ST-HOSVD initialization. Used by
+	// the distributed solver's parity tests.
 	Init []*tensor.Matrix
 }
 
@@ -76,16 +84,12 @@ func (m *Model) Reconstruct() *tensor.Dense {
 	return out
 }
 
-// Decompose runs HOSVD initialization followed by HOOI sweeps.
+// Decompose runs the sequentially truncated HOSVD initialization
+// followed by HOOI sweeps.
 func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 	N := x.Order()
-	if len(opts.Ranks) != N {
-		return nil, nil, fmt.Errorf("tucker: %d ranks for order-%d tensor", len(opts.Ranks), N)
-	}
-	for k, r := range opts.Ranks {
-		if r < 1 || r > x.Dim(k) {
-			return nil, nil, fmt.Errorf("tucker: rank %d invalid for mode %d (extent %d)", r, k, x.Dim(k))
-		}
+	if err := checkRanks(x, opts.Ranks); err != nil {
+		return nil, nil, err
 	}
 	if opts.MaxIters < 0 {
 		return nil, nil, fmt.Errorf("tucker: MaxIters %d", opts.MaxIters)
@@ -110,9 +114,10 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 	dims := x.Dims()
 	grams := gramViews(dims)
 
-	// Initialize: explicit factors if given, else HOSVD
-	// (U_k = leading eigenvectors of the mode-k Gram X_(k) X_(k)^T,
-	// formed by the engine without materializing the unfolding).
+	// Initialize: explicit factors if given, else ST-HOSVD's (mode k's
+	// factor from the Gram of X already truncated in the modes before
+	// it). HOOI needs no initial core, so the truncation skips its last
+	// contraction.
 	factors := make([]*tensor.Matrix, N)
 	if opts.Init != nil {
 		if len(opts.Init) != N {
@@ -124,17 +129,8 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 			}
 			factors[k] = u.Clone()
 		}
-	} else {
-		for k := 0; k < N; k++ {
-			ttm.GramInto(grams[k], x, k, w, ws)
-			sspan := obs.Start(obs.PhaseSolve)
-			u, err := linalg.LeadingEigvecs(grams[k], opts.Ranks[k])
-			sspan.Stop()
-			if err != nil {
-				return nil, nil, fmt.Errorf("tucker: HOSVD mode %d: %w", k, err)
-			}
-			factors[k] = u
-		}
+	} else if err := truncate(nil, x, opts.Ranks, factors, grams, w, ws); err != nil {
+		return nil, nil, err
 	}
 
 	// The mode-k projection keeps extent I_k on mode k and R_j
@@ -150,16 +146,17 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 	// that point. ttm.TreeInto shares the projections' partial
 	// contractions on a dimension tree and hands each Y_k to update,
 	// whose new factor the later projections read. The contractions
-	// and GramInto time themselves (PhaseTTMChain / PhaseGram).
+	// and GramInto time themselves (PhaseTTMChain / PhaseGram). The
+	// last leaf's Y_{N-1} (X itself at order 1, where the root is the
+	// leaf) stays in last for the core.
+	var last *tensor.Dense
 	update := func(k int, y *tensor.Dense) error {
-		ttm.GramInto(grams[k], y, k, w, ws)
-		sspan := obs.Start(obs.PhaseSolve)
-		u, err := linalg.LeadingEigvecs(grams[k], opts.Ranks[k])
-		sspan.Stop()
+		u, err := modeFactor(grams[k], y, k, opts.Ranks[k], w, ws)
 		if err != nil {
 			return fmt.Errorf("tucker: HOOI mode %d: %w", k, err)
 		}
 		factors[k] = u
+		last = y
 		return nil
 	}
 
@@ -171,10 +168,12 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 		if err := ttm.TreeInto(ys, x, factors, w, ws, update); err != nil {
 			return nil, nil, err
 		}
-		// With orthonormal factors, ||Xhat|| = ||G||, so the fit comes
-		// from the core alone.
+		// Y_{N-1} is X contracted on every mode but N-1 with the
+		// final factors, so one TTM finishes the core:
+		// G = Y_{N-1} x_{N-1} U_{N-1}^T. With orthonormal factors,
+		// ||Xhat|| = ||G||, so the fit comes from the core alone.
 		fspan := obs.Start(obs.PhaseFit)
-		ttm.ChainInto(coreBuf, x, factors, -1, w, ws)
+		ttm.TTMInto(coreBuf, last, factors[N-1], N-1, w)
 		fit = fitFromCore(normX, coreBuf.Data(), dims)
 		fspan.Stop()
 		trace = append(trace, TraceEntry{Iter: it, Fit: fit})
@@ -188,11 +187,12 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 	return &Model{Core: coreBuf, Factors: factors, Fit: fit}, trace, nil
 }
 
-// HOSVD returns the truncated HOSVD model without HOOI refinement.
+// HOSVD returns the sequentially truncated HOSVD model (ST-HOSVD)
+// without HOOI refinement: the initialization Decompose runs, with the
+// last contraction kept, so the final truncated tensor is the core.
 func HOSVD(x *tensor.Dense, ranks []int) (*Model, error) {
-	N := x.Order()
-	if len(ranks) != N {
-		return nil, fmt.Errorf("tucker: %d ranks for order-%d tensor", len(ranks), N)
+	if err := checkRanks(x, ranks); err != nil {
+		return nil, err
 	}
 	ws := ttm.GetWorkspace() // before the norm's section, as in Decompose
 	defer ttm.PutWorkspace(ws)
@@ -200,23 +200,52 @@ func HOSVD(x *tensor.Dense, ranks []int) (*Model, error) {
 	if normX == 0 { //repro:bitwise zero-tensor guard: norm is exactly 0 iff all entries are 0
 		return nil, fmt.Errorf("tucker: zero tensor")
 	}
-	grams := gramViews(x.Dims())
-	factors := make([]*tensor.Matrix, N)
-	for k := 0; k < N; k++ {
-		if ranks[k] < 1 || ranks[k] > x.Dim(k) {
-			return nil, fmt.Errorf("tucker: rank %d invalid for mode %d", ranks[k], k)
-		}
-		ttm.GramInto(grams[k], x, k, 0, ws)
-		sspan := obs.Start(obs.PhaseSolve)
-		u, err := linalg.LeadingEigvecs(grams[k], ranks[k])
-		sspan.Stop()
-		if err != nil {
-			return nil, err
-		}
-		factors[k] = u
+	core := tensor.NewDense(ranks...)
+	factors := make([]*tensor.Matrix, x.Order())
+	if err := truncate(core, x, ranks, factors, gramViews(x.Dims()), 0, ws); err != nil {
+		return nil, err
 	}
-	core := ttm.Chain(x, factors, -1)
 	return &Model{Core: core, Factors: factors, Fit: fitFromCore(normX, core.Data(), x.Dims())}, nil
+}
+
+// checkRanks validates one multilinear rank per mode of x, each
+// between 1 and the mode's extent: the one rank check of every Tucker
+// solver, run before any work.
+func checkRanks(x *tensor.Dense, ranks []int) error {
+	if len(ranks) != x.Order() {
+		return fmt.Errorf("tucker: %d ranks for order-%d tensor", len(ranks), x.Order())
+	}
+	for k, r := range ranks {
+		if r < 1 || r > x.Dim(k) {
+			return fmt.Errorf("tucker: rank %d invalid for mode %d (extent %d)", r, k, x.Dim(k))
+		}
+	}
+	return nil
+}
+
+// truncate runs the ST-HOSVD pass (ttm.TruncateInto) on x into factors
+// and, when core is non-nil, the core: mode k's factor is the leading
+// eigenvectors of the mode-k Gram of x already truncated in the modes
+// the pass visited before k.
+func truncate(core, x *tensor.Dense, ranks []int, factors, grams []*tensor.Matrix, w int, ws *ttm.Workspace) error {
+	return ttm.TruncateInto(core, x, ranks, factors, w, ws, func(k int, y *tensor.Dense) (*tensor.Matrix, error) {
+		u, err := modeFactor(grams[k], y, k, ranks[k], w, ws)
+		if err != nil {
+			return nil, fmt.Errorf("tucker: HOSVD mode %d: %w", k, err)
+		}
+		return u, nil
+	})
+}
+
+// modeFactor forms y's mode-k Gram in gram (timed as PhaseGram by
+// GramInto) and returns its r leading eigenvectors (timed as
+// PhaseSolve).
+func modeFactor(gram *tensor.Matrix, y *tensor.Dense, k, r, w int, ws *ttm.Workspace) (*tensor.Matrix, error) {
+	ttm.GramInto(gram, y, k, w, ws)
+	sspan := obs.Start(obs.PhaseSolve)
+	u, err := linalg.LeadingEigvecs(gram, r)
+	sspan.Stop()
+	return u, err
 }
 
 // gramViews returns the I_k x I_k mode-Gram views of one buffer sized

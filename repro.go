@@ -211,7 +211,9 @@ type (
 	TuckerTraceEntry = tucker.TraceEntry
 )
 
-// TuckerDecompose runs HOSVD + HOOI for the given multilinear ranks.
+// TuckerDecompose runs HOOI for the given multilinear ranks, started
+// from the sequentially truncated HOSVD (ST-HOSVD). A sweep reads the
+// tensor twice at uniform ranks, and the initialization once.
 func TuckerDecompose(x *Dense, opts TuckerOptions) (*TuckerModel, []TuckerTraceEntry, error) {
 	return tucker.Decompose(x, opts)
 }
