@@ -85,6 +85,15 @@ echo "== go fuzz (Decompose, 10s) =="
 # sweep's, and 1 vs 3 workers bitwise.
 go test -run '^$' -fuzz '^FuzzDecompose$' -fuzztime 10s ./internal/tucker
 
+echo "== go fuzz (DecomposeParallel, 10s) =="
+# Random order 1-4 tensors with extents 1-9, sometimes all zero, on a
+# grid with P at most the smallest extent, R 1-4 and 1-3 CP-ALS sweeps
+# at Tol -Inf: no panic, an error on order-1 and zero tensors and on no
+# well-posed input, every sweep's fit within 1e-6 of the sequential
+# solver's where the normal equations are nonsingular and the fit is
+# below 0.999, and every rank's words and sends equal to the schedule.
+go test -run '^$' -fuzz '^FuzzDecomposeParallel$' -fuzztime 10s ./internal/cpals
+
 echo "== go fuzz (CSF, 10s) =="
 # Random order 2-4 COO tensors with extents 1-12, 0-300 entries with
 # repeated coordinates, R 1-20 and any root: the FromCOO/ToCOO round
@@ -196,6 +205,14 @@ REPRO_CALIBRATION="$obsdir/calibration.json" go run ./cmd/tucker \
 	-dims 32,32,32 -ranks 24,24,24 -grid 2,2,2 -iters 2 \
 	-obs-json "$obsdir/tucker-par.json" >/dev/null
 grep -q '"measured/multittm' "$obsdir/tucker-par.json"
+
+echo "== parallel CP bound smoke (measured/par-best) =="
+# Parallel CP-ALS must join its per-processor MTTKRP collective words
+# against the Theorem 4.2/4.3 bound summed over the run's MTTKRPs
+# (5 sweeps x 3 modes here: 12288 words against 15 x 394.1).
+go run ./cmd/cpals -dims 64,64,64 -rank 8 -grid 2,2,2 -iters 5 -tol -1 \
+	-obs-json "$obsdir/cpals-par.json" >/dev/null
+grep -q '"measured/par-best"' "$obsdir/cpals-par.json"
 
 echo "== benchmark archive gate (benchjson -compare) =="
 # The archived planner snapshot must stay within tolerance of the

@@ -83,28 +83,25 @@ func main() {
 	// per-mode independent kernels and the dimension-tree engine for
 	// the sequential solver, amortizing over the full ALS run (every
 	// sweep recomputes all modes). The parallel solver has one MTTKRP
-	// strategy, so auto degrades to independent there.
+	// schedule, a dimension tree on every rank's block, so on a grid
+	// nothing is planned and -engine must stay auto.
 	var planInfo *obs.PlanInfo
-	if *engine == "auto" {
-		if *gridFlag != "" {
-			*engine = "independent"
-		} else {
-			prob := plan.Problem{Dims: dims, R: *rank, Mode: plan.AllModes,
-				MaxWorkers: *workers, Reuses: *iters}
-			choice, _, err := plan.Auto(prob)
-			if err != nil {
-				fatal(err)
-			}
-			choice.Apply()
-			if choice.Engine == "tree" {
-				*engine = "tree"
-			} else {
-				*engine = "independent"
-			}
-			planInfo = choice.PlanInfo()
-			fmt.Printf("plan: engine=%s workers=%d kc=%d mc=%d\n",
-				*engine, choice.Workers, choice.GemmKC, choice.GemmMC)
+	if *engine == "auto" && *gridFlag == "" {
+		prob := plan.Problem{Dims: dims, R: *rank, Mode: plan.AllModes,
+			MaxWorkers: *workers, Reuses: *iters}
+		choice, _, err := plan.Auto(prob)
+		if err != nil {
+			fatal(err)
 		}
+		choice.Apply()
+		if choice.Engine == "tree" {
+			*engine = "tree"
+		} else {
+			*engine = "independent"
+		}
+		planInfo = choice.PlanInfo()
+		fmt.Printf("plan: engine=%s workers=%d kc=%d mc=%d\n",
+			*engine, choice.Workers, choice.GemmKC, choice.GemmMC)
 	}
 	inst, err := workload.Generate(workload.Spec{Dims: dims, R: *trueRank, Seed: *seed, Noise: *noise})
 	if err != nil {
@@ -118,15 +115,15 @@ func main() {
 		obs.Enable(col)
 		defer obs.Disable()
 	}
-	report := func(algo string, mach obs.Machine) {
+	report := func(algo string, mach obs.Machine, join func(*obs.Report)) {
 		if col == nil {
 			return
 		}
 		rep := obs.NewReport("cpals", algo, dims, *rank, -1, mach)
 		rep.Plan = planInfo
 		rep.FillFromCollector(col)
-		if mach.P > 0 {
-			rep.JoinParBounds(float64(mach.P), 0)
+		if join != nil {
+			join(rep)
 		}
 		emitReport(rep, *obsFlag, *obsJSON)
 	}
@@ -144,7 +141,7 @@ func main() {
 			naive := int64(len(trace)) * dimtree.NaiveFlops(dims, *rank)
 			fmt.Printf("MTTKRP flops: %d (vs %d for independent atomic per-mode kernels, %.2fx saving)\n",
 				flops, naive, float64(naive)/float64(flops))
-			report("tree", obs.Machine{Workers: *workers})
+			report("tree", obs.Machine{Workers: *workers}, nil)
 			return
 		}
 		model, trace, err := cpals.Decompose(inst.X, opts)
@@ -155,11 +152,11 @@ func main() {
 			dims, *rank, *trueRank, *noise)
 		printTrace(trace)
 		fmt.Printf("final fit: %.6f\n", model.Fit)
-		report("independent", obs.Machine{Workers: *workers})
+		report("independent", obs.Machine{Workers: *workers}, nil)
 		return
 	}
 
-	if *engine != "independent" {
+	if *engine != "auto" {
 		fatal(fmt.Errorf("-engine %s applies to the sequential solver only (drop -grid)", *engine))
 	}
 
@@ -185,7 +182,13 @@ func main() {
 	for _, s := range shape {
 		p *= s
 	}
-	report("parallel", obs.Machine{P: p})
+	// The parallel report's headline figure is the per-processor
+	// MTTKRP collective traffic, joined against the parallel bounds
+	// summed over the N MTTKRPs of every sweep the run executed.
+	report("parallel", obs.Machine{P: p}, func(rep *obs.Report) {
+		rep.MeasuredWords = mt
+		rep.JoinParBounds(float64(p), 0, len(res.Trace)*len(dims))
+	})
 }
 
 // emitReport writes the report per the -obs / -obs-json flags.

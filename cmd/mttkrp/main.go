@@ -165,7 +165,7 @@ func main() {
 			rep = obs.NewReport("mttkrp", *algo, dims, *r, *mode, obs.Machine{P: *p})
 			rep.MeasuredWords = res.MaxWords()
 			rep.FillFromCollector(col)
-			rep.JoinParBounds(float64(*p), 0)
+			rep.JoinParBounds(float64(*p), 0, 1)
 			joinAlgWords(rep, *algo, dims, *r, res.Grid)
 		}
 

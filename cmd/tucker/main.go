@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -131,7 +132,7 @@ func main() {
 	}
 
 	if *gridFlag == "" {
-		model, trace, err := tucker.Decompose(data, tucker.Options{Ranks: ranks, MaxIters: *iters, Tol: 0, Workers: workers})
+		model, trace, err := tucker.Decompose(data, tucker.Options{Ranks: ranks, MaxIters: *iters, Tol: math.Inf(-1), Workers: workers})
 		if err != nil {
 			fatal(err)
 		}
@@ -148,7 +149,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := tucker.DecomposeParallel(data, shape, tucker.Options{Ranks: ranks, MaxIters: *iters, Tol: 0}, *seed+3)
+	res, err := tucker.DecomposeParallel(data, shape, tucker.Options{Ranks: ranks, MaxIters: *iters, Tol: math.Inf(-1)}, *seed+3)
 	if err != nil {
 		fatal(err)
 	}

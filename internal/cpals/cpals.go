@@ -20,11 +20,15 @@ import (
 
 // Options configures a CP-ALS run.
 type Options struct {
-	R        int     // decomposition rank
-	MaxIters int     // maximum ALS sweeps (default 50)
-	Tol      float64 // stop when the fit improves by less than Tol (default 1e-8)
-	Seed     int64   // factor initialization seed
-	Workers  int     // MTTKRP goroutines (<= 0: linalg package default)
+	R        int // decomposition rank
+	MaxIters int // maximum ALS sweeps (default 50)
+
+	// Tol stops the run after a sweep whose fit improves on the
+	// previous sweep's by less than Tol. 0 selects the default 1e-8; a
+	// negative Tol such as math.Inf(-1) runs every sweep.
+	Tol     float64
+	Seed    int64 // factor initialization seed
+	Workers int   // MTTKRP goroutines (<= 0: linalg package default)
 
 	// Normalize rebalances the factor column norms after every sweep
 	// (the standard lambda handling): each rank-one component's
@@ -35,7 +39,10 @@ type Options struct {
 	Normalize bool
 }
 
-func (o *Options) fill() error {
+// check fills o's defaults and rejects what no solver runs: a rank
+// below 1, a negative MaxIters, or x of order below 2. Every entry
+// point calls it before any work.
+func (o *Options) check(x *tensor.Dense) error {
 	if o.R < 1 {
 		return fmt.Errorf("cpals: rank %d", o.R)
 	}
@@ -47,6 +54,9 @@ func (o *Options) fill() error {
 	}
 	if o.Tol == 0 { //repro:bitwise unset-option sentinel, exact
 		o.Tol = 1e-8
+	}
+	if x.Order() < 2 {
+		return fmt.Errorf("cpals: tensor order %d", x.Order())
 	}
 	return nil
 }
@@ -70,13 +80,10 @@ type TraceEntry struct {
 
 // Decompose runs sequential CP-ALS.
 func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
-	if err := opts.fill(); err != nil {
+	if err := opts.check(x); err != nil {
 		return nil, nil, err
 	}
 	N := x.Order()
-	if N < 2 {
-		return nil, nil, fmt.Errorf("cpals: tensor order %d", N)
-	}
 	factors := tensor.RandomFactors(opts.Seed, x.Dims(), opts.R)
 	grams := make([]*tensor.Matrix, N)
 	for k, f := range factors {
@@ -119,7 +126,7 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 			lastB = b
 		}
 		fspan := obs.Start(obs.PhaseFit)
-		fit = computeFit(normX, lastB, factors[N-1], grams)
+		fit = computeFit(normX, linalg.Dot(lastB, factors[N-1]), grams)
 		fspan.Stop()
 		trace = append(trace, TraceEntry{Iter: it, Fit: fit})
 		if fit-prevFit < opts.Tol && it > 0 {
@@ -196,11 +203,10 @@ func solveFactor(a, v, b *tensor.Matrix) error {
 
 // computeFit evaluates 1 - ||X - Xhat||/||X|| using the standard
 // identity: ||X - Xhat||^2 = ||X||^2 - 2<X, Xhat> + ||Xhat||^2, where
-// <X, Xhat> = <B(n), A(n)> for the last updated mode n and
+// inner = <X, Xhat> = <B(n), A(n)> for the last updated mode n and
 // ||Xhat||^2 = 1' (hadamard of all Grams) 1.
-func computeFit(normX float64, lastB, lastA *tensor.Matrix, grams []*tensor.Matrix) float64 {
-	inner := linalg.Dot(lastB, lastA)
-	R := lastA.Cols()
+func computeFit(normX, inner float64, grams []*tensor.Matrix) float64 {
+	R := grams[0].Cols()
 	all := tensor.NewMatrix(R, R)
 	all.Fill(1)
 	for _, g := range grams {

@@ -75,7 +75,7 @@ func TestDecomposeMatrixCase(t *testing.T) {
 func TestNormalizePreservesFitBalancesNorms(t *testing.T) {
 	dims := []int{6, 6, 6}
 	x := tensor.RandomDense(61, dims...)
-	opts := Options{R: 3, MaxIters: 12, Tol: 0, Seed: 63}
+	opts := Options{R: 3, MaxIters: 12, Tol: math.Inf(-1), Seed: 63}
 	_, plain, err := Decompose(x, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +86,8 @@ func TestNormalizePreservesFitBalancesNorms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain) != len(normed) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(plain), len(normed))
+	if len(plain) != opts.MaxIters || len(normed) != opts.MaxIters {
+		t.Fatalf("trace lengths %d and %d, want %d", len(plain), len(normed), opts.MaxIters)
 	}
 	for i := range plain {
 		if math.Abs(plain[i].Fit-normed[i].Fit) > 1e-6 {
@@ -136,6 +136,9 @@ func TestDecomposeErrors(t *testing.T) {
 	if _, _, err := Decompose(zero, Options{R: 1}); err == nil {
 		t.Fatal("zero tensor should error")
 	}
+	if _, _, err := Decompose(tensor.RandomDense(1, 4), Options{R: 1}); err == nil {
+		t.Fatal("order 1 should error")
+	}
 }
 
 func TestDecomposeParallelMatchesSequential(t *testing.T) {
@@ -143,7 +146,7 @@ func TestDecomposeParallelMatchesSequential(t *testing.T) {
 	R := 2
 	truth := tensor.RandomFactors(31, dims, R)
 	x := tensor.FromFactors(truth)
-	opts := Options{R: R, MaxIters: 10, Tol: 0, Seed: 37}
+	opts := Options{R: R, MaxIters: 10, Tol: math.Inf(-1), Seed: 37}
 	_, seqTrace, err := Decompose(x, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +155,8 @@ func TestDecomposeParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parRes.Trace) != len(seqTrace) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(parRes.Trace), len(seqTrace))
+	if len(parRes.Trace) != opts.MaxIters || len(seqTrace) != opts.MaxIters {
+		t.Fatalf("trace lengths %d and %d, want %d", len(parRes.Trace), len(seqTrace), opts.MaxIters)
 	}
 	for i := range seqTrace {
 		if math.Abs(parRes.Trace[i].Fit-seqTrace[i].Fit) > 1e-6 {
@@ -210,21 +213,34 @@ func TestDecomposeParallelErrors(t *testing.T) {
 	if _, err := DecomposeParallel(x, []int{2, 2}, Options{R: 2, Normalize: true}); err == nil {
 		t.Fatal("Normalize should error: the parallel solver does not rebalance norms")
 	}
+	// An order-1 tensor and a zero tensor fail as they do sequentially:
+	// the order before any work, the zero tensor on every rank at once
+	// from the all-reduced norm.
+	if _, err := DecomposeParallel(tensor.RandomDense(1, 4), []int{2}, Options{R: 2}); err == nil || err.Error() != "cpals: tensor order 1" {
+		t.Fatalf("order 1: error %v, want cpals: tensor order 1", err)
+	}
+	if _, err := DecomposeParallel(tensor.NewDense(4, 4), []int{2, 2}, Options{R: 2}); err == nil || err.Error() != "cpals: zero tensor" {
+		t.Fatalf("zero tensor: error %v, want cpals: zero tensor", err)
+	}
 }
 
 func TestParallelSingleProcessor(t *testing.T) {
 	dims := []int{5, 5}
 	x := tensor.RandomDense(53, dims...)
-	res, err := DecomposeParallel(x, []int{1, 1}, Options{R: 2, MaxIters: 5, Tol: 0, Seed: 55})
+	opts := Options{R: 2, MaxIters: 5, Tol: math.Inf(-1), Seed: 55}
+	res, err := DecomposeParallel(x, []int{1, 1}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MaxMTTKRPWords() != 0 || res.MaxOtherWords() != 0 {
 		t.Fatal("P=1 should not communicate")
 	}
-	_, seqTrace, err := Decompose(x, Options{R: 2, MaxIters: 5, Tol: 0, Seed: 55})
+	_, seqTrace, err := Decompose(x, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(res.Trace) != opts.MaxIters || len(seqTrace) != opts.MaxIters {
+		t.Fatalf("trace lengths %d and %d, want %d", len(res.Trace), len(seqTrace), opts.MaxIters)
 	}
 	for i := range seqTrace {
 		if math.Abs(res.Trace[i].Fit-seqTrace[i].Fit) > 1e-9 {

@@ -27,13 +27,10 @@ import (
 // Options; the extra return reports total MTTKRP flops for comparison
 // with N*RefFlops per sweep.
 func DecomposeTree(x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, error) {
-	if err := opts.fill(); err != nil {
+	if err := opts.check(x); err != nil {
 		return nil, nil, 0, err
 	}
 	N := x.Order()
-	if N < 2 {
-		return nil, nil, 0, fmt.Errorf("cpals: tensor order %d", N)
-	}
 	factors := tensor.RandomFactors(opts.Seed, x.Dims(), opts.R)
 	grams := make([]*tensor.Matrix, N)
 	for k, f := range factors {
@@ -46,22 +43,13 @@ func DecomposeTree(x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, 
 
 	// One GEMM engine for every contraction in the run: its KRP panels,
 	// partial stack, and slab scratch grow to the largest contraction
-	// once and are reused for the rest of the decomposition.
-	eng := dimtree.NewEngine(opts.Workers)
-
-	// Every MTTKRP result and prefix partial keeps its shape for the
-	// whole run, so each lives in a buffer made once: bs[n] holds B(n),
-	// and prefixes[n] views P_n (modes n..N-1 plus r; P_0 is the tensor
-	// itself) in one of two buffers that alternate, since P_{n+1} is
-	// contracted out of P_n.
+	// once and are reused for the rest of the decomposition. Every
+	// MTTKRP result keeps its shape for the whole run, so bs[n] holds
+	// B(n) in a buffer made once.
+	tree := newPrefixTree(dimtree.NewEngine(opts.Workers), x, opts.R)
 	bs := make([]*tensor.Matrix, N)
 	for n := range bs {
 		bs[n] = tensor.NewMatrix(x.Dim(n), opts.R)
-	}
-	prefixes := prefixViews(x.Dims(), opts.R)
-	modes := make([]int, N)
-	for i := range modes {
-		modes[i] = i
 	}
 
 	var totalFlops int64
@@ -70,17 +58,11 @@ func DecomposeTree(x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, 
 	fit := 0.0
 	for it := 0; it < opts.MaxIters; it++ {
 		for n := 0; n < N; n++ {
-			// B(n): drop all modes but n from the prefix.
-			b := bs[n]
-			if n == 0 {
-				totalFlops += eng.ContractTensorInto(b.Data(), x, factors, opts.R, modes[:1])
-			} else {
-				totalFlops += eng.ContractPartialInto(b.Data(), prefixes[n], modes[n:], factors, opts.R, modes[n:n+1])
-			}
+			totalFlops += tree.mttkrp(bs[n], factors, n)
 
 			v := hadamardGrams(grams, n, opts.R)
 			sspan := obs.Start(obs.PhaseSolve)
-			err := solveFactor(factors[n], v, b)
+			err := solveFactor(factors[n], v, bs[n])
 			sspan.Stop()
 			if err != nil {
 				return nil, nil, 0, fmt.Errorf("cpals: mode %d solve: %w", n, err)
@@ -89,18 +71,10 @@ func DecomposeTree(x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, 
 			grams[n] = linalg.Gram(factors[n])
 			gspan.Stop()
 
-			// Advance the prefix: contract mode n with the updated
-			// factor (not needed after the last mode).
-			if n < N-1 {
-				if n == 0 {
-					totalFlops += eng.ContractTensorInto(prefixes[1].Data(), x, factors, opts.R, modes[1:])
-				} else {
-					totalFlops += eng.ContractPartialInto(prefixes[n+1].Data(), prefixes[n], modes[n:], factors, opts.R, modes[n+1:])
-				}
-			}
+			totalFlops += tree.advance(factors, n)
 		}
 		fspan := obs.Start(obs.PhaseFit)
-		fit = computeFit(normX, bs[N-1], factors[N-1], grams)
+		fit = computeFit(normX, linalg.Dot(bs[N-1], factors[N-1]), grams)
 		fspan.Stop()
 		trace = append(trace, TraceEntry{Iter: it, Fit: fit})
 		if fit-prevFit < opts.Tol && it > 0 {
@@ -115,6 +89,56 @@ func DecomposeTree(x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, 
 		}
 	}
 	return &Model{Factors: factors, Fit: fit}, trace, totalFlops, nil
+}
+
+// prefixTree is the MTTKRP schedule of one ALS sweep with Phan et
+// al.'s prefix-partial reuse, the one schedule DecomposeTree and every
+// rank of DecomposeParallel walk. Modes are updated in ascending
+// order; for each mode n the solver calls mttkrp(n), replaces factor
+// n, then calls advance(n). The tensor is contracted twice per sweep
+// (for B(0) and P_1); every other contraction reads a prefix partial.
+type prefixTree struct {
+	eng *dimtree.Engine
+	x   *tensor.Dense
+	R   int
+
+	// prefixes[n] views P_n (modes n..N-1 plus r; P_0 is the tensor
+	// itself) in one of two buffers made once, which alternate since
+	// P_{n+1} is contracted out of P_n.
+	prefixes []*tensor.Dense
+	modes    []int // 0, 1, ..., N-1
+}
+
+// newPrefixTree returns the schedule over x at rank R, contracting
+// with eng.
+func newPrefixTree(eng *dimtree.Engine, x *tensor.Dense, R int) *prefixTree {
+	modes := make([]int, x.Order())
+	for i := range modes {
+		modes[i] = i
+	}
+	return &prefixTree{eng: eng, x: x, R: R, prefixes: prefixViews(x.Dims(), R), modes: modes}
+}
+
+// mttkrp writes B(n) into b and returns its flops: all modes but n
+// dropped from P_n, contracting with the factors of modes > n.
+func (t *prefixTree) mttkrp(b *tensor.Matrix, factors []*tensor.Matrix, n int) int64 {
+	if n == 0 {
+		return t.eng.ContractTensorInto(b.Data(), t.x, factors, t.R, t.modes[:1])
+	}
+	return t.eng.ContractPartialInto(b.Data(), t.prefixes[n], t.modes[n:], factors, t.R, t.modes[n:n+1])
+}
+
+// advance contracts mode n of P_n with factors[n], which must hold the
+// mode's update, into P_{n+1}, and returns its flops. After the last
+// mode there is nothing to advance.
+func (t *prefixTree) advance(factors []*tensor.Matrix, n int) int64 {
+	switch {
+	case n == len(t.modes)-1:
+		return 0
+	case n == 0:
+		return t.eng.ContractTensorInto(t.prefixes[1].Data(), t.x, factors, t.R, t.modes[1:])
+	}
+	return t.eng.ContractPartialInto(t.prefixes[n+1].Data(), t.prefixes[n], t.modes[n:], factors, t.R, t.modes[n+1:])
 }
 
 // prefixViews returns the prefix partials' views for an order-N

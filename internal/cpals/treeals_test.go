@@ -13,7 +13,7 @@ import (
 // operations.
 func TestTreeALSMatchesPlainALS(t *testing.T) {
 	for _, dims := range [][]int{{6, 5}, {6, 5, 4}, {4, 4, 4, 4}} {
-		opts := Options{R: 3, MaxIters: 8, Tol: 0, Seed: 91}
+		opts := Options{R: 3, MaxIters: 8, Tol: math.Inf(-1), Seed: 91}
 		x := tensor.RandomDense(93, dims...)
 		_, plainTrace, err := Decompose(x, opts)
 		if err != nil {
@@ -23,8 +23,8 @@ func TestTreeALSMatchesPlainALS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(treeTrace) != len(plainTrace) {
-			t.Fatalf("dims %v: trace lengths %d vs %d", dims, len(treeTrace), len(plainTrace))
+		if len(treeTrace) != opts.MaxIters || len(plainTrace) != opts.MaxIters {
+			t.Fatalf("dims %v: trace lengths %d and %d, want %d", dims, len(treeTrace), len(plainTrace), opts.MaxIters)
 		}
 		for i := range plainTrace {
 			if math.Abs(treeTrace[i].Fit-plainTrace[i].Fit) > 1e-8 {
@@ -75,7 +75,7 @@ func TestTreeALSRecoversLowRank(t *testing.T) {
 func TestTreeALSWithNormalization(t *testing.T) {
 	dims := []int{5, 5, 5}
 	x := tensor.RandomDense(103, dims...)
-	opts := Options{R: 2, MaxIters: 6, Tol: 0, Seed: 105, Normalize: true}
+	opts := Options{R: 2, MaxIters: 6, Tol: math.Inf(-1), Seed: 105, Normalize: true}
 	_, plainTrace, err := Decompose(x, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +83,9 @@ func TestTreeALSWithNormalization(t *testing.T) {
 	_, treeTrace, _, err := DecomposeTree(x, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(treeTrace) != opts.MaxIters || len(plainTrace) != opts.MaxIters {
+		t.Fatalf("trace lengths %d and %d, want %d", len(treeTrace), len(plainTrace), opts.MaxIters)
 	}
 	for i := range plainTrace {
 		if math.Abs(treeTrace[i].Fit-plainTrace[i].Fit) > 1e-8 {
@@ -98,5 +101,8 @@ func TestTreeALSErrors(t *testing.T) {
 	}
 	if _, _, _, err := DecomposeTree(tensor.NewDense(3, 3), Options{R: 1}); err == nil {
 		t.Fatal("zero tensor should error")
+	}
+	if _, _, _, err := DecomposeTree(tensor.RandomDense(1, 4), Options{R: 1}); err == nil {
+		t.Fatal("order 1 should error")
 	}
 }

@@ -2,6 +2,7 @@ package flight_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -118,8 +119,8 @@ func TestStationaryTraceMatchesEq14(t *testing.T) {
 // TestParallelCPALSTraceFlowsPair is the acceptance run: parallel
 // CP-ALS on a 4x4x4 simnet grid exports a trace whose Send→Recv flow
 // events exactly pair up and whose per-rank comm event counts equal
-// the bucket-collective schedule Eq. (14) counts — cross-checked
-// against the obs comm counters word for word.
+// the solver's collective schedule — cross-checked against the obs
+// comm counters word for word.
 func TestParallelCPALSTraceFlowsPair(t *testing.T) {
 	dims := []int{64, 64, 64}
 	R := 2
@@ -135,7 +136,7 @@ func TestParallelCPALSTraceFlowsPair(t *testing.T) {
 	obs.Enable(col)
 	defer obs.Disable()
 
-	res, err := cpals.DecomposeParallel(x, shape, cpals.Options{R: R, MaxIters: 1, Tol: 0, Seed: 29})
+	res, err := cpals.DecomposeParallel(x, shape, cpals.Options{R: R, MaxIters: 1, Tol: math.Inf(-1), Seed: 29})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,15 +155,21 @@ func TestParallelCPALSTraceFlowsPair(t *testing.T) {
 
 	// Per-rank send events from the collective schedule: every bucket
 	// collective over q ranks sends q-1 messages per member, and
-	// AllReduce = ReduceScatter + AllGather. Per sweep and mode: the
-	// Eq. (14) MTTKRP schedule (hyperslice gathers for k != n plus the
-	// mode-n reduce-scatter) plus one world Gram AllReduce; outside the
-	// sweep: the normX AllReduce, N initial Gram AllReduces, and one
-	// fit AllReduce per iteration.
-	q := P / shape[0] // 16: all hyperslices have this size on the cubic grid
+	// AllReduce = ReduceScatter + AllGather. A refresh of mode k is one
+	// hyperslice gather of U_k's block row plus one Gram AllReduce over
+	// the mode-k fiber of p ranks. Outside the sweeps: the normX
+	// AllReduce and a refresh of every mode but 0. Per sweep and mode:
+	// the hyperslice reduce-scatter of B(n) and a refresh of mode n;
+	// then one fit AllReduce.
+	N := len(shape)
+	p := shape[0]
+	q := P / p // 16: all hyperslices have this size on the cubic grid
 	ar := 2 * (P - 1)
-	perMode := (len(shape)-1)*(q-1) + (q - 1) + ar
-	wantEvents := ar + len(shape)*ar + iters*(len(shape)*perMode+ar)
+	refresh := (q - 1) + 2*(p-1)
+	wantEvents := ar + (N-1)*refresh + iters*(N*((q-1)+refresh)+ar)
+	if wantEvents != 402 {
+		t.Fatalf("schedule gives %d sends per rank, want 402", wantEvents)
+	}
 	totalFlows := 0
 	for r := 0; r < P; r++ {
 		if got := sum.SendEvents[r]; got != wantEvents {

@@ -120,20 +120,24 @@ func (r *Report) JoinSeqBounds(M float64) {
 }
 
 // JoinParBounds joins the parallel bounds for P processors with
-// balanced layouts (gamma = delta = 1): the memory-independent
-// Theorems 4.2/4.3 and their max ("par-best"), the Corollary 4.2
-// combined expression for cubical problems, and — when M > 0 — the
-// memory-dependent Corollary 4.1 bound.
-func (r *Report) JoinParBounds(P, M float64) {
+// balanced layouts (gamma = delta = 1), each summed over the run's
+// mttkrps MTTKRPs (1 for a single MTTKRP; a CP-ALS run does N per
+// sweep), so that a run's per-processor words join the bound of all
+// the MTTKRPs they moved: the memory-independent Theorems 4.2/4.3 and
+// their max ("par-best"), the Corollary 4.2 combined expression for
+// cubical problems, and — when M > 0 — the memory-dependent Corollary
+// 4.1 bound.
+func (r *Report) JoinParBounds(P, M float64, mttkrps int) {
 	p := r.Problem()
-	r.JoinBound("par-memindep1-thm4.2", bounds.ParMemIndependent1(p, P, 1, 1))
-	r.JoinBound("par-memindep2-thm4.3", bounds.ParMemIndependent2(p, P, 1, 1))
-	r.JoinBound("par-best", bounds.ParBest(p, P, 1, 1))
+	n := float64(max(mttkrps, 1))
+	r.JoinBound("par-memindep1-thm4.2", n*bounds.ParMemIndependent1(p, P, 1, 1))
+	r.JoinBound("par-memindep2-thm4.3", n*bounds.ParMemIndependent2(p, P, 1, 1))
+	r.JoinBound("par-best", n*bounds.ParBest(p, P, 1, 1))
 	if cubical(r.Dims) {
-		r.JoinBound("par-cubical-cor4.2", bounds.CubicalCombined(p, P))
+		r.JoinBound("par-cubical-cor4.2", n*bounds.CubicalCombined(p, P))
 	}
 	if M > 0 {
-		r.JoinBound("par-memdep-cor4.1", bounds.ParMemDependent(p, M, P))
+		r.JoinBound("par-memdep-cor4.1", n*bounds.ParMemDependent(p, M, P))
 	}
 }
 

@@ -86,13 +86,25 @@ func TestJoinSeqBoundsUsesProblem(t *testing.T) {
 func TestJoinParBoundsCubical(t *testing.T) {
 	rep := NewReport("x", "stationary", []int{16, 16, 16}, 8, 1, Machine{P: 8})
 	rep.MeasuredWords = 288
-	rep.JoinParBounds(8, 0)
+	rep.JoinParBounds(8, 0, 1)
 	if _, ok := rep.Bounds["par-cubical-cor4.2"]; !ok {
 		t.Fatal("cubical problem missing Cor 4.2 bound")
 	}
+	// A run of 15 MTTKRPs joins 15 times every single-MTTKRP bound.
+	run := NewReport("x", "parallel", []int{16, 16, 16}, 8, -1, Machine{P: 8})
+	run.MeasuredWords = 15 * 288
+	run.JoinParBounds(8, 0, 15)
+	for name, b := range rep.Bounds {
+		if run.Bounds[name] != 15*b { //repro:bitwise exact scaling by an integer count
+			t.Fatalf("%s over 15 MTTKRPs = %v, want 15 x %v", name, run.Bounds[name], b)
+		}
+		if r, ok := rep.Ratios["measured/"+name]; ok && math.Abs(run.Ratios["measured/"+name]-r) > 1e-12*r {
+			t.Fatalf("%s ratio %v over 15 MTTKRPs, %v for one", name, run.Ratios["measured/"+name], r)
+		}
+	}
 	rect := NewReport("x", "stationary", []int{16, 8, 4}, 8, 1, Machine{P: 8})
 	rect.MeasuredWords = 288
-	rect.JoinParBounds(8, 0)
+	rect.JoinParBounds(8, 0, 1)
 	if _, ok := rect.Bounds["par-cubical-cor4.2"]; ok {
 		t.Fatal("rectangular problem joined the cubical-only bound")
 	}
@@ -100,7 +112,7 @@ func TestJoinParBoundsCubical(t *testing.T) {
 		t.Fatal("M=0 joined the memory-dependent parallel bound")
 	}
 	rectM := NewReport("x", "stationary", []int{16, 8, 4}, 8, 1, Machine{P: 8, M: 128})
-	rectM.JoinParBounds(8, 128)
+	rectM.JoinParBounds(8, 128, 1)
 	if _, ok := rectM.Bounds["par-memdep-cor4.1"]; !ok {
 		t.Fatal("M>0 missing the Cor 4.1 bound")
 	}

@@ -20,17 +20,17 @@ func TestParallelMatchesSequentialTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Ranks: ranks, MaxIters: 6, Tol: 0, Init: init}
+	opts := Options{Ranks: ranks, MaxIters: 6, Tol: math.Inf(-1), Init: init}
 	_, seqTrace, err := Decompose(x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := DecomposeParallel(x, []int{2, 2, 2}, Options{Ranks: ranks, MaxIters: 6, Tol: 0}, 7)
+	par, err := DecomposeParallel(x, []int{2, 2, 2}, Options{Ranks: ranks, MaxIters: 6, Tol: math.Inf(-1)}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(par.Trace) != len(seqTrace) {
-		t.Fatalf("trace lengths %d vs %d", len(par.Trace), len(seqTrace))
+	if len(par.Trace) != opts.MaxIters || len(seqTrace) != opts.MaxIters {
+		t.Fatalf("trace lengths %d and %d, want %d", len(par.Trace), len(seqTrace), opts.MaxIters)
 	}
 	for i := range seqTrace {
 		if math.Abs(par.Trace[i].Fit-seqTrace[i].Fit) > 1e-8 {
@@ -73,7 +73,7 @@ func TestParallelCommBreakdown(t *testing.T) {
 func TestParallelSingleProc(t *testing.T) {
 	dims := []int{6, 6}
 	x := tensor.RandomDense(87, dims...)
-	res, err := DecomposeParallel(x, []int{1, 1}, Options{Ranks: []int{2, 2}, MaxIters: 4, Tol: 0}, 13)
+	res, err := DecomposeParallel(x, []int{1, 1}, Options{Ranks: []int{2, 2}, MaxIters: 4, Tol: math.Inf(-1)}, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +84,12 @@ func TestParallelSingleProc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, seqTrace, err := Decompose(x, Options{Ranks: []int{2, 2}, MaxIters: 4, Tol: 0, Init: init})
+	_, seqTrace, err := Decompose(x, Options{Ranks: []int{2, 2}, MaxIters: 4, Tol: math.Inf(-1), Init: init})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(res.Trace) != 4 || len(seqTrace) != 4 {
+		t.Fatalf("trace lengths %d and %d, want 4", len(res.Trace), len(seqTrace))
 	}
 	for i := range seqTrace {
 		if math.Abs(res.Trace[i].Fit-seqTrace[i].Fit) > 1e-10 {

@@ -44,9 +44,13 @@ import (
 
 // Options configures a Tucker decomposition.
 type Options struct {
-	Ranks    []int   // multilinear ranks, one per mode
-	MaxIters int     // HOOI sweeps (0 selects 25; for no sweeps call HOSVD)
-	Tol      float64 // stop when fit improves by less than Tol (default 1e-8)
+	Ranks    []int // multilinear ranks, one per mode
+	MaxIters int   // HOOI sweeps (0 selects 25; for no sweeps call HOSVD)
+
+	// Tol stops the run after a sweep whose fit improves on the
+	// previous sweep's by less than Tol. 0 selects the default 1e-8; a
+	// negative Tol such as math.Inf(-1) runs every sweep.
+	Tol float64
 
 	// Workers is the TTM engine's worker count for chains and Grams
 	// (<= 0 selects the linalg default). Results are bitwise identical

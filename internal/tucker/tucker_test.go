@@ -386,9 +386,12 @@ func TestDecomposeWorkerBitwise(t *testing.T) {
 		var ref *Model
 		var refTrace []TraceEntry
 		for _, workers := range []int{1, 2, 3, 8} {
-			model, trace, err := Decompose(x, Options{Ranks: tc.ranks, MaxIters: 3, Tol: 0, Workers: workers})
+			model, trace, err := Decompose(x, Options{Ranks: tc.ranks, MaxIters: 3, Tol: math.Inf(-1), Workers: workers})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(trace) != 3 {
+				t.Fatalf("%v workers %d: %d sweeps, want 3", tc.dims, workers, len(trace))
 			}
 			if ref == nil {
 				ref, refTrace = model, trace

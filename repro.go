@@ -160,7 +160,13 @@ func CPDecompose(x *Dense, opts CPOptions) (*CPModel, []CPTraceEntry, error) {
 }
 
 // CPDecomposeParallel runs distributed CP-ALS on an N-way processor
-// grid.
+// grid with the Algorithm 3 layout: the tensor stays put, each rank
+// keeps its hyperslices' gathered factor block rows across modes and
+// sweeps and regathers a factor only after its update, each Gram is
+// all-reduced over the grid fiber whose block rows partition the
+// factor, and every rank computes its MTTKRPs on a dimension tree over
+// its block. Every dimension must be at least the processor count;
+// order-1 and zero tensors return errors, as in CPDecompose.
 func CPDecomposeParallel(x *Dense, shape []int, opts CPOptions) (*CPParallelResult, error) {
 	return cpals.DecomposeParallel(x, shape, opts)
 }
