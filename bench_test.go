@@ -416,10 +416,10 @@ func BenchmarkDimTree(b *testing.B) {
 }
 
 // BenchmarkDimTreeAllModes regenerates E22: the GEMM-based
-// dimension-tree engine against (a) the scalar tree it replaced and
-// (b) N independent KRP-splitting kernel calls — the head-to-head the
-// multi-MTTKRP sharing argument rests on. fast-tree reports allocs to
-// witness the zero-steady-state contract.
+// dimension-tree engine against N independent KRP-splitting kernel
+// calls — the head-to-head the multi-MTTKRP sharing argument rests
+// on. fast-tree reports allocs to witness the zero-steady-state
+// contract.
 func BenchmarkDimTreeAllModes(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
@@ -455,11 +455,6 @@ func BenchmarkDimTreeAllModes(b *testing.B) {
 				for n := 0; n < N; n++ {
 					kernel.FastInto(outs[n], x, fs, n, 0, ws)
 				}
-			}
-		})
-		b.Run(cfg.name+"/scalar-tree", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dimtree.AllModesRef(x, fs)
 			}
 		})
 	}

@@ -102,6 +102,16 @@ echo "== go fuzz (CSF, 10s) =="
 # workers, and the float32 value stream bitwise.
 go test -run '^$' -fuzz '^FuzzCSF$' -fuzztime 10s ./internal/sparse
 
+echo "== go fuzz (MTTKRP, 10s) =="
+# Random order 1-5 tensors with extents 1-7, R 1-5, modes -2..N+1 and
+# valid or broken factor sets (a factor dropped, a participating factor
+# nil, wrong rows, mixed ranks): no facade call panics, each errors
+# exactly when tensor.CheckFactors does, and valid calls agree with
+# seq.Ref (MTTKRP, 1 vs 3 workers bitwise, every MTTKRPAllModes leaf,
+# blocked SequentialMTTKRP) within a rounding tolerance scaled by the
+# contraction length.
+go test -run '^$' -fuzz '^FuzzMTTKRP$' -fuzztime 10s .
+
 echo "== go test (REPRO_NOSIMD=1 scalar dispatch) =="
 # The identical suite must pass with the runtime override forcing the
 # portable scalar kernels, proving the two paths are interchangeable.

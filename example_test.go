@@ -14,7 +14,10 @@ func ExampleMTTKRP() {
 	dims := []int{4, 4, 4}
 	x := repro.RandomDense(1, dims...)
 	factors := repro.RandomFactors(2, dims, 3)
-	b := repro.MTTKRP(x, factors, 0)
+	b, err := repro.MTTKRP(x, factors, 0)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(b.Rows(), b.Cols())
 	// Output: 4 3
 }
@@ -50,7 +53,11 @@ func ExampleParallelMTTKRP() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(res.B.EqualApprox(repro.MTTKRP(x, factors, 0), 1e-9))
+	b, err := repro.MTTKRP(x, factors, 0)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(res.B.EqualApprox(b, 1e-9))
 	fmt.Println(res.MaxWords() > 0)
 	// Output:
 	// true
@@ -86,10 +93,14 @@ func ExampleMTTKRPAllModes() {
 	dims := []int{4, 4, 4, 4}
 	x := repro.RandomDense(11, dims...)
 	factors := repro.RandomFactors(12, dims, 2)
-	multi := repro.MTTKRPAllModes(x, factors)
+	multi, err := repro.MTTKRPAllModes(x, factors)
+	if err != nil {
+		panic(err)
+	}
 	ok := true
 	for n := range dims {
-		if !multi.B[n].EqualApprox(repro.MTTKRP(x, factors, n), 1e-9) {
+		b, err := repro.MTTKRP(x, factors, n)
+		if err != nil || !multi.B[n].EqualApprox(b, 1e-9) {
 			ok = false
 		}
 	}

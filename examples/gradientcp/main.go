@@ -20,12 +20,18 @@ func main() {
 	x := repro.FromFactors(truth)
 
 	// One shared dimension-tree pass computes all four MTTKRPs.
-	multi := repro.MTTKRPAllModes(x, truth)
+	multi, err := repro.MTTKRPAllModes(x, truth)
+	if err != nil {
+		log.Fatal(err)
+	}
 	naive := int64(len(dims)) * int64(x.Elems()) * rank * int64(len(dims)+1)
 	fmt.Printf("all-modes MTTKRP: %d flops via dimension tree vs %d naive (%.2fx saved)\n",
 		multi.Flops, naive, float64(naive)/float64(multi.Flops))
 	for n := range dims {
-		direct := repro.MTTKRP(x, truth, n)
+		direct, err := repro.MTTKRP(x, truth, n)
+		if err != nil {
+			log.Fatal(err)
+		}
 		if !multi.B[n].EqualApprox(direct, 1e-9) {
 			log.Fatalf("mode %d: dimension tree disagrees with direct kernel", n)
 		}

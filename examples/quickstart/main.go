@@ -20,7 +20,10 @@ func main() {
 	mode := 0
 
 	// 1. The plain kernel: B(n)(i,r) = sum_i X(i) * prod_k A(k)(i_k,r).
-	b := repro.MTTKRP(x, factors, mode)
+	b, err := repro.MTTKRP(x, factors, mode)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("B(%d) is %d x %d, ||B|| = %.4f\n", mode, b.Rows(), b.Cols(), b.Norm())
 
 	// 2. Algorithm 2 (blocked) on a machine with 512 words of fast

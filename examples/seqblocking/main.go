@@ -18,7 +18,10 @@ func main() {
 	const M = 1000
 	x := repro.RandomDense(5, dims...)
 	factors := repro.RandomFactors(6, dims, R)
-	ref := repro.MTTKRP(x, factors, 0)
+	ref, err := repro.MTTKRP(x, factors, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("Algorithm 2 block-size sweep: dims %v, R=%d, fast memory M=%d words\n", dims, R, M)
 	fmt.Printf("%-4s %-12s %-12s %s\n", "b", "words", "peak", "note")

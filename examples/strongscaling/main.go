@@ -18,7 +18,10 @@ func main() {
 	R := 4
 	x := repro.RandomDense(3, dims...)
 	factors := repro.RandomFactors(4, dims, R)
-	ref := repro.MTTKRP(x, factors, 0)
+	ref, err := repro.MTTKRP(x, factors, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("strong scaling of one MTTKRP (dims 32^3, R=4, mode 0)")
 	fmt.Printf("%-4s  %-12s %-12s %-12s\n", "P", "stationary", "general", "via-matmul")

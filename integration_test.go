@@ -150,8 +150,8 @@ func TestEndToEndAgreement(t *testing.T) {
 	fs := tensor.RandomFactors(204, dims, R)
 	for n := range dims {
 		want := seq.Ref(x, fs, n)
-		if got := MTTKRPParallel(x, fs, n, 4); !got.EqualApprox(want, 1e-9) {
-			t.Fatalf("mode %d: multicore facade disagrees", n)
+		if got, err := MTTKRPParallel(x, fs, n, 4); err != nil || !got.EqualApprox(want, 1e-9) {
+			t.Fatalf("mode %d: multicore facade disagrees (err %v)", n, err)
 		}
 		if got := dimtree.AllModes(x, fs).B[n]; !got.EqualApprox(want, 1e-9) {
 			t.Fatalf("mode %d: dimension tree disagrees", n)

@@ -3,7 +3,7 @@
 // the via-matmul baseline) on the two-level memory model, the parallel
 // algorithms (Algorithms 3-4 and the 1D matmul baseline) on the
 // simulated distributed machine, and automatic algorithm/grid
-// selection guided by the paper's cost models and regime analysis.
+// selection by the exact Eq. (14)/(18) cost search.
 package core
 
 import (
@@ -89,8 +89,9 @@ func Sequential(x *tensor.Dense, factors []*tensor.Matrix, n int, opts SeqOption
 type ParAlgorithm int
 
 const (
-	// ParAuto picks Stationary or General by the Corollary 4.2 regime
-	// test NR vs (I/P)^(1-1/N).
+	// ParAuto runs on the given grid, or else on the (N+1)-way grid
+	// minimizing the exact Eq. (18) cost: Algorithm 3 when the rank
+	// split P0 is 1 (or the grid has N extents), Algorithm 4 otherwise.
 	ParAuto ParAlgorithm = iota
 	// ParStationary is Algorithm 3.
 	ParStationary
@@ -126,48 +127,44 @@ type ParOptions struct {
 // communication statistics. When no explicit grid is given, the grid
 // minimizing the exact Eq. (14)/(18) cost is chosen.
 func Parallel(x *tensor.Dense, factors []*tensor.Matrix, n int, opts ParOptions) (*par.Result, error) {
-	alg := opts.Algorithm
-	if alg == ParAuto {
-		P := opts.P
-		if opts.Grid != nil {
-			P = 1
-			for _, s := range opts.Grid {
-				P *= s
+	R, err := tensor.CheckFactors(x, factors, n)
+	if err != nil {
+		return nil, err
+	}
+	N, shape := x.Order(), opts.Grid
+	switch opts.Algorithm {
+	case ParAuto:
+		if shape == nil {
+			if shape, err = costmodel.BestGeneralExact(x.Dims(), R, opts.P); err != nil {
+				return nil, err
 			}
 		}
-		prob := bounds.Problem{Dims: x.Dims(), R: factorCols(x, factors, n)}
-		if bounds.LargeRankRegime(prob, float64(P)) {
-			alg = ParGeneral
-		} else {
-			alg = ParStationary
+		if len(shape) == N+1 && shape[0] == 1 {
+			shape = shape[1:] // P0 = 1: Algorithm 4 is Algorithm 3
 		}
-	}
-	switch alg {
+		if len(shape) == N {
+			return par.Stationary(x, factors, n, shape)
+		}
+		return par.General(x, factors, n, shape)
 	case ParStationary:
-		shape := opts.Grid
 		if shape == nil {
-			var err error
-			shape, err = costmodel.BestStationaryExact(x.Dims(), factorCols(x, factors, n), opts.P)
-			if err != nil {
+			if shape, err = costmodel.BestStationaryExact(x.Dims(), R, opts.P); err != nil {
 				return nil, err
 			}
 		}
 		return par.Stationary(x, factors, n, shape)
 	case ParGeneral:
-		shape := opts.Grid
 		if shape == nil {
-			var err error
-			shape, err = costmodel.BestGeneralExact(x.Dims(), factorCols(x, factors, n), opts.P)
-			if err != nil {
+			if shape, err = costmodel.BestGeneralExact(x.Dims(), R, opts.P); err != nil {
 				return nil, err
 			}
 		}
 		return par.General(x, factors, n, shape)
 	case ParViaMatmul:
 		P := opts.P
-		if opts.Grid != nil {
+		if shape != nil {
 			P = 1
-			for _, s := range opts.Grid {
+			for _, s := range shape {
 				P *= s
 			}
 		}
@@ -175,15 +172,6 @@ func Parallel(x *tensor.Dense, factors []*tensor.Matrix, n int, opts ParOptions)
 	default:
 		return nil, fmt.Errorf("core: unknown parallel algorithm %v", opts.Algorithm)
 	}
-}
-
-func factorCols(x *tensor.Dense, factors []*tensor.Matrix, n int) int {
-	for k, f := range factors {
-		if k != n && f != nil {
-			return f.Cols()
-		}
-	}
-	panic("core: no participating factor")
 }
 
 // Bounds reports every lower bound of Section IV for the given

@@ -170,3 +170,55 @@ func TestAlgorithmStrings(t *testing.T) {
 		t.Fatal("ParAlgorithm strings")
 	}
 }
+
+// TestParallelAutoIsExactSearch: auto runs the grid of the exact
+// Eq. (18) search over (N+1)-way grids, as Algorithm 3 when its rank
+// split P0 is 1, so its max words and messages equal the general
+// search's run, and its result is the MTTKRP. (Eq. (18) prices each
+// collective at its largest block, so the search's grid can move more
+// measured words than the stationary search's: 360 against 348 on
+// 4x9x5x7 R16 P27.)
+func TestParallelAutoIsExactSearch(t *testing.T) {
+	for _, dims := range [][]int{{8, 8, 8}, {12, 6, 9}, {16, 16, 16}, {6, 6, 6, 6}, {4, 9, 5, 7}, {20, 4, 6}} {
+		x := tensor.RandomDense(7, dims...)
+		for _, R := range []int{1, 2, 4, 8, 16, 40, 100} {
+			fs := tensor.RandomFactors(8, dims, R)
+			want := seq.Ref(x, fs, 1)
+			for _, P := range []int{2, 4, 6, 8, 12, 16, 27} {
+				gen, genErr := Parallel(x, fs, 1, ParOptions{Algorithm: ParGeneral, P: P})
+				auto, err := Parallel(x, fs, 1, ParOptions{P: P})
+				if (err == nil) != (genErr == nil) {
+					t.Fatalf("dims %v R=%d P=%d: auto error %v, general search %v", dims, R, P, err, genErr)
+				}
+				if err != nil {
+					continue
+				}
+				if auto.MaxWords() != gen.MaxWords() || auto.MaxMsgs() != gen.MaxMsgs() {
+					t.Errorf("dims %v R=%d P=%d: auto on %v moves %d words in %d messages, the search's run on %v %d in %d",
+						dims, R, P, auto.Grid, auto.MaxWords(), auto.MaxMsgs(), gen.Grid, gen.MaxWords(), gen.MaxMsgs())
+				}
+				if len(auto.Grid) != len(dims) && auto.Grid[0] == 1 {
+					t.Errorf("dims %v R=%d P=%d: auto ran Algorithm 4 with P0 = 1 on %v", dims, R, P, auto.Grid)
+				}
+				if !auto.B.EqualApprox(want, 1e-9) {
+					t.Errorf("dims %v R=%d P=%d: wrong result", dims, R, P)
+				}
+			}
+		}
+	}
+	// Explicit grids: the grid's length picks the algorithm.
+	x := tensor.RandomDense(9, 8, 8, 8)
+	for _, c := range []struct {
+		grid []int
+		R    int
+	}{{[]int{2, 2, 2}, 64}, {[]int{2, 2, 2, 1}, 2}} {
+		fs := tensor.RandomFactors(10, x.Dims(), c.R)
+		res, err := Parallel(x, fs, 0, ParOptions{Grid: c.grid})
+		if err != nil {
+			t.Fatalf("grid %v R=%d: %v", c.grid, c.R, err)
+		}
+		if !res.B.EqualApprox(seq.Ref(x, fs, 0), 1e-9) {
+			t.Fatalf("grid %v R=%d: wrong result", c.grid, c.R)
+		}
+	}
+}

@@ -97,8 +97,8 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 	ws := kernel.GetWorkspace()
 	defer kernel.PutWorkspace(ws)
 	normX := linalg.Norm(x.Data(), opts.Workers)
-	if normX == 0 { //repro:bitwise zero-tensor guard: norm is exactly 0 iff all entries are 0
-		return nil, nil, fmt.Errorf("cpals: zero tensor")
+	if err := checkNorm(normX); err != nil {
+		return nil, nil, err
 	}
 	bs := make([]*tensor.Matrix, N)
 	for n := 0; n < N; n++ {
@@ -199,6 +199,16 @@ func hadamardGrams(grams []*tensor.Matrix, n, R int) *tensor.Matrix {
 func solveFactor(a, v, b *tensor.Matrix) error {
 	copy(a.Data(), b.Data())
 	return linalg.SolveSPDRight(v, a)
+}
+
+// checkNorm rejects a tensor norm ||X|| that is zero or not finite:
+// the fit divides by it, and every solver tests the norm it already
+// computes. One entry whose square overflows makes it +Inf.
+func checkNorm(normX float64) error {
+	if normX > 0 && normX <= math.MaxFloat64 {
+		return nil
+	}
+	return fmt.Errorf("cpals: tensor norm is %g, not positive and finite", normX)
 }
 
 // computeFit evaluates 1 - ||X - Xhat||/||X|| using the standard

@@ -2,6 +2,7 @@ package cpals
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -219,8 +220,9 @@ func TestDecomposeParallelErrors(t *testing.T) {
 	if _, err := DecomposeParallel(tensor.RandomDense(1, 4), []int{2}, Options{R: 2}); err == nil || err.Error() != "cpals: tensor order 1" {
 		t.Fatalf("order 1: error %v, want cpals: tensor order 1", err)
 	}
-	if _, err := DecomposeParallel(tensor.NewDense(4, 4), []int{2, 2}, Options{R: 2}); err == nil || err.Error() != "cpals: zero tensor" {
-		t.Fatalf("zero tensor: error %v, want cpals: zero tensor", err)
+	const zeroNorm = "cpals: tensor norm is 0, not positive and finite"
+	if _, err := DecomposeParallel(tensor.NewDense(4, 4), []int{2, 2}, Options{R: 2}); err == nil || err.Error() != zeroNorm {
+		t.Fatalf("zero tensor: error %v, want %s", err, zeroNorm)
 	}
 }
 
@@ -245,6 +247,44 @@ func TestParallelSingleProcessor(t *testing.T) {
 	for i := range seqTrace {
 		if math.Abs(res.Trace[i].Fit-seqTrace[i].Fit) > 1e-9 {
 			t.Fatalf("P=1 parallel should match sequential exactly at iter %d", i)
+		}
+	}
+}
+
+// TestNormErrors: every CP entry point tests the norm it computes, so
+// a zero tensor and one NaN, +Inf or 1e300 entry (whose square
+// overflows the norm) return an error naming the norm instead of a NaN
+// fit or a failed solve.
+func TestNormErrors(t *testing.T) {
+	entries := map[string]func(x *tensor.Dense) error{
+		"Decompose": func(x *tensor.Dense) error {
+			_, _, err := Decompose(x, Options{R: 2, MaxIters: 2})
+			return err
+		},
+		"DecomposeTree": func(x *tensor.Dense) error {
+			_, _, _, err := DecomposeTree(x, Options{R: 2, MaxIters: 2})
+			return err
+		},
+		"DecomposeParallel": func(x *tensor.Dense) error {
+			_, err := DecomposeParallel(x, []int{2, 1, 2}, Options{R: 2, MaxIters: 2})
+			return err
+		},
+		"DecomposeGradient": func(x *tensor.Dense) error {
+			_, _, err := DecomposeGradient(x, GradOptions{R: 2, MaxIters: 2})
+			return err
+		},
+	}
+	for _, v := range []float64{0, math.NaN(), math.Inf(1), 1e300} {
+		x := tensor.RandomDense(3, 4, 4, 4)
+		if v == 0 { //repro:bitwise the zero-tensor case of the table
+			x.Fill(0)
+		} else {
+			x.Data()[5] = v
+		}
+		for name, run := range entries {
+			if err := run(x); err == nil || !strings.Contains(err.Error(), "norm") {
+				t.Errorf("%s with entry %g: error %v, want one naming the norm", name, v, err)
+			}
 		}
 	}
 }

@@ -131,19 +131,20 @@ func DecomposeGradient(x *tensor.Dense, opts GradOptions) (*Model, []GradTraceEn
 		return nil, nil, fmt.Errorf("cpals: tensor order %d", x.Order())
 	}
 	normX := x.Norm()
-	if normX == 0 { //repro:bitwise zero-tensor guard: norm is exactly 0 iff all entries are 0
-		return nil, nil, fmt.Errorf("cpals: zero tensor")
+	if err := checkNorm(normX); err != nil {
+		return nil, nil, err
 	}
 	var factors []*tensor.Matrix
 	if opts.Init != nil {
-		if len(opts.Init) != x.Order() {
-			return nil, nil, fmt.Errorf("cpals: %d init factors for order-%d tensor", len(opts.Init), x.Order())
+		R, err := tensor.CheckFactors(x, opts.Init, tensor.AllModes)
+		if err == nil && R != opts.R {
+			err = fmt.Errorf("rank %d, want %d", R, opts.R)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("cpals: init factors: %w", err)
 		}
 		factors = make([]*tensor.Matrix, len(opts.Init))
 		for k, f := range opts.Init {
-			if f == nil || f.Rows() != x.Dim(k) || f.Cols() != opts.R {
-				return nil, nil, fmt.Errorf("cpals: init factor %d has wrong shape", k)
-			}
 			factors[k] = f.Clone()
 		}
 	} else {

@@ -207,14 +207,15 @@ func newCPRank(net *simnet.Network, lay dist.Stationary, rank int, x *tensor.Den
 func (r *cpRank) run(opts Options) error {
 	N := len(r.own)
 	// ||X||^2 via one All-Reduce of local sums of squares. Every rank
-	// gets the same sum, so on a zero tensor all ranks return together.
+	// gets the same sum, so on a zero or non-finite norm all ranks
+	// return together.
 	localSq := 0.0
 	for _, v := range r.local.Data() {
 		localSq += v * v
 	}
 	normX := math.Sqrt(r.world.AllReduce([]float64{localSq})[0])
-	if normX == 0 { //repro:bitwise zero-tensor guard: norm is exactly 0 iff all entries are 0
-		return fmt.Errorf("cpals: zero tensor")
+	if err := checkNorm(normX); err != nil {
+		return err
 	}
 
 	// Workers = 1: each simulated rank already runs on its own

@@ -37,8 +37,8 @@ func DecomposeTree(x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, 
 		grams[k] = linalg.Gram(f)
 	}
 	normX := linalg.Norm(x.Data(), opts.Workers)
-	if normX == 0 { //repro:bitwise zero-tensor guard: norm is exactly 0 iff all entries are 0
-		return nil, nil, 0, fmt.Errorf("cpals: zero tensor")
+	if err := checkNorm(normX); err != nil {
+		return nil, nil, 0, err
 	}
 
 	// One GEMM engine for every contraction in the run: its KRP panels,
@@ -106,39 +106,35 @@ type prefixTree struct {
 	// itself) in one of two buffers made once, which alternate since
 	// P_{n+1} is contracted out of P_n.
 	prefixes []*tensor.Dense
-	modes    []int // 0, 1, ..., N-1
 }
 
 // newPrefixTree returns the schedule over x at rank R, contracting
 // with eng.
 func newPrefixTree(eng *dimtree.Engine, x *tensor.Dense, R int) *prefixTree {
-	modes := make([]int, x.Order())
-	for i := range modes {
-		modes[i] = i
-	}
-	return &prefixTree{eng: eng, x: x, R: R, prefixes: prefixViews(x.Dims(), R), modes: modes}
+	return &prefixTree{eng: eng, x: x, R: R, prefixes: prefixViews(x.Dims(), R)}
 }
 
 // mttkrp writes B(n) into b and returns its flops: all modes but n
 // dropped from P_n, contracting with the factors of modes > n.
 func (t *prefixTree) mttkrp(b *tensor.Matrix, factors []*tensor.Matrix, n int) int64 {
 	if n == 0 {
-		return t.eng.ContractTensorInto(b.Data(), t.x, factors, t.R, t.modes[:1])
+		return t.eng.ContractTensorInto(b.Data(), t.x, factors, t.R, 0, 1)
 	}
-	return t.eng.ContractPartialInto(b.Data(), t.prefixes[n], t.modes[n:], factors, t.R, t.modes[n:n+1])
+	return t.eng.ContractPartialInto(b.Data(), t.prefixes[n], n, factors, t.R, n, n+1)
 }
 
 // advance contracts mode n of P_n with factors[n], which must hold the
 // mode's update, into P_{n+1}, and returns its flops. After the last
 // mode there is nothing to advance.
 func (t *prefixTree) advance(factors []*tensor.Matrix, n int) int64 {
+	N := t.x.Order()
 	switch {
-	case n == len(t.modes)-1:
+	case n == N-1:
 		return 0
 	case n == 0:
-		return t.eng.ContractTensorInto(t.prefixes[1].Data(), t.x, factors, t.R, t.modes[1:])
+		return t.eng.ContractTensorInto(t.prefixes[1].Data(), t.x, factors, t.R, 1, N)
 	}
-	return t.eng.ContractPartialInto(t.prefixes[n+1].Data(), t.prefixes[n], t.modes[n:], factors, t.R, t.modes[n+1:])
+	return t.eng.ContractPartialInto(t.prefixes[n+1].Data(), t.prefixes[n], n, factors, t.R, n+1, N)
 }
 
 // prefixViews returns the prefix partials' views for an order-N

@@ -20,11 +20,7 @@
 // children read X; every other contraction works on a smaller partial.
 package dimtree
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // Result carries the per-mode MTTKRP outputs and the arithmetic cost.
 type Result struct {
@@ -41,264 +37,4 @@ func NaiveFlops(dims []int, R int) int64 {
 	}
 	N := int64(len(dims))
 	return N * I * int64(R) * (N + 1)
-}
-
-// validate checks the (tensor, factors) pair and returns the rank R.
-// It allocates nothing.
-func validate(x *tensor.Dense, factors []*tensor.Matrix) int {
-	N := x.Order()
-	if len(factors) != N {
-		panic(fmt.Sprintf("dimtree: %d factors for order-%d tensor", len(factors), N))
-	}
-	R := -1
-	for k, f := range factors {
-		if f == nil {
-			panic(fmt.Sprintf("dimtree: factor %d is nil", k))
-		}
-		if f.Rows() != x.Dim(k) {
-			panic(fmt.Sprintf("dimtree: factor %d has %d rows, want %d", k, f.Rows(), x.Dim(k)))
-		}
-		if R == -1 {
-			R = f.Cols()
-		} else if f.Cols() != R {
-			panic(fmt.Sprintf("dimtree: factor %d has %d cols, want %d", k, f.Cols(), R))
-		}
-	}
-	if N < 2 {
-		panic("dimtree: need N >= 2")
-	}
-	return R
-}
-
-// AllModesRef computes B(n) for every mode n via a balanced dimension
-// tree with the scalar (index-arithmetic) contraction kernels. It is
-// the correctness oracle for the GEMM-based Engine; production callers
-// should use AllModes. factors must all be non-nil (every mode
-// participates in some contraction).
-func AllModesRef(x *tensor.Dense, factors []*tensor.Matrix) *Result {
-	N := x.Order()
-	R := validate(x, factors)
-	res := &Result{B: make([]*tensor.Matrix, N)}
-	allModes := make([]int, N)
-	for i := range allModes {
-		allModes[i] = i
-	}
-	if N == 2 {
-		// Both leaves come straight from the root.
-		res.B[0] = res.leafFromPartial(res.contractRoot(x, factors, R, []int{0}), 0, R)
-		res.B[1] = res.leafFromPartial(res.contractRoot(x, factors, R, []int{1}), 1, R)
-		return res
-	}
-	m := N / 2
-	left := allModes[:m]
-	right := allModes[m:]
-	res.descend(res.contractRoot(x, factors, R, left), left, factors, R)
-	res.descend(res.contractRoot(x, factors, R, right), right, factors, R)
-	return res
-}
-
-// descend recursively splits a partial until single modes remain.
-func (res *Result) descend(part *tensor.Dense, modes []int, factors []*tensor.Matrix, R int) {
-	if len(modes) == 1 {
-		res.B[modes[0]] = res.leafFromPartial(part, modes[0], R)
-		return
-	}
-	m := len(modes) / 2
-	left := modes[:m]
-	right := modes[m:]
-	res.descend(res.contractPartial(part, modes, factors, R, left), left, factors, R)
-	res.descend(res.contractPartial(part, modes, factors, R, right), right, factors, R)
-}
-
-// leafFromPartial reinterprets a single-mode partial (I_n x R tensor)
-// as the output matrix (the layouts coincide: column-major).
-func (res *Result) leafFromPartial(part *tensor.Dense, mode, R int) *tensor.Matrix {
-	return tensor.NewMatrixFromData(part.Data(), part.Dim(0), R)
-}
-
-// contractRoot computes T_keep directly from the tensor:
-// T(i_keep, r) = sum_{i_drop} X(i) prod_{k in drop} A(k)(i_k, r).
-func (res *Result) contractRoot(x *tensor.Dense, factors []*tensor.Matrix, R int, keep []int) *tensor.Dense {
-	N := x.Order()
-	dims := x.Dims()
-	drop := complement(N, keep)
-
-	outDims := make([]int, len(keep)+1)
-	for i, k := range keep {
-		outDims[i] = dims[k]
-	}
-	outDims[len(keep)] = R
-	out := tensor.NewDense(outDims...)
-
-	// Strides of the kept modes within the output.
-	keepStride := make([]int, N)
-	acc := 1
-	for i, k := range keep {
-		keepStride[k] = acc
-		acc *= outDims[i]
-	}
-	rStride := acc
-
-	// Hoisted out of the element loop: the dropped factors' raw
-	// column-major storage and row counts, so the rank loop indexes
-	// slices directly instead of going through Matrix.At.
-	dropData := make([][]float64, len(drop))
-	dropRows := make([]int, len(drop))
-	for i, k := range drop {
-		dropData[i] = factors[k].Data()
-		dropRows[i] = factors[k].Rows()
-	}
-
-	idx := make([]int, N)
-	data := x.Data()
-	outData := out.Data()
-	for off := 0; off < len(data); off++ {
-		v := data[off]
-		base := 0
-		for _, k := range keep {
-			base += idx[k] * keepStride[k]
-		}
-		for r := 0; r < R; r++ {
-			p := v
-			for i, k := range drop {
-				p *= dropData[i][idx[k]+r*dropRows[i]]
-			}
-			outData[base+r*rStride] += p
-		}
-		incIndex(idx, dims)
-	}
-	res.Flops += int64(len(data)) * int64(R) * int64(len(drop)+1)
-	return out
-}
-
-// contractPartial contracts away modes of an existing partial:
-// T'(i_keep, r) = sum_{i_drop} T(i_modes, r) prod_{k in drop} A(k)(i_k, r).
-// modes lists the partial's tensor modes in order (its last dimension
-// is r); keep must be a sub-slice of modes.
-func (res *Result) contractPartial(part *tensor.Dense, modes []int, factors []*tensor.Matrix, R int, keep []int) *tensor.Dense {
-	keepSet := make(map[int]bool, len(keep))
-	for _, k := range keep {
-		keepSet[k] = true
-	}
-	var drop []int
-	for _, k := range modes {
-		if !keepSet[k] {
-			drop = append(drop, k)
-		}
-	}
-
-	pd := part.Dims() // modes' extents + R
-	outDims := make([]int, len(keep)+1)
-	for i, k := range keep {
-		outDims[i] = extentOf(modes, pd, k)
-	}
-	outDims[len(keep)] = R
-	out := tensor.NewDense(outDims...)
-
-	// Precompute, per kept/dropped mode, its position in the partial's
-	// index and (for kept modes) its stride in the output.
-	keepPos := make([]int, len(keep))
-	keepStride := make([]int, len(keep))
-	acc := 1
-	for i, k := range keep {
-		keepPos[i] = posOf(modes, k)
-		keepStride[i] = acc
-		acc *= outDims[i]
-	}
-	rStride := acc
-	dropPos := make([]int, len(drop))
-	for i, k := range drop {
-		dropPos[i] = posOf(modes, k)
-	}
-
-	// The rank index is the partial's last (slowest-varying) mode, so
-	// r is constant over long runs of offsets: hoist the dropped
-	// factors' rank-r column slices and the output's rank-r base,
-	// refreshing them only when r advances.
-	dropCols := make([][]float64, len(drop))
-	idx := make([]int, len(pd))
-	data := part.Data()
-	outData := out.Data()
-	lastR := -1
-	outBase := 0
-	for off := 0; off < len(data); off++ {
-		r := idx[len(pd)-1]
-		if r != lastR {
-			for i, k := range drop {
-				dropCols[i] = factors[k].Col(r)
-			}
-			outBase = r * rStride
-			lastR = r
-		}
-		p := data[off]
-		for i := range drop {
-			p *= dropCols[i][idx[dropPos[i]]]
-		}
-		base := outBase
-		for i := range keep {
-			base += idx[keepPos[i]] * keepStride[i]
-		}
-		outData[base] += p
-		incIndex(idx, pd)
-	}
-	res.Flops += int64(len(data)) * int64(len(drop)+1)
-	return out
-}
-
-// ContractTensorRef computes the partial MTTKRP T(i_keep, r) =
-// sum_{i_drop} X(i) prod_{k in drop} A(k)(i_k, r) directly from the
-// tensor with the scalar kernel, returning the partial (dims: kept
-// extents + R) and the flop count. It accepts arbitrary keep sets and
-// serves as the oracle for the Engine's GEMM-based contractions.
-func ContractTensorRef(x *tensor.Dense, factors []*tensor.Matrix, R int, keep []int) (*tensor.Dense, int64) {
-	scratch := &Result{}
-	out := scratch.contractRoot(x, factors, R, keep)
-	return out, scratch.Flops
-}
-
-// ContractPartialRef contracts away modes of an existing partial (last
-// dimension r) with the scalar kernel: modes lists the partial's
-// tensor modes in order, keep the modes to retain. Returns the new
-// partial and the flop count.
-func ContractPartialRef(part *tensor.Dense, modes []int, factors []*tensor.Matrix, R int, keep []int) (*tensor.Dense, int64) {
-	scratch := &Result{}
-	out := scratch.contractPartial(part, modes, factors, R, keep)
-	return out, scratch.Flops
-}
-
-func complement(N int, keep []int) []int {
-	in := make([]bool, N)
-	for _, k := range keep {
-		in[k] = true
-	}
-	var out []int
-	for k := 0; k < N; k++ {
-		if !in[k] {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-func posOf(modes []int, k int) int {
-	for i, m := range modes {
-		if m == k {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("dimtree: mode %d not in %v", k, modes))
-}
-
-func extentOf(modes []int, partDims []int, k int) int {
-	return partDims[posOf(modes, k)]
-}
-
-func incIndex(idx, dims []int) {
-	for k := range idx {
-		idx[k]++
-		if idx[k] < dims[k] {
-			return
-		}
-		idx[k] = 0
-	}
 }

@@ -34,7 +34,7 @@ package dimtree
 // GEMMs compute each output element in a partition-invariant order,
 // rank splitting only moves whole output columns between slots, and
 // the interior kernel and the chunked prefix accumulate into a fixed
-// bucket count combined by kernel.ReduceTree. AllModesRef (the scalar tree) remains the
+// bucket count combined by kernel.ReduceTree. seq.Ref is the
 // correctness oracle.
 
 import (
@@ -89,7 +89,10 @@ func (e *Engine) AllModes(x *tensor.Dense, factors []*tensor.Matrix) *Result {
 //
 //repro:hotpath
 func (e *Engine) AllModesInto(res *Result, x *tensor.Dense, factors []*tensor.Matrix) {
-	R := validate(x, factors)
+	R, err := tensor.CheckFactors(x, factors, tensor.AllModes)
+	if err != nil {
+		panic(err)
+	}
 	N := x.Order()
 	if len(res.B) != N {
 		res.B = make([]*tensor.Matrix, N) //repro:ignore hotpath-alloc first-call/shape-change growth; steady state reuses res.B
@@ -101,11 +104,6 @@ func (e *Engine) AllModesInto(res *Result, x *tensor.Dense, factors []*tensor.Ma
 	}
 	res.Flops = 0
 	e.sp = 0
-	if N == 2 {
-		res.Flops += e.contractRoot(res.B[0].Data(), x, factors, R, 0, 1)
-		res.Flops += e.contractRoot(res.B[1].Data(), x, factors, R, 1, 2)
-		return
-	}
 	m := N / 2
 	e.rootBranch(res, x, factors, R, 0, m)
 	e.rootBranch(res, x, factors, R, m, N)
@@ -124,8 +122,7 @@ func (e *Engine) rootBranch(res *Result, x *tensor.Dense, factors []*tensor.Matr
 	e.pop()
 }
 
-// descend splits the partial holding modes [lo, hi) at its midpoint,
-// mirroring the scalar tree's structure exactly.
+// descend splits the partial holding modes [lo, hi) at its midpoint.
 func (e *Engine) descend(res *Result, part []float64, x *tensor.Dense, factors []*tensor.Matrix, R, lo, hi int) {
 	mid := lo + (hi-lo)/2
 	if mid-lo == 1 {
@@ -160,7 +157,7 @@ func (e *Engine) contractRoot(out []float64, x *tensor.Dense, factors []*tensor.
 	Rt := prodDims(x, hi, N)
 	if lo == 0 && hi == N {
 		// Nothing dropped: the empty product broadcasts X across the R
-		// rank columns (the scalar oracle's behavior and accounting).
+		// rank columns.
 		obs.Copy(M * R)
 		for r := 0; r < R; r++ {
 			copy(out[r*M:(r+1)*M], x.Data())
@@ -221,8 +218,7 @@ func (e *Engine) contractPartExtents(out, part []float64, factors []*tensor.Matr
 		fl += int64(Rtp) * int64(R)
 	}
 	if kl == nil && kr == nil {
-		// Nothing dropped: the contraction is the identity (the scalar
-		// oracle's empty-product case). Match its flop accounting.
+		// Nothing dropped: the contraction is the identity.
 		obs.Copy(S * R)
 		copy(out[:S*R], part[:S*R])
 		return fl + int64(S)*int64(R)
@@ -241,22 +237,17 @@ func (e *Engine) contractPartExtents(out, part []float64, factors []*tensor.Matr
 	return fl
 }
 
-// ContractTensorInto computes the partial MTTKRP keeping the given
-// modes directly from the tensor — the GEMM-based counterpart of
-// ContractTensorRef — into out (the kept extents times R words,
-// column-major with the rank index last, overwritten) and returns the
-// flop count. keep must be non-empty and ascending; a non-contiguous
-// keep set falls back to the scalar kernel (the layout admits no GEMM
-// view).
-func (e *Engine) ContractTensorInto(out []float64, x *tensor.Dense, factors []*tensor.Matrix, R int, keep []int) int64 {
-	if !contiguousAscending(keep) {
-		ref, fl := ContractTensorRef(x, factors, R, keep)
-		copy(out[:ref.Elems()], ref.Data())
-		return fl
-	}
-	lo, hi := keep[0], keep[len(keep)-1]+1
-	if lo < 0 || hi > x.Order() {
-		panic(fmt.Sprintf("dimtree: keep %v out of range for order-%d tensor", keep, x.Order()))
+// ContractTensorInto computes the partial MTTKRP keeping the
+// contiguous mode range [lo, hi) directly from the tensor,
+//
+//	T(i_lo..i_{hi-1}, r) = sum over the other modes of
+//	                       X(i) * prod_{k < lo or k >= hi} A(k)(i_k, r),
+//
+// into out (prod I_lo..I_{hi-1} x R words, column-major with the rank
+// index last, overwritten) and returns the flop count.
+func (e *Engine) ContractTensorInto(out []float64, x *tensor.Dense, factors []*tensor.Matrix, R, lo, hi int) int64 {
+	if lo < 0 || lo >= hi || hi > x.Order() {
+		panic(fmt.Sprintf("dimtree: keep [%d,%d) out of range for order-%d tensor", lo, hi, x.Order()))
 	}
 	if len(out) < prodDims(x, lo, hi)*R {
 		panic("dimtree: ContractTensorInto output too short")
@@ -264,27 +255,18 @@ func (e *Engine) ContractTensorInto(out []float64, x *tensor.Dense, factors []*t
 	return e.contractRoot(out, x, factors, R, lo, hi)
 }
 
-// ContractPartialInto contracts away modes of an existing partial
-// (last dimension r) — the GEMM-based counterpart of
-// ContractPartialRef — into out (the kept extents times R words,
+// ContractPartialInto contracts a partial holding the mode range
+// [plo, plo+part.Order()-1) (its last dimension is r) down to the
+// range [klo, khi) into out (the kept extents times R words,
 // overwritten; it must not overlap part) and returns the flop count.
-// modes lists the partial's tensor modes in order, keep the modes to
-// retain; when either is non-contiguous the call falls back to the
-// scalar kernel.
-func (e *Engine) ContractPartialInto(out []float64, part *tensor.Dense, modes []int, factors []*tensor.Matrix, R int, keep []int) int64 {
-	if !contiguousAscending(modes) || !contiguousAscending(keep) {
-		ref, fl := ContractPartialRef(part, modes, factors, R, keep)
-		copy(out[:ref.Elems()], ref.Data())
-		return fl
-	}
-	plo, phi := modes[0], modes[len(modes)-1]+1
-	klo, khi := keep[0], keep[len(keep)-1]+1
-	if klo < plo || khi > phi {
-		panic(fmt.Sprintf("dimtree: keep %v not within modes %v", keep, modes))
+func (e *Engine) ContractPartialInto(out []float64, part *tensor.Dense, plo int, factors []*tensor.Matrix, R, klo, khi int) int64 {
+	phi := plo + part.Order() - 1
+	if klo < plo || klo >= khi || khi > phi {
+		panic(fmt.Sprintf("dimtree: keep [%d,%d) not within modes [%d,%d)", klo, khi, plo, phi))
 	}
 	Lp, Mp, Rtp := 1, 1, 1
-	for i, k := range modes {
-		d := part.Dim(i)
+	for k := plo; k < phi; k++ {
+		d := part.Dim(k - plo)
 		switch {
 		case k < klo:
 			Lp *= d
@@ -347,18 +329,6 @@ func prodDims(x *tensor.Dense, lo, hi int) int {
 		p *= x.Dim(k)
 	}
 	return p
-}
-
-func contiguousAscending(modes []int) bool {
-	if len(modes) == 0 {
-		return false
-	}
-	for i := 1; i < len(modes); i++ {
-		if modes[i] != modes[i-1]+1 {
-			return false
-		}
-	}
-	return true
 }
 
 // growf returns s resized to n, reusing capacity when possible.

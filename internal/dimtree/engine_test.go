@@ -23,20 +23,20 @@ var engineShapes = [][]int{
 }
 
 // TestEngineMatchesOracleAndKernel: the GEMM engine agrees with the
-// scalar tree oracle and with N independent KRP-splitting kernel calls
-// to 1e-10, at every worker count.
+// Definition 2.1 oracle seq.Ref and with N independent KRP-splitting
+// kernel calls to 1e-10, at every worker count.
 func TestEngineMatchesOracleAndKernel(t *testing.T) {
 	for _, dims := range engineShapes {
 		R := 4
 		x := tensor.RandomDense(41, dims...)
 		fs := tensor.RandomFactors(43, dims, R)
-		want := AllModesRef(x, fs)
 		for _, w := range []int{1, 2, 8} {
 			got := AllModesWorkers(x, fs, w)
 			for n := range dims {
-				if !got.B[n].EqualApprox(want.B[n], 1e-10) {
+				want := seq.Ref(x, fs, n)
+				if !got.B[n].EqualApprox(want, 1e-10) {
 					t.Fatalf("dims %v workers %d mode %d: vs oracle diff %g",
-						dims, w, n, got.B[n].MaxAbsDiff(want.B[n]))
+						dims, w, n, got.B[n].MaxAbsDiff(want))
 				}
 				indep := kernel.FastWorkers(x, fs, n, w)
 				if !got.B[n].EqualApprox(indep, 1e-10) {
@@ -126,9 +126,30 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// rangeRef is the seq.Ref oracle of the contraction keeping the mode
+// range [lo, hi): X viewed as an L x M x Rt 3-tensor whose outer
+// factors are the Khatri-Rao products of the dropped modes (a row of
+// ones for an empty side), returned as the M x R result.
+func rangeRef(x *tensor.Dense, fs []*tensor.Matrix, lo, hi int) *tensor.Matrix {
+	R := fs[0].Cols()
+	side := func(ks []*tensor.Matrix) (*tensor.Matrix, int) {
+		if len(ks) == 0 {
+			ones := tensor.NewMatrix(1, R)
+			ones.Fill(1)
+			return ones, 1
+		}
+		krp := tensor.KRPAll(append(ks[:len(ks):len(ks)], nil), len(ks))
+		return krp, krp.Rows()
+	}
+	kl, L := side(fs[:lo])
+	kr, Rt := side(fs[hi:])
+	x3 := tensor.NewDenseFromData(x.Data(), L, x.Elems()/(L*Rt), Rt)
+	return seq.Ref(x3, []*tensor.Matrix{kl, nil, kr}, 1)
+}
+
 // TestEngineContractTensorMatchesRef: every contiguous keep range of
-// an order-4 tensor (prefix, suffix, interior, full) agrees with the
-// scalar kernel, and a non-contiguous keep falls back to it exactly.
+// an order-4 tensor (prefix, suffix, interior, full) agrees with
+// rangeRef.
 func TestEngineContractTensorMatchesRef(t *testing.T) {
 	dims := []int{3, 4, 2, 5}
 	R := 3
@@ -137,59 +158,43 @@ func TestEngineContractTensorMatchesRef(t *testing.T) {
 	e := NewEngine(2)
 	for lo := 0; lo < 4; lo++ {
 		for hi := lo + 1; hi <= 4; hi++ {
-			keep := make([]int, 0, hi-lo)
-			for k := lo; k < hi; k++ {
-				keep = append(keep, k)
-			}
-			want, _ := ContractTensorRef(x, fs, R, keep)
-			got := tensor.NewDense(want.Dims()...)
-			e.ContractTensorInto(got.Data(), x, fs, R, keep)
-			assertDenseApprox(t, got, want, 1e-10, "keep", keep)
+			want := rangeRef(x, fs, lo, hi)
+			got := make([]float64, want.Rows()*R)
+			e.ContractTensorInto(got, x, fs, R, lo, hi)
+			assertClose(t, got, want.Data(), 1e-10, "keep", lo, hi)
 		}
-	}
-	// Non-contiguous keep routes through the scalar fallback.
-	want, wantFl := ContractTensorRef(x, fs, R, []int{0, 2})
-	got := tensor.NewDense(want.Dims()...)
-	gotFl := e.ContractTensorInto(got.Data(), x, fs, R, []int{0, 2})
-	assertDenseApprox(t, got, want, 0, "keep", []int{0, 2})
-	if gotFl != wantFl {
-		t.Fatalf("fallback flops %d != %d", gotFl, wantFl)
 	}
 }
 
 // TestEngineContractPartialMatchesRef: partial contractions over a
 // mid-tree partial (modes 1..3 of an order-4 tensor) agree with the
-// scalar kernel for every contiguous keep sub-range, including the
-// degenerate keep == modes identity.
+// direct contraction of the same range for every contiguous keep
+// sub-range, including the degenerate keep == modes identity.
 func TestEngineContractPartialMatchesRef(t *testing.T) {
 	dims := []int{3, 4, 2, 5}
 	R := 3
 	x := tensor.RandomDense(73, dims...)
 	fs := tensor.RandomFactors(79, dims, R)
-	modes := []int{1, 2, 3}
-	part, _ := ContractTensorRef(x, fs, R, modes)
 	e := NewEngine(2)
+	part := tensor.NewDense(4, 2, 5, R)
+	e.ContractTensorInto(part.Data(), x, fs, R, 1, 4)
 	for lo := 1; lo < 4; lo++ {
 		for hi := lo + 1; hi <= 4; hi++ {
-			keep := make([]int, 0, hi-lo)
-			for k := lo; k < hi; k++ {
-				keep = append(keep, k)
+			m := R
+			for _, d := range dims[lo:hi] {
+				m *= d
 			}
-			want, _ := ContractPartialRef(part, modes, fs, R, keep)
-			got := tensor.NewDense(want.Dims()...)
-			e.ContractPartialInto(got.Data(), part, modes, fs, R, keep)
-			assertDenseApprox(t, got, want, 1e-10, "partial keep", keep)
+			want := make([]float64, m)
+			e.ContractTensorInto(want, x, fs, R, lo, hi)
+			got := make([]float64, len(want))
+			e.ContractPartialInto(got, part, 1, fs, R, lo, hi)
+			assertClose(t, got, want, 1e-10, "partial keep", lo, hi)
 		}
 	}
-	// Non-contiguous keep routes through the scalar fallback.
-	want, _ := ContractPartialRef(part, modes, fs, R, []int{1, 3})
-	got := tensor.NewDense(want.Dims()...)
-	e.ContractPartialInto(got.Data(), part, modes, fs, R, []int{1, 3})
-	assertDenseApprox(t, got, want, 0, "partial keep", []int{1, 3})
 }
 
 // TestEngineLeavesMatchSeqRef anchors the whole chain to the atomic
-// reference kernel, independent of both tree implementations.
+// reference kernel on a non-cubical order-4 shape.
 func TestEngineLeavesMatchSeqRef(t *testing.T) {
 	dims := []int{5, 3, 6, 2}
 	R := 4
@@ -204,24 +209,11 @@ func TestEngineLeavesMatchSeqRef(t *testing.T) {
 	}
 }
 
-func assertDenseApprox(t *testing.T, got, want *tensor.Dense, tol float64, what string, keep []int) {
+func assertClose(t *testing.T, got, want []float64, tol float64, what string, lo, hi int) {
 	t.Helper()
-	if got.Order() != want.Order() {
-		t.Fatalf("%s %v: order %d != %d", what, keep, got.Order(), want.Order())
-	}
-	for k := 0; k < got.Order(); k++ {
-		if got.Dim(k) != want.Dim(k) {
-			t.Fatalf("%s %v: dim %d is %d, want %d", what, keep, k, got.Dim(k), want.Dim(k))
-		}
-	}
-	gd, wd := got.Data(), want.Data()
-	for i := range gd {
-		d := gd[i] - wd[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > tol {
-			t.Fatalf("%s %v: elem %d differs by %g (tol %g)", what, keep, i, d, tol)
+	for i := range got {
+		if d := math.Abs(got[i] - want[i]); d > tol {
+			t.Fatalf("%s [%d,%d): elem %d differs by %g (tol %g)", what, lo, hi, i, d, tol)
 		}
 	}
 }

@@ -14,137 +14,80 @@ import (
 // destination is a random-access accumulation target), and the
 // destination is written back once. It errors if any contraction's
 // working set (destination + factors + streaming window) exceeds M.
+// The result comes from one Engine pass, once the accounting fits.
 //
 // The measured words equal CommEstimate exactly, turning the analytic
 // claim of Section VII ("save both communication") into a counted one.
 func AllModesInstrumented(x *tensor.Dense, factors []*tensor.Matrix, mach *memsim.Machine) (*Result, memsim.Counts, error) {
-	start := mach.Snapshot()
-	N := x.Order()
-	res := &Result{B: make([]*tensor.Matrix, N)}
-	R := factors[0].Cols()
-
-	allModes := make([]int, N)
-	for i := range allModes {
-		allModes[i] = i
+	R, err := tensor.CheckFactors(x, factors, tensor.AllModes)
+	if err != nil {
+		return nil, memsim.Counts{}, err
 	}
+	start := mach.Snapshot()
 	dims := x.Dims()
-	I := int64(x.Elems())
-
-	var descend func(part *tensor.Dense, modes []int) error
-	contract := func(src *tensor.Dense, srcWords int64, modes []int, keep []int, fromRoot bool) (*tensor.Dense, error) {
-		// Account: destination resident, dropped factors resident,
-		// source streamed through one word at a time (window 1 keeps
-		// the requirement minimal; larger windows change nothing in
-		// the totals).
-		keepSet := make(map[int]bool, len(keep))
-		for _, k := range keep {
-			keepSet[k] = true
+	words := func(lo, hi int) int64 {
+		w := int64(R)
+		for _, d := range dims[lo:hi] {
+			w *= int64(d)
 		}
-		var drop []int
-		for _, k := range modes {
-			if !keepSet[k] {
-				drop = append(drop, k)
-			}
-		}
-		dst := int64(R)
-		for _, k := range keep {
-			dst *= int64(dims[k])
-		}
+		return w
+	}
+	// contract accounts for the contraction of a srcWords-word source
+	// holding modes [plo, phi) down to the kept range [klo, khi).
+	contract := func(srcWords int64, plo, phi, klo, khi int) error {
+		dst := words(klo, khi)
 		var fWords int64
-		for _, k := range drop {
-			fWords += int64(dims[k]) * int64(R)
+		for k := plo; k < phi; k++ {
+			if k < klo || k >= khi {
+				fWords += int64(dims[k]) * int64(R)
+			}
 		}
 		if err := mach.Alloc(dst); err != nil {
-			return nil, fmt.Errorf("dimtree: destination %v does not fit: %w", keep, err)
+			return fmt.Errorf("dimtree: destination [%d,%d) does not fit: %w", klo, khi, err)
 		}
 		if err := mach.Load(fWords); err != nil {
-			return nil, fmt.Errorf("dimtree: factors for %v do not fit: %w", keep, err)
+			return fmt.Errorf("dimtree: factors for [%d,%d) do not fit: %w", klo, khi, err)
 		}
-		// Stream the source.
-		for moved := int64(0); moved < srcWords; {
-			chunk := min64(srcWords-moved, 1)
-			if err := mach.Load(chunk); err != nil {
-				return nil, err
+		// Stream the source one word at a time: window 1 keeps the
+		// requirement minimal, and larger windows change nothing in the
+		// totals.
+		for i := int64(0); i < srcWords; i++ {
+			if err := mach.Load(1); err != nil {
+				return err
 			}
-			if err := mach.Evict(chunk); err != nil {
-				return nil, err
+			if err := mach.Evict(1); err != nil {
+				return err
 			}
-			moved += chunk
 		}
 		if err := mach.Evict(fWords); err != nil {
-			return nil, err
+			return err
 		}
-		if err := mach.Store(dst); err != nil {
-			return nil, err
-		}
-		// The actual computation (uncounted compute, counted traffic).
-		if fromRoot {
-			return res.contractRoot(x, factors, R, keep), nil
-		}
-		return res.contractPartial(src, modes, factors, R, keep), nil
+		return mach.Store(dst)
 	}
-	descend = func(part *tensor.Dense, modes []int) error {
-		if len(modes) == 1 {
-			res.B[modes[0]] = res.leafFromPartial(part, modes[0], R)
-			return nil
-		}
-		m := len(modes) / 2
-		left, right := modes[:m], modes[m:]
-		srcWords := int64(R)
-		for _, k := range modes {
-			srcWords *= int64(dims[k])
-		}
-		l, err := contract(part, srcWords, modes, left, false)
-		if err != nil {
-			return err
-		}
-		if err := descend(l, left); err != nil {
-			return err
-		}
-		r, err := contract(part, srcWords, modes, right, false)
-		if err != nil {
-			return err
-		}
-		return descend(r, right)
-	}
-
-	if N == 2 {
-		for n := 0; n < 2; n++ {
-			part, err := contract(nil, I, allModes, []int{n}, true)
-			if err != nil {
-				return nil, memsim.Counts{}, err
+	// split contracts the node holding [lo, hi) (srcWords words) into
+	// its two halves and recurses, as Engine.AllModesInto does.
+	var split func(srcWords int64, lo, hi int) error
+	split = func(srcWords int64, lo, hi int) error {
+		mid := lo + (hi-lo)/2
+		for _, c := range [2][2]int{{lo, mid}, {mid, hi}} {
+			if err := contract(srcWords, lo, hi, c[0], c[1]); err != nil {
+				return err
 			}
-			res.B[n] = res.leafFromPartial(part, n, R)
+			if c[1]-c[0] > 1 {
+				if err := split(words(c[0], c[1]), c[0], c[1]); err != nil {
+					return err
+				}
+			}
 		}
-	} else {
-		m := N / 2
-		left, right := allModes[:m], allModes[m:]
-		l, err := contract(nil, I, allModes, left, true)
-		if err != nil {
-			return nil, memsim.Counts{}, err
-		}
-		if err := descend(l, left); err != nil {
-			return nil, memsim.Counts{}, err
-		}
-		r, err := contract(nil, I, allModes, right, true)
-		if err != nil {
-			return nil, memsim.Counts{}, err
-		}
-		if err := descend(r, right); err != nil {
-			return nil, memsim.Counts{}, err
-		}
+		return nil
+	}
+	if err := split(int64(x.Elems()), 0, len(dims)); err != nil {
+		return nil, memsim.Counts{}, err
 	}
 	end := mach.Snapshot()
-	return res, memsim.Counts{
+	return AllModes(x, factors), memsim.Counts{
 		Loads:  end.Loads - start.Loads,
 		Stores: end.Stores - start.Stores,
 		Peak:   end.Peak,
 	}, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -23,7 +23,10 @@ import (
 //
 //repro:hotpath
 func Fast32(x *tensor.Dense32, factors []*tensor.Matrix32, n int) *tensor.Matrix32 {
-	R := checkArgs32(x, factors, n)
+	R, err := tensor.CheckFactors(x, factors, n)
+	if err != nil {
+		panic(err)
+	}
 	b := tensor.NewMatrix32(x.Dim(n), R) //repro:ignore hotpath-alloc result allocation is the API; the zero-alloc path is Fast32Into
 	ws := GetWorkspace()
 	Fast32Into(b, x, factors, n, 0, ws)
@@ -38,7 +41,10 @@ func Fast32(x *tensor.Dense32, factors []*tensor.Matrix32, n int) *tensor.Matrix
 //
 //repro:hotpath
 func Fast32Into(b *tensor.Matrix32, x *tensor.Dense32, factors []*tensor.Matrix32, n, workers int, ws *Workspace) {
-	R := checkArgs32(x, factors, n)
+	R, err := tensor.CheckFactors(x, factors, n)
+	if err != nil {
+		panic(err)
+	}
 	In := x.Dim(n)
 	if b.Rows() != In || b.Cols() != R {
 		panic(fmt.Sprintf("kernel: output is %dx%d, want %dx%d", b.Rows(), b.Cols(), In, R))
@@ -141,37 +147,4 @@ func store32(dst []float32, src []float64) {
 	for i, v := range src {
 		dst[i] = float32(v)
 	}
-}
-
-// checkArgs32 validates the float32 (tensor, factors, mode) triple
-// and returns the rank R.
-func checkArgs32(x *tensor.Dense32, factors []*tensor.Matrix32, n int) int {
-	N := x.Order()
-	if len(factors) != N {
-		panic(fmt.Sprintf("kernel: %d factors for order-%d tensor", len(factors), N))
-	}
-	if n < 0 || n >= N {
-		panic(fmt.Sprintf("kernel: mode %d out of range [0,%d)", n, N))
-	}
-	R := -1
-	for k, f := range factors {
-		if k == n {
-			continue
-		}
-		if f == nil {
-			panic(fmt.Sprintf("kernel: factor %d is nil", k))
-		}
-		if f.Rows() != x.Dim(k) {
-			panic(fmt.Sprintf("kernel: factor %d has %d rows, tensor dim is %d", k, f.Rows(), x.Dim(k)))
-		}
-		if R == -1 {
-			R = f.Cols()
-		} else if f.Cols() != R {
-			panic(fmt.Sprintf("kernel: factor %d has %d cols, want %d", k, f.Cols(), R))
-		}
-	}
-	if R == -1 {
-		panic("kernel: MTTKRP needs at least two modes")
-	}
-	return R
 }

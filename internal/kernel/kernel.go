@@ -57,7 +57,10 @@ func Fast(x *tensor.Dense, factors []*tensor.Matrix, n int) *tensor.Matrix {
 // FastWorkers is Fast with an explicit worker count (<= 0 selects
 // the linalg package default, itself defaulting to GOMAXPROCS).
 func FastWorkers(x *tensor.Dense, factors []*tensor.Matrix, n, workers int) *tensor.Matrix {
-	R := checkArgs(x, factors, n)
+	R, err := tensor.CheckFactors(x, factors, n)
+	if err != nil {
+		panic(err)
+	}
 	b := tensor.NewMatrix(x.Dim(n), R) //repro:ignore hotpath-alloc result allocation is the API; the zero-alloc path is FastInto
 	ws := GetWorkspace()
 	FastInto(b, x, factors, n, workers, ws)
@@ -74,7 +77,10 @@ func FastWorkers(x *tensor.Dense, factors []*tensor.Matrix, n, workers int) *ten
 //
 //repro:hotpath
 func FastInto(b *tensor.Matrix, x *tensor.Dense, factors []*tensor.Matrix, n, workers int, ws *Workspace) {
-	R := checkArgs(x, factors, n)
+	R, err := tensor.CheckFactors(x, factors, n)
+	if err != nil {
+		panic(err)
+	}
 	In := x.Dim(n)
 	if b.Rows() != In || b.Cols() != R {
 		panic(fmt.Sprintf("kernel: output is %dx%d, want %dx%d", b.Rows(), b.Cols(), In, R))
@@ -357,37 +363,4 @@ func KRPInto(dst []float64, factors []*tensor.Matrix, lo, hi, R int) {
 	}
 	obs.KRP(rows, sumRows, R)
 	krpRows(dst, factors, lo, hi, R, 0, rows)
-}
-
-// checkArgs validates the (tensor, factors, mode) triple and returns
-// the rank R. It allocates nothing.
-func checkArgs(x *tensor.Dense, factors []*tensor.Matrix, n int) int {
-	N := x.Order()
-	if len(factors) != N {
-		panic(fmt.Sprintf("kernel: %d factors for order-%d tensor", len(factors), N))
-	}
-	if n < 0 || n >= N {
-		panic(fmt.Sprintf("kernel: mode %d out of range [0,%d)", n, N))
-	}
-	R := -1
-	for k, f := range factors {
-		if k == n {
-			continue
-		}
-		if f == nil {
-			panic(fmt.Sprintf("kernel: factor %d is nil", k))
-		}
-		if f.Rows() != x.Dim(k) {
-			panic(fmt.Sprintf("kernel: factor %d has %d rows, tensor dim is %d", k, f.Rows(), x.Dim(k)))
-		}
-		if R == -1 {
-			R = f.Cols()
-		} else if f.Cols() != R {
-			panic(fmt.Sprintf("kernel: factor %d has %d cols, want %d", k, f.Cols(), R))
-		}
-	}
-	if R == -1 {
-		panic("kernel: MTTKRP needs at least two modes")
-	}
-	return R
 }

@@ -124,18 +124,15 @@ func (r *Report) JoinSeqBounds(M float64) {
 // mttkrps MTTKRPs (1 for a single MTTKRP; a CP-ALS run does N per
 // sweep), so that a run's per-processor words join the bound of all
 // the MTTKRPs they moved: the memory-independent Theorems 4.2/4.3 and
-// their max ("par-best"), the Corollary 4.2 combined expression for
-// cubical problems, and — when M > 0 — the memory-dependent Corollary
-// 4.1 bound.
+// their max ("par-best"), and — when M > 0 — the memory-dependent
+// Corollary 4.1 bound. Corollary 4.2's cubical expression is an Ω()
+// form without its constant, so it is no lower bound to join.
 func (r *Report) JoinParBounds(P, M float64, mttkrps int) {
 	p := r.Problem()
 	n := float64(max(mttkrps, 1))
 	r.JoinBound("par-memindep1-thm4.2", n*bounds.ParMemIndependent1(p, P, 1, 1))
 	r.JoinBound("par-memindep2-thm4.3", n*bounds.ParMemIndependent2(p, P, 1, 1))
 	r.JoinBound("par-best", n*bounds.ParBest(p, P, 1, 1))
-	if cubical(r.Dims) {
-		r.JoinBound("par-cubical-cor4.2", n*bounds.CubicalCombined(p, P))
-	}
 	if M > 0 {
 		r.JoinBound("par-memdep-cor4.1", n*bounds.ParMemDependent(p, M, P))
 	}
@@ -270,13 +267,4 @@ func sortedKeys(m map[string]float64) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func cubical(dims []int) bool {
-	for _, d := range dims[1:] {
-		if d != dims[0] {
-			return false
-		}
-	}
-	return true
 }

@@ -45,24 +45,11 @@ func (r *AllModesResult) MaxWords() int64 {
 // (reduce-scatters, unavoidable per mode) — about (N+1)/(2N) of the
 // independent cost.
 func AllModesStationary(x *tensor.Dense, factors []*tensor.Matrix, shape []int) (*AllModesResult, error) {
+	R, err := tensor.CheckFactors(x, factors, tensor.AllModes)
+	if err != nil {
+		return nil, err
+	}
 	N := x.Order()
-	if len(factors) != N {
-		panic(fmt.Sprintf("par: %d factors for order-%d tensor", len(factors), N))
-	}
-	R := -1
-	for k, f := range factors {
-		if f == nil {
-			panic(fmt.Sprintf("par: factor %d is nil (all modes participate)", k))
-		}
-		if f.Rows() != x.Dim(k) {
-			panic(fmt.Sprintf("par: factor %d rows %d != dim %d", k, f.Rows(), x.Dim(k)))
-		}
-		if R == -1 {
-			R = f.Cols()
-		} else if R != f.Cols() {
-			panic("par: inconsistent rank")
-		}
-	}
 	if len(shape) != N {
 		return nil, fmt.Errorf("par: grid shape %v for order-%d tensor", shape, N)
 	}
@@ -84,7 +71,7 @@ func AllModesStationary(x *tensor.Dense, factors []*tensor.Matrix, shape []int) 
 
 	outShards := make([][][]float64, P) // [rank][mode]
 	localFlops := make([]int64, P)
-	err := net.Run(func(rank int) error {
+	err = net.Run(func(rank int) error {
 		coords := g.Coords(rank)
 
 		// Gather every factor block row once.

@@ -110,12 +110,7 @@ func TestAllModesErrors(t *testing.T) {
 	if _, err := AllModesStationary(x, fs, []int{2}); err == nil {
 		t.Fatal("wrong shape length should error")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("nil factor should panic")
-			}
-		}()
-		_, _ = AllModesStationary(x, []*tensor.Matrix{nil, fs[1]}, []int{1, 1})
-	}()
+	if _, err := AllModesStationary(x, []*tensor.Matrix{nil, fs[1]}, []int{1, 1}); err == nil {
+		t.Fatal("nil factor should error")
+	}
 }

@@ -22,7 +22,11 @@ import (
 // gathers carry only the T_{p0} rank columns, and the output
 // Reduce-Scatter runs over the smaller (p0, pn)-groups.
 func General(x *tensor.Dense, factors []*tensor.Matrix, n int, shape []int) (*Result, error) {
-	N, R := checkProblem(x, factors, n)
+	R, err := tensor.CheckFactors(x, factors, n)
+	if err != nil {
+		return nil, err
+	}
+	N := x.Order()
 	if len(shape) != N+1 {
 		return nil, fmt.Errorf("par: general grid shape %v for order-%d tensor (need N+1 extents)", shape, N)
 	}
@@ -53,7 +57,7 @@ func General(x *tensor.Dense, factors []*tensor.Matrix, n int, shape []int) (*Re
 		ReduceWords:   make([]int64, P),
 		ResidentWords: make([]int64, P),
 	}
-	err := net.Run(func(rank int) error {
+	err = net.Run(func(rank int) error {
 		coords := g.Coords(rank)
 		clo, chi := lay.RankRange(coords[0])
 		rloc := chi - clo

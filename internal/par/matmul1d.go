@@ -26,7 +26,10 @@ import (
 // each way, independent of P: the structure of the KRP is invisible to
 // the matmul, which is the paper's core criticism.
 func ViaMatmul1D(x *tensor.Dense, factors []*tensor.Matrix, n int, P int) (*Result, error) {
-	_, R := checkProblem(x, factors, n)
+	R, err := tensor.CheckFactors(x, factors, n)
+	if err != nil {
+		return nil, err
+	}
 	if P < 1 {
 		return nil, fmt.Errorf("par: P = %d", P)
 	}
@@ -54,7 +57,7 @@ func ViaMatmul1D(x *tensor.Dense, factors []*tensor.Matrix, n int, P int) (*Resu
 		GatherWords: make([]int64, P), // no input gathers in this scheme
 		ReduceWords: make([]int64, P),
 	}
-	err := net.Run(func(rank int) error {
+	err = net.Run(func(rank int) error {
 		// Local partial product: full I_n x R dense partial C.
 		span := obs.StartRank(rank, obs.PhaseLocal)
 		partial := linalg.MatMul(localX[rank], localK[rank])

@@ -18,8 +18,6 @@
 package par
 
 import (
-	"fmt"
-
 	"repro/internal/simnet"
 	"repro/internal/tensor"
 )
@@ -106,35 +104,4 @@ func (r *Result) MaxMsgs() int64 {
 		}
 	}
 	return m
-}
-
-func checkProblem(x *tensor.Dense, factors []*tensor.Matrix, n int) (N, R int) {
-	N = x.Order()
-	if len(factors) != N {
-		panic(fmt.Sprintf("par: %d factors for order-%d tensor", len(factors), N))
-	}
-	if n < 0 || n >= N {
-		panic(fmt.Sprintf("par: mode %d out of range", n))
-	}
-	R = -1
-	for k, f := range factors {
-		if k == n {
-			continue
-		}
-		if f == nil {
-			panic(fmt.Sprintf("par: factor %d is nil", k))
-		}
-		if f.Rows() != x.Dim(k) {
-			panic(fmt.Sprintf("par: factor %d rows %d != dim %d", k, f.Rows(), x.Dim(k)))
-		}
-		if R == -1 {
-			R = f.Cols()
-		} else if R != f.Cols() {
-			panic(fmt.Sprintf("par: inconsistent rank: %d vs %d", R, f.Cols()))
-		}
-	}
-	if R == -1 {
-		panic("par: no participating factors")
-	}
-	return N, R
 }

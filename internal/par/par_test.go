@@ -344,27 +344,6 @@ func TestParallelAgreesWithRefQuick(t *testing.T) {
 	}
 }
 
-func TestCheckProblemPanics(t *testing.T) {
-	dims := []int{4, 4}
-	x := tensor.RandomDense(1, dims...)
-	fs := tensor.RandomFactors(2, dims, 2)
-	for _, f := range []func(){
-		func() { checkProblem(x, fs[:1], 0) },
-		func() { checkProblem(x, fs, 5) },
-		func() { checkProblem(x, []*tensor.Matrix{nil, nil}, 0) },
-		func() { checkProblem(x, []*tensor.Matrix{fs[0], tensor.NewMatrix(9, 2)}, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestViaMatmul1DErrors(t *testing.T) {
 	dims := []int{2, 2}
 	x := tensor.RandomDense(1, dims...)

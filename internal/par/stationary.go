@@ -49,7 +49,11 @@ func NonAtomicKernel(x *tensor.Dense, factors []*tensor.Matrix, n int) *tensor.M
 // (the KRP-splitting engine by default; NonAtomicKernel for the
 // Eq. (17) variant; seq.Ref for the atomic baseline).
 func StationaryWithKernel(x *tensor.Dense, factors []*tensor.Matrix, n int, shape []int, local LocalKernel) (*Result, error) {
-	N, R := checkProblem(x, factors, n)
+	R, err := tensor.CheckFactors(x, factors, n)
+	if err != nil {
+		return nil, err
+	}
+	N := x.Order()
 	if len(shape) != N {
 		return nil, fmt.Errorf("par: grid shape %v for order-%d tensor", shape, N)
 	}
@@ -81,7 +85,7 @@ func StationaryWithKernel(x *tensor.Dense, factors []*tensor.Matrix, n int, shap
 		ReduceWords:   make([]int64, P),
 		ResidentWords: make([]int64, P),
 	}
-	err := net.Run(func(rank int) error {
+	err = net.Run(func(rank int) error {
 		coords := g.Coords(rank)
 
 		// Lines 3-5: All-Gather factor block rows within hyperslices.

@@ -55,7 +55,11 @@ func ChooseBlock(M int64, N int, alpha float64) (int, error) {
 //
 //	I + ceil(I1/b)*...*ceil(IN/b) * R * (N+1) * b.
 func Blocked(x *tensor.Dense, factors []*tensor.Matrix, n, b int, mach *memsim.Machine) (*Result, error) {
-	N, R := checkArgs(x, factors, n)
+	R, err := tensor.CheckFactors(x, factors, n)
+	if err != nil {
+		return nil, err
+	}
+	N := x.Order()
 	if b < 1 {
 		return nil, fmt.Errorf("seq: block size %d < 1", b)
 	}

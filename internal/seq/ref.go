@@ -14,56 +14,18 @@ import (
 	"repro/internal/tensor"
 )
 
-// checkArgs validates a (tensor, factors, mode) triple and returns
-// (N, R). factors must have one entry per mode; factors[n] may be nil.
-func checkArgs(x *tensor.Dense, factors []*tensor.Matrix, n int) (int, int) {
-	N := x.Order()
-	if len(factors) != N {
-		panic(fmt.Sprintf("seq: %d factors for order-%d tensor", len(factors), N))
-	}
-	if n < 0 || n >= N {
-		panic(fmt.Sprintf("seq: mode %d out of range [0,%d)", n, N))
-	}
-	R := -1
-	for k, f := range factors {
-		if k == n {
-			continue
-		}
-		if f == nil {
-			panic(fmt.Sprintf("seq: factor %d is nil", k))
-		}
-		if f.Rows() != x.Dim(k) {
-			panic(fmt.Sprintf("seq: factor %d has %d rows, tensor dim is %d", k, f.Rows(), x.Dim(k)))
-		}
-		if R == -1 {
-			R = f.Cols()
-		} else if f.Cols() != R {
-			panic(fmt.Sprintf("seq: factor %d has %d cols, want %d", k, f.Cols(), R))
-		}
-	}
-	if R == -1 {
-		panic("seq: MTTKRP needs at least two modes")
-	}
-	return N, R
-}
-
 // Ref computes the MTTKRP B(n) = X_(n) * KRP directly from Definition
 // 2.1, evaluating each N-ary multiply atomically. It performs no
 // communication accounting and serves as the correctness reference and
 // as the local kernel of the parallel algorithms.
 func Ref(x *tensor.Dense, factors []*tensor.Matrix, n int) *tensor.Matrix {
-	b := tensor.NewMatrix(x.Dim(n), factorCols(factors, n))
+	R, err := tensor.CheckFactors(x, factors, n)
+	if err != nil {
+		panic(err)
+	}
+	b := tensor.NewMatrix(x.Dim(n), R)
 	AccumulateRef(b, x, factors, n)
 	return b
-}
-
-func factorCols(factors []*tensor.Matrix, n int) int {
-	for k, f := range factors {
-		if k != n && f != nil {
-			return f.Cols()
-		}
-	}
-	panic("seq: no participating factor")
 }
 
 // AccumulateRef adds the MTTKRP contribution of x into b, which must be
@@ -77,11 +39,14 @@ func factorCols(factors []*tensor.Matrix, n int) int {
 // product is unchanged, so results are bitwise identical to the
 // uncached kernel.
 func AccumulateRef(b *tensor.Matrix, x *tensor.Dense, factors []*tensor.Matrix, n int) {
-	N, R := checkArgs(x, factors, n)
+	R, err := tensor.CheckFactors(x, factors, n)
+	if err != nil {
+		panic(err)
+	}
 	if b.Rows() != x.Dim(n) || b.Cols() != R {
 		panic(fmt.Sprintf("seq: output is %dx%d, want %dx%d", b.Rows(), b.Cols(), x.Dim(n), R))
 	}
-	dims := x.Dims()
+	N, dims := x.Order(), x.Dims()
 	idx := make([]int, N)
 	data := x.Data()
 	fcols, bcols := cacheCols(b, factors, n, R)

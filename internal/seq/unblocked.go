@@ -25,7 +25,11 @@ type Result struct {
 // It requires fast memory capacity M >= N+1 (one tensor entry, N-1
 // factor entries, and one output entry resident at once).
 func Unblocked(x *tensor.Dense, factors []*tensor.Matrix, n int, mach *memsim.Machine) (*Result, error) {
-	N, R := checkArgs(x, factors, n)
+	R, err := tensor.CheckFactors(x, factors, n)
+	if err != nil {
+		return nil, err
+	}
+	N := x.Order()
 	if mach.Capacity() < int64(N)+1 {
 		return nil, fmt.Errorf("seq: unblocked needs M >= N+1 = %d, have %d", N+1, mach.Capacity())
 	}

@@ -25,7 +25,11 @@ import (
 //   - GEMM: square tiles of side t with 3t^2 <= M, costing
 //     2*I_n*J*R/t loads + I_n*R stores, i.e. O(I + IR/sqrt(M)).
 func ViaMatmul(x *tensor.Dense, factors []*tensor.Matrix, n int, mach *memsim.Machine) (*Result, error) {
-	N, R := checkArgs(x, factors, n)
+	R, err := tensor.CheckFactors(x, factors, n)
+	if err != nil {
+		return nil, err
+	}
+	N := x.Order()
 	dims := x.Dims()
 	In := dims[n]
 	I := int64(x.Elems())

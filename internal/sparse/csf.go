@@ -262,6 +262,9 @@ func (t *CSF) Order() int { return len(t.dims) }
 // Dims returns a copy of the tensor dimensions.
 func (t *CSF) Dims() []int { return append([]int(nil), t.dims...) }
 
+// Dim returns the extent of mode k.
+func (t *CSF) Dim(k int) int { return t.dims[k] }
+
 // Root returns the mode the fiber tree is rooted at.
 func (t *CSF) Root() int { return t.perm[0] }
 

@@ -78,7 +78,7 @@ func (t *CSF) MTTKRP(factors []*tensor.Matrix, n int) *tensor.Matrix {
 
 // MTTKRPWorkers is MTTKRP with an explicit worker count (0 = default).
 func (t *CSF) MTTKRPWorkers(factors []*tensor.Matrix, n, workers int) *tensor.Matrix {
-	R := t.checkFactors(factors, n)
+	R := checkFactors(t, factors, n)
 	b := tensor.NewMatrix(t.dims[n], R)
 	t.MTTKRPInto(b, factors, n, workers, nil)
 	return b
@@ -91,7 +91,7 @@ func (t *CSF) MTTKRPWorkers(factors []*tensor.Matrix, n, workers int) *tensor.Ma
 //
 //repro:hotpath
 func (t *CSF) MTTKRPInto(b *tensor.Matrix, factors []*tensor.Matrix, n, workers int, ws *Workspace) {
-	R := t.checkFactors(factors, n)
+	R := checkFactors(t, factors, n)
 	if b.Rows() != t.dims[n] || b.Cols() != R {
 		panic(fmt.Sprintf("sparse: MTTKRPInto output is %dx%d, want %dx%d",
 			b.Rows(), b.Cols(), t.dims[n], R))
@@ -120,7 +120,7 @@ func (t *CSF) MTTKRPInto(b *tensor.Matrix, factors []*tensor.Matrix, n, workers 
 // AllModes computes the MTTKRP for every mode in one traversal,
 // allocating the results (outs[k] is the mode-k MTTKRP).
 func (t *CSF) AllModes(factors []*tensor.Matrix, workers int) []*tensor.Matrix {
-	R := t.checkFactors(factors, -1)
+	R := checkFactors(t, factors, tensor.AllModes)
 	outs := make([]*tensor.Matrix, len(t.dims))
 	for k := range outs {
 		outs[k] = tensor.NewMatrix(t.dims[k], R)
@@ -137,7 +137,7 @@ func (t *CSF) AllModes(factors []*tensor.Matrix, workers int) []*tensor.Matrix {
 //
 //repro:hotpath
 func (t *CSF) AllModesInto(outs []*tensor.Matrix, factors []*tensor.Matrix, workers int, ws *Workspace) {
-	R := t.checkFactors(factors, -1)
+	R := checkFactors(t, factors, tensor.AllModes)
 	N := len(t.dims)
 	if len(outs) != N {
 		panic(fmt.Sprintf("sparse: got %d outputs for an order-%d tensor", len(outs), N))
@@ -190,30 +190,12 @@ func (t *CSF) pool(workers int) (int, int) {
 	return workers, nbuf
 }
 
-// checkFactors validates the factor set for output mode n (n < 0
-// validates all modes, for the all-modes pass) and returns the rank.
-func (t *CSF) checkFactors(factors []*tensor.Matrix, n int) int {
-	N := len(t.dims)
-	if len(factors) != N {
-		panic(fmt.Sprintf("sparse: got %d factors for an order-%d tensor", len(factors), N))
-	}
-	R := -1
-	for k := 0; k < N; k++ {
-		if k == n {
-			continue
-		}
-		f := factors[k]
-		if f == nil {
-			panic(fmt.Sprintf("sparse: factor %d is nil", k))
-		}
-		if f.Rows() != t.dims[k] {
-			panic(fmt.Sprintf("sparse: factor %d has %d rows, want %d", k, f.Rows(), t.dims[k]))
-		}
-		if R < 0 {
-			R = f.Cols()
-		} else if f.Cols() != R {
-			panic(fmt.Sprintf("sparse: factor %d has %d cols, want %d", k, f.Cols(), R))
-		}
+// checkFactors is tensor.CheckFactors for the fiber tree, panicking
+// on invalid arguments; n may be tensor.AllModes.
+func checkFactors[M tensor.FactorMatrix](t *CSF, factors []M, n int) int {
+	R, err := tensor.CheckFactors(t, factors, n)
+	if err != nil {
+		panic(err)
 	}
 	return R
 }

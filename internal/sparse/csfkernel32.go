@@ -18,7 +18,7 @@ import (
 // MTTKRP32 computes the mode-n MTTKRP on float32 factors with the
 // default worker count, allocating a float32 result.
 func (t *CSF) MTTKRP32(factors []*tensor.Matrix32, n int) *tensor.Matrix32 {
-	R := t.checkFactors32(factors, n)
+	R := checkFactors(t, factors, n)
 	b := tensor.NewMatrix32(t.dims[n], R)
 	t.MTTKRPInto32(b, factors, n, 0, nil)
 	return b
@@ -31,7 +31,7 @@ func (t *CSF) MTTKRP32(factors []*tensor.Matrix32, n int) *tensor.Matrix32 {
 //
 //repro:hotpath
 func (t *CSF) MTTKRPInto32(b *tensor.Matrix32, factors []*tensor.Matrix32, n, workers int, ws *Workspace) {
-	R := t.checkFactors32(factors, n)
+	R := checkFactors(t, factors, n)
 	if b.Rows() != t.dims[n] || b.Cols() != R {
 		panic(fmt.Sprintf("sparse: MTTKRPInto32 output is %dx%d, want %dx%d",
 			b.Rows(), b.Cols(), t.dims[n], R))
@@ -60,7 +60,7 @@ func (t *CSF) MTTKRPInto32(b *tensor.Matrix32, factors []*tensor.Matrix32, n, wo
 // AllModes32 computes every mode's MTTKRP on float32 factors in one
 // traversal, allocating the float32 results.
 func (t *CSF) AllModes32(factors []*tensor.Matrix32, workers int) []*tensor.Matrix32 {
-	R := t.checkFactors32(factors, -1)
+	R := checkFactors(t, factors, tensor.AllModes)
 	outs := make([]*tensor.Matrix32, len(t.dims))
 	for k := range outs {
 		outs[k] = tensor.NewMatrix32(t.dims[k], R)
@@ -75,7 +75,7 @@ func (t *CSF) AllModes32(factors []*tensor.Matrix32, workers int) []*tensor.Matr
 //
 //repro:hotpath
 func (t *CSF) AllModesInto32(outs []*tensor.Matrix32, factors []*tensor.Matrix32, workers int, ws *Workspace) {
-	R := t.checkFactors32(factors, -1)
+	R := checkFactors(t, factors, tensor.AllModes)
 	N := len(t.dims)
 	if len(outs) != N {
 		panic(fmt.Sprintf("sparse: got %d outputs for an order-%d tensor", len(outs), N))
@@ -108,34 +108,6 @@ func (t *CSF) AllModesInto32(outs []*tensor.Matrix32, factors []*tensor.Matrix32
 		scatterRowMajor32(outs[t.perm[lv]], ws.acc[off:off+sz], R)
 		off += sz
 	}
-}
-
-// checkFactors32 validates a float32 factor set for output mode n
-// (n < 0 validates all modes) and returns the rank.
-func (t *CSF) checkFactors32(factors []*tensor.Matrix32, n int) int {
-	N := len(t.dims)
-	if len(factors) != N {
-		panic(fmt.Sprintf("sparse: got %d factors for an order-%d tensor", len(factors), N))
-	}
-	R := -1
-	for k := 0; k < N; k++ {
-		if k == n {
-			continue
-		}
-		f := factors[k]
-		if f == nil {
-			panic(fmt.Sprintf("sparse: factor %d is nil", k))
-		}
-		if f.Rows() != t.dims[k] {
-			panic(fmt.Sprintf("sparse: factor %d has %d rows, want %d", k, f.Rows(), t.dims[k]))
-		}
-		if R < 0 {
-			R = f.Cols()
-		} else if f.Cols() != R {
-			panic(fmt.Sprintf("sparse: factor %d has %d cols, want %d", k, f.Cols(), R))
-		}
-	}
-	return R
 }
 
 // packRowMajor32 mirrors a column-major float32 factor into the

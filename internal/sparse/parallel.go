@@ -97,22 +97,9 @@ func ParallelMTTKRPEngine(c *COO, factors []*tensor.Matrix, n int, part Partitio
 	if len(part.Assign) != c.NNZ() {
 		return nil, fmt.Errorf("sparse: partition covers %d of %d entries", len(part.Assign), c.NNZ())
 	}
-	R := -1
-	for k, f := range factors {
-		if k == n {
-			continue
-		}
-		if f == nil || f.Rows() != c.dims[k] {
-			return nil, fmt.Errorf("sparse: factor %d bad shape", k)
-		}
-		if R == -1 {
-			R = f.Cols()
-		} else if R != f.Cols() {
-			return nil, fmt.Errorf("sparse: inconsistent rank")
-		}
-	}
-	if R == -1 {
-		return nil, fmt.Errorf("sparse: no participating factors")
+	R, err := tensor.CheckFactors(c, factors, n)
+	if err != nil {
+		return nil, err
 	}
 	P := part.P
 
@@ -200,7 +187,7 @@ func ParallelMTTKRPEngine(c *COO, factors []*tensor.Matrix, n int, part Partitio
 
 	net := simnet.New(P)
 	finalRows := make([]map[int][]float64, P) // output row -> values, at owner
-	err := net.Run(func(rank int) error {
+	err = net.Run(func(rank int) error {
 		// Expand phase: send owned rows to touchers, one batched
 		// message per destination.
 		expandSpan := obs.StartRank(rank, obs.PhaseExpand)

@@ -50,6 +50,9 @@ func (c *COO) Dims() []int { return append([]int(nil), c.dims...) }
 // Order returns the number of modes.
 func (c *COO) Order() int { return len(c.dims) }
 
+// Dim returns the extent of mode k.
+func (c *COO) Dim(k int) int { return c.dims[k] }
+
 // NNZ returns the nonzero count.
 func (c *COO) NNZ() int { return len(c.entries) }
 
@@ -147,26 +150,9 @@ func RandomBlocky(seed int64, blocks, perBlock, blockSide int, dims ...int) *COO
 // products (only nonzero iterations contribute, the defining saving of
 // the sparse case).
 func MTTKRP(c *COO, factors []*tensor.Matrix, n int) *tensor.Matrix {
-	N := c.Order()
-	if len(factors) != N {
-		panic(fmt.Sprintf("sparse: %d factors for order-%d tensor", len(factors), N))
-	}
-	if n < 0 || n >= N {
-		panic(fmt.Sprintf("sparse: mode %d out of range", n))
-	}
-	R := -1
-	for k, f := range factors {
-		if k == n {
-			continue
-		}
-		if f == nil || f.Rows() != c.dims[k] {
-			panic(fmt.Sprintf("sparse: factor %d bad shape", k))
-		}
-		if R == -1 {
-			R = f.Cols()
-		} else if R != f.Cols() {
-			panic("sparse: inconsistent rank")
-		}
+	R, err := tensor.CheckFactors(c, factors, n)
+	if err != nil {
+		panic(err)
 	}
 	b := tensor.NewMatrix(c.dims[n], R)
 	accumulate(b, c.entries, factors, n, R)

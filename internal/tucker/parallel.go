@@ -139,7 +139,12 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 		for _, v := range localX[rank].Data() {
 			localSq += v * v
 		}
+		// Every rank gets the same sum, so on a zero or non-finite norm
+		// all ranks return together.
 		normX := math.Sqrt(world.AllReduce([]float64{localSq})[0])
+		if err := checkNorm(normX); err != nil {
+			return err
+		}
 
 		prevFit := math.Inf(-1)
 		var replicated []*tensor.Matrix // full factors after each sweep

@@ -112,8 +112,8 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 	ws := ttm.GetWorkspace()
 	defer ttm.PutWorkspace(ws)
 	normX := linalg.Norm(x.Data(), w)
-	if normX == 0 { //repro:bitwise zero-tensor guard: norm is exactly 0 iff all entries are 0
-		return nil, nil, fmt.Errorf("tucker: zero tensor")
+	if err := checkNorm(normX); err != nil {
+		return nil, nil, err
 	}
 	dims := x.Dims()
 	grams := gramViews(dims)
@@ -201,8 +201,8 @@ func HOSVD(x *tensor.Dense, ranks []int) (*Model, error) {
 	ws := ttm.GetWorkspace() // before the norm's section, as in Decompose
 	defer ttm.PutWorkspace(ws)
 	normX := linalg.Norm(x.Data(), 0)
-	if normX == 0 { //repro:bitwise zero-tensor guard: norm is exactly 0 iff all entries are 0
-		return nil, fmt.Errorf("tucker: zero tensor")
+	if err := checkNorm(normX); err != nil {
+		return nil, err
 	}
 	core := tensor.NewDense(ranks...)
 	factors := make([]*tensor.Matrix, x.Order())
@@ -292,6 +292,16 @@ func projectionViews(dims, ranks []int) []*tensor.Dense {
 		out[k] = tensor.NewDenseFromData(buf[:sizes[k]], sh...)
 	}
 	return out
+}
+
+// checkNorm rejects a tensor norm ||X|| that is zero or not finite:
+// the fit divides by it, and every solver tests the norm it already
+// computes. One entry whose square overflows makes it +Inf.
+func checkNorm(normX float64) error {
+	if normX > 0 && normX <= math.MaxFloat64 {
+		return nil
+	}
+	return fmt.Errorf("tucker: tensor norm is %g, not positive and finite", normX)
 }
 
 // fitFromCore returns the fit 1 - ||X - Xhat|| / ||X|| of a model

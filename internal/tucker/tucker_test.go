@@ -3,6 +3,7 @@ package tucker
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/linalg"
@@ -519,4 +520,39 @@ func absMatrix(u *tensor.Matrix) *tensor.Matrix {
 		out.Data()[i] = math.Abs(v)
 	}
 	return out
+}
+
+// TestNormErrors: every Tucker entry point tests the norm it computes,
+// so a zero tensor and one NaN, +Inf or 1e300 entry (whose square
+// overflows the norm) return an error naming the norm instead of a
+// fit of 1 or NaN.
+func TestNormErrors(t *testing.T) {
+	ranks := []int{2, 2, 2}
+	entries := map[string]func(x *tensor.Dense) error{
+		"Decompose": func(x *tensor.Dense) error {
+			_, _, err := Decompose(x, Options{Ranks: ranks, MaxIters: 2})
+			return err
+		},
+		"HOSVD": func(x *tensor.Dense) error {
+			_, err := HOSVD(x, ranks)
+			return err
+		},
+		"DecomposeParallel": func(x *tensor.Dense) error {
+			_, err := DecomposeParallel(x, []int{2, 1, 2}, Options{Ranks: ranks, MaxIters: 2}, 1)
+			return err
+		},
+	}
+	for _, v := range []float64{0, math.NaN(), math.Inf(1), 1e300} {
+		x := tensor.RandomDense(3, 4, 4, 4)
+		if v == 0 { //repro:bitwise the zero-tensor case of the table
+			x.Fill(0)
+		} else {
+			x.Data()[5] = v
+		}
+		for name, run := range entries {
+			if err := run(x); err == nil || !strings.Contains(err.Error(), "norm") {
+				t.Errorf("%s with entry %g: error %v, want one naming the norm", name, v, err)
+			}
+		}
+	}
 }

@@ -62,16 +62,21 @@ func FromFactors(factors []*Matrix) *Dense { return tensor.FromFactors(factors) 
 // MTTKRP computes B(n) with the KRP-splitting shared-memory engine
 // (kernel.Fast) and no cost accounting. It agrees with Definition 2.1
 // up to floating-point reassociation. factors[n] is ignored and may be
-// nil.
-func MTTKRP(x *Dense, factors []*Matrix, n int) *Matrix {
-	return kernel.Fast(x, factors, n)
+// nil. Arguments that tensor.CheckFactors rejects (an order below 2, a
+// factor count other than N, a mode out of range, a nil factor, wrong
+// rows or mixed ranks) return its error.
+func MTTKRP(x *Dense, factors []*Matrix, n int) (*Matrix, error) {
+	return MTTKRPParallel(x, factors, n, 0)
 }
 
 // MTTKRPParallel is MTTKRP on workers goroutines (<= 0 selects the
 // engine default, normally GOMAXPROCS). The result is bitwise
 // identical for every worker count.
-func MTTKRPParallel(x *Dense, factors []*Matrix, n, workers int) *Matrix {
-	return kernel.FastWorkers(x, factors, n, workers)
+func MTTKRPParallel(x *Dense, factors []*Matrix, n, workers int) (*Matrix, error) {
+	if _, err := tensor.CheckFactors(x, factors, n); err != nil {
+		return nil, err
+	}
+	return kernel.FastWorkers(x, factors, n, workers), nil
 }
 
 // CPDecomposeTree runs CP-ALS with Phan-style prefix-partial reuse:
@@ -178,9 +183,12 @@ type MultiModeResult = dimtree.Result
 // MTTKRPAllModes computes B(n) for every mode with one dimension-tree
 // pass, sharing partial contractions across modes (the multi-MTTKRP
 // optimization of the paper's Section VII). All factors must be
-// non-nil.
-func MTTKRPAllModes(x *Dense, factors []*Matrix) *MultiModeResult {
-	return dimtree.AllModes(x, factors)
+// non-nil; arguments that tensor.CheckFactors rejects return its error.
+func MTTKRPAllModes(x *Dense, factors []*Matrix) (*MultiModeResult, error) {
+	if _, err := tensor.CheckFactors(x, factors, tensor.AllModes); err != nil {
+		return nil, err
+	}
+	return dimtree.AllModes(x, factors), nil
 }
 
 // CPGradOptions configures gradient-based CP fitting.
@@ -257,8 +265,12 @@ func RandomSparse(seed int64, nnz int, dims ...int) *SparseCOO {
 }
 
 // SparseMTTKRP computes the mode-n MTTKRP of a sparse tensor.
-func SparseMTTKRP(x *SparseCOO, factors []*Matrix, n int) *Matrix {
-	return sparse.MTTKRP(x, factors, n)
+// Arguments that tensor.CheckFactors rejects return its error.
+func SparseMTTKRP(x *SparseCOO, factors []*Matrix, n int) (*Matrix, error) {
+	if _, err := tensor.CheckFactors(x, factors, n); err != nil {
+		return nil, err
+	}
+	return sparse.MTTKRP(x, factors, n), nil
 }
 
 // SparseCommVolume returns the hypergraph (lambda-1) communication

@@ -7,11 +7,21 @@ import (
 	"repro/internal/seq"
 )
 
+// mttkrp is MTTKRP on arguments the test knows to be valid.
+func mttkrp(t *testing.T, x *Dense, fs []*Matrix, n int) *Matrix {
+	t.Helper()
+	b, err := MTTKRP(x, fs, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestFacadeMTTKRP(t *testing.T) {
 	dims := []int{6, 5, 4}
 	x := RandomDense(1, dims...)
 	fs := RandomFactors(2, dims, 3)
-	b := MTTKRP(x, fs, 0)
+	b := mttkrp(t, x, fs, 0)
 	if b.Rows() != 6 || b.Cols() != 3 {
 		t.Fatalf("B shape %dx%d", b.Rows(), b.Cols())
 	}
@@ -25,12 +35,18 @@ func TestFacadeMTTKRPParallelBitwise(t *testing.T) {
 	fs := RandomFactors(6, dims, 7)
 	for n := range dims {
 		want := seq.Ref(x, fs, n)
-		one := MTTKRPParallel(x, fs, n, 1)
+		one, err := MTTKRPParallel(x, fs, n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !one.EqualApprox(want, 1e-9) {
 			t.Fatalf("mode %d: maxdiff %v against seq.Ref", n, one.MaxAbsDiff(want))
 		}
 		for _, w := range []int{2, 3, 8} {
-			got := MTTKRPParallel(x, fs, n, w)
+			got, err := MTTKRPParallel(x, fs, n, w)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if d := got.MaxAbsDiff(one); d != 0 { //repro:bitwise the worker-count-independence contract under test
 				t.Fatalf("mode %d workers %d: maxdiff %v against workers 1", n, w, d)
 			}
@@ -46,7 +62,7 @@ func TestFacadeSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.B.EqualApprox(MTTKRP(x, fs, 1), 1e-9) {
+	if !res.B.EqualApprox(mttkrp(t, x, fs, 1), 1e-9) {
 		t.Fatal("facade sequential result wrong")
 	}
 	if res.Counts.Words() <= 0 {
@@ -62,7 +78,7 @@ func TestFacadeParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.B.EqualApprox(MTTKRP(x, fs, 2), 1e-9) {
+	if !res.B.EqualApprox(mttkrp(t, x, fs, 2), 1e-9) {
 		t.Fatal("facade parallel result wrong")
 	}
 	if res.MaxWords() <= 0 {
@@ -127,9 +143,12 @@ func TestFacadeAllModes(t *testing.T) {
 	dims := []int{5, 4, 5}
 	x := RandomDense(15, dims...)
 	fs := RandomFactors(16, dims, 3)
-	res := MTTKRPAllModes(x, fs)
+	res, err := MTTKRPAllModes(x, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for n := range dims {
-		if !res.B[n].EqualApprox(MTTKRP(x, fs, n), 1e-9) {
+		if !res.B[n].EqualApprox(mttkrp(t, x, fs, n), 1e-9) {
 			t.Fatalf("mode %d mismatch", n)
 		}
 	}
@@ -189,7 +208,10 @@ func TestFacadeSparse(t *testing.T) {
 	dims := []int{6, 6, 6}
 	s := RandomSparse(23, 30, dims...)
 	fs := RandomFactors(24, dims, 2)
-	b := SparseMTTKRP(s, fs, 0)
+	b, err := SparseMTTKRP(s, fs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if b.Rows() != 6 || b.Cols() != 2 {
 		t.Fatal("sparse MTTKRP shape")
 	}
