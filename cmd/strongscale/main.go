@@ -20,7 +20,6 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/costmodel"
 	"repro/internal/dist"
-	"repro/internal/grid"
 	"repro/internal/par"
 	"repro/internal/workload"
 )
@@ -98,8 +97,11 @@ func main() {
 // exactAlg3Sends evaluates the ceiling-aware Eq. (14) per-processor
 // send count for a grid shape.
 func exactAlg3Sends(dims []int, R int, shape []int) int64 {
-	g := grid.New(shape...)
-	lay := dist.NewStationary(dims, R, g)
+	lay, err := dist.NewStationary(dims, R, shape)
+	if err != nil {
+		panic(err) // shape is BestStationaryExact's, so only a bug gets here
+	}
+	g := lay.G
 	var w int64
 	for k := range dims {
 		q := int64(g.P() / g.Extent(k))
@@ -111,8 +113,11 @@ func exactAlg3Sends(dims []int, R int, shape []int) int64 {
 // exactAlg4Sends evaluates the ceiling-aware Eq. (18) per-processor
 // send count.
 func exactAlg4Sends(dims []int, R int, shape []int) int64 {
-	g := grid.New(shape...)
-	lay := dist.NewGeneral(dims, R, g)
+	lay, err := dist.NewGeneral(dims, R, shape)
+	if err != nil {
+		panic(err) // shape is BestGeneralExact's, so only a bug gets here
+	}
+	g := lay.G
 	p0 := int64(g.Extent(0))
 	w := (p0 - 1) * lay.MaxTensorNnz()
 	for k := range dims {

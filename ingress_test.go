@@ -95,6 +95,47 @@ func TestIngressErrors(t *testing.T) {
 	}
 }
 
+// TestIngressGridErrors: every parallel entry point that takes a grid
+// returns an error, and never panics, for a grid shape the layouts
+// reject: an extent above its dimension, a non-positive extent, a rank
+// split P0 above R, or the wrong number of extents.
+func TestIngressGridErrors(t *testing.T) {
+	x := RandomDense(1, 4, 4, 4)
+	fs := RandomFactors(2, x.Dims(), 3)
+	entries := map[string]func(shape []int) error{
+		"CPDecomposeParallel": func(shape []int) error {
+			_, err := CPDecomposeParallel(x, shape, CPOptions{R: 3, MaxIters: 1})
+			return err
+		},
+		"TuckerDecomposeParallel": func(shape []int) error {
+			_, err := TuckerDecomposeParallel(x, shape, TuckerOptions{Ranks: []int{2, 2, 2}, MaxIters: 1}, 1)
+			return err
+		},
+		"par.AllModesStationary": func(shape []int) error {
+			_, err := par.AllModesStationary(x, fs, shape)
+			return err
+		},
+	}
+	for _, alg := range []ParAlgorithm{ParAuto, ParStationary, ParGeneral} {
+		entries["ParallelMTTKRP/"+alg.String()] = func(shape []int) error {
+			_, err := ParallelMTTKRP(x, fs, 0, ParOptions{Algorithm: alg, Grid: shape})
+			return err
+		}
+	}
+	for _, shape := range [][]int{
+		{8, 1, 1}, {0, 1, 1}, {-1, 1, 1}, {2, 2},
+		{1, 8, 1, 1}, {4, 1, 1, 1}, {0, 1, 1, 1}, {1, 1, 1, -1},
+	} {
+		for name, run := range entries {
+			var err error
+			noPanic(t, fmt.Sprint("grid ", shape), name, func() { err = run(shape) })
+			if err == nil {
+				t.Errorf("%s on grid %v: no error", name, shape)
+			}
+		}
+	}
+}
+
 // FuzzMTTKRP drives the dense MTTKRP surface with order 1-5 tensors,
 // extents 1-7, R 1-5, modes -2..N+1 and one of five factor sets
 // (valid, a factor dropped, a participating factor nil, wrong rows,

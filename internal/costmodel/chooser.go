@@ -78,18 +78,10 @@ func BestStationaryExact(dims []int, R, P int) ([]int, error) {
 	var bestShape []int
 	best := int64(math.MaxInt64)
 	for _, shape := range grid.Factorizations(P, len(dims)) {
-		ok := true
-		for k, s := range shape {
-			if s > dims[k] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		lay, err := dist.NewStationary(dims, R, shape)
+		if err != nil {
 			continue
 		}
-		g := grid.New(shape...)
-		lay := dist.NewStationary(dims, R, g)
 		var w int64
 		for k := range dims {
 			q := int64(P / shape[k])
@@ -112,21 +104,10 @@ func BestGeneralExact(dims []int, R, P int) ([]int, error) {
 	var bestShape []int
 	best := int64(math.MaxInt64)
 	for _, shape := range grid.Factorizations(P, len(dims)+1) {
-		if shape[0] > R {
+		lay, err := dist.NewGeneral(dims, R, shape)
+		if err != nil {
 			continue
 		}
-		ok := true
-		for k := range dims {
-			if shape[k+1] > dims[k] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		g := grid.New(shape...)
-		lay := dist.NewGeneral(dims, R, g)
 		p0 := int64(shape[0])
 		w := (p0 - 1) * lay.MaxTensorNnz()
 		for k := range dims {

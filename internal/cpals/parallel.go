@@ -8,9 +8,9 @@ import (
 	"repro/internal/comm"
 	"repro/internal/dimtree"
 	"repro/internal/dist"
-	"repro/internal/grid"
 	"repro/internal/linalg"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
 )
@@ -76,12 +76,12 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options) (*ParallelRes
 		return nil, err
 	}
 	// Assemble the global model from owned rows.
-	N, R := x.Order(), ranks[0].R
-	factors := make([]*tensor.Matrix, N)
-	for k := 0; k < N; k++ {
-		factors[k] = tensor.NewMatrix(x.Dim(k), R)
+	factors := make([]*tensor.Matrix, x.Order())
+	for k := range factors {
+		factors[k] = tensor.NewMatrix(x.Dim(k), opts.R)
 		for _, r := range ranks {
-			factors[k].SetBlock(r.lo[k], 0, r.own[k])
+			lo, _ := r.OwnRows(k)
+			factors[k].SetBlock(lo, 0, r.own[k])
 		}
 	}
 	fits := ranks[0].fits
@@ -112,26 +112,21 @@ func runParallel(x *tensor.Dense, shape []int, opts Options) ([]*cpRank, *simnet
 	if opts.Normalize {
 		return nil, nil, fmt.Errorf("cpals: DecomposeParallel does not support Normalize")
 	}
-	N := x.Order()
-	if len(shape) != N {
-		return nil, nil, fmt.Errorf("cpals: grid shape %v for order-%d tensor", shape, N)
+	lay, err := dist.NewStationary(x.Dims(), opts.R, shape)
+	if err != nil {
+		return nil, nil, err
 	}
-	g := grid.New(shape...)
-	P := g.P()
-	for k, d := range x.Dims() {
-		if d < P {
-			return nil, nil, fmt.Errorf("cpals: dimension %d (mode %d) smaller than P = %d", d, k, P)
-		}
+	if err := lay.CheckRowShards(); err != nil {
+		return nil, nil, err
 	}
-	lay := dist.NewStationary(x.Dims(), opts.R, g)
-	net := simnet.New(P)
+	net := simnet.New(lay.G.P())
 
 	// The same deterministic initial factors as the sequential solver;
 	// each rank copies out the rows it owns.
 	global := tensor.RandomFactors(opts.Seed, x.Dims(), opts.R)
-	ranks := make([]*cpRank, P)
-	err := net.Run(func(rank int) error {
-		r := newCPRank(net, lay, rank, x, global)
+	ranks := make([]*cpRank, lay.G.P())
+	err = net.Run(func(rank int) error {
+		r := newCPRank(par.NewRank(lay, net, rank, x), global)
 		ranks[rank] = r
 		return r.run(opts)
 	})
@@ -146,58 +141,40 @@ func runParallel(x *tensor.Dense, shape []int, opts Options) ([]*cpRank, *simnet
 // for the next run; the pool drops it at garbage collection.
 var enginePool = sync.Pool{New: func() any { return dimtree.NewEngine(1) }}
 
-// cpRank is one simulated rank of a DecomposeParallel run.
+// cpRank is one simulated rank of a DecomposeParallel run: its block
+// and communicators, and the solver state it keeps for the run.
 type cpRank struct {
-	net   *simnet.Network
-	rank  int
-	R     int
-	local *tensor.Dense // this rank's block of the tensor
+	*par.Rank
 
-	world  *comm.Comm
-	slices []*comm.Comm // slices[k]: the mode-k hyperslice, the ranks sharing grid coordinate k
-	fibers []*comm.Comm // fibers[k]: the P_k ranks sharing every grid coordinate but the k-th
-
-	lo    []int            // lo[k]: the first row of U_k this rank owns
-	own   []*tensor.Matrix // own[k]: the rows of U_k this rank owns and solves for
-	rows  []*tensor.Matrix // rows[k]: U_k's block row, gathered over slices[k]
-	grams []*tensor.Matrix // grams[k]: U_k's Gram, summed over fibers[k]
-	bs    []*tensor.Matrix // bs[n]: this block's contribution to B(n)'s block row
+	fibers []*comm.Comm     // fibers[k]: the rank's mode-k fiber
+	own    []*tensor.Matrix // own[k]: the rows of U_k this rank owns and solves for
+	rows   []*tensor.Matrix // rows[k]: U_k's block row, gathered over Slices[k]
+	grams  []*tensor.Matrix // grams[k]: U_k's Gram, summed over fibers[k]
+	bs     []*tensor.Matrix // bs[n]: this block's contribution to B(n)'s block row
 
 	fits        []float64
 	mttkrpWords int64 // words moved by gathers and reduce-scatters
 }
 
-// newCPRank cuts the rank's block of x, copies its owned rows out of
-// the initial factors, and builds its communicators and buffers, all
-// once for the run.
-func newCPRank(net *simnet.Network, lay dist.Stationary, rank int, x *tensor.Dense, global []*tensor.Matrix) *cpRank {
-	g := lay.G
-	N := g.Dims()
-	coords := g.Coords(rank)
+// newCPRank copies the rank's owned rows out of the initial factors
+// and builds its fiber communicators and buffers, all once for the
+// run.
+func newCPRank(rank *par.Rank, global []*tensor.Matrix) *cpRank {
+	N := len(global)
 	r := &cpRank{
-		net:    net,
-		rank:   rank,
-		R:      lay.R,
-		local:  lay.LocalTensor(coords, x),
-		world:  comm.New(net, worldRanks(g.P()), rank),
-		slices: make([]*comm.Comm, N),
+		Rank:   rank,
 		fibers: make([]*comm.Comm, N),
-		lo:     make([]int, N),
 		own:    make([]*tensor.Matrix, N),
 		rows:   make([]*tensor.Matrix, N),
 		grams:  make([]*tensor.Matrix, N),
 		bs:     make([]*tensor.Matrix, N),
 	}
-	for k := 0; k < N; k++ {
-		slice := lay.HyperSlice(k, coords)
-		r.slices[k] = comm.New(net, slice, rank)
-		r.fibers[k] = comm.New(net, fiber(g, k, coords), rank)
-		blo, bhi := lay.FactorRowRange(k, coords[k])
-		lo, hi := grid.Part(bhi-blo, len(slice), dist.IndexIn(slice, rank))
-		r.lo[k] = blo + lo
-		r.own[k] = global[k].RowBlock(blo+lo, blo+hi)
-		r.rows[k] = tensor.NewMatrix(bhi-blo, lay.R)
-		r.bs[k] = tensor.NewMatrix(bhi-blo, lay.R)
+	for k, u := range global {
+		r.fibers[k] = r.Fiber(k)
+		r.own[k] = u.RowBlock(r.OwnRows(k))
+		blo, bhi := r.BlockRows(k)
+		r.rows[k] = tensor.NewMatrix(bhi-blo, u.Cols())
+		r.bs[k] = tensor.NewMatrix(bhi-blo, u.Cols())
 	}
 	return r
 }
@@ -206,14 +183,9 @@ func newCPRank(net *simnet.Network, lay dist.Stationary, rank int, x *tensor.Den
 // sweeps, each appending its fit.
 func (r *cpRank) run(opts Options) error {
 	N := len(r.own)
-	// ||X||^2 via one All-Reduce of local sums of squares. Every rank
-	// gets the same sum, so on a zero or non-finite norm all ranks
-	// return together.
-	localSq := 0.0
-	for _, v := range r.local.Data() {
-		localSq += v * v
-	}
-	normX := math.Sqrt(r.world.AllReduce([]float64{localSq})[0])
+	// Every rank gets the same norm, so on a zero or non-finite norm
+	// all ranks return together.
+	normX := r.Norm()
 	if err := checkNorm(normX); err != nil {
 		return err
 	}
@@ -223,7 +195,7 @@ func (r *cpRank) run(opts Options) error {
 	eng := enginePool.Get().(*dimtree.Engine)
 	eng.Workers = 1
 	defer enginePool.Put(eng)
-	tree := newPrefixTree(eng, r.local, r.R)
+	tree := newPrefixTree(eng, r.Block, opts.R)
 
 	for k := 1; k < N; k++ {
 		r.refresh(k)
@@ -232,26 +204,26 @@ func (r *cpRank) run(opts Options) error {
 	for it := 0; it < opts.MaxIters; it++ {
 		var lastB *tensor.Matrix
 		for n := 0; n < N; n++ {
-			span := obs.StartRank(r.rank, obs.PhaseLocal)
+			span := obs.StartRank(r.ID, obs.PhaseLocal)
 			tree.mttkrp(r.bs[n], r.rows, n)
 			span.Stop()
-			before := r.words()
-			b := reduceScatterRows(r.slices[n], r.bs[n], r.R)
-			r.mttkrpWords += r.words() - before
+			before := r.Words()
+			b := r.ScatterRows(n, r.bs[n])
+			r.mttkrpWords += r.Words() - before
 
 			// Normal equations (replicated) and row-wise solve.
-			v := hadamardGrams(r.grams, n, r.R)
+			v := hadamardGrams(r.grams, n, opts.R)
 			if err := solveFactor(r.own[n], v, b); err != nil {
-				return fmt.Errorf("cpals: rank %d mode %d: %w", r.rank, n, err)
+				return fmt.Errorf("cpals: rank %d mode %d: %w", r.ID, n, err)
 			}
 			r.refresh(n)
-			span = obs.StartRank(r.rank, obs.PhaseLocal)
+			span = obs.StartRank(r.ID, obs.PhaseLocal)
 			tree.advance(r.rows, n)
 			span.Stop()
 			lastB = b
 		}
 		// Fit: global inner product plus the replicated Gram identity.
-		inner := r.world.AllReduce([]float64{linalg.Dot(lastB, r.own[N-1])})[0]
+		inner := r.World.AllReduce([]float64{linalg.Dot(lastB, r.own[N-1])})[0]
 		fit := computeFit(normX, inner, r.grams)
 		r.fits = append(r.fits, fit)
 		if fit-prevFit < opts.Tol && it > 0 {
@@ -266,56 +238,10 @@ func (r *cpRank) run(opts Options) error {
 // all-gathers the hyperslice's owned rows straight into the block row,
 // then sums the block row's Gram over the mode-k fiber.
 func (r *cpRank) refresh(k int) {
-	before := r.words()
-	dst := r.rows[k]
-	at := 0
-	for _, b := range r.slices[k].AllGatherV(r.own[k].Data()) {
-		n := len(b) / r.R
-		for j := 0; j < r.R; j++ {
-			copy(dst.Col(j)[at:at+n], b[j*n:(j+1)*n])
-		}
-		at += n
-	}
-	r.mttkrpWords += r.words() - before
-	r.grams[k] = allReduceGram(r.fibers[k], dst, r.R)
-}
-
-// words returns the words this rank has sent and received so far.
-func (r *cpRank) words() int64 { return r.net.RankStats(r.rank).Words() }
-
-func worldRanks(P int) []int {
-	out := make([]int, P)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// fiber returns the mode-k fiber through coords: the ranks that share
-// every grid coordinate but the k-th, in ascending coordinate k.
-func fiber(g *grid.Grid, k int, coords []int) []int {
-	fixed := make([]int, 0, g.Dims()-1)
-	for d := 0; d < g.Dims(); d++ {
-		if d != k {
-			fixed = append(fixed, d)
-		}
-	}
-	return g.Slice(fixed, coords)
-}
-
-// reduceScatterRows Reduce-Scatters the local contribution C by row
-// blocks: hyperslice member j receives the summed rows Part(rows,q,j).
-func reduceScatterRows(c *comm.Comm, contrib *tensor.Matrix, R int) *tensor.Matrix {
-	q := c.Size()
-	rows := contrib.Rows()
-	chunks := make([][]float64, q)
-	for j := 0; j < q; j++ {
-		lo, hi := grid.Part(rows, q, j)
-		chunks[j] = contrib.Block(lo, hi, 0, R).Data()
-	}
-	ownLo, ownHi := grid.Part(rows, q, c.Rank())
-	own := c.ReduceScatterV(chunks)
-	return tensor.NewMatrixFromData(own, ownHi-ownLo, R)
+	before := r.Words()
+	r.GatherRows(k, r.own[k], r.rows[k])
+	r.mttkrpWords += r.Words() - before
+	r.grams[k] = allReduceGram(r.fibers[k], r.rows[k], r.own[k].Cols())
 }
 
 // allReduceGram sums each member's Gram of its rows over c into the

@@ -28,7 +28,6 @@ import (
 func scheduleCounts(dims, shape []int, R, S int) (mttkrp, other, sends []int64) {
 	g := grid.New(shape...)
 	P, N := g.P(), len(dims)
-	lay := dist.NewStationary(dims, R, g)
 	mttkrp, other, sends = make([]int64, P), make([]int64, P), make([]int64, P)
 	at := func(s []int64, i int) int64 { return s[((i%len(s))+len(s))%len(s)] }
 	sum := func(s []int64) (t int64) {
@@ -56,7 +55,7 @@ func scheduleCounts(dims, shape []int, R, S int) (mttkrp, other, sends []int64) 
 		gatherWords, scatterWords, sliceMsgs := make([]int64, N), make([]int64, N), make([]int64, N)
 		gramWords, gramMsgs := make([]int64, N), make([]int64, N)
 		for k := 0; k < N; k++ {
-			slice := lay.HyperSlice(k, coords)
+			slice := g.Slice([]int{k}, coords)
 			q, i := len(slice), dist.IndexIn(slice, rank)
 			rows := grid.PartSize(dims[k], shape[k], coords[k])
 			s := make([]int64, q)

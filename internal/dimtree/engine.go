@@ -25,10 +25,9 @@ package dimtree
 //     chunk of a fanout section each, with disjoint output columns.
 //
 // Every temporary — partial tensors (a stack, depth <= log2 N), the
-// dropped-mode KRP panels, per-slot GEMV scratch, the kernel
-// workspace's panels, slot scratch and accumulation buckets, and the
-// rank split's fanout task —
-// lives in a grow-only workspace owned by the Engine, so repeated
+// dropped-mode KRP panels, the kernel workspace's panels, slot scratch
+// and accumulation buckets, and the rank split's fanout task — lives
+// in a grow-only workspace owned by the Engine, so repeated
 // traversals allocate nothing in steady state at any worker count.
 // Results are bitwise independent of the worker count: the boundary
 // GEMMs compute each output element in a partition-invariant order,
@@ -61,7 +60,6 @@ type Engine struct {
 	kws   *kernel.Workspace // Contract3's KRP panels, slot scratch and buckets
 	kl    []float64         // a partial's dropped-prefix KRP panel
 	kr    []float64         // a partial's dropped-suffix KRP panel
-	tmp   []float64         // workers * M' scratch for two-sided partials
 	stack [][]float64       // partial-tensor slots, stack discipline
 	sp    int
 	ranks rankTask // the partial contraction's fanout task, set for one call
@@ -188,15 +186,17 @@ func (e *Engine) contractPart(out, part []float64, x *tensor.Dense, factors []*t
 		prodDims(x, plo, klo), prodDims(x, klo, khi), prodDims(x, khi, phi))
 }
 
-// contractPartExtents is the rank-split partial contraction: per rank
-// r the source slab is an (Lp, Mp, Rtp) column-major block and
+// contractPartExtents is the rank-split partial contraction. It drops
+// a prefix or a suffix of the partial's modes, never both: per rank r
+// the source slab is an (Lp, Mp, Rtp) column-major block with Lp = 1
+// or Rtp = 1, and
 //
 //	out(:, r) = sum_{l, t} slab(l, :, t) * kl(l, r) * kr(t, r)
 //
-// — a GEMV-shaped pass into the blocked kernels (GemmNN for a dropped
-// suffix, GemmTN for a dropped prefix, a slab loop when both sides
-// drop). Ranks are split across workers; each writes only its own
-// output columns, so results are bitwise worker-count independent.
+// is one GEMV-shaped pass into the blocked kernels (GemmNN for a
+// dropped suffix, GemmTN for a dropped prefix). Ranks are split across
+// workers; each writes only its own output columns, so results are
+// bitwise worker-count independent.
 //
 //repro:hotpath
 func (e *Engine) contractPartExtents(out, part []float64, factors []*tensor.Matrix, R, plo, phi, klo, khi, Lp, Mp, Rtp int) int64 {
@@ -224,17 +224,10 @@ func (e *Engine) contractPartExtents(out, part []float64, factors []*tensor.Matr
 		return fl + int64(S)*int64(R)
 	}
 	workers := min(linalg.ResolveWorkers(e.Workers), R)
-	if kl != nil && kr != nil {
-		e.tmp = growf(e.tmp, workers*Mp)
-	}
-	e.ranks = rankTask{out: out, part: part, kl: kl, kr: kr, tmp: e.tmp, Lp: Lp, Mp: Mp, Rtp: Rtp, R: R, parts: workers}
+	e.ranks = rankTask{out: out, part: part, kl: kl, kr: kr, Lp: Lp, Mp: Mp, Rtp: Rtp, R: R, parts: workers}
 	fanout.Run(&e.ranks, workers, workers)
 	e.ranks = rankTask{}
-	fl += 2 * int64(S) * int64(R)
-	if kl != nil && kr != nil {
-		fl += 2 * int64(Mp) * int64(Rtp) * int64(R)
-	}
-	return fl
+	return fl + 2*int64(S)*int64(R)
 }
 
 // ContractTensorInto computes the partial MTTKRP keeping the
@@ -256,13 +249,14 @@ func (e *Engine) ContractTensorInto(out []float64, x *tensor.Dense, factors []*t
 }
 
 // ContractPartialInto contracts a partial holding the mode range
-// [plo, plo+part.Order()-1) (its last dimension is r) down to the
-// range [klo, khi) into out (the kept extents times R words,
-// overwritten; it must not overlap part) and returns the flop count.
+// [plo, plo+part.Order()-1) (its last dimension is r) down to a prefix
+// or a suffix [klo, khi) of that range into out (the kept extents
+// times R words, overwritten; it must not overlap part) and returns
+// the flop count.
 func (e *Engine) ContractPartialInto(out []float64, part *tensor.Dense, plo int, factors []*tensor.Matrix, R, klo, khi int) int64 {
 	phi := plo + part.Order() - 1
-	if klo < plo || klo >= khi || khi > phi {
-		panic(fmt.Sprintf("dimtree: keep [%d,%d) not within modes [%d,%d)", klo, khi, plo, phi))
+	if klo < plo || klo >= khi || khi > phi || (klo > plo && khi < phi) {
+		panic(fmt.Sprintf("dimtree: keep [%d,%d) not a prefix or suffix of modes [%d,%d)", klo, khi, plo, phi))
 	}
 	Lp, Mp, Rtp := 1, 1, 1
 	for k := plo; k < phi; k++ {
@@ -343,51 +337,27 @@ func growf(s []float64, n int) []float64 {
 
 // rankTask is contractPartExtents' rank split as a fanout task.
 type rankTask struct {
-	out, part, kl, kr, tmp []float64
-	Lp, Mp, Rtp, R, parts  int
+	out, part, kl, kr     []float64
+	Lp, Mp, Rtp, R, parts int
 }
 
 // Chunk runs the per-rank GEMV passes of ranks [c*R/parts,
-// (c+1)*R/parts), the two-sided ones through the slot's scratch column
-// of tmp. Each rank touches only its own output column and is
+// (c+1)*R/parts). Each rank touches only its own output column and is
 // processed in an order fixed by the rank alone, so any partition of
 // [0, R) gives bitwise-identical results.
 //
 //repro:hotpath
-func (t *rankTask) Chunk(c, slot int) {
+func (t *rankTask) Chunk(c, _ int) {
 	out, part, kl, kr, Lp, Mp, Rtp := t.out, t.part, t.kl, t.kr, t.Lp, t.Mp, t.Rtp
 	r0, r1 := c*t.R/t.parts, (c+1)*t.R/t.parts
-	if kl != nil && kr != nil {
-		// The per-slab GEMV passes count themselves; the KR-weighted fold
-		// adds Rtp accumulate passes of Mp words per rank.
-		obs.Axpy((r1-r0)*Rtp, Mp)
-	}
 	S := Lp * Mp * Rtp
 	for r := r0; r < r1; r++ {
 		pr := part[r*S : (r+1)*S]
 		outcol := out[r*Mp : (r+1)*Mp]
-		switch {
-		case kl == nil:
+		if kl == nil {
 			linalg.GemmNN(outcol, pr, kr[r*Rtp:(r+1)*Rtp], Mp, Rtp, 1, 1)
-		case kr == nil:
+		} else {
 			linalg.GemmTN(outcol, pr, kl[r*Lp:(r+1)*Lp], Lp, Mp, 1, 1)
-		default:
-			for i := range outcol {
-				outcol[i] = 0
-			}
-			slab := Lp * Mp
-			klcol := kl[r*Lp : (r+1)*Lp]
-			wcol := t.tmp[slot*Mp : (slot+1)*Mp]
-			for j := 0; j < Rtp; j++ {
-				linalg.GemmTN(wcol, pr[j*slab:(j+1)*slab], klcol, Lp, Mp, 1, 1)
-				krv := kr[j+r*Rtp]
-				if krv == 0 { //repro:bitwise exact-zero sparsity skip; krv was stored, never computed
-					continue
-				}
-				for i, v := range wcol {
-					outcol[i] += krv * v
-				}
-			}
 		}
 	}
 }

@@ -33,20 +33,44 @@ type Stationary struct {
 	G    *grid.Grid
 }
 
-// NewStationary validates and returns the layout.
-func NewStationary(dims []int, R int, g *grid.Grid) Stationary {
-	if g.Dims() != len(dims) {
-		panic(fmt.Sprintf("dist: %d-d grid for %d-way tensor", g.Dims(), len(dims)))
+// NewStationary returns the layout of a tensor of the given dims and
+// rank-R factors on a grid of the given shape. It returns an error
+// unless R >= 1 and the shape has one extent per mode, each within
+// [1, I_k], so that every processor's block is non-empty.
+func NewStationary(dims []int, R int, shape []int) (Stationary, error) {
+	if len(shape) != len(dims) {
+		return Stationary{}, fmt.Errorf("dist: grid shape %v for order-%d tensor", shape, len(dims))
 	}
+	if err := checkGrid(dims, R, shape, shape); err != nil {
+		return Stationary{}, err
+	}
+	return Stationary{Dims: append([]int(nil), dims...), R: R, G: grid.New(shape...)}, nil
+}
+
+// checkGrid rejects R < 1 and any extent of modes outside [1, I_k],
+// naming the whole grid shape.
+func checkGrid(dims []int, R int, modes, shape []int) error {
 	if R < 1 {
-		panic(fmt.Sprintf("dist: rank %d", R))
+		return fmt.Errorf("dist: rank %d", R)
 	}
 	for k, d := range dims {
-		if g.Extent(k) > d {
-			panic(fmt.Sprintf("dist: grid extent %d exceeds dimension %d of mode %d", g.Extent(k), d, k))
+		if modes[k] < 1 || modes[k] > d {
+			return fmt.Errorf("dist: grid shape %v: extent %d of mode %d outside [1, %d]", shape, modes[k], k, d)
 		}
 	}
-	return Stationary{Dims: append([]int(nil), dims...), R: R, G: g}
+	return nil
+}
+
+// CheckRowShards returns an error unless every dimension is at least
+// P, the condition under which the solvers' row shards give every
+// processor at least one whole row of every factor.
+func (d Stationary) CheckRowShards() error {
+	for k, n := range d.Dims {
+		if n < d.G.P() {
+			return fmt.Errorf("dist: dimension %d (mode %d) smaller than P = %d", n, k, d.G.P())
+		}
+	}
+	return nil
 }
 
 // BlockRange returns the subtensor bounds [lo, hi) owned by the
@@ -126,23 +150,21 @@ type General struct {
 	G    *grid.Grid
 }
 
-// NewGeneral validates and returns the layout.
-func NewGeneral(dims []int, R int, g *grid.Grid) General {
-	if g.Dims() != len(dims)+1 {
-		panic(fmt.Sprintf("dist: %d-d grid for general layout over %d-way tensor (need N+1)", g.Dims(), len(dims)))
+// NewGeneral returns the layout of a tensor of the given dims and
+// rank-R factors on an (N+1)-way grid of the given shape, the rank
+// split P0 first. It returns an error unless R >= 1, P0 is within
+// [1, R] and every mode's extent within [1, I_k].
+func NewGeneral(dims []int, R int, shape []int) (General, error) {
+	if len(shape) != len(dims)+1 {
+		return General{}, fmt.Errorf("dist: general grid shape %v for order-%d tensor (need N+1 extents)", shape, len(dims))
 	}
-	if R < 1 {
-		panic(fmt.Sprintf("dist: rank %d", R))
+	if err := checkGrid(dims, R, shape[1:], shape); err != nil {
+		return General{}, err
 	}
-	if g.Extent(0) > R {
-		panic(fmt.Sprintf("dist: P0 = %d exceeds R = %d", g.Extent(0), R))
+	if shape[0] < 1 || shape[0] > R {
+		return General{}, fmt.Errorf("dist: grid shape %v: P0 = %d outside [1, R = %d]", shape, shape[0], R)
 	}
-	for k, d := range dims {
-		if g.Extent(k+1) > d {
-			panic(fmt.Sprintf("dist: grid extent %d exceeds dimension %d of mode %d", g.Extent(k+1), d, k))
-		}
-	}
-	return General{Dims: append([]int(nil), dims...), R: R, G: g}
+	return General{Dims: append([]int(nil), dims...), R: R, G: grid.New(shape...)}, nil
 }
 
 // P0 returns the rank-dimension extent.

@@ -1,18 +1,19 @@
 package dist
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/grid"
 	"repro/internal/tensor"
 )
 
 func TestStationaryBlocksPartitionTensor(t *testing.T) {
 	dims := []int{6, 5, 4}
-	g := grid.New(3, 2, 2)
-	d := NewStationary(dims, 3, g)
+	d := mustStationary(t, dims, 3, []int{3, 2, 2})
+	g := d.G
 	covered := make(map[int]int)
 	x := tensor.RandomDense(1, dims...)
 	for r := 0; r < g.P(); r++ {
@@ -47,8 +48,7 @@ func TestStationaryBlocksPartitionTensor(t *testing.T) {
 
 func TestStationaryLocalTensorValues(t *testing.T) {
 	dims := []int{4, 4}
-	g := grid.New(2, 2)
-	d := NewStationary(dims, 2, g)
+	d := mustStationary(t, dims, 2, []int{2, 2})
 	x := tensor.RandomDense(7, dims...)
 	coords := []int{1, 0}
 	local := d.LocalTensor(coords, x)
@@ -64,8 +64,8 @@ func TestStationaryLocalTensorValues(t *testing.T) {
 func TestStationaryFactorShardsPartitionBlockRow(t *testing.T) {
 	dims := []int{6, 4}
 	R := 3
-	g := grid.New(2, 2)
-	d := NewStationary(dims, R, g)
+	d := mustStationary(t, dims, R, []int{2, 2})
+	g := d.G
 	a := tensor.RandomMatrix(5, 6, R)
 	k := 0
 	// For each hyperslice coordinate, the shards of its members must
@@ -93,8 +93,7 @@ func TestStationaryFactorShardsPartitionBlockRow(t *testing.T) {
 
 func TestStationaryMaxNnz(t *testing.T) {
 	dims := []int{7, 5}
-	g := grid.New(2, 2)
-	d := NewStationary(dims, 3, g)
+	d := mustStationary(t, dims, 3, []int{2, 2})
 	// ceil(7/2)*ceil(5/2) = 4*3 = 12.
 	if got := d.MaxTensorNnz(); got != 12 {
 		t.Fatalf("MaxTensorNnz = %d", got)
@@ -105,28 +104,43 @@ func TestStationaryMaxNnz(t *testing.T) {
 	}
 }
 
-func TestStationaryPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewStationary([]int{4, 4}, 2, grid.New(2)) },
-		func() { NewStationary([]int{4, 4}, 0, grid.New(2, 2)) },
-		func() { NewStationary([]int{1, 4}, 2, grid.New(2, 2)) },
+// TestNewStationaryErrors: the constructor returns an error, and never
+// panics, for a shape of the wrong length, an extent below 1 or above
+// its dimension, or R < 1; an extent error names the whole shape.
+// CheckRowShards rejects a dimension below P.
+func TestNewStationaryErrors(t *testing.T) {
+	for _, c := range []struct {
+		dims  []int
+		R     int
+		shape []int
+	}{
+		{[]int{4, 4}, 2, []int{2}},
+		{[]int{4, 4}, 2, []int{2, 2, 1}},
+		{[]int{4, 4}, 0, []int{2, 2}},
+		{[]int{1, 4}, 2, []int{2, 2}},
+		{[]int{4, 4}, 2, []int{0, 2}},
+		{[]int{4, 4}, 2, []int{2, -1}},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
+		_, err := NewStationary(c.dims, c.R, c.shape)
+		if err == nil {
+			t.Errorf("%v R %d on %v: no error", c.dims, c.R, c.shape)
+		} else if c.R > 0 && !strings.Contains(err.Error(), fmt.Sprint(c.shape)) {
+			t.Errorf("%v R %d on %v: error %q does not name the shape", c.dims, c.R, c.shape, err)
+		}
+	}
+	if err := mustStationary(t, []int{4, 3}, 2, []int{2, 2}).CheckRowShards(); err == nil {
+		t.Error("dimension 3 below P = 4: no row-shard error")
+	}
+	if err := mustStationary(t, []int{4, 4}, 2, []int{2, 2}).CheckRowShards(); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestGeneralTensorShardsPartitionBlock(t *testing.T) {
 	dims := []int{4, 6}
 	R := 4
-	g := grid.New(2, 2, 2) // P0=2, P1=2, P2=2
-	d := NewGeneral(dims, R, g)
+	d := mustGeneral(t, dims, R, []int{2, 2, 2}) // P0=2, P1=2, P2=2
+	g := d.G
 	x := tensor.RandomDense(11, dims...)
 	// For each (p1, p2) block, shards across the fiber must
 	// reassemble the block's flattening.
@@ -154,8 +168,8 @@ func TestGeneralTensorShardsPartitionBlock(t *testing.T) {
 func TestGeneralFactorShardsPartitionBlock(t *testing.T) {
 	dims := []int{6, 4}
 	R := 4
-	g := grid.New(2, 3, 2)
-	d := NewGeneral(dims, R, g)
+	d := mustGeneral(t, dims, R, []int{2, 3, 2})
+	g := d.G
 	a := tensor.RandomMatrix(13, 6, R)
 	k := 0
 	for p0 := 0; p0 < 2; p0++ {
@@ -181,8 +195,7 @@ func TestGeneralFactorShardsPartitionBlock(t *testing.T) {
 }
 
 func TestGeneralRankRangesPartitionR(t *testing.T) {
-	g := grid.New(3, 1, 1)
-	d := NewGeneral([]int{4, 4}, 7, g)
+	d := mustGeneral(t, []int{4, 4}, 7, []int{3, 1, 1})
 	pos := 0
 	for p0 := 0; p0 < 3; p0++ {
 		lo, hi := d.RankRange(p0)
@@ -201,8 +214,7 @@ func TestGeneralRankRangesPartitionR(t *testing.T) {
 
 func TestGeneralMaxNnz(t *testing.T) {
 	dims := []int{6, 6}
-	g := grid.New(2, 2, 3)
-	d := NewGeneral(dims, 4, g)
+	d := mustGeneral(t, dims, 4, []int{2, 2, 3})
 	// Block = ceil(6/2)*ceil(6/3) = 3*2 = 6; over P0=2 -> 3.
 	if got := d.MaxTensorNnz(); got != 3 {
 		t.Fatalf("MaxTensorNnz = %d", got)
@@ -213,21 +225,30 @@ func TestGeneralMaxNnz(t *testing.T) {
 	}
 }
 
-func TestGeneralPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewGeneral([]int{4, 4}, 2, grid.New(2, 2)) },
-		func() { NewGeneral([]int{4, 4}, 2, grid.New(3, 2, 2)) }, // P0 > R
-		func() { NewGeneral([]int{4, 1}, 2, grid.New(1, 2, 2)) },
-		func() { IndexIn([]int{1, 2}, 3) },
+// TestNewGeneralErrors: the constructor returns an error, and never
+// panics, for a shape of the wrong length, P0 outside [1, R], a mode
+// extent below 1 or above its dimension, or R < 1; a grid error names
+// the whole shape, P0 included.
+func TestNewGeneralErrors(t *testing.T) {
+	for _, c := range []struct {
+		dims  []int
+		R     int
+		shape []int
+	}{
+		{[]int{4, 4}, 2, []int{2, 2}},
+		{[]int{4, 4}, 2, []int{3, 2, 2}}, // P0 > R
+		{[]int{4, 1}, 2, []int{1, 2, 2}},
+		{[]int{4, 4}, 0, []int{1, 2, 2}},
+		{[]int{4, 4}, 2, []int{0, 2, 2}},
+		{[]int{4, 4}, 2, []int{1, 0, 2}},
+		{[]int{4, 4}, 2, []int{1, 2, -2}},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
+		_, err := NewGeneral(c.dims, c.R, c.shape)
+		if err == nil {
+			t.Errorf("%v R %d on %v: no error", c.dims, c.R, c.shape)
+		} else if c.R > 0 && !strings.Contains(err.Error(), fmt.Sprint(c.shape)) {
+			t.Errorf("%v R %d on %v: error %q does not name the shape", c.dims, c.R, c.shape, err)
+		}
 	}
 }
 
@@ -235,6 +256,30 @@ func TestIndexIn(t *testing.T) {
 	if IndexIn([]int{5, 9, 11}, 9) != 1 {
 		t.Fatal("IndexIn")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("rank outside the group: no panic")
+		}
+	}()
+	IndexIn([]int{1, 2}, 3)
+}
+
+func mustStationary(t *testing.T, dims []int, R int, shape []int) Stationary {
+	t.Helper()
+	d, err := NewStationary(dims, R, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func mustGeneral(t *testing.T, dims []int, R int, shape []int) General {
+	t.Helper()
+	d, err := NewGeneral(dims, R, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // Property: for random grids, every stationary factor shard has size
@@ -250,8 +295,10 @@ func TestStationaryShardSizesQuick(t *testing.T) {
 			dims[i] = shape[i] + rng.Intn(5)
 		}
 		R := 1 + rng.Intn(4)
-		g := grid.New(shape...)
-		d := NewStationary(dims, R, g)
+		d, err := NewStationary(dims, R, shape)
+		if err != nil {
+			return false
+		}
 		for k := 0; k < N; k++ {
 			bound := d.MaxFactorNnz(k)
 			for ck := 0; ck < shape[k]; ck++ {

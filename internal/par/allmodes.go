@@ -1,12 +1,8 @@
 package par
 
 import (
-	"fmt"
-
-	"repro/internal/comm"
 	"repro/internal/dimtree"
 	"repro/internal/dist"
-	"repro/internal/grid"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
 )
@@ -49,38 +45,21 @@ func AllModesStationary(x *tensor.Dense, factors []*tensor.Matrix, shape []int) 
 	if err != nil {
 		return nil, err
 	}
-	N := x.Order()
-	if len(shape) != N {
-		return nil, fmt.Errorf("par: grid shape %v for order-%d tensor", shape, N)
+	lay, err := dist.NewStationary(x.Dims(), R, shape)
+	if err != nil {
+		return nil, err
 	}
-	g := grid.New(shape...)
-	lay := dist.NewStationary(x.Dims(), R, g)
-	P := g.P()
+	N, P := x.Order(), lay.G.P()
 	net := simnet.New(P)
-
-	localX := make([]*tensor.Dense, P)
-	localA := make([][][]float64, P)
-	for r := 0; r < P; r++ {
-		coords := g.Coords(r)
-		localX[r] = lay.LocalTensor(coords, x)
-		localA[r] = make([][]float64, N)
-		for k := 0; k < N; k++ {
-			localA[r][k] = lay.FactorShard(k, coords, factors[k])
-		}
-	}
-
 	outShards := make([][][]float64, P) // [rank][mode]
 	localFlops := make([]int64, P)
 	err = net.Run(func(rank int) error {
-		coords := g.Coords(rank)
+		r := NewRank(lay, net, rank, x)
 
 		// Gather every factor block row once.
 		gathered := make([]*tensor.Matrix, N)
 		for k := 0; k < N; k++ {
-			ck := comm.New(net, lay.HyperSlice(k, coords), rank)
-			flat := ck.AllGatherConcat(localA[rank][k])
-			rlo, rhi := lay.FactorRowRange(k, coords[k])
-			gathered[k] = tensor.NewMatrixFromData(flat, rhi-rlo, R)
+			gathered[k] = r.GatherShards(k, factors[k])
 		}
 
 		// All local MTTKRPs from one dimension-tree pass over the
@@ -88,18 +67,10 @@ func AllModesStationary(x *tensor.Dense, factors []*tensor.Matrix, shape []int) 
 		// then one Reduce-Scatter per mode. Each simulated rank is
 		// already its own goroutine, so the engine runs serially
 		// within a rank.
-		local := dimtree.AllModesWorkers(localX[rank], gathered, 1)
+		local := dimtree.AllModesWorkers(r.Block, gathered, 1)
 		outShards[rank] = make([][]float64, N)
 		for n := 0; n < N; n++ {
-			c := local.B[n]
-			cn := comm.New(net, lay.HyperSlice(n, coords), rank)
-			q := cn.Size()
-			chunks := make([][]float64, q)
-			for j := 0; j < q; j++ {
-				lo, hi := lay.ShardRange(n, coords[n], q, j)
-				chunks[j] = c.Data()[lo:hi]
-			}
-			outShards[rank][n] = cn.ReduceScatterV(chunks)
+			outShards[rank][n] = r.ScatterShards(n, local.B[n])
 		}
 		localFlops[rank] = local.Flops
 		return nil
@@ -118,7 +89,7 @@ func AllModesStationary(x *tensor.Dense, factors []*tensor.Matrix, shape []int) 
 		for r := 0; r < P; r++ {
 			shards[r] = outShards[r][n]
 		}
-		res.B[n] = assembleStationary(lay, g, n, shards)
+		res.B[n] = assembleStationary(lay, n, shards)
 	}
 	return res, nil
 }

@@ -26,13 +26,12 @@ func General(x *tensor.Dense, factors []*tensor.Matrix, n int, shape []int) (*Re
 	if err != nil {
 		return nil, err
 	}
-	N := x.Order()
-	if len(shape) != N+1 {
-		return nil, fmt.Errorf("par: general grid shape %v for order-%d tensor (need N+1 extents)", shape, N)
+	lay, err := dist.NewGeneral(x.Dims(), R, shape)
+	if err != nil {
+		return nil, err
 	}
-	g := grid.New(shape...)
-	lay := dist.NewGeneral(x.Dims(), R, g)
-	P := g.P()
+	g := lay.G
+	N, P := x.Order(), g.P()
 	net := simnet.New(P)
 
 	// Driver-side distribution per Section V-D1.

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/dist"
-	"repro/internal/grid"
 	"repro/internal/seq"
 	"repro/internal/tensor"
 )
@@ -78,8 +77,11 @@ func TestAlg3CostMatchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := grid.New(shape...)
-	lay := dist.NewStationary(dims, R, g)
+	lay, err := dist.NewStationary(dims, R, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := lay.G
 	var want int64
 	for k := 0; k < 3; k++ {
 		q := int64(g.P() / g.Extent(k))
@@ -181,8 +183,11 @@ func TestAlg4CostMatchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := grid.New(shape...)
-	lay := dist.NewGeneral(dims, R, g)
+	lay, err := dist.NewGeneral(dims, R, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := lay.G
 	p0 := int64(g.Extent(0))
 	want := (p0 - 1) * lay.MaxTensorNnz()
 	for k := 0; k < 3; k++ {

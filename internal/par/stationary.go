@@ -3,9 +3,7 @@ package par
 import (
 	"fmt"
 
-	"repro/internal/comm"
 	"repro/internal/dist"
-	"repro/internal/grid"
 	"repro/internal/kernel"
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -15,13 +13,13 @@ import (
 
 // Stationary runs Algorithm 3 (PAR-STAT-MTTKRP) for mode n on a
 // simulated machine with the given N-way processor grid shape
-// (len(shape) must equal the tensor order, prod(shape) = P).
+// (prod(shape) = P); a shape dist.NewStationary rejects is an error.
 //
-// The driver distributes the inputs according to Section V-C1, runs
-// one goroutine per processor, and reassembles the distributed output
-// for verification. Only the algorithm's collectives touch the
-// network, so the measured statistics are exactly the algorithm's
-// communication.
+// The driver runs one goroutine per processor, each taking its inputs
+// as Section V-C1 distributes them (a Rank), and reassembles the
+// distributed output for verification. Only the algorithm's
+// collectives touch the network, so the measured statistics are
+// exactly the algorithm's communication.
 func Stationary(x *tensor.Dense, factors []*tensor.Matrix, n int, shape []int) (*Result, error) {
 	return StationaryWithKernel(x, factors, n, shape, engineKernel)
 }
@@ -53,31 +51,12 @@ func StationaryWithKernel(x *tensor.Dense, factors []*tensor.Matrix, n int, shap
 	if err != nil {
 		return nil, err
 	}
-	N := x.Order()
-	if len(shape) != N {
-		return nil, fmt.Errorf("par: grid shape %v for order-%d tensor", shape, N)
+	lay, err := dist.NewStationary(x.Dims(), R, shape)
+	if err != nil {
+		return nil, err
 	}
-	g := grid.New(shape...)
-	lay := dist.NewStationary(x.Dims(), R, g)
-	P := g.P()
+	N, P := x.Order(), lay.G.P()
 	net := simnet.New(P)
-
-	// Driver-side distribution (free in the model: inputs start
-	// distributed).
-	localX := make([]*tensor.Dense, P)
-	localA := make([][][]float64, P) // [rank][mode] shard
-	for r := 0; r < P; r++ {
-		coords := g.Coords(r)
-		localX[r] = lay.LocalTensor(coords, x)
-		localA[r] = make([][]float64, N)
-		for k := 0; k < N; k++ {
-			if k == n {
-				continue
-			}
-			localA[r][k] = lay.FactorShard(k, coords, factors[k])
-		}
-	}
-
 	outShards := make([][]float64, P)
 	res := &Result{
 		Grid:          append([]int(nil), shape...),
@@ -86,32 +65,25 @@ func StationaryWithKernel(x *tensor.Dense, factors []*tensor.Matrix, n int, shap
 		ResidentWords: make([]int64, P),
 	}
 	err = net.Run(func(rank int) error {
-		coords := g.Coords(rank)
+		r := NewRank(lay, net, rank, x)
 
 		// Lines 3-5: All-Gather factor block rows within hyperslices.
 		gathered := make([]*tensor.Matrix, N)
 		for k := 0; k < N; k++ {
-			if k == n {
-				continue
+			if k != n {
+				gathered[k] = r.GatherShards(k, factors[k])
 			}
-			ck := comm.New(net, lay.HyperSlice(k, coords), rank)
-			flat := ck.AllGatherConcat(localA[rank][k])
-			rlo, rhi := lay.FactorRowRange(k, coords[k])
-			if len(flat) != (rhi-rlo)*R {
-				return fmt.Errorf("rank %d mode %d: gathered %d words, want %d", rank, k, len(flat), (rhi-rlo)*R)
-			}
-			gathered[k] = tensor.NewMatrixFromData(flat, rhi-rlo, R)
 		}
-		res.GatherWords[rank] = net.RankStats(rank).Words()
+		res.GatherWords[rank] = r.Words()
 
 		// Line 6: local MTTKRP on the resident subtensor.
 		span := obs.StartRank(rank, obs.PhaseLocal)
-		c := local(localX[rank], gathered, n)
+		c := local(r.Block, gathered, n)
 		span.Stop()
 
 		// Peak storage: subtensor + replicated block rows + C
 		// (Eq. (16); the output block rows double as C's shape).
-		resident := int64(localX[rank].Elems())
+		resident := int64(r.Block.Elems())
 		for k := 0; k < N; k++ {
 			if k == n {
 				continue
@@ -123,16 +95,8 @@ func StationaryWithKernel(x *tensor.Dense, factors []*tensor.Matrix, n int, shap
 
 		// Line 7: Reduce-Scatter the contribution across the mode-n
 		// hyperslice.
-		slice := lay.HyperSlice(n, coords)
-		cn := comm.New(net, slice, rank)
-		q := cn.Size()
-		chunks := make([][]float64, q)
-		for j := 0; j < q; j++ {
-			lo, hi := lay.ShardRange(n, coords[n], q, j)
-			chunks[j] = c.Data()[lo:hi]
-		}
-		outShards[rank] = cn.ReduceScatterV(chunks)
-		res.ReduceWords[rank] = net.RankStats(rank).Words() - res.GatherWords[rank]
+		outShards[rank] = r.ScatterShards(n, c)
+		res.ReduceWords[rank] = r.Words() - res.GatherWords[rank]
 		return nil
 	})
 	if err != nil {
@@ -140,17 +104,17 @@ func StationaryWithKernel(x *tensor.Dense, factors []*tensor.Matrix, n int, shap
 	}
 
 	res.Stats = net.AllStats()
-	res.B = assembleStationary(lay, g, n, outShards)
+	res.B = assembleStationary(lay, n, outShards)
 	return res, nil
 }
 
 // assembleStationary reconstructs the global B(n) from the
 // per-processor shards of each mode-n block row.
-func assembleStationary(lay dist.Stationary, g *grid.Grid, n int, shards [][]float64) *tensor.Matrix {
+func assembleStationary(lay dist.Stationary, n int, shards [][]float64) *tensor.Matrix {
 	In := lay.Dims[n]
 	b := tensor.NewMatrix(In, lay.R)
-	for r := 0; r < g.P(); r++ {
-		coords := g.Coords(r)
+	for r := 0; r < lay.G.P(); r++ {
+		coords := lay.G.Coords(r)
 		slice := lay.HyperSlice(n, coords)
 		idx := dist.IndexIn(slice, r)
 		rlo, rhi := lay.FactorRowRange(n, coords[n])

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/comm"
 	"repro/internal/dist"
-	"repro/internal/grid"
 	"repro/internal/linalg"
+	"repro/internal/par"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
 	"repro/internal/ttm"
@@ -20,8 +19,9 @@ type ParallelResult struct {
 	Trace []TraceEntry
 
 	// GatherWords counts factor block-row All-Gathers; ReduceWords
-	// counts the All-Reduces of the projected tensors Y (the multi-TTM
-	// results) — both per rank, sends+receives.
+	// counts every All-Reduce: the projected tensors Y (the multi-TTM
+	// results), each sweep's core and the norm. Both are per rank,
+	// sends+receives, and together they are the rank's whole traffic.
 	GatherWords []int64
 	ReduceWords []int64
 }
@@ -29,7 +29,7 @@ type ParallelResult struct {
 // MaxGatherWords returns the per-rank maximum of gather words.
 func (r *ParallelResult) MaxGatherWords() int64 { return maxOf(r.GatherWords) }
 
-// MaxReduceWords returns the per-rank maximum of Y-reduce words.
+// MaxReduceWords returns the per-rank maximum of All-Reduce words.
 func (r *ParallelResult) MaxReduceWords() int64 { return maxOf(r.ReduceWords) }
 
 // MaxCommWords returns the maximum over ranks of total collective
@@ -75,9 +75,6 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 	if err := checkRanks(x, opts.Ranks); err != nil {
 		return nil, err
 	}
-	if len(shape) != N {
-		return nil, fmt.Errorf("tucker: grid shape %v for order-%d tensor", shape, N)
-	}
 	if opts.MaxIters < 0 {
 		return nil, fmt.Errorf("tucker: MaxIters %d", opts.MaxIters)
 	}
@@ -87,83 +84,63 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 	if opts.Tol == 0 { //repro:bitwise unset-option sentinel, exact
 		opts.Tol = 1e-8
 	}
-	g := grid.New(shape...)
-	P := g.P()
-	for k, d := range x.Dims() {
-		if d < P {
-			return nil, fmt.Errorf("tucker: dimension %d (mode %d) smaller than P = %d", d, k, P)
-		}
+	// Factors are split by row shards, which take their column counts
+	// from the matrices, so the layout's R is only a placeholder.
+	lay, err := dist.NewStationary(x.Dims(), 1, shape)
+	if err != nil {
+		return nil, err
 	}
-	// R is only used for the dist layout's factor sharding; Tucker
-	// ranks vary per mode, so shard each factor by rows directly.
-	lay := dist.NewStationary(x.Dims(), 1, g)
-	net := simnet.New(P)
-
-	// Deterministic orthonormal initial factors (replicated; sharded
-	// by owned rows below).
+	if err := lay.CheckRowShards(); err != nil {
+		return nil, err
+	}
+	// Deterministic orthonormal initial factors (replicated; each rank
+	// copies out the rows it owns).
 	initFull, err := InitFactors(x.Dims(), opts.Ranks, seed)
 	if err != nil {
 		return nil, err
 	}
 
-	localX := make([]*tensor.Dense, P)
-	ownRows := make([][][2]int, P)
-	ownFact := make([][]*tensor.Matrix, P)
-	for r := 0; r < P; r++ {
-		coords := g.Coords(r)
-		localX[r] = lay.LocalTensor(coords, x)
-		ownRows[r] = make([][2]int, N)
-		ownFact[r] = make([]*tensor.Matrix, N)
-		for k := 0; k < N; k++ {
-			lo, hi := ownRowRangePar(lay, g, k, coords, r)
-			ownRows[r][k] = [2]int{lo, hi}
-			ownFact[r][k] = initFull[k].RowBlock(lo, hi)
-		}
-	}
-
+	P := lay.G.P()
+	net := simnet.New(P)
 	gatherWords := make([]int64, P)
 	reduceWords := make([]int64, P)
 	fits := make([][]float64, P)
 	finalFact := make([][]*tensor.Matrix, P)
 	finalCore := make([][]float64, P)
 	err = net.Run(func(rank int) error {
-		coords := g.Coords(rank)
-		world := comm.New(net, worldRanks(P), rank)
-		factors := ownFact[rank]
+		r := par.NewRank(lay, net, rank, x)
 		// Per-rank engine workspace; local chains and Grams run
 		// single-worker (the ranks already are the parallelism).
 		ws := ttm.GetWorkspace()
 		defer ttm.PutWorkspace(ws)
 
-		localSq := 0.0
-		for _, v := range localX[rank].Data() {
-			localSq += v * v
-		}
-		// Every rank gets the same sum, so on a zero or non-finite norm
-		// all ranks return together.
-		normX := math.Sqrt(world.AllReduce([]float64{localSq})[0])
+		// Every rank gets the same norm, so on a zero or non-finite
+		// norm all ranks return together.
+		normX := r.Norm()
 		if err := checkNorm(normX); err != nil {
 			return err
 		}
 
+		own := make([]*tensor.Matrix, N)        // own[k]: the rows of U_k this rank owns
+		gathered := make([]*tensor.Matrix, N)   // gathered[k]: U_k's block row
+		replicated := make([]*tensor.Matrix, N) // replicated[k]: the whole U_k after its update
+		for k := range own {
+			own[k] = initFull[k].RowBlock(r.OwnRows(k))
+			lo, hi := r.BlockRows(k)
+			gathered[k] = tensor.NewMatrix(hi-lo, opts.Ranks[k])
+		}
 		prevFit := math.Inf(-1)
-		var replicated []*tensor.Matrix // full factors after each sweep
 		for it := 0; it < opts.MaxIters; it++ {
 			for k := 0; k < N; k++ {
-				before := net.RankStats(rank).Words()
+				before := r.Words()
 				// Gather the block rows of every factor except mode
 				// k's (exactly the Algorithm 3 gather pattern).
-				gathered := make([]*tensor.Matrix, N)
 				for j := 0; j < N; j++ {
-					if j == k {
-						continue
+					if j != k {
+						r.GatherRows(j, own[j], gathered[j])
 					}
-					cj := comm.New(net, lay.HyperSlice(j, coords), rank)
-					blocks := cj.AllGatherV(factors[j].Data())
-					rlo, rhi := lay.FactorRowRange(j, coords[j])
-					gathered[j] = stackRows(blocks, rhi-rlo, factors[j].Cols())
 				}
-				gatherWords[rank] += net.RankStats(rank).Words() - before
+				gatherWords[rank] += r.Words() - before
 
 				// Local multi-TTM over all modes but k: partial
 				// projection of the local block, via the engine's
@@ -172,12 +149,11 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 				// contraction order can differ from the chain's, so a
 				// P = 1 run matches it to rounding (bitwise at order 2,
 				// where the tree runs the chains' contractions).
-				before = net.RankStats(rank).Words()
-				z := ttm.ChainWorkers(localX[rank], gathered, k, 1)
+				z := ttm.ChainWorkers(r.Block, gathered, k, 1)
 				// Embed into the full Y (I_k x prod R_j) and All-Reduce.
-				y := embedPartial(z, k, x.Dim(k), lay, coords)
-				full := world.AllReduce(y.Data())
-				reduceWords[rank] += net.RankStats(rank).Words() - before
+				lo, _ := r.BlockRows(k)
+				y := embedPartial(z, k, x.Dim(k), lo)
+				full := r.World.AllReduce(y.Data())
 				yFull := tensor.NewDenseFromData(full, y.Dims()...)
 
 				// Replicated small eigenproblem; keep only owned rows.
@@ -187,25 +163,20 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 				if err != nil {
 					return fmt.Errorf("tucker: rank %d mode %d: %w", rank, k, err)
 				}
-				lo, hi := ownRows[rank][k][0], ownRows[rank][k][1]
-				factors[k] = u.RowBlock(lo, hi)
-				if replicated == nil {
-					replicated = make([]*tensor.Matrix, N)
-				}
+				own[k] = u.RowBlock(r.OwnRows(k))
 				replicated[k] = u
 			}
 			// Fit from the replicated factors (all N are replicated
-			// once the first sweep completes); the local core partial
+			// once the sweep completes); the local core partial
 			// contracts each mode's *local* factor rows with one
 			// engine chain.
 			localFacts := make([]*tensor.Matrix, N)
 			for j := 0; j < N; j++ {
-				rlo, rhi := lay.FactorRowRange(j, coords[j])
-				localFacts[j] = mustReplicated(replicated, j).RowBlock(rlo, rhi)
+				localFacts[j] = replicated[j].RowBlock(r.BlockRows(j))
 			}
-			core := ttm.ChainWorkers(localX[rank], localFacts, -1, 1)
+			core := ttm.ChainWorkers(r.Block, localFacts, -1, 1)
 			// Core partials sum across all processors.
-			coreFull := world.AllReduce(core.Data())
+			coreFull := r.World.AllReduce(core.Data())
 			fit := fitFromCore(normX, coreFull, x.Dims())
 			fits[rank] = append(fits[rank], fit)
 			finalCore[rank] = coreFull
@@ -215,6 +186,7 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 			prevFit = fit
 		}
 		finalFact[rank] = replicated
+		reduceWords[rank] = r.Words() - gatherWords[rank]
 		return nil
 	})
 	if err != nil {
@@ -256,47 +228,14 @@ func InitFactors(dims, ranks []int, seed int64) ([]*tensor.Matrix, error) {
 	return out, nil
 }
 
-func worldRanks(P int) []int {
-	out := make([]int, P)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-func ownRowRangePar(lay dist.Stationary, g *grid.Grid, k int, coords []int, rank int) (int, int) {
-	slice := lay.HyperSlice(k, coords)
-	idx := dist.IndexIn(slice, rank)
-	blo, bhi := lay.FactorRowRange(k, coords[k])
-	lo, hi := grid.Part(bhi-blo, len(slice), idx)
-	return blo + lo, blo + hi
-}
-
-// stackRows reassembles row blocks gathered from a hyperslice into the
-// block-row matrix (rows x cols).
-func stackRows(blocks [][]float64, rows, cols int) *tensor.Matrix {
-	out := tensor.NewMatrix(rows, cols)
-	at := 0
-	for _, b := range blocks {
-		br := len(b) / cols
-		if br == 0 {
-			continue
-		}
-		out.SetBlock(at, 0, tensor.NewMatrixFromData(b, br, cols))
-		at += br
-	}
-	return out
-}
-
 // embedPartial places a local partial projection (whose mode-k extent
-// is the local block's S_pk) into a zero tensor with full I_k extent,
-// ready for a global All-Reduce.
-func embedPartial(z *tensor.Dense, k, Ik int, lay dist.Stationary, coords []int) *tensor.Dense {
+// is the local block's S_pk, starting at row rlo) into a zero tensor
+// with full I_k extent, ready for a global All-Reduce.
+func embedPartial(z *tensor.Dense, k, Ik, rlo int) *tensor.Dense {
 	dims := z.Dims()
 	outDims := append([]int(nil), dims...)
 	outDims[k] = Ik
 	out := tensor.NewDense(outDims...)
-	rlo, _ := lay.FactorRowRange(k, coords[k])
 	// Destination strides.
 	strides := make([]int, len(outDims))
 	acc := 1
@@ -329,11 +268,4 @@ func incIdx(idx, dims []int) {
 		}
 		idx[k] = 0
 	}
-}
-
-func mustReplicated(replicated []*tensor.Matrix, j int) *tensor.Matrix {
-	if replicated == nil || replicated[j] == nil {
-		panic("tucker: replicated factor missing (internal invariant)")
-	}
-	return replicated[j]
 }
