@@ -160,6 +160,17 @@ REPRO_CALIBRATION="$obsdir/calibration-trace.json" go run ./cmd/tucker \
 	-dims 16,16,16 -ranks 4,4,4 -iters 2 \
 	-trace "$obsdir/tucker-trace.json" >/dev/null
 go run ./cmd/tracecheck "$obsdir/tucker-trace.json" >/dev/null
+# Both parallel solvers run every collective on simnet; each trace must
+# pair every rank's Sends with their Recvs (1 296 flows for HOOI and
+# 800 for CP-ALS at this shape).
+REPRO_CALIBRATION="$obsdir/calibration-trace.json" go run ./cmd/tucker \
+	-dims 16,16,16 -ranks 4,4,4 -grid 2,2,2 -iters 2 \
+	-trace "$obsdir/tucker-par-trace.json" >/dev/null
+go run ./cmd/tracecheck "$obsdir/tucker-par-trace.json" >/dev/null
+REPRO_CALIBRATION="$obsdir/calibration-trace.json" go run ./cmd/cpals \
+	-dims 16,16,16 -rank 4 -grid 2,2,2 -iters 2 -tol -1 \
+	-trace "$obsdir/cpals-par-trace.json" >/dev/null
+go run ./cmd/tracecheck "$obsdir/cpals-par-trace.json" >/dev/null
 
 echo "== metrics smoke (obsserve -once /metrics scrape) =="
 # obsserve binds an ephemeral port, runs a few engine passes, scrapes

@@ -2,8 +2,8 @@
 // low-multilinear-rank tensor with HOOI, sequentially (started from
 // the sequentially truncated HOSVD) or on the simulated distributed
 // machine (started from seeded orthonormal factors), reporting fit per
-// sweep and the communication breakdown (factor gathers vs projection
-// reduces) — the Tucker-side extension of the paper's MTTKRP
+// sweep and the communication breakdown (factor gathers vs the
+// projection, core and norm all-reduces) — the Tucker-side extension of the paper's MTTKRP
 // communication analysis. With -obs, the sequential run's counters
 // show what the truncation saves: at -dims 32,32,32,32 -ranks 8,8,8,8
 // -iters 1 they read 116 752 384 flops, 68 MFLOP of them in the
@@ -160,7 +160,7 @@ func main() {
 	fmt.Printf("final fit %.8f\n", res.Model.Fit)
 	fmt.Printf("\ncommunication per processor (max over ranks):\n")
 	fmt.Printf("  factor block-row gathers: %d words\n", res.MaxGatherWords())
-	fmt.Printf("  projection all-reduces:   %d words\n", res.MaxReduceWords())
+	fmt.Printf("  all-reduces:              %d words (projections, cores, norm)\n", res.MaxReduceWords())
 	p := 1
 	for _, s := range shape {
 		p *= s
