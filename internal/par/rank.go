@@ -13,8 +13,8 @@ import (
 // Rank is one processor of a run on the Algorithm 3 distribution
 // (Section V-C1): its grid coordinates, its block of X, and the
 // communicators its collectives run over, built once for the run.
-// Every stationary driver (Stationary, AllModesStationary and the
-// parallel CP-ALS and HOOI solvers) runs on it.
+// Every run on that distribution (Stationary, AllModesStationary and
+// the parallel CP-ALS and HOOI solvers) is built from Ranks.
 //
 // A factor U_k's block row S^(k)_{p_k} is shared by the rank's mode-k
 // hyperslice, and is split among its members in one of two ways:

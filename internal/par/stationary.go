@@ -15,8 +15,8 @@ import (
 // simulated machine with the given N-way processor grid shape
 // (prod(shape) = P); a shape dist.NewStationary rejects is an error.
 //
-// The driver runs one goroutine per processor, each taking its inputs
-// as Section V-C1 distributes them (a Rank), and reassembles the
+// It runs one goroutine per processor, each taking its inputs as
+// Section V-C1 distributes them (a Rank), and reassembles the
 // distributed output for verification. Only the algorithm's
 // collectives touch the network, so the measured statistics are
 // exactly the algorithm's communication.
