@@ -141,6 +141,11 @@ go run ./cmd/mttkrp -dims 32,32,32 -r 16 -mode 0 -algo unblocked -m 256 \
 	-obs -obs-json "$obsdir/unblocked.json" -obs-minratio 20
 go run ./cmd/mttkrp -dims 16,16,16 -r 8 -mode 1 -algo stationary -p 8 \
 	-obs -obs-json "$obsdir/stationary.json" -obs-maxratio 4
+# Algorithm 4 with the rank split: the search picks [4 1 2 2] here, so
+# every rank all-gathers its tensor block over a P0-fiber of 4 before
+# its factor gathers (measured/par-best 2.072).
+go run ./cmd/mttkrp -dims 8,8,8 -r 64 -mode 1 -algo general -p 16 \
+	-obs -obs-json "$obsdir/general.json" -obs-maxratio 4
 
 echo "== trace smoke (flight recorder -> tracecheck) =="
 # A parallel run must export a Chrome trace that round-trips as JSON
@@ -151,6 +156,9 @@ echo "== trace smoke (flight recorder -> tracecheck) =="
 go run ./cmd/mttkrp -dims 16,16,16 -r 8 -mode 1 -algo stationary -p 8 \
 	-trace "$obsdir/stationary-trace.json" >/dev/null
 go run ./cmd/tracecheck "$obsdir/stationary-trace.json" >/dev/null
+go run ./cmd/mttkrp -dims 8,8,8 -r 64 -mode 1 -algo general -p 16 \
+	-trace "$obsdir/general-trace.json" >/dev/null
+go run ./cmd/tracecheck "$obsdir/general-trace.json" >/dev/null
 REPRO_CALIBRATION="$obsdir/calibration-trace.json" go run ./cmd/mttkrp \
 	-dims 16,16,16 -r 8 -trace "$obsdir/fast-trace.json" >/dev/null
 go run ./cmd/tracecheck "$obsdir/fast-trace.json" >/dev/null

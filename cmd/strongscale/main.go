@@ -64,7 +64,7 @@ func main() {
 				os.Exit(1)
 			}
 			w3 = fmt.Sprintf("%d", res.MaxWords())
-			m3 = fmt.Sprintf("%d", 2*exactAlg3Sends(dims, *r, shape3))
+			m3 = modelWords(dist.NewStationary(dims, *r, shape3))
 			grid3 = fmt.Sprintf("%v", shape3)
 		}
 
@@ -77,7 +77,7 @@ func main() {
 				os.Exit(1)
 			}
 			w4 = fmt.Sprintf("%d", res.MaxWords())
-			m4 = fmt.Sprintf("%d", 2*exactAlg4Sends(dims, *r, shape4))
+			m4 = modelWords(dist.NewGeneral(dims, *r, shape4))
 			grid4 = fmt.Sprintf("%v", shape4)
 		}
 
@@ -94,35 +94,12 @@ func main() {
 	fmt.Println("\n(- means no feasible grid/partition at that P for these dimensions)")
 }
 
-// exactAlg3Sends evaluates the ceiling-aware Eq. (14) per-processor
-// send count for a grid shape.
-func exactAlg3Sends(dims []int, R int, shape []int) int64 {
-	lay, err := dist.NewStationary(dims, R, shape)
+// modelWords prints twice the layout's ceiling-aware Eq. (14)/(18)
+// sends per rank: the words the model gives each rank, sent plus
+// received.
+func modelWords(lay dist.Layout, err error) string {
 	if err != nil {
-		panic(err) // shape is BestStationaryExact's, so only a bug gets here
+		panic(err) // the shape is the search's, so only a bug gets here
 	}
-	g := lay.G
-	var w int64
-	for k := range dims {
-		q := int64(g.P() / g.Extent(k))
-		w += (q - 1) * lay.MaxFactorNnz(k)
-	}
-	return w
-}
-
-// exactAlg4Sends evaluates the ceiling-aware Eq. (18) per-processor
-// send count.
-func exactAlg4Sends(dims []int, R int, shape []int) int64 {
-	lay, err := dist.NewGeneral(dims, R, shape)
-	if err != nil {
-		panic(err) // shape is BestGeneralExact's, so only a bug gets here
-	}
-	g := lay.G
-	p0 := int64(g.Extent(0))
-	w := (p0 - 1) * lay.MaxTensorNnz()
-	for k := range dims {
-		q := int64(g.P()) / (p0 * int64(g.Extent(k+1)))
-		w += (q - 1) * lay.MaxFactorNnz(k)
-	}
-	return w
+	return fmt.Sprintf("%d", 2*lay.MaxSends())
 }

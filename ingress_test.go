@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/par"
@@ -96,9 +97,12 @@ func TestIngressErrors(t *testing.T) {
 }
 
 // TestIngressGridErrors: every parallel entry point that takes a grid
-// returns an error, and never panics, for a grid shape the layouts
-// reject: an extent above its dimension, a non-positive extent, a rank
-// split P0 above R, or the wrong number of extents.
+// returns an error naming the grid it was passed, and never panics, for
+// a grid shape the layouts reject: an extent above its dimension, a
+// non-positive extent, a rank split P0 above R, or the wrong number of
+// extents. ParViaMatmul rejects a non-positive extent, and every
+// ParallelMTTKRP algorithm returns an error for a processor count
+// below 1, the zero ParOptions included.
 func TestIngressGridErrors(t *testing.T) {
 	x := RandomDense(1, 4, 4, 4)
 	fs := RandomFactors(2, x.Dims(), 3)
@@ -131,6 +135,26 @@ func TestIngressGridErrors(t *testing.T) {
 			noPanic(t, fmt.Sprint("grid ", shape), name, func() { err = run(shape) })
 			if err == nil {
 				t.Errorf("%s on grid %v: no error", name, shape)
+			} else if !strings.Contains(err.Error(), fmt.Sprint(shape)) {
+				t.Errorf("%s on grid %v: error %q does not name the grid", name, shape, err)
+			}
+		}
+	}
+	var err error
+	shape := []int{-1, -2}
+	noPanic(t, fmt.Sprint("grid ", shape), "ParallelMTTKRP/"+ParViaMatmul.String(), func() {
+		_, err = ParallelMTTKRP(x, fs, 0, ParOptions{Algorithm: ParViaMatmul, Grid: shape})
+	})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(shape)) {
+		t.Errorf("ParViaMatmul on grid %v: error %v does not name the grid", shape, err)
+	}
+	for _, alg := range []ParAlgorithm{ParAuto, ParStationary, ParGeneral, ParViaMatmul} {
+		for _, P := range []int{0, -3} {
+			noPanic(t, fmt.Sprint("P = ", P), "ParallelMTTKRP/"+alg.String(), func() {
+				_, err = ParallelMTTKRP(x, fs, 0, ParOptions{Algorithm: alg, P: P})
+			})
+			if err == nil {
+				t.Errorf("ParallelMTTKRP/%v at P = %d: no error", alg, P)
 			}
 		}
 	}

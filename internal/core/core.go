@@ -89,9 +89,10 @@ func Sequential(x *tensor.Dense, factors []*tensor.Matrix, n int, opts SeqOption
 type ParAlgorithm int
 
 const (
-	// ParAuto runs on the given grid, or else on the (N+1)-way grid
-	// minimizing the exact Eq. (18) cost: Algorithm 3 when the rank
-	// split P0 is 1 (or the grid has N extents), Algorithm 4 otherwise.
+	// ParAuto runs on the given grid, as Algorithm 3 on N extents and
+	// Algorithm 4 on N+1, or else on the (N+1)-way grid minimizing the
+	// exact Eq. (18) cost: Algorithm 3 when its rank split P0 is 1,
+	// Algorithm 4 otherwise.
 	ParAuto ParAlgorithm = iota
 	// ParStationary is Algorithm 3.
 	ParStationary
@@ -138,9 +139,9 @@ func Parallel(x *tensor.Dense, factors []*tensor.Matrix, n int, opts ParOptions)
 			if shape, err = costmodel.BestGeneralExact(x.Dims(), R, opts.P); err != nil {
 				return nil, err
 			}
-		}
-		if len(shape) == N+1 && shape[0] == 1 {
-			shape = shape[1:] // P0 = 1: Algorithm 4 is Algorithm 3
+			if shape[0] == 1 {
+				shape = shape[1:] // P0 = 1: Algorithm 4 is Algorithm 3
+			}
 		}
 		if len(shape) == N {
 			return par.Stationary(x, factors, n, shape)
@@ -165,6 +166,9 @@ func Parallel(x *tensor.Dense, factors []*tensor.Matrix, n int, opts ParOptions)
 		if shape != nil {
 			P = 1
 			for _, s := range shape {
+				if s < 1 {
+					return nil, fmt.Errorf("core: grid shape %v: extent %d below 1", shape, s)
+				}
 				P *= s
 			}
 		}

@@ -119,12 +119,12 @@ func runParallel(x *tensor.Dense, shape []int, opts Options) ([]*cpRank, *simnet
 	if err := lay.CheckRowShards(); err != nil {
 		return nil, nil, err
 	}
-	net := simnet.New(lay.G.P())
+	net := simnet.New(lay.P())
 
 	// The same deterministic initial factors as the sequential solver;
 	// each rank copies out the rows it owns.
 	global := tensor.RandomFactors(opts.Seed, x.Dims(), opts.R)
-	ranks := make([]*cpRank, lay.G.P())
+	ranks := make([]*cpRank, lay.P())
 	err = net.Run(func(rank int) error {
 		r := newCPRank(par.NewRank(lay, net, rank, x), global)
 		ranks[rank] = r

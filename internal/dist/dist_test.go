@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/grid"
 	"repro/internal/tensor"
 )
 
@@ -76,9 +77,10 @@ func TestStationaryFactorShardsPartitionBlockRow(t *testing.T) {
 		var got []float64
 		// Enumerate hyperslice members in sorted rank order.
 		coords := []int{ck, 0}
-		slice := d.HyperSlice(k, coords)
+		slice := d.HyperSlice(k, 0, coords)
 		for _, r := range slice {
-			got = append(got, d.FactorShard(k, g.Coords(r), a)...)
+			p0, c := d.Coords(r)
+			got = append(got, d.FactorShard(k, p0, c, a)...)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("ck=%d: concatenated %d words, want %d", ck, len(got), len(want))
@@ -101,6 +103,10 @@ func TestStationaryMaxNnz(t *testing.T) {
 	// Mode 0: ceil(ceil(7/2)*3 / (4/2)) = ceil(12/2) = 6.
 	if got := d.MaxFactorNnz(0); got != 6 {
 		t.Fatalf("MaxFactorNnz(0) = %d", got)
+	}
+	// Eq. (14): (2-1)*6 + (2-1)*ceil(ceil(5/2)*3 / 2) = 6 + 5.
+	if got := d.MaxSends(); got != 11 {
+		t.Fatalf("MaxSends = %d", got)
 	}
 }
 
@@ -138,20 +144,22 @@ func TestNewStationaryErrors(t *testing.T) {
 
 func TestGeneralTensorShardsPartitionBlock(t *testing.T) {
 	dims := []int{4, 6}
-	R := 4
-	d := mustGeneral(t, dims, R, []int{2, 2, 2}) // P0=2, P1=2, P2=2
-	g := d.G
+	d := mustGeneral(t, dims, 3, []int{3, 2, 2}) // P0=3, P1=2, P2=2
 	x := tensor.RandomDense(11, dims...)
-	// For each (p1, p2) block, shards across the fiber must
-	// reassemble the block's flattening.
+	// For each (p1, p2) block, the shards of its P0-fiber's members,
+	// in fiber order, must reassemble the block's flattening.
 	for p1 := 0; p1 < 2; p1++ {
 		for p2 := 0; p2 < 2; p2++ {
-			coords := []int{0, p1, p2}
-			blo, bhi := d.BlockRange(coords)
-			want := x.SubTensor(blo, bhi).Data()
+			coords := []int{p1, p2}
+			want := d.LocalTensor(coords, x).Data()
 			var got []float64
-			for _, r := range d.Fiber(coords) {
-				got = append(got, d.TensorShard(g.Coords(r), x)...)
+			for idx, r := range d.DepthFiber(coords) {
+				p0, c := d.Coords(r)
+				if p0 != idx || c[0] != p1 || c[1] != p2 {
+					t.Fatalf("block (%d,%d): fiber member %d is rank %d at (%d, %v)", p1, p2, idx, r, p0, c)
+				}
+				lo, hi := d.TensorShardRange(c, p0)
+				got = append(got, want[lo:hi]...)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("block (%d,%d): got %d words, want %d", p1, p2, len(got), len(want))
@@ -169,18 +177,18 @@ func TestGeneralFactorShardsPartitionBlock(t *testing.T) {
 	dims := []int{6, 4}
 	R := 4
 	d := mustGeneral(t, dims, R, []int{2, 3, 2})
-	g := d.G
 	a := tensor.RandomMatrix(13, 6, R)
 	k := 0
 	for p0 := 0; p0 < 2; p0++ {
 		for pk := 0; pk < 3; pk++ {
-			coords := []int{p0, pk, 0}
+			coords := []int{pk, 0}
 			rlo, rhi := d.FactorRowRange(k, pk)
 			clo, chi := d.RankRange(p0)
 			want := a.Block(rlo, rhi, clo, chi).Data()
 			var got []float64
-			for _, r := range d.FactorGroup(k, coords) {
-				got = append(got, d.FactorShard(k, g.Coords(r), a)...)
+			for _, r := range d.HyperSlice(k, p0, coords) {
+				q0, c := d.Coords(r)
+				got = append(got, d.FactorShard(k, q0, c, a)...)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("(p0=%d,pk=%d): got %d, want %d", p0, pk, len(got), len(want))
@@ -207,8 +215,8 @@ func TestGeneralRankRangesPartitionR(t *testing.T) {
 	if pos != 7 {
 		t.Fatal("rank ranges do not cover R")
 	}
-	if d.P0() != 3 {
-		t.Fatal("P0 accessor")
+	if d.P0 != 3 || d.P() != 3 {
+		t.Fatalf("P0 = %d, P = %d; want 3, 3", d.P0, d.P())
 	}
 }
 
@@ -222,6 +230,52 @@ func TestGeneralMaxNnz(t *testing.T) {
 	// Mode 0: rows=3, cols=ceil(4/2)=2, q = 12/(2*2) = 3 -> ceil(6/3)=2.
 	if got := d.MaxFactorNnz(0); got != 2 {
 		t.Fatalf("MaxFactorNnz(0) = %d", got)
+	}
+	// Eq. (18): (2-1)*3 + (3-1)*2 + (2-1)*ceil(2*2 / 2) = 3 + 4 + 2.
+	if got := d.MaxSends(); got != 9 {
+		t.Fatalf("MaxSends = %d", got)
+	}
+}
+
+// TestGeneralRanksMatchGrid: a layout numbers its processors as the
+// (N+1)-way grid of its shape does, rank split first, so Coords, the
+// hyperslices, the mode fibers and the P0-fibers are that grid's
+// coordinates and slices; at P0 = 1 they are the N-way grid's.
+func TestGeneralRanksMatchGrid(t *testing.T) {
+	dims := []int{6, 5, 4}
+	for _, shape := range [][]int{{1, 3, 1, 2}, {2, 2, 1, 2}, {3, 1, 5, 1}, {4, 2, 1, 1}} {
+		d := mustGeneral(t, dims, 4, shape)
+		g := grid.New(shape...)
+		if d.P() != g.P() {
+			t.Fatalf("%v: P = %d, grid's %d", shape, d.P(), g.P())
+		}
+		for r := 0; r < d.P(); r++ {
+			p0, coords := d.Coords(r)
+			gc := g.Coords(r)
+			if fmt.Sprint(append([]int{p0}, coords...)) != fmt.Sprint(gc) {
+				t.Fatalf("%v: rank %d at (%d, %v), grid's %v", shape, r, p0, coords, gc)
+			}
+			for k := range dims {
+				var fixed, gridFixed []int // mode k's fiber: every mode fixed but k
+				for j := range dims {
+					if j != k {
+						fixed, gridFixed = append(fixed, j), append(gridFixed, j+1)
+					}
+				}
+				for _, c := range []struct{ got, want []int }{
+					{d.HyperSlice(k, p0, coords), g.Slice([]int{0, k + 1}, gc)},
+					{d.Slice(p0, fixed, coords), g.Slice(append([]int{0}, gridFixed...), gc)},
+					{d.DepthFiber(coords), g.Slice([]int{1, 2, 3}, gc)},
+				} {
+					if fmt.Sprint(c.got) != fmt.Sprint(c.want) {
+						t.Fatalf("%v rank %d mode %d: group %v, grid's %v", shape, r, k, c.got, c.want)
+					}
+				}
+			}
+		}
+		if s, err := NewStationary(dims, 4, shape[1:]); err != nil || shape[0] == 1 && s.MaxSends() != d.MaxSends() {
+			t.Fatalf("%v: stationary layout %v sends %d, general %d", shape, err, s.MaxSends(), d.MaxSends())
+		}
 	}
 }
 
@@ -264,7 +318,7 @@ func TestIndexIn(t *testing.T) {
 	IndexIn([]int{1, 2}, 3)
 }
 
-func mustStationary(t *testing.T, dims []int, R int, shape []int) Stationary {
+func mustStationary(t *testing.T, dims []int, R int, shape []int) Layout {
 	t.Helper()
 	d, err := NewStationary(dims, R, shape)
 	if err != nil {
@@ -273,7 +327,7 @@ func mustStationary(t *testing.T, dims []int, R int, shape []int) Stationary {
 	return d
 }
 
-func mustGeneral(t *testing.T, dims []int, R int, shape []int) General {
+func mustGeneral(t *testing.T, dims []int, R int, shape []int) Layout {
 	t.Helper()
 	d, err := NewGeneral(dims, R, shape)
 	if err != nil {
@@ -304,10 +358,10 @@ func TestStationaryShardSizesQuick(t *testing.T) {
 			for ck := 0; ck < shape[k]; ck++ {
 				coords := make([]int, N)
 				coords[k] = ck
-				slice := d.HyperSlice(k, coords)
+				slice := d.HyperSlice(k, 0, coords)
 				total := 0
 				for idx := range slice {
-					lo, hi := d.ShardRange(k, ck, len(slice), idx)
+					lo, hi := d.ShardRange(k, 0, ck, len(slice), idx)
 					if int64(hi-lo) > bound {
 						return false
 					}

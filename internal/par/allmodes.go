@@ -49,7 +49,7 @@ func AllModesStationary(x *tensor.Dense, factors []*tensor.Matrix, shape []int) 
 	if err != nil {
 		return nil, err
 	}
-	N, P := x.Order(), lay.G.P()
+	N, P := x.Order(), lay.P()
 	net := simnet.New(P)
 	outShards := make([][][]float64, P) // [rank][mode]
 	localFlops := make([]int64, P)
@@ -89,7 +89,7 @@ func AllModesStationary(x *tensor.Dense, factors []*tensor.Matrix, shape []int) 
 		for r := 0; r < P; r++ {
 			shards[r] = outShards[r][n]
 		}
-		res.B[n] = assembleStationary(lay, n, shards)
+		res.B[n] = assemble(lay, n, shards)
 	}
 	return res, nil
 }

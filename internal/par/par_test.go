@@ -1,13 +1,17 @@
 package par
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bounds"
 	"repro/internal/dist"
+	"repro/internal/obs/flight"
 	"repro/internal/seq"
+	"repro/internal/simnet"
 	"repro/internal/tensor"
 )
 
@@ -87,6 +91,9 @@ func TestAlg3CostMatchesModel(t *testing.T) {
 		q := int64(g.P() / g.Extent(k))
 		want += (q - 1) * lay.MaxFactorNnz(k)
 	}
+	if got := lay.MaxSends(); got != want {
+		t.Fatalf("MaxSends = %d, Eq. (14) says %d", got, want)
+	}
 	for r, s := range res.Stats {
 		if s.SentWords != want {
 			t.Fatalf("rank %d sent %d words, Eq.(14) says %d", r, s.SentWords, want)
@@ -143,30 +150,120 @@ func TestGeneralCorrectAllModes(t *testing.T) {
 	}
 }
 
-// Algorithm 3 is the P0 = 1 special case of Algorithm 4: identical
-// results and identical per-rank communication.
+// TestGeneralP0OneMatchesStationary: Algorithm 3 is Algorithm 4 at
+// P0 = 1, message for message. On orders 2-4, with even, uneven and
+// unit grid extents, for every mode, General on [1 shape...] and
+// Stationary on shape give bitwise the same B, every rank the same
+// simnet.Stats and gather, reduce and resident words, and every rank
+// the same (kind, peer, words, seq) sequence of sends and receives.
 func TestGeneralP0OneMatchesStationary(t *testing.T) {
-	dims := []int{6, 4, 4}
-	R := 3
-	x := tensor.RandomDense(13, dims...)
-	fs := tensor.RandomFactors(14, dims, R)
-	n := 1
-	shape3 := []int{2, 2, 1}
-	res3, err := Stationary(x, fs, n, shape3)
+	for _, tc := range []struct{ dims, shape []int }{
+		{[]int{9, 7}, []int{3, 2}},
+		{[]int{8, 8, 8}, []int{2, 2, 2}},
+		{[]int{6, 5, 7}, []int{3, 1, 2}},
+		{[]int{13, 11, 7}, []int{3, 2, 1}},
+		{[]int{5, 4, 3}, []int{1, 1, 1}},
+		{[]int{6, 5, 7, 4}, []int{2, 1, 2, 1}},
+	} {
+		x := tensor.RandomDense(13, tc.dims...)
+		fs := tensor.RandomFactors(14, tc.dims, 3)
+		for n := range tc.dims {
+			at := fmt.Sprintf("%v on %v mode %d", tc.dims, tc.shape, n)
+			res3, msgs3 := recordRun(t, func() (*Result, error) { return Stationary(x, fs, n, tc.shape) })
+			res4, msgs4 := recordRun(t, func() (*Result, error) { return General(x, fs, n, append([]int{1}, tc.shape...)) })
+			for i, v := range res3.B.Data() {
+				if math.Float64bits(v) != math.Float64bits(res4.B.Data()[i]) {
+					t.Fatalf("%s: B[%d] = %v, Algorithm 4 at P0 = 1 gives %v", at, i, v, res4.B.Data()[i])
+				}
+			}
+			for r := range res3.Stats {
+				if res3.Stats[r] != res4.Stats[r] || res3.GatherWords[r] != res4.GatherWords[r] ||
+					res3.ReduceWords[r] != res4.ReduceWords[r] || res3.ResidentWords[r] != res4.ResidentWords[r] {
+					t.Fatalf("%s rank %d: Alg3 %+v gather %d reduce %d resident %d; Alg4 %+v %d %d %d", at, r,
+						res3.Stats[r], res3.GatherWords[r], res3.ReduceWords[r], res3.ResidentWords[r],
+						res4.Stats[r], res4.GatherWords[r], res4.ReduceWords[r], res4.ResidentWords[r])
+				}
+				if fmt.Sprint(msgs3[r]) != fmt.Sprint(msgs4[r]) {
+					t.Fatalf("%s rank %d: Alg3 messages %v, Alg4 %v", at, r, msgs3[r], msgs4[r])
+				}
+			}
+		}
+	}
+}
+
+// message is one send or receive as a rank records it: its kind, peer,
+// words and sequence number on its channel.
+type message struct {
+	kind       uint8
+	peer       int32
+	words, seq int64
+}
+
+// recordRun runs f under a distributed flight recorder and returns its
+// result with each rank's sends and receives in the order the rank
+// made them.
+func recordRun(t *testing.T, f func() (*Result, error)) (*Result, [][]message) {
+	t.Helper()
+	rec := flight.NewDistributed(64, 1<<12)
+	flight.Enable(rec)
+	res, err := f()
+	flight.Disable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res4, err := General(x, fs, n, append([]int{1}, shape3...))
-	if err != nil {
-		t.Fatal(err)
+	if rec.Dropped() != 0 {
+		t.Fatalf("recorder dropped %d events", rec.Dropped())
 	}
-	if !res3.B.EqualApprox(res4.B, 1e-9) {
-		t.Fatal("results differ")
+	msgs := make([][]message, len(res.Stats))
+	for _, ev := range rec.Events() {
+		if ev.Kind == uint8(flight.KindSend) || ev.Kind == uint8(flight.KindRecv) {
+			msgs[ev.Pid] = append(msgs[ev.Pid], message{ev.Kind, ev.Peer, ev.A, int64(ev.Seq)})
+		}
 	}
-	for r := range res3.Stats {
-		if res3.Stats[r].SentWords != res4.Stats[r].SentWords {
-			t.Fatalf("rank %d: Alg3 sent %d, Alg4(P0=1) sent %d",
-				r, res3.Stats[r].SentWords, res4.Stats[r].SentWords)
+	return res, msgs
+}
+
+// TestRankGathersBlock: at P0 > 1 a rank keeps its 1/P0 shard of the
+// block and all-gathers the rest over its P0-fiber (Line 3 of
+// Algorithm 4). It ends with bitwise the block LocalTensor cuts, in
+// the ring's words, and its Norm is ||X||.
+func TestRankGathersBlock(t *testing.T) {
+	dims := []int{7, 6, 5}
+	x := tensor.RandomDense(3, dims...)
+	norm := x.Norm()
+	for _, shape := range [][]int{{2, 2, 1, 2}, {3, 1, 3, 1}, {4, 2, 2, 2}} {
+		lay, err := dist.NewGeneral(dims, 4, shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := simnet.New(lay.P())
+		err = net.Run(func(id int) error {
+			r := NewRank(lay, net, id, x)
+			want := lay.LocalTensor(r.Coords, x)
+			if fmt.Sprint(r.Block.Dims()) != fmt.Sprint(want.Dims()) {
+				return fmt.Errorf("rank %d: block dims %v, want %v", id, r.Block.Dims(), want.Dims())
+			}
+			for i, v := range want.Data() {
+				if math.Float64bits(v) != math.Float64bits(r.Block.Data()[i]) {
+					return fmt.Errorf("rank %d: block[%d] = %v, want %v", id, i, r.Block.Data()[i], v)
+				}
+			}
+			// The ring receives every shard but the rank's own and
+			// forwards every shard but the next member's.
+			lo, hi := lay.TensorShardRange(r.Coords, r.p0)
+			nlo, nhi := lay.TensorShardRange(r.Coords, (r.p0+1)%lay.P0)
+			if got, want := r.Words(), int64(2*want.Elems()-(hi-lo)-(nhi-nlo)); got != want {
+				return fmt.Errorf("rank %d: gathering the block moved %d words, want %d", id, got, want)
+			}
+			// Each block counts once toward the norm, though its
+			// P0-fiber holds it P0 times.
+			if got := r.Norm(); math.Abs(got-norm) > 1e-12*norm {
+				return fmt.Errorf("rank %d: norm %v, want %v", id, got, norm)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", shape, err)
 		}
 	}
 }
@@ -187,12 +284,14 @@ func TestAlg4CostMatchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := lay.G
-	p0 := int64(g.Extent(0))
+	p0 := int64(lay.P0)
 	want := (p0 - 1) * lay.MaxTensorNnz()
 	for k := 0; k < 3; k++ {
-		q := int64(g.P()) / (p0 * int64(g.Extent(k+1)))
+		q := int64(lay.P()) / (p0 * int64(lay.G.Extent(k)))
 		want += (q - 1) * lay.MaxFactorNnz(k)
+	}
+	if got := lay.MaxSends(); got != want {
+		t.Fatalf("MaxSends = %d, Eq. (18) says %d", got, want)
 	}
 	for r, s := range res.Stats {
 		if s.SentWords != want {

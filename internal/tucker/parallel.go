@@ -100,7 +100,7 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 		return nil, err
 	}
 
-	P := lay.G.P()
+	P := lay.P()
 	net := simnet.New(P)
 	gatherWords := make([]int64, P)
 	reduceWords := make([]int64, P)
