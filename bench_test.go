@@ -546,47 +546,6 @@ func BenchmarkSymEig(b *testing.B) {
 	}
 }
 
-// BenchmarkTTMChain is E29's kernel half: the full greedy TTM chain
-// (the HOOI core contraction) on a 128^3, rank-16 problem. "scalar" is
-// the retained per-element reference; "engine" is the blocked-GEMM
-// chain into a reused output and workspace (zero steady-state
-// allocations — the allocs/op column is part of the artifact);
-// "engine-par" lets the slab parallelism use every core.
-func BenchmarkTTMChain(b *testing.B) {
-	dims := []int{128, 128, 128}
-	ranks := []int{16, 16, 16}
-	x := tensor.RandomDense(42, dims...)
-	us := make([]*tensor.Matrix, len(dims))
-	for k := range dims {
-		us[k] = tensor.RandomMatrix(int64(43+k), dims[k], ranks[k])
-	}
-	b.Run("scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ttm.ChainScalar(x, us, -1)
-		}
-	})
-	b.Run("engine", func(b *testing.B) {
-		out := tensor.NewDense(ranks...)
-		ws := ttm.NewWorkspace()
-		ttm.ChainInto(out, x, us, -1, 1, ws)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ttm.ChainInto(out, x, us, -1, 1, ws)
-		}
-	})
-	b.Run("engine-par", func(b *testing.B) {
-		out := tensor.NewDense(ranks...)
-		ws := ttm.NewWorkspace()
-		ttm.ChainInto(out, x, us, -1, 0, ws)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ttm.ChainInto(out, x, us, -1, 0, ws)
-		}
-	})
-}
-
 // BenchmarkTuckerHOOI is E29's application half and E34's tree: one
 // full HOOI sweep body — every mode's projection plus its mode Gram,
 // then the core — with the eigensolves excluded so the comparison
@@ -594,12 +553,11 @@ func BenchmarkTTMChain(b *testing.B) {
 // workload's 32^4 ranks 8, and at 32^4 with skewed ranks
 // (16, 16, 4, 4), where the balanced split would cost more than the
 // per-mode chains. "scalar" pairs the scalar chain with the explicit
-// Unfold + MatMulTransB Gram (the pre-engine formulation); "engine"
-// runs one ChainInto per mode and the full core chain (the per-mode
-// sweep the tree replaced, kept as the reference); "tree" is the
-// production sweep, ttm.TreeInto sharing the projections' partial
+// Unfold + MatMulTransB Gram (the pre-engine formulation); "tree" is
+// the production sweep, ttm.TreeInto sharing the projections' partial
 // contractions on its planned dimension tree, and the core as one TTM
-// of the last leaf's projection (E37). Every engine buffer is reused.
+// of the last leaf's projection (E37), at one worker and ("tree-par")
+// at every core. Every engine buffer is reused.
 func BenchmarkTuckerHOOI(b *testing.B) {
 	for _, tc := range []struct {
 		name        string
@@ -629,14 +587,11 @@ func benchTuckerSweep(b *testing.B, dims, ranks []int) {
 			ttm.ChainScalar(x, us, -1)
 		}
 	})
-	run := func(b *testing.B, workers int, tree bool) {
+	run := func(b *testing.B, workers int) {
 		ws := ttm.NewWorkspace()
-		yBuf := make([]*tensor.Dense, len(dims))
+		yBuf := ttm.ProjectionViews(dims, ranks)
 		gramBuf := make([]*tensor.Matrix, len(dims))
 		for k := range dims {
-			ydims := append([]int(nil), ranks...)
-			ydims[k] = dims[k]
-			yBuf[k] = tensor.NewDense(ydims...)
 			gramBuf[k] = tensor.NewMatrix(dims[k], dims[k])
 		}
 		coreBuf := tensor.NewDense(ranks...)
@@ -648,18 +603,10 @@ func benchTuckerSweep(b *testing.B, dims, ranks []int) {
 			return nil
 		}
 		sweep := func() {
-			if tree {
-				if err := ttm.TreeInto(yBuf, x, us, workers, ws, gram); err != nil {
-					b.Fatal(err)
-				}
-				ttm.TTMInto(coreBuf, last, us[N-1], N-1, workers)
-				return
+			if err := ttm.TreeInto(yBuf, x, us, workers, ws, gram); err != nil {
+				b.Fatal(err)
 			}
-			for k := range dims {
-				ttm.ChainInto(yBuf[k], x, us, k, workers, ws)
-				ttm.GramInto(gramBuf[k], yBuf[k], k, workers, ws)
-			}
-			ttm.ChainInto(coreBuf, x, us, -1, workers, ws)
+			ttm.TTMInto(coreBuf, last, us[N-1], N-1, workers)
 		}
 		sweep() // warm the workspace
 		b.ReportAllocs()
@@ -668,10 +615,8 @@ func benchTuckerSweep(b *testing.B, dims, ranks []int) {
 			sweep()
 		}
 	}
-	b.Run("engine", func(b *testing.B) { run(b, 1, false) })
-	b.Run("engine-par", func(b *testing.B) { run(b, 0, false) })
-	b.Run("tree", func(b *testing.B) { run(b, 1, true) })
-	b.Run("tree-par", func(b *testing.B) { run(b, 0, true) })
+	b.Run("tree", func(b *testing.B) { run(b, 1) })
+	b.Run("tree-par", func(b *testing.B) { run(b, 0) })
 }
 
 // BenchmarkModeGram times ttm.GramInto on each mode of the tucker-hooi

@@ -69,11 +69,11 @@ go test -run '^$' -fuzz '^FuzzModeGram$' -fuzztime 10s ./internal/ttm
 
 echo "== go fuzz (Chain, 10s) =="
 # Random order 1-5 tensors with extents 1-9, ranks from 1 to each
-# extent, any skip and a random contiguous mode range: ChainInto
-# against ChainScalar, a tree node's range contraction against a
-# TTMScalar loop, and every TreeInto leaf against its chain, within a
-# rounding tolerance scaled by the contraction length; 1 vs 3 workers
-# bitwise.
+# extent, any skip and a random contiguous mode range: a node
+# contraction over every mode but the skip against ChainScalar, a tree
+# node's range contraction against a TTMScalar loop, and every TreeInto
+# leaf against ChainScalar with its skip, within a rounding tolerance
+# scaled by the contraction length; 1 vs 3 workers bitwise.
 go test -run '^$' -fuzz '^FuzzChain$' -fuzztime 10s ./internal/ttm
 
 echo "== go fuzz (Decompose, 10s) =="
@@ -85,7 +85,17 @@ echo "== go fuzz (Decompose, 10s) =="
 # sweep's, and 1 vs 3 workers bitwise.
 go test -run '^$' -fuzz '^FuzzDecompose$' -fuzztime 10s ./internal/tucker
 
-echo "== go fuzz (DecomposeParallel, 10s) =="
+echo "== go fuzz (Tucker DecomposeParallel, 10s) =="
+# Random order 1-4 tensors with extents 1-9 on a grid with P at most the
+# smallest extent, ranks from 1 to each extent and 1-3 HOOI sweeps at
+# Tol -Inf from InitFactors: every rank's words and sends equal to the
+# All-Reduce schedule, factors and core bitwise Decompose's at P = 1,
+# orthonormal factors, the core against ChainScalar of the factors
+# within a rounding tolerance scaled by the contraction length, and the
+# model's fit equal to the last sweep's.
+go test -run '^$' -fuzz '^FuzzDecomposeParallel$' -fuzztime 10s ./internal/tucker
+
+echo "== go fuzz (CP-ALS DecomposeParallel, 10s) =="
 # Random order 1-4 tensors with extents 1-9, sometimes all zero, on a
 # grid with P at most the smallest extent, R 1-4 and 1-3 CP-ALS sweeps
 # at Tol -Inf: no panic, an error on order-1 and zero tensors and on no
@@ -169,8 +179,8 @@ REPRO_CALIBRATION="$obsdir/calibration-trace.json" go run ./cmd/tucker \
 	-trace "$obsdir/tucker-trace.json" >/dev/null
 go run ./cmd/tracecheck "$obsdir/tucker-trace.json" >/dev/null
 # Both parallel solvers run every collective on simnet; each trace must
-# pair every rank's Sends with their Recvs (1 296 flows for HOOI and
-# 800 for CP-ALS at this shape).
+# pair every rank's Sends with their Recvs (784 flows for HOOI and 800
+# for CP-ALS at this shape).
 REPRO_CALIBRATION="$obsdir/calibration-trace.json" go run ./cmd/tucker \
 	-dims 16,16,16 -ranks 4,4,4 -grid 2,2,2 -iters 2 \
 	-trace "$obsdir/tucker-par-trace.json" >/dev/null

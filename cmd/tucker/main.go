@@ -1,13 +1,14 @@
 // Command tucker computes a Tucker decomposition of a synthetic
 // low-multilinear-rank tensor with HOOI, sequentially (started from
-// the sequentially truncated HOSVD) or on the simulated distributed
-// machine (started from seeded orthonormal factors), reporting fit per
-// sweep and the communication breakdown (factor gathers vs the
-// projection, core and norm all-reduces) — the Tucker-side extension of the paper's MTTKRP
-// communication analysis. With -obs, the sequential run's counters
-// show what the truncation saves: at -dims 32,32,32,32 -ranks 8,8,8,8
-// -iters 1 they read 116 752 384 flops, 68 MFLOP of them in the
-// initialization's Grams and contractions.
+// the sequentially truncated HOSVD, on the planned worker count) or on
+// the simulated distributed machine (started from seeded orthonormal
+// factors), reporting fit per sweep and, on a grid, the per-processor
+// all-reduce words of the projections and the norm — the Tucker-side
+// extension of the paper's MTTKRP communication analysis. With -obs,
+// the sequential run's counters show what the truncation saves: at
+// -dims 32,32,32,32 -ranks 8,8,8,8 -iters 1 they read 116 752 384
+// flops, 68 MFLOP of them in the initialization's Grams and
+// contractions.
 //
 // Usage:
 //
@@ -53,8 +54,9 @@ func main() {
 		fatal(fmt.Errorf("need one rank per mode"))
 	}
 
-	// -trace starts before the planner runs so the trace carries the
-	// plan instant; parallel HOOI gets one process row per rank.
+	// -trace starts before the planner runs so the sequential trace
+	// carries the plan instant; parallel HOOI gets one process row per
+	// rank.
 	if *traceOut != "" {
 		procs := 0
 		if *gridFlag != "" {
@@ -75,29 +77,31 @@ func main() {
 		}()
 	}
 
-	// HOOI's hot loop is the TTM projections and mode Grams of
-	// internal/ttm. The calibrated planner plans the Tucker workload as
-	// a TTM-chain problem: the registry routes it to the chain engine
-	// and the worker count comes from the cost model. It prices N+1
-	// full chains per sweep, while the sweep shares its N projections'
-	// partial contractions on a dimension tree (ttm.TreeInto).
+	// The sequential run's hot loop is the HOOI sweep body of
+	// internal/ttm. The calibrated planner plans it as a Tucker
+	// problem of one sweep body per iteration: the registry routes it
+	// to the ttm engine, which prices the body exactly, and the worker
+	// count comes from the cost model. The parallel solver runs one
+	// worker per rank and is not planned.
 	maxRank := 0
 	for _, r := range ranks {
 		if r > maxRank {
 			maxRank = r
 		}
 	}
-	prob := plan.Problem{Dims: dims, R: maxRank, Mode: plan.AllModes,
-		Ranks: ranks, Reuses: *iters * (len(dims) + 1)}
-	choice, _, err := plan.Auto(prob)
-	if err != nil {
-		fatal(err)
+	var planInfo *obs.PlanInfo
+	workers := 0
+	if *gridFlag == "" {
+		prob := plan.Problem{Dims: dims, R: maxRank, Mode: plan.AllModes, Ranks: ranks, Reuses: *iters}
+		choice, _, err := plan.Auto(prob)
+		if err != nil {
+			fatal(err)
+		}
+		choice.Apply()
+		planInfo, workers = choice.PlanInfo(), choice.Workers
+		fmt.Printf("plan: engine=%s workers=%d gemm blocks kc=%d mc=%d\n",
+			choice.Engine, choice.Workers, choice.GemmKC, choice.GemmMC)
 	}
-	choice.Apply()
-	planInfo := choice.PlanInfo()
-	workers := choice.Workers
-	fmt.Printf("plan: engine=%s workers=%d gemm blocks kc=%d mc=%d\n",
-		choice.Engine, choice.Workers, choice.GemmKC, choice.GemmMC)
 
 	// Synthetic data: random core expanded by orthonormal factors,
 	// plus noise.
@@ -159,8 +163,7 @@ func main() {
 	}
 	fmt.Printf("final fit %.8f\n", res.Model.Fit)
 	fmt.Printf("\ncommunication per processor (max over ranks):\n")
-	fmt.Printf("  factor block-row gathers: %d words\n", res.MaxGatherWords())
-	fmt.Printf("  all-reduces:              %d words (projections, cores, norm)\n", res.MaxReduceWords())
+	fmt.Printf("  all-reduces: %d words (projections, norm)\n", res.MaxWords())
 	p := 1
 	for _, s := range shape {
 		p *= s
@@ -169,7 +172,7 @@ func main() {
 	// collective traffic, joined against the Multi-TTM lower bounds
 	// (arXiv:2207.10437) for the sweeps the run executed.
 	report("hooi-parallel", obs.Machine{P: p}, func(rep *obs.Report) {
-		rep.MeasuredWords = res.MaxCommWords()
+		rep.MeasuredWords = res.MaxWords()
 		rep.JoinMultiTTMBounds(ranks, float64(p), len(res.Trace))
 	})
 }

@@ -164,71 +164,6 @@ func (m Model) contractCost(L, M, Rt float64, dropLeft, dropRight bool, src floa
 	return c
 }
 
-// TTMChainCost models one TTM-chain pass of the blocked engine
-// (internal/ttm.ChainInto): every mode but skip (-1 skips none)
-// contracts down to ranks[k] columns, in the engine's greedy order —
-// ascending ranks[k]/Dims[k], ties toward the lower index. Each step
-// is GEMM over the L x I x Rt slab stack of the current intermediate:
-// the boundary modes (Rt = 1 or L = 1) are one GEMM, interior modes
-// are Rt per-slab GEMMs. Word and flop counts reproduce obs.Gemm's
-// operand accounting exactly, so the prediction matches the measured
-// streaming totals of an uninstrumented chain to the word.
-func (m Model) TTMChainCost(ranks []float64, skip int) EngineCost {
-	N := m.N()
-	if len(ranks) != N {
-		panic("costmodel: TTMChainCost ranks length mismatch")
-	}
-	if skip < -1 || skip >= N {
-		panic("costmodel: TTMChainCost skip out of range")
-	}
-	// Greedy order on the original shapes, mirroring the cross-
-	// multiplied ratio compare and insertion-sort stability of ttm's
-	// appendGreedyOrder.
-	ord := make([]int, 0, N)
-	for k := 0; k < N; k++ {
-		if k != skip {
-			ord = append(ord, k)
-		}
-	}
-	for i := 1; i < len(ord); i++ {
-		for j := i; j > 0 && ranks[ord[j]]*m.Dims[ord[j-1]] < ranks[ord[j-1]]*m.Dims[ord[j]]; j-- {
-			ord[j], ord[j-1] = ord[j-1], ord[j]
-		}
-	}
-	if len(ord) == 0 {
-		// Empty chain: ChainInto degenerates to a copy (read + write).
-		return EngineCost{Words: 2 * m.prodDims(0, N)}
-	}
-	dims := append([]float64(nil), m.Dims...)
-	var c EngineCost
-	for _, k := range ord {
-		L, Rt := 1.0, 1.0
-		for j := 0; j < k; j++ {
-			L *= dims[j]
-		}
-		for j := k + 1; j < N; j++ {
-			Rt *= dims[j]
-		}
-		I, r := dims[k], ranks[k]
-		switch {
-		case Rt == 1: //repro:bitwise Rt is a product of integer extents, exactly 1 iff all trailing modes are unit
-			// One GemmNN: Y (L x r) = X (L x I) * U.
-			c.Words += L*I + I*r + L*r
-			c.Flops += 2 * L * I * r
-		case L == 1: //repro:bitwise L is a product of integer extents, exactly 1 iff all leading modes are unit
-			// One GemmTN: Y (r x Rt) = U^T * X (I x Rt).
-			c.Words += I*r + I*Rt + r*Rt
-			c.Flops += 2 * r * I * Rt
-		default:
-			// Rt per-slab GemmNNs; U streams once per slab.
-			c.Words += Rt * (L*I + I*r + L*r)
-			c.Flops += 2 * L * I * r * Rt
-		}
-		dims[k] = r
-	}
-	return c
-}
-
 // csfLevelNodes estimates the node count of CSF tree level lv for a
 // uniformly random nonzero pattern: the fiber count saturates at the
 // prefix-index space until nnz distinct prefixes exhaust it. perm[0]

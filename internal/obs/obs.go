@@ -112,10 +112,9 @@ const (
 	PhaseFold
 	// PhaseTTM covers one mode-k TTM GEMM pass (ttm.TTMInto).
 	PhaseTTM
-	// PhaseTTMChain covers one multi-TTM contraction: a chain
-	// (ttm.ChainInto, the core of a Tucker HOOI sweep) or one node's
+	// PhaseTTMChain covers one multi-TTM contraction: a node's
 	// contraction into a child in the ttm.TreeInto walk that computes
-	// a sweep's projections.
+	// a Tucker HOOI sweep's projections.
 	PhaseTTMChain
 
 	// NumPhases is the number of phase kinds.

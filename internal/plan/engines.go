@@ -65,7 +65,7 @@ type fastEngine struct{}
 func (fastEngine) Name() string { return "fast" }
 
 func (fastEngine) Supports(p Problem) bool {
-	return !p.Sparse() && p.DType == F64 && !p.TTMChain()
+	return !p.Sparse() && p.DType == F64 && !p.Tucker()
 }
 
 func (fastEngine) Cost(p Problem, cal *Calibration, workers int) Cost {
@@ -112,7 +112,7 @@ type fast32Engine struct{}
 func (fast32Engine) Name() string { return "fast32" }
 
 func (fast32Engine) Supports(p Problem) bool {
-	return !p.Sparse() && p.DType == F32 && !p.TTMChain()
+	return !p.Sparse() && p.DType == F32 && !p.Tucker()
 }
 
 func (fast32Engine) Cost(p Problem, cal *Calibration, workers int) Cost {
@@ -168,7 +168,7 @@ type treeEngine struct{}
 func (treeEngine) Name() string { return "tree" }
 
 func (treeEngine) Supports(p Problem) bool {
-	return !p.Sparse() && p.DType == F64 && p.Mode == AllModes && !p.TTMChain()
+	return !p.Sparse() && p.DType == F64 && p.Mode == AllModes && !p.Tucker()
 }
 
 func (treeEngine) Cost(p Problem, cal *Calibration, workers int) Cost {

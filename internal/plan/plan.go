@@ -70,19 +70,21 @@ type Problem struct {
 	// linalg.Workers() (GOMAXPROCS).
 	MaxWorkers int
 	// Reuses is the expected number of passes over the same tensor with
-	// the same plan (CP-ALS sets iterations x modes); 0 means 1.
+	// the same plan (CP-ALS sets iterations x modes, a Tucker problem
+	// its HOOI sweeps); 0 means 1.
 	Reuses int
-	// Ranks, when set (one per mode), turns the problem into a TTM
-	// chain instead of an MTTKRP: contract every mode k down to
-	// Ranks[k] columns, except the skipped mode — Mode names the mode
-	// to skip (HOOI's projection), AllModes means skip none (the full
-	// core chain). Only the dense f64 TTM engine serves these.
+	// Ranks, when set (one per mode, each between 1 and the mode's
+	// extent), turns the problem into a Tucker problem instead of an
+	// MTTKRP: a pass is one HOOI sweep body — ttm.TreeInto's mode
+	// projections, then the core as one TTM of the last — with the
+	// factors fixed. Mode must be AllModes. Only the dense f64 TTM
+	// engine serves these.
 	Ranks []int
 }
 
-// TTMChain reports whether the problem is a TTM chain rather than an
-// MTTKRP.
-func (p Problem) TTMChain() bool { return len(p.Ranks) > 0 }
+// Tucker reports whether the problem is a Tucker problem rather than
+// an MTTKRP.
+func (p Problem) Tucker() bool { return len(p.Ranks) > 0 }
 
 func (p Problem) validate() error {
 	if len(p.Dims) < 2 {
@@ -102,17 +104,20 @@ func (p Problem) validate() error {
 	if p.NNZ < 0 {
 		return fmt.Errorf("plan: negative nnz %d", p.NNZ)
 	}
-	if p.TTMChain() {
+	if p.Tucker() {
 		if len(p.Ranks) != len(p.Dims) {
-			return fmt.Errorf("plan: %d chain ranks for order-%d problem", len(p.Ranks), len(p.Dims))
+			return fmt.Errorf("plan: %d Tucker ranks for order-%d problem", len(p.Ranks), len(p.Dims))
 		}
 		for i, r := range p.Ranks {
-			if r < 1 {
-				return fmt.Errorf("plan: chain rank %d = %d", i, r)
+			if r < 1 || r > p.Dims[i] {
+				return fmt.Errorf("plan: Tucker rank %d = %d outside [1, %d]", i, r, p.Dims[i])
 			}
 		}
+		if p.Mode != AllModes {
+			return fmt.Errorf("plan: a Tucker problem sweeps all modes (mode %d)", p.Mode)
+		}
 		if p.Sparse() {
-			return fmt.Errorf("plan: TTM chains are dense-only (nnz = %d)", p.NNZ)
+			return fmt.Errorf("plan: Tucker problems are dense-only (nnz = %d)", p.NNZ)
 		}
 	}
 	return nil
@@ -217,6 +222,7 @@ type Instance struct {
 	tree    *dimtree.Engine
 	treeRes *dimtree.Result
 	tws     *ttm.Workspace
+	sweep   *hooiSweep
 }
 
 // Result receives an engine pass's output. Single-mode f64 runs fill
@@ -229,7 +235,7 @@ type Result struct {
 	B32   *tensor.Matrix32
 	All   []*tensor.Matrix
 	All32 []*tensor.Matrix32
-	// Y receives a TTM-chain pass's projected tensor.
+	// Y receives a Tucker pass's core.
 	Y *tensor.Dense
 }
 

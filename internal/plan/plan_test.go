@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -428,19 +429,24 @@ func TestPlanRejectsBadProblems(t *testing.T) {
 	}
 }
 
-// TestTTMAdapterMatchesChain: the TTM-chain adapter must reproduce a
-// direct ttm.ChainWorkers call bitwise, for both the full core chain
-// (Mode = AllModes) and a skipped HOOI projection.
-func TestTTMAdapterMatchesChain(t *testing.T) {
-	dims := []int{12, 10, 8}
-	ranks := []int{5, 4, 3}
-	x := tensor.RandomDense(21, dims...)
-	us := make([]*tensor.Matrix, len(dims))
-	for k := range dims {
-		us[k] = tensor.RandomMatrix(int64(30+k), dims[k], ranks[k])
-	}
-	for _, mode := range []int{AllModes, 0, 1, 2} {
-		p := Problem{Dims: dims, R: 5, Mode: mode, Ranks: ranks, MaxWorkers: 4}
+// TestTTMAdapterMatchesSweep: a ttm engine pass is the HOOI sweep
+// body with the factors fixed. Its core must be bitwise a direct
+// ttm.TreeInto walk plus the TTM of the last projection, at the same
+// worker count, and within 1e-12 relative of ttm.ChainScalar, on a
+// balanced tree, a moved split and a root of leaf chains.
+func TestTTMAdapterMatchesSweep(t *testing.T) {
+	for _, tc := range []struct{ dims, ranks []int }{
+		{[]int{12, 10, 8}, []int{5, 4, 3}},
+		{[]int{32, 32, 32}, []int{16, 4, 4}},
+		{[]int{8, 13, 2, 23}, []int{5, 1, 1, 23}},
+	} {
+		N := len(tc.dims)
+		x := tensor.RandomDense(21, tc.dims...)
+		us := make([]*tensor.Matrix, N)
+		for k := range us {
+			us[k] = tensor.RandomMatrix(int64(30+k), tc.dims[k], tc.ranks[k])
+		}
+		p := Problem{Dims: tc.dims, R: 5, Mode: AllModes, Ranks: tc.ranks, MaxWorkers: 4}
 		inst := &Instance{X: x, Factors: us}
 		e, ok := Lookup("ttm")
 		if !ok {
@@ -454,20 +460,38 @@ func TestTTMAdapterMatchesChain(t *testing.T) {
 		}
 		var res Result
 		e.Run(p, inst, &res, 2)
-		want := ttm.ChainWorkers(x, us, p.chainSkip(), 2)
+
+		var last *tensor.Dense
+		err := ttm.TreeInto(ttm.ProjectionViews(tc.dims, tc.ranks), x, us, 2, ttm.NewWorkspace(), func(_ int, y *tensor.Dense) error {
+			last = y
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tensor.NewDense(tc.ranks...)
+		ttm.TTMInto(want, last, us[N-1], N-1, 2)
 		gd, wd := res.Y.Data(), want.Data()
 		if len(gd) != len(wd) {
-			t.Fatalf("mode %d: length %d vs %d", mode, len(gd), len(wd))
+			t.Fatalf("%v: length %d vs %d", tc.dims, len(gd), len(wd))
 		}
 		for i := range gd {
 			if gd[i] != wd[i] { //repro:bitwise the adapters must reproduce the wrapped engines exactly
-				t.Fatalf("mode %d: element %d differs: %g vs %g", mode, i, gd[i], wd[i])
+				t.Fatalf("%v: element %d differs: %g vs %g", tc.dims, i, gd[i], wd[i])
 			}
+		}
+		scalar := ttm.ChainScalar(x, us, -1)
+		scale := 0.0
+		for _, v := range scalar.Data() {
+			scale = math.Max(scale, math.Abs(v))
+		}
+		if d := res.Y.MaxAbsDiff(scalar) / scale; !(d <= 1e-12) {
+			t.Fatalf("%v: core vs ChainScalar relative diff %g", tc.dims, d)
 		}
 	}
 }
 
-// TestPlanPicksTTMForChains: a chain problem must route to the TTM
+// TestPlanPicksTTMForChains: a Tucker problem must route to the TTM
 // engine (the MTTKRP engines all decline it), and MTTKRP problems must
 // never see the TTM engine.
 func TestPlanPicksTTMForChains(t *testing.T) {
@@ -479,9 +503,9 @@ func TestPlanPicksTTMForChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Engine != "ttm" {
-		t.Errorf("chain problem picked %q, want ttm", c.Engine)
+		t.Errorf("Tucker problem picked %q, want ttm", c.Engine)
 	}
-	// Small shapes must not trip the fast-kernel cutover for chains.
+	// Small shapes must not trip the fast-kernel cutover for Tucker.
 	small := Problem{Dims: []int{8, 8, 8}, R: 4, Mode: AllModes,
 		Ranks: []int{4, 4, 4}, MaxWorkers: 4}
 	c, err = Plan(small, cal)
@@ -489,7 +513,7 @@ func TestPlanPicksTTMForChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Engine != "ttm" {
-		t.Errorf("small chain problem picked %q, want ttm", c.Engine)
+		t.Errorf("small Tucker problem picked %q, want ttm", c.Engine)
 	}
 	plain := Problem{Dims: []int{64, 64, 64}, R: 16, Mode: AllModes, MaxWorkers: 4}
 	if (ttmEngine{}).Supports(plain) {
@@ -497,7 +521,7 @@ func TestPlanPicksTTMForChains(t *testing.T) {
 	}
 }
 
-// TestTTMAdapterZeroAllocSteadyState: once warm, the chain adapter
+// TestTTMAdapterZeroAllocSteadyState: once warm, the sweep adapter
 // must be allocation-free like the other dense engines.
 func TestTTMAdapterZeroAllocSteadyState(t *testing.T) {
 	// The 2-worker case is past the serial cutoffs: its interior slab
@@ -529,10 +553,12 @@ func TestTTMAdapterZeroAllocSteadyState(t *testing.T) {
 func TestPlanRejectsBadChainProblems(t *testing.T) {
 	cal := testCal()
 	bad := []Problem{
-		{Dims: []int{64, 64, 64}, R: 8, Mode: AllModes, Ranks: []int{8, 8}},    // rank count
-		{Dims: []int{64, 64, 64}, R: 8, Mode: AllModes, Ranks: []int{8, 0, 8}}, // zero rank
-		{Dims: []int{64, 64}, R: 8, Mode: 0, NNZ: 100, Ranks: []int{8, 8}},     // sparse chain
-		{Dims: []int{64, 64}, R: 8, Mode: 0, DType: F32, Ranks: []int{8, 8}},   // no f32 chain engine
+		{Dims: []int{64, 64, 64}, R: 8, Mode: AllModes, Ranks: []int{8, 8}},         // rank count
+		{Dims: []int{64, 64, 64}, R: 8, Mode: AllModes, Ranks: []int{8, 0, 8}},      // zero rank
+		{Dims: []int{64, 64, 64}, R: 8, Mode: AllModes, Ranks: []int{8, 65, 8}},     // rank above its extent
+		{Dims: []int{64, 64, 64}, R: 8, Mode: 1, Ranks: []int{8, 8, 8}},             // one mode, not a sweep
+		{Dims: []int{64, 64}, R: 8, Mode: AllModes, NNZ: 100, Ranks: []int{8, 8}},   // sparse Tucker
+		{Dims: []int{64, 64}, R: 8, Mode: AllModes, DType: F32, Ranks: []int{8, 8}}, // no f32 Tucker engine
 	}
 	for i, p := range bad {
 		if _, err := Plan(p, cal); err == nil {

@@ -105,7 +105,7 @@ func plan(p Problem, cal *Calibration, only string) (Choice, error) {
 
 // forceFast is the small-shape cutover guard.
 func (p Problem) forceFast() bool {
-	return !p.Sparse() && p.DType == F64 && p.Mode == AllModes && !p.TTMChain() &&
+	return !p.Sparse() && p.DType == F64 && p.Mode == AllModes && !p.Tucker() &&
 		p.Elems() < SmallAllModesElems
 }
 

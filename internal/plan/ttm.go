@@ -1,10 +1,12 @@
 package plan
 
-// ttmEngine adapts the blocked TTM chain engine (internal/ttm) to the
-// planner, so Tucker workloads run through the same calibrated
-// engine/worker/block selection as the MTTKRP kernels. A TTM-chain
-// problem carries per-mode target Ranks; Mode selects the skipped mode
-// (AllModes = none skipped, the full core chain).
+// ttmEngine adapts the HOOI sweep body of internal/ttm to the planner,
+// so Tucker workloads run through the same calibrated engine and
+// worker selection as the MTTKRP kernels. A pass over a Tucker problem
+// is the sweep tucker.Decompose runs, with the factors fixed:
+// ttm.TreeInto's mode projections, then the core as one TTM of the
+// last one, which lands in Result.Y. ttm.SweepCost prices a pass to
+// obs's word and flop.
 
 import (
 	"fmt"
@@ -13,34 +15,28 @@ import (
 	"repro/internal/ttm"
 )
 
-// chainSkip maps Problem.Mode onto the chain's skip argument.
-func (p Problem) chainSkip() int {
-	if p.Mode == AllModes {
-		return -1
-	}
-	return p.Mode
-}
-
-// chainRanks converts Ranks to the cost model's float form.
-func (p Problem) chainRanks() []float64 {
-	out := make([]float64, len(p.Ranks))
-	for i, r := range p.Ranks {
-		out[i] = float64(r)
-	}
-	return out
-}
-
 type ttmEngine struct{}
 
 func (ttmEngine) Name() string { return "ttm" }
 
 func (ttmEngine) Supports(p Problem) bool {
-	return p.TTMChain() && !p.Sparse() && p.DType == F64
+	return p.Tucker() && !p.Sparse() && p.DType == F64
 }
 
 func (ttmEngine) Cost(p Problem, cal *Calibration, workers int) Cost {
-	ec := p.model().TTMChainCost(p.chainRanks(), p.chainSkip()).Scale(p.reuses())
-	return Cost{Words: ec.Words, Flops: ec.Flops, Seconds: cal.Seconds(ec.Words, ec.Flops, workers)}
+	words, flops := ttm.SweepCost(p.Dims, p.Ranks)
+	w, f := float64(words)*p.reuses(), float64(flops)*p.reuses()
+	return Cost{Words: w, Flops: f, Seconds: cal.Seconds(w, f, workers)}
+}
+
+// hooiSweep is the ttm engine's per-instance state, built by Prepare
+// so that Run allocates nothing: the projections TreeInto writes, the
+// core, and the leaf, which keeps the factors and remembers the last
+// projection.
+type hooiSweep struct {
+	ys         []*tensor.Dense
+	core, last *tensor.Dense
+	leaf       func(k int, y *tensor.Dense) error
 }
 
 func (ttmEngine) Prepare(p Problem, inst *Instance) error {
@@ -50,42 +46,20 @@ func (ttmEngine) Prepare(p Problem, inst *Instance) error {
 	if inst.tws == nil {
 		inst.tws = ttm.NewWorkspace()
 	}
+	s := &hooiSweep{ys: ttm.ProjectionViews(p.Dims, p.Ranks), core: tensor.NewDense(p.Ranks...)}
+	s.leaf = func(_ int, y *tensor.Dense) error {
+		s.last = y
+		return nil
+	}
+	inst.sweep = s
 	return nil
 }
 
 //repro:hotpath
 func (ttmEngine) Run(p Problem, inst *Instance, res *Result, workers int) {
-	skip := p.chainSkip()
-	ensureY(res, p, skip)
-	ttm.ChainInto(res.Y, inst.X, inst.Factors, skip, workers, inst.tws)
-}
-
-// ensureY grows res.Y to the chain's output shape: Ranks[k] on every
-// contracted mode, the input extent on the skipped one.
-func ensureY(res *Result, p Problem, skip int) {
-	ok := res.Y != nil && res.Y.Order() == len(p.Dims)
-	if ok {
-		for k, d := range p.Dims {
-			want := p.Ranks[k]
-			if k == skip {
-				want = d
-			}
-			if res.Y.Dim(k) != want {
-				ok = false
-				break
-			}
-		}
-	}
-	if ok {
-		return
-	}
-	outDims := make([]int, len(p.Dims)) //repro:ignore hotpath-alloc first-call growth; steady state reuses res.Y
-	for k, d := range p.Dims {
-		if k == skip {
-			outDims[k] = d
-		} else {
-			outDims[k] = p.Ranks[k]
-		}
-	}
-	res.Y = tensor.NewDense(outDims...) //repro:ignore hotpath-alloc first-call growth; steady state reuses res.Y
+	s := inst.sweep
+	_ = ttm.TreeInto(s.ys, inst.X, inst.Factors, workers, inst.tws, s.leaf) // the leaf returns no error
+	N := len(p.Dims)
+	ttm.TTMInto(s.core, s.last, inst.Factors[N-1], N-1, workers)
+	res.Y = s.core
 }

@@ -1,11 +1,9 @@
 package ttm
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
-	"repro/internal/costmodel"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/tensor"
@@ -45,10 +43,35 @@ func TestEngineMatchesScalarEveryMode(t *testing.T) {
 	}
 }
 
+// chain returns x contracted on every mode but skip (-1 skips none)
+// with us in the greedy order, as one node contraction of the whole
+// mode range: the per-mode chain that TreeInto's leaves reproduce.
+func chain(x *tensor.Dense, us []*tensor.Matrix, skip, workers int, ws *Workspace) *tensor.Dense {
+	checkChain(x, us, skip)
+	ranks := x.Dims()
+	for k, u := range us {
+		if k != skip {
+			ranks[k] = u.Cols()
+		}
+	}
+	setShape(ws, x.Dims(), ranks)
+	out := tensor.NewDense(ranks...)
+	contractRange(out.Data(), x.Data(), ws.extents(x), us, 0, x.Order(), skip, skip+1, workers, ws)
+	return out
+}
+
+// setShape loads the shapes contractRange orders its steps by into ws,
+// as TreeInto does.
+func setShape(ws *Workspace, dims, ranks []int) {
+	ws.shape = append(ws.shape[:0], dims...)
+	ws.ranks = append(ws.ranks[:0], ranks...)
+}
+
 // TestChainMatchesScalarEverySkip: the greedy-ordered engine chain
 // must match the ascending-order scalar chain (same mathematics,
 // different association) for every skip, including the full chain.
 func TestChainMatchesScalarEverySkip(t *testing.T) {
+	ws := NewWorkspace()
 	for si, dims := range engineShapes {
 		x := tensor.RandomDense(int64(300+si), dims...)
 		us := make([]*tensor.Matrix, len(dims))
@@ -56,7 +79,7 @@ func TestChainMatchesScalarEverySkip(t *testing.T) {
 			us[k] = tensor.RandomMatrix(int64(400+10*si+k), dims[k], 1+k%3)
 		}
 		for skip := -1; skip < len(dims); skip++ {
-			got := ChainWorkers(x, us, skip, 1)
+			got := chain(x, us, skip, 1, ws)
 			want := ChainScalar(x, us, skip)
 			if !got.EqualApprox(want, 1e-10) {
 				t.Fatalf("dims %v skip %d: chain vs scalar diff %v",
@@ -66,23 +89,14 @@ func TestChainMatchesScalarEverySkip(t *testing.T) {
 	}
 }
 
-// TestEmptyChainIsCopy: an order-1 tensor whose only mode is skipped
-// degenerates to a copy, through both the allocating and the in-place
-// entry points.
+// TestEmptyChainIsCopy: a contraction with no steps — an order-1
+// tensor whose only mode is skipped — degenerates to a copy.
 func TestEmptyChainIsCopy(t *testing.T) {
 	x := tensor.RandomDense(11, 7)
-	got := Chain(x, []*tensor.Matrix{nil}, 0)
+	got := chain(x, []*tensor.Matrix{nil}, 0, 1, NewWorkspace())
 	for i, v := range got.Data() {
 		if v != x.Data()[i] { //repro:bitwise a copy must be exact
 			t.Fatalf("element %d: %g != %g", i, v, x.Data()[i])
-		}
-	}
-	out := tensor.NewDense(7)
-	ws := NewWorkspace()
-	ChainInto(out, x, []*tensor.Matrix{nil}, 0, 1, ws)
-	for i, v := range out.Data() {
-		if v != x.Data()[i] { //repro:bitwise a copy must be exact
-			t.Fatalf("ChainInto element %d: %g != %g", i, v, x.Data()[i])
 		}
 	}
 }
@@ -98,10 +112,11 @@ func TestEngineWorkerBitwise(t *testing.T) {
 	for k := range dims {
 		us[k] = tensor.RandomMatrix(int64(500+k), dims[k], 2+k%2)
 	}
+	ws := NewWorkspace()
 	for skip := -1; skip < len(dims); skip++ {
-		ref := ChainWorkers(x, us, skip, 1)
+		ref := chain(x, us, skip, 1, ws)
 		for w := 2; w <= 8; w++ {
-			got := ChainWorkers(x, us, skip, w)
+			got := chain(x, us, skip, w, ws)
 			for i, v := range got.Data() {
 				if v != ref.Data()[i] { //repro:bitwise worker-count independence
 					t.Fatalf("skip %d workers %d: element %d differs", skip, w, i)
@@ -109,7 +124,6 @@ func TestEngineWorkerBitwise(t *testing.T) {
 			}
 		}
 	}
-	ws := NewWorkspace()
 	for _, gdims := range append([][]int{dims}, gramShapes...) {
 		gx := tensor.RandomDense(19, gdims...)
 		for mode := range gdims {
@@ -247,10 +261,11 @@ func FuzzModeGram(f *testing.F) {
 
 // FuzzChain draws order 1-5 tensors with extents 1-9, ranks from 1 to
 // each extent, a skip from -1 to N-1 and a contiguous mode range
-// [a, b). ChainInto must match ChainScalar, contractRange — a TreeInto
-// node's contraction — on the modes of [a, b) other than skip a
-// TTMScalar loop over them (with nil matrices outside the range), and
-// every TreeInto leaf ChainInto with its skip — each within a rounding
+// [a, b). contractRange — a TreeInto node's contraction — over every
+// mode but skip must match ChainScalar, over the modes of [a, b) other
+// than skip a TTMScalar loop over them (with nil matrices outside the
+// range), and every TreeInto leaf ChainScalar with its skip — each
+// within a rounding
 // tolerance that scales with the contraction length, since the greedy,
 // ascending and tree orders associate differently — and 1 and 3
 // workers must agree bitwise.
@@ -275,12 +290,13 @@ func FuzzChain(f *testing.F) {
 		ws := NewWorkspace()
 
 		// Full or skipped chain.
-		chain1 := ChainWorkers(x, us, skip, 1)
+		chain1 := chain(x, us, skip, 1, ws)
 		checkChainTol(t, "chain", chain1, ChainScalar(x, us, skip), x, us, 0, N, skip)
-		checkBitwise(t, "chain", ChainWorkers(x, us, skip, 3), chain1)
+		checkBitwise(t, "chain", chain(x, us, skip, 3, ws), chain1)
 
 		// A node's contraction: the range but skip, with the matrices
 		// outside the range unset.
+		setShape(ws, dims, ranks)
 		inRange := make([]*tensor.Matrix, N)
 		copy(inRange[a:b], us[a:b])
 		want := x
@@ -304,7 +320,7 @@ func FuzzChain(f *testing.F) {
 		// Tree walk: every leaf against the chain with its skip.
 		leaves := make([]*tensor.Dense, N)
 		for _, workers := range []int{1, 3} {
-			err := TreeInto(projViews(dims, ranks), x, us, workers, ws, func(k int, y *tensor.Dense) error {
+			err := TreeInto(ProjectionViews(dims, ranks), x, us, workers, ws, func(k int, y *tensor.Dense) error {
 				if workers == 1 {
 					checkChainTol(t, "tree", y, ChainScalar(x, us, k), x, us, 0, N, k)
 					leaves[k] = y.Clone()
@@ -369,89 +385,90 @@ func absMatrix(u *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// TestChainCostMatchesMeasuredWords: costmodel.TTMChainCost promises to
-// reproduce obs.Gemm's operand accounting exactly — the planner's
-// prediction for a chain equals the measured streaming totals to the
-// word and the flop.
-func TestChainCostMatchesMeasuredWords(t *testing.T) {
-	cases := []struct {
-		dims, ranks []int
-		skip        int
-	}{
-		{[]int{12, 10, 8}, []int{5, 4, 3}, -1},
-		{[]int{12, 10, 8}, []int{5, 4, 3}, 0},
-		{[]int{12, 10, 8}, []int{5, 4, 3}, 1},
-		{[]int{12, 10, 8}, []int{5, 4, 3}, 2},
-		{[]int{6, 5, 4, 3}, []int{3, 2, 2, 2}, -1},
-		{[]int{9, 7}, []int{4, 3}, -1},
-		{[]int{9, 7}, []int{4, 3}, 1},
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%v-skip%d", tc.dims, tc.skip), func(t *testing.T) {
-			x := tensor.RandomDense(31, tc.dims...)
-			us := make([]*tensor.Matrix, len(tc.dims))
-			fdims := make([]float64, len(tc.dims))
-			franks := make([]float64, len(tc.dims))
-			for k := range tc.dims {
-				us[k] = tensor.RandomMatrix(int64(700+k), tc.dims[k], tc.ranks[k])
-				fdims[k] = float64(tc.dims[k])
-				franks[k] = float64(tc.ranks[k])
-			}
-			col := obs.New(0)
-			obs.Enable(col)
-			ChainWorkers(x, us, tc.skip, 1)
-			obs.Disable()
-			tot := col.Totals()
-			ec := costmodel.Model{Dims: fdims}.TTMChainCost(franks, tc.skip)
-			if got := float64(tot.WordsRead + tot.WordsWritten); got != ec.Words { //repro:bitwise the model mirrors obs.Gemm exactly
-				t.Errorf("words: measured %v, model %v", got, ec.Words)
-			}
-			if got := float64(tot.Flops); got != ec.Flops { //repro:bitwise the model mirrors obs.Gemm exactly
-				t.Errorf("flops: measured %v, model %v", got, ec.Flops)
-			}
+// TestSweepCostMatchesMeasured: SweepCost promises obs.Gemm's operand
+// accounting of one sweep body exactly — TreeInto's planned walk and
+// the core's TTM of the last leaf, measured under obs, equal its words
+// and flops to the word and the flop. The shapes cover orders 2-5, the
+// balanced tree (32^4 at ranks 8, the tucker-hooi workload), a moved
+// split (32^3 at ranks (16, 4, 4)) and a root of leaf chains
+// (8x13x2x23 at ranks (5, 1, 1, 23)).
+func TestSweepCostMatchesMeasured(t *testing.T) {
+	for _, tc := range []struct{ dims, ranks []int }{
+		{[]int{9, 7}, []int{4, 3}},
+		{[]int{12, 10, 8}, []int{5, 4, 3}},
+		{[]int{6, 5, 4, 3}, []int{3, 2, 2, 2}},
+		{[]int{3, 4, 2, 5, 3}, []int{2, 1, 2, 3, 3}},
+		{[]int{32, 32, 32, 32}, []int{8, 8, 8, 8}},
+		{[]int{32, 32, 32}, []int{16, 4, 4}},
+		{[]int{8, 13, 2, 23}, []int{5, 1, 1, 23}},
+	} {
+		N := len(tc.dims)
+		x := tensor.RandomDense(31, tc.dims...)
+		us := make([]*tensor.Matrix, N)
+		for k := range us {
+			us[k] = tensor.RandomMatrix(int64(700+k), tc.dims[k], tc.ranks[k])
+		}
+		core := tensor.NewDense(tc.ranks...)
+		var last *tensor.Dense
+		col := obs.New(0)
+		obs.Enable(col)
+		err := TreeInto(ProjectionViews(tc.dims, tc.ranks), x, us, 1, NewWorkspace(), func(_ int, y *tensor.Dense) error {
+			last = y
+			return nil
 		})
+		TTMInto(core, last, us[N-1], N-1, 1)
+		obs.Disable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tot := col.Totals()
+		words, flops := SweepCost(tc.dims, tc.ranks)
+		if tot.WordsRead+tot.WordsWritten != words || tot.Flops != flops {
+			t.Errorf("%v ranks %v: measured %d words and %d flops, SweepCost %d and %d",
+				tc.dims, tc.ranks, tot.WordsRead+tot.WordsWritten, tot.Flops, words, flops)
+		}
 	}
 }
 
-// TestSteadyStateZeroAlloc: a warmed chain + gram pipeline — the HOOI
-// sweep body — must allocate nothing.
+// TestSteadyStateZeroAlloc: a warmed tree walk, its Grams and the
+// core's TTM — the HOOI sweep body without its eigensolves — must
+// allocate nothing.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	// The 2-worker case is past the serial cutoffs: the interior slab
 	// sections and the trailing GEMMs run on two slots, and mode 0's
 	// 16 Gram buckets of 40x40 words reach ReduceTree's parallel
-	// section. TTMInto covers the workspace-less slab task. The worker
-	// count is explicit because AllocsPerRun pins GOMAXPROCS to 1.
+	// section. The worker count is explicit because AllocsPerRun pins
+	// GOMAXPROCS to 1.
 	for _, c := range []struct {
 		dims, ranks []int
 		workers     int
 	}{{[]int{16, 12, 10}, []int{6, 5, 4}, 1}, {[]int{40, 36, 32}, []int{8, 8, 8}, 2}} {
 		dims, ranks, w := c.dims, c.ranks, c.workers
+		N := len(dims)
 		x := tensor.RandomDense(37, dims...)
-		us := make([]*tensor.Matrix, len(dims))
+		us := make([]*tensor.Matrix, N)
+		grams := make([]*tensor.Matrix, N)
 		for k := range dims {
 			us[k] = tensor.RandomMatrix(int64(800+k), dims[k], ranks[k])
+			grams[k] = tensor.NewMatrix(dims[k], dims[k])
 		}
 		ws := NewWorkspace()
-		outs := make([]*tensor.Dense, len(dims))
-		grams := make([]*tensor.Matrix, len(dims))
-		y := tensor.NewDense(dims[0], ranks[1], dims[2])
-		for k := range dims {
-			ydims := append([]int(nil), ranks...)
-			ydims[k] = dims[k]
-			outs[k] = tensor.NewDense(ydims...)
-			grams[k] = tensor.NewMatrix(dims[k], dims[k])
-			ChainInto(outs[k], x, us, k, w, ws) // warm the ping-pong buffers
-			GramInto(grams[k], outs[k], k, w, ws)
+		ys := ProjectionViews(dims, ranks)
+		core := tensor.NewDense(ranks...)
+		var last *tensor.Dense
+		gram := func(k int, y *tensor.Dense) error {
+			GramInto(grams[k], y, k, w, ws)
+			last = y
+			return nil
 		}
-		TTMInto(y, x, us[1], 1, w)
-		allocs := testing.AllocsPerRun(10, func() {
-			for k := range dims {
-				ChainInto(outs[k], x, us, k, w, ws)
-				GramInto(grams[k], outs[k], k, w, ws)
+		sweep := func() {
+			if err := TreeInto(ys, x, us, w, ws, gram); err != nil {
+				t.Fatal(err)
 			}
-			TTMInto(y, x, us[1], 1, w)
-		})
-		if allocs != 0 { //repro:bitwise exact allocation count
+			TTMInto(core, last, us[N-1], N-1, w)
+		}
+		sweep()                                                     // warm the partial stack and ping-pong buffers
+		if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 { //repro:bitwise exact allocation count
 			t.Errorf("workers %d: steady-state sweep body: %v allocs/op, want 0", w, allocs)
 		}
 	}

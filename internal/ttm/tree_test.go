@@ -24,17 +24,6 @@ var treeShapes = []struct{ dims, ranks []int }{
 	{[]int{8, 13, 2, 23}, []int{5, 1, 1, 23}},
 }
 
-// projViews returns ChainInto's out shape for every skip.
-func projViews(dims, ranks []int) []*tensor.Dense {
-	ys := make([]*tensor.Dense, len(dims))
-	for k := range dims {
-		sh := append([]int(nil), ranks...)
-		sh[k] = dims[k]
-		ys[k] = tensor.NewDense(sh...)
-	}
-	return ys
-}
-
 // relDiff returns max |got - want| / max |want|.
 func relDiff(got, want *tensor.Dense) float64 {
 	scale := 0.0
@@ -45,7 +34,7 @@ func relDiff(got, want *tensor.Dense) float64 {
 }
 
 // TestTreeMatchesChains: every leaf of the walk holds the projection
-// the per-mode HOOI loop computed — ChainInto with skip k over the
+// the per-mode HOOI loop computed — the chain with skip k over the
 // matrices current at that point, i.e. the leaves' replacements for
 // the modes below k and the originals above — to rounding, and the
 // walk visits the modes in ascending order. 1 and 3 workers give
@@ -55,18 +44,19 @@ func TestTreeMatchesChains(t *testing.T) {
 		x := tensor.RandomDense(int64(900+si), tc.dims...)
 		N := len(tc.dims)
 		var ref []*tensor.Dense
+		ws := NewWorkspace()
 		for _, workers := range []int{1, 3} {
 			us := make([]*tensor.Matrix, N)
 			for k := range us {
 				us[k] = tensor.RandomMatrix(int64(910+10*si+k), tc.dims[k], tc.ranks[k])
 			}
-			ys := projViews(tc.dims, tc.ranks)
+			ys := ProjectionViews(tc.dims, tc.ranks)
 			got := make([]*tensor.Dense, 0, N)
 			err := TreeInto(ys, x, us, workers, NewWorkspace(), func(k int, y *tensor.Dense) error {
 				if k != len(got) {
 					t.Fatalf("%v: visited mode %d after %d leaves", tc.dims, k, len(got))
 				}
-				want := ChainWorkers(x, us, k, 1)
+				want := chain(x, us, k, 1, ws)
 				if e := relDiff(y, want); !(e <= 1e-12) {
 					t.Fatalf("%v mode %d: tree vs chain relative diff %g", tc.dims, k, e)
 				}
@@ -105,7 +95,7 @@ func TestTreeLeafError(t *testing.T) {
 	for k := range us {
 		us[k] = tensor.RandomMatrix(int64(30+k), tc.dims[k], tc.ranks[k])
 	}
-	ys := projViews(tc.dims, tc.ranks)
+	ys := ProjectionViews(tc.dims, tc.ranks)
 	ws := NewWorkspace()
 	stop := errors.New("stop")
 	visited := 0
@@ -159,7 +149,7 @@ func TestTreePlanCost(t *testing.T) {
 		ws := NewWorkspace()
 		col := obs.New(0)
 		obs.Enable(col)
-		err := TreeInto(projViews(tc.dims, tc.ranks), x, us, 1, ws, func(int, *tensor.Dense) error { return nil })
+		err := TreeInto(ProjectionViews(tc.dims, tc.ranks), x, us, 1, ws, func(int, *tensor.Dense) error { return nil })
 		obs.Disable()
 		if err != nil {
 			t.Fatal(err)
@@ -167,8 +157,8 @@ func TestTreePlanCost(t *testing.T) {
 		tree := col.Totals().Flops
 		col = obs.New(0)
 		obs.Enable(col)
-		for k, y := range projViews(tc.dims, tc.ranks) {
-			ChainInto(y, x, us, k, 1, ws)
+		for k := range tc.dims {
+			chain(x, us, k, 1, NewWorkspace())
 		}
 		obs.Disable()
 		loop := col.Totals().Flops

@@ -22,8 +22,8 @@ import (
 // that need only the factors.
 //
 // y is x itself for the first mode. The later ones ping-pong through
-// ws's chain buffers, so y is valid only during the call, and factor
-// may pass ws to GramInto but to no chain, tree or truncation call.
+// ws's ping-pong buffers, so y is valid only during the call, and
+// factor may pass ws to GramInto but to no tree or truncation call.
 // Their tensor headers are kept in ws too, so a steady-state pass
 // allocates nothing beyond what factor does. A non-nil error from
 // factor stops the pass and is returned. The pass is bitwise identical

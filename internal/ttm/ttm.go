@@ -6,26 +6,30 @@
 //	Y = X x_k U^T,   Y(i_1,..,r,..,i_N) = sum_{i_k} X(i) U(i_k, r)
 //
 // replaces dimension I_k by U's column count. Chains of TTMs (one per
-// mode) produce the Tucker core; like MTTKRP, their data movement is
-// governed by how operands are blocked and ordered, and the Multi-TTM
-// follow-up paper (arXiv:2207.10437) gives the matching communication
-// lower bounds (internal/bounds MultiTTM).
+// mode) produce the Tucker core and HOOI's mode projections; like
+// MTTKRP, their data movement is governed by how operands are blocked
+// and ordered, and the Multi-TTM follow-up paper (arXiv:2207.10437)
+// gives the matching communication lower bounds (internal/bounds
+// MultiTTM).
 //
 // The package has two implementations:
 //
-//   - The engine (TTM/TTMInto, Chain/ChainInto, GramInto) computes every
-//     mode as blocked GEMM, and every mode Gram as a symmetric rank-k
-//     update, over the contiguous column-major slabs of the storage
-//     order — no explicit unfolding is ever materialized — with a
-//     pooled grow-only Workspace so steady-state chains allocate
-//     nothing, and a shape-derived greedy chain order. Results are
-//     bitwise independent of the worker count: parallelism moves whole
+//   - The engine (TTM/TTMInto, TreeInto, TruncateInto, GramInto)
+//     computes every mode as blocked GEMM, and every mode Gram as a
+//     symmetric rank-k update, over the contiguous column-major slabs
+//     of the storage order — no explicit unfolding is ever materialized
+//     — with a pooled grow-only Workspace so steady-state passes
+//     allocate nothing. One HOOI sweep body is its only multi-mode
+//     contraction: TreeInto's projections on a dimension tree planned
+//     from the shapes, then the core as one TTM of the last projection,
+//     which SweepCost prices to the word. Results are bitwise
+//     independent of the worker count: parallelism moves whole
 //     single-threaded slab GEMMs or fixed Gram chunks between workers
 //     and merges fixed buckets with kernel.ReduceTree.
 //   - TTMScalar/ChainScalar below are the retained reference
 //     implementation: a per-element scatter walk with no blocking, kept
 //     readable rather than fast. The engine is property-tested against
-//     it over orders 2-5, every mode, and degenerate extents.
+//     it over orders 1-5, every mode, and degenerate extents.
 package ttm
 
 import (
@@ -76,10 +80,12 @@ func TTMScalar(x *tensor.Dense, u *tensor.Matrix, mode int) *tensor.Dense {
 
 // ChainScalar applies scalar TTMs for every mode except skip (skip =
 // -1 applies all), contracting in ascending mode order. us[k] may be
-// nil when k == skip. This is the reference path; use Chain for the
-// blocked engine with its greedy contraction order.
+// nil when k == skip. With the Tucker factors and skip = -1 the result
+// is the core tensor. This is the reference path: the blocked engine
+// computes projections with TreeInto and cores with one TTMInto of the
+// last projection.
 func ChainScalar(x *tensor.Dense, us []*tensor.Matrix, skip int) *tensor.Dense {
-	checkChain(x, us, 0, x.Order(), skip)
+	checkChain(x, us, skip)
 	out := x
 	for k := 0; k < x.Order(); k++ {
 		if k == skip {
@@ -107,13 +113,13 @@ func checkTTM(x *tensor.Dense, u *tensor.Matrix, mode int) {
 	}
 }
 
-// checkChain validates the matrices of the modes [lo, hi) other than
-// skip against x.
-func checkChain(x *tensor.Dense, us []*tensor.Matrix, lo, hi, skip int) {
+// checkChain validates the matrices of every mode other than skip
+// against x.
+func checkChain(x *tensor.Dense, us []*tensor.Matrix, skip int) {
 	if len(us) != x.Order() {
 		panic(fmt.Sprintf("ttm: %d matrices for order-%d tensor", len(us), x.Order()))
 	}
-	for k := lo; k < hi; k++ {
+	for k := range us {
 		if k == skip {
 			continue
 		}

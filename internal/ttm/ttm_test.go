@@ -79,7 +79,7 @@ func TestChain(t *testing.T) {
 		tensor.RandomMatrix(9, 4, 2),
 		tensor.RandomMatrix(10, 5, 3),
 	}
-	full := Chain(x, us, -1)
+	full := chain(x, us, -1, 0, NewWorkspace())
 	d := full.Dims()
 	if d[0] != 2 || d[1] != 2 || d[2] != 3 {
 		t.Fatalf("chain dims %v", d)
@@ -90,7 +90,7 @@ func TestChain(t *testing.T) {
 		t.Fatal("Chain != sequential TTMs")
 	}
 	// Skip mode 1: dimension 1 untouched.
-	part := Chain(x, []*tensor.Matrix{us[0], nil, us[2]}, 1)
+	part := chain(x, []*tensor.Matrix{us[0], nil, us[2]}, 1, 0, NewWorkspace())
 	if part.Dim(1) != 4 {
 		t.Fatal("skip mode was contracted")
 	}
@@ -108,8 +108,6 @@ func TestPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { TTM(x, tensor.NewMatrix(3, 2), 2) },
 		func() { TTM(x, tensor.NewMatrix(5, 2), 0) },
-		func() { Chain(x, []*tensor.Matrix{nil}, -1) },
-		func() { Chain(x, []*tensor.Matrix{nil, nil}, 0) },
 		func() {
 			us := []*tensor.Matrix{tensor.NewMatrix(3, 2), tensor.NewMatrix(4, 2)}
 			_ = TreeInto([]*tensor.Dense{tensor.NewDense(3, 2)}, x, us, 1, NewWorkspace(), nil) // panics first

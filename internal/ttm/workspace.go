@@ -7,23 +7,26 @@ import (
 )
 
 // Workspace holds every grow-only buffer the TTM engine needs: the
-// ping-pong intermediates of chains and truncation passes, TreeInto's
-// plan and partial stack, the gram accumulation buckets, and the
-// per-worker gram pack panels.
+// ping-pong intermediates of tree contractions and truncation passes,
+// TreeInto's shapes, plan and partial stack, the gram accumulation
+// buckets, and the per-worker gram pack panels.
 // Buffers grow monotonically and are reused across calls, so a HOOI
 // sweep over one tensor reaches a steady state with zero allocations.
 //
-// A Workspace is not safe for concurrent use by multiple chain or
-// gram calls; use one per goroutine (or the pool helpers below).
+// A Workspace is not safe for concurrent use by multiple tree,
+// truncation or gram calls; use one per goroutine (or the pool helpers
+// below).
 type Workspace struct {
-	a, b  []float64   // chain and truncation ping-pong intermediates
+	a, b  []float64   // contraction and truncation ping-pong intermediates
 	stack [][]float64 // TreeInto's partial tensors, one slot per tree level
 	sp    int         // partial-stack depth
 	priv  []float64   // (chunks-1) * I*I gram accumulation buckets
 	pack  []float64   // workers * gramPanel*I gram pack panels
 	bufs  [][]float64 // gram bucket headers, len >= chunks
-	dims  []int       // mutable extent vector during a chain
+	dims  []int       // mutable extent vector during a contraction
 	ord   []int       // greedy contraction or truncation order
+	shape []int       // the walk's shapes: the tensor's extents
+	ranks []int       // and the matrices' column counts
 	cost  []int       // TreeInto's plan: multiply-adds of each node's subtree
 	split []int       // TreeInto's plan: each node's split mode or leafChains
 	gram  gramTask    // GramInto's task, set for one call

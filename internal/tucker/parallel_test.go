@@ -1,94 +1,67 @@
 package tucker
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/dist"
-	"repro/internal/grid"
+	"repro/internal/linalg"
 	"repro/internal/obs/flight"
-	"repro/internal/simnet"
 	"repro/internal/tensor"
-	"repro/internal/ttm"
 )
 
 // scheduleCounts derives, per rank, the words DecomposeParallel's
-// factor All-Gathers and its All-Reduces move and the messages it
-// sends, for S sweeps on the given grid, from the ring schedules of
-// package comm. A member at position i of a ring of q moves
-//
-//	All-Gather of blocks s_j:       sends every block but s_{i+1}, receives every block but s_i;
-//	All-Reduce of n words:          a Reduce-Scatter, then an All-Gather, of the chunks EvenPart(n, q, j),
-//	                                sending every chunk but c_i and receiving every chunk but c_{i-1} first;
-//
-// with q-1 sends per ring pass. Per rank the schedule is one norm
-// All-Reduce of 1 word over all P ranks, then per sweep and mode k an
-// All-Gather of every other factor's owned rows over its hyperslice
-// and an All-Reduce over all P ranks of the I_k × prod_{j≠k} R_j
-// padded projection, and per sweep an All-Reduce of the prod R_j core.
-func scheduleCounts(dims, ranks, shape []int, S int) (gathers, reduces, sends []int64) {
-	g := grid.New(shape...)
-	P, N := g.P(), len(dims)
-	gathers, reduces, sends = make([]int64, P), make([]int64, P), make([]int64, P)
-	at := func(s []int64, i int) int64 { return s[((i%len(s))+len(s))%len(s)] }
-	sum := func(s []int64) (t int64) {
-		for _, v := range s {
-			t += v
-		}
-		return t
+// All-Reduces move and the messages it sends, for S sweeps on the
+// given grid, from the ring schedule of package comm. A member at
+// position i of a ring of q runs an All-Reduce of n words as a
+// Reduce-Scatter, then an All-Gather, of the chunks c_j =
+// EvenPart(n, q, j): the first sends every chunk but c_i and receives
+// every chunk but c_{i-1}, the second sends every chunk but c_{i+1}
+// and receives every chunk but c_i, each in q-1 sends. Per rank the
+// schedule is one norm All-Reduce of 1 word over all P ranks, then per
+// sweep and mode k one All-Reduce over all P ranks of the
+// I_k × prod_{j≠k} R_j padded projection.
+func scheduleCounts(dims, ranks, shape []int, S int) (words, sends []int64) {
+	P := 1
+	for _, s := range shape {
+		P *= s
 	}
-	gather := func(s []int64, i int) int64 { return 2*sum(s) - at(s, i+1) - at(s, i) }
-	allReduce := func(n, i int) (words, msgs int64) {
+	words, sends = make([]int64, P), make([]int64, P)
+	allReduce := func(n int) {
 		c := make([]int64, P)
+		var sum int64
 		for j := range c {
 			lo, hi := comm.EvenPart(n, P, j)
 			c[j] = int64(hi - lo)
+			sum += c[j]
 		}
-		return 2*sum(c) - at(c, i) - at(c, i-1) + gather(c, i), int64(2 * (P - 1))
+		at := func(j int) int64 { return c[(j+P)%P] }
+		for i := range words {
+			words[i] += 4*sum - 2*at(i) - at(i-1) - at(i+1)
+			sends[i] += int64(2 * (P - 1))
+		}
 	}
-	core := 1
-	for _, r := range ranks {
-		core *= r
-	}
-	for rank := 0; rank < P; rank++ {
-		coords := g.Coords(rank)
-		words, msgs := allReduce(1, rank)
-		reduces[rank] += words
-		sends[rank] += msgs
-		for it := 0; it < S; it++ {
-			for k := 0; k < N; k++ {
-				for j := 0; j < N; j++ {
-					if j == k {
-						continue
-					}
-					slice := g.Slice([]int{j}, coords)
-					q := len(slice)
-					rows := grid.PartSize(dims[j], shape[j], coords[j])
-					s := make([]int64, q)
-					for m := range s {
-						s[m] = int64(grid.PartSize(rows, q, m) * ranks[j])
-					}
-					gathers[rank] += gather(s, dist.IndexIn(slice, rank))
-					sends[rank] += int64(q - 1)
+	allReduce(1)
+	for it := 0; it < S; it++ {
+		for k := range dims {
+			n := dims[k]
+			for j, r := range ranks {
+				if j != k {
+					n *= r
 				}
-				words, msgs := allReduce(dims[k]*core/ranks[k], rank)
-				reduces[rank] += words
-				sends[rank] += msgs
 			}
-			words, msgs := allReduce(core, rank)
-			reduces[rank] += words
-			sends[rank] += msgs
+			allReduce(n)
 		}
 	}
-	return gathers, reduces, sends
+	return words, sends
 }
 
-// checkSchedule runs DecomposeParallel for S sweeps under a flight
-// recorder and fails unless every rank moved exactly the gather and
-// All-Reduce words and sent exactly the messages scheduleCounts
-// derives. It returns the run.
-func checkSchedule(t *testing.T, x *tensor.Dense, ranks, shape []int, S int) *ParallelResult {
+// checkSchedule runs DecomposeParallel with opts under a flight
+// recorder and fails unless every rank moved exactly the words and
+// sent exactly the messages scheduleCounts derives. It returns the
+// run.
+func checkSchedule(t *testing.T, x *tensor.Dense, shape []int, opts Options) *ParallelResult {
 	t.Helper()
 	P := 1
 	for _, s := range shape {
@@ -96,7 +69,7 @@ func checkSchedule(t *testing.T, x *tensor.Dense, ranks, shape []int, S int) *Pa
 	}
 	rec := flight.NewDistributed(P, 1<<12)
 	flight.Enable(rec)
-	res, err := DecomposeParallel(x, shape, Options{Ranks: ranks, MaxIters: S, Tol: math.Inf(-1)}, 5)
+	res, err := DecomposeParallel(x, shape, opts, 5)
 	flight.Disable()
 	if err != nil {
 		t.Fatal(err)
@@ -107,11 +80,11 @@ func checkSchedule(t *testing.T, x *tensor.Dense, ranks, shape []int, S int) *Pa
 			got[ev.Pid]++
 		}
 	}
-	gathers, reduces, sends := scheduleCounts(x.Dims(), ranks, shape, S)
+	words, sends := scheduleCounts(x.Dims(), opts.Ranks, shape, len(res.Trace))
 	for i := range got {
-		if res.GatherWords[i] != gathers[i] || res.ReduceWords[i] != reduces[i] || got[i] != sends[i] {
-			t.Fatalf("%v ranks %v on %v, rank %d: %d gather words, %d all-reduce words, %d sends; schedule %d, %d, %d",
-				x.Dims(), ranks, shape, i, res.GatherWords[i], res.ReduceWords[i], got[i], gathers[i], reduces[i], sends[i])
+		if res.Words[i] != words[i] || got[i] != sends[i] {
+			t.Fatalf("%v ranks %v on %v, rank %d: %d words, %d sends; schedule %d, %d",
+				x.Dims(), opts.Ranks, shape, i, res.Words[i], got[i], words[i], sends[i])
 		}
 	}
 	return res
@@ -119,30 +92,23 @@ func checkSchedule(t *testing.T, x *tensor.Dense, ranks, shape []int, S int) *Pa
 
 // TestParallelScheduleWords pins every rank's measured traffic to the
 // schedule. At ci.sh's smoke shape (32³, ranks 24, 2×2×2, 2 sweeps;
-// P = 8, hyperslices of q = 4, owned shards of w = (I/P)·R words) the
-// maxima meet the closed forms: S·N(N-1)·2(q-1)·w gather words, and
-// S·N·4(P-1)/P·I·R^(N-1) projection plus S·4(P-1)/P·R^N core words
-// plus at most 4 norm words of All-Reduce, in 162 sends. On uneven
-// grids of orders 2-4 every rank meets the counts scheduleCounts
-// derives, and at P = 1 nothing moves.
+// P = 8) the maximum meets the closed form S·N·4(P-1)/P·I·R^(N-1)
+// projection words plus at most 4 norm words, in 2(P-1)(1+S·N) sends:
+// 387 076 words in 98 sends. On uneven grids of orders 2-4 every rank
+// meets the counts scheduleCounts derives, and at P = 1 nothing moves.
 func TestParallelScheduleWords(t *testing.T) {
-	const I, R, S, N, P, q = 32, 24, 2, 3, 8, 4
+	const I, R, S, N, P = 32, 24, 2, 3, 8
 	x := tensor.RandomDense(3, I, I, I)
-	res := checkSchedule(t, x, []int{R, R, R}, []int{2, 2, 2}, S)
-	if got, want := res.MaxGatherWords(), int64(S*N*(N-1)*2*(q-1)*(I/P)*R); got != want || want != 6912 {
-		t.Fatalf("gather words %d, closed form %d (6912)", got, want)
+	ranks := []int{R, R, R}
+	res := checkSchedule(t, x, []int{2, 2, 2}, Options{Ranks: ranks, MaxIters: S, Tol: math.Inf(-1)})
+	if got, want := res.MaxWords(), int64(S*N*4*(P-1)*I*R*R/P+4); got != want || want != 387076 {
+		t.Fatalf("all-reduce words %d, closed form %d (387076)", got, want)
 	}
-	proj := int64(S * N * 4 * (P - 1) * I * R * R / P)
-	core := int64(S * 4 * (P - 1) * R * R * R / P)
-	if proj != 387072 || core != 96768 {
-		t.Fatalf("closed forms: %d projection and %d core words, want 387072 and 96768", proj, core)
-	}
-	if got, want := res.MaxReduceWords(), proj+core+4; got != want || want != 483844 {
-		t.Fatalf("all-reduce words %d, closed form %d (483844)", got, want)
-	}
-	_, _, sends := scheduleCounts(x.Dims(), []int{R, R, R}, []int{2, 2, 2}, S)
-	if want := int64(2*(P-1) + S*(N*(2*(q-1)+2*(P-1))+2*(P-1))); maxOf(sends) != want || want != 162 {
-		t.Fatalf("scheduled sends %d, closed form %d (162)", maxOf(sends), want)
+	_, sends := scheduleCounts(x.Dims(), ranks, []int{2, 2, 2}, S)
+	for i, s := range sends {
+		if want := int64(2 * (P - 1) * (1 + S*N)); s != want || want != 98 {
+			t.Fatalf("rank %d: scheduled sends %d, closed form %d (98)", i, s, want)
+		}
 	}
 
 	for _, tc := range []struct{ dims, shape []int }{
@@ -158,9 +124,23 @@ func TestParallelScheduleWords(t *testing.T) {
 		for k, d := range tc.dims {
 			ranks[k] = min(d, 2+k)
 		}
-		res := checkSchedule(t, tensor.RandomDense(7, tc.dims...), ranks, tc.shape, 2)
-		if P := len(res.GatherWords); P == 1 && res.MaxGatherWords()+res.MaxReduceWords() != 0 {
-			t.Fatalf("P = 1 moved %d gather and %d all-reduce words", res.MaxGatherWords(), res.MaxReduceWords())
+		res := checkSchedule(t, tensor.RandomDense(7, tc.dims...), tc.shape, Options{Ranks: ranks, MaxIters: 2, Tol: math.Inf(-1)})
+		if len(res.Words) == 1 && res.MaxWords() != 0 {
+			t.Fatalf("P = 1 moved %d words", res.MaxWords())
+		}
+	}
+}
+
+// checkTraces fails unless the two runs' fit traces have n sweeps each
+// and agree within 1e-12 sweep by sweep.
+func checkTraces(t *testing.T, what string, par, seq []TraceEntry, n int) {
+	t.Helper()
+	if len(par) != n || len(seq) != n {
+		t.Fatalf("%s: trace lengths %d and %d, want %d", what, len(par), len(seq), n)
+	}
+	for i := range seq {
+		if d := math.Abs(par[i].Fit - seq[i].Fit); !(d <= 1e-12) {
+			t.Fatalf("%s sweep %d: parallel fit %v vs sequential %v", what, i, par[i].Fit, seq[i].Fit)
 		}
 	}
 }
@@ -178,19 +158,11 @@ func TestParallelMatchesSequentialTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := DecomposeParallel(x, []int{2, 2, 2}, Options{Ranks: ranks, MaxIters: 6, Tol: math.Inf(-1)}, 7)
+	par, err := DecomposeParallel(x, []int{2, 2, 2}, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(par.Trace) != opts.MaxIters || len(seqTrace) != opts.MaxIters {
-		t.Fatalf("trace lengths %d and %d, want %d", len(par.Trace), len(seqTrace), opts.MaxIters)
-	}
-	for i := range seqTrace {
-		if math.Abs(par.Trace[i].Fit-seqTrace[i].Fit) > 1e-8 {
-			t.Fatalf("sweep %d: parallel fit %v vs sequential %v",
-				i, par.Trace[i].Fit, seqTrace[i].Fit)
-		}
-	}
+	checkTraces(t, "8³ on 2×2×2", par.Trace, seqTrace, opts.MaxIters)
 }
 
 func TestParallelRecoversExactMultilinearRank(t *testing.T) {
@@ -217,37 +189,69 @@ func TestParallelCommBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MaxGatherWords() <= 0 || res.MaxReduceWords() <= 0 {
-		t.Fatalf("both phases should communicate: gather=%d reduce=%d",
-			res.MaxGatherWords(), res.MaxReduceWords())
+	if res.MaxWords() <= 0 {
+		t.Fatalf("the projections should be all-reduced: %d words", res.MaxWords())
 	}
 }
 
 func TestParallelSingleProc(t *testing.T) {
 	dims := []int{6, 6}
 	x := tensor.RandomDense(87, dims...)
-	res, err := DecomposeParallel(x, []int{1, 1}, Options{Ranks: []int{2, 2}, MaxIters: 4, Tol: math.Inf(-1)}, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxGatherWords() != 0 || res.MaxReduceWords() != 0 {
-		t.Fatal("P=1 should not communicate")
-	}
 	init, err := InitFactors(dims, []int{2, 2}, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, seqTrace, err := Decompose(x, Options{Ranks: []int{2, 2}, MaxIters: 4, Tol: math.Inf(-1), Init: init})
+	opts := Options{Ranks: []int{2, 2}, MaxIters: 4, Tol: math.Inf(-1), Init: init}
+	res, err := DecomposeParallel(x, []int{1, 1}, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) != 4 || len(seqTrace) != 4 {
-		t.Fatalf("trace lengths %d and %d, want 4", len(res.Trace), len(seqTrace))
+	if res.MaxWords() != 0 {
+		t.Fatal("P=1 should not communicate")
 	}
-	for i := range seqTrace {
-		if math.Abs(res.Trace[i].Fit-seqTrace[i].Fit) > 1e-10 {
-			t.Fatalf("P=1 parallel differs from sequential at sweep %d", i)
+	_, seqTrace, err := Decompose(x, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTraces(t, "P=1", res.Trace, seqTrace, 4)
+}
+
+// TestParallelP1IsSequential: at P = 1 the one rank walks the
+// sequential sweep on all of X, so from the same Init its factors and
+// core are bitwise Decompose's, at balanced and skewed ranks — a
+// moved split, a root of leaf chains — on orders 2-4.
+func TestParallelP1IsSequential(t *testing.T) {
+	for _, tc := range []struct{ dims, ranks []int }{
+		{[]int{9, 7}, []int{9, 2}},
+		{[]int{10, 7, 5}, []int{3, 2, 2}},
+		{[]int{16, 16, 16}, []int{8, 2, 2}},
+		{[]int{8, 6, 7, 5}, []int{2, 1, 7, 3}},
+		{[]int{8, 13, 2, 23}, []int{5, 1, 1, 23}},
+	} {
+		x := tensor.RandomDense(91, tc.dims...)
+		shape := make([]int, len(tc.dims))
+		for k := range shape {
+			shape[k] = 1
 		}
+		init, err := InitFactors(tc.dims, tc.ranks, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Ranks: tc.ranks, MaxIters: 3, Tol: math.Inf(-1), Init: init}
+		seq, seqTrace, err := Decompose(x, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := DecomposeParallel(x, shape, opts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := fmt.Sprintf("%v ranks %v", tc.dims, tc.ranks)
+		for k, u := range res.Model.Factors {
+			sameBits(t, fmt.Sprintf("%s factor %d", at, k), u.Data(), seq.Factors[k].Data())
+		}
+		sameBits(t, at+" core", res.Model.Core.Data(), seq.Core.Data())
+		checkTraces(t, at, res.Trace, seqTrace, opts.MaxIters)
 	}
 }
 
@@ -268,6 +272,12 @@ func TestParallelErrors(t *testing.T) {
 	if _, err := DecomposeParallel(x, []int{2, 2}, Options{Ranks: []int{2, 2}, MaxIters: -1}, 1); err == nil {
 		t.Fatal("negative MaxIters should error")
 	}
+	if _, err := DecomposeParallel(x, []int{2, 2}, Options{Ranks: []int{2, 2}, Init: []*tensor.Matrix{tensor.NewMatrix(4, 2)}}, 1); err == nil {
+		t.Fatal("init length mismatch should error")
+	}
+	if _, err := DecomposeParallel(x, []int{2, 2}, Options{Ranks: []int{2, 2}, Init: []*tensor.Matrix{tensor.NewMatrix(4, 2), tensor.NewMatrix(4, 3)}}, 1); err == nil {
+		t.Fatal("wrong-shaped init factor should error")
+	}
 }
 
 func TestSequentialInitOptionErrors(t *testing.T) {
@@ -282,9 +292,9 @@ func TestSequentialInitOptionErrors(t *testing.T) {
 
 // TestParallelModelMatchesTrace: DecomposeParallel's model is the one
 // its last sweep computed on the simulated machine. Model.Fit is
-// bitwise the trace's last fit, and Model.Core bitwise the all-reduced
-// core of the returned factors, which the test rebuilds through the
-// same per-rank chains and All-Reduce.
+// bitwise the trace's last fit, and Model.Core — one TTM of the last
+// all-reduced projection — matches ttm.ChainScalar of the returned
+// factors within checkCoreTol's rounding bound.
 func TestParallelModelMatchesTrace(t *testing.T) {
 	for _, tc := range []struct{ dims, ranks, shape []int }{
 		{[]int{32, 32, 32}, []int{24, 24, 24}, []int{2, 2, 2}},
@@ -299,42 +309,70 @@ func TestParallelModelMatchesTrace(t *testing.T) {
 		if res.Model.Fit != last { //repro:bitwise the model's fit is the last sweep's
 			t.Fatalf("%v: model fit %v, last sweep %v (diff %g)", tc.dims, res.Model.Fit, last, res.Model.Fit-last)
 		}
-		want := allReducedCore(t, x, tc.shape, res.Model.Factors)
-		for i, v := range res.Model.Core.Data() {
-			if v != want[i] { //repro:bitwise the model's core is the last all-reduced core
-				t.Fatalf("%v: core[%d] = %v, all-reduced %v", tc.dims, i, v, want[i])
-			}
-		}
+		checkCoreTol(t, "DecomposeParallel", res.Model, x)
 	}
 }
 
-// allReducedCore returns rank 0's All-Reduce of the per-rank local
-// core chains over factors, as DecomposeParallel's fit phase forms it.
-func allReducedCore(t *testing.T, x *tensor.Dense, shape []int, factors []*tensor.Matrix) []float64 {
-	t.Helper()
-	lay, err := dist.NewStationary(x.Dims(), 1, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := lay.G
-	net := simnet.New(g.P())
-	var out []float64
-	err = net.Run(func(rank int) error {
-		coords := g.Coords(rank)
-		local := make([]*tensor.Matrix, len(factors))
-		for j, u := range factors {
-			lo, hi := lay.FactorRowRange(j, coords[j])
-			local[j] = u.RowBlock(lo, hi)
+// FuzzDecomposeParallel draws order 1-4 tensors with extents 1-9, a
+// grid with P at most the smallest extent, ranks from 1 to each extent
+// and 1-3 sweeps at Tol -Inf, started from InitFactors. Every rank must
+// move exactly the scheduled words and messages; at P = 1 the factors
+// and core must be bitwise Decompose's from the same Init; the factors
+// must be orthonormal to 1e-10; the core must match ttm.ChainScalar of
+// the factors within checkCoreTol's rounding bound; and the model's
+// fit must be the last sweep's.
+func FuzzDecomposeParallel(f *testing.F) {
+	f.Add(uint8(2), uint64(0x080808), uint64(0x020202), uint64(0x030201), uint8(1), int64(1))
+	f.Add(uint8(3), uint64(0x04070906), uint64(0x01020102), uint64(0x04030201), uint8(2), int64(2))
+	f.Add(uint8(1), uint64(0x0907), uint64(0x0203), uint64(0x0909), uint8(0), int64(3))
+	f.Add(uint8(0), uint64(0x05), uint64(0x01), uint64(0x02), uint8(1), int64(4))
+	f.Add(uint8(2), uint64(0x090909), uint64(0x000000), uint64(0x000807), uint8(2), int64(5))
+	f.Fuzz(func(t *testing.T, order uint8, extents, grids, rank uint64, iters uint8, seed int64) {
+		N := 1 + int(order)%4
+		dims, ranks, shape := make([]int, N), make([]int, N), make([]int, N)
+		minDim := 9
+		for k := range dims {
+			dims[k] = 1 + int(extents>>(8*k)&0xff)%9
+			ranks[k] = 1 + int(rank>>(8*k)&0xff)%dims[k]
+			minDim = min(minDim, dims[k])
 		}
-		core := ttm.ChainWorkers(lay.LocalTensor(coords, x), local, -1, 1)
-		full := comm.New(net, g.Slice(nil, coords), rank).AllReduce(core.Data())
-		if rank == 0 {
-			out = full
+		P := 1
+		for k := range shape {
+			shape[k] = 1 + int(grids>>(8*k)&0xff)%4
+			for P*shape[k] > minDim {
+				shape[k]--
+			}
+			P *= shape[k]
 		}
-		return nil
+		init, err := InitFactors(dims, ranks, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tensor.RandomDense(seed, dims...)
+		opts := Options{Ranks: ranks, MaxIters: 1 + int(iters)%3, Tol: math.Inf(-1), Init: init}
+		at := fmt.Sprintf("%v ranks %v on %v", dims, ranks, shape)
+		res := checkSchedule(t, x, shape, opts)
+		if len(res.Trace) != opts.MaxIters {
+			t.Fatalf("%s: %d sweeps, want %d", at, len(res.Trace), opts.MaxIters)
+		}
+		if P == 1 {
+			seq, _, err := Decompose(x, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, u := range res.Model.Factors {
+				sameBits(t, fmt.Sprintf("%s factor %d", at, k), u.Data(), seq.Factors[k].Data())
+			}
+			sameBits(t, at+" core", res.Model.Core.Data(), seq.Core.Data())
+		}
+		for k, u := range res.Model.Factors {
+			if !linalg.Gram(u).EqualApprox(linalg.Identity(ranks[k]), 1e-10) {
+				t.Fatalf("%s: factor %d not orthonormal", at, k)
+			}
+		}
+		checkCoreTol(t, "DecomposeParallel", res.Model, x)
+		if last := res.Trace[len(res.Trace)-1].Fit; res.Model.Fit != last { //repro:bitwise the model's fit is the last sweep's
+			t.Fatalf("%s: model fit %v, last sweep %v", at, res.Model.Fit, last)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
 }

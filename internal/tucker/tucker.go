@@ -52,15 +52,52 @@ type Options struct {
 	// negative Tol such as math.Inf(-1) runs every sweep.
 	Tol float64
 
-	// Workers is the TTM engine's worker count for chains and Grams
-	// (<= 0 selects the linalg default). Results are bitwise identical
-	// for every worker count.
+	// Workers is the TTM engine's worker count for contractions and
+	// Grams (<= 0 selects the linalg default). Results are bitwise
+	// identical for every worker count.
 	Workers int
 
 	// Init provides explicit initial factors (orthonormal columns,
-	// I_k x Ranks[k]) instead of the ST-HOSVD initialization. Used by
-	// the distributed solver's parity tests.
+	// I_k x Ranks[k]), which both solvers copy before they run:
+	// Decompose starts from them instead of the ST-HOSVD
+	// initialization, DecomposeParallel instead of InitFactors(seed).
+	// The parity tests pass one Init to both.
 	Init []*tensor.Matrix
+}
+
+// resolve checks opts against x — one rank per mode within its extent,
+// MaxIters >= 0, and when Init is set one I_k x Ranks[k] factor per
+// mode — before any work, and returns them with the defaults filled in
+// and Init cloned, so a run never writes the caller's factors. It is
+// the one option check of both HOOI solvers.
+func (o Options) resolve(x *tensor.Dense) (Options, error) {
+	if err := checkRanks(x, o.Ranks); err != nil {
+		return o, err
+	}
+	if o.MaxIters < 0 {
+		return o, fmt.Errorf("tucker: MaxIters %d", o.MaxIters)
+	}
+	if o.MaxIters == 0 {
+		o.MaxIters = 25
+	}
+	if o.Tol == 0 { //repro:bitwise unset-option sentinel, exact
+		o.Tol = 1e-8
+	}
+	if o.Init == nil {
+		return o, nil
+	}
+	if len(o.Init) != x.Order() {
+		return o, fmt.Errorf("tucker: %d init factors for order-%d tensor", len(o.Init), x.Order())
+	}
+	init := make([]*tensor.Matrix, len(o.Init))
+	for k, u := range o.Init {
+		if u == nil || u.Rows() != x.Dim(k) || u.Cols() != o.Ranks[k] {
+			return o, fmt.Errorf("tucker: init factor %d has wrong shape", k)
+		}
+		init[k] = u.Clone()
+	}
+	o.Init = init
+	return o, nil
 }
 
 // Model is a computed Tucker decomposition.
@@ -92,17 +129,9 @@ func (m *Model) Reconstruct() *tensor.Dense {
 // followed by HOOI sweeps.
 func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 	N := x.Order()
-	if err := checkRanks(x, opts.Ranks); err != nil {
+	opts, err := opts.resolve(x)
+	if err != nil {
 		return nil, nil, err
-	}
-	if opts.MaxIters < 0 {
-		return nil, nil, fmt.Errorf("tucker: MaxIters %d", opts.MaxIters)
-	}
-	if opts.MaxIters == 0 {
-		opts.MaxIters = 25
-	}
-	if opts.Tol == 0 { //repro:bitwise unset-option sentinel, exact
-		opts.Tol = 1e-8
 	}
 	// Take the pooled workspace before the norm's parallel section,
 	// whose join can move this goroutine to another P: a sync.Pool Put
@@ -122,27 +151,20 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 	// factor from the Gram of X already truncated in the modes before
 	// it). HOOI needs no initial core, so the truncation skips its last
 	// contraction.
-	factors := make([]*tensor.Matrix, N)
-	if opts.Init != nil {
-		if len(opts.Init) != N {
-			return nil, nil, fmt.Errorf("tucker: %d init factors for order-%d tensor", len(opts.Init), N)
+	factors := opts.Init
+	if factors == nil {
+		factors = make([]*tensor.Matrix, N)
+		if err := truncate(nil, x, opts.Ranks, factors, grams, w, ws); err != nil {
+			return nil, nil, err
 		}
-		for k, u := range opts.Init {
-			if u == nil || u.Rows() != x.Dim(k) || u.Cols() != opts.Ranks[k] {
-				return nil, nil, fmt.Errorf("tucker: init factor %d has wrong shape", k)
-			}
-			factors[k] = u.Clone()
-		}
-	} else if err := truncate(nil, x, opts.Ranks, factors, grams, w, ws); err != nil {
-		return nil, nil, err
 	}
 
 	// The mode-k projection keeps extent I_k on mode k and R_j
 	// elsewhere, so its shape is fixed for the whole run; like the
 	// Gram views, the projection views share one buffer and the core
 	// has its own.
-	ys := projectionViews(dims, opts.Ranks)
-	coreBuf := tensor.NewDense(opts.Ranks...)
+	ys := ttm.ProjectionViews(dims, opts.Ranks)
+	core := tensor.NewDense(opts.Ranks...)
 
 	// A HOOI sweep updates the factors in ascending mode order: mode
 	// k's factor is the leading eigenvectors of the mode-k Gram of
@@ -163,22 +185,36 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 		last = y
 		return nil
 	}
+	trace, err := hooi(opts, normX, dims, factors, core, w, func() (*tensor.Dense, error) {
+		err := ttm.TreeInto(ys, x, factors, w, ws, update)
+		return last, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Model{Core: core, Factors: factors, Fit: trace[len(trace)-1].Fit}, trace, nil
+}
 
-	// HOOI sweeps.
+// hooi runs the HOOI sweeps of both solvers and returns their trace:
+// opts.MaxIters of them, or fewer once a sweep improves the fit by
+// less than opts.Tol. Each calls sweep, which updates factors in
+// ascending mode order and returns Y_{N-1}: X contracted on every mode
+// but N-1 with the final factors. One TTM finishes the core,
+// G = Y_{N-1} x_{N-1} U_{N-1}^T, into core, and with orthonormal
+// factors ||Xhat|| = ||G||, so the fit comes from the core alone. Every
+// exit follows a fit phase, so core ends as the last sweep's.
+func hooi(opts Options, normX float64, dims []int, factors []*tensor.Matrix, core *tensor.Dense, w int, sweep func() (*tensor.Dense, error)) ([]TraceEntry, error) {
+	N := len(dims)
 	var trace []TraceEntry
 	prevFit := math.Inf(-1)
-	fit := 0.0
 	for it := 0; it < opts.MaxIters; it++ {
-		if err := ttm.TreeInto(ys, x, factors, w, ws, update); err != nil {
-			return nil, nil, err
+		last, err := sweep()
+		if err != nil {
+			return nil, err
 		}
-		// Y_{N-1} is X contracted on every mode but N-1 with the
-		// final factors, so one TTM finishes the core:
-		// G = Y_{N-1} x_{N-1} U_{N-1}^T. With orthonormal factors,
-		// ||Xhat|| = ||G||, so the fit comes from the core alone.
 		fspan := obs.Start(obs.PhaseFit)
-		ttm.TTMInto(coreBuf, last, factors[N-1], N-1, w)
-		fit = fitFromCore(normX, coreBuf.Data(), dims)
+		ttm.TTMInto(core, last, factors[N-1], N-1, w)
+		fit := fitFromCore(normX, core.Data(), dims)
 		fspan.Stop()
 		trace = append(trace, TraceEntry{Iter: it, Fit: fit})
 		if fit-prevFit < opts.Tol && it > 0 {
@@ -186,9 +222,7 @@ func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 		}
 		prevFit = fit
 	}
-	// Every exit from the loop follows a fit phase, so coreBuf already
-	// holds X x_k U_k^T for the final factors.
-	return &Model{Core: coreBuf, Factors: factors, Fit: fit}, trace, nil
+	return trace, nil
 }
 
 // HOSVD returns the sequentially truncated HOSVD model (ST-HOSVD)
@@ -265,31 +299,6 @@ func gramViews(dims []int) []*tensor.Matrix {
 	out := make([]*tensor.Matrix, len(dims))
 	for k, d := range dims {
 		out[k] = tensor.NewMatrixFromData(buf[:d*d], d, d)
-	}
-	return out
-}
-
-// projectionViews returns the HOOI mode-k projection views (extent
-// I_k on mode k, ranks[j] on every other mode j) of one buffer sized
-// for the largest: like the Grams, a projection is dead once its
-// factor is computed.
-func projectionViews(dims, ranks []int) []*tensor.Dense {
-	shapes := make([][]int, len(dims))
-	sizes := make([]int, len(dims))
-	size := 0
-	for k := range dims {
-		shapes[k] = append([]int(nil), ranks...)
-		shapes[k][k] = dims[k]
-		sizes[k] = 1
-		for _, d := range shapes[k] {
-			sizes[k] *= d
-		}
-		size = max(size, sizes[k])
-	}
-	buf := make([]float64, size)
-	out := make([]*tensor.Dense, len(dims))
-	for k, sh := range shapes {
-		out[k] = tensor.NewDenseFromData(buf[:sizes[k]], sh...)
 	}
 	return out
 }

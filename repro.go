@@ -232,12 +232,14 @@ func TuckerDecompose(x *Dense, opts TuckerOptions) (*TuckerModel, []TuckerTraceE
 	return tucker.Decompose(x, opts)
 }
 
-// TuckerParallelResult is a distributed HOOI run with its
-// communication breakdown (factor gathers vs projection reduces).
+// TuckerParallelResult is a distributed HOOI run with each rank's
+// all-reduce words (the projections and the norm).
 type TuckerParallelResult = tucker.ParallelResult
 
 // TuckerDecomposeParallel runs distributed HOOI on an N-way processor
-// grid of the simulated machine, with the stationary-tensor layout.
+// grid of the simulated machine, with the stationary-tensor layout,
+// started from opts.Init or, when it is nil, from seeded orthonormal
+// factors.
 func TuckerDecomposeParallel(x *Dense, shape []int, opts TuckerOptions, seed int64) (*TuckerParallelResult, error) {
 	return tucker.DecomposeParallel(x, shape, opts, seed)
 }

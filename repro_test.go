@@ -190,8 +190,8 @@ func TestFacadeTucker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.MaxGatherWords() <= 0 {
-		t.Fatal("no gather communication recorded")
+	if par.MaxWords() <= 0 {
+		t.Fatal("no all-reduce communication recorded")
 	}
 }
 
