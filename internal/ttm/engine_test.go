@@ -1,6 +1,7 @@
 package ttm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -383,6 +384,53 @@ func absMatrix(u *tensor.Matrix) *tensor.Matrix {
 		out.Data()[i] = math.Abs(v)
 	}
 	return out
+}
+
+// TestChainCostMatchesMeasuredWords: a priced walk promises obs.Gemm's
+// operand accounting of every contraction it would run. The contraction
+// of every mode but skip (-1 skips none) in the greedy order — a
+// leaf-chain node's contraction into its leaf — priced by treeWalk.child
+// with a count set, must equal the words and flops obs measures for the
+// same contraction run, to the word and the flop.
+func TestChainCostMatchesMeasuredWords(t *testing.T) {
+	cases := []struct {
+		dims, ranks []int
+		skip        int
+	}{
+		{[]int{12, 10, 8}, []int{5, 4, 3}, -1},
+		{[]int{12, 10, 8}, []int{5, 4, 3}, 0},
+		{[]int{12, 10, 8}, []int{5, 4, 3}, 1},
+		{[]int{12, 10, 8}, []int{5, 4, 3}, 2},
+		{[]int{6, 5, 4, 3}, []int{3, 2, 2, 2}, -1},
+		{[]int{9, 7}, []int{4, 3}, -1},
+		{[]int{9, 7}, []int{4, 3}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%v-skip%d", tc.dims, tc.skip), func(t *testing.T) {
+			x := tensor.RandomDense(31, tc.dims...)
+			us := make([]*tensor.Matrix, len(tc.dims))
+			for k := range tc.dims {
+				us[k] = tensor.RandomMatrix(int64(700+k), tc.dims[k], tc.ranks[k])
+			}
+			ws := NewWorkspace()
+			col := obs.New(0)
+			obs.Enable(col)
+			chain(x, us, tc.skip, 1, ws)
+			obs.Disable()
+			tot := col.Totals()
+			var c gemmCount
+			setShape(ws, tc.dims, tc.ranks)
+			if err := (&treeWalk{ws: ws, count: &c}).child(nil, 0, len(tc.dims), tc.skip, tc.skip+1); err != nil {
+				t.Fatal(err)
+			}
+			if got := tot.WordsRead + tot.WordsWritten; got != c.words {
+				t.Errorf("words: measured %d, priced %d", got, c.words)
+			}
+			if tot.Flops != c.flops {
+				t.Errorf("flops: measured %d, priced %d", tot.Flops, c.flops)
+			}
+		})
+	}
 }
 
 // TestSweepCostMatchesMeasured: SweepCost promises obs.Gemm's operand
