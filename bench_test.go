@@ -8,7 +8,12 @@ package repro
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bounds"
 	"repro/internal/cachesim"
@@ -1056,50 +1061,185 @@ func BenchmarkPlannedMTTKRP(b *testing.B) {
 	})
 }
 
-// BenchmarkSmallShapeCutover is the regression benchmark behind the
-// planner's small-shape guard. Each iteration is a one-shot all-modes
-// sweep on a fresh problem instance — engine setup included — because
-// that is what a planned command run pays: at 16^3 the whole sweep is
-// tens of microseconds, the dimension tree pays construction and
-// partial materialization up front, and the streaming cost model
-// cannot resolve differences at that scale, so the planner pins the
-// setup-free fast kernel there (and must still pick "tree" once the
-// tensor is large enough for the flop saving to dominate). The
-// fast/tree rows document the measured gap on the current machine;
-// the auto rows fail the benchmark if either cutover decision drifts.
-func BenchmarkSmallShapeCutover(b *testing.B) {
-	const R = 8
-	cal := benchCal()
-	oneShot := func(b *testing.B, eng plan.Engine, prob plan.Problem, x *tensor.Dense, fs []*tensor.Matrix) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			inst := &plan.Instance{X: x, Factors: fs}
-			if err := eng.Prepare(prob, inst); err != nil {
-				b.Fatal(err)
+// BenchmarkPlannerRegret measures what the planner's pick costs
+// against the fastest engine and worker count, on a fixed sweep: dense
+// all-modes problems of orders 2-5 from 64 to 2^21 elements at R 1, 8
+// and 32 (16^3 and 64^3 R8 among them), two skewed shapes, a
+// single-mode and an f32 problem, sparse 256^3 problems at 10^3 and
+// 10^5 nonzeros, each used once and 25 times, and two 32^4 Tucker
+// problems. It takes one live calibration (plan.Measure), then times
+// every supporting engine at every worker count up to GOMAXPROCS. A
+// timed run is what a planned command pays: Prepare on a fresh
+// Instance, then max(Reuses, 1) passes. Each engine and worker count
+// keeps its best run of at least five, taken in turns with the other
+// configurations. For MaxWorkers 1 and GOMAXPROCS, a problem's regret
+// is the time of the plan's engine and workers over the fastest time
+// at workers <= MaxWorkers, so 1 means the plan was the fastest. The
+// log has one row per problem and cap, with both times; the metrics
+// are the sweep's maximum and geometric mean per cap. It only reports:
+// no regret fails it. One sweep runs for well over the default
+// benchtime, so b.N stays 1:
+//
+//	go test -run '^$' -bench PlannerRegret .
+func BenchmarkPlannerRegret(b *testing.B) {
+	cal := plan.Measure()
+	b.Logf("calibration %+v", *cal)
+	maxW := runtime.GOMAXPROCS(0)
+	caps := []int{1}
+	if maxW > 1 {
+		caps = append(caps, maxW)
+	}
+	worst := make([]float64, len(caps))
+	logSum := make([]float64, len(caps))
+	n := 0
+	for i := 0; i < b.N; i++ {
+		clear(worst)
+		clear(logSum)
+		n = 0
+		for _, rp := range regretSweep() {
+			t := rp.times(b, maxW)
+			for c, m := range caps {
+				prob := rp.p
+				prob.MaxWorkers = m
+				choice, err := plan.Plan(prob, cal)
+				if err != nil {
+					b.Fatalf("%s: %v", rp.name, err)
+				}
+				best := regretKey{}
+				for k, s := range t {
+					if k.workers <= m && (best.engine == "" || s < t[best]) {
+						best = k
+					}
+				}
+				pick := regretKey{choice.Engine, choice.Workers}
+				regret := t[pick] / t[best]
+				worst[c] = math.Max(worst[c], regret)
+				logSum[c] += math.Log(regret)
+				if i == b.N-1 {
+					b.Logf("%-30s w<=%d plan %s/%d %10.1fus  best %s/%d %10.1fus  regret %.3f",
+						rp.name, m, pick.engine, pick.workers, 1e6*t[pick], best.engine, best.workers, 1e6*t[best], regret)
+				}
 			}
-			eng.Run(prob, inst, &plan.Result{}, 1)
+			n++
 		}
 	}
-	for _, side := range []int{16, 64} {
-		side := side
-		dims := []int{side, side, side}
+	for c, m := range caps {
+		b.ReportMetric(worst[c], fmt.Sprintf("max-regret-w%d", m))
+		b.ReportMetric(math.Exp(logSum[c]/float64(n)), fmt.Sprintf("geomean-regret-w%d", m))
+	}
+}
+
+// regretProblem is one problem of the regret sweep with its operands.
+type regretProblem struct {
+	name string
+	p    plan.Problem
+	base plan.Instance // operands only; every timed run prepares a copy
+}
+
+// regretKey names one timed configuration.
+type regretKey struct {
+	engine  string
+	workers int
+}
+
+// regretSweep builds the sweep's problems and their operands.
+func regretSweep() []regretProblem {
+	var out []regretProblem
+	dense := func(name string, p plan.Problem, x *tensor.Dense) {
+		fs := tensor.RandomFactors(43, p.Dims, p.R)
+		out = append(out, regretProblem{name: name, p: p, base: plan.Instance{X: x, Factors: fs}})
+	}
+	shapes := [][]int{
+		{8, 8}, {64, 64}, {1024, 1024},
+		{4, 4, 4}, {16, 16, 16}, {64, 64, 64}, {128, 128, 128},
+		{4, 4, 4, 4}, {8, 8, 8, 8}, {32, 32, 32, 32},
+		{4, 4, 4, 4, 4}, {8, 8, 8, 8, 8}, {16, 16, 16, 16, 16},
+		{2, 64, 64}, {64, 64, 2},
+	}
+	for _, dims := range shapes {
 		x := tensor.RandomDense(42, dims...)
-		fs := tensor.RandomFactors(43, dims, R)
-		prob := plan.Problem{Dims: dims, R: R, Mode: plan.AllModes, MaxWorkers: 1}
-		pre := sizeName("side", int64(side)) + "/"
-		for _, name := range []string{"fast", "tree"} {
-			eng, _ := plan.Lookup(name)
-			b.Run(pre+name, func(b *testing.B) { oneShot(b, eng, prob, x, fs) })
+		for _, R := range []int{1, 8, 32} {
+			dense(fmt.Sprintf("dense/%s/R%d", dimsName(dims), R), plan.Problem{Dims: dims, R: R, Mode: plan.AllModes}, x)
 		}
-		choice, err := plan.Plan(prob, cal)
-		if err != nil {
-			b.Fatal(err)
-		}
-		want := map[int]string{16: "fast", 64: "tree"}[side]
-		if choice.Engine != want {
-			b.Fatalf("planner picked %q for side=%d all-modes, want %q", choice.Engine, side, want)
-		}
-		eng, _ := plan.Lookup(choice.Engine)
-		b.Run(pre+"auto", func(b *testing.B) { oneShot(b, eng, prob, x, fs) })
 	}
+	cube := []int{64, 64, 64}
+	x := tensor.RandomDense(42, cube...)
+	dense("dense-mode1/64x64x64/R16", plan.Problem{Dims: cube, R: 16, Mode: 1}, x)
+	dense("f32/64x64x64/R16", plan.Problem{Dims: cube, R: 16, Mode: plan.AllModes, DType: plan.F32}, x)
+	sdims := []int{256, 256, 256}
+	for _, nnz := range []int{1_000, 100_000} {
+		coo := sparse.Random(44, nnz, sdims...)
+		fs := tensor.RandomFactors(45, sdims, 16)
+		for _, reuses := range []int{1, 25} {
+			out = append(out, regretProblem{
+				name: fmt.Sprintf("sparse/256^3/nnz%d/reuse%d", nnz, reuses),
+				p:    plan.Problem{Dims: sdims, R: 16, Mode: plan.AllModes, NNZ: int64(nnz), Reuses: reuses},
+				base: plan.Instance{COO: coo, Factors: fs},
+			})
+		}
+	}
+	tdims := []int{32, 32, 32, 32}
+	x = tensor.RandomDense(46, tdims...)
+	for _, ranks := range [][]int{{8, 8, 8, 8}, {16, 16, 4, 4}} {
+		us := make([]*tensor.Matrix, len(tdims))
+		for k := range us {
+			us[k] = tensor.RandomMatrix(int64(47+k), tdims[k], ranks[k])
+		}
+		out = append(out, regretProblem{
+			name: "tucker/32^4/ranks" + dimsName(ranks),
+			p:    plan.Problem{Dims: tdims, R: ranks[0], Mode: plan.AllModes, Ranks: ranks},
+			base: plan.Instance{X: x, Factors: us},
+		})
+	}
+	return out
+}
+
+// times runs every supporting engine at every worker count up to maxW
+// and returns each configuration's best time in seconds. The
+// configurations take turns, so drift in the machine's speed reaches
+// them alike: at least five rounds, more (up to 1000) while the rounds
+// total under 100 ms.
+func (rp regretProblem) times(b *testing.B, maxW int) map[regretKey]float64 {
+	b.Helper()
+	best := make(map[regretKey]float64)
+	for _, name := range plan.Engines() {
+		if eng, _ := plan.Lookup(name); eng.Supports(rp.p) {
+			for w := 1; w <= maxW; w++ {
+				best[regretKey{name, w}] = math.Inf(1)
+			}
+		}
+	}
+	start := time.Now()
+	for round := 0; round < 1000 && (round < 5 || time.Since(start) < 100*time.Millisecond); round++ {
+		for k := range best {
+			best[k] = math.Min(best[k], rp.run(b, k))
+		}
+	}
+	return best
+}
+
+// run times one planned run of configuration k: Prepare on a fresh
+// Instance, then max(Reuses, 1) passes.
+func (rp regretProblem) run(b *testing.B, k regretKey) float64 {
+	b.Helper()
+	eng, _ := plan.Lookup(k.engine)
+	t0 := time.Now()
+	inst := &plan.Instance{X: rp.base.X, COO: rp.base.COO, Factors: rp.base.Factors}
+	if err := eng.Prepare(rp.p, inst); err != nil {
+		b.Fatalf("%s %s: %v", rp.name, k.engine, err)
+	}
+	res := &plan.Result{}
+	for pass := 0; pass < max(rp.p.Reuses, 1); pass++ {
+		eng.Run(rp.p, inst, res, k.workers)
+	}
+	return time.Since(t0).Seconds()
+}
+
+// dimsName joins extents with "x".
+func dimsName(dims []int) string {
+	parts := make([]string, len(dims))
+	for i, d := range dims {
+		parts[i] = strconv.Itoa(d)
+	}
+	return strings.Join(parts, "x")
 }

@@ -122,6 +122,16 @@ echo "== go fuzz (MTTKRP, 10s) =="
 # contraction length.
 go test -run '^$' -fuzz '^FuzzMTTKRP$' -fuzztime 10s .
 
+echo "== go fuzz (PlannedEngines, 10s) =="
+# Random order 2-5 problems with extents 1-7, R 1-5, one mode or all
+# modes, f64 or f32, dense, COO (0-300 entries with repeats) or Tucker
+# ranks: every registered engine that supports the problem runs through
+# Prepare/Run at 1 and 3 workers bitwise, and agrees with seq.Ref
+# (fast, fast32, tree, csf, coo; on the densified tensor when sparse)
+# or ttm.ChainScalar (ttm's core) within a rounding tolerance scaled by
+# the contraction length; the planner picks one of them.
+go test -run '^$' -fuzz '^FuzzPlannedEngines$' -fuzztime 10s ./internal/plan
+
 echo "== go test (REPRO_NOSIMD=1 scalar dispatch) =="
 # The identical suite must pass with the runtime override forcing the
 # portable scalar kernels, proving the two paths are interchangeable.

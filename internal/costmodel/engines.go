@@ -77,9 +77,9 @@ func (m Model) FastAllModesCost() EngineCost {
 
 // TreeAllModesCost models the dimtree engine's all-modes sweep by
 // walking the same balanced tree the engine builds: root contractions
-// stream the tensor, partial contractions stream their (much smaller)
-// partial, and every interior two-sided contraction pays the slab
-// scratch fold.
+// stream the tensor, and partial contractions stream their (much
+// smaller) partial. Every contraction keeps a prefix or a suffix of
+// its source's modes, so each drops one side.
 func (m Model) TreeAllModesCost() EngineCost {
 	N := m.N()
 	if N == 2 {
@@ -139,7 +139,9 @@ func (m Model) treePartCost(plo, phi, klo, khi int) EngineCost {
 
 // contractCost is the shared (L, M, Rt) contraction form: src is the
 // streamed source volume in words (the tensor for roots, S*R for
-// partials), dropLeft/dropRight say which KRP panels exist.
+// partials), dropLeft/dropRight say which KRP panel exists. Every tree
+// contraction keeps a prefix or a suffix of its source's modes, so
+// exactly one of them is set.
 func (m Model) contractCost(L, M, Rt float64, dropLeft, dropRight bool, src float64) EngineCost {
 	var c EngineCost
 	if dropLeft {
@@ -152,15 +154,6 @@ func (m Model) contractCost(L, M, Rt float64, dropLeft, dropRight bool, src floa
 	}
 	c.Words += src + M*m.R
 	c.Flops += 2 * L * M * Rt * m.R
-	if dropLeft && dropRight {
-		c.Words += 2 * M * m.R * Rt
-		c.Flops += 2 * M * m.R * Rt
-	}
-	if !dropLeft && !dropRight {
-		// Nothing dropped: the empty product is a broadcast copy.
-		c.Words += M * m.R
-		c.Flops += M * m.R
-	}
 	return c
 }
 

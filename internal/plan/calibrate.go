@@ -2,8 +2,8 @@ package plan
 
 // Runtime calibration: a one-shot startup micro-benchmark measuring
 // the machine constants the planner's cost model multiplies against —
-// GEMM flop rate and stream bandwidth on the active dispatch path,
-// parallel scaling, and fanout section overhead. The result is
+// the single-worker GEMM flop rate and stream bandwidth on the active
+// dispatch path, and the fanout section overhead. The result is
 // cached to disk keyed by simd.Describe() plus the CPU and GOMAXPROCS,
 // so every later process start is a single JSON read; a missing,
 // truncated, or stale cache silently re-measures and rewrites — it
@@ -37,11 +37,11 @@ const defaultCacheWords = 1 << 16
 // EnvCachePath overrides the calibration cache location when set.
 const EnvCachePath = "REPRO_CALIBRATION"
 
-// Calibration holds the measured machine constants the cost model
-// scales by. Rates are per single worker; ParEff and MemEff are the
-// incremental per-extra-worker speedup fractions for compute-bound
-// and memory-bound loops (rate at w workers is modeled as
-// rate1 * (1 + (w-1)*eff)).
+// Calibration holds the machine constants the cost model scales by:
+// the single-worker rates the micro-benchmark measures, the fanout
+// section overhead, and the fixed fast-memory size. Nothing in it
+// models parallel efficiency; Seconds divides the single-worker time
+// by the worker count.
 type Calibration struct {
 	Version    int    `json:"version"`
 	Key        string `json:"key"`
@@ -49,10 +49,7 @@ type Calibration struct {
 
 	FlopsSIMD  float64 `json:"flops_simd"`  // GEMM flops/sec, 1 worker, dispatch path
 	StreamSIMD float64 `json:"stream_simd"` // axpy words/sec, 1 worker, dispatch path
-
-	ParEff  float64 `json:"par_eff"`  // compute parallel efficiency increment
-	MemEff  float64 `json:"mem_eff"`  // bandwidth parallel efficiency increment
-	SpawnNs float64 `json:"spawn_ns"` // fanout section overhead: waking and joining the parked helpers
+	SpawnNs    float64 `json:"spawn_ns"`    // fanout section overhead: waking and joining the parked helpers
 
 	CacheWords int `json:"cache_words"` // fast-memory size in words
 }
@@ -147,11 +144,10 @@ func LoadOrMeasure(path string) *Calibration {
 }
 
 // Measure runs the one-shot startup micro-benchmark (~tens of
-// milliseconds): single-worker GEMM flop rate and stream bandwidth on
-// the active dispatch path, parallel efficiency at GOMAXPROCS for both
-// regimes, and fanout section overhead. Implausible timer readings
-// fall back to Default() constants so the planner always has positive
-// rates to divide by.
+// milliseconds): the single-worker GEMM flop rate and stream bandwidth
+// on the active dispatch path and, when GOMAXPROCS > 1, the fanout
+// section overhead. Implausible timer readings fall back to Default()
+// constants so the planner always has positive rates to divide by.
 //
 //repro:ignore determinism startup measurement: wall-clock timing calibrates the cost model, it never feeds a kernel
 func Measure() *Calibration {
@@ -161,55 +157,30 @@ func Measure() *Calibration {
 	c.GOMAXPROCS = maxW
 
 	b := newMicrobench()
-	if f, s := b.ratesWorkers(1); f > 0 && s > 0 {
+	if f, s := b.rates(); f > 0 && s > 0 {
 		c.FlopsSIMD, c.StreamSIMD = f, s
 	}
 	if maxW > 1 {
-		if f, s := b.ratesWorkers(maxW); f > 0 && s > 0 {
-			c.ParEff = incrementalEff(c.FlopsSIMD, f, maxW)
-			c.MemEff = incrementalEff(c.StreamSIMD, s, maxW)
-		}
 		if ns := b.spawnNs(maxW); ns > 0 {
 			c.SpawnNs = ns
 		}
-	} else {
-		c.ParEff, c.MemEff = 0, 0
 	}
 	return c
 }
 
 // Default returns conservative fallback constants (roughly a 1 GFLOP/s
-// core moving 4x10^8 words/s) used when measurement is impossible or
-// yields implausible readings. The key is empty so a Default is never
-// mistaken for a measured cache entry.
+// core moving 4x10^8 words/s, and a 5 µs fanout section) used when
+// measurement is impossible or yields implausible readings. The key
+// is empty so a Default is never mistaken for a measured cache entry.
 func Default() *Calibration {
 	return &Calibration{
 		Version:    calibrationVersion,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		FlopsSIMD:  1e9,
 		StreamSIMD: 4e8,
-		ParEff:     0.7,
-		MemEff:     0.25,
 		SpawnNs:    5000,
 		CacheWords: defaultCacheWords,
 	}
-}
-
-// incrementalEff converts a measured 1-worker and P-worker rate pair
-// into the per-extra-worker efficiency increment of the scaling model
-// rate(w) = rate1 * (1 + (w-1)*eff), clamped to [0, 1].
-func incrementalEff(rate1, rateP float64, P int) float64 {
-	if rate1 <= 0 || P < 2 {
-		return 0
-	}
-	eff := (rateP/rate1 - 1) / float64(P-1)
-	if eff < 0 {
-		return 0
-	}
-	if eff > 1 {
-		return 1
-	}
-	return eff
 }
 
 // microbench owns the operand buffers of the measurement loops, sized
@@ -247,18 +218,17 @@ func newMicrobench() *microbench {
 	return b
 }
 
-// ratesWorkers times the GEMM and stream loops at the given worker
-// count and returns (flops/sec, words/sec); zero when the timer
-// misbehaves.
+// rates times the GEMM and stream loops on one worker and returns
+// (flops/sec, words/sec); zero when the timer misbehaves.
 //
 //repro:ignore determinism startup measurement: wall-clock timing calibrates the cost model, it never feeds a kernel
-func (b *microbench) ratesWorkers(workers int) (flopRate, wordRate float64) {
+func (b *microbench) rates() (flopRate, wordRate float64) {
 	const reps = 3
 	gemmFlops := 2.0 * gemmM * gemmK * gemmN
 	best := math.Inf(1)
 	for r := 0; r < reps; r++ {
 		t0 := time.Now()
-		linalg.GemmTN(b.cc, b.a, b.bb, gemmM, gemmK, gemmN, workers)
+		linalg.GemmTN(b.cc, b.a, b.bb, gemmM, gemmK, gemmN, 1)
 		if dt := time.Since(t0).Seconds(); dt < best {
 			best = dt
 		}
@@ -267,17 +237,12 @@ func (b *microbench) ratesWorkers(workers int) (flopRate, wordRate float64) {
 		flopRate = gemmFlops / best
 	}
 	// Stream: axpy reads two operands and writes one — 3 words per
-	// element. The parallel variant splits the slice into disjoint
-	// worker chunks, matching how the engines' folds share bandwidth.
+	// element.
 	streamWords := 3.0 * streamLen
 	best = math.Inf(1)
 	for r := 0; r < reps; r++ {
 		t0 := time.Now()
-		if workers <= 1 {
-			simd.Axpy(b.sy, b.sx, 1.000001)
-		} else {
-			parallelAxpy(b.sy, b.sx, workers)
-		}
+		simd.Axpy(b.sy, b.sx, 1.000001)
 		if dt := time.Since(t0).Seconds(); dt < best {
 			best = dt
 		}
@@ -288,23 +253,10 @@ func (b *microbench) ratesWorkers(workers int) (flopRate, wordRate float64) {
 	return flopRate, wordRate
 }
 
-// axpyTask is one axpy split into parts contiguous chunks.
-type axpyTask struct {
-	dst, src []float64
-	parts    int
-}
+// noopTask is a fanout task whose chunks do nothing.
+type noopTask struct{}
 
-// Chunk streams chunk c.
-func (t *axpyTask) Chunk(c, _ int) {
-	n := len(t.dst)
-	lo, hi := c*n/t.parts, (c+1)*n/t.parts
-	simd.Axpy(t.dst[lo:hi], t.src[lo:hi], 1.000001)
-}
-
-// parallelAxpy streams disjoint chunks on `workers` fanout slots.
-func parallelAxpy(dst, src []float64, workers int) {
-	fanout.Run(&axpyTask{dst: dst, src: src, parts: workers}, workers, workers)
-}
+func (noopTask) Chunk(_, _ int) {}
 
 // spawnNs times an empty fanout section at `workers` slots (waking the
 // parked helpers and joining them) — the fixed price the planner
@@ -313,27 +265,24 @@ func parallelAxpy(dst, src []float64, workers int) {
 //repro:ignore determinism startup measurement: wall-clock timing calibrates the cost model, it never feeds a kernel
 func (b *microbench) spawnNs(workers int) float64 {
 	const reps = 64
-	empty := &axpyTask{parts: workers}  // no words to stream
-	fanout.Run(empty, workers, workers) // grow the pool first
+	fanout.Run(noopTask{}, workers, workers) // grow the pool first
 	t0 := time.Now()
 	for r := 0; r < reps; r++ {
-		fanout.Run(empty, workers, workers)
+		fanout.Run(noopTask{}, workers, workers)
 	}
 	return float64(time.Since(t0).Nanoseconds()) / reps
 }
 
 // Seconds converts a streaming-model cost into predicted wall-clock
-// seconds at the given worker count: flops at the calibrated flop
-// rate with compute-efficiency scaling, words at the calibrated
-// bandwidth with (weaker) bandwidth scaling, plus the fanout
-// section overhead for parallel sections.
+// seconds at the given worker count: the single-worker time (flops at
+// the calibrated flop rate plus words at the calibrated bandwidth)
+// divided by the workers, plus the fanout section overhead for a
+// parallel pass.
 func (c *Calibration) Seconds(words, flops float64, workers int) float64 {
 	if workers < 1 {
 		workers = 1
 	}
-	fe := 1 + float64(workers-1)*c.ParEff
-	be := 1 + float64(workers-1)*c.MemEff
-	t := flops/(c.FlopsSIMD*fe) + words/(c.StreamSIMD*be)
+	t := (flops/c.FlopsSIMD + words/c.StreamSIMD) / float64(workers)
 	if workers > 1 {
 		t += c.SpawnNs * 1e-9
 	}

@@ -70,8 +70,9 @@ type Problem struct {
 	// linalg.Workers() (GOMAXPROCS).
 	MaxWorkers int
 	// Reuses is the expected number of passes over the same tensor with
-	// the same plan (CP-ALS sets iterations x modes, a Tucker problem
-	// its HOOI sweeps); 0 means 1.
+	// the same plan; 0 means 1. A pass of an all-modes problem is one
+	// sweep, so CP-ALS sets its iterations, and a Tucker problem its
+	// HOOI sweeps.
 	Reuses int
 	// Ranks, when set (one per mode, each between 1 and the mode's
 	// extent), turns the problem into a Tucker problem instead of an
@@ -125,15 +126,6 @@ func (p Problem) validate() error {
 
 // Sparse reports whether the problem is a sparse tensor.
 func (p Problem) Sparse() bool { return p.NNZ > 0 }
-
-// Elems is the dense element count of the shape.
-func (p Problem) Elems() int64 {
-	n := int64(1)
-	for _, d := range p.Dims {
-		n *= int64(d)
-	}
-	return n
-}
 
 // model converts the problem shape into a costmodel.Model.
 func (p Problem) model() costmodel.Model {

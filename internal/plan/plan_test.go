@@ -23,8 +23,6 @@ func testCal() *Calibration {
 		GOMAXPROCS: 8,
 		FlopsSIMD:  4e9,
 		StreamSIMD: 8e8,
-		ParEff:     0.8,
-		MemEff:     0.3,
 		SpawnNs:    20000,
 		CacheWords: 1 << 16,
 	}
@@ -84,27 +82,6 @@ func TestPlanTunablesIndependentOfWorkers(t *testing.T) {
 					p.Dims, w, c.GemmKC, c.GemmMC, c.Chunks, kc0, mc0, ch0)
 			}
 		}
-	}
-}
-
-func TestPlanSmallShapeCutover(t *testing.T) {
-	cal := testCal()
-	small := Problem{Dims: []int{16, 16, 16}, R: 8, Mode: AllModes, MaxWorkers: 8}
-	c, err := Plan(small, cal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Engine != "fast" {
-		t.Errorf("16^3 all-modes picked %q, want the fast-kernel cutover", c.Engine)
-	}
-	// Above the cutover the tree's reuse advantage must reassert itself.
-	big := Problem{Dims: []int{32, 32, 32, 32, 32}, R: 16, Mode: AllModes, MaxWorkers: 8}
-	c, err = Plan(big, cal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Engine != "tree" {
-		t.Errorf("32^5 all-modes picked %q, want tree", c.Engine)
 	}
 }
 
@@ -186,17 +163,33 @@ func TestConcurrentPlansBitwise(t *testing.T) {
 	wg.Wait()
 }
 
-// resultBits copies every float64 output a pass left in res.
+// resultBits copies every output a pass left in res, float32 outputs
+// widened (exactly) to float64.
 func resultBits(res *Result) [][]float64 {
 	var out [][]float64
 	if res.B != nil {
 		out = append(out, append([]float64(nil), res.B.Data()...))
 	}
+	if res.B32 != nil {
+		out = append(out, widen(res.B32.Data()))
+	}
 	for _, m := range res.All {
 		out = append(out, append([]float64(nil), m.Data()...))
 	}
+	for _, m := range res.All32 {
+		out = append(out, widen(m.Data()))
+	}
 	if res.Y != nil {
 		out = append(out, append([]float64(nil), res.Y.Data()...))
+	}
+	return out
+}
+
+// widen converts float32 values to float64.
+func widen(v []float32) []float64 {
+	out := make([]float64, len(v))
+	for i, f := range v {
+		out[i] = float64(f)
 	}
 	return out
 }
@@ -505,7 +498,7 @@ func TestPlanPicksTTMForChains(t *testing.T) {
 	if c.Engine != "ttm" {
 		t.Errorf("Tucker problem picked %q, want ttm", c.Engine)
 	}
-	// Small shapes must not trip the fast-kernel cutover for Tucker.
+	// So must a small one.
 	small := Problem{Dims: []int{8, 8, 8}, R: 4, Mode: AllModes,
 		Ranks: []int{4, 4, 4}, MaxWorkers: 4}
 	c, err = Plan(small, cal)

@@ -14,17 +14,6 @@ import (
 	"repro/internal/sparse"
 )
 
-// SmallAllModesElems is the dense element count below which the
-// planner forces the independent fast kernel for all-modes sweeps. On
-// tiny tensors (e.g. 16^3) a whole sweep is tens of microseconds: the
-// streaming cost model cannot resolve the real fast-vs-tree gap down
-// there (it is dominated by setup, fan-out, and cache effects the
-// model does not carry), so rather than trust sub-resolution
-// predictions the planner pins the engine with no setup cost and no
-// tree construction. BenchmarkSmallShapeCutover locks both sides of
-// the cutover.
-const SmallAllModesElems = 1 << 13
-
 // Plan picks the engine and worker count for a problem.
 func Plan(p Problem, cal *Calibration) (Choice, error) {
 	return plan(p, cal, "")
@@ -72,9 +61,6 @@ func plan(p Problem, cal *Calibration, only string) (Choice, error) {
 		if only != "" && e.Name() != only {
 			continue
 		}
-		if only == "" && p.forceFast() && e.Name() != "fast" {
-			continue
-		}
 		for w := 1; w <= maxW; w++ {
 			c := e.Cost(p, cal, w)
 			if best == nil || c.Seconds < bestCost.Seconds {
@@ -101,12 +87,6 @@ func plan(p Problem, cal *Calibration, only string) (Choice, error) {
 		Predicted: bestCost,
 		CalKey:    cal.Key,
 	}, nil
-}
-
-// forceFast is the small-shape cutover guard.
-func (p Problem) forceFast() bool {
-	return !p.Sparse() && p.DType == F64 && p.Mode == AllModes && !p.Tucker() &&
-		p.Elems() < SmallAllModesElems
 }
 
 // Auto loads (or measures) the calibration from the default cache path

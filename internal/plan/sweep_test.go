@@ -38,7 +38,7 @@ func TestGoldenShapeSweep(t *testing.T) {
 	}{
 		{"dense-cubic-64c3-allmodes", Problem{Dims: []int{64, 64, 64}, R: 16, Mode: AllModes}, "tree"},
 		{"dense-cubic-128c3-allmodes", Problem{Dims: []int{128, 128, 128}, R: 16, Mode: AllModes}, "tree"},
-		{"dense-tiny-16c3-allmodes", Problem{Dims: []int{16, 16, 16}, R: 8, Mode: AllModes}, "fast"},
+		{"dense-tiny-16c3-allmodes", Problem{Dims: []int{16, 16, 16}, R: 8, Mode: AllModes}, "tree"},
 		{"dense-cubic-64c3-mode0", Problem{Dims: []int{64, 64, 64}, R: 16, Mode: 0}, "fast"},
 		{"dense-skewed-long-mode0", Problem{Dims: []int{65536, 16, 16}, R: 16, Mode: 0}, "fast"},
 		{"dense-skewed-flat-allmodes", Problem{Dims: []int{8, 8, 65536}, R: 8, Mode: AllModes}, "tree"},
@@ -67,13 +67,7 @@ func TestGoldenShapeSweep(t *testing.T) {
 				t.Errorf("picked %q, hand-picked engine is %q (predicted %+v)", c.Engine, tc.engine, c.Predicted)
 			}
 			// The pick's modeled cost must be within 10% of the best
-			// modeled cost over all supporting engines. The small-shape
-			// cutover is the one sanctioned exception: there the model's
-			// streaming terms are too coarse and measurement says fast
-			// wins, which is exactly why the guard exists.
-			if tc.p.forceFast() {
-				return
-			}
+			// modeled cost over all supporting engines.
 			best := bestModeledSeconds(tc.p, cal)
 			if c.Predicted.Seconds > 1.1*best {
 				t.Errorf("pick %q predicts %.4gs, > 1.1x the best supporting engine's %.4gs",

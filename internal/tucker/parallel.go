@@ -136,8 +136,11 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 // InitFactors returns deterministic QR-orthonormalized random factors
 // for the given dims and ranks: DecomposeParallel's start when
 // Options.Init is nil, and the shared Init of the sequential/parallel
-// parity tests.
+// parity tests. It rejects the ranks the solvers reject.
 func InitFactors(dims, ranks []int, seed int64) ([]*tensor.Matrix, error) {
+	if err := checkRanks(dims, ranks); err != nil {
+		return nil, err
+	}
 	out := make([]*tensor.Matrix, len(dims))
 	for k := range dims {
 		raw := tensor.RandomMatrix(seed+int64(k)*131, dims[k], ranks[k])

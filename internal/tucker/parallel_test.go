@@ -278,6 +278,12 @@ func TestParallelErrors(t *testing.T) {
 	if _, err := DecomposeParallel(x, []int{2, 2}, Options{Ranks: []int{2, 2}, Init: []*tensor.Matrix{tensor.NewMatrix(4, 2), tensor.NewMatrix(4, 3)}}, 1); err == nil {
 		t.Fatal("wrong-shaped init factor should error")
 	}
+	if _, err := InitFactors([]int{4, 4}, []int{2}, 1); err == nil {
+		t.Fatal("InitFactors: rank count mismatch should error")
+	}
+	if _, err := InitFactors([]int{8, 8, 8}, []int{9, 2, 2}, 1); err == nil {
+		t.Fatal("InitFactors: rank > extent should error")
+	}
 }
 
 func TestSequentialInitOptionErrors(t *testing.T) {

@@ -71,7 +71,7 @@ type Options struct {
 // and Init cloned, so a run never writes the caller's factors. It is
 // the one option check of both HOOI solvers.
 func (o Options) resolve(x *tensor.Dense) (Options, error) {
-	if err := checkRanks(x, o.Ranks); err != nil {
+	if err := checkRanks(x.Dims(), o.Ranks); err != nil {
 		return o, err
 	}
 	if o.MaxIters < 0 {
@@ -229,7 +229,7 @@ func hooi(opts Options, normX float64, dims []int, factors []*tensor.Matrix, cor
 // without HOOI refinement: the initialization Decompose runs, with the
 // last contraction kept, so the final truncated tensor is the core.
 func HOSVD(x *tensor.Dense, ranks []int) (*Model, error) {
-	if err := checkRanks(x, ranks); err != nil {
+	if err := checkRanks(x.Dims(), ranks); err != nil {
 		return nil, err
 	}
 	ws := ttm.GetWorkspace() // before the norm's section, as in Decompose
@@ -246,16 +246,17 @@ func HOSVD(x *tensor.Dense, ranks []int) (*Model, error) {
 	return &Model{Core: core, Factors: factors, Fit: fitFromCore(normX, core.Data(), x.Dims())}, nil
 }
 
-// checkRanks validates one multilinear rank per mode of x, each
-// between 1 and the mode's extent: the one rank check of every Tucker
-// solver, run before any work.
-func checkRanks(x *tensor.Dense, ranks []int) error {
-	if len(ranks) != x.Order() {
-		return fmt.Errorf("tucker: %d ranks for order-%d tensor", len(ranks), x.Order())
+// checkRanks validates one multilinear rank per mode of a tensor with
+// the given extents, each between 1 and the mode's extent: the one
+// rank check of every Tucker solver and of InitFactors, run before any
+// work.
+func checkRanks(dims, ranks []int) error {
+	if len(ranks) != len(dims) {
+		return fmt.Errorf("tucker: %d ranks for order-%d tensor", len(ranks), len(dims))
 	}
 	for k, r := range ranks {
-		if r < 1 || r > x.Dim(k) {
-			return fmt.Errorf("tucker: rank %d invalid for mode %d (extent %d)", r, k, x.Dim(k))
+		if r < 1 || r > dims[k] {
+			return fmt.Errorf("tucker: rank %d invalid for mode %d (extent %d)", r, k, dims[k])
 		}
 	}
 	return nil
