@@ -720,28 +720,55 @@ func BenchmarkTuckerInit(b *testing.B) {
 	}
 }
 
-// BenchmarkGemmTN times linalg.GemmTN (C = A^T B, A m x ka, B m x n)
-// on the three TN shapes the benchmark workloads run, named m x ka x
-// n: cp-dense's dimension-tree prefix root, the planner calibration's
-// timed product, and tucker-hooi's leading-mode TTM.
-func BenchmarkGemmTN(b *testing.B) {
-	for _, s := range []struct{ m, ka, n int }{
-		{128, 16384, 16},
-		{4096, 32, 16},
-		{32, 8, 32768},
+// BenchmarkGemmRoots times, in GFLOP/s, the GEMMs under the workloads'
+// hot paths, each with the worker count its caller passes, named by
+// the call's own argument order:
+//
+//   - cp-dense's mode-0 prefix root runs 16 chunks of 128x1024x16 on
+//     one worker each: GemmNT against the chunk's row-major KR rows
+//     (what the root runs) and GemmNN against the same rows
+//     column-major (what it ran before);
+//   - cp-dense's kept-suffix root, GemmTN m=128, ka=16384, n=16, on
+//     GOMAXPROCS workers;
+//   - the planner calibration's timed GemmTN 4096x32x16 on one worker;
+//   - tucker-hooi's leading-mode TTMs at 32^4 R8 (ttmSlices' L == 1
+//     case), GemmNN 8x32x32768 and GemmTN 32x8x32768, on GOMAXPROCS
+//     workers.
+//
+// Run it at -cpu 1,2; ci.sh runs it once so it keeps compiling.
+func BenchmarkGemmRoots(b *testing.B) {
+	nn := func(c, a, bb []float64, m, k, n, w int) { linalg.GemmNN(c, a, bb, m, k, n, w) }
+	nt := func(c, a, bb []float64, m, k, n, w int) { linalg.GemmNT(c, a, bb, m, k, n, w) }
+	tn := func(c, a, bb []float64, m, k, n, w int) { linalg.GemmTN(c, a, bb, m, k, n, w) }
+	for _, g := range []struct {
+		name      string
+		m, k, n   int // the call's arguments: GemmNN/NT m, k, n; GemmTN m, ka, n
+		oneWorker bool
+		run       func(c, a, bb []float64, m, k, n, w int)
+		a, bb, c  int // operand lengths
+	}{
+		{"cp-dense-root/GemmNT", 128, 1024, 16, true, nt, 128 * 1024, 16 * 1024, 128 * 16},
+		{"cp-dense-root/GemmNN", 128, 1024, 16, true, nn, 128 * 1024, 1024 * 16, 128 * 16},
+		{"cp-dense-suffix/GemmTN", 128, 16384, 16, false, tn, 128 * 16384, 128 * 16, 16384 * 16},
+		{"calibrate/GemmTN", 4096, 32, 16, true, tn, 4096 * 32, 4096 * 16, 32 * 16},
+		{"tucker-ttm/GemmNN", 8, 32, 32768, false, nn, 8 * 32, 32 * 32768, 8 * 32768},
+		{"tucker-ttm/GemmTN", 32, 8, 32768, false, tn, 32 * 8, 32 * 32768, 8 * 32768},
 	} {
-		a := tensor.RandomMatrix(42, s.m, s.ka).Data()
-		bb := tensor.RandomMatrix(43, s.m, s.n).Data()
-		c := make([]float64, s.ka*s.n)
-		for _, workers := range []int{1, linalg.Workers()} {
-			b.Run(fmt.Sprintf("%dx%dx%d/w%d", s.m, s.ka, s.n, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					linalg.GemmTN(c, a, bb, s.m, s.ka, s.n, workers)
-				}
-				flops := 2 * float64(s.m) * float64(s.ka) * float64(s.n)
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
+		a := tensor.RandomMatrix(42, g.a, 1).Data()
+		bb := tensor.RandomMatrix(43, g.bb, 1).Data()
+		c := make([]float64, g.c)
+		workers := 0
+		if g.oneWorker {
+			workers = 1
 		}
+		b.Run(fmt.Sprintf("%s/%dx%dx%d", g.name, g.m, g.k, g.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.run(c, a, bb, g.m, g.k, g.n, workers)
+			}
+			flops := 2 * float64(g.m) * float64(g.k) * float64(g.n)
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 

@@ -3,14 +3,20 @@
 # (repolint: hotpath-alloc, determinism, float-eq, errcheck-lite, and
 # the concurrency-contract analyzers goroutine-leak, waitgroup-misuse,
 # channel-discipline, lock-order, workspace-aliasing — all nine are
-# hard failures), the full test suite on both dispatch paths (native simd
-# and REPRO_NOSIMD=1 scalar), a purego-tag build+test (the no-assembly
-# configuration), then a race-detector pass over the fanout pool every
+# hard failures), the full test suite on the native dispatch and again
+# under REPRO_NOSIMD=1 (scalar), a purego-tag build+test (the
+# no-assembly configuration), then a race-detector pass over the fanout pool every
 # parallel engine runs on (including its nested and concurrent section
 # test), the packages with parallel accumulation and tree reductions
 # (kernel, seq, par, dimtree, cpals — including the float32
 # storage-path kernels in kernel and sparse) plus the blocked linear
 # algebra and sparse layers they fan out into.
+#
+# The native dispatch binds the widest level the host has: AVX2+FMA on
+# amd64 (plus the 512-bit GEMM tiles where CPUID reports AVX512F and
+# the OS saves ZMM state), NEON on arm64. The GEMM and tile tests run
+# every level the host binds in one process: the 512-bit tiles, the
+# AVX2 kernels with the tiles unbound (simd.ForceNoTiles), and scalar.
 #
 # Usage: ./ci.sh
 set -eu
@@ -54,6 +60,12 @@ go run ./cmd/repolint ./...
 
 echo "== go test (native dispatch) =="
 go test ./...
+
+echo "== go bench smoke (GemmRoots, 1x) =="
+# One pass of the per-layer GEMM benchmark (the workloads' root,
+# calibration and TTM shapes) at -cpu 1,2, so it keeps compiling and
+# running; its GFLOP/s are read from a longer run, not here.
+go test -run '^$' -bench '^BenchmarkGemmRoots$' -benchtime 1x -cpu 1,2 . >/dev/null
 
 echo "== go fuzz (SymEig, 10s) =="
 # A short native fuzz pass over matrices with known spectra (dense

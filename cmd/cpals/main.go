@@ -236,7 +236,18 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
+// fatal prints errorLine(err) and exits 2.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cpals:", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	os.Exit(2)
+}
+
+// errorLine names the command once: the cpals package's errors already
+// start with "cpals: ", and every other error gets that prefix.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "cpals: ") {
+		return msg
+	}
+	return "cpals: " + msg
 }

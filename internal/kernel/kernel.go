@@ -265,11 +265,11 @@ func prefixChunked(M, Rt, R int) bool {
 // prefix runs the chunked kept-prefix root into out (M x R,
 // overwritten). Chunk c of nbuf covers the contracted rows
 // [c*Rt/nbuf, (c+1)*Rt/nbuf): it forms those rows of the Khatri-Rao
-// product of factors[hi:] in its slot's scratch and contracts its
-// contiguous columns of the M x Rt unfolding into bucket c (bucket 0 is
-// out's storage); the chunks run as one fanout section and ReduceTree
-// merges the buckets. Chunk ranges, bucket contents and the merge
-// depend on the shape only.
+// product of factors[hi:], row-major, in its slot's scratch and
+// contracts its contiguous columns of the M x Rt unfolding against them
+// into bucket c (bucket 0 is out's storage); the chunks run as one
+// fanout section and ReduceTree merges the buckets. Chunk ranges,
+// bucket contents and the merge depend on the shape only.
 func (ws *Workspace) prefix(out, data []float64, factors []*tensor.Matrix, hi, M, Rt, R, workers int) {
 	nbuf := min(interiorChunks, Rt)
 	bufs := ws.buckets(out, nbuf, M*R)
@@ -297,8 +297,12 @@ type prefixTask struct {
 	hi, M, Rt, R, rows int
 }
 
-// Chunk forms chunk c's KR rows in the slot's scratch and contracts
-// chunk c's columns of X against them into bucket c.
+// Chunk forms chunk c's KR rows, row-major, in the slot's scratch and
+// contracts chunk c's columns of X against them into bucket c. GemmNT
+// reads each k-step's R coefficients from one contiguous row (the 8x16
+// tile broadcasts them from there), and it gives every element the
+// arithmetic GemmNN gives it over the column-major rows, so the bucket
+// holds GemmNN's bits.
 //
 //repro:hotpath
 func (t *prefixTask) Chunk(c, slot int) {
@@ -306,8 +310,53 @@ func (t *prefixTask) Chunk(c, slot int) {
 	t0, t1 := c*t.Rt/nbuf, (c+1)*t.Rt/nbuf
 	k := t1 - t0
 	kr := t.scratch[slot*t.rows*t.R:][:k*t.R]
-	krpRows(kr, t.factors, t.hi, len(t.factors), t.R, t0, t1)
-	linalg.GemmNN(t.bufs[c], t.data[t0*t.M:t1*t.M], kr, t.M, k, t.R, 1)
+	krpRowsT(kr, t.factors, t.hi, len(t.factors), t.R, t0)
+	linalg.GemmNT(t.bufs[c], t.data[t0*t.M:t1*t.M], kr, t.M, k, t.R, 1)
+}
+
+// krpRowsT fills dst with rows [t0, t0+len(dst)/R) of the Khatri-Rao
+// product of factors[lo:hi] row-major: the entries krpRows forms, entry
+// (t, r) at dst[(t-t0)*R+r]. Row t is row t mod P of the product over
+// factors[lo:hi-1] (P rows) times row t / P of the last factor, entry
+// by entry. Columns are walked in the outer loop, so every factor read
+// is contiguous and the strided writes stay within one block of rows.
+func krpRowsT(dst []float64, factors []*tensor.Matrix, lo, hi, R, t0 int) {
+	last := factors[hi-1]
+	n := len(dst) / R
+	if hi-lo == 1 {
+		for r := 0; r < R; r++ {
+			for q, v := range last.Col(r)[t0 : t0+n] {
+				dst[q*R+r] = v
+			}
+		}
+		return
+	}
+	P := 1
+	for _, f := range factors[lo : hi-1] {
+		P *= f.Rows()
+	}
+	for len(dst) > 0 {
+		i, v := t0%P, t0/P
+		seg := dst[:min(P-i, len(dst)/R)*R]
+		rows := len(seg) / R
+		if hi-lo == 2 {
+			for r := 0; r < R; r++ {
+				w := last.At(v, r)
+				for q, x := range factors[lo].Col(r)[i : i+rows] {
+					seg[q*R+r] = x * w
+				}
+			}
+		} else {
+			krpRowsT(seg, factors, lo, hi-1, R, i)
+			for r := 0; r < R; r++ {
+				w := last.At(v, r)
+				for q := r; q < len(seg); q += R {
+					seg[q] *= w
+				}
+			}
+		}
+		dst, t0 = dst[len(seg):], t0+rows
+	}
 }
 
 // krpRows fills dst, a (t1-t0) x R column-major block, with rows

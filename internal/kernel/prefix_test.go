@@ -31,8 +31,9 @@ func TestPrefixChunkedRule(t *testing.T) {
 	}
 }
 
-// TestKRPRowsMatchDefinition: KRPInto, and krpRows over any row
-// range, give every entry the bits of its definition — the left-to-right
+// TestKRPRowsMatchDefinition: KRPInto, and krpRows and krpRowsT (the
+// row-major rows the chunked prefix root contracts) over any row range,
+// give every entry the bits of its definition — the left-to-right
 // product of the factor entries its multi-index selects — over one to
 // four factors with unit extents included.
 func TestKRPRowsMatchDefinition(t *testing.T) {
@@ -63,6 +64,8 @@ func TestKRPRowsMatchDefinition(t *testing.T) {
 		n := t1 - t0
 		block := make([]float64, n*R)
 		krpRows(block, fs, 0, nf, R, t0, t1)
+		rowMajor := make([]float64, n*R)
+		krpRowsT(rowMajor, fs, 0, nf, R, t0)
 		for r := 0; r < R; r++ {
 			for row := 0; row < rows; row++ {
 				if got := panel[r*rows+row]; got != want(row, r) { //repro:bitwise each entry is one fixed product
@@ -72,6 +75,9 @@ func TestKRPRowsMatchDefinition(t *testing.T) {
 			for i := 0; i < n; i++ {
 				if got := block[r*n+i]; got != want(t0+i, r) { //repro:bitwise each entry is one fixed product
 					t.Fatalf("dims %v R=%d rows [%d,%d): (%d,%d) = %v, want %v", dims, R, t0, t1, i, r, got, want(t0+i, r))
+				}
+				if got := rowMajor[i*R+r]; got != want(t0+i, r) { //repro:bitwise each entry is one fixed product
+					t.Fatalf("dims %v R=%d row-major rows [%d,%d): (%d,%d) = %v, want %v", dims, R, t0, t1, i, r, got, want(t0+i, r))
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -151,9 +152,10 @@ func TestMatMulIntoVariants(t *testing.T) {
 }
 
 // TestGemmFringeBothDispatchPaths sweeps every extent in {1..9, 16,
-// 17} through the three data orders on the init-time dispatch path
-// and again with the kernels forced scalar, pinning asm-vs-oracle
-// agreement for every micro-kernel fringe (the issue's m,n,k sweep).
+// 17} through the three data orders on each dispatch level the host
+// has — the 512-bit tiles, the init-time kernel set with the tiles
+// unbound, and the scalar kernels — pinning asm-vs-oracle agreement for
+// every micro-kernel fringe in m, n and k.
 func TestGemmFringeBothDispatchPaths(t *testing.T) {
 	ext := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17}
 	run := func(t *testing.T) {
@@ -182,10 +184,88 @@ func TestGemmFringeBothDispatchPaths(t *testing.T) {
 			}
 		}
 	}
-	t.Run("dispatch="+simd.Path(), run)
+	forEachLevel(t, run)
+}
+
+// forEachLevel runs f under one subtest per dispatch level the host
+// binds: "dispatch=avx512" while the 512-bit tiles are bound, then
+// "dispatch="+Path() with them unbound, then "dispatch=scalar".
+func forEachLevel(t *testing.T, f func(t *testing.T)) {
+	if simd.Tiles() != "" {
+		t.Run("dispatch="+simd.Tiles(), f)
+		restore := simd.ForceNoTiles()
+		t.Run("dispatch="+simd.Path(), f)
+		restore()
+	} else {
+		t.Run("dispatch="+simd.Path(), f)
+	}
 	restore := simd.ForceScalar()
 	defer restore()
-	t.Run("dispatch=scalar", run)
+	t.Run("dispatch=scalar", f)
+}
+
+// TestGemmNNBitwiseFMAChain pins GemmNN's and GemmNT's element
+// contract on every FMA level the host binds (the 512-bit tiles and the
+// AVX2 or NEON kernels): every C(i,j) is s = math.FMA(A(i,l), B(l,j), s)
+// over l ascending from 0, at workers 1-3. The shapes cross the 8-row
+// and 16-column tile edges and the 256-deep k blocks, and include
+// cp-dense's root chunk (128x1024x16).
+func TestGemmNNBitwiseFMAChain(t *testing.T) {
+	if simd.Path() == "scalar" {
+		t.Skip("the scalar kernels round a*b and the sum separately")
+	}
+	shapes := []struct{ m, k, n int }{
+		{1, 1, 1}, {7, 3, 15}, {8, 5, 16}, {9, 17, 17}, {16, 256, 32},
+		{17, 257, 33}, {37, 301, 11}, {8, 32, 1000}, {300, 600, 19},
+		{128, 1024, 16},
+	}
+	check := func(t *testing.T) {
+		rng := rand.New(rand.NewSource(15))
+		for _, s := range shapes {
+			a := randMat(rng, s.m, s.k)
+			b := randMat(rng, s.k, s.n)
+			bt := tensor.NewMatrix(s.n, s.k)
+			for l := 0; l < s.k; l++ {
+				for j := 0; j < s.n; j++ {
+					bt.Set(j, l, b.At(l, j))
+				}
+			}
+			want := make([]float64, s.m*s.n)
+			for j := 0; j < s.n; j++ {
+				for i := 0; i < s.m; i++ {
+					var v float64
+					for l := 0; l < s.k; l++ {
+						v = math.FMA(a.At(i, l), b.At(l, j), v)
+					}
+					want[i+j*s.m] = v
+				}
+			}
+			got := make([]float64, s.m*s.n)
+			for w := 1; w <= 3; w++ {
+				for _, g := range []struct {
+					name string
+					run  func()
+				}{
+					{"GemmNN", func() { GemmNN(got, a.Data(), b.Data(), s.m, s.k, s.n, w) }},
+					{"GemmNT", func() { GemmNT(got, a.Data(), bt.Data(), s.m, s.k, s.n, w) }},
+				} {
+					g.run()
+					for e, v := range got {
+						if v != want[e] { //repro:bitwise every element is one FMA chain over k
+							t.Fatalf("%s %dx%dx%d workers=%d: element %d = %g, FMA chain %g",
+								g.name, s.m, s.k, s.n, w, e, v, want[e])
+						}
+					}
+				}
+			}
+		}
+	}
+	if simd.Tiles() != "" {
+		t.Run("dispatch="+simd.Tiles(), check)
+		restore := simd.ForceNoTiles()
+		defer restore()
+	}
+	t.Run("dispatch="+simd.Path(), check)
 }
 
 // TestGemmBitwiseAcrossWorkers pins the determinism contract on the
@@ -215,12 +295,21 @@ func TestGemmBitwiseAcrossWorkers(t *testing.T) {
 // remainder exactly its simd.Dot value, at workers 1-8. The shapes
 // cross the 2x4 tile's odd last row (odd ka), every n mod 4 residue,
 // short and tail-only contractions (m < 4), and, at m = 128 and 300,
-// the cache blocks of A's columns (ka beyond one block).
+// the cache blocks of A's columns (ka beyond one block). n of 16 or
+// more runs the 3x16 tile where it is bound (m from 4 to 256): ka of
+// 37, 512 and 1031 leave one, two and zero rows after the whole tiles
+// of a block, 4 and 5 one and two rows after one tile, and n of 17, 32
+// and 35 leave column remainders after one or two 16-column groups.
+// It runs on every dispatch level the host binds.
 func TestGemmTNBitwiseDotReference(t *testing.T) {
+	forEachLevel(t, checkGemmTNDotReference)
+}
+
+func checkGemmTNDotReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, m := range []int{1, 3, 4, 5, 128, 300} {
-		for _, ka := range []int{1, 2, 7, 37, 513, 1031} {
-			for _, n := range []int{4, 5, 6, 7, 9} {
+		for _, ka := range []int{1, 2, 4, 5, 7, 37, 512, 513, 1031} {
+			for _, n := range []int{4, 5, 6, 7, 9, 16, 17, 32, 35} {
 				a := randMat(rng, m, ka)
 				b := randMat(rng, m, n)
 				ad, bd := a.Data(), b.Data()

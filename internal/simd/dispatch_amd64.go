@@ -2,6 +2,8 @@
 
 package simd
 
+import "math"
+
 // Runtime dispatch for amd64. Feature detection is stdlib-only: two
 // assembly helpers (CPUID, XGETBV) and the bit tests below — no x/sys
 // dependency. The AVX2 kernel set requires all of:
@@ -10,16 +12,25 @@ package simd
 //	XCR0         bits 1–2 (OS saves XMM+YMM state on context switch)
 //	CPUID.7.0:EBX bit 5 (AVX2)
 //
+// The avx512 tile level needs all of that and also:
+//
+//	CPUID.7.0:EBX bit 16 (AVX512F)
+//	XCR0         bits 5–7 (OS saves the opmask, ZMM_Hi256 and
+//	             Hi16_ZMM state)
+//
 // OSXSAVE must be checked before XGETBV is executed, and XCR0 must be
-// checked even when AVX is advertised: a kernel that does not manage
-// YMM state would silently corrupt registers across preemption.
+// checked even when AVX or AVX512F is advertised: a kernel that uses
+// registers the OS does not save would silently corrupt them across
+// preemption.
 
 const (
 	cpuidFMA     = 1 << 12 // leaf 1 ECX
 	cpuidOSXSAVE = 1 << 27 // leaf 1 ECX
 	cpuidAVX     = 1 << 28 // leaf 1 ECX
 	cpuidAVX2    = 1 << 5  // leaf 7.0 EBX
+	cpuidAVX512F = 1 << 16 // leaf 7.0 EBX
 	xcr0AVXState = 0x6     // XMM (bit 1) + YMM (bit 2)
+	xcr0ZMMState = 0xe0    // opmask (bit 5) + ZMM_Hi256 (bit 6) + Hi16_ZMM (bit 7)
 )
 
 func hasAVX2FMA() bool {
@@ -39,15 +50,32 @@ func hasAVX2FMA() bool {
 	return ebx7&cpuidAVX2 != 0
 }
 
+// hasAVX512F reports the avx512 tile level's CPUID bit and OS state;
+// callers have already checked hasAVX2FMA (and with it OSXSAVE).
+func hasAVX512F() bool {
+	if lo, _ := xgetbv0(); lo&xcr0ZMMState != xcr0ZMMState {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&cpuidAVX512F != 0
+}
+
 func init() {
 	if !hasAVX2FMA() {
 		return
 	}
 	features = "avx2,fma"
+	avx512 := hasAVX512F()
+	if avx512 {
+		features += ",avx512f"
+	}
 	if noSIMD() {
 		return
 	}
 	bindAVX2()
+	if avx512 {
+		bindAVX512()
+	}
 }
 
 // bindAVX2 points every dispatch variable at the AVX2+FMA kernels.
@@ -145,4 +173,46 @@ func bindAVX2() {
 		axpy2RowsF32AVX2(o, p, d, pk, idx, vals)
 	}
 	pathName = "avx2"
+}
+
+// bindAVX512 binds the 512-bit register tiles on top of the AVX2 set.
+// The shims reject negative strides and index the last element each
+// operand is read or written at, so a short slice panics here, before
+// the assembly runs. Dot3x16's assembly stops at the last whole 4-row
+// step; the shim folds the scalar tail into each output as dot4AVX2
+// does, one FMA per row in ascending order.
+func bindAVX512() {
+	Gemm8x16 = func(c []float64, ldc int, a []float64, lda int, b []float64, bj, bl, k int) {
+		if ldc < 0 || lda < 0 || bj < 0 || bl < 0 {
+			panic("simd: Gemm8x16 with a negative stride")
+		}
+		_ = c[15*ldc+7]
+		if k > 0 {
+			_ = a[(k-1)*lda+7]
+			_ = b[15*bj+(k-1)*bl]
+		}
+		gemm8x16AVX512(c, ldc, a, lda, b, bj, bl, k)
+	}
+	Dot3x16 = func(c []float64, ldc int, a []float64, lda int, b []float64, ldb, m int) {
+		if ldc < 0 || lda < 0 || ldb < 0 || m < 0 {
+			panic("simd: Dot3x16 with a negative stride or length")
+		}
+		_ = c[15*ldc+2]
+		if m > 0 {
+			_ = a[2*lda+m-1]
+			_ = b[15*ldb+m-1]
+		}
+		m4 := m &^ 3
+		dot3x16AVX512(c, ldc, a, lda, b, ldb, m4)
+		for t := m4; t < m; t++ {
+			a0, a1, a2 := a[t], a[lda+t], a[2*lda+t]
+			for j := 0; j < 16; j++ {
+				bv, cj := b[j*ldb+t], c[j*ldc:j*ldc+3]
+				cj[0] = math.FMA(a0, bv, cj[0])
+				cj[1] = math.FMA(a1, bv, cj[1])
+				cj[2] = math.FMA(a2, bv, cj[2])
+			}
+		}
+	}
+	tilesName = "avx512"
 }

@@ -2,7 +2,13 @@ package simd
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -279,14 +285,60 @@ func TestF32KernelsAgainstScalar(t *testing.T) {
 	})
 }
 
-// TestForceScalarRestores pins the ForceScalar contract: under it the
-// dispatch variables produce bitwise-scalar results, and restore
-// rebinds the init-time choice.
+// TestForceScalarRestores pins the ForceScalar contract: dispatchVars
+// lists exactly the //repro:dispatch declarations of this package;
+// under ForceScalar every one of them is bound to its scalar kernel
+// (the tiles to nil) and Dot is bitwise DotGeneric; restore rebinds
+// every one to its init-time kernel, and Path and Tiles with them.
+// ForceNoTiles unbinds the tiles alone.
 func TestForceScalarRestores(t *testing.T) {
-	initPath := Path()
+	declared := dispatchDecls(t)
+	listed := map[string]bool{}
+	for _, d := range dispatchVars {
+		listed[d.name] = true
+		if !declared[d.name] {
+			t.Errorf("dispatchVars lists %s, which is not a //repro:dispatch variable", d.name)
+		}
+	}
+	for name := range declared {
+		if !listed[name] {
+			t.Errorf("//repro:dispatch variable %s is missing from dispatchVars", name)
+		}
+	}
+
+	// code identifies the function bound to d (0 for nil).
+	code := func(f any) uintptr {
+		if v := reflect.ValueOf(f); v.IsValid() && !v.IsNil() {
+			return v.Pointer()
+		}
+		return 0
+	}
+	bound := func(d dispatchVar) uintptr { return code(reflect.ValueOf(d.ptr).Elem().Interface()) }
+	var initial [len(dispatchVars)]uintptr
+	for i, d := range dispatchVars {
+		initial[i] = bound(d)
+	}
+	initPath, initTiles := Path(), Tiles()
+	checkRestored := func(t *testing.T, after string) {
+		t.Helper()
+		for i, d := range dispatchVars {
+			if bound(d) != initial[i] {
+				t.Errorf("%s after %s is not its init-time kernel", d.name, after)
+			}
+		}
+		if Path() != initPath || Tiles() != initTiles {
+			t.Fatalf("after %s: Path %q Tiles %q, want %q %q", after, Path(), Tiles(), initPath, initTiles)
+		}
+	}
+
 	restore := ForceScalar()
-	if Path() != "scalar" {
-		t.Fatalf("Path under ForceScalar = %q, want scalar", Path())
+	if Path() != "scalar" || Tiles() != "" {
+		t.Fatalf("under ForceScalar: Path %q Tiles %q, want scalar and none", Path(), Tiles())
+	}
+	for _, d := range dispatchVars {
+		if bound(d) != code(d.scalar) {
+			t.Errorf("%s under ForceScalar is not its scalar kernel", d.name)
+		}
 	}
 	x := make([]float64, 17)
 	y := make([]float64, 17)
@@ -296,8 +348,146 @@ func TestForceScalarRestores(t *testing.T) {
 		t.Fatalf("forced-scalar Dot = %g not bitwise-equal to DotGeneric %g", got, want)
 	}
 	restore()
-	if Path() != initPath {
-		t.Fatalf("Path after restore = %q, want %q", Path(), initPath)
+	checkRestored(t, "ForceScalar's restore")
+
+	restore = ForceNoTiles()
+	if Gemm8x16 != nil || Dot3x16 != nil || Tiles() != "" || Path() != initPath {
+		t.Fatalf("under ForceNoTiles: tiles bound or Path %q changed", Path())
+	}
+	for i, d := range dispatchVars {
+		if d.scalar != nil && bound(d) != initial[i] {
+			t.Errorf("ForceNoTiles rebound %s", d.name)
+		}
+	}
+	restore()
+	checkRestored(t, "ForceNoTiles' restore")
+}
+
+// dispatchDecls parses this package's non-test Go files for the
+// variables declared under //repro:dispatch.
+func dispatchDecls(t *testing.T) map[string]bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, f := range pkgs["simd"].Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				if !isDispatch(vs.Doc) && !isDispatch(gd.Doc) {
+					continue
+				}
+				for _, n := range vs.Names {
+					names[n.Name] = true
+				}
+			}
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("found no //repro:dispatch declarations")
+	}
+	return names
+}
+
+func isDispatch(doc *ast.CommentGroup) bool {
+	if doc != nil {
+		for _, c := range doc.List {
+			if c.Text == "//repro:dispatch" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestGemm8x16FMAChain pins the 8x16 tile's contract on hosts that bind
+// it: every element of C continues one math.FMA chain over l ascending
+// from the value C held, over strides that read B by columns (GemmNN)
+// and by rows (GemmNT), k from 0 past one 256-step cache block, and
+// guard words past every operand that must stay untouched.
+func TestGemm8x16FMAChain(t *testing.T) {
+	if Gemm8x16 == nil {
+		t.Skip("no 512-bit tiles on this host or path")
+	}
+	for _, k := range []int{0, 1, 2, 3, 5, 8, 17, 256, 300} {
+		for _, ldc := range []int{8, 11} {
+			for _, lda := range []int{8, 13} {
+				for _, rowMajor := range []bool{false, true} {
+					bj, bl := k+3, 1
+					if rowMajor {
+						bj, bl = 1, 19
+					}
+					a := make([]float64, max(k-1, 0)*lda+8+5)
+					b := make([]float64, 15*bj+max(k-1, 0)*bl+1+5)
+					c := make([]float64, 15*ldc+8+5)
+					fill(a, uint64(k+1))
+					fill(b, uint64(k+2))
+					fill(c, uint64(k+3))
+					want := append([]float64(nil), c...)
+					for j := 0; j < 16; j++ {
+						for i := 0; i < 8; i++ {
+							s := want[i+j*ldc]
+							for l := 0; l < k; l++ {
+								s = math.FMA(a[i+l*lda], b[j*bj+l*bl], s)
+							}
+							want[i+j*ldc] = s
+						}
+					}
+					Gemm8x16(c, ldc, a, lda, b, bj, bl, k)
+					for e := range c {
+						if c[e] != want[e] { //repro:bitwise the tile is the per-element FMA chain
+							t.Fatalf("k=%d ldc=%d lda=%d rowMajor=%v: c[%d] = %g, FMA chain %g",
+								k, ldc, lda, rowMajor, e, c[e], want[e])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDot3x16MatchesDot4 pins the 3x16 dot tile's contract on hosts
+// that bind it: every output is bitwise the Dot4 value of its A column
+// against its B column, over lengths that cover every 4-row step
+// residue (the tail) and strides wider than the columns, and words of C
+// outside the tile stay untouched.
+func TestDot3x16MatchesDot4(t *testing.T) {
+	if Dot3x16 == nil {
+		t.Skip("no 512-bit tiles on this host or path")
+	}
+	for _, m := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 33, 64, 131} {
+		for _, pad := range []int{0, 3} {
+			lda, ldb, ldc := m+pad, m+2*pad, 3+pad
+			a := make([]float64, 2*lda+m+4)
+			b := make([]float64, 15*ldb+m+4)
+			c := make([]float64, 15*ldc+3+4)
+			fill(a, uint64(m+10))
+			fill(b, uint64(m+11))
+			fill(c, uint64(m+12))
+			want := append([]float64(nil), c...)
+			col := func(x []float64, ld, i int) []float64 { return x[i*ld : i*ld+m] }
+			for i := 0; i < 3; i++ {
+				for j := 0; j < 16; j += 4 {
+					want[i+j*ldc], want[i+(j+1)*ldc], want[i+(j+2)*ldc], want[i+(j+3)*ldc] = Dot4(col(a, lda, i),
+						col(b, ldb, j), col(b, ldb, j+1), col(b, ldb, j+2), col(b, ldb, j+3))
+				}
+			}
+			Dot3x16(c, ldc, a, lda, b, ldb, m)
+			for e := range c {
+				if c[e] != want[e] { //repro:bitwise the tile's contract is bitwise equality with Dot4
+					t.Fatalf("m=%d pad=%d: c[%d] = %g, Dot4 gives %g", m, pad, e, c[e], want[e])
+				}
+			}
+		}
 	}
 }
 

@@ -66,6 +66,16 @@ func axpy2RowsAVX2(o, p, d, pk []float64, idx []int32, vals []float64)
 //go:noescape
 func axpy2RowsF32AVX2(o, p, d, pk []float64, idx []int32, vals []float32)
 
+// The 512-bit tiles (tiles_amd64.s), bound only on the avx512 level.
+// They read and write through explicit strides; the shims check the
+// last index of every operand first.
+
+//go:noescape
+func gemm8x16AVX512(c []float64, ldc int, a []float64, lda int, b []float64, bj, bl, k int)
+
+//go:noescape
+func dot3x16AVX512(c []float64, ldc int, a []float64, lda int, b []float64, ldb, m int)
+
 // cpuid executes CPUID with the given leaf/subleaf (cpuid_amd64.s).
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
