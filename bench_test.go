@@ -731,9 +731,18 @@ func BenchmarkTuckerInit(b *testing.B) {
 //   - cp-dense's kept-suffix root, GemmTN m=128, ka=16384, n=16, on
 //     GOMAXPROCS workers;
 //   - the planner calibration's timed GemmTN 4096x32x16 on one worker;
-//   - tucker-hooi's leading-mode TTMs at 32^4 R8 (ttmSlices' L == 1
-//     case), GemmNN 8x32x32768 and GemmTN 32x8x32768, on GOMAXPROCS
-//     workers.
+//   - cp-grid's two roots on each simulated rank's 32^3 block at R8,
+//     GemmNN 32x1024x8 and GemmTN m=32, ka=1024, n=8, on one worker
+//     (every rank sets Workers = 1), 40 calls of each per op;
+//   - tucker-hooi's TTMs at 32^4 R8: the interior slabs, GemmNN
+//     1024x32x8 on one worker (40 calls per op), the last mode's GemmNN
+//     32768x32x8 and the leading mode's GemmTN m=32, ka=8, n=32768
+//     (ttmSlices' L == 1 case), both on GOMAXPROCS workers;
+//   - the leading-mode TTM of a sweep at 32^4 ranks (16,16,4,4)
+//     (BenchmarkTuckerHOOI's skewed case; no perfbench workload runs
+//     it), GemmTN m=32, ka=16, n=4096, on one worker: its 16 rows take
+//     three 6-row strips of the 6x8 tile, and its 1 MiB B spans two of
+//     the tile's panels of B.
 //
 // Run it at -cpu 1,2; ci.sh runs it once so it keeps compiling.
 func BenchmarkGemmRoots(b *testing.B) {
@@ -751,8 +760,12 @@ func BenchmarkGemmRoots(b *testing.B) {
 		{"cp-dense-root/GemmNN", 128, 1024, 16, true, nn, 128 * 1024, 1024 * 16, 128 * 16},
 		{"cp-dense-suffix/GemmTN", 128, 16384, 16, false, tn, 128 * 16384, 128 * 16, 16384 * 16},
 		{"calibrate/GemmTN", 4096, 32, 16, true, tn, 4096 * 32, 4096 * 16, 32 * 16},
-		{"tucker-ttm/GemmNN", 8, 32, 32768, false, nn, 8 * 32, 32 * 32768, 8 * 32768},
+		{"cp-grid-root/GemmNN", 32, 1024, 8, true, nn, 32 * 1024, 1024 * 8, 32 * 8},
+		{"cp-grid-suffix/GemmTN", 32, 1024, 8, true, tn, 32 * 1024, 32 * 8, 1024 * 8},
+		{"tucker-slab/GemmNN", 1024, 32, 8, true, nn, 1024 * 32, 32 * 8, 1024 * 8},
+		{"tucker-last/GemmNN", 32768, 32, 8, false, nn, 32768 * 32, 32 * 8, 32768 * 8},
 		{"tucker-ttm/GemmTN", 32, 8, 32768, false, tn, 32 * 8, 32 * 32768, 8 * 32768},
+		{"tucker-skew-ttm/GemmTN", 32, 16, 4096, true, tn, 32 * 16, 32 * 4096, 16 * 4096},
 	} {
 		a := tensor.RandomMatrix(42, g.a, 1).Data()
 		bb := tensor.RandomMatrix(43, g.bb, 1).Data()

@@ -136,9 +136,10 @@ func runParallel(x *tensor.Dense, shape []int, opts Options) ([]*cpRank, *simnet
 	return ranks, net, nil
 }
 
-// enginePool lends each rank of a DecomposeParallel run its
-// dimension-tree engine. An engine put back keeps its grown KRP panels
-// for the next run; the pool drops it at garbage collection.
+// enginePool lends DecomposeTree and each rank of a DecomposeParallel
+// run its dimension-tree engine. An engine put back keeps its grown
+// KRP panels and prefix partials for the next run; the pool drops it at
+// garbage collection.
 var enginePool = sync.Pool{New: func() any { return dimtree.NewEngine(1) }}
 
 // cpRank is one simulated rank of a DecomposeParallel run: its block

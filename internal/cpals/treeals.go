@@ -27,6 +27,18 @@ import (
 // Options; the extra return reports total MTTKRP flops for comparison
 // with N*RefFlops per sweep.
 func DecomposeTree(x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, error) {
+	// One GEMM engine for every contraction in the run, lent by the
+	// pool DecomposeParallel's ranks share: its KRP panels, prefix
+	// partials and slab scratch grow to the largest contraction and are
+	// reused for the rest of the decomposition and by later runs.
+	eng := enginePool.Get().(*dimtree.Engine)
+	eng.Workers = opts.Workers
+	defer enginePool.Put(eng)
+	return decomposeTree(eng, x, opts)
+}
+
+// decomposeTree is DecomposeTree on the engine eng.
+func decomposeTree(eng *dimtree.Engine, x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, error) {
 	if err := opts.check(x); err != nil {
 		return nil, nil, 0, err
 	}
@@ -41,12 +53,9 @@ func DecomposeTree(x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, 
 		return nil, nil, 0, err
 	}
 
-	// One GEMM engine for every contraction in the run: its KRP panels,
-	// partial stack, and slab scratch grow to the largest contraction
-	// once and are reused for the rest of the decomposition. Every
-	// MTTKRP result keeps its shape for the whole run, so bs[n] holds
-	// B(n) in a buffer made once.
-	tree := newPrefixTree(dimtree.NewEngine(opts.Workers), x, opts.R)
+	// Every MTTKRP result keeps its shape for the whole run, so bs[n]
+	// holds B(n) in a buffer made once.
+	tree := newPrefixTree(eng, x, opts.R)
 	bs := make([]*tensor.Matrix, N)
 	for n := range bs {
 		bs[n] = tensor.NewMatrix(x.Dim(n), opts.R)
@@ -103,15 +112,15 @@ type prefixTree struct {
 	R   int
 
 	// prefixes[n] views P_n (modes n..N-1 plus r; P_0 is the tensor
-	// itself) in one of two buffers made once, which alternate since
-	// P_{n+1} is contracted out of P_n.
+	// itself) in one of the engine's two held buffers, which alternate
+	// since P_{n+1} is contracted out of P_n.
 	prefixes []*tensor.Dense
 }
 
 // newPrefixTree returns the schedule over x at rank R, contracting
-// with eng.
+// with eng and keeping its prefix partials in eng's held buffers.
 func newPrefixTree(eng *dimtree.Engine, x *tensor.Dense, R int) *prefixTree {
-	return &prefixTree{eng: eng, x: x, R: R, prefixes: prefixViews(x.Dims(), R)}
+	return &prefixTree{eng: eng, x: x, R: R, prefixes: prefixViews(eng, x.Dims(), R)}
 }
 
 // mttkrp writes B(n) into b and returns its flops: all modes but n
@@ -139,9 +148,10 @@ func (t *prefixTree) advance(factors []*tensor.Matrix, n int) int64 {
 
 // prefixViews returns the prefix partials' views for an order-N
 // tensor of the given extents at rank R: entry n (1 <= n < N) has
-// extents dims[n:] then R, and entries of one parity share a buffer
-// sized for the largest of them (entry 0, the tensor, is nil).
-func prefixViews(dims []int, R int) []*tensor.Dense {
+// extents dims[n:] then R, and entries of one parity share eng's held
+// buffer of that parity, sized for the largest of them (entry 0, the
+// tensor, is nil).
+func prefixViews(eng *dimtree.Engine, dims []int, R int) []*tensor.Dense {
 	N := len(dims)
 	sizes := make([]int, N)
 	var bufLen [2]int
@@ -152,7 +162,7 @@ func prefixViews(dims []int, R int) []*tensor.Dense {
 		}
 		bufLen[n%2] = max(bufLen[n%2], sizes[n])
 	}
-	bufs := [2][]float64{make([]float64, bufLen[0]), make([]float64, bufLen[1])}
+	bufs := [2][]float64{eng.Held(0, bufLen[0]), eng.Held(1, bufLen[1])}
 	views := make([]*tensor.Dense, N)
 	for n := 1; n < N; n++ {
 		shape := append(append([]int(nil), dims[n:]...), R)

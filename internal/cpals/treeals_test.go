@@ -2,8 +2,10 @@ package cpals
 
 import (
 	"math"
+	"sync"
 	"testing"
 
+	"repro/internal/dimtree"
 	"repro/internal/seq"
 	"repro/internal/tensor"
 )
@@ -39,6 +41,88 @@ func TestTreeALSMatchesPlainALS(t *testing.T) {
 			t.Fatal("model fit inconsistent with trace")
 		}
 	}
+}
+
+// TestTreeALSReusedEngineBitwise: DecomposeTree's pooled engine, and
+// one engine passed from run to run, keep their prefix partials and KRP
+// panels between runs of other shapes and worker counts, and no run
+// reads what an earlier one left: two shapes of different order and
+// two worker counts, run in turn twice and then all at once from four
+// goroutines, each give bitwise the factors, fits and flops of a run
+// on a fresh engine.
+func TestTreeALSReusedEngineBitwise(t *testing.T) {
+	type run struct {
+		model *Model
+		trace []TraceEntry
+		flops int64
+	}
+	decompose := func(t *testing.T, f func() (*Model, []TraceEntry, int64, error)) run {
+		t.Helper()
+		m, tr, fl, err := f()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run{m, tr, fl}
+	}
+	same := func(a, b run) bool {
+		if a.flops != b.flops || len(a.trace) != len(b.trace) || a.model.Fit != b.model.Fit { //repro:bitwise same arithmetic on a reused engine
+			return false
+		}
+		for i := range a.trace {
+			if a.trace[i] != b.trace[i] { //repro:bitwise same arithmetic on a reused engine
+				return false
+			}
+		}
+		for k, f := range a.model.Factors {
+			for i, v := range f.Data() {
+				if v != b.model.Factors[k].Data()[i] { //repro:bitwise same arithmetic on a reused engine
+					return false
+				}
+			}
+		}
+		return true
+	}
+	xs := []*tensor.Dense{tensor.RandomDense(101, 24, 20, 16), tensor.RandomDense(102, 9, 8, 7, 6)}
+	ranks := []int{6, 3}
+	optsFor := func(s, w int) Options {
+		return Options{R: ranks[s], MaxIters: 3, Tol: math.Inf(-1), Seed: 103, Workers: w}
+	}
+	fresh := map[[2]int]run{}
+	for s, x := range xs {
+		for _, w := range []int{1, 2} {
+			fresh[[2]int{s, w}] = decompose(t, func() (*Model, []TraceEntry, int64, error) {
+				return decomposeTree(dimtree.NewEngine(w), x, optsFor(s, w))
+			})
+		}
+	}
+	shared := dimtree.NewEngine(1)
+	for round := 0; round < 2; round++ {
+		for s, x := range xs {
+			for _, w := range []int{1, 2} {
+				opts := optsFor(s, w)
+				pooled := decompose(t, func() (*Model, []TraceEntry, int64, error) { return DecomposeTree(x, opts) })
+				shared.Workers = w
+				reused := decompose(t, func() (*Model, []TraceEntry, int64, error) { return decomposeTree(shared, x, opts) })
+				if want := fresh[[2]int{s, w}]; !same(pooled, want) || !same(reused, want) {
+					t.Fatalf("round %d dims %v workers %d: a reused engine's run differs from a fresh engine's",
+						round, x.Dims(), w)
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for key, want := range fresh {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, tr, fl, err := DecomposeTree(xs[key[0]], optsFor(key[0], key[1]))
+			if err != nil || !same(run{m, tr, fl}, want) {
+				t.Errorf("concurrent dims %v workers %d: differs from a fresh engine's run (err %v)",
+					xs[key[0]].Dims(), key[1], err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestTreeALSSavesFlops(t *testing.T) {

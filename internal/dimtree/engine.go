@@ -62,7 +62,8 @@ type Engine struct {
 	kr    []float64         // a partial's dropped-suffix KRP panel
 	stack [][]float64       // partial-tensor slots, stack discipline
 	sp    int
-	ranks rankTask // the partial contraction's fanout task, set for one call
+	ranks rankTask     // the partial contraction's fanout task, set for one call
+	held  [2][]float64 // the caller-held partials (Held)
 }
 
 // NewEngine returns an engine with the given worker count (<= 0 means
@@ -274,6 +275,17 @@ func (e *Engine) ContractPartialInto(out []float64, part *tensor.Dense, plo int,
 		panic("dimtree: ContractPartialInto output too short")
 	}
 	return e.contractPartExtents(out, part.Data(), factors, R, plo, phi, klo, khi, Lp, Mp, Rtp)
+}
+
+// Held returns the engine's held buffer i (0 or 1) resized to n words,
+// grow-only like its KRP panels: scratch for partials the caller keeps
+// between contractions, such as the two alternating prefix partials of
+// a CP-ALS sweep. The contents are whatever the last user left, and
+// every contraction overwrites its output. A later Held(i, ...) call
+// may move the buffer, so a caller takes both sizes it needs at once.
+func (e *Engine) Held(i, n int) []float64 {
+	e.held[i] = growf(e.held[i], n)
+	return e.held[i]
 }
 
 // push returns the grow-only buffer for the next partial-stack slot.

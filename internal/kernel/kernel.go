@@ -299,7 +299,7 @@ type prefixTask struct {
 
 // Chunk forms chunk c's KR rows, row-major, in the slot's scratch and
 // contracts chunk c's columns of X against them into bucket c. GemmNT
-// reads each k-step's R coefficients from one contiguous row (the 8x16
+// reads each k-step's R coefficients from one contiguous row (the 16x8
 // tile broadcasts them from there), and it gives every element the
 // arithmetic GemmNN gives it over the column-major rows, so the bucket
 // holds GemmNN's bits.

@@ -7,10 +7,12 @@ package linalg
 // the hardware allows" layer, blocked per the discipline of Ballard et
 // al., "Minimizing Communication in Numerical Linear Algebra": the
 // innermost kernel updates a 4x4 register tile (GemmTN: a 2x4 tile of
-// dot products), or on the avx512 level an 8x16 tile (GemmTN: 3x16)
-// held in zmm registers for a whole cache block, the middle loops keep
-// a panel of A resident in cache, and the outer loop hands disjoint
-// column (or row) panels of C to the slots of one fanout section.
+// dot products), or on the avx512 level a 16x8 tile (GemmTN: 6x8, or
+// 3x16 on blocks of three to eleven rows) held in zmm registers for a
+// whole cache block, so rank-8 and rank-16 products both reach it; the
+// middle loops keep a panel of A resident in cache, and the outer loop
+// hands disjoint column (or row) panels of C to the slots of one fanout
+// section.
 //
 // Three data orders cover every multiply in the repository:
 //
@@ -138,10 +140,10 @@ func GemmNN(c, a, b []float64, m, k, n, workers int) {
 	}
 	// Prefer disjoint column panels; fall back to row panels when C is
 	// wide in rows but narrow in columns (e.g. GEMM against a rank-R
-	// Khatri-Rao product with small R), and, when the 8x16 tile is
-	// bound, when column panels would split its 16 columns while row
+	// Khatri-Rao product with small R), and, when the 16x8 tile is
+	// bound, when column panels would split its 8 columns while row
 	// panels keep whole tiles.
-	tileRows := simd.Gemm8x16 != nil && n >= 16 && n < 16*w && m >= 8*w
+	tileRows := simd.Gemm16x8 != nil && n >= 8 && n < 8*w && m >= 16*w
 	if n >= 2*w && !tileRows {
 		parallelGemm(nnCols, c, a, b, nil, m, k, n, n, w)
 	} else {
@@ -170,14 +172,14 @@ func gemmNN(c, a, b []float64, m, k, bj, bl, i0, i1, j0, j1 int) {
 }
 
 // gemmNNBlock accumulates A(ib:ie, l0:l1) * op(B)(l0:l1, j0:j1) into
-// C: full 8x16 tiles through simd.Gemm8x16 when it is bound, the rest
+// C: full 16x8 tiles through simd.Gemm16x8 when it is bound, the rest
 // through the 4x4 kernels. Both continue each element's FMA chain over
 // l, so the split changes no bit.
 func gemmNNBlock(c, a, b []float64, m, bj, bl, l0, l1, ib, ie, j0, j1 int) {
-	if tile := simd.Gemm8x16; tile != nil {
-		it, jt := ib+(ie-ib)&^7, j0+(j1-j0)&^15
-		for j := j0; j < jt; j += 16 {
-			for i := ib; i < it; i += 8 {
+	if tile := simd.Gemm16x8; tile != nil {
+		it, jt := ib+(ie-ib)&^15, j0+(j1-j0)&^7
+		for j := j0; j < jt; j += 8 {
+			for i := ib; i < it; i += 16 {
 				tile(c[i+j*m:], m, a[i+l0*m:], m, b[j*bj+l0*bl:], bj, bl, l1-l0)
 			}
 		}
@@ -262,32 +264,53 @@ func GemmTN(c, a, b []float64, m, ka, n, workers int) {
 // gemmTN fills C rows [i0,i1): C(i,j) = <A(:,i), B(:,j)>. Blocks of
 // A's columns sized to the gemmBlock x gemmBlock panel form the outer
 // loop and B's column groups sweep each block while it is cache hot,
-// so A streams from memory once. When simd.Dot3x16 is bound, a block
-// has three rows or more and B's 16-column panels fit one gemmBlock
-// (4 <= m <= gemmBlock, so a panel stays in L1 across the block), each
-// 16-column group runs on it three rows at a time; a last tile that
-// would pass the block's end moves back to end there, so the rows it
-// shares with the tile before it are written twice with the same
-// values. Every other four-column group goes through the 2x4 dot tile
-// in row pairs (an odd last row through Dot4). Dot3x16 and Dot2x4 are
-// bitwise Dot4 per output, so every element of a four-column group is
-// exactly its Dot4 value and every element of the n mod 4 remainder
-// exactly its Dot value, whatever the blocking, the tile or the row
-// pairing.
+// so A streams from memory once. When the dot tiles are bound and B's
+// columns fit one gemmBlock (4 <= m <= gemmBlock):
+//
+//   - a block of twelve rows or more runs its 8-column groups on
+//     simd.Dot6x8, in panels of B within the same gemmBlock x gemmBlock
+//     budget: six rows at a time in the panel's outer loop, so each
+//     6-column strip of A stays in L1 across the panel's groups and
+//     the panel stays in cache across the strips, and B streams from
+//     memory once as well;
+//   - a block of three to eleven rows runs its 16-column groups on
+//     simd.Dot3x16, three rows at a time, each group in L1 across them.
+//
+// A last tile that would pass the block's end moves back to end there,
+// so the rows it shares with the tile before it are written twice with
+// the same values. Every other four-column group goes through the 2x4
+// dot tile in row pairs (an odd last row through Dot4). The tiles and
+// Dot2x4 are bitwise Dot4 per output, so every element of a
+// four-column group is exactly its Dot4 value and every element of the
+// n mod 4 remainder exactly its Dot value, whatever the blocking, the
+// tile or the row pairing.
 func gemmTN(c, a, b []float64, m, ka, n, i0, i1 int) {
-	tile := simd.Dot3x16
-	if n < 16 || m < 4 || m > gemmBlock {
-		tile = nil
+	t6, t3 := simd.Dot6x8, simd.Dot3x16
+	if m < 4 || m > gemmBlock {
+		t6, t3 = nil, nil
 	}
 	nb := max(2, gemmBlock*gemmBlock/max(m, 1)&^1)
 	for ib := i0; ib < i1; ib += nb {
 		ie := min(ib+nb, i1)
 		j := 0
-		if tile != nil && ie-ib >= 3 {
-			for ; j+16 <= n; j += 16 {
+		switch {
+		case t6 != nil && ie-ib >= 12 && n >= 8:
+			j = n &^ 7
+			for j0 := 0; j0 < j; j0 += nb &^ 7 {
+				j1 := min(j0+nb&^7, j)
+				for i := ib; i < ie; i += 6 {
+					i = min(i, ie-6)
+					for jt := j0; jt < j1; jt += 8 {
+						t6(c[i+jt*ka:], ka, a[i*m:], m, b[jt*m:], m, m)
+					}
+				}
+			}
+		case t3 != nil && ie-ib >= 3 && n >= 16:
+			j = n &^ 15
+			for jt := 0; jt < j; jt += 16 {
 				for i := ib; i < ie; i += 3 {
 					i = min(i, ie-3)
-					tile(c[i+j*ka:], ka, a[i*m:], m, b[j*m:], m, m)
+					t3(c[i+jt*ka:], ka, a[i*m:], m, b[jt*m:], m, m)
 				}
 			}
 		}

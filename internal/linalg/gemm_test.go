@@ -155,7 +155,9 @@ func TestMatMulIntoVariants(t *testing.T) {
 // 17} through the three data orders on each dispatch level the host
 // has — the 512-bit tiles, the init-time kernel set with the tiles
 // unbound, and the scalar kernels — pinning asm-vs-oracle agreement for
-// every micro-kernel fringe in m, n and k.
+// every micro-kernel fringe in m, n and k. n = 8 and 16 reach the 16x8
+// tile at m = 16 and 17 (one and two 8-column groups, with and without
+// a row remainder), and GemmTN's 6x8 tile at 16 and 17 rows of C.
 func TestGemmFringeBothDispatchPaths(t *testing.T) {
 	ext := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17}
 	run := func(t *testing.T) {
@@ -207,9 +209,11 @@ func forEachLevel(t *testing.T, f func(t *testing.T)) {
 // TestGemmNNBitwiseFMAChain pins GemmNN's and GemmNT's element
 // contract on every FMA level the host binds (the 512-bit tiles and the
 // AVX2 or NEON kernels): every C(i,j) is s = math.FMA(A(i,l), B(l,j), s)
-// over l ascending from 0, at workers 1-3. The shapes cross the 8-row
-// and 16-column tile edges and the 256-deep k blocks, and include
-// cp-dense's root chunk (128x1024x16).
+// over l ascending from 0, at workers 1-3. The shapes cross the 16-row
+// and 8-column tile edges (n of 8, 12, 24 and 25 at m of 16, 17, 31, 33
+// and 1024, which also puts the parallel GemmNN on row panels) and the
+// 256-deep k blocks, and include cp-dense's root chunk (128x1024x16)
+// and cp-grid's root (32x1024x8).
 func TestGemmNNBitwiseFMAChain(t *testing.T) {
 	if simd.Path() == "scalar" {
 		t.Skip("the scalar kernels round a*b and the sum separately")
@@ -217,7 +221,12 @@ func TestGemmNNBitwiseFMAChain(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {7, 3, 15}, {8, 5, 16}, {9, 17, 17}, {16, 256, 32},
 		{17, 257, 33}, {37, 301, 11}, {8, 32, 1000}, {300, 600, 19},
-		{128, 1024, 16},
+		{128, 1024, 16}, {32, 1024, 8},
+	}
+	for _, m := range []int{16, 17, 31, 33, 1024} {
+		for i, n := range []int{8, 12, 24, 25} {
+			shapes = append(shapes, struct{ m, k, n int }{m, []int{5, 37, 259, 64}[i], n})
+		}
 	}
 	check := func(t *testing.T) {
 		rng := rand.New(rand.NewSource(15))
@@ -295,48 +304,59 @@ func TestGemmBitwiseAcrossWorkers(t *testing.T) {
 // remainder exactly its simd.Dot value, at workers 1-8. The shapes
 // cross the 2x4 tile's odd last row (odd ka), every n mod 4 residue,
 // short and tail-only contractions (m < 4), and, at m = 128 and 300,
-// the cache blocks of A's columns (ka beyond one block). n of 16 or
-// more runs the 3x16 tile where it is bound (m from 4 to 256): ka of
-// 37, 512 and 1031 leave one, two and zero rows after the whole tiles
-// of a block, 4 and 5 one and two rows after one tile, and n of 17, 32
-// and 35 leave column remainders after one or two 16-column groups.
-// It runs on every dispatch level the host binds.
+// the cache blocks of A's columns (ka beyond one block). Where the dot
+// tiles are bound (m from 4 to 256), a block of 12 rows or more runs
+// the 6x8 tile on n of 8 or more: ka of 12, 13, 37, 512 and 1031 leave
+// zero, one, one, two and five rows after its whole tiles, and n of 9,
+// 15, 17 and 35 leave column remainders after one to four 8-column
+// groups. A block of 3 to 11 rows (ka of 4 to 11, and 1031's last block
+// at m = 128) runs the 3x16 tile on n of 16 or more, and n of 8 and 15
+// below it run no tile. The last shapes cross the 6x8 tile's panels of
+// B (512 columns at m = 128, 256 at m = 256), ending in a part panel
+// and a column remainder. It runs on every dispatch level the host
+// binds.
 func TestGemmTNBitwiseDotReference(t *testing.T) {
 	forEachLevel(t, checkGemmTNDotReference)
 }
 
 func checkGemmTNDotReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, m := range []int{1, 3, 4, 5, 128, 300} {
-		for _, ka := range []int{1, 2, 4, 5, 7, 37, 512, 513, 1031} {
-			for _, n := range []int{4, 5, 6, 7, 9, 16, 17, 32, 35} {
-				a := randMat(rng, m, ka)
-				b := randMat(rng, m, n)
-				ad, bd := a.Data(), b.Data()
-				want := make([]float64, ka*n)
-				for i := 0; i < ka; i++ {
-					ai := ad[i*m : i*m+m]
-					j := 0
-					for ; j+4 <= n; j += 4 {
-						want[i+j*ka], want[i+(j+1)*ka], want[i+(j+2)*ka], want[i+(j+3)*ka] = simd.Dot4(ai,
-							bd[j*m:j*m+m], bd[(j+1)*m:(j+1)*m+m], bd[(j+2)*m:(j+2)*m+m], bd[(j+3)*m:(j+3)*m+m])
-					}
-					for ; j < n; j++ {
-						want[i+j*ka] = simd.Dot(ai, bd[j*m:j*m+m])
-					}
-				}
-				got := make([]float64, ka*n)
-				for w := 1; w <= 8; w++ {
-					GemmTN(got, ad, bd, m, ka, n, w)
-					for e, v := range got {
-						if v != want[e] { //repro:bitwise GemmTN is the per-element Dot4/Dot value
-							t.Fatalf("GemmTN m=%d ka=%d n=%d workers=%d: element %d = %g, reference %g",
-								m, ka, n, w, e, v, want[e])
-						}
-					}
+	check := func(m, ka, n int) {
+		a := randMat(rng, m, ka)
+		b := randMat(rng, m, n)
+		ad, bd := a.Data(), b.Data()
+		want := make([]float64, ka*n)
+		for i := 0; i < ka; i++ {
+			ai := ad[i*m : i*m+m]
+			j := 0
+			for ; j+4 <= n; j += 4 {
+				want[i+j*ka], want[i+(j+1)*ka], want[i+(j+2)*ka], want[i+(j+3)*ka] = simd.Dot4(ai,
+					bd[j*m:j*m+m], bd[(j+1)*m:(j+1)*m+m], bd[(j+2)*m:(j+2)*m+m], bd[(j+3)*m:(j+3)*m+m])
+			}
+			for ; j < n; j++ {
+				want[i+j*ka] = simd.Dot(ai, bd[j*m:j*m+m])
+			}
+		}
+		got := make([]float64, ka*n)
+		for w := 1; w <= 8; w++ {
+			GemmTN(got, ad, bd, m, ka, n, w)
+			for e, v := range got {
+				if v != want[e] { //repro:bitwise GemmTN is the per-element Dot4/Dot value
+					t.Fatalf("GemmTN m=%d ka=%d n=%d workers=%d: element %d = %g, reference %g",
+						m, ka, n, w, e, v, want[e])
 				}
 			}
 		}
+	}
+	for _, m := range []int{1, 3, 4, 5, 128, 300} {
+		for _, ka := range []int{1, 2, 4, 5, 6, 7, 8, 11, 12, 13, 37, 512, 513, 1031} {
+			for _, n := range []int{4, 5, 6, 7, 8, 9, 15, 16, 17, 24, 32, 35} {
+				check(m, ka, n)
+			}
+		}
+	}
+	for _, s := range [][3]int{{128, 12, 1043}, {128, 13, 1043}, {256, 30, 530}} {
+		check(s[0], s[1], s[2])
 	}
 }
 

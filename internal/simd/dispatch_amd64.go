@@ -178,20 +178,25 @@ func bindAVX2() {
 // bindAVX512 binds the 512-bit register tiles on top of the AVX2 set.
 // The shims reject negative strides and index the last element each
 // operand is read or written at, so a short slice panics here, before
-// the assembly runs. Dot3x16's assembly stops at the last whole 4-row
-// step; the shim folds the scalar tail into each output as dot4AVX2
-// does, one FMA per row in ascending order.
+// the assembly runs. The dot tiles' assembly stops at the last whole
+// 4-row step; the shims fold the scalar tail into each output as
+// dot4AVX2 does, one FMA per row in ascending order. Each shim checks
+// its own tile's extents at constant offsets: a check and tail fold
+// shared by both tiles, taking the tile's shape as arguments, cost
+// tucker-hooi's leading-mode GemmTN (on Dot3x16) 4-6% of its GFLOP/s
+// (E45). Dot6x8's shim calls its fold only when there is a tail, which
+// keeps the fold's loop out of the whole-step path.
 func bindAVX512() {
-	Gemm8x16 = func(c []float64, ldc int, a []float64, lda int, b []float64, bj, bl, k int) {
+	Gemm16x8 = func(c []float64, ldc int, a []float64, lda int, b []float64, bj, bl, k int) {
 		if ldc < 0 || lda < 0 || bj < 0 || bl < 0 {
-			panic("simd: Gemm8x16 with a negative stride")
+			panic("simd: Gemm16x8 with a negative stride")
 		}
-		_ = c[15*ldc+7]
+		_ = c[7*ldc+15]
 		if k > 0 {
-			_ = a[(k-1)*lda+7]
-			_ = b[15*bj+(k-1)*bl]
+			_ = a[(k-1)*lda+15]
+			_ = b[7*bj+(k-1)*bl]
 		}
-		gemm8x16AVX512(c, ldc, a, lda, b, bj, bl, k)
+		gemm16x8AVX512(c, ldc, a, lda, b, bj, bl, k)
 	}
 	Dot3x16 = func(c []float64, ldc int, a []float64, lda int, b []float64, ldb, m int) {
 		if ldc < 0 || lda < 0 || ldb < 0 || m < 0 {
@@ -214,5 +219,33 @@ func bindAVX512() {
 			}
 		}
 	}
+	Dot6x8 = func(c []float64, ldc int, a []float64, lda int, b []float64, ldb, m int) {
+		if ldc < 0 || lda < 0 || ldb < 0 || m < 0 {
+			panic("simd: Dot6x8 with a negative stride or length")
+		}
+		_ = c[7*ldc+5]
+		if m > 0 {
+			_ = a[5*lda+m-1]
+			_ = b[7*ldb+m-1]
+		}
+		m4 := m &^ 3
+		dot6x8AVX512(c, ldc, a, lda, b, ldb, m4)
+		if m4 < m {
+			dot6x8Tail(c, ldc, a, lda, b, ldb, m4, m)
+		}
+	}
 	tilesName = "avx512"
+}
+
+// dot6x8Tail folds rows [m4, m) of a 6x8 dot tile into C, one FMA per
+// row in ascending order, as dot4AVX2's scalar tail does.
+func dot6x8Tail(c []float64, ldc int, a []float64, lda int, b []float64, ldb, m4, m int) {
+	for t := m4; t < m; t++ {
+		for j := 0; j < 8; j++ {
+			bv, cj := b[j*ldb+t], c[j*ldc:j*ldc+6]
+			for i := range cj {
+				cj[i] = math.FMA(a[i*lda+t], bv, cj[i])
+			}
+		}
+	}
 }

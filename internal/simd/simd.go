@@ -8,9 +8,12 @@
 //   - avx2 on amd64 (AVX2+FMA) and neon on arm64: every streaming and
 //     tile kernel of the tables below;
 //   - avx512 on amd64 hosts with AVX512F whose OS saves the opmask and
-//     ZMM state: two 512-bit register tiles (Gemm8x16, Dot3x16) that
-//     the GEMM engine sends its full tiles to. They are nil on every
-//     other host and path, and the engine's AVX2 blocks run instead.
+//     ZMM state: three 512-bit register tiles that the GEMM engine
+//     sends its full tiles to, Gemm16x8 under GemmNN and GemmNT and
+//     Dot6x8 and Dot3x16 under GemmTN. All three are 8 or 16 columns
+//     wide, so rank-8 and rank-16 products reach them. They are nil on
+//     every other host and path, and the engine's AVX2 blocks run
+//     instead.
 //
 // The paper's lower bounds count words moved, so the communication
 // schedule above this layer is already fixed; what SIMD buys is the
@@ -129,19 +132,23 @@ var (
 // slices are addressed through explicit strides; every index is
 // non-negative and the shims check the last one of each operand.
 //
-//	Gemm8x16: for i < 8, j < 16 and l ascending from 0 to k-1,
+//	Gemm16x8: for i < 16, j < 8 and l ascending from 0 to k-1,
 //	          c[i+j*ldc] = fma(a[i+l*lda], b[j*bj+l*bl], c[i+j*ldc])
-//	          (an 8x16 block of C += A*B or A*B^T, continuing each
+//	          (a 16x8 block of C += A*B or A*B^T, continuing each
 //	          element's FMA chain from the value C holds)
 //	Dot3x16:  for i < 3, j < 16, c[i+j*ldc] = the Dot4 value of
 //	          a[i*lda:i*lda+m] against b[j*ldb:j*ldb+m] (a 3x16 tile
 //	          of C = A^T*B), bitwise what Dot4 returns on the avx2
 //	          level
+//	Dot6x8:   Dot3x16's contract for i < 6, j < 8 (a 6x8 tile of
+//	          C = A^T*B)
 var (
 	//repro:dispatch
-	Gemm8x16 func(c []float64, ldc int, a []float64, lda int, b []float64, bj, bl, k int)
+	Gemm16x8 func(c []float64, ldc int, a []float64, lda int, b []float64, bj, bl, k int)
 	//repro:dispatch
 	Dot3x16 func(c []float64, ldc int, a []float64, lda int, b []float64, ldb, m int)
+	//repro:dispatch
+	Dot6x8 func(c []float64, ldc int, a []float64, lda int, b []float64, ldb, m int)
 )
 
 // pathName is set by the per-arch init that installs wide kernels;
@@ -160,7 +167,7 @@ var features = ""
 func Path() string { return pathName }
 
 // Tiles reports the register-tile level bound above Path's kernel
-// set: "avx512", or "" when Gemm8x16 and Dot3x16 are nil.
+// set: "avx512", or "" when Gemm16x8, Dot3x16 and Dot6x8 are nil.
 func Tiles() string { return tilesName }
 
 // Describe returns the one-line environment banner the report tools
@@ -214,8 +221,9 @@ var dispatchVars = [...]dispatchVar{
 	{"Dot4F32", &Dot4F32, Dot4F32Generic},
 	{"AxpyRowsF32", &AxpyRowsF32, AxpyRowsF32Generic},
 	{"Axpy2RowsF32", &Axpy2RowsF32, Axpy2RowsF32Generic},
-	{"Gemm8x16", &Gemm8x16, nil},
+	{"Gemm16x8", &Gemm16x8, nil},
 	{"Dot3x16", &Dot3x16, nil},
+	{"Dot6x8", &Dot6x8, nil},
 }
 
 // bind sets the dispatch variable d points at to f (nil unbinds it).
@@ -263,7 +271,7 @@ func ForceScalar() (restore func()) {
 // ForceScalar.
 func ForceNoTiles() (restore func()) {
 	restore = save()
-	Gemm8x16, Dot3x16 = nil, nil
+	Gemm16x8, Dot3x16, Dot6x8 = nil, nil, nil
 	tilesName = ""
 	return restore
 }

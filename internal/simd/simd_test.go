@@ -351,7 +351,7 @@ func TestForceScalarRestores(t *testing.T) {
 	checkRestored(t, "ForceScalar's restore")
 
 	restore = ForceNoTiles()
-	if Gemm8x16 != nil || Dot3x16 != nil || Tiles() != "" || Path() != initPath {
+	if Gemm16x8 != nil || Dot3x16 != nil || Dot6x8 != nil || Tiles() != "" || Path() != initPath {
 		t.Fatalf("under ForceNoTiles: tiles bound or Path %q changed", Path())
 	}
 	for i, d := range dispatchVars {
@@ -409,32 +409,32 @@ func isDispatch(doc *ast.CommentGroup) bool {
 	return false
 }
 
-// TestGemm8x16FMAChain pins the 8x16 tile's contract on hosts that bind
+// TestGemm16x8FMAChain pins the 16x8 tile's contract on hosts that bind
 // it: every element of C continues one math.FMA chain over l ascending
 // from the value C held, over strides that read B by columns (GemmNN)
 // and by rows (GemmNT), k from 0 past one 256-step cache block, and
 // guard words past every operand that must stay untouched.
-func TestGemm8x16FMAChain(t *testing.T) {
-	if Gemm8x16 == nil {
+func TestGemm16x8FMAChain(t *testing.T) {
+	if Gemm16x8 == nil {
 		t.Skip("no 512-bit tiles on this host or path")
 	}
 	for _, k := range []int{0, 1, 2, 3, 5, 8, 17, 256, 300} {
-		for _, ldc := range []int{8, 11} {
-			for _, lda := range []int{8, 13} {
+		for _, ldc := range []int{16, 19} {
+			for _, lda := range []int{16, 21} {
 				for _, rowMajor := range []bool{false, true} {
 					bj, bl := k+3, 1
 					if rowMajor {
-						bj, bl = 1, 19
+						bj, bl = 1, 11
 					}
-					a := make([]float64, max(k-1, 0)*lda+8+5)
-					b := make([]float64, 15*bj+max(k-1, 0)*bl+1+5)
-					c := make([]float64, 15*ldc+8+5)
+					a := make([]float64, max(k-1, 0)*lda+16+5)
+					b := make([]float64, 7*bj+max(k-1, 0)*bl+1+5)
+					c := make([]float64, 7*ldc+16+5)
 					fill(a, uint64(k+1))
 					fill(b, uint64(k+2))
 					fill(c, uint64(k+3))
 					want := append([]float64(nil), c...)
-					for j := 0; j < 16; j++ {
-						for i := 0; i < 8; i++ {
+					for j := 0; j < 8; j++ {
+						for i := 0; i < 16; i++ {
 							s := want[i+j*ldc]
 							for l := 0; l < k; l++ {
 								s = math.FMA(a[i+l*lda], b[j*bj+l*bl], s)
@@ -442,7 +442,7 @@ func TestGemm8x16FMAChain(t *testing.T) {
 							want[i+j*ldc] = s
 						}
 					}
-					Gemm8x16(c, ldc, a, lda, b, bj, bl, k)
+					Gemm16x8(c, ldc, a, lda, b, bj, bl, k)
 					for e := range c {
 						if c[e] != want[e] { //repro:bitwise the tile is the per-element FMA chain
 							t.Fatalf("k=%d ldc=%d lda=%d rowMajor=%v: c[%d] = %g, FMA chain %g",
@@ -455,36 +455,44 @@ func TestGemm8x16FMAChain(t *testing.T) {
 	}
 }
 
-// TestDot3x16MatchesDot4 pins the 3x16 dot tile's contract on hosts
-// that bind it: every output is bitwise the Dot4 value of its A column
-// against its B column, over lengths that cover every 4-row step
-// residue (the tail) and strides wider than the columns, and words of C
-// outside the tile stay untouched.
+// TestDot3x16MatchesDot4 and TestDot6x8MatchesDot4 pin the dot tiles'
+// contract on hosts that bind them: every output is bitwise the Dot4
+// value of its A column against its B column, over lengths that cover
+// every 4-row step residue (tails of 0-3 rows) and strides wider than
+// the columns, and words of C outside the tile stay untouched.
 func TestDot3x16MatchesDot4(t *testing.T) {
-	if Dot3x16 == nil {
+	checkDotTileMatchesDot4(t, Dot3x16, 3, 16)
+}
+
+func TestDot6x8MatchesDot4(t *testing.T) {
+	checkDotTileMatchesDot4(t, Dot6x8, 6, 8)
+}
+
+func checkDotTileMatchesDot4(t *testing.T, tile func(c []float64, ldc int, a []float64, lda int, b []float64, ldb, m int), rows, cols int) {
+	if tile == nil {
 		t.Skip("no 512-bit tiles on this host or path")
 	}
-	for _, m := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 33, 64, 131} {
+	for _, m := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 33, 64, 131} {
 		for _, pad := range []int{0, 3} {
-			lda, ldb, ldc := m+pad, m+2*pad, 3+pad
-			a := make([]float64, 2*lda+m+4)
-			b := make([]float64, 15*ldb+m+4)
-			c := make([]float64, 15*ldc+3+4)
+			lda, ldb, ldc := m+pad, m+2*pad, rows+pad
+			a := make([]float64, (rows-1)*lda+m+4)
+			b := make([]float64, (cols-1)*ldb+m+4)
+			c := make([]float64, (cols-1)*ldc+rows+4)
 			fill(a, uint64(m+10))
 			fill(b, uint64(m+11))
 			fill(c, uint64(m+12))
 			want := append([]float64(nil), c...)
 			col := func(x []float64, ld, i int) []float64 { return x[i*ld : i*ld+m] }
-			for i := 0; i < 3; i++ {
-				for j := 0; j < 16; j += 4 {
+			for i := 0; i < rows; i++ {
+				for j := 0; j < cols; j += 4 {
 					want[i+j*ldc], want[i+(j+1)*ldc], want[i+(j+2)*ldc], want[i+(j+3)*ldc] = Dot4(col(a, lda, i),
 						col(b, ldb, j), col(b, ldb, j+1), col(b, ldb, j+2), col(b, ldb, j+3))
 				}
 			}
-			Dot3x16(c, ldc, a, lda, b, ldb, m)
+			tile(c, ldc, a, lda, b, ldb, m)
 			for e := range c {
 				if c[e] != want[e] { //repro:bitwise the tile's contract is bitwise equality with Dot4
-					t.Fatalf("m=%d pad=%d: c[%d] = %g, Dot4 gives %g", m, pad, e, c[e], want[e])
+					t.Fatalf("%dx%d m=%d pad=%d: c[%d] = %g, Dot4 gives %g", rows, cols, m, pad, e, c[e], want[e])
 				}
 			}
 		}
