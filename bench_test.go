@@ -139,9 +139,10 @@ func BenchmarkMTTKRPKernel128(b *testing.B) {
 }
 
 // BenchmarkCPALSInnerMTTKRP measures the steady-state CP-ALS inner
-// iteration as Decompose runs it: an all-modes FastInto sweep with a
-// reused workspace and preallocated outputs. With -benchmem this
-// demonstrates the engine's zero-allocation contract.
+// iteration's MTTKRPs as Decompose runs them: one kernel.Contract3
+// pass per mode (the call FastInto makes) with a reused workspace and
+// preallocated outputs. With -benchmem this demonstrates the engine's
+// zero-allocation contract.
 func BenchmarkCPALSInnerMTTKRP(b *testing.B) {
 	dims := []int{48, 48, 48}
 	const R = 8

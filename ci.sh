@@ -24,9 +24,12 @@ set -eu
 cd "$(dirname "$0")"
 
 echo "== gofmt =="
+# Every Go file in the repository: the root package and its tests,
+# cmd/, internal/, examples/ and the perfbench module. .bench_build/
+# holds the benchmark's Go module cache and build scratch, not ours.
 # gofmt only inspects .go files; the assembly kernels (*.s) under
 # internal/simd are formatted by hand and are explicitly out of scope.
-unformatted=$(find cmd internal -name '*.go' -print0 | xargs -0 gofmt -l)
+unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print0 | xargs -0 gofmt -l)
 if [ -n "$unformatted" ]; then
 	echo "gofmt: the following files need formatting:" >&2
 	echo "$unformatted" >&2

@@ -10,11 +10,12 @@
 //	cpals -dims 16,16,16 -rank 4 -engine tree -workers 4
 //	cpals -dims 16,16,16 -rank 4 -grid 2,2,2
 //
-// The sequential solver picks its MTTKRP strategy with -engine:
-// "independent" runs one KRP-splitting kernel call per mode,
-// "tree" runs dimension-tree ALS with the GEMM-based multi-MTTKRP
-// engine (prefix-partial reuse across modes) and reports the flop
-// saving. -workers caps the goroutines used by either engine.
+// The sequential solver picks its MTTKRP strategy with -engine. Both
+// run one sweep loop on the GEMM-based dimension-tree engine:
+// "independent" contracts the whole tensor once per mode (its obs
+// phase is tree-root), "tree" reuses prefix partials across modes and
+// reports the flop saving. -workers caps the goroutines used by
+// either.
 package main
 
 import (
@@ -125,7 +126,9 @@ func main() {
 		if join != nil {
 			join(rep)
 		}
-		emitReport(rep, *obsFlag, *obsJSON)
+		if err := rep.Emit(os.Stdout, *obsFlag, *obsJSON); err != nil {
+			fatal(err)
+		}
 	}
 
 	if *gridFlag == "" {
@@ -189,32 +192,6 @@ func main() {
 		rep.MeasuredWords = mt
 		rep.JoinParBounds(float64(p), 0, len(res.Trace)*len(dims))
 	})
-}
-
-// emitReport writes the report per the -obs / -obs-json flags.
-func emitReport(rep *obs.Report, human bool, jsonPath string) {
-	if human {
-		rep.Format(os.Stdout)
-	}
-	if jsonPath == "" {
-		return
-	}
-	if jsonPath == "-" {
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		fatal(err)
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
 }
 
 func printTrace(trace []cpals.TraceEntry) {

@@ -295,24 +295,8 @@ func joinAlgWords(rep *obs.Report, algo string, dims []int, r int, grid []int) {
 // finishObs emits the report and enforces the CI ratio gates against
 // the best applicable bound.
 func finishObs(rep *obs.Report, algo string, human bool, jsonPath string, maxRatio, minRatio float64) {
-	if human {
-		rep.Format(os.Stdout)
-	}
-	if jsonPath == "-" {
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-	} else if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+	if err := rep.Emit(os.Stdout, human, jsonPath); err != nil {
+		fatal(err)
 	}
 	if maxRatio <= 0 && minRatio <= 0 {
 		return

@@ -201,22 +201,11 @@ func main() {
 	fmt.Println("on structured tensors, which is why the sparse case leads to hypergraph")
 	fmt.Println("partitioning [15], [23].")
 
-	if *obsFlag && rep != nil {
-		fmt.Println()
-		rep.Format(os.Stdout)
-	}
-	if *obsJSON != "" && rep != nil {
-		w := os.Stdout
-		if *obsJSON != "-" {
-			f, err := os.Create(*obsJSON)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sparsemttkrp:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			w = f
+	if rep != nil {
+		if *obsFlag {
+			fmt.Println()
 		}
-		if err := rep.WriteJSON(w); err != nil {
+		if err := rep.Emit(os.Stdout, *obsFlag, *obsJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "sparsemttkrp:", err)
 			os.Exit(1)
 		}

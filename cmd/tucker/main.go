@@ -132,7 +132,9 @@ func main() {
 			custom(rep)
 		}
 		rep.FillFromCollector(col)
-		emitReport(rep, *obsFlag, *obsJSON)
+		if err := rep.Emit(os.Stdout, *obsFlag, *obsJSON); err != nil {
+			fatal(err)
+		}
 	}
 
 	if *gridFlag == "" {
@@ -175,32 +177,6 @@ func main() {
 		rep.MeasuredWords = res.MaxWords()
 		rep.JoinMultiTTMBounds(ranks, float64(p), len(res.Trace))
 	})
-}
-
-// emitReport writes the report per the -obs / -obs-json flags.
-func emitReport(rep *obs.Report, human bool, jsonPath string) {
-	if human {
-		rep.Format(os.Stdout)
-	}
-	if jsonPath == "" {
-		return
-	}
-	if jsonPath == "-" {
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		fatal(err)
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
 }
 
 func parseInts(s string) ([]int, error) {

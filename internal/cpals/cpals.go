@@ -12,9 +12,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/kernel"
 	"repro/internal/linalg"
-	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
@@ -78,69 +76,13 @@ type TraceEntry struct {
 	Fit  float64
 }
 
-// Decompose runs sequential CP-ALS.
+// Decompose runs sequential CP-ALS. Each MTTKRP is one KRP-splitting
+// contraction of the whole tensor (kernel.Contract3, the pass
+// kernel.Fast makes): it is DecomposeTree's sweep with the prefix
+// schedule's reuse turned off.
 func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
-	if err := opts.check(x); err != nil {
-		return nil, nil, err
-	}
-	N := x.Order()
-	factors := tensor.RandomFactors(opts.Seed, x.Dims(), opts.R)
-	grams := make([]*tensor.Matrix, N)
-	for k, f := range factors {
-		grams[k] = linalg.Gram(f)
-	}
-	// MTTKRP state reused across all sweeps: one workspace plus one
-	// output buffer per mode, so the per-iteration bottleneck runs
-	// through the KRP-splitting engine with zero steady-state
-	// allocations. The pooled workspace is taken before the norm's
-	// parallel section, as in tucker.Decompose.
-	ws := kernel.GetWorkspace()
-	defer kernel.PutWorkspace(ws)
-	normX := linalg.Norm(x.Data(), opts.Workers)
-	if err := checkNorm(normX); err != nil {
-		return nil, nil, err
-	}
-	bs := make([]*tensor.Matrix, N)
-	for n := 0; n < N; n++ {
-		bs[n] = tensor.NewMatrix(x.Dim(n), opts.R)
-	}
-
-	var trace []TraceEntry
-	prevFit := math.Inf(-1)
-	fit := 0.0
-	for it := 0; it < opts.MaxIters; it++ {
-		var lastB *tensor.Matrix
-		for n := 0; n < N; n++ {
-			b := bs[n]
-			kernel.FastInto(b, x, factors, n, opts.Workers, ws)
-			v := hadamardGrams(grams, n, opts.R)
-			sspan := obs.Start(obs.PhaseSolve)
-			err := solveFactor(factors[n], v, b)
-			sspan.Stop()
-			if err != nil {
-				return nil, nil, fmt.Errorf("cpals: mode %d solve: %w", n, err)
-			}
-			gspan := obs.Start(obs.PhaseGram)
-			grams[n] = linalg.Gram(factors[n])
-			gspan.Stop()
-			lastB = b
-		}
-		fspan := obs.Start(obs.PhaseFit)
-		fit = computeFit(normX, linalg.Dot(lastB, factors[N-1]), grams)
-		fspan.Stop()
-		trace = append(trace, TraceEntry{Iter: it, Fit: fit})
-		if fit-prevFit < opts.Tol && it > 0 {
-			break
-		}
-		prevFit = fit
-		if opts.Normalize {
-			rebalance(factors)
-			for k, f := range factors {
-				grams[k] = linalg.Gram(f)
-			}
-		}
-	}
-	return &Model{Factors: factors, Fit: fit}, trace, nil
+	model, trace, _, err := decomposePooled(x, opts, false)
+	return model, trace, err
 }
 
 // rebalance spreads each rank-one component's magnitude evenly across
@@ -213,19 +155,23 @@ func checkNorm(normX float64) error {
 
 // computeFit evaluates 1 - ||X - Xhat||/||X|| using the standard
 // identity: ||X - Xhat||^2 = ||X||^2 - 2<X, Xhat> + ||Xhat||^2, where
-// inner = <X, Xhat> = <B(n), A(n)> for the last updated mode n and
-// ||Xhat||^2 = 1' (hadamard of all Grams) 1.
+// inner = <X, Xhat> = <B(n), A(n)> for the last updated mode n.
 func computeFit(normX, inner float64, grams []*tensor.Matrix) float64 {
+	resid2 := normX*normX - 2*inner + modelNorm2(grams)
+	if resid2 < 0 {
+		resid2 = 0
+	}
+	return 1 - math.Sqrt(resid2)/normX
+}
+
+// modelNorm2 returns ||Xhat||^2 = 1' (hadamard of all Grams) 1, the
+// squared norm of the CP model whose factors have the given Grams.
+func modelNorm2(grams []*tensor.Matrix) float64 {
 	R := grams[0].Cols()
 	all := tensor.NewMatrix(R, R)
 	all.Fill(1)
 	for _, g := range grams {
 		all = tensor.Hadamard(all, g)
 	}
-	normHat2 := linalg.SumAll(all)
-	resid2 := normX*normX - 2*inner + normHat2
-	if resid2 < 0 {
-		resid2 = 0
-	}
-	return 1 - math.Sqrt(resid2)/normX
+	return linalg.SumAll(all)
 }

@@ -226,27 +226,44 @@ func TestDecomposeParallelErrors(t *testing.T) {
 	}
 }
 
+// TestParallelSingleProcessor: a one-rank DecomposeParallel walks
+// DecomposeTree's prefix schedule on the whole tensor, so its factors
+// are bitwise DecomposeTree's. Its fits may differ by a few ulps,
+// because the rank sums ||X||^2 serially.
 func TestParallelSingleProcessor(t *testing.T) {
-	dims := []int{5, 5}
-	x := tensor.RandomDense(53, dims...)
-	opts := Options{R: 2, MaxIters: 5, Tol: math.Inf(-1), Seed: 55}
-	res, err := DecomposeParallel(x, []int{1, 1}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxMTTKRPWords() != 0 || res.MaxOtherWords() != 0 {
-		t.Fatal("P=1 should not communicate")
-	}
-	_, seqTrace, err := Decompose(x, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace) != opts.MaxIters || len(seqTrace) != opts.MaxIters {
-		t.Fatalf("trace lengths %d and %d, want %d", len(res.Trace), len(seqTrace), opts.MaxIters)
-	}
-	for i := range seqTrace {
-		if math.Abs(res.Trace[i].Fit-seqTrace[i].Fit) > 1e-9 {
-			t.Fatalf("P=1 parallel should match sequential exactly at iter %d", i)
+	for _, dims := range [][]int{{5, 5}, {8, 7, 6}, {6, 5, 4, 3}, {64, 64, 64}} {
+		x := tensor.RandomDense(53, dims...)
+		opts := Options{R: 3, MaxIters: 4, Tol: math.Inf(-1), Seed: 55}
+		grid := make([]int, len(dims))
+		for k := range grid {
+			grid[k] = 1
+		}
+		res, err := DecomposeParallel(x, grid, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MaxMTTKRPWords() != 0 || res.MaxOtherWords() != 0 {
+			t.Fatal("P=1 should not communicate")
+		}
+		model, trace, _, err := DecomposeTree(x, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, f := range model.Factors {
+			for i, v := range f.Data() {
+				if got := res.Model.Factors[k].Data()[i]; got != v { //repro:bitwise one rank runs DecomposeTree's arithmetic
+					t.Fatalf("dims %v: factor %d entry %d is %v, DecomposeTree's %v", dims, k, i, got, v)
+				}
+			}
+		}
+		if len(res.Trace) != opts.MaxIters || len(trace) != opts.MaxIters {
+			t.Fatalf("dims %v: trace lengths %d and %d, want %d", dims, len(res.Trace), len(trace), opts.MaxIters)
+		}
+		// A fit is 1 minus a residual ratio, so its rounding is in ulps of 1.
+		for i, e := range trace {
+			if d := math.Abs(res.Trace[i].Fit - e.Fit); d > 8*0x1p-52 {
+				t.Fatalf("dims %v sweep %d: fit %v, DecomposeTree's %v", dims, i, res.Trace[i].Fit, e.Fit)
+			}
 		}
 	}
 }

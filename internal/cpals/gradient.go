@@ -26,27 +26,28 @@ func Objective(x *tensor.Dense, factors []*tensor.Matrix) (float64, *dimtree.Res
 // ObjectiveWorkers is Objective with an explicit goroutine count for
 // the dimension-tree multi-MTTKRP (<= 0: linalg package default).
 func ObjectiveWorkers(x *tensor.Dense, factors []*tensor.Matrix, workers int) (float64, *dimtree.Result) {
+	f, res, _ := objective(x, factors, workers)
+	return f, res
+}
+
+// objective is ObjectiveWorkers, also returning the factors' Grams it
+// forms.
+func objective(x *tensor.Dense, factors []*tensor.Matrix, workers int) (float64, *dimtree.Result, []*tensor.Matrix) {
 	res := dimtree.AllModesWorkers(x, factors, workers)
-	R := factors[0].Cols()
 	grams := make([]*tensor.Matrix, len(factors))
 	for k, f := range factors {
 		grams[k] = linalg.Gram(f)
-	}
-	all := tensor.NewMatrix(R, R)
-	all.Fill(1)
-	for _, g := range grams {
-		all = tensor.Hadamard(all, g)
 	}
 	normX2 := 0.0
 	for _, v := range x.Data() {
 		normX2 += v * v
 	}
 	inner := linalg.Dot(res.B[0], factors[0]) // <X, Xhat> via any mode
-	f := 0.5 * (normX2 - 2*inner + linalg.SumAll(all))
+	f := 0.5 * (normX2 - 2*inner + modelNorm2(grams))
 	if f < 0 {
 		f = 0
 	}
-	return f, res
+	return f, res, grams
 }
 
 // Gradient returns the gradients dF/dA(n) = A(n)*Gamma(n) - B(n) for
@@ -58,15 +59,10 @@ func Gradient(x *tensor.Dense, factors []*tensor.Matrix) ([]*tensor.Matrix, floa
 // GradientWorkers is Gradient with an explicit goroutine count for the
 // dimension-tree multi-MTTKRP (<= 0: linalg package default).
 func GradientWorkers(x *tensor.Dense, factors []*tensor.Matrix, workers int) ([]*tensor.Matrix, float64, int64) {
-	f, res := ObjectiveWorkers(x, factors, workers)
-	N := len(factors)
+	f, res, grams := objective(x, factors, workers)
 	R := factors[0].Cols()
-	grams := make([]*tensor.Matrix, N)
-	for k, fac := range factors {
-		grams[k] = linalg.Gram(fac)
-	}
-	grads := make([]*tensor.Matrix, N)
-	for n := 0; n < N; n++ {
+	grads := make([]*tensor.Matrix, len(factors))
+	for n := range grads {
 		gamma := hadamardGrams(grams, n, R)
 		g := linalg.MatMul(factors[n], gamma)
 		g.Add(-1, res.B[n])

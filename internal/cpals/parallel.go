@@ -3,7 +3,6 @@ package cpals
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/comm"
 	"repro/internal/dimtree"
@@ -136,12 +135,6 @@ func runParallel(x *tensor.Dense, shape []int, opts Options) ([]*cpRank, *simnet
 	return ranks, net, nil
 }
 
-// enginePool lends DecomposeTree and each rank of a DecomposeParallel
-// run its dimension-tree engine. An engine put back keeps its grown
-// KRP panels and prefix partials for the next run; the pool drops it at
-// garbage collection.
-var enginePool = sync.Pool{New: func() any { return dimtree.NewEngine(1) }}
-
 // cpRank is one simulated rank of a DecomposeParallel run: its block
 // and communicators, and the solver state it keeps for the run.
 type cpRank struct {
@@ -193,10 +186,10 @@ func (r *cpRank) run(opts Options) error {
 
 	// Workers = 1: each simulated rank already runs on its own
 	// goroutine.
-	eng := enginePool.Get().(*dimtree.Engine)
+	eng := dimtree.GetEngine()
 	eng.Workers = 1
-	defer enginePool.Put(eng)
-	tree := newPrefixTree(eng, r.Block, opts.R)
+	defer dimtree.PutEngine(eng)
+	tree := newPrefixTree(eng, r.Block, opts.R, true)
 
 	for k := 1; k < N; k++ {
 		r.refresh(k)

@@ -19,26 +19,35 @@ import (
 //
 // is maintained incrementally, so B(k) = contract(P_k, old factors of
 // modes > k) touches a rapidly shrinking partial instead of the whole
-// tensor. The update mathematics are identical to Decompose — the fit
-// trajectories match to rounding — but the arithmetic per sweep drops
-// from ~N tensor passes to ~1 (plus lower-order partial traffic).
+// tensor. It runs Decompose's sweep loop, so the update mathematics
+// are identical — the fit trajectories match to rounding — but the
+// arithmetic per sweep drops from ~N tensor passes to ~1 (plus
+// lower-order partial traffic).
 //
 // The returned TraceEntry slice and model match Decompose for the same
 // Options; the extra return reports total MTTKRP flops for comparison
 // with N*RefFlops per sweep.
 func DecomposeTree(x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, error) {
-	// One GEMM engine for every contraction in the run, lent by the
-	// pool DecomposeParallel's ranks share: its KRP panels, prefix
-	// partials and slab scratch grow to the largest contraction and are
-	// reused for the rest of the decomposition and by later runs.
-	eng := enginePool.Get().(*dimtree.Engine)
-	eng.Workers = opts.Workers
-	defer enginePool.Put(eng)
-	return decomposeTree(eng, x, opts)
+	return decomposePooled(x, opts, true)
 }
 
-// decomposeTree is DecomposeTree on the engine eng.
-func decomposeTree(eng *dimtree.Engine, x *tensor.Dense, opts Options) (*Model, []TraceEntry, int64, error) {
+// decomposePooled runs decompose on an engine borrowed from dimtree's
+// pool, the one every DecomposeParallel rank borrows from too: its KRP
+// panels, prefix partials and slab scratch grow to the largest
+// contraction and are reused for the rest of the decomposition and by
+// later runs.
+func decomposePooled(x *tensor.Dense, opts Options, reuse bool) (*Model, []TraceEntry, int64, error) {
+	eng := dimtree.GetEngine()
+	eng.Workers = opts.Workers
+	defer dimtree.PutEngine(eng)
+	return decompose(eng, x, opts, reuse)
+}
+
+// decompose is the sequential CP-ALS sweep loop on the engine eng,
+// walking the prefix schedule with its reuse on (DecomposeTree) or off
+// (Decompose). It returns the MTTKRPs' flops beside the model and
+// trace.
+func decompose(eng *dimtree.Engine, x *tensor.Dense, opts Options, reuse bool) (*Model, []TraceEntry, int64, error) {
 	if err := opts.check(x); err != nil {
 		return nil, nil, 0, err
 	}
@@ -55,7 +64,7 @@ func decomposeTree(eng *dimtree.Engine, x *tensor.Dense, opts Options) (*Model, 
 
 	// Every MTTKRP result keeps its shape for the whole run, so bs[n]
 	// holds B(n) in a buffer made once.
-	tree := newPrefixTree(eng, x, opts.R)
+	tree := newPrefixTree(eng, x, opts.R, reuse)
 	bs := make([]*tensor.Matrix, N)
 	for n := range bs {
 		bs[n] = tensor.NewMatrix(x.Dim(n), opts.R)
@@ -101,11 +110,13 @@ func decomposeTree(eng *dimtree.Engine, x *tensor.Dense, opts Options) (*Model, 
 }
 
 // prefixTree is the MTTKRP schedule of one ALS sweep with Phan et
-// al.'s prefix-partial reuse, the one schedule DecomposeTree and every
-// rank of DecomposeParallel walk. Modes are updated in ascending
-// order; for each mode n the solver calls mttkrp(n), replaces factor
-// n, then calls advance(n). The tensor is contracted twice per sweep
-// (for B(0) and P_1); every other contraction reads a prefix partial.
+// al.'s prefix-partial reuse, the one schedule Decompose,
+// DecomposeTree and every rank of DecomposeParallel walk. Modes are
+// updated in ascending order; for each mode n the solver calls
+// mttkrp(n), replaces factor n, then calls advance(n). With reuse on
+// the tensor is contracted twice per sweep (for B(0) and P_1) and
+// every other contraction reads a prefix partial; with reuse off every
+// B(n) is one contraction of the tensor and nothing advances.
 type prefixTree struct {
 	eng *dimtree.Engine
 	x   *tensor.Dense
@@ -113,32 +124,39 @@ type prefixTree struct {
 
 	// prefixes[n] views P_n (modes n..N-1 plus r; P_0 is the tensor
 	// itself) in one of the engine's two held buffers, which alternate
-	// since P_{n+1} is contracted out of P_n.
+	// since P_{n+1} is contracted out of P_n. It is nil with reuse off.
 	prefixes []*tensor.Dense
 }
 
 // newPrefixTree returns the schedule over x at rank R, contracting
-// with eng and keeping its prefix partials in eng's held buffers.
-func newPrefixTree(eng *dimtree.Engine, x *tensor.Dense, R int) *prefixTree {
-	return &prefixTree{eng: eng, x: x, R: R, prefixes: prefixViews(eng, x.Dims(), R)}
+// with eng and, with reuse on, keeping its prefix partials in eng's
+// held buffers. It returns a value, which stays on the caller's stack:
+// the function is too large to inline, so a pointer would escape.
+func newPrefixTree(eng *dimtree.Engine, x *tensor.Dense, R int, reuse bool) prefixTree {
+	t := prefixTree{eng: eng, x: x, R: R}
+	if reuse {
+		t.prefixes = prefixViews(eng, x.Dims(), R)
+	}
+	return t
 }
 
 // mttkrp writes B(n) into b and returns its flops: all modes but n
-// dropped from P_n, contracting with the factors of modes > n.
+// dropped from P_n (the tensor, with reuse off), contracting with the
+// factors of the other modes not yet dropped.
 func (t *prefixTree) mttkrp(b *tensor.Matrix, factors []*tensor.Matrix, n int) int64 {
-	if n == 0 {
-		return t.eng.ContractTensorInto(b.Data(), t.x, factors, t.R, 0, 1)
+	if n == 0 || t.prefixes == nil {
+		return t.eng.ContractTensorInto(b.Data(), t.x, factors, t.R, n, n+1)
 	}
 	return t.eng.ContractPartialInto(b.Data(), t.prefixes[n], n, factors, t.R, n, n+1)
 }
 
 // advance contracts mode n of P_n with factors[n], which must hold the
 // mode's update, into P_{n+1}, and returns its flops. After the last
-// mode there is nothing to advance.
+// mode, or with reuse off, there is nothing to advance.
 func (t *prefixTree) advance(factors []*tensor.Matrix, n int) int64 {
 	N := t.x.Order()
 	switch {
-	case n == N-1:
+	case t.prefixes == nil || n == N-1:
 		return 0
 	case n == 0:
 		return t.eng.ContractTensorInto(t.prefixes[1].Data(), t.x, factors, t.R, 1, N)

@@ -43,41 +43,76 @@ func TestTreeALSMatchesPlainALS(t *testing.T) {
 	}
 }
 
-// TestTreeALSReusedEngineBitwise: DecomposeTree's pooled engine, and
-// one engine passed from run to run, keep their prefix partials and KRP
-// panels between runs of other shapes and worker counts, and no run
-// reads what an earlier one left: two shapes of different order and
-// two worker counts, run in turn twice and then all at once from four
-// goroutines, each give bitwise the factors, fits and flops of a run
-// on a fresh engine.
+// TestTreeALSReusedEngineBitwise: Decompose, DecomposeTree and
+// dimtree.AllModesWorkers borrow from one engine pool, and one engine
+// passed from run to run, keep their prefix partials, KRP panels and
+// partial stacks between runs of other solvers, shapes and worker
+// counts, and no run reads what an earlier one left: the three
+// solvers on two shapes of different order and two worker counts, run
+// in turn twice and then all at once, each give bitwise the results
+// (and flops) of a run on a fresh engine.
 func TestTreeALSReusedEngineBitwise(t *testing.T) {
 	type run struct {
-		model *Model
-		trace []TraceEntry
+		vals  []float64 // factors or MTTKRPs, then fits
 		flops int64
 	}
-	decompose := func(t *testing.T, f func() (*Model, []TraceEntry, int64, error)) run {
-		t.Helper()
-		m, tr, fl, err := f()
+	model := func(m *Model, tr []TraceEntry, flops int64, err error) run {
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return run{}
 		}
-		return run{m, tr, fl}
+		r := run{flops: flops}
+		for _, f := range m.Factors {
+			r.vals = append(r.vals, f.Data()...)
+		}
+		r.vals = append(r.vals, m.Fit)
+		for _, e := range tr {
+			r.vals = append(r.vals, e.Fit)
+		}
+		return r
+	}
+	// Each solver runs on eng, or through its public entry point on a
+	// pooled engine when eng is nil.
+	solvers := []struct {
+		name string
+		run  func(eng *dimtree.Engine, x *tensor.Dense, opts Options) run
+	}{
+		{"DecomposeTree", func(eng *dimtree.Engine, x *tensor.Dense, opts Options) run {
+			if eng == nil {
+				return model(DecomposeTree(x, opts))
+			}
+			return model(decompose(eng, x, opts, true))
+		}},
+		{"Decompose", func(eng *dimtree.Engine, x *tensor.Dense, opts Options) run {
+			if eng == nil {
+				m, tr, err := Decompose(x, opts)
+				return model(m, tr, 0, err)
+			}
+			m, tr, _, err := decompose(eng, x, opts, false)
+			return model(m, tr, 0, err)
+		}},
+		{"AllModesWorkers", func(eng *dimtree.Engine, x *tensor.Dense, opts Options) run {
+			factors := tensor.RandomFactors(opts.Seed, x.Dims(), opts.R)
+			var res *dimtree.Result
+			if eng == nil {
+				res = dimtree.AllModesWorkers(x, factors, opts.Workers)
+			} else {
+				res = eng.AllModes(x, factors)
+			}
+			r := run{flops: res.Flops}
+			for _, b := range res.B {
+				r.vals = append(r.vals, b.Data()...)
+			}
+			return r
+		}},
 	}
 	same := func(a, b run) bool {
-		if a.flops != b.flops || len(a.trace) != len(b.trace) || a.model.Fit != b.model.Fit { //repro:bitwise same arithmetic on a reused engine
+		if a.flops != b.flops || len(a.vals) != len(b.vals) {
 			return false
 		}
-		for i := range a.trace {
-			if a.trace[i] != b.trace[i] { //repro:bitwise same arithmetic on a reused engine
+		for i, v := range a.vals {
+			if v != b.vals[i] { //repro:bitwise same arithmetic on a reused engine
 				return false
-			}
-		}
-		for k, f := range a.model.Factors {
-			for i, v := range f.Data() {
-				if v != b.model.Factors[k].Data()[i] { //repro:bitwise same arithmetic on a reused engine
-					return false
-				}
 			}
 		}
 		return true
@@ -87,38 +122,40 @@ func TestTreeALSReusedEngineBitwise(t *testing.T) {
 	optsFor := func(s, w int) Options {
 		return Options{R: ranks[s], MaxIters: 3, Tol: math.Inf(-1), Seed: 103, Workers: w}
 	}
-	fresh := map[[2]int]run{}
-	for s, x := range xs {
-		for _, w := range []int{1, 2} {
-			fresh[[2]int{s, w}] = decompose(t, func() (*Model, []TraceEntry, int64, error) {
-				return decomposeTree(dimtree.NewEngine(w), x, optsFor(s, w))
-			})
+	type key struct{ solver, shape, workers int }
+	fresh := map[key]run{}
+	for i, sv := range solvers {
+		for s, x := range xs {
+			for _, w := range []int{1, 2} {
+				fresh[key{i, s, w}] = sv.run(dimtree.NewEngine(w), x, optsFor(s, w))
+			}
 		}
 	}
 	shared := dimtree.NewEngine(1)
 	for round := 0; round < 2; round++ {
 		for s, x := range xs {
 			for _, w := range []int{1, 2} {
-				opts := optsFor(s, w)
-				pooled := decompose(t, func() (*Model, []TraceEntry, int64, error) { return DecomposeTree(x, opts) })
-				shared.Workers = w
-				reused := decompose(t, func() (*Model, []TraceEntry, int64, error) { return decomposeTree(shared, x, opts) })
-				if want := fresh[[2]int{s, w}]; !same(pooled, want) || !same(reused, want) {
-					t.Fatalf("round %d dims %v workers %d: a reused engine's run differs from a fresh engine's",
-						round, x.Dims(), w)
+				for i, sv := range solvers {
+					opts := optsFor(s, w)
+					pooled := sv.run(nil, x, opts)
+					shared.Workers = w
+					reused := sv.run(shared, x, opts)
+					if want := fresh[key{i, s, w}]; !same(pooled, want) || !same(reused, want) {
+						t.Fatalf("round %d %s dims %v workers %d: a reused engine's run differs from a fresh engine's",
+							round, sv.name, x.Dims(), w)
+					}
 				}
 			}
 		}
 	}
 	var wg sync.WaitGroup
-	for key, want := range fresh {
+	for k, want := range fresh {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m, tr, fl, err := DecomposeTree(xs[key[0]], optsFor(key[0], key[1]))
-			if err != nil || !same(run{m, tr, fl}, want) {
-				t.Errorf("concurrent dims %v workers %d: differs from a fresh engine's run (err %v)",
-					xs[key[0]].Dims(), key[1], err)
+			if got := solvers[k.solver].run(nil, xs[k.shape], optsFor(k.shape, k.workers)); !same(got, want) {
+				t.Errorf("concurrent %s dims %v workers %d: differs from a fresh engine's run",
+					solvers[k.solver].name, xs[k.shape].Dims(), k.workers)
 			}
 		}()
 	}

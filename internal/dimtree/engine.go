@@ -305,9 +305,19 @@ func (e *Engine) push(n int) []float64 {
 
 func (e *Engine) pop() { e.sp-- }
 
-// enginePool backs the package-level entry points so concurrent
-// callers (e.g. simulated ranks in par) each get a private engine.
+// enginePool lends engines to the package-level entry points and,
+// through GetEngine, to the CP-ALS solvers, so concurrent callers (e.g.
+// simulated ranks) each get a private engine. An engine put back keeps
+// its grown buffers for the next borrower; the pool drops it at
+// garbage collection.
 var enginePool = sync.Pool{New: func() any { return NewEngine(0) }}
+
+// GetEngine fetches an engine from the shared pool. Its Workers is
+// whatever the last borrower set, so the caller sets it.
+func GetEngine() *Engine { return enginePool.Get().(*Engine) }
+
+// PutEngine returns an engine to the shared pool for reuse.
+func PutEngine(e *Engine) { enginePool.Put(e) }
 
 // AllModes computes B(n) for every mode n via a balanced dimension
 // tree with the GEMM-based engine at the default worker count. factors
@@ -320,10 +330,10 @@ func AllModes(x *tensor.Dense, factors []*tensor.Matrix) *Result {
 // selects the linalg package default). Results are bitwise identical
 // for every worker count.
 func AllModesWorkers(x *tensor.Dense, factors []*tensor.Matrix, workers int) *Result {
-	e := enginePool.Get().(*Engine)
+	e := GetEngine()
 	e.Workers = workers
 	res := e.AllModes(x, factors)
-	enginePool.Put(e)
+	PutEngine(e)
 	return res
 }
 

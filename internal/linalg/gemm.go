@@ -157,10 +157,7 @@ func GemmNN(c, a, b []float64, m, k, n, workers int) {
 // chain over l ascending on the FMA paths, whichever kernel runs it.
 func gemmNN(c, a, b []float64, m, k, bj, bl, i0, i1, j0, j1 int) {
 	for j := j0; j < j1; j++ {
-		cj := c[j*m : (j+1)*m]
-		for i := i0; i < i1; i++ {
-			cj[i] = 0
-		}
+		clear(c[j*m+i0 : j*m+i1])
 	}
 	for l0 := 0; l0 < k; l0 += gemmBlock {
 		l1 := min(l0+gemmBlock, k)
@@ -192,7 +189,8 @@ func gemmNNBlock(c, a, b []float64, m, bj, bl, l0, l1, ib, ie, j0, j1 int) {
 }
 
 // gemmNNAxpy is gemmNNBlock on the 4x4 kernels, the coefficient tile
-// read from op(B) through its strides.
+// read from op(B) through its strides. Every worker calls the same
+// bound simd dispatch variables, so no bit depends on the worker count.
 func gemmNNAxpy(c, a, b []float64, m, bj, bl, l0, l1, ib, ie, j0, j1 int) {
 	j := j0
 	for ; j+4 <= j1; j += 4 {
@@ -208,7 +206,7 @@ func gemmNNAxpy(c, a, b []float64, m, bj, bl, l0, l1, ib, ie, j0, j1 int) {
 			a2 := a[(l+2)*m+ib : (l+2)*m+ie]
 			a3 := a[(l+3)*m+ib : (l+3)*m+ie]
 			q0, q1, q2, q3 := (l+0)*bl, (l+1)*bl, (l+2)*bl, (l+3)*bl
-			axpy4x4(c0, c1, c2, c3, a0, a1, a2, a3,
+			simd.Axpy4x4(c0, c1, c2, c3, a0, a1, a2, a3,
 				b[p0+q0], b[p0+q1], b[p0+q2], b[p0+q3],
 				b[p1+q0], b[p1+q1], b[p1+q2], b[p1+q3],
 				b[p2+q0], b[p2+q1], b[p2+q2], b[p2+q3],
@@ -217,7 +215,7 @@ func gemmNNAxpy(c, a, b []float64, m, bj, bl, l0, l1, ib, ie, j0, j1 int) {
 		for ; l < l1; l++ {
 			al := a[l*m+ib : l*m+ie]
 			q := l * bl
-			axpy4x1(c0, c1, c2, c3, al, b[p0+q], b[p1+q], b[p2+q], b[p3+q])
+			simd.Axpy4x1(c0, c1, c2, c3, al, b[p0+q], b[p1+q], b[p2+q], b[p3+q])
 		}
 	}
 	for ; j < j1; j++ {
@@ -229,10 +227,10 @@ func gemmNNAxpy(c, a, b []float64, m, bj, bl, l0, l1, ib, ie, j0, j1 int) {
 			a1 := a[(l+1)*m+ib : (l+1)*m+ie]
 			a2 := a[(l+2)*m+ib : (l+2)*m+ie]
 			a3 := a[(l+3)*m+ib : (l+3)*m+ie]
-			axpy1x4(cj, a0, a1, a2, a3, b[p+(l+0)*bl], b[p+(l+1)*bl], b[p+(l+2)*bl], b[p+(l+3)*bl])
+			simd.Axpy1x4(cj, a0, a1, a2, a3, b[p+(l+0)*bl], b[p+(l+1)*bl], b[p+(l+2)*bl], b[p+(l+3)*bl])
 		}
 		for ; l < l1; l++ {
-			axpy(cj, a[l*m+ib:l*m+ie], b[p+l*bl])
+			simd.Axpy(cj, a[l*m+ib:l*m+ie], b[p+l*bl])
 		}
 	}
 }
@@ -318,7 +316,7 @@ func gemmTN(c, a, b []float64, m, ka, n, i0, i1 int) {
 		for j = n &^ 3; j < n; j++ {
 			bj := b[j*m : j*m+m]
 			for i := ib; i < ie; i++ {
-				c[i+j*ka] = dotUnroll(a[i*m:i*m+m], bj)
+				c[i+j*ka] = simd.Dot(a[i*m:i*m+m], bj)
 			}
 		}
 	}
@@ -368,49 +366,6 @@ func GemmNT(c, a, b []float64, m, k, nb, workers int) {
 		return
 	}
 	parallelGemm(ntCols, c, a, b, nil, m, k, nb, nb, w)
-}
-
-// The micro-kernels delegate to the internal/simd dispatch layer. The
-// scalar bodies that used to live here moved verbatim to
-// simd.*Generic — the portable fallback and correctness oracle — and
-// on amd64/arm64 the dispatch variables bind the AVX2+FMA / NEON
-// assembly at init. Every worker calls through the same bound
-// variable, so parallel results stay independent of the worker count
-// on either path.
-
-// axpy4x4 is the register-blocked micro-kernel: a 4x4 tile of
-// coefficients w applied to four source columns, accumulated into four
-// destination columns. All eight slices have equal length.
-func axpy4x4(c0, c1, c2, c3, a0, a1, a2, a3 []float64,
-	w00, w01, w02, w03,
-	w10, w11, w12, w13,
-	w20, w21, w22, w23,
-	w30, w31, w32, w33 float64) {
-	simd.Axpy4x4(c0, c1, c2, c3, a0, a1, a2, a3,
-		w00, w01, w02, w03, w10, w11, w12, w13,
-		w20, w21, w22, w23, w30, w31, w32, w33)
-}
-
-// axpy4x1 accumulates one source column into four destinations.
-func axpy4x1(c0, c1, c2, c3, al []float64, w0, w1, w2, w3 float64) {
-	simd.Axpy4x1(c0, c1, c2, c3, al, w0, w1, w2, w3)
-}
-
-// axpy1x4 accumulates four source columns into one destination.
-func axpy1x4(cj, a0, a1, a2, a3 []float64, w0, w1, w2, w3 float64) {
-	simd.Axpy1x4(cj, a0, a1, a2, a3, w0, w1, w2, w3)
-}
-
-// axpy accumulates cj += al * w.
-func axpy(cj, al []float64, w float64) {
-	simd.Axpy(cj, al, w)
-}
-
-// dotUnroll is a four-accumulator dot product. The unrolled head
-// reduces before the tail folds in (simd.DotGeneric), matching the
-// lanes-then-tail order of the vector kernels.
-func dotUnroll(x, y []float64) float64 {
-	return simd.Dot(x, y)
 }
 
 func checkLen(op string, got, want int) {

@@ -42,10 +42,7 @@ func Gemm32NN(c []float64, a []float32, b []float64, m, k, n, workers int) {
 // float32 axpy.
 func gemm32NN(c []float64, a []float32, b []float64, m, k, j0, j1 int) {
 	for j := j0; j < j1; j++ {
-		cj := c[j*m : (j+1)*m]
-		for i := range cj {
-			cj[i] = 0
-		}
+		clear(c[j*m : (j+1)*m])
 	}
 	for l0 := 0; l0 < k; l0 += gemmBlock {
 		l1 := min(l0+gemmBlock, k)

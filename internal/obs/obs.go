@@ -79,8 +79,9 @@ const (
 	PhaseKernel Phase = iota
 	// PhaseKRP covers partial Khatri-Rao panel formation.
 	PhaseKRP
-	// PhaseTreeRoot covers dimension-tree root contractions (from the
-	// tensor).
+	// PhaseTreeRoot covers a dimtree.Engine's contractions of the
+	// tensor itself: the tree's roots, and the CP-ALS solvers' MTTKRPs
+	// that read the tensor (every one of cpals.Decompose's).
 	PhaseTreeRoot
 	// PhaseTreePartial covers dimension-tree partial contractions.
 	PhaseTreePartial

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"time"
 
@@ -203,6 +204,31 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	}
 	data = append(data, '\n')
 	_, err = w.Write(data)
+	return err
+}
+
+// Emit writes the report as the commands' -obs and -obs-json flags ask:
+// the human-readable form to w when human is set, then the JSON to the
+// file jsonPath, to w when jsonPath is "-", or nowhere when it is
+// empty. It returns the first error, the file's Close error included.
+func (r *Report) Emit(w io.Writer, human bool, jsonPath string) error {
+	if human {
+		r.Format(w)
+	}
+	switch jsonPath {
+	case "":
+		return nil
+	case "-":
+		return r.WriteJSON(w)
+	}
+	f, err := os.Create(jsonPath)
+	if err != nil {
+		return err
+	}
+	err = r.WriteJSON(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -38,6 +39,43 @@ func TestReportGoldenJSON(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("report JSON drifted from %s:\n--- got ---\n%s\n--- want ---\n%s",
 			golden, buf.Bytes(), want)
+	}
+}
+
+// TestEmit: the human form goes to w when asked, the JSON to w for
+// "-" and to the named file otherwise, byte for byte WriteJSON's; a
+// file that cannot be written is an error.
+func TestEmit(t *testing.T) {
+	rep := goldenReport()
+	var human, js bytes.Buffer
+	rep.Format(&human)
+	if err := rep.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "report.json")
+	for _, c := range []struct {
+		human      bool
+		path, want string
+	}{
+		{false, "", ""},
+		{true, "", human.String()},
+		{false, "-", js.String()},
+		{true, "-", human.String() + js.String()},
+		{true, path, human.String()},
+	} {
+		var w bytes.Buffer
+		if err := rep.Emit(&w, c.human, c.path); err != nil {
+			t.Fatal(err)
+		}
+		if w.String() != c.want {
+			t.Fatalf("human %v path %q: wrote %q, want %q", c.human, c.path, w.String(), c.want)
+		}
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, js.Bytes()) {
+		t.Fatalf("file holds %q (err %v), want WriteJSON's bytes", got, err)
+	}
+	if err := rep.Emit(io.Discard, false, filepath.Join(path, "not-a-dir.json")); err == nil {
+		t.Fatal("writing under a regular file should return an error")
 	}
 }
 
