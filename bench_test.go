@@ -514,7 +514,7 @@ func BenchmarkNaiveVsBucketCollectives(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			maxWords = net.MaxWords()
+			maxWords = net.AllStats().MaxWords()
 		}
 		b.ReportMetric(float64(maxWords), "max-words/proc")
 	}

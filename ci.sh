@@ -10,7 +10,8 @@
 # test), the packages with parallel accumulation and tree reductions
 # (kernel, seq, par, dimtree, cpals — including the float32
 # storage-path kernels in kernel and sparse) plus the blocked linear
-# algebra and sparse layers they fan out into.
+# algebra and sparse layers they fan out into, and simnet, whose rank
+# goroutines all count their traffic into the obs collector.
 #
 # The native dispatch binds the widest level the host has: AVX2+FMA on
 # amd64 (plus the 512-bit GEMM tiles where CPUID reports AVX512F and
@@ -160,7 +161,7 @@ echo "== go test -tags purego (simd + engine packages) =="
 go test -tags purego ./internal/simd/... ./internal/linalg/... ./internal/kernel/... ./internal/sparse/... ./internal/dimtree/... ./internal/ttm/... ./internal/plan/... ./internal/tucker/... ./internal/cpals/... ./internal/tensor/...
 
 echo "== go test -race (engine packages) =="
-go test -race ./internal/fanout/... ./internal/kernel/... ./internal/seq/... ./internal/par/... ./internal/dimtree/... ./internal/cpals/... ./internal/sparse/... ./internal/linalg/... ./internal/obs/... ./internal/comm/... ./internal/plan/... ./internal/ttm/... ./internal/tucker/...
+go test -race ./internal/fanout/... ./internal/kernel/... ./internal/seq/... ./internal/par/... ./internal/dimtree/... ./internal/cpals/... ./internal/sparse/... ./internal/linalg/... ./internal/obs/... ./internal/comm/... ./internal/plan/... ./internal/ttm/... ./internal/tucker/... ./internal/simnet/...
 
 echo "== instrumented smoke (obs bound ratios) =="
 # The blocked algorithm must land within a small constant of the best

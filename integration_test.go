@@ -12,12 +12,16 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/costmodel"
+	"repro/internal/cpals"
 	"repro/internal/dimtree"
 	"repro/internal/grid"
 	"repro/internal/memsim"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/seq"
+	"repro/internal/simnet"
 	"repro/internal/tensor"
+	"repro/internal/tucker"
 )
 
 // The chosen grid is never beaten by any other factorization of the
@@ -200,5 +204,91 @@ func TestModelSimulatorAgreementQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The network is the one ledger of simulated traffic: under every
+// dense parallel driver, the obs collector's comm counters equal the
+// words the ranks' traffic records as sent and as received, counted
+// once each. sparse.TestParallelEnginesAgree checks the sparse driver.
+// The collector has fewer slabs than the grid has ranks, so ranks fold
+// into slabs by modulus.
+func TestOneTrafficLedger(t *testing.T) {
+	dims := []int{8, 8, 8}
+	shape := []int{2, 2, 2}
+	x := tensor.RandomDense(213, dims...)
+	fs := tensor.RandomFactors(214, dims, 4)
+	totals := func(tr simnet.Traffic) (sent, recv int64, err error) {
+		for _, s := range tr {
+			sent += s.SentWords
+			recv += s.RecvWords
+		}
+		return sent, recv, nil
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() (sent, recv int64, err error)
+	}{
+		{"Stationary", func() (int64, int64, error) {
+			res, err := par.Stationary(x, fs, 1, shape)
+			if err != nil {
+				return 0, 0, err
+			}
+			return totals(res.Traffic)
+		}},
+		{"General", func() (int64, int64, error) {
+			res, err := par.General(x, fs, 1, []int{2, 2, 1, 2})
+			if err != nil {
+				return 0, 0, err
+			}
+			return totals(res.Traffic)
+		}},
+		{"AllModesStationary", func() (int64, int64, error) {
+			res, err := par.AllModesStationary(x, fs, shape)
+			if err != nil {
+				return 0, 0, err
+			}
+			return totals(res.Traffic)
+		}},
+		{"ViaMatmul1D", func() (int64, int64, error) {
+			res, err := par.ViaMatmul1D(x, fs, 1, 8)
+			if err != nil {
+				return 0, 0, err
+			}
+			return totals(res.Traffic)
+		}},
+		{"cpals.DecomposeParallel", func() (int64, int64, error) {
+			res, err := cpals.DecomposeParallel(x, shape, cpals.Options{R: 3, MaxIters: 2, Seed: 215})
+			if err != nil {
+				return 0, 0, err
+			}
+			// The result keeps each rank's words sent plus received;
+			// every word sent is received once, so each total is half.
+			var words int64
+			for i := range res.MTTKRPWords {
+				words += res.MTTKRPWords[i] + res.OtherWords[i]
+			}
+			return words / 2, words / 2, nil
+		}},
+		{"tucker.DecomposeParallel", func() (int64, int64, error) {
+			res, err := tucker.DecomposeParallel(x, shape, tucker.Options{Ranks: []int{2, 3, 2}, MaxIters: 2}, 216)
+			if err != nil {
+				return 0, 0, err
+			}
+			return totals(res.Traffic)
+		}},
+	} {
+		col := obs.New(2)
+		obs.Enable(col)
+		sent, recv, err := tc.run()
+		obs.Disable()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		tot := col.Totals()
+		if sent == 0 || tot.CommSent != sent || tot.CommRecv != recv {
+			t.Errorf("%s: collector sent %d received %d words, network %d and %d",
+				tc.name, tot.CommSent, tot.CommRecv, sent, recv)
+		}
 	}
 }

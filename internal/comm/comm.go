@@ -8,11 +8,15 @@
 // A Comm is a view of a subset of network ranks (a processor-grid
 // hyperslice or fiber). Collectives are called collectively: every
 // member must invoke the same operation with compatible arguments.
+// A Comm keeps no counts of its own: every word goes through the
+// network's Send and Recv, which count it per rank (simnet.Traffic),
+// so a collective's cost is read off the network.
 package comm
 
 import (
 	"fmt"
 
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
@@ -23,7 +27,6 @@ type Comm struct {
 	net   *simnet.Network
 	ranks []int // global ranks; position = communicator rank
 	me    int   // my communicator rank
-	vol   Volume
 }
 
 // New builds a communicator over the given global ranks for the caller
@@ -61,17 +64,12 @@ func (c *Comm) GlobalRank() int { return c.ranks[c.me] }
 
 // Send transmits data to communicator rank dst.
 func (c *Comm) Send(dst int, data []float64) {
-	c.vol.Sent += int64(len(data))
-	obs.Comm(c.ranks[c.me], int64(len(data)), 0)
 	c.net.Send(c.ranks[c.me], c.ranks[dst], data)
 }
 
 // Recv blocks for a message from communicator rank src.
 func (c *Comm) Recv(src int) []float64 {
-	msg := c.net.Recv(c.ranks[src], c.ranks[c.me])
-	c.vol.Recv += int64(len(msg))
-	obs.Comm(c.ranks[c.me], 0, int64(len(msg)))
-	return msg
+	return c.net.Recv(c.ranks[src], c.ranks[c.me])
 }
 
 // AllGatherV gathers each rank's block onto every rank using the
@@ -163,8 +161,9 @@ func (c *Comm) ReduceScatterV(contrib [][]float64) []float64 {
 }
 
 // AllReduce sums x elementwise across all ranks and returns the result
-// on every rank, implemented as an even-partition Reduce-Scatter
-// followed by an All-Gather (cost 2*(q-1)/q * len(x) words each way).
+// on every rank, implemented as a Reduce-Scatter of the even partition
+// grid.Part followed by an All-Gather (cost 2*(q-1)/q * len(x) words
+// each way).
 func (c *Comm) AllReduce(x []float64) []float64 {
 	span := obs.StartRank(c.ranks[c.me], obs.PhaseAllReduce)
 	defer span.Stop()
@@ -174,7 +173,7 @@ func (c *Comm) AllReduce(x []float64) []float64 {
 	}
 	chunks := make([][]float64, q)
 	for j := 0; j < q; j++ {
-		lo, hi := evenPart(len(x), q, j)
+		lo, hi := grid.Part(len(x), q, j)
 		chunks[j] = x[lo:hi]
 	}
 	own := c.ReduceScatterV(chunks)
@@ -200,21 +199,3 @@ func (c *Comm) Barrier() {
 		c.Recv(left)
 	}
 }
-
-// evenPart splits n items into q nearly equal contiguous parts and
-// returns the bounds of part j (sizes differ by at most one, larger
-// parts first).
-func evenPart(n, q, j int) (lo, hi int) {
-	base := n / q
-	rem := n % q
-	if j < rem {
-		lo = j * (base + 1)
-		return lo, lo + base + 1
-	}
-	lo = rem*(base+1) + (j-rem)*base
-	return lo, lo + base
-}
-
-// EvenPart exposes the partition rule used by AllReduce for tests and
-// data-distribution code.
-func EvenPart(n, q, j int) (lo, hi int) { return evenPart(n, q, j) }

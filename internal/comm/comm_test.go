@@ -268,8 +268,8 @@ func TestBarrierNoWords(t *testing.T) {
 		c.Barrier()
 		return nil
 	})
-	if net.MaxWords() != 0 {
-		t.Fatalf("barrier moved %d words", net.MaxWords())
+	if w := net.AllStats().MaxWords(); w != 0 {
+		t.Fatalf("barrier moved %d words", w)
 	}
 }
 
@@ -319,30 +319,5 @@ func TestNewPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestEvenPart(t *testing.T) {
-	// 10 items over 4 parts: sizes 3,3,2,2, contiguous and covering.
-	sizes := []int{3, 3, 2, 2}
-	pos := 0
-	for j := 0; j < 4; j++ {
-		lo, hi := EvenPart(10, 4, j)
-		if lo != pos || hi-lo != sizes[j] {
-			t.Fatalf("part %d = [%d,%d), want start %d size %d", j, lo, hi, pos, sizes[j])
-		}
-		pos = hi
-	}
-	if pos != 10 {
-		t.Fatal("parts do not cover")
-	}
-	// Degenerate: more parts than items.
-	total := 0
-	for j := 0; j < 5; j++ {
-		lo, hi := EvenPart(3, 5, j)
-		total += hi - lo
-	}
-	if total != 3 {
-		t.Fatal("uneven tiny partition broken")
 	}
 }

@@ -83,13 +83,13 @@ func TestNaiveVsBucketMaxWords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if naive.MaxWords() < 3*bucket.MaxWords() {
-		t.Fatalf("naive root (%d words) should be several times worse than bucket (%d words)",
-			naive.MaxWords(), bucket.MaxWords())
+	nw, bw := naive.AllStats().MaxWords(), bucket.AllStats().MaxWords()
+	if nw < 3*bw {
+		t.Fatalf("naive root (%d words) should be several times worse than bucket (%d words)", nw, bw)
 	}
 	// And the bucket cost is exactly 2*(q-1)*w per rank.
-	if bucket.MaxWords() != 2*(q-1)*w {
-		t.Fatalf("bucket max words %d, want %d", bucket.MaxWords(), 2*(q-1)*w)
+	if bw != 2*(q-1)*w {
+		t.Fatalf("bucket max words %d, want %d", bw, 2*(q-1)*w)
 	}
 }
 

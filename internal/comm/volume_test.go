@@ -6,43 +6,41 @@ import (
 	"repro/internal/costmodel"
 )
 
-// The *Vol variants must return exactly the traffic the closed forms
-// predict — for non-power-of-two q too, where the Bruck generalization
-// carries the doubling All-Gather. Eq. (14) counts (q-1)*w sends per
-// rank per slice collective; the naive ablation's closed form includes
-// the q length-header words its encoded rebroadcast carries.
+// The collectives move exactly the traffic the closed forms predict,
+// as the network counts it — for non-power-of-two q too, where the
+// Bruck generalization carries the doubling All-Gather. Eq. (14)
+// counts (q-1)*w sends per rank per slice collective; the naive
+// ablation's closed form includes the q length-header words its
+// encoded rebroadcast carries.
 func TestAllGatherVolumesMatchClosedForms(t *testing.T) {
 	const w = 12
 	for _, q := range []int{2, 3, 5, 6, 7, 8} {
-		q := q
-		vols := make([]Volume, q)
-		naive := make([]Volume, q)
-		runGroup(t, q, func(c *Comm) error {
-			mine := make([]float64, w)
-			_, v := c.RDAllGatherVol(mine)
-			vols[c.Rank()] = v
-			_, nv := c.NaiveAllGatherVVol(mine)
-			naive[c.Rank()] = nv
+		rd := runGroup(t, q, func(c *Comm) error {
+			c.RDAllGather(make([]float64, w))
 			return nil
-		})
+		}).AllStats()
+		naive := runGroup(t, q, func(c *Comm) error {
+			c.NaiveAllGatherV(make([]float64, w))
+			return nil
+		}).AllStats()
 		// Bucket-bandwidth closed form: (q-1)*w each way, every rank.
 		want := int64(q-1) * w
-		for r, v := range vols {
-			if v.Sent != want || v.Recv != want {
-				t.Fatalf("q=%d rank %d: RD volume %+v, want %d each way", q, r, v, want)
+		for r, s := range rd {
+			if s.SentWords != want || s.RecvWords != want {
+				t.Fatalf("q=%d rank %d: RD traffic %+v, want %d each way", q, r, s, want)
 			}
 		}
 		// Naive closed form: rank 0 receives (q-1)*w and rebroadcasts the
 		// encoded collection of q*w+q words to q-1 peers; everyone else
 		// sends w and receives that collection.
 		encoded := int64(q*w + q)
-		if naive[0].Recv != want || naive[0].Sent != int64(q-1)*encoded {
-			t.Fatalf("q=%d root: naive volume %+v, want recv %d sent %d",
+		if naive[0].RecvWords != want || naive[0].SentWords != int64(q-1)*encoded {
+			t.Fatalf("q=%d root: naive traffic %+v, want recv %d sent %d",
 				q, naive[0], want, int64(q-1)*encoded)
 		}
 		for r := 1; r < q; r++ {
-			if naive[r].Sent != w || naive[r].Recv != encoded {
-				t.Fatalf("q=%d rank %d: naive volume %+v, want sent %d recv %d",
+			if naive[r].SentWords != w || naive[r].RecvWords != encoded {
+				t.Fatalf("q=%d rank %d: naive traffic %+v, want sent %d recv %d",
 					q, r, naive[r], w, encoded)
 			}
 		}
@@ -69,45 +67,18 @@ func TestFiberAllGatherMatchesEq14(t *testing.T) {
 	for k := range dims {
 		qk := int(P / shape[k])
 		wk := int(dims[k] * R / P)
-		vols := make([]Volume, qk)
-		runGroup(t, qk, func(c *Comm) error {
-			_, v := c.RDAllGatherVol(make([]float64, wk))
-			vols[c.Rank()] = v
+		tr := runGroup(t, qk, func(c *Comm) error {
+			c.RDAllGather(make([]float64, wk))
 			return nil
-		})
-		for r, v := range vols {
-			if v.Sent != vols[0].Sent {
-				t.Fatalf("mode %d rank %d: unbalanced fiber volume %+v vs %+v", k, r, v, vols[0])
+		}).AllStats()
+		for r, s := range tr {
+			if s != tr[0] {
+				t.Fatalf("mode %d rank %d: unbalanced fiber traffic %+v vs %+v", k, r, s, tr[0])
 			}
 		}
-		got += float64(vols[0].Sent)
+		got += float64(tr[0].SentWords)
 	}
 	if got != want {
 		t.Fatalf("summed fiber All-Gather sends = %v, Eq. (14) = %v", got, want)
 	}
-}
-
-// TakeVolume brackets successive collectives without cross-talk.
-func TestTakeVolumeBrackets(t *testing.T) {
-	const q, w = 4, 8
-	runGroup(t, q, func(c *Comm) error {
-		c.AllGatherV(make([]float64, w))
-		first := c.TakeVolume()
-		if first.Sent != (q-1)*w || first.Recv != (q-1)*w {
-			t.Errorf("first volume %+v, want %d each way", first, (q-1)*w)
-		}
-		chunks := make([][]float64, q)
-		for j := range chunks {
-			chunks[j] = make([]float64, w)
-		}
-		c.ReduceScatterV(chunks)
-		second := c.TakeVolume()
-		if second.Sent != (q-1)*w || second.Recv != (q-1)*w {
-			t.Errorf("second volume %+v, want %d each way", second, (q-1)*w)
-		}
-		if v := c.Volume(); v.Sent != 0 || v.Recv != 0 {
-			t.Errorf("volume after TakeVolume = %+v, want zero", v)
-		}
-		return nil
-	})
 }

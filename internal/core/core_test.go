@@ -90,8 +90,8 @@ func TestParallelExplicitGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Stats) != 8 {
-		t.Fatalf("expected 8 ranks, got %d", len(res.Stats))
+	if len(res.Traffic) != 8 {
+		t.Fatalf("expected 8 ranks, got %d", len(res.Traffic))
 	}
 	res4, err := Parallel(x, fs, 0, ParOptions{Algorithm: ParGeneral, Grid: []int{2, 2, 2, 1}})
 	if err != nil {

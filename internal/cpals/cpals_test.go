@@ -227,9 +227,9 @@ func TestDecomposeParallelErrors(t *testing.T) {
 }
 
 // TestParallelSingleProcessor: a one-rank DecomposeParallel walks
-// DecomposeTree's prefix schedule on the whole tensor, so its factors
-// are bitwise DecomposeTree's. Its fits may differ by a few ulps,
-// because the rank sums ||X||^2 serially.
+// DecomposeTree's prefix schedule on the whole tensor and sums ||X||^2
+// as linalg.Norm does, so its factors and fits are bitwise
+// DecomposeTree's.
 func TestParallelSingleProcessor(t *testing.T) {
 	for _, dims := range [][]int{{5, 5}, {8, 7, 6}, {6, 5, 4, 3}, {64, 64, 64}} {
 		x := tensor.RandomDense(53, dims...)
@@ -259,10 +259,9 @@ func TestParallelSingleProcessor(t *testing.T) {
 		if len(res.Trace) != opts.MaxIters || len(trace) != opts.MaxIters {
 			t.Fatalf("dims %v: trace lengths %d and %d, want %d", dims, len(res.Trace), len(trace), opts.MaxIters)
 		}
-		// A fit is 1 minus a residual ratio, so its rounding is in ulps of 1.
 		for i, e := range trace {
-			if d := math.Abs(res.Trace[i].Fit - e.Fit); d > 8*0x1p-52 {
-				t.Fatalf("dims %v sweep %d: fit %v, DecomposeTree's %v", dims, i, res.Trace[i].Fit, e.Fit)
+			if got := res.Trace[i].Fit; math.Float64bits(got) != math.Float64bits(e.Fit) {
+				t.Fatalf("dims %v sweep %d: fit %v, DecomposeTree's %v", dims, i, got, e.Fit)
 			}
 		}
 	}

@@ -26,21 +26,17 @@ func Objective(x *tensor.Dense, factors []*tensor.Matrix) (float64, *dimtree.Res
 // ObjectiveWorkers is Objective with an explicit goroutine count for
 // the dimension-tree multi-MTTKRP (<= 0: linalg package default).
 func ObjectiveWorkers(x *tensor.Dense, factors []*tensor.Matrix, workers int) (float64, *dimtree.Result) {
-	f, res, _ := objective(x, factors, workers)
+	f, res, _ := objective(x, factors, linalg.SumSquares(x.Data(), workers), workers)
 	return f, res
 }
 
-// objective is ObjectiveWorkers, also returning the factors' Grams it
-// forms.
-func objective(x *tensor.Dense, factors []*tensor.Matrix, workers int) (float64, *dimtree.Result, []*tensor.Matrix) {
+// objective is ObjectiveWorkers given normX2 = ||X||^2, also returning
+// the factors' Grams it forms.
+func objective(x *tensor.Dense, factors []*tensor.Matrix, normX2 float64, workers int) (float64, *dimtree.Result, []*tensor.Matrix) {
 	res := dimtree.AllModesWorkers(x, factors, workers)
 	grams := make([]*tensor.Matrix, len(factors))
 	for k, f := range factors {
 		grams[k] = linalg.Gram(f)
-	}
-	normX2 := 0.0
-	for _, v := range x.Data() {
-		normX2 += v * v
 	}
 	inner := linalg.Dot(res.B[0], factors[0]) // <X, Xhat> via any mode
 	f := 0.5 * (normX2 - 2*inner + modelNorm2(grams))
@@ -59,7 +55,12 @@ func Gradient(x *tensor.Dense, factors []*tensor.Matrix) ([]*tensor.Matrix, floa
 // GradientWorkers is Gradient with an explicit goroutine count for the
 // dimension-tree multi-MTTKRP (<= 0: linalg package default).
 func GradientWorkers(x *tensor.Dense, factors []*tensor.Matrix, workers int) ([]*tensor.Matrix, float64, int64) {
-	f, res, grams := objective(x, factors, workers)
+	return gradient(x, factors, linalg.SumSquares(x.Data(), workers), workers)
+}
+
+// gradient is GradientWorkers given normX2 = ||X||^2.
+func gradient(x *tensor.Dense, factors []*tensor.Matrix, normX2 float64, workers int) ([]*tensor.Matrix, float64, int64) {
+	f, res, grams := objective(x, factors, normX2, workers)
 	R := factors[0].Cols()
 	grads := make([]*tensor.Matrix, len(factors))
 	for n := range grads {
@@ -126,7 +127,8 @@ func DecomposeGradient(x *tensor.Dense, opts GradOptions) (*Model, []GradTraceEn
 	if x.Order() < 2 {
 		return nil, nil, fmt.Errorf("cpals: tensor order %d", x.Order())
 	}
-	normX := x.Norm()
+	normX2 := linalg.SumSquares(x.Data(), opts.Workers)
+	normX := math.Sqrt(normX2)
 	if err := checkNorm(normX); err != nil {
 		return nil, nil, err
 	}
@@ -158,7 +160,7 @@ func DecomposeGradient(x *tensor.Dense, opts GradOptions) (*Model, []GradTraceEn
 	var trace []GradTraceEntry
 	f := math.Inf(1)
 	for it := 0; it < opts.MaxIters; it++ {
-		grads, fcur, _ := GradientWorkers(x, factors, opts.Workers)
+		grads, fcur, _ := gradient(x, factors, normX2, opts.Workers)
 		f = fcur
 		gnorm2 := 0.0
 		for _, g := range grads {
@@ -179,7 +181,7 @@ func DecomposeGradient(x *tensor.Dense, opts GradOptions) (*Model, []GradTraceEn
 				c.Add(-step, grads[k])
 				cand[k] = c
 			}
-			fNew, _ := ObjectiveWorkers(x, cand, opts.Workers)
+			fNew, _, _ := objective(x, cand, normX2, opts.Workers)
 			if fNew <= fcur-c1*step*gnorm2 {
 				factors = cand
 				f = fNew

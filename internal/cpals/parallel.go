@@ -3,6 +3,7 @@ package cpals
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/dimtree"
@@ -30,20 +31,10 @@ type ParallelResult struct {
 }
 
 // MaxMTTKRPWords returns the per-rank maximum of MTTKRP words.
-func (r *ParallelResult) MaxMTTKRPWords() int64 { return maxOf(r.MTTKRPWords) }
+func (r *ParallelResult) MaxMTTKRPWords() int64 { return slices.Max(r.MTTKRPWords) }
 
 // MaxOtherWords returns the per-rank maximum of non-MTTKRP words.
-func (r *ParallelResult) MaxOtherWords() int64 { return maxOf(r.OtherWords) }
-
-func maxOf(xs []int64) int64 {
-	var m int64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
+func (r *ParallelResult) MaxOtherWords() int64 { return slices.Max(r.OtherWords) }
 
 // DecomposeParallel runs CP-ALS on the simulated distributed machine
 // with an N-way processor grid (the Algorithm 3 data distribution,

@@ -3,9 +3,9 @@ package cpals
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/grid"
 	"repro/internal/tensor"
@@ -18,7 +18,7 @@ import (
 //
 //	All-Gather of blocks s_j:       sends every block but s_{i+1}, receives every block but s_i;
 //	Reduce-Scatter of chunks c_j:   sends every chunk but c_i, receives every chunk but c_{i-1};
-//	All-Reduce of n words:          a Reduce-Scatter, then an All-Gather, of the chunks EvenPart(n, q, j);
+//	All-Reduce of n words:          a Reduce-Scatter, then an All-Gather, of the chunks grid.Part(n, q, j);
 //
 // with q-1 sends per ring pass. Per rank the schedule is one norm
 // All-Reduce, a refresh (block-row gather, then Gram All-Reduce over
@@ -41,7 +41,7 @@ func scheduleCounts(dims, shape []int, R, S int) (mttkrp, other, sends []int64) 
 	allReduce := func(n, q, i int) (words, msgs int64) {
 		c := make([]int64, q)
 		for j := range c {
-			lo, hi := comm.EvenPart(n, q, j)
+			lo, hi := grid.Part(n, q, j)
 			c[j] = int64(hi - lo)
 		}
 		return scatter(c, i) + gather(c, i), int64(2 * (q - 1))
@@ -135,8 +135,8 @@ func TestParallelScheduleWords(t *testing.T) {
 		t.Fatalf("other words %d, closed form %d (2200)", got, want)
 	}
 	_, _, sends := scheduleCounts(x.Dims(), []int{p, p, p}, R, S)
-	if want := int64(2*(P-1) + (N-1+N*S)*(q-1+2*(p-1)) + S*(N*(q-1)+2*(P-1))); maxOf(sends) != want || want != 214 {
-		t.Fatalf("scheduled sends %d, closed form %d (214)", maxOf(sends), want)
+	if want := int64(2*(P-1) + (N-1+N*S)*(q-1+2*(p-1)) + S*(N*(q-1)+2*(P-1))); slices.Max(sends) != want || want != 214 {
+		t.Fatalf("scheduled sends %d, closed form %d (214)", slices.Max(sends), want)
 	}
 	checkSchedule(t, x, []int{p, p, p}, opts)
 

@@ -7,23 +7,27 @@ import (
 	"repro/internal/simd"
 )
 
-// normChunk is Norm's fixed chunk length in words (128 KiB): one
+// normChunk is SumSquares' fixed chunk length in words (128 KiB): one
 // simd.Dot call long enough to stream at full speed, short enough
 // that a solver's tensor splits into many chunks.
 const normChunk = 1 << 14
 
 // Norm returns the Euclidean norm sqrt(sum_i x[i]^2) of x — a tensor's
-// Frobenius norm when x is its data. The squares sum in fixed chunks
-// of normChunk words, one simd.Dot(x_c, x_c) partial each, and the
+// Frobenius norm when x is its data: the square root of
+// SumSquares(x, workers). tensor.Dense.Norm, one scalar loop, is the
+// oracle.
+func Norm(x []float64, workers int) float64 { return math.Sqrt(SumSquares(x, workers)) }
+
+// SumSquares returns sum_i x[i]^2. The squares sum in fixed chunks of
+// normChunk words, one simd.Dot(x_c, x_c) partial each, and the
 // partials add in chunk order. The chunks depend on len(x) alone, so
 // the result is bitwise independent of workers. Past one chunk they
 // run as one fanout section on up to workers slots (<= 0 selects the
-// package default). NaN and ±Inf propagate. tensor.Dense.Norm, one
-// scalar loop, is the oracle.
-func Norm(x []float64, workers int) float64 {
+// package default). NaN and ±Inf propagate.
+func SumSquares(x []float64, workers int) float64 {
 	n := (len(x) + normChunk - 1) / normChunk
 	if n <= 1 {
-		return math.Sqrt(simd.Dot(x, x))
+		return simd.Dot(x, x)
 	}
 	t := normTasks.Get()
 	if cap(t.parts) < n {
@@ -37,15 +41,15 @@ func Norm(x []float64, workers int) float64 {
 	}
 	t.x = nil
 	normTasks.Put(t)
-	return math.Sqrt(s)
+	return s
 }
 
-// normTask is Norm as a fanout task: chunk c writes partial c only.
+// normTask is SumSquares as a fanout task: chunk c writes partial c only.
 type normTask struct {
 	x, parts []float64
 }
 
-// normTasks holds the descriptors of the norms in flight; each keeps
+// normTasks holds the descriptors of the sums in flight; each keeps
 // its partials, grown to the largest chunk count it has served.
 var normTasks fanout.Free[normTask]
 

@@ -233,8 +233,10 @@ func (c *Collector) Add(w int, ctr Counter, n int64) {
 	if !c.on {
 		return
 	}
-	if w < 0 || w >= c.workers {
+	if w < 0 {
 		w = 0
+	} else if w >= c.workers {
+		w %= c.workers
 	}
 	atomic.AddInt64(&c.slabs[w*slotWords+int(ctr)], n)
 }
@@ -285,9 +287,6 @@ type Totals struct {
 
 // Words returns total memory traffic: words read plus written.
 func (t Totals) Words() int64 { return t.WordsRead + t.WordsWritten }
-
-// CommWords returns total collective traffic: sent plus received.
-func (t Totals) CommWords() int64 { return t.CommSent + t.CommRecv }
 
 // Totals sums the per-worker slabs and snapshots the allocation delta.
 // Safe to call while workers are still updating (atomic loads); the
@@ -458,8 +457,9 @@ func Copy(n int) {
 	c.Add(0, WordsWritten, int64(n))
 }
 
-// Comm records words moved through a simulated-network endpoint on
-// rank's slab.
+// Comm records words a simulated-network rank sent and received on
+// the rank's slab. simnet.Network's Send and Recv are its callers, so
+// the collector's comm counters are the network's own count.
 func Comm(rank int, sent, recv int64) {
 	c := active.Load()
 	if !c.on {

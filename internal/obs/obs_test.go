@@ -71,6 +71,24 @@ func TestCounterWorkerIndependence(t *testing.T) {
 	}
 }
 
+// A worker index past the slab count folds into a slab by modulus, as
+// New documents: rank 5 of a simulated network lands in slab 1 of a
+// 2-slab collector, and a negative index in slab 0.
+func TestAddFoldsByModulus(t *testing.T) {
+	c := New(2)
+	c.Add(5, CommSent, 7)
+	c.Add(-3, CommRecv, 4)
+	if got := c.slabs[1*slotWords+int(CommSent)]; got != 7 {
+		t.Fatalf("slab 1 holds %d of rank 5's words, want 7", got)
+	}
+	if got := c.slabs[0*slotWords+int(CommRecv)]; got != 4 {
+		t.Fatalf("slab 0 holds %d of worker -3's words, want 4", got)
+	}
+	if tot := c.Totals(); tot.CommSent != 7 || tot.CommRecv != 4 {
+		t.Fatalf("totals sent %d recv %d, want 7 and 4", tot.CommSent, tot.CommRecv)
+	}
+}
+
 // Allocs/Bytes in Totals are process-wide deltas, so they are >= 0 and
 // rebased by Reset.
 func TestResetRebasesCounters(t *testing.T) {

@@ -75,10 +75,10 @@ func TestNonAtomicVariantSameComm(t *testing.T) {
 	if !atomic.B.EqualApprox(nonAtomic.B, 1e-9) {
 		t.Fatal("kernels disagree on the result")
 	}
-	for r := range atomic.Stats {
-		if atomic.Stats[r] != nonAtomic.Stats[r] {
+	for r := range atomic.Traffic {
+		if atomic.Traffic[r] != nonAtomic.Traffic[r] {
 			t.Fatalf("rank %d: stats differ: %+v vs %+v",
-				r, atomic.Stats[r], nonAtomic.Stats[r])
+				r, atomic.Traffic[r], nonAtomic.Traffic[r])
 		}
 	}
 }

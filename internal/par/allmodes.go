@@ -10,23 +10,12 @@ import (
 // AllModesResult carries the per-mode outputs of a shared-gather
 // multi-MTTKRP run.
 type AllModesResult struct {
-	B     []*tensor.Matrix // B[n], reassembled
-	Stats []simnet.Stats
+	B []*tensor.Matrix // B[n], reassembled
+	simnet.Traffic
 
 	// LocalFlops is each rank's dimension-tree arithmetic; the naive
 	// per-mode kernels would cost N * |block| * R * (N+1) instead.
 	LocalFlops []int64
-}
-
-// MaxWords returns the maximum over ranks of sends+receives.
-func (r *AllModesResult) MaxWords() int64 {
-	var m int64
-	for _, s := range r.Stats {
-		if w := s.Words(); w > m {
-			m = w
-		}
-	}
-	return m
 }
 
 // AllModesStationary computes the MTTKRP for every mode with the
@@ -81,7 +70,7 @@ func AllModesStationary(x *tensor.Dense, factors []*tensor.Matrix, shape []int) 
 
 	res := &AllModesResult{
 		B:          make([]*tensor.Matrix, N),
-		Stats:      net.AllStats(),
+		Traffic:    net.AllStats(),
 		LocalFlops: localFlops,
 	}
 	for n := 0; n < N; n++ {

@@ -82,7 +82,7 @@ func ViaMatmul1D(x *tensor.Dense, factors []*tensor.Matrix, n int, P int) (*Resu
 		return nil, err
 	}
 
-	res.Stats = net.AllStats()
+	res.Traffic = net.AllStats()
 	b := tensor.NewMatrix(In, R)
 	for r := 0; r < P; r++ {
 		lo, hi := grid.Part(In*R, P, r)

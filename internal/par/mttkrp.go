@@ -135,7 +135,7 @@ func run(lay dist.Layout, x *tensor.Dense, factors []*tensor.Matrix, n int, shap
 		return nil, err
 	}
 
-	res.Stats = net.AllStats()
+	res.Traffic = net.AllStats()
 	res.B = assemble(lay, n, outShards)
 	return res, nil
 }

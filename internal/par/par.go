@@ -25,8 +25,8 @@ import (
 // Result carries a parallel run's reassembled output and its
 // communication statistics.
 type Result struct {
-	B     *tensor.Matrix // reassembled In x R output (driver-side check)
-	Stats []simnet.Stats // per-rank traffic
+	B              *tensor.Matrix // reassembled In x R output (driver-side check)
+	simnet.Traffic                // per-rank traffic
 
 	// Grid is the processor-grid shape the run used (N entries for
 	// Algorithm 3, N+1 with the rank split first for Algorithm 4,
@@ -51,55 +51,6 @@ func (r *Result) MaxResident() int64 {
 	var m int64
 	for _, v := range r.ResidentWords {
 		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MaxWords returns the maximum over ranks of words sent plus received,
-// the per-processor quantity bounded below by Theorems 4.2/4.3.
-func (r *Result) MaxWords() int64 {
-	var m int64
-	for _, s := range r.Stats {
-		if w := s.Words(); w > m {
-			m = w
-		}
-	}
-	return m
-}
-
-// MaxSent returns the maximum over ranks of words sent — the quantity
-// the algorithm analyses (Eqs. 14 and 18) bound via (q-1)*w bucket
-// collective costs.
-func (r *Result) MaxSent() int64 {
-	var m int64
-	for _, s := range r.Stats {
-		if s.SentWords > m {
-			m = s.SentWords
-		}
-	}
-	return m
-}
-
-// TotalSent returns the total words sent across all ranks.
-func (r *Result) TotalSent() int64 {
-	var t int64
-	for _, s := range r.Stats {
-		t += s.SentWords
-	}
-	return t
-}
-
-// MaxMsgs returns the maximum over ranks of messages sent plus
-// received — the latency proxy the paper explicitly does not optimize
-// ("we focus on the amount of data communicated and ignore the number
-// of messages"), reported for completeness. Bucket collectives cost
-// q-1 messages each.
-func (r *Result) MaxMsgs() int64 {
-	var m int64
-	for _, s := range r.Stats {
-		if v := s.SentMsgs + s.RecvMsgs; v > m {
 			m = v
 		}
 	}

@@ -94,7 +94,7 @@ func TestAlg3CostMatchesModel(t *testing.T) {
 	if got := lay.MaxSends(); got != want {
 		t.Fatalf("MaxSends = %d, Eq. (14) says %d", got, want)
 	}
-	for r, s := range res.Stats {
+	for r, s := range res.Traffic {
 		if s.SentWords != want {
 			t.Fatalf("rank %d sent %d words, Eq.(14) says %d", r, s.SentWords, want)
 		}
@@ -113,10 +113,10 @@ func TestStationaryPhaseBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := range res.Stats {
-		if res.GatherWords[r]+res.ReduceWords[r] != res.Stats[r].Words() {
+	for r := range res.Traffic {
+		if res.GatherWords[r]+res.ReduceWords[r] != res.Traffic[r].Words() {
 			t.Fatalf("rank %d: phases %d+%d != total %d",
-				r, res.GatherWords[r], res.ReduceWords[r], res.Stats[r].Words())
+				r, res.GatherWords[r], res.ReduceWords[r], res.Traffic[r].Words())
 		}
 		if res.GatherWords[r] == 0 || res.ReduceWords[r] == 0 {
 			t.Fatalf("rank %d: expected both phases to communicate", r)
@@ -176,12 +176,12 @@ func TestGeneralP0OneMatchesStationary(t *testing.T) {
 					t.Fatalf("%s: B[%d] = %v, Algorithm 4 at P0 = 1 gives %v", at, i, v, res4.B.Data()[i])
 				}
 			}
-			for r := range res3.Stats {
-				if res3.Stats[r] != res4.Stats[r] || res3.GatherWords[r] != res4.GatherWords[r] ||
+			for r := range res3.Traffic {
+				if res3.Traffic[r] != res4.Traffic[r] || res3.GatherWords[r] != res4.GatherWords[r] ||
 					res3.ReduceWords[r] != res4.ReduceWords[r] || res3.ResidentWords[r] != res4.ResidentWords[r] {
 					t.Fatalf("%s rank %d: Alg3 %+v gather %d reduce %d resident %d; Alg4 %+v %d %d %d", at, r,
-						res3.Stats[r], res3.GatherWords[r], res3.ReduceWords[r], res3.ResidentWords[r],
-						res4.Stats[r], res4.GatherWords[r], res4.ReduceWords[r], res4.ResidentWords[r])
+						res3.Traffic[r], res3.GatherWords[r], res3.ReduceWords[r], res3.ResidentWords[r],
+						res4.Traffic[r], res4.GatherWords[r], res4.ReduceWords[r], res4.ResidentWords[r])
 				}
 				if fmt.Sprint(msgs3[r]) != fmt.Sprint(msgs4[r]) {
 					t.Fatalf("%s rank %d: Alg3 messages %v, Alg4 %v", at, r, msgs3[r], msgs4[r])
@@ -214,7 +214,7 @@ func recordRun(t *testing.T, f func() (*Result, error)) (*Result, [][]message) {
 	if rec.Dropped() != 0 {
 		t.Fatalf("recorder dropped %d events", rec.Dropped())
 	}
-	msgs := make([][]message, len(res.Stats))
+	msgs := make([][]message, len(res.Traffic))
 	for _, ev := range rec.Events() {
 		if ev.Kind == uint8(flight.KindSend) || ev.Kind == uint8(flight.KindRecv) {
 			msgs[ev.Pid] = append(msgs[ev.Pid], message{ev.Kind, ev.Peer, ev.A, int64(ev.Seq)})
@@ -293,7 +293,7 @@ func TestAlg4CostMatchesModel(t *testing.T) {
 	if got := lay.MaxSends(); got != want {
 		t.Fatalf("MaxSends = %d, Eq. (18) says %d", got, want)
 	}
-	for r, s := range res.Stats {
+	for r, s := range res.Traffic {
 		if s.SentWords != want {
 			t.Fatalf("rank %d sent %d words, Eq.(18) says %d", r, s.SentWords, want)
 		}
@@ -344,7 +344,7 @@ func TestViaMatmul1DCost(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := int64((P - 1) * 8 * R / P)
-		for r, s := range res.Stats {
+		for r, s := range res.Traffic {
 			if s.SentWords != want {
 				t.Fatalf("P=%d rank %d sent %d, want %d", P, r, s.SentWords, want)
 			}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/grid"
+	"repro/internal/linalg"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
 )
@@ -73,15 +74,14 @@ func NewRank(lay dist.Layout, net *simnet.Network, id int, x *tensor.Dense) *Ran
 // Words returns the words the rank has sent and received so far.
 func (r *Rank) Words() int64 { return r.net.RankStats(r.ID).Words() }
 
-// Norm returns ||X||: the block's sum of squares, counted once per
+// Norm returns ||X||: the block's linalg.SumSquares, counted once per
 // P0-fiber and summed over all ranks by one world All-Reduce, so every
-// rank gets bitwise the same value.
+// rank gets bitwise the same value, and at P = 1 the value
+// linalg.Norm gives the sequential solvers.
 func (r *Rank) Norm() float64 {
 	sq := 0.0
 	if r.p0 == 0 {
-		for _, v := range r.Block.Data() {
-			sq += v * v
-		}
+		sq = linalg.SumSquares(r.Block.Data(), 1)
 	}
 	return math.Sqrt(r.World.AllReduce([]float64{sq})[0])
 }

@@ -6,15 +6,23 @@
 // paper's focus.
 //
 // Each processor runs as a goroutine. Point-to-point channels carry
-// float64 payloads; the network counts words and messages per rank.
-// Data actually moves — algorithms built on simnet compute real
-// results, so correctness and communication cost are verified together.
+// float64 payloads. Data actually moves — algorithms built on simnet
+// compute real results, so correctness and communication cost are
+// verified together.
+//
+// The network is the one ledger of the simulated machine's traffic.
+// Send and Recv count words and messages per rank, report the words
+// to the active obs collector on the rank's slab and the messages to
+// the flight recorder. Every collective and driver above them (package
+// comm, the par, sparse, cpals and tucker drivers) reads its counts
+// from here; the par, sparse and tucker results embed a Traffic.
 package simnet
 
 import (
 	"fmt"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/obs/flight"
 )
 
@@ -23,7 +31,7 @@ import (
 type Network struct {
 	p     int
 	chans [][]chan []float64 // chans[src][dst]
-	stats []Stats            // owned by rank goroutines during Run
+	stats Traffic            // owned by rank goroutines during Run
 
 	// sendSeq[src*p+dst] / recvSeq[src*p+dst] count messages per
 	// directed channel; because only src's goroutine sends on (src,
@@ -47,6 +55,54 @@ type Stats struct {
 // paper's lower bounds constrain.
 func (s Stats) Words() int64 { return s.SentWords + s.RecvWords }
 
+// Traffic is every rank's counters, indexed by rank: a run's
+// communication record, which the parallel drivers' results embed.
+type Traffic []Stats
+
+// MaxWords returns the maximum over ranks of words sent plus received,
+// the per-processor quantity bounded below by Theorems 4.2/4.3.
+func (t Traffic) MaxWords() int64 {
+	var m int64
+	for _, s := range t {
+		m = max(m, s.Words())
+	}
+	return m
+}
+
+// MaxSent returns the maximum over ranks of words sent — the quantity
+// the algorithm analyses (Eqs. 14 and 18) bound via (q-1)*w bucket
+// collective costs.
+func (t Traffic) MaxSent() int64 {
+	var m int64
+	for _, s := range t {
+		m = max(m, s.SentWords)
+	}
+	return m
+}
+
+// TotalSent returns the total words sent across all ranks; every word
+// sent is received once, so it is also the total received.
+func (t Traffic) TotalSent() int64 {
+	var n int64
+	for _, s := range t {
+		n += s.SentWords
+	}
+	return n
+}
+
+// MaxMsgs returns the maximum over ranks of messages sent plus
+// received — the latency proxy the paper explicitly does not optimize
+// ("we focus on the amount of data communicated and ignore the number
+// of messages"), reported for completeness. Bucket collectives cost
+// q-1 messages each.
+func (t Traffic) MaxMsgs() int64 {
+	var m int64
+	for _, s := range t {
+		m = max(m, s.SentMsgs+s.RecvMsgs)
+	}
+	return m
+}
+
 // New creates a network with p ranks. Channel buffers hold up to cap
 // in-flight messages per (src, dst) pair; the ring collectives in
 // package comm need only 1, but a little slack keeps ad-hoc
@@ -58,7 +114,7 @@ func New(p int) *Network {
 	n := &Network{
 		p:       p,
 		chans:   make([][]chan []float64, p),
-		stats:   make([]Stats, p),
+		stats:   make(Traffic, p),
 		sendSeq: make([]int64, p*p),
 		recvSeq: make([]int64, p*p),
 	}
@@ -92,6 +148,7 @@ func (n *Network) Send(src, dst int, data []float64) {
 	seq := n.sendSeq[src*n.p+dst]
 	n.sendSeq[src*n.p+dst]++
 	flight.Rec().Send(src, dst, int64(len(data)), seq)
+	obs.Comm(src, int64(len(data)), 0)
 	n.chans[src][dst] <- buf
 }
 
@@ -108,6 +165,7 @@ func (n *Network) Recv(src, dst int) []float64 {
 	seq := n.recvSeq[src*n.p+dst]
 	n.recvSeq[src*n.p+dst]++
 	flight.Rec().Recv(src, dst, int64(len(data)), seq)
+	obs.Comm(dst, 0, int64(len(data)))
 	return data
 }
 
@@ -124,34 +182,12 @@ func (n *Network) RankStats(r int) Stats {
 	return n.stats[r]
 }
 
-// AllStats returns a copy of every rank's counters.
-func (n *Network) AllStats() []Stats {
-	out := make([]Stats, n.p)
+// AllStats returns a copy of every rank's counters. Call only when
+// rank goroutines are quiescent.
+func (n *Network) AllStats() Traffic {
+	out := make(Traffic, n.p)
 	copy(out, n.stats)
 	return out
-}
-
-// MaxWords returns the maximum over ranks of sent+received words — the
-// quantity compared against "some processor performs at least W sends
-// and receives" lower bounds.
-func (n *Network) MaxWords() int64 {
-	var m int64
-	for _, s := range n.stats {
-		if w := s.Words(); w > m {
-			m = w
-		}
-	}
-	return m
-}
-
-// TotalWords returns the sum over ranks of words sent (each word is
-// counted once as a send and once as a receive; this counts sends).
-func (n *Network) TotalWords() int64 {
-	var t int64
-	for _, s := range n.stats {
-		t += s.SentWords
-	}
-	return t
 }
 
 // Run spawns one goroutine per rank executing body(rank) and waits for

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestSendRecvMovesData(t *testing.T) {
@@ -28,8 +30,8 @@ func TestSendRecvMovesData(t *testing.T) {
 	if s := n.RankStats(1); s.RecvWords != 3 || s.RecvMsgs != 1 || s.SentWords != 0 {
 		t.Fatalf("rank1 stats %+v", s)
 	}
-	if n.MaxWords() != 3 || n.TotalWords() != 3 {
-		t.Fatalf("max=%d total=%d", n.MaxWords(), n.TotalWords())
+	if tr := n.AllStats(); tr.MaxWords() != 3 || tr.TotalSent() != 3 || tr.MaxSent() != 3 || tr.MaxMsgs() != 1 {
+		t.Fatalf("max=%d total=%d max sent=%d max msgs=%d", tr.MaxWords(), tr.TotalSent(), tr.MaxSent(), tr.MaxMsgs())
 	}
 }
 
@@ -123,10 +125,11 @@ func TestRingExchangeCounts(t *testing.T) {
 			t.Fatalf("rank %d words = %d, want %d", r, s.Words(), 2*w)
 		}
 	}
-	if n.TotalWords() != P*w {
-		t.Fatalf("total = %d", n.TotalWords())
+	tr := n.AllStats()
+	if tr.TotalSent() != P*w {
+		t.Fatalf("total = %d", tr.TotalSent())
 	}
-	if len(n.AllStats()) != P {
+	if len(tr) != P {
 		t.Fatal("AllStats length")
 	}
 }
@@ -153,9 +156,14 @@ func TestInvalidUses(t *testing.T) {
 }
 
 // Stress: many rounds of randomized pairwise exchanges with exact
-// word-count bookkeeping.
+// word-count bookkeeping. Every rank goroutine also counts its words
+// into one obs collector, whose 3 slabs the 8 ranks share, and whose
+// totals must equal the network's.
 func TestManyRoundExchangeStress(t *testing.T) {
 	const P, rounds = 8, 40
+	col := obs.New(3)
+	obs.Enable(col)
+	defer obs.Disable()
 	n := New(P)
 	err := n.Run(func(rank int) error {
 		for round := 0; round < rounds; round++ {
@@ -185,6 +193,9 @@ func TestManyRoundExchangeStress(t *testing.T) {
 	if sent != recv || sent == 0 {
 		t.Fatalf("sent %d != received %d", sent, recv)
 	}
+	if tot := col.Totals(); tot.CommSent != sent || tot.CommRecv != recv {
+		t.Fatalf("collector sent %d received %d, network %d and %d", tot.CommSent, tot.CommRecv, sent, recv)
+	}
 }
 
 func TestSingleRankNetwork(t *testing.T) {
@@ -192,7 +203,7 @@ func TestSingleRankNetwork(t *testing.T) {
 	if err := n.Run(func(rank int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if n.MaxWords() != 0 {
+	if n.AllStats().MaxWords() != 0 {
 		t.Fatal("no traffic expected")
 	}
 }

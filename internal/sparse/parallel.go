@@ -46,31 +46,11 @@ func ParseEngine(s string) (LocalEngine, error) {
 }
 
 // ParallelResult carries a distributed sparse MTTKRP's output and
-// traffic statistics.
+// traffic statistics. Its TotalSent is by construction the (lambda-1)
+// communication volume of the partition.
 type ParallelResult struct {
-	B     *tensor.Matrix
-	Stats []simnet.Stats
-}
-
-// TotalSent returns the total words sent — by construction equal to
-// the (lambda-1) communication volume of the partition.
-func (r *ParallelResult) TotalSent() int64 {
-	var t int64
-	for _, s := range r.Stats {
-		t += s.SentWords
-	}
-	return t
-}
-
-// MaxWords returns the maximum per-rank sends+receives.
-func (r *ParallelResult) MaxWords() int64 {
-	var m int64
-	for _, s := range r.Stats {
-		if w := s.Words(); w > m {
-			m = w
-		}
-	}
-	return m
+	B *tensor.Matrix
+	simnet.Traffic
 }
 
 // ParallelMTTKRP runs an owner-computes expand/fold sparse MTTKRP on
@@ -201,7 +181,6 @@ func ParallelMTTKRPEngine(c *COO, factors []*tensor.Matrix, n int, part Partitio
 				payload = append(payload, ownedRows[rank][key]...)
 			}
 			net.Send(rank, dst, payload)
-			obs.Comm(rank, int64(len(payload)), 0)
 		}
 		haveRows := make(map[rowKey][]float64, len(ownedRows[rank]))
 		for key, row := range ownedRows[rank] {
@@ -213,7 +192,6 @@ func ParallelMTTKRPEngine(c *COO, factors []*tensor.Matrix, n int, part Partitio
 				continue
 			}
 			payload := net.Recv(src, rank)
-			obs.Comm(rank, 0, int64(len(payload)))
 			if len(payload) != len(keys)*R {
 				return fmt.Errorf("sparse: rank %d expand payload %d, want %d", rank, len(payload), len(keys)*R)
 			}
@@ -251,7 +229,6 @@ func ParallelMTTKRPEngine(c *COO, factors []*tensor.Matrix, n int, part Partitio
 				delete(partial, key.idx) // shipped away
 			}
 			net.Send(rank, dst, payload)
-			obs.Comm(rank, int64(len(payload)), 0)
 		}
 		for src := 0; src < P; src++ {
 			keys := fold.keys[[2]int{src, rank}]
@@ -259,7 +236,6 @@ func ParallelMTTKRPEngine(c *COO, factors []*tensor.Matrix, n int, part Partitio
 				continue
 			}
 			payload := net.Recv(src, rank)
-			obs.Comm(rank, 0, int64(len(payload)))
 			if len(payload) != len(keys)*R {
 				return fmt.Errorf("sparse: rank %d fold payload %d, want %d", rank, len(payload), len(keys)*R)
 			}
@@ -284,7 +260,7 @@ func ParallelMTTKRPEngine(c *COO, factors []*tensor.Matrix, n int, part Partitio
 	// Assemble B from the owners.
 	b := tensor.NewMatrix(c.dims[n], R)
 	assemble(b, finalRows, R)
-	return &ParallelResult{B: b, Stats: net.AllStats()}, nil
+	return &ParallelResult{B: b, Traffic: net.AllStats()}, nil
 }
 
 // localCSF runs one rank's local compute over its fiber tree: the

@@ -2,7 +2,6 @@ package tucker
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/linalg"
@@ -18,15 +17,12 @@ type ParallelResult struct {
 	Model *Model
 	Trace []TraceEntry
 
-	// Words counts, per rank, the words of every All-Reduce — the
-	// norm's and the projected tensors Y (the multi-TTM results) —
-	// sends plus receives: the rank's whole traffic.
-	Words []int64
+	// Traffic is every rank's traffic: the words and messages of every
+	// All-Reduce, the norm's and the projected tensors Y's (the
+	// multi-TTM results). Its MaxWords is the per-processor figure the
+	// Multi-TTM parallel lower bounds apply to.
+	simnet.Traffic
 }
-
-// MaxWords returns the maximum over ranks of Words — the
-// per-processor figure the Multi-TTM parallel lower bounds apply to.
-func (r *ParallelResult) MaxWords() int64 { return slices.Max(r.Words) }
 
 // DecomposeParallel runs HOOI on the simulated distributed machine
 // with the stationary-tensor distribution of the MTTKRP algorithms
@@ -71,9 +67,7 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 		}
 	}
 
-	P := lay.P()
-	net := simnet.New(P)
-	words := make([]int64, P)
+	net := simnet.New(lay.P())
 	var model *Model
 	var trace []TraceEntry
 	err = net.Run(func(rank int) error {
@@ -120,7 +114,6 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 		if err != nil {
 			return err
 		}
-		words[rank] = r.Words()
 		if rank == 0 {
 			model = &Model{Core: core, Factors: factors, Fit: tr[len(tr)-1].Fit}
 			trace = tr
@@ -130,7 +123,7 @@ func DecomposeParallel(x *tensor.Dense, shape []int, opts Options, seed int64) (
 	if err != nil {
 		return nil, err
 	}
-	return &ParallelResult{Model: model, Trace: trace, Words: words}, nil
+	return &ParallelResult{Model: model, Trace: trace, Traffic: net.AllStats()}, nil
 }
 
 // InitFactors returns deterministic QR-orthonormalized random factors

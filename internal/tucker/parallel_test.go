@@ -5,9 +5,8 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/comm"
+	"repro/internal/grid"
 	"repro/internal/linalg"
-	"repro/internal/obs/flight"
 	"repro/internal/tensor"
 )
 
@@ -16,7 +15,7 @@ import (
 // given grid, from the ring schedule of package comm. A member at
 // position i of a ring of q runs an All-Reduce of n words as a
 // Reduce-Scatter, then an All-Gather, of the chunks c_j =
-// EvenPart(n, q, j): the first sends every chunk but c_i and receives
+// grid.Part(n, q, j): the first sends every chunk but c_i and receives
 // every chunk but c_{i-1}, the second sends every chunk but c_{i+1}
 // and receives every chunk but c_i, each in q-1 sends. Per rank the
 // schedule is one norm All-Reduce of 1 word over all P ranks, then per
@@ -32,7 +31,7 @@ func scheduleCounts(dims, ranks, shape []int, S int) (words, sends []int64) {
 		c := make([]int64, P)
 		var sum int64
 		for j := range c {
-			lo, hi := comm.EvenPart(n, P, j)
+			lo, hi := grid.Part(n, P, j)
 			c[j] = int64(hi - lo)
 			sum += c[j]
 		}
@@ -57,34 +56,23 @@ func scheduleCounts(dims, ranks, shape []int, S int) (words, sends []int64) {
 	return words, sends
 }
 
-// checkSchedule runs DecomposeParallel with opts under a flight
-// recorder and fails unless every rank moved exactly the words and
-// sent exactly the messages scheduleCounts derives. It returns the
-// run.
+// checkSchedule runs DecomposeParallel with opts and fails unless
+// every rank moved exactly the words and sent exactly the messages
+// scheduleCounts derives. It returns the run.
 func checkSchedule(t *testing.T, x *tensor.Dense, shape []int, opts Options) *ParallelResult {
 	t.Helper()
-	P := 1
-	for _, s := range shape {
-		P *= s
-	}
-	rec := flight.NewDistributed(P, 1<<12)
-	flight.Enable(rec)
 	res, err := DecomposeParallel(x, shape, opts, 5)
-	flight.Disable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]int64, P)
-	for _, ev := range rec.Events() {
-		if ev.Kind == uint8(flight.KindSend) {
-			got[ev.Pid]++
-		}
-	}
 	words, sends := scheduleCounts(x.Dims(), opts.Ranks, shape, len(res.Trace))
-	for i := range got {
-		if res.Words[i] != words[i] || got[i] != sends[i] {
+	if len(res.Traffic) != len(words) {
+		t.Fatalf("%v on %v: %d ranks' traffic, want %d", x.Dims(), shape, len(res.Traffic), len(words))
+	}
+	for i, s := range res.Traffic {
+		if s.Words() != words[i] || s.SentMsgs != sends[i] {
 			t.Fatalf("%v ranks %v on %v, rank %d: %d words, %d sends; schedule %d, %d",
-				x.Dims(), opts.Ranks, shape, i, res.Words[i], got[i], words[i], sends[i])
+				x.Dims(), opts.Ranks, shape, i, s.Words(), s.SentMsgs, words[i], sends[i])
 		}
 	}
 	return res
@@ -125,7 +113,7 @@ func TestParallelScheduleWords(t *testing.T) {
 			ranks[k] = min(d, 2+k)
 		}
 		res := checkSchedule(t, tensor.RandomDense(7, tc.dims...), tc.shape, Options{Ranks: ranks, MaxIters: 2, Tol: math.Inf(-1)})
-		if len(res.Words) == 1 && res.MaxWords() != 0 {
+		if len(res.Traffic) == 1 && res.MaxWords() != 0 {
 			t.Fatalf("P = 1 moved %d words", res.MaxWords())
 		}
 	}
@@ -217,9 +205,10 @@ func TestParallelSingleProc(t *testing.T) {
 }
 
 // TestParallelP1IsSequential: at P = 1 the one rank walks the
-// sequential sweep on all of X, so from the same Init its factors and
-// core are bitwise Decompose's, at balanced and skewed ranks — a
-// moved split, a root of leaf chains — on orders 2-4.
+// sequential sweep on all of X and sums ||X||^2 as linalg.Norm does,
+// so from the same Init its factors, core and fits are bitwise
+// Decompose's, at balanced and skewed ranks — a moved split, a root of
+// leaf chains — on orders 2-4.
 func TestParallelP1IsSequential(t *testing.T) {
 	for _, tc := range []struct{ dims, ranks []int }{
 		{[]int{9, 7}, []int{9, 2}},
@@ -251,7 +240,14 @@ func TestParallelP1IsSequential(t *testing.T) {
 			sameBits(t, fmt.Sprintf("%s factor %d", at, k), u.Data(), seq.Factors[k].Data())
 		}
 		sameBits(t, at+" core", res.Model.Core.Data(), seq.Core.Data())
-		checkTraces(t, at, res.Trace, seqTrace, opts.MaxIters)
+		if len(res.Trace) != opts.MaxIters || len(seqTrace) != opts.MaxIters {
+			t.Fatalf("%s: trace lengths %d and %d, want %d", at, len(res.Trace), len(seqTrace), opts.MaxIters)
+		}
+		for i, e := range seqTrace {
+			if got := res.Trace[i].Fit; math.Float64bits(got) != math.Float64bits(e.Fit) {
+				t.Fatalf("%s sweep %d: fit %v, Decompose's %v", at, i, got, e.Fit)
+			}
+		}
 	}
 }
 

@@ -233,7 +233,7 @@ func TuckerDecompose(x *Dense, opts TuckerOptions) (*TuckerModel, []TuckerTraceE
 }
 
 // TuckerParallelResult is a distributed HOOI run with each rank's
-// all-reduce words (the projections and the norm).
+// all-reduce traffic (the projections and the norm).
 type TuckerParallelResult = tucker.ParallelResult
 
 // TuckerDecomposeParallel runs distributed HOOI on an N-way processor
