@@ -148,6 +148,14 @@ echo "== go fuzz (PlannedEngines, 10s) =="
 # the contraction length; the planner picks one of them.
 go test -run '^$' -fuzz '^FuzzPlannedEngines$' -fuzztime 10s ./internal/plan
 
+echo "== go fuzz (flight Validate, 10s) =="
+# A trace recorded by a small par.Stationary run and corrupted copies of
+# it (fractional, string or huge pids, fractional tids, negative or
+# fractional words, a truncated document): flight.Validate never
+# panics, and every trace it accepts has integral pids and tids and a
+# non-negative integral args.words on every comm slice.
+go test -run '^$' -fuzz '^FuzzValidate$' -fuzztime 10s ./internal/obs/flight
+
 echo "== go test (REPRO_NOSIMD=1 scalar dispatch) =="
 # The identical suite must pass with the runtime override forcing the
 # portable scalar kernels, proving the two paths are interchangeable.

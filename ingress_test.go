@@ -14,7 +14,8 @@ import (
 
 // TestIngressErrors: every error-returning MTTKRP entry returns an
 // error, and never panics, for each class of argument that
-// tensor.CheckFactors rejects.
+// tensor.CheckFactors rejects, and so does sparse.FromArrays for each
+// class of array it rejects.
 func TestIngressErrors(t *testing.T) {
 	dims := []int{5, 4, 3}
 	x := RandomDense(1, dims...)
@@ -93,6 +94,27 @@ func TestIngressErrors(t *testing.T) {
 				t.Errorf("%s on %s: no error", name, c.name)
 			}
 		}
+	}
+	coords := [][]int32{{0, 4}, {3, 0}, {2, 1}}
+	vals := []float64{1, 2}
+	for _, c := range []struct {
+		name   string
+		dims   []int
+		coords [][]int32
+	}{
+		{"two coordinate arrays for order 3", dims, coords[:2]},
+		{"a short coordinate array", dims, [][]int32{{0, 4}, {3}, {2, 1}}},
+		{"an index outside its extent", dims, [][]int32{{0, 5}, {3, 0}, {2, 1}}},
+		{"an extent above MaxInt32", []int{5, 4, math.MaxInt32 + 1}, coords},
+	} {
+		var err error
+		noPanic(t, c.name, "sparse.FromArrays", func() { _, err = sparse.FromArrays(c.dims, c.coords, vals) })
+		if err == nil {
+			t.Errorf("sparse.FromArrays on %s: no error", c.name)
+		}
+	}
+	if _, err := sparse.FromArrays(dims, coords, vals); err != nil {
+		t.Errorf("sparse.FromArrays on valid arrays: %v", err)
 	}
 }
 

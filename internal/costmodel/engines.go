@@ -221,8 +221,12 @@ func (m Model) CSFCost(nnz float64, mode int) EngineCost {
 // CSFAllModesCost models the shared-subtree all-modes pass on one
 // tree (rooted at mode 0): every node with children extends the
 // prefix, every non-root node folds into its parent's subtree sum,
-// and every level accumulates into its own output.
-func (m Model) CSFAllModesCost(nnz float64) EngineCost {
+// and every level accumulates into its own output. The pass
+// accumulates into one bucket of all N outputs per chunk, the chunk
+// count (sparse.Chunks of the tree) clamped to the root fibers as the
+// kernel clamps it; every bucket is zeroed, and the pairwise merge
+// (kernel.ReduceTree) reads two buckets and writes one per add.
+func (m Model) CSFAllModesCost(nnz float64, chunks int) EngineCost {
 	var c EngineCost
 	N := m.N()
 	c.Words += nnz
@@ -239,6 +243,13 @@ func (m Model) CSFAllModesCost(nnz float64) EngineCost {
 		c.Words += 2 * nodes * m.R // output row read-modify-write
 		c.Flops += 2 * nodes * m.R
 	}
+	out := 0.0
+	for _, d := range m.Dims {
+		out += d * m.R
+	}
+	buckets := max(1, min(float64(chunks), m.csfLevelNodes(0, 0, nnz)))
+	c.Words += buckets*out + 3*(buckets-1)*out
+	c.Flops += (buckets - 1) * out
 	return c
 }
 

@@ -57,6 +57,34 @@ func TestCSFBeatsCOO(t *testing.T) {
 	}
 }
 
+// TestCSFAllModesBuckets: the all-modes price charges zeroing every
+// output bucket and the pairwise merge, 4 words and 1 flop per output
+// word per extra bucket, clamped to the root fibers; so at 256^3 R16
+// the pass over 10^3 nonzeros, whose 32 buckets of 12288 words dwarf
+// its walk, prices above the COO loop's three modes, and the pass over
+// 10^6 nonzeros stays far below it.
+func TestCSFAllModesBuckets(t *testing.T) {
+	m := CubicalModel(3, 256, 16)
+	out := 3 * 256 * 16.0
+	one, many := m.CSFAllModesCost(1000, 1), m.CSFAllModesCost(1000, 32)
+	if d := many.Words - one.Words; d != 4*31*out {
+		t.Errorf("32 buckets add %.0f words, want %.0f", d, 4*31*out)
+	}
+	if d := many.Flops - one.Flops; d != 31*out {
+		t.Errorf("32 buckets add %.0f flops, want %.0f", d, 31*out)
+	}
+	if c := m.CSFAllModesCost(1000, 512); c != m.CSFAllModesCost(1000, 256) {
+		t.Errorf("buckets beyond the 256 root fibers still priced: %+v", c)
+	}
+	coo := func(nnz float64) float64 { return 3 * m.COOCost(nnz, 0).Words }
+	if w := many.Words; w <= coo(1000) {
+		t.Errorf("csf all-modes at nnz 1000 prices %.3g words, not above coo's %.3g", w, coo(1000))
+	}
+	if w := m.CSFAllModesCost(1e6, 32).Words; w >= coo(1e6)/2 {
+		t.Errorf("csf all-modes at nnz 1e6 prices %.3g words, not below half of coo's %.3g", w, coo(1e6))
+	}
+}
+
 func TestCSFLevelNodesSaturates(t *testing.T) {
 	m := CubicalModel(3, 16, 4)
 	// Level 0 has at most I_root = 16 fibers even with 1000 nonzeros.

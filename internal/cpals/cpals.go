@@ -120,18 +120,20 @@ func rebalance(factors []*tensor.Matrix) {
 	}
 }
 
-// hadamardGrams returns the Hadamard product of all Gram matrices
-// except mode n — the normal-equations matrix V of the ALS subproblem.
-func hadamardGrams(grams []*tensor.Matrix, n, R int) *tensor.Matrix {
-	v := tensor.NewMatrix(R, R)
+// hadamardGrams sets the R x R matrix v to the Hadamard product of all
+// Gram matrices except mode n's — the normal-equations matrix V of the
+// ALS subproblem; n < 0 multiplies all of them.
+func hadamardGrams(v *tensor.Matrix, grams []*tensor.Matrix, n int) {
 	v.Fill(1)
+	vd := v.Data()
 	for k, g := range grams {
 		if k == n {
 			continue
 		}
-		v = tensor.Hadamard(v, g)
+		for i, x := range g.Data() {
+			vd[i] *= x
+		}
 	}
-	return v
 }
 
 // solveFactor overwrites the factor a with B V^{-1}, the solution of
@@ -155,9 +157,10 @@ func checkNorm(normX float64) error {
 
 // computeFit evaluates 1 - ||X - Xhat||/||X|| using the standard
 // identity: ||X - Xhat||^2 = ||X||^2 - 2<X, Xhat> + ||Xhat||^2, where
-// inner = <X, Xhat> = <B(n), A(n)> for the last updated mode n.
-func computeFit(normX, inner float64, grams []*tensor.Matrix) float64 {
-	resid2 := normX*normX - 2*inner + modelNorm2(grams)
+// inner = <X, Xhat> = <B(n), A(n)> for the last updated mode n. The
+// R x R matrix all is scratch for the model norm.
+func computeFit(normX, inner float64, all *tensor.Matrix, grams []*tensor.Matrix) float64 {
+	resid2 := normX*normX - 2*inner + modelNorm2(all, grams)
 	if resid2 < 0 {
 		resid2 = 0
 	}
@@ -165,13 +168,9 @@ func computeFit(normX, inner float64, grams []*tensor.Matrix) float64 {
 }
 
 // modelNorm2 returns ||Xhat||^2 = 1' (hadamard of all Grams) 1, the
-// squared norm of the CP model whose factors have the given Grams.
-func modelNorm2(grams []*tensor.Matrix) float64 {
-	R := grams[0].Cols()
-	all := tensor.NewMatrix(R, R)
-	all.Fill(1)
-	for _, g := range grams {
-		all = tensor.Hadamard(all, g)
-	}
+// squared norm of the CP model whose factors have the given Grams,
+// forming the Hadamard product in the R x R matrix all.
+func modelNorm2(all *tensor.Matrix, grams []*tensor.Matrix) float64 {
+	hadamardGrams(all, grams, -1)
 	return linalg.SumAll(all)
 }

@@ -39,7 +39,8 @@ func objective(x *tensor.Dense, factors []*tensor.Matrix, normX2 float64, worker
 		grams[k] = linalg.Gram(f)
 	}
 	inner := linalg.Dot(res.B[0], factors[0]) // <X, Xhat> via any mode
-	f := 0.5 * (normX2 - 2*inner + modelNorm2(grams))
+	R := factors[0].Cols()
+	f := 0.5 * (normX2 - 2*inner + modelNorm2(tensor.NewMatrix(R, R), grams))
 	if f < 0 {
 		f = 0
 	}
@@ -64,7 +65,8 @@ func gradient(x *tensor.Dense, factors []*tensor.Matrix, normX2 float64, workers
 	R := factors[0].Cols()
 	grads := make([]*tensor.Matrix, len(factors))
 	for n := range grads {
-		gamma := hadamardGrams(grams, n, R)
+		gamma := tensor.NewMatrix(R, R)
+		hadamardGrams(gamma, grams, n)
 		g := linalg.MatMul(factors[n], gamma)
 		g.Add(-1, res.B[n])
 		grads[n] = g

@@ -136,6 +136,8 @@ type cpRank struct {
 	rows   []*tensor.Matrix // rows[k]: U_k's block row, gathered over Slices[k]
 	grams  []*tensor.Matrix // grams[k]: U_k's Gram, summed over fibers[k]
 	bs     []*tensor.Matrix // bs[n]: this block's contribution to B(n)'s block row
+	local  *tensor.Matrix   // the block row's own Gram before the sum
+	v      *tensor.Matrix   // V of the mode being solved; the model norm's scratch
 
 	fits        []float64
 	mttkrpWords int64 // words moved by gathers and reduce-scatters
@@ -154,13 +156,16 @@ func newCPRank(rank *par.Rank, global []*tensor.Matrix) *cpRank {
 		grams:  make([]*tensor.Matrix, N),
 		bs:     make([]*tensor.Matrix, N),
 	}
+	R := global[0].Cols()
 	for k, u := range global {
 		r.fibers[k] = r.Fiber(k)
 		r.own[k] = u.RowBlock(r.OwnRows(k))
 		blo, bhi := r.BlockRows(k)
-		r.rows[k] = tensor.NewMatrix(bhi-blo, u.Cols())
-		r.bs[k] = tensor.NewMatrix(bhi-blo, u.Cols())
+		r.rows[k] = tensor.NewMatrix(bhi-blo, R)
+		r.bs[k] = tensor.NewMatrix(bhi-blo, R)
+		r.grams[k] = tensor.NewMatrix(R, R)
 	}
+	r.local, r.v = tensor.NewMatrix(R, R), tensor.NewMatrix(R, R)
 	return r
 }
 
@@ -197,8 +202,8 @@ func (r *cpRank) run(opts Options) error {
 			r.mttkrpWords += r.Words() - before
 
 			// Normal equations (replicated) and row-wise solve.
-			v := hadamardGrams(r.grams, n, opts.R)
-			if err := solveFactor(r.own[n], v, b); err != nil {
+			hadamardGrams(r.v, r.grams, n)
+			if err := solveFactor(r.own[n], r.v, b); err != nil {
 				return fmt.Errorf("cpals: rank %d mode %d: %w", r.ID, n, err)
 			}
 			r.refresh(n)
@@ -209,7 +214,7 @@ func (r *cpRank) run(opts Options) error {
 		}
 		// Fit: global inner product plus the replicated Gram identity.
 		inner := r.World.AllReduce([]float64{linalg.Dot(lastB, r.own[N-1])})[0]
-		fit := computeFit(normX, inner, r.grams)
+		fit := computeFit(normX, inner, r.v, r.grams)
 		r.fits = append(r.fits, fit)
 		if fit-prevFit < opts.Tol && it > 0 {
 			break
@@ -226,12 +231,6 @@ func (r *cpRank) refresh(k int) {
 	before := r.Words()
 	r.GatherRows(k, r.own[k], r.rows[k])
 	r.mttkrpWords += r.Words() - before
-	r.grams[k] = allReduceGram(r.fibers[k], r.rows[k], r.own[k].Cols())
-}
-
-// allReduceGram sums each member's Gram of its rows over c into the
-// Gram of all their rows.
-func allReduceGram(c *comm.Comm, rows *tensor.Matrix, R int) *tensor.Matrix {
-	local := linalg.Gram(rows)
-	return tensor.NewMatrixFromData(c.AllReduce(local.Data()), R, R)
+	linalg.MatMulTransAInto(r.local, r.rows[k], r.rows[k])
+	copy(r.grams[k].Data(), r.fibers[k].AllReduce(r.local.Data()))
 }

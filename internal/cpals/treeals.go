@@ -53,10 +53,14 @@ func decompose(eng *dimtree.Engine, x *tensor.Dense, opts Options, reuse bool) (
 	}
 	N := x.Order()
 	factors := tensor.RandomFactors(opts.Seed, x.Dims(), opts.R)
+	// The Grams and V, also the model norm's scratch, keep their R x R
+	// buffers for the run.
 	grams := make([]*tensor.Matrix, N)
 	for k, f := range factors {
-		grams[k] = linalg.Gram(f)
+		grams[k] = tensor.NewMatrix(opts.R, opts.R)
+		linalg.MatMulTransAInto(grams[k], f, f)
 	}
+	v := tensor.NewMatrix(opts.R, opts.R)
 	normX := linalg.Norm(x.Data(), opts.Workers)
 	if err := checkNorm(normX); err != nil {
 		return nil, nil, 0, err
@@ -78,7 +82,7 @@ func decompose(eng *dimtree.Engine, x *tensor.Dense, opts Options, reuse bool) (
 		for n := 0; n < N; n++ {
 			totalFlops += tree.mttkrp(bs[n], factors, n)
 
-			v := hadamardGrams(grams, n, opts.R)
+			hadamardGrams(v, grams, n)
 			sspan := obs.Start(obs.PhaseSolve)
 			err := solveFactor(factors[n], v, bs[n])
 			sspan.Stop()
@@ -86,13 +90,13 @@ func decompose(eng *dimtree.Engine, x *tensor.Dense, opts Options, reuse bool) (
 				return nil, nil, 0, fmt.Errorf("cpals: mode %d solve: %w", n, err)
 			}
 			gspan := obs.Start(obs.PhaseGram)
-			grams[n] = linalg.Gram(factors[n])
+			linalg.MatMulTransAInto(grams[n], factors[n], factors[n])
 			gspan.Stop()
 
 			totalFlops += tree.advance(factors, n)
 		}
 		fspan := obs.Start(obs.PhaseFit)
-		fit = computeFit(normX, linalg.Dot(bs[N-1], factors[N-1]), grams)
+		fit = computeFit(normX, linalg.Dot(bs[N-1], factors[N-1]), v, grams)
 		fspan.Stop()
 		trace = append(trace, TraceEntry{Iter: it, Fit: fit})
 		if fit-prevFit < opts.Tol && it > 0 {
@@ -102,7 +106,7 @@ func decompose(eng *dimtree.Engine, x *tensor.Dense, opts Options, reuse bool) (
 		if opts.Normalize {
 			rebalance(factors)
 			for k, f := range factors {
-				grams[k] = linalg.Gram(f)
+				linalg.MatMulTransAInto(grams[k], f, f)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ package flight
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -36,10 +37,11 @@ func (s *Summary) TotalSendWords() int64 {
 var validPhases = map[string]bool{"M": true, "X": true, "i": true, "s": true, "f": true}
 
 // Validate parses data as a Chrome trace-event JSON object, checks it
-// against the subset of the trace-event schema the exporter emits, and
-// verifies that every flow id has exactly one "s" and one "f" event
-// with s.ts <= f.ts (Send→Recv pairs pair up exactly). It returns a
-// traffic summary on success.
+// against the subset of the trace-event schema the exporter emits
+// (integral pids and tids, and a non-negative integral args.words on
+// every comm send and recv slice), and verifies that every flow id has
+// exactly one "s" and one "f" event with s.ts <= f.ts (Send→Recv pairs
+// pair up exactly). It returns a traffic summary on success.
 func Validate(data []byte) (*Summary, error) {
 	var doc struct {
 		TraceEvents     []map[string]any `json:"traceEvents"`
@@ -81,11 +83,12 @@ func Validate(data []byte) (*Summary, error) {
 		if !ok || !validPhases[ph] {
 			return nil, fmt.Errorf("flight: event %d has missing or unsupported ph %v", i, ev["ph"])
 		}
-		if _, ok := num(ev, "pid"); !ok {
-			return nil, fmt.Errorf("flight: event %d (ph %s) has no numeric pid", i, ph)
+		pid, ok := integer(ev["pid"])
+		if !ok {
+			return nil, fmt.Errorf("flight: event %d (ph %s) has no integral pid", i, ph)
 		}
-		if _, ok := num(ev, "tid"); !ok {
-			return nil, fmt.Errorf("flight: event %d (ph %s) has no numeric tid", i, ph)
+		if _, ok := integer(ev["tid"]); !ok {
+			return nil, fmt.Errorf("flight: event %d (ph %s) has no integral tid", i, ph)
 		}
 		sum.Events++
 		switch ph {
@@ -109,15 +112,21 @@ func Validate(data []byte) (*Summary, error) {
 			}
 			name, _ := str(ev, "name")
 			cat, _ := str(ev, "cat")
-			pid := int(mustNum(ev, "pid"))
-			if cat == "comm" && name == "send" {
-				sum.SendEvents[pid]++
-				sum.SendWords[pid] += argWords(ev)
-			} else if cat == "comm" && name == "recv" {
-				sum.RecvEvents[pid]++
-				sum.RecvWords[pid] += argWords(ev)
-			} else {
+			if cat != "comm" || name != "send" && name != "recv" {
 				sum.Spans++
+				break
+			}
+			args, _ := ev["args"].(map[string]any)
+			words, ok := integer(args["words"])
+			if !ok || words < 0 {
+				return nil, fmt.Errorf("flight: event %d: comm %s has no non-negative integral args.words", i, name)
+			}
+			if name == "send" {
+				sum.SendEvents[int(pid)]++
+				sum.SendWords[int(pid)] += words
+			} else {
+				sum.RecvEvents[int(pid)]++
+				sum.RecvWords[int(pid)] += words
 			}
 		case "i":
 			sum.Instants++
@@ -166,15 +175,12 @@ func Validate(data []byte) (*Summary, error) {
 	return sum, nil
 }
 
-// mustNum reads a numeric field already known present.
-func mustNum(ev map[string]any, key string) float64 {
-	v, _ := ev[key].(float64)
-	return v
-}
-
-// argWords reads args.words from a comm slice (0 when absent).
-func argWords(ev map[string]any) int64 {
-	args, _ := ev["args"].(map[string]any)
-	w, _ := args["words"].(float64)
-	return int64(w)
+// integer reads a JSON number holding an integer no larger in
+// magnitude than 2^53, the range a float64 holds exactly.
+func integer(v any) (int64, bool) {
+	f, ok := v.(float64)
+	if !ok || f != math.Trunc(f) || math.Abs(f) > 1<<53 { //repro:bitwise integrality is exact
+		return 0, false
+	}
+	return int64(f), true
 }

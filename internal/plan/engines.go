@@ -211,7 +211,7 @@ func (csfEngine) Cost(p Problem, cal *Calibration, workers int) Cost {
 	nnz := float64(p.NNZ)
 	var pass costmodel.EngineCost
 	if p.Mode == AllModes {
-		pass = m.CSFAllModesCost(nnz)
+		pass = m.CSFAllModesCost(nnz, sparse.Chunks(p.NNZ))
 	} else {
 		pass = m.CSFCost(nnz, p.Mode)
 	}

@@ -61,8 +61,11 @@ func FuzzPlannedEngines(f *testing.F) {
 			absCOO := sparse.NewCOO(dims...)
 			idx := make([]int, N)
 			for e := 0; e < int(nnz)%301; e++ {
-				if ents := coo.Entries(); len(ents) > 0 && rng.Intn(4) == 0 {
-					copy(idx, ents[rng.Intn(len(ents))].Idx)
+				if coo.NNZ() > 0 && rng.Intn(4) == 0 {
+					j := rng.Intn(coo.NNZ())
+					for k := range idx {
+						idx[k] = int(coo.Coords(k)[j])
+					}
 				} else {
 					for k, d := range dims {
 						idx[k] = rng.Intn(d)

@@ -14,9 +14,11 @@ package sparse
 // from (see csfkernel.go).
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // CSF is a sparse tensor compressed into a fiber tree rooted at one
@@ -51,7 +53,11 @@ type CSF struct {
 // modes in ascending order), duplicate coordinates are summed in their
 // append order, and the per-level index/pointer slabs are carved from
 // single contiguous int32 allocations. The COO tensor is not modified.
-func FromCOO(c *COO, root int) *CSF {
+func FromCOO(c *COO, root int) *CSF { return fromCOO(c, root, true) }
+
+// fromCOO is FromCOO; byKey false sorts with the comparator even when
+// the coordinates pack into one key.
+func fromCOO(c *COO, root int, byKey bool) *CSF {
 	N := c.Order()
 	if N < 2 {
 		panic("sparse: CSF requires an order >= 2 tensor")
@@ -64,11 +70,10 @@ func FromCOO(c *COO, root int) *CSF {
 			panic(fmt.Sprintf("sparse: dim %d exceeds int32 index range", d))
 		}
 	}
-	if len(c.entries) > math.MaxInt32 {
-		panic(fmt.Sprintf("sparse: nnz %d exceeds int32 pointer range", len(c.entries)))
+	if c.NNZ() > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: nnz %d exceeds int32 pointer range", c.NNZ()))
 	}
-	perm := make([]int, 0, N)
-	perm = append(perm, root)
+	perm := []int{root}
 	for k := 0; k < N; k++ {
 		if k != root {
 			perm = append(perm, k)
@@ -84,32 +89,20 @@ func FromCOO(c *COO, root int) *CSF {
 		lvl:  lvl,
 	}
 
-	ents := c.entries
-	ord := sortEntries(ents, c.dims, perm)
-
-	if len(ord) == 0 {
-		t.idx = make([][]int32, N)
-		t.ptr = make([][]int32, N-1)
-		for l := range t.ptr {
-			t.ptr[l] = []int32{0}
-		}
-		t.rootLeaf = []int32{0}
-		return t
-	}
+	v := sortEntries(c, perm, byKey)
+	n := len(v.e)
 
 	// Pass 1: node counts per level after deduplication. An entry that
 	// first differs from its predecessor at level d opens one new node
 	// at every level >= d.
-	counts := make([]int, N)
-	for l := range counts {
-		counts[l] = 1
+	counts := make([]int, N+1) // entries first differing at each level, then nodes
+	for s := 0; s < n; s++ {
+		counts[v.level(s)]++
 	}
-	for s := 1; s < len(ord); s++ {
-		d := diffLevel(ents[ord[s-1]].Idx, ents[ord[s]].Idx, perm)
-		for l := d; l < N; l++ {
-			counts[l]++
-		}
+	for l := 1; l < N; l++ {
+		counts[l] += counts[l-1]
 	}
+	counts = counts[:N]
 
 	// Carve the per-level views out of two contiguous slabs.
 	idxTotal, ptrTotal := 0, 0
@@ -139,29 +132,24 @@ func FromCOO(c *COO, root int) *CSF {
 	// node's child pointer is the child level's cursor at open time
 	// (children always open immediately after their parent).
 	pos := make([]int, N)
-	open := func(e Entry, from int) {
-		for l := from; l < N; l++ {
-			t.idx[l][pos[l]] = int32(e.Idx[perm[l]])
+	for s := 0; s < n; s++ {
+		d := v.level(s)
+		if d == N {
+			t.vals[pos[N-1]-1] += v.e[s].val // duplicate coordinate: sum
+			continue
+		}
+		for l := d; l < N; l++ {
+			t.idx[l][pos[l]] = v.index(s, l)
 			if l < N-1 {
 				t.ptr[l][pos[l]] = int32(pos[l+1])
 			} else {
-				t.vals[pos[l]] = e.Val
+				t.vals[pos[l]] = v.e[s].val
 			}
 			if l == 0 {
 				t.rootLeaf[pos[0]] = int32(pos[N-1])
 			}
 			pos[l]++
 		}
-	}
-	open(ents[ord[0]], 0)
-	for s := 1; s < len(ord); s++ {
-		e := ents[ord[s]]
-		d := diffLevel(ents[ord[s-1]].Idx, e.Idx, perm)
-		if d == N {
-			t.vals[pos[N-1]-1] += e.Val // duplicate coordinate: sum
-			continue
-		}
-		open(e, d)
 	}
 	for l := 0; l < N-1; l++ {
 		t.ptr[l][counts[l]] = int32(counts[l+1])
@@ -170,91 +158,138 @@ func FromCOO(c *COO, root int) *CSF {
 	return t
 }
 
-// sortEntries returns a permutation of the entry indices in
-// lexicographic perm-major coordinate order, stable among duplicates
-// (so their values sum in append order). When every coordinate packs
-// into one uint64 linear offset it runs a stable LSD radix sort —
-// roughly an order of magnitude faster than a comparator sort at
-// nnz ~ 10^6 — and falls back to sort.SliceStable otherwise.
-func sortEntries(ents []Entry, dims []int, perm []int) []int {
-	ord := make([]int, len(ents))
-	for i := range ord {
-		ord[i] = i
-	}
-	if len(ord) < 2 {
-		return ord
-	}
-	cells := uint64(1)
-	packable := true
-	for _, k := range perm {
-		d := uint64(dims[k])
-		if cells > math.MaxUint64/d {
-			packable = false
-			break
-		}
-		cells *= d
-	}
-	if !packable {
-		sort.SliceStable(ord, func(a, b int) bool {
-			ea, eb := ents[ord[a]].Idx, ents[ord[b]].Idx
-			for _, k := range perm {
-				if ea[k] != eb[k] {
-					return ea[k] < eb[k]
-				}
-			}
-			return false
-		})
-		return ord
-	}
-	keys := make([]uint64, len(ents))
-	var maxKey uint64
-	for i := range ents {
-		key := uint64(0)
-		for _, k := range perm {
-			key = key*uint64(dims[k]) + uint64(ents[i].Idx[k])
-		}
-		keys[i] = key
-		if key > maxKey {
-			maxKey = key
-		}
-	}
-	tmp := make([]int, len(ord))
-	var count [256]int
-	for shift := uint(0); maxKey>>shift > 0 || shift == 0; shift += 8 {
-		for i := range count {
-			count[i] = 0
-		}
-		for _, o := range ord {
-			count[(keys[o]>>shift)&0xff]++
-		}
-		if count[keys[ord[0]]>>shift&0xff] == len(ord) {
-			continue // every key shares this digit
-		}
-		sum := 0
-		for i, n := range count {
-			count[i] = sum
-			sum += n
-		}
-		for _, o := range ord {
-			d := (keys[o] >> shift) & 0xff
-			tmp[count[d]] = o
-			count[d]++
-		}
-		ord, tmp = tmp, ord
-	}
-	return ord
+// sorted is a COO tensor's entries in level order, level l holding
+// mode perm[l]; e[s].val is the s-th entry's value. On the key path
+// e[s].key packs its level-l index into the width[l] bits from
+// shift[l] up; on the comparator path it is entry pos[s], its indices
+// in cols[l], mode perm[l]'s coordinates.
+type sorted struct {
+	e            []keyVal
+	pos          []int // nil on the key path
+	shift, width []uint
+	cols         [][]int32
 }
 
-// diffLevel returns the first level (in perm order) where two
-// coordinates differ, or len(perm) when they are equal.
-func diffLevel(a, b []int, perm []int) int {
-	for l, k := range perm {
-		if a[k] != b[k] {
+// keyVal is one entry's packed key and value.
+type keyVal struct {
+	key uint64
+	val float64
+}
+
+// level returns the first level at which entry s differs from entry
+// s-1 (0 for the first entry), or the order when they are equal: on the
+// key path the level whose field holds the highest differing key bit.
+func (v *sorted) level(s int) int {
+	if s == 0 {
+		return 0
+	}
+	if v.pos == nil {
+		x := v.e[s].key ^ v.e[s-1].key
+		if x == 0 {
+			return len(v.cols)
+		}
+		l, b := 0, uint(63-bits.LeadingZeros64(x))
+		for b < v.shift[l] {
+			l++
+		}
+		return l
+	}
+	p, q := v.pos[s], v.pos[s-1]
+	for l, col := range v.cols {
+		if col[p] != col[q] {
 			return l
 		}
 	}
-	return len(perm)
+	return len(v.cols)
 }
+
+// index returns entry s's index at level l.
+func (v *sorted) index(s, l int) int32 {
+	if v.pos == nil {
+		return int32(v.e[s].key >> v.shift[l] & (1<<v.width[l] - 1))
+	}
+	return v.cols[l][v.pos[s]]
+}
+
+// sortEntries orders c's entries lexicographically by level, stably,
+// so duplicates keep their append order. When byKey is set and every
+// level's index fits a bit field of one uint64 key (level 0 the most
+// significant), it radix-sorts the keys with the values; otherwise it
+// sorts positions with a comparator over the coordinate arrays.
+func sortEntries(c *COO, perm []int, byKey bool) sorted {
+	n, N := c.NNZ(), len(perm)
+	v := sorted{shift: make([]uint, N), width: make([]uint, N), cols: make([][]int32, N)}
+	total := uint(0)
+	for l := N - 1; l >= 0; l-- {
+		v.cols[l] = c.coords[perm[l]]
+		v.shift[l] = total
+		v.width[l] = uint(bits.Len(uint(c.dims[perm[l]] - 1)))
+		total += v.width[l]
+	}
+	if byKey && total <= 64 {
+		v.radixSort(c.vals, total)
+		return v
+	}
+	v.pos = make([]int, n)
+	for i := range v.pos {
+		v.pos[i] = i
+	}
+	slices.SortStableFunc(v.pos, func(p, q int) int {
+		for _, col := range v.cols {
+			if c := cmp.Compare(col[p], col[q]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	v.e = make([]keyVal, n)
+	for s, p := range v.pos {
+		v.e[s].val = c.vals[p]
+	}
+	return v
+}
+
+// radixSort builds every entry's key of total bits and sorts the keys
+// with their values into v.e: a stable LSD radix sort on radixBits-bit
+// digits, every digit's histogram counted while the keys are built.
+func (v *sorted) radixSort(vals []float64, total uint) {
+	n := len(vals)
+	count := make([][1 << radixBits]int, (total+radixBits-1)/radixBits)
+	a := make([]keyVal, n)
+	for i := range a {
+		var key uint64
+		for l, col := range v.cols {
+			key |= uint64(col[i]) << v.shift[l]
+		}
+		a[i] = keyVal{key, vals[i]}
+		for d := range count {
+			count[d][key>>(radixBits*d)&radixMask]++
+		}
+	}
+	t := make([]keyVal, n)
+	for d := range count {
+		cnt, sh := &count[d], uint(radixBits*d)
+		if n == 0 || cnt[a[0].key>>sh&radixMask] == n {
+			continue // every key shares this digit
+		}
+		sum := 0
+		for i, m := range cnt {
+			cnt[i] = sum
+			sum += m
+		}
+		for _, e := range a {
+			j := &cnt[e.key>>sh&radixMask]
+			t[*j] = e
+			*j++
+		}
+		a, t = t, a
+	}
+	v.e = a
+}
+
+// radixBits is radixSort's digit width: two passes sort the 24-bit
+// keys of a 256^3 tensor.
+const radixBits, radixMask = 12, 1<<12 - 1
 
 // Order returns the number of modes.
 func (t *CSF) Order() int { return len(t.dims) }
@@ -280,14 +315,12 @@ func (t *CSF) EnableF32Values() {
 	if t.vals32 != nil {
 		return
 	}
+	// Re-round the float64 copy too, so ToCOO and the reference kernels
+	// see exactly the values the f32 stream holds.
 	t.vals32 = make([]float32, len(t.vals))
 	for i, v := range t.vals {
 		t.vals32[i] = float32(v)
-	}
-	// Re-round the float64 copy so ToCOO and the reference kernels see
-	// exactly the values the f32 stream holds.
-	for i, v := range t.vals32 {
-		t.vals[i] = float64(v)
+		t.vals[i] = float64(t.vals32[i])
 	}
 }
 
@@ -305,18 +338,19 @@ func (t *CSF) Nodes(lv int) int { return len(t.idx[lv]) }
 // ToCOO expands the tree back to coordinate form (sorted fiber
 // order), primarily for tests.
 func (t *CSF) ToCOO() *COO {
-	out := NewCOO(t.dims...)
 	N := len(t.dims)
+	out := newCOO(t.dims, len(t.vals))
+	copy(out.vals, t.vals)
 	path := make([]int32, N)
+	e := 0
 	var walk func(lv int, node int32)
 	walk = func(lv int, node int32) {
 		path[lv] = t.idx[lv][node]
 		if lv == N-1 {
-			idx := make([]int, N)
 			for l, k := range t.perm {
-				idx[k] = int(path[l])
+				out.coords[k][e] = path[l]
 			}
-			out.entries = append(out.entries, Entry{Idx: idx, Val: t.vals[node]})
+			e++
 			return
 		}
 		for c := t.ptr[lv][node]; c < t.ptr[lv][node+1]; c++ {

@@ -1,8 +1,11 @@
 package sparse
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -91,10 +94,8 @@ func TestCSFDuplicates(t *testing.T) {
 	dims := []int{5, 6, 7, 4}
 	c := Random(17, 80, dims...)
 	// Re-append half of the entries with new values (duplicates).
-	for i, e := range c.Entries() {
-		if i%2 == 0 {
-			c.Append(float64(i)*0.25-3, e.Idx...)
-		}
+	for i, n := 0, c.NNZ(); i < n; i += 2 {
+		c.Append(float64(i)*0.25-3, entryIndex(c, i)...)
 	}
 	fs := tensor.RandomFactors(19, dims, 4)
 	for n := range dims {
@@ -102,6 +103,55 @@ func TestCSFDuplicates(t *testing.T) {
 		got := FromCOO(c, n).MTTKRPWorkers(fs, n, 1)
 		if d := matDiff(got, want); d > 1e-10 {
 			t.Fatalf("mode %d: csf vs coo with duplicates differ by %g", n, d)
+		}
+	}
+}
+
+// TestCSFBuildPaths: the radix-sorted key path and the comparator path
+// build the same tree bitwise at every root of Random tensors with
+// repeated coordinates appended, and a shape too large for one key
+// builds through the comparator and round-trips.
+func TestCSFBuildPaths(t *testing.T) {
+	for _, dims := range [][]int{{9, 8, 7}, {20, 11, 17, 9}, {1, 5, 1, 3}, {300, 2}} {
+		cells := 1
+		for _, d := range dims {
+			cells *= d
+		}
+		c := Random(51, cells/3, dims...)
+		rng := rand.New(rand.NewSource(52))
+		for i, n := 0, c.NNZ(); i < n/2; i++ {
+			c.Append(2*rng.Float64()-1, entryIndex(c, rng.Intn(n))...)
+		}
+		for root := range dims {
+			key, cmp := fromCOO(c, root, true), fromCOO(c, root, false)
+			if sortEntries(c, key.perm, true).pos != nil {
+				t.Fatalf("%v root %d: the key path did not run", dims, root)
+			}
+			same := slices.EqualFunc(key.idx, cmp.idx, slices.Equal[[]int32]) &&
+				slices.EqualFunc(key.ptr, cmp.ptr, slices.Equal[[]int32]) &&
+				slices.Equal(key.rootLeaf, cmp.rootLeaf) &&
+				slices.EqualFunc(key.vals, cmp.vals, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
+			if !same {
+				t.Fatalf("%v root %d: the key and comparator paths build different trees", dims, root)
+			}
+		}
+	}
+	big := NewCOO(math.MaxInt32, 3, math.MaxInt32, math.MaxInt32)
+	big.Append(1, 7, 2, 0, 9)
+	big.Append(2, 1<<30, 0, 5, 1)
+	big.Append(4, 7, 2, 0, 9)
+	big.Append(8, 7, 1, 0, 9)
+	want := map[string]float64{"[7 2 0 9]": 5, "[1073741824 0 5 1]": 2, "[7 1 0 9]": 8}
+	for root := 0; root < 4; root++ {
+		back := FromCOO(big, root).ToCOO()
+		if back.NNZ() != len(want) {
+			t.Fatalf("unpackable root %d: %d entries, want %d", root, back.NNZ(), len(want))
+		}
+		for e, v := range back.Values() {
+			idx := fmt.Sprint(entryIndex(back, e))
+			if w, ok := want[idx]; !ok || v != w { //repro:bitwise small integers sum exactly
+				t.Fatalf("unpackable root %d: entry %s = %v, want %v (present %v)", root, idx, v, w, ok)
+			}
 		}
 	}
 }
@@ -301,8 +351,8 @@ func FuzzCSF(f *testing.F) {
 		c := NewCOO(dims...)
 		idx := make([]int, len(dims))
 		for e := 0; e < int(nnz)%301; e++ {
-			if ents := c.Entries(); len(ents) > 0 && rng.Intn(4) == 0 {
-				copy(idx, ents[rng.Intn(len(ents))].Idx)
+			if c.NNZ() > 0 && rng.Intn(4) == 0 {
+				copy(idx, entryIndex(c, rng.Intn(c.NNZ())))
 			} else {
 				for k, d := range dims {
 					idx[k] = rng.Intn(d)
@@ -314,22 +364,23 @@ func FuzzCSF(f *testing.F) {
 
 		cs := FromCOO(c, rt)
 		sums := make(map[int]float64)
-		for _, e := range c.Entries() {
-			key := linearKey(e.Idx, dims)
+		for e, val := range c.Values() {
+			key := linearKey(entryIndex(c, e), dims)
 			if v, ok := sums[key]; ok {
-				sums[key] = v + e.Val
+				sums[key] = v + val
 			} else {
-				sums[key] = e.Val
+				sums[key] = val
 			}
 		}
-		back := cs.ToCOO().Entries()
-		if len(back) != len(sums) {
-			t.Fatalf("%v root %d: ToCOO has %d entries, want %d distinct coordinates", dims, rt, len(back), len(sums))
+		back := cs.ToCOO()
+		if back.NNZ() != len(sums) {
+			t.Fatalf("%v root %d: ToCOO has %d entries, want %d distinct coordinates", dims, rt, back.NNZ(), len(sums))
 		}
-		for _, e := range back {
-			key := linearKey(e.Idx, dims)
-			if v, ok := sums[key]; !ok || v != e.Val { //repro:bitwise duplicates sum in append order, exactly
-				t.Fatalf("%v root %d: ToCOO entry %v = %v, want %v (present %v)", dims, rt, e.Idx, e.Val, v, ok)
+		for e, val := range back.Values() {
+			idx := entryIndex(back, e)
+			key := linearKey(idx, dims)
+			if v, ok := sums[key]; !ok || v != val { //repro:bitwise duplicates sum in append order, exactly
+				t.Fatalf("%v root %d: ToCOO entry %v = %v, want %v (present %v)", dims, rt, idx, val, v, ok)
 			}
 			delete(sums, key)
 		}

@@ -91,9 +91,24 @@ func (t *CSF) MTTKRPWorkers(factors []*tensor.Matrix, n, workers int) *tensor.Ma
 //
 //repro:hotpath
 func (t *CSF) MTTKRPInto(b *tensor.Matrix, factors []*tensor.Matrix, n, workers int, ws *Workspace) {
+	mttkrpInto[float64](t, b, factors, n, workers, ws)
+}
+
+// matrix is a column-major matrix stored as T.
+type matrix[T float32 | float64] interface {
+	tensor.FactorMatrix
+	Data() []T
+}
+
+// mttkrpInto is MTTKRPInto for either storage precision: factors widen
+// to float64 in the row-major pack, every accumulation runs in float64,
+// and the output rounds to T in the scatter.
+//
+//repro:hotpath
+func mttkrpInto[T float32 | float64, M matrix[T]](t *CSF, b M, factors []M, n, workers int, ws *Workspace) {
 	R := checkFactors(t, factors, n)
 	if b.Rows() != t.dims[n] || b.Cols() != R {
-		panic(fmt.Sprintf("sparse: MTTKRPInto output is %dx%d, want %dx%d",
+		panic(fmt.Sprintf("sparse: MTTKRP output is %dx%d, want %dx%d",
 			b.Rows(), b.Cols(), t.dims[n], R))
 	}
 	if ws == nil {
@@ -110,22 +125,28 @@ func (t *CSF) MTTKRPInto(b *tensor.Matrix, factors []*tensor.Matrix, n, workers 
 		if lv == lout {
 			continue
 		}
-		packRowMajor(ws.packed[lv], factors[t.perm[lv]], R)
+		packRowMajor[T](ws.packed[lv], factors[t.perm[lv]], R)
 	}
 	t.kernelPass(R, lout, workers, nbuf, total, ws)
 	t.addKernelCost(lout, R)
-	scatterRowMajor(b, ws.acc[:total], R)
+	scatterRowMajor[T](b, ws.acc[:total], R)
 }
 
 // AllModes computes the MTTKRP for every mode in one traversal,
 // allocating the results (outs[k] is the mode-k MTTKRP).
 func (t *CSF) AllModes(factors []*tensor.Matrix, workers int) []*tensor.Matrix {
+	return allModes[float64](t, factors, workers, tensor.NewMatrix)
+}
+
+// allModes is AllModes for either storage precision, each output made
+// by newMatrix.
+func allModes[T float32 | float64, M matrix[T]](t *CSF, factors []M, workers int, newMatrix func(rows, cols int) M) []M {
 	R := checkFactors(t, factors, tensor.AllModes)
-	outs := make([]*tensor.Matrix, len(t.dims))
+	outs := make([]M, len(t.dims))
 	for k := range outs {
-		outs[k] = tensor.NewMatrix(t.dims[k], R)
+		outs[k] = newMatrix(t.dims[k], R)
 	}
-	t.AllModesInto(outs, factors, workers, nil)
+	allModesInto[T](t, outs, factors, workers, nil)
 	return outs
 }
 
@@ -137,6 +158,13 @@ func (t *CSF) AllModes(factors []*tensor.Matrix, workers int) []*tensor.Matrix {
 //
 //repro:hotpath
 func (t *CSF) AllModesInto(outs []*tensor.Matrix, factors []*tensor.Matrix, workers int, ws *Workspace) {
+	allModesInto[float64](t, outs, factors, workers, ws)
+}
+
+// allModesInto is AllModesInto for either storage precision.
+//
+//repro:hotpath
+func allModesInto[T float32 | float64, M matrix[T]](t *CSF, outs []M, factors []M, workers int, ws *Workspace) {
 	R := checkFactors(t, factors, tensor.AllModes)
 	N := len(t.dims)
 	if len(outs) != N {
@@ -144,7 +172,7 @@ func (t *CSF) AllModesInto(outs []*tensor.Matrix, factors []*tensor.Matrix, work
 	}
 	for k, o := range outs {
 		if o == nil || o.Rows() != t.dims[k] || o.Cols() != R {
-			panic(fmt.Sprintf("sparse: AllModesInto output %d has wrong shape", k))
+			panic(fmt.Sprintf("sparse: all-modes output %d has wrong shape", k))
 		}
 	}
 	if ws == nil {
@@ -160,14 +188,14 @@ func (t *CSF) AllModesInto(outs []*tensor.Matrix, factors []*tensor.Matrix, work
 	workers, nbuf := t.pool(workers)
 	ws.ensure(t, R, workers, nbuf, total)
 	for lv := 0; lv < N; lv++ {
-		packRowMajor(ws.packed[lv], factors[t.perm[lv]], R)
+		packRowMajor[T](ws.packed[lv], factors[t.perm[lv]], R)
 	}
 	t.kernelPass(R, -1, workers, nbuf, total, ws)
 	t.addKernelCost(-1, R)
 	off := 0
 	for lv := 0; lv < N; lv++ {
 		sz := t.dims[t.perm[lv]] * R
-		scatterRowMajor(outs[t.perm[lv]], ws.acc[off:off+sz], R)
+		scatterRowMajor[T](outs[t.perm[lv]], ws.acc[off:off+sz], R)
 		off += sz
 	}
 }
@@ -448,32 +476,33 @@ func (w *csfWalker) walkAll(lv int, node int32, prefix, dst []float64) {
 	}
 }
 
-// packRowMajor mirrors a column-major factor into a row-major slab so
-// the walkers read each factor row as one contiguous R-vector.
+// packRowMajor mirrors a column-major factor into a row-major float64
+// slab so the walkers read each factor row as one contiguous R-vector;
+// a float32 factor widens exactly.
 //
 //repro:hotpath
-func packRowMajor(dst []float64, f *tensor.Matrix, R int) {
-	obs.Copy(f.Rows() * R)
+func packRowMajor[T float32 | float64, M matrix[T]](dst []float64, f M, R int) {
+	I, data := f.Rows(), f.Data()
+	obs.Copy(I * R)
 	for r := 0; r < R; r++ {
-		col := f.Col(r)
-		for i, v := range col {
-			dst[i*R+r] = v
+		for i, v := range data[r*I : (r+1)*I] {
+			dst[i*R+r] = float64(v)
 		}
 	}
 }
 
-// scatterRowMajor transposes a row-major accumulator block into a
-// column-major output matrix.
+// scatterRowMajor transposes a row-major float64 accumulator block
+// into a column-major output matrix, rounding once to float32 for a
+// float32 output.
 //
 //repro:hotpath
-func scatterRowMajor(b *tensor.Matrix, src []float64, R int) {
-	I := b.Rows()
+func scatterRowMajor[T float32 | float64, M matrix[T]](b M, src []float64, R int) {
+	I, bd := b.Rows(), b.Data()
 	obs.Copy(I * R)
-	bd := b.Data()
 	for r := 0; r < R; r++ {
 		col := bd[r*I : (r+1)*I]
 		for i := range col {
-			col[i] = src[i*R+r]
+			col[i] = T(src[i*R+r])
 		}
 	}
 }

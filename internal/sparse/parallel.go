@@ -73,7 +73,6 @@ func ParallelMTTKRP(c *COO, factors []*tensor.Matrix, n int, part Partition) (*P
 // is engine-independent, so TotalSent always equals the hypergraph
 // metric.
 func ParallelMTTKRPEngine(c *COO, factors []*tensor.Matrix, n int, part Partition, engine LocalEngine) (*ParallelResult, error) {
-	N := c.Order()
 	if len(part.Assign) != c.NNZ() {
 		return nil, fmt.Errorf("sparse: partition covers %d of %d entries", len(part.Assign), c.NNZ())
 	}
@@ -82,26 +81,7 @@ func ParallelMTTKRPEngine(c *COO, factors []*tensor.Matrix, n int, part Partitio
 		return nil, err
 	}
 	P := part.P
-
-	// Row touchers and owners (lowest-numbered toucher).
-	touch := lambda(c, part, n)
-	owner := make(map[rowKey]int, len(touch))
-	for key, parts := range touch {
-		o := P
-		for p := range parts {
-			if p < o {
-				o = p
-			}
-		}
-		owner[key] = o
-	}
-
-	// Local nonzeros per part.
-	localEntries := make([][]Entry, P)
-	for e, ent := range c.entries {
-		p := part.Assign[e]
-		localEntries[p] = append(localEntries[p], ent)
-	}
+	local := split(c, part)
 
 	// Per-rank fiber trees, rooted at the output mode so each rank's
 	// partial rows are exactly its root fibers. Built outside the
@@ -111,58 +91,54 @@ func ParallelMTTKRPEngine(c *COO, factors []*tensor.Matrix, n int, part Partitio
 	if engine == EngineCSF {
 		csfs = make([]*CSF, P)
 		for p := 0; p < P; p++ {
-			csfs[p] = FromCOO(&COO{dims: c.dims, entries: localEntries[p]}, n)
+			csfs[p] = FromCOO(local[p], n)
 		}
 	}
 
-	// Deterministic communication schedules. Keys sorted for matching
-	// send/receive order on both sides.
-	type schedule struct {
-		keys map[[2]int][]rowKey // (src,dst) -> ordered row keys
-	}
-	expand := schedule{keys: make(map[[2]int][]rowKey)}
-	fold := schedule{keys: make(map[[2]int][]rowKey)}
-	sortedKeys := make([]rowKey, 0, len(touch))
+	// Deterministic communication schedules, built over the touched rows
+	// in (mode, index) order so both ends of a channel agree on its row
+	// order. A row's owner is its lowest-numbered toucher. An input row
+	// starts at its owner (free in the model, like the layout) and
+	// expands to every other toucher; an output row's partials fold
+	// from every other toucher to the owner.
+	touch := lambda(c, part)
+	touched := make([]rowKey, 0, len(touch))
 	for key := range touch {
-		sortedKeys = append(sortedKeys, key)
+		touched = append(touched, key)
 	}
-	sort.Slice(sortedKeys, func(a, b int) bool {
-		if sortedKeys[a].mode != sortedKeys[b].mode {
-			return sortedKeys[a].mode < sortedKeys[b].mode
+	sort.Slice(touched, func(a, b int) bool {
+		if touched[a].mode != touched[b].mode {
+			return touched[a].mode < touched[b].mode
 		}
-		return sortedKeys[a].idx < sortedKeys[b].idx
+		return touched[a].idx < touched[b].idx
 	})
-	for _, key := range sortedKeys {
-		o := owner[key]
-		for p := 0; p < P; p++ {
-			if p == o || !touch[key][p] {
-				continue
-			}
-			if key.mode != n {
-				// Input row: owner -> toucher.
-				expand.keys[[2]int{o, p}] = append(expand.keys[[2]int{o, p}], key)
-			} else {
-				// Output row: toucher -> owner.
-				fold.keys[[2]int{p, o}] = append(fold.keys[[2]int{p, o}], key)
-			}
-		}
-	}
-
-	// Owned factor rows handed out by the driver (inputs start
-	// distributed at their owners, free in the model).
+	expand := make(map[[2]int][]rowKey) // (src, dst) -> ordered row keys
+	fold := make(map[[2]int][]rowKey)
 	ownedRows := make([]map[rowKey][]float64, P)
-	for p := 0; p < P; p++ {
+	for p := range ownedRows {
 		ownedRows[p] = make(map[rowKey][]float64)
 	}
-	for key, o := range owner {
-		if key.mode == n {
-			continue
+	for _, key := range touched {
+		o := P
+		for p := range touch[key] {
+			o = min(o, p)
 		}
-		row := make([]float64, R)
-		for r := 0; r < R; r++ {
-			row[r] = factors[key.mode].At(key.idx, r)
+		if key.mode != n {
+			row := make([]float64, R)
+			for r := range row {
+				row[r] = factors[key.mode].At(key.idx, r)
+			}
+			ownedRows[o][key] = row
 		}
-		ownedRows[o][key] = row
+		for p := 0; p < P; p++ {
+			switch {
+			case p == o || !touch[key][p]:
+			case key.mode != n:
+				expand[[2]int{o, p}] = append(expand[[2]int{o, p}], key)
+			default:
+				fold[[2]int{p, o}] = append(fold[[2]int{p, o}], key)
+			}
+		}
 	}
 
 	net := simnet.New(P)
@@ -171,23 +147,20 @@ func ParallelMTTKRPEngine(c *COO, factors []*tensor.Matrix, n int, part Partitio
 		// Expand phase: send owned rows to touchers, one batched
 		// message per destination.
 		expandSpan := obs.StartRank(rank, obs.PhaseExpand)
+		haveRows := ownedRows[rank] // the rank's own rows, then the ones it receives
 		for dst := 0; dst < P; dst++ {
-			keys := expand.keys[[2]int{rank, dst}]
+			keys := expand[[2]int{rank, dst}]
 			if len(keys) == 0 {
 				continue
 			}
 			payload := make([]float64, 0, len(keys)*R)
 			for _, key := range keys {
-				payload = append(payload, ownedRows[rank][key]...)
+				payload = append(payload, haveRows[key]...)
 			}
 			net.Send(rank, dst, payload)
 		}
-		haveRows := make(map[rowKey][]float64, len(ownedRows[rank]))
-		for key, row := range ownedRows[rank] {
-			haveRows[key] = row
-		}
 		for src := 0; src < P; src++ {
-			keys := expand.keys[[2]int{src, rank}]
+			keys := expand[[2]int{src, rank}]
 			if len(keys) == 0 {
 				continue
 			}
@@ -207,7 +180,7 @@ func ParallelMTTKRPEngine(c *COO, factors []*tensor.Matrix, n int, part Partitio
 		if engine == EngineCSF {
 			partial = localCSF(csfs[rank], haveRows, rank, R)
 		} else {
-			partial = localCOO(localEntries[rank], haveRows, n, N, R)
+			partial = localCOO(local[rank], haveRows, n, R)
 		}
 		localSpan.Stop()
 
@@ -215,7 +188,7 @@ func ParallelMTTKRPEngine(c *COO, factors []*tensor.Matrix, n int, part Partitio
 		foldSpan := obs.StartRank(rank, obs.PhaseFold)
 		defer foldSpan.Stop()
 		for dst := 0; dst < P; dst++ {
-			keys := fold.keys[[2]int{rank, dst}]
+			keys := fold[[2]int{rank, dst}]
 			if len(keys) == 0 {
 				continue
 			}
@@ -231,7 +204,7 @@ func ParallelMTTKRPEngine(c *COO, factors []*tensor.Matrix, n int, part Partitio
 			net.Send(rank, dst, payload)
 		}
 		for src := 0; src < P; src++ {
-			keys := fold.keys[[2]int{src, rank}]
+			keys := fold[[2]int{src, rank}]
 			if len(keys) == 0 {
 				continue
 			}
@@ -259,7 +232,13 @@ func ParallelMTTKRPEngine(c *COO, factors []*tensor.Matrix, n int, part Partitio
 
 	// Assemble B from the owners.
 	b := tensor.NewMatrix(c.dims[n], R)
-	assemble(b, finalRows, R)
+	for _, rows := range finalRows {
+		for row, vals := range rows {
+			for r := 0; r < R; r++ {
+				b.AddAt(row, r, vals[r])
+			}
+		}
+	}
 	return &ParallelResult{B: b, Traffic: net.AllStats()}, nil
 }
 
@@ -279,10 +258,7 @@ func localCSF(t *CSF, haveRows map[rowKey][]float64, rank, R int) map[int][]floa
 	ws := NewWorkspace()
 	ws.ensure(t, R, 1, nbuf, total)
 	for lv := 1; lv < len(t.dims); lv++ {
-		slab := ws.packed[lv]
-		for i := range slab {
-			slab[i] = 0
-		}
+		clear(ws.packed[lv])
 	}
 	// Map iteration order is irrelevant: every row lands in its own
 	// disjoint slab slot.
@@ -292,31 +268,31 @@ func localCSF(t *CSF, haveRows map[rowKey][]float64, rank, R int) map[int][]floa
 	}
 	t.kernelPass(R, 0, 1, nbuf, total, ws)
 	t.addKernelCostWorker(rank, 0, R)
-	for f, ri := range t.idx[0] {
+	for _, ri := range t.idx[0] {
 		row := make([]float64, R)
 		copy(row, ws.acc[int(ri)*R:(int(ri)+1)*R])
 		partial[int(ri)] = row
-		_ = f
 	}
 	return partial
 }
 
 // localCOO is the naive per-nonzero fallback local compute.
-func localCOO(entries []Entry, haveRows map[rowKey][]float64, n, N, R int) map[int][]float64 {
+func localCOO(c *COO, haveRows map[rowKey][]float64, n, R int) map[int][]float64 {
 	partial := make(map[int][]float64)
-	for _, ent := range entries {
-		out := partial[ent.Idx[n]]
+	for e, v := range c.vals {
+		i := int(c.coords[n][e])
+		out := partial[i]
 		if out == nil {
 			out = make([]float64, R)
-			partial[ent.Idx[n]] = out
+			partial[i] = out
 		}
 		for r := 0; r < R; r++ {
-			p := ent.Val
-			for k := 0; k < N; k++ {
+			p := v
+			for k, col := range c.coords {
 				if k == n {
 					continue
 				}
-				p *= haveRows[rowKey{k, ent.Idx[k]}][r]
+				p *= haveRows[rowKey{k, int(col[e])}][r]
 			}
 			out[r] += p
 		}
@@ -324,13 +300,24 @@ func localCOO(entries []Entry, haveRows map[rowKey][]float64, n, N, R int) map[i
 	return partial
 }
 
-// assemble adds every owner's final rows into the output matrix.
-func assemble(b *tensor.Matrix, finalRows []map[int][]float64, R int) {
-	for _, rows := range finalRows {
-		for row, vals := range rows {
-			for r := 0; r < R; r++ {
-				b.AddAt(row, r, vals[r])
-			}
-		}
+// split hands each part its nonzeros, in order, arrays sized exactly.
+func split(c *COO, part Partition) []*COO {
+	counts := make([]int, part.P)
+	for _, p := range part.Assign {
+		counts[p]++
 	}
+	local := make([]*COO, part.P)
+	for p, m := range counts {
+		local[p] = newCOO(c.dims, m)
+	}
+	next := make([]int, part.P)
+	for e, p := range part.Assign {
+		l, j := local[p], next[p]
+		for k, col := range c.coords {
+			l.coords[k][j] = col[e]
+		}
+		l.vals[j] = c.vals[e]
+		next[p]++
+	}
+	return local
 }

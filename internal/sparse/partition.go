@@ -50,18 +50,16 @@ type rowKey struct{ mode, idx int }
 
 // lambda computes, for every factor row of participating modes, the
 // set of parts whose nonzeros touch it.
-func lambda(c *COO, part Partition, n int) map[rowKey]map[int]bool {
+func lambda(c *COO, part Partition) map[rowKey]map[int]bool {
 	out := make(map[rowKey]map[int]bool)
-	for e, ent := range c.entries {
-		p := part.Assign[e]
-		for k := range c.dims {
-			key := rowKey{k, ent.Idx[k]}
+	for e, p := range part.Assign {
+		for k, col := range c.coords {
+			key := rowKey{k, int(col[e])}
 			if out[key] == nil {
 				out[key] = make(map[int]bool)
 			}
 			out[key][p] = true
 		}
-		_ = n
 	}
 	return out
 }
@@ -84,7 +82,7 @@ func CommVolume(c *COO, part Partition, n, R int) int64 {
 		panic(fmt.Sprintf("sparse: partition covers %d of %d entries", len(part.Assign), c.NNZ()))
 	}
 	var vol int64
-	for _, parts := range lambda(c, part, n) {
+	for _, parts := range lambda(c, part) {
 		vol += int64(len(parts)-1) * int64(R) //repro:ignore determinism integer accumulation is exact in any order
 	}
 	return vol

@@ -1,7 +1,11 @@
 package sparse
 
 import (
+	"cmp"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -63,8 +67,8 @@ func TestRandomGeneratesDistinct(t *testing.T) {
 		t.Fatalf("nnz = %d", s.NNZ())
 	}
 	seen := make(map[[3]int]bool)
-	for _, e := range s.Entries() {
-		key := [3]int{e.Idx[0], e.Idx[1], e.Idx[2]}
+	for e := 0; e < s.NNZ(); e++ {
+		key := [3]int(entryIndex(s, e))
 		if seen[key] {
 			t.Fatal("duplicate coordinate from Random")
 		}
@@ -72,16 +76,28 @@ func TestRandomGeneratesDistinct(t *testing.T) {
 	}
 }
 
+// TestSortLinear: the entries end in linear-offset order, and entries
+// at one coordinate keep their append order, on the key path and on a
+// shape too large to pack into one key.
 func TestSortLinear(t *testing.T) {
-	s := Random(5, 12, 4, 4)
-	s.SortLinear()
-	prev := -1
-	for _, e := range s.Entries() {
-		off := e.Idx[0] + 4*e.Idx[1]
-		if off < prev {
-			t.Fatal("not sorted by linear offset")
+	for _, dims := range [][]int{{4, 4}, {math.MaxInt32, math.MaxInt32, math.MaxInt32}} {
+		s := NewCOO(dims...)
+		rng := rand.New(rand.NewSource(5))
+		idx := make([]int, len(dims))
+		for e := 0; e < 40; e++ {
+			for k := range idx {
+				idx[k] = rng.Intn(min(dims[k], 4))
+			}
+			s.Append(float64(e), idx...)
 		}
-		prev = off
+		s.SortLinear()
+		for e := 1; e < s.NNZ(); e++ {
+			a, b := entryIndex(s, e-1), entryIndex(s, e)
+			if c := cmpLinear(a, b); c > 0 || c == 0 && s.Values()[e-1] > s.Values()[e] {
+				t.Fatalf("%v: entry %d %v (%v) after %v (%v)", dims, e, b, s.Values()[e], a, s.Values()[e-1])
+			}
+		}
+		checkFootprint(t, fmt.Sprint("SortLinear ", dims), s)
 	}
 }
 
@@ -129,4 +145,98 @@ func TestSparseMatchesDenseQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// entryIndex returns nonzero e's coordinates.
+func entryIndex(c *COO, e int) []int {
+	idx := make([]int, c.Order())
+	for k := range idx {
+		idx[k] = int(c.Coords(k)[e])
+	}
+	return idx
+}
+
+// cmpLinear compares two coordinates by column-major linear offset.
+func cmpLinear(a, b []int) int {
+	for k := len(a) - 1; k >= 0; k-- {
+		if a[k] != b[k] {
+			return cmp.Compare(a[k], b[k])
+		}
+	}
+	return 0
+}
+
+// TestFootprint: every tensor the package builds holds exactly its
+// coordinate and value arrays, each of len = cap = the entry count, so
+// a stored nonzero costs 4N+8 bytes: an array grown by append without
+// sizing, or a derived array kept on the tensor, fails it. So does a
+// tree build or a parallel run leaving anything on its input.
+func TestFootprint(t *testing.T) {
+	dims := []int{9, 8, 7}
+	c := Random(3, 200, dims...)
+	checkFootprint(t, "Random", c)
+	FromCOO(c, 1)
+	checkFootprint(t, "Random after FromCOO", c)
+	checkFootprint(t, "RandomBlocky", RandomBlocky(4, 3, 20, 3, dims...))
+	x := tensor.RandomDense(5, 6, 5, 4)
+	checkFootprint(t, "FromDense", FromDense(x, 0.5))
+	checkFootprint(t, "FromDense(0)", FromDense(x, 0))
+	dup := Random(6, 50, dims...)
+	for e := 0; e < 50; e += 2 {
+		dup.Append(1, entryIndex(dup, e)...)
+	}
+	checkFootprint(t, "CSF.ToCOO", FromCOO(dup, 2).ToCOO())
+	part := RandomPartition(c, 3, 7)
+	for p, l := range split(c, part) {
+		checkFootprint(t, fmt.Sprint("split part ", p), l)
+	}
+	if _, err := ParallelMTTKRP(c, tensor.RandomFactors(8, dims, 2), 0, part); err != nil {
+		t.Fatal(err)
+	}
+	checkFootprint(t, "Random after ParallelMTTKRP", c)
+}
+
+// checkFootprint fails unless c holds nothing but its extents, the
+// per-mode array headers, and N coordinate arrays and one value array
+// of len = cap = NNZ.
+func checkFootprint(t *testing.T, what string, c *COO) {
+	t.Helper()
+	nnz, N := c.NNZ(), c.Order()
+	for k := 0; k < N; k++ {
+		if a := c.Coords(k); len(a) != nnz || cap(a) != nnz {
+			t.Errorf("%s: mode-%d coordinates len %d cap %d, want %d", what, k, len(a), cap(a), nnz)
+		}
+	}
+	if a := c.Values(); len(a) != nnz || cap(a) != nnz {
+		t.Errorf("%s: values len %d cap %d, want %d", what, len(a), cap(a), nnz)
+	}
+	fixed := cap(c.dims)*int(reflect.TypeFor[int]().Size()) + cap(c.coords)*int(reflect.TypeFor[[]int32]().Size())
+	if got, want := heldBytes(reflect.ValueOf(*c))-fixed, nnz*(4*N+8); got != want {
+		t.Errorf("%s: %d bytes of entry arrays for %d order-%d nonzeros, want %d", what, got, nnz, N, want)
+	}
+}
+
+// heldBytes sums the backing arrays reachable from v through slices
+// and struct fields; any other reference fails loudly, so a new kind
+// of field must be accounted for here.
+func heldBytes(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			n += heldBytes(v.Field(i))
+		}
+		return n
+	case reflect.Slice:
+		n := v.Cap() * int(v.Type().Elem().Size())
+		if k := v.Type().Elem().Kind(); k == reflect.Slice || k == reflect.Struct {
+			for i := 0; i < v.Len(); i++ {
+				n += heldBytes(v.Index(i))
+			}
+		}
+		return n
+	case reflect.Int, reflect.Int32, reflect.Float64:
+		return 0
+	}
+	panic(fmt.Sprintf("heldBytes: unaccounted %v field", v.Type()))
 }
