@@ -188,7 +188,8 @@ func Random(seed int64, nnz int, dims ...int) *COO {
 
 // RandomBlocky generates nonzeros clustered into a few dense-ish
 // sub-blocks — the structured case where a contiguous partition has
-// far lower communication volume than a random one.
+// far lower communication volume than a random one. A block spans
+// min(blockSide, extent) indices of each mode.
 func RandomBlocky(seed int64, blocks, perBlock, blockSide int, dims ...int) *COO {
 	out := newCOO(dims, max(blocks, 0)*max(perBlock, 0))
 	rng := rand.New(rand.NewSource(seed))
@@ -201,8 +202,8 @@ func RandomBlocky(seed int64, blocks, perBlock, blockSide int, dims ...int) *COO
 			}
 		}
 		for i := 0; i < perBlock; i++ {
-			for k := range dims {
-				out.coords[k][e] = int32(lo[k] + rng.Intn(blockSide))
+			for k, d := range dims {
+				out.coords[k][e] = int32(lo[k] + rng.Intn(min(blockSide, d)))
 			}
 			out.vals[e] = 2*rng.Float64() - 1
 			e++

@@ -61,6 +61,41 @@ func TestSparseMTTKRPSumsDuplicates(t *testing.T) {
 	}
 }
 
+// TestRandomDraws pins Random's and RandomBlocky's draws, so a change
+// to the generators' RNG calls or their order shows, and checks that a
+// block wider than a mode stays inside its extent.
+func TestRandomDraws(t *testing.T) {
+	for _, c := range []struct {
+		c    *COO
+		want []string
+	}{
+		{Random(3, 4, 5, 6, 7), []string{
+			"[3 5 5] 0x3fd38967f931a504", "[1 1 5] 0x3fe129287d10a06c",
+			"[2 3 2] 0xbfe1fabaea01fb76", "[1 1 1] 0x3f8f7b6ba9383480"}},
+		{RandomBlocky(4, 2, 2, 3, 8, 5, 9), []string{
+			"[6 0 2] 0x3fe5150cba58fca2", "[5 1 1] 0xbfd54fa23658a15e",
+			"[1 2 7] 0xbfbd2b8b37e23bd0", "[3 3 6] 0x3fe374f2af9a3cb6"}},
+	} {
+		if c.c.NNZ() != len(c.want) {
+			t.Fatalf("%d entries, want %d", c.c.NNZ(), len(c.want))
+		}
+		for e, w := range c.want {
+			if got := fmt.Sprintf("%v %#x", entryIndex(c.c, e), math.Float64bits(c.c.Values()[e])); got != w {
+				t.Errorf("entry %d = %s, want %s", e, got, w)
+			}
+		}
+	}
+	dims := []int{3, 2, 9}
+	b := RandomBlocky(5, 4, 20, 5, dims...)
+	for k, d := range dims {
+		for e, i := range b.Coords(k) {
+			if int(i) >= d {
+				t.Fatalf("RandomBlocky entry %d: mode-%d index %d outside extent %d", e, k, i, d)
+			}
+		}
+	}
+}
+
 func TestRandomGeneratesDistinct(t *testing.T) {
 	s := Random(3, 20, 4, 4, 4)
 	if s.NNZ() != 20 {
