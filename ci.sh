@@ -191,6 +191,12 @@ go run ./cmd/mttkrp -dims 16,16,16 -r 8 -mode 1 -algo stationary -p 8 \
 go run ./cmd/mttkrp -dims 8,8,8 -r 64 -mode 1 -algo general -p 16 \
 	-obs -obs-json "$obsdir/general.json" -obs-maxratio 4
 
+echo "== reportall -fast (E1-E20 checks) =="
+# Re-validates every experiment E1-E20 but the exact OPT search (E16),
+# in under a second; exits 1 if any check fails. E14 reads
+# dimtree.CommEstimate and the dimension tree's flops.
+go run ./cmd/reportall -fast
+
 echo "== trace smoke (flight recorder -> tracecheck) =="
 # A parallel run must export a Chrome trace that round-trips as JSON
 # and survives schema validation: known phases only, every Send flow

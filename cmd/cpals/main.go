@@ -13,9 +13,9 @@
 // The sequential solver picks its MTTKRP strategy with -engine. Both
 // run one sweep loop on the GEMM-based dimension-tree engine:
 // "independent" contracts the whole tensor once per mode (its obs
-// phase is tree-root), "tree" reuses prefix partials across modes and
-// reports the flop saving. -workers caps the goroutines used by
-// either.
+// phase is tree-root), "tree" walks the balanced dimension tree,
+// sharing partial contractions across modes, and reports the flop
+// saving. -workers caps the goroutines used by either.
 package main
 
 import (

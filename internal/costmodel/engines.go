@@ -75,88 +75,6 @@ func (m Model) FastAllModesCost() EngineCost {
 	return c
 }
 
-// TreeAllModesCost models the dimtree engine's all-modes sweep by
-// walking the same balanced tree the engine builds: root contractions
-// stream the tensor, and partial contractions stream their (much
-// smaller) partial. Every contraction keeps a prefix or a suffix of
-// its source's modes, so each drops one side.
-func (m Model) TreeAllModesCost() EngineCost {
-	N := m.N()
-	if N == 2 {
-		return m.treeRootCost(0, 1).Add(m.treeRootCost(1, 2))
-	}
-	mid := N / 2
-	return m.treeBranchCost(0, mid).Add(m.treeBranchCost(mid, N))
-}
-
-// treeBranchCost is a root child holding modes [lo, hi) plus its
-// subtree.
-func (m Model) treeBranchCost(lo, hi int) EngineCost {
-	c := m.treeRootCost(lo, hi)
-	if hi-lo > 1 {
-		c = c.Add(m.treeDescendCost(lo, hi))
-	}
-	return c
-}
-
-// treeDescendCost splits the partial holding [lo, hi) at its
-// midpoint, mirroring dimtree.Engine.descend.
-func (m Model) treeDescendCost(lo, hi int) EngineCost {
-	mid := lo + (hi-lo)/2
-	c := m.treePartCost(lo, hi, lo, mid)
-	if mid-lo > 1 {
-		c = c.Add(m.treeDescendCost(lo, mid))
-	}
-	c = c.Add(m.treePartCost(lo, hi, mid, hi))
-	if hi-mid > 1 {
-		c = c.Add(m.treeDescendCost(mid, hi))
-	}
-	return c
-}
-
-// treeRootCost is one contraction from the tensor keeping [lo, hi).
-func (m Model) treeRootCost(lo, hi int) EngineCost {
-	L := m.prodDims(0, lo)
-	M := m.prodDims(lo, hi)
-	Rt := m.prodDims(hi, m.N())
-	return m.contractCost(L, M, Rt, lo > 0, hi < m.N(), L*M*Rt)
-}
-
-// treePartCost is one contraction of the partial holding [plo, phi)
-// down to [klo, khi); the source is the partial's S*R block, not the
-// tensor.
-func (m Model) treePartCost(plo, phi, klo, khi int) EngineCost {
-	Lp := m.prodDims(plo, klo)
-	Mp := m.prodDims(klo, khi)
-	Rtp := m.prodDims(khi, phi)
-	c := m.contractCost(Lp, Mp, Rtp, klo > plo, khi < phi, Lp*Mp*Rtp*m.R)
-	// The per-rank GEMV passes re-run the contraction once per rank
-	// column but each streams only its own slab, so the source traffic
-	// above is already per-pass exact; the arithmetic, though, is R
-	// independent GEMVs — contractCost already counts 2*S*R.
-	return c
-}
-
-// contractCost is the shared (L, M, Rt) contraction form: src is the
-// streamed source volume in words (the tensor for roots, S*R for
-// partials), dropLeft/dropRight say which KRP panel exists. Every tree
-// contraction keeps a prefix or a suffix of its source's modes, so
-// exactly one of them is set.
-func (m Model) contractCost(L, M, Rt float64, dropLeft, dropRight bool, src float64) EngineCost {
-	var c EngineCost
-	if dropLeft {
-		c.Words += 2 * L * m.R
-		c.Flops += L * m.R
-	}
-	if dropRight {
-		c.Words += 2 * Rt * m.R
-		c.Flops += Rt * m.R
-	}
-	c.Words += src + M*m.R
-	c.Flops += 2 * L * M * Rt * m.R
-	return c
-}
-
 // csfLevelNodes estimates the node count of CSF tree level lv for a
 // uniformly random nonzero pattern: the fiber count saturates at the
 // prefix-index space until nnz distinct prefixes exhaust it. perm[0]
@@ -265,13 +183,4 @@ func (m Model) COOCost(nnz float64, mode int) EngineCost {
 		Words: nnz * (N + 1 + (N-1)*m.R + 2*m.R),
 		Flops: nnz * N * m.R,
 	}
-}
-
-// prodDims multiplies Dims[lo:hi].
-func (m Model) prodDims(lo, hi int) float64 {
-	p := 1.0
-	for k := lo; k < hi; k++ {
-		p *= m.Dims[k]
-	}
-	return p
 }

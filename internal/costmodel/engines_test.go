@@ -20,27 +20,6 @@ func TestFastKernelCostBoundaryVsInterior(t *testing.T) {
 	}
 }
 
-func TestTreeBeatsIndependentAtHighOrder(t *testing.T) {
-	// The dimension tree's raison d'être: at order 5 the tree reuses
-	// partials across modes, so it does strictly less arithmetic than
-	// N independent kernels. The model must reproduce that ordering —
-	// it is what makes the planner pick the tree for large sweeps.
-	m := CubicalModel(5, 32, 16)
-	tree := m.TreeAllModesCost()
-	ind := m.FastAllModesCost()
-	if tree.Flops >= ind.Flops {
-		t.Errorf("tree flops %.3g not below independent flops %.3g", tree.Flops, ind.Flops)
-	}
-}
-
-func TestTreeAllModesOrder2(t *testing.T) {
-	m := CubicalModel(2, 128, 8)
-	c := m.TreeAllModesCost()
-	if c.Flops <= 0 || c.Words <= 0 {
-		t.Fatalf("degenerate order-2 tree cost: %+v", c)
-	}
-}
-
 func TestCSFBeatsCOO(t *testing.T) {
 	// The CSF fiber tree reads each factor row once per node, the COO
 	// loop once per nonzero; with many nonzeros per fiber the tree

@@ -78,8 +78,8 @@ type TraceEntry struct {
 
 // Decompose runs sequential CP-ALS. Each MTTKRP is one KRP-splitting
 // contraction of the whole tensor (kernel.Contract3, the pass
-// kernel.Fast makes): it is DecomposeTree's sweep with the prefix
-// schedule's reuse turned off.
+// kernel.Fast makes): it is DecomposeTree's sweep loop with the
+// dimension tree's reuse turned off.
 func Decompose(x *tensor.Dense, opts Options) (*Model, []TraceEntry, error) {
 	model, trace, _, err := decomposePooled(x, opts, false)
 	return model, trace, err

@@ -227,7 +227,7 @@ func TestDecomposeParallelErrors(t *testing.T) {
 }
 
 // TestParallelSingleProcessor: a one-rank DecomposeParallel walks
-// DecomposeTree's prefix schedule on the whole tensor and sums ||X||^2
+// DecomposeTree's dimension tree on the whole tensor and sums ||X||^2
 // as linalg.Norm does, so its factors and fits are bitwise
 // DecomposeTree's.
 func TestParallelSingleProcessor(t *testing.T) {

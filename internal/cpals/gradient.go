@@ -20,18 +20,13 @@ import (
 // Objective returns f(A) = 0.5 * ||X - Xhat||^2 together with the
 // all-modes MTTKRP results it is computed from.
 func Objective(x *tensor.Dense, factors []*tensor.Matrix) (float64, *dimtree.Result) {
-	return ObjectiveWorkers(x, factors, 0)
-}
-
-// ObjectiveWorkers is Objective with an explicit goroutine count for
-// the dimension-tree multi-MTTKRP (<= 0: linalg package default).
-func ObjectiveWorkers(x *tensor.Dense, factors []*tensor.Matrix, workers int) (float64, *dimtree.Result) {
-	f, res, _ := objective(x, factors, linalg.SumSquares(x.Data(), workers), workers)
+	f, res, _ := objective(x, factors, linalg.SumSquares(x.Data(), 0), 0)
 	return f, res
 }
 
-// objective is ObjectiveWorkers given normX2 = ||X||^2, also returning
-// the factors' Grams it forms.
+// objective is Objective given normX2 = ||X||^2 and a goroutine count
+// for the dimension-tree multi-MTTKRP (<= 0: linalg package default),
+// also returning the factors' Grams it forms.
 func objective(x *tensor.Dense, factors []*tensor.Matrix, normX2 float64, workers int) (float64, *dimtree.Result, []*tensor.Matrix) {
 	res := dimtree.AllModesWorkers(x, factors, workers)
 	grams := make([]*tensor.Matrix, len(factors))
@@ -50,16 +45,11 @@ func objective(x *tensor.Dense, factors []*tensor.Matrix, normX2 float64, worker
 // Gradient returns the gradients dF/dA(n) = A(n)*Gamma(n) - B(n) for
 // all modes, the objective value, and the shared-MTTKRP flop count.
 func Gradient(x *tensor.Dense, factors []*tensor.Matrix) ([]*tensor.Matrix, float64, int64) {
-	return GradientWorkers(x, factors, 0)
+	return gradient(x, factors, linalg.SumSquares(x.Data(), 0), 0)
 }
 
-// GradientWorkers is Gradient with an explicit goroutine count for the
-// dimension-tree multi-MTTKRP (<= 0: linalg package default).
-func GradientWorkers(x *tensor.Dense, factors []*tensor.Matrix, workers int) ([]*tensor.Matrix, float64, int64) {
-	return gradient(x, factors, linalg.SumSquares(x.Data(), workers), workers)
-}
-
-// gradient is GradientWorkers given normX2 = ||X||^2.
+// gradient is Gradient given normX2 = ||X||^2 and a goroutine count
+// for the dimension-tree multi-MTTKRP.
 func gradient(x *tensor.Dense, factors []*tensor.Matrix, normX2 float64, workers int) ([]*tensor.Matrix, float64, int64) {
 	f, res, grams := objective(x, factors, normX2, workers)
 	R := factors[0].Cols()

@@ -52,8 +52,8 @@ func (r *ParallelResult) MaxOtherWords() int64 { return slices.Max(r.OtherWords)
 // its block row and all-reduces it over its mode-k fiber, the P_k
 // ranks whose block rows partition U_k. Every fiber sums the same
 // block-row Grams in the same ring order, so all ranks hold bitwise
-// the same Grams and fits. Each rank walks DecomposeTree's prefix
-// schedule on its own block, contracting the block twice per sweep.
+// the same Grams and fits. Each rank walks DecomposeTree's dimension
+// tree on its own block, contracting the block twice per sweep.
 //
 // Per rank on a balanced grid (I_k = I, P_k = p, hyperslice size
 // q = P/p, owned shard w = (I/P)·R words, S sweeps), the MTTKRP
@@ -185,32 +185,39 @@ func (r *cpRank) run(opts Options) error {
 	eng := dimtree.GetEngine()
 	eng.Workers = 1
 	defer dimtree.PutEngine(eng)
-	tree := newPrefixTree(eng, r.Block, opts.R, true)
 
 	for k := 1; k < N; k++ {
 		r.refresh(k)
 	}
+	// Each sweep walks the dimension tree on the rank's block. One
+	// local span covers the contractions that form each B(n); the leaf
+	// ends it, reduce-scatters B(n), solves the owned rows and
+	// refreshes U_n, and opens the next mode's span.
+	var span obs.Span
+	var lastB *tensor.Matrix
+	leaf := func(n int) error {
+		span.Stop()
+		before := r.Words()
+		b := r.ScatterRows(n, r.bs[n])
+		r.mttkrpWords += r.Words() - before
+
+		// Normal equations (replicated) and row-wise solve.
+		hadamardGrams(r.v, r.grams, n)
+		if err := solveFactor(r.own[n], r.v, b); err != nil {
+			return fmt.Errorf("cpals: rank %d mode %d: %w", r.ID, n, err)
+		}
+		r.refresh(n)
+		lastB = b
+		if n < N-1 {
+			span = obs.StartRank(r.ID, obs.PhaseLocal)
+		}
+		return nil
+	}
 	prevFit := math.Inf(-1)
 	for it := 0; it < opts.MaxIters; it++ {
-		var lastB *tensor.Matrix
-		for n := 0; n < N; n++ {
-			span := obs.StartRank(r.ID, obs.PhaseLocal)
-			tree.mttkrp(r.bs[n], r.rows, n)
-			span.Stop()
-			before := r.Words()
-			b := r.ScatterRows(n, r.bs[n])
-			r.mttkrpWords += r.Words() - before
-
-			// Normal equations (replicated) and row-wise solve.
-			hadamardGrams(r.v, r.grams, n)
-			if err := solveFactor(r.own[n], r.v, b); err != nil {
-				return fmt.Errorf("cpals: rank %d mode %d: %w", r.ID, n, err)
-			}
-			r.refresh(n)
-			span = obs.StartRank(r.ID, obs.PhaseLocal)
-			tree.advance(r.rows, n)
-			span.Stop()
-			lastB = b
+		span = obs.StartRank(r.ID, obs.PhaseLocal)
+		if _, err := eng.Sweep(r.bs, r.Block, r.rows, opts.R, leaf); err != nil {
+			return err
 		}
 		// Fit: global inner product plus the replicated Gram identity.
 		inner := r.World.AllReduce([]float64{linalg.Dot(lastB, r.own[N-1])})[0]

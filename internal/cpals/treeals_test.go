@@ -12,9 +12,9 @@ import (
 
 // The headline property: tree-ALS performs *identical mathematics* to
 // plain ALS — every sweep's fit matches to rounding — with far fewer
-// operations.
+// operations. Orders 5 and 6 split the tree unevenly.
 func TestTreeALSMatchesPlainALS(t *testing.T) {
-	for _, dims := range [][]int{{6, 5}, {6, 5, 4}, {4, 4, 4, 4}} {
+	for _, dims := range [][]int{{6, 5}, {6, 5, 4}, {4, 4, 4, 4}, {5, 4, 3, 4, 3}, {4, 3, 3, 2, 3, 2}} {
 		opts := Options{R: 3, MaxIters: 8, Tol: math.Inf(-1), Seed: 91}
 		x := tensor.RandomDense(93, dims...)
 		_, plainTrace, err := Decompose(x, opts)
@@ -45,9 +45,9 @@ func TestTreeALSMatchesPlainALS(t *testing.T) {
 
 // TestTreeALSReusedEngineBitwise: Decompose, DecomposeTree and
 // dimtree.AllModesWorkers borrow from one engine pool, and one engine
-// passed from run to run, keep their prefix partials, KRP panels and
-// partial stacks between runs of other solvers, shapes and worker
-// counts, and no run reads what an earlier one left: the three
+// passed from run to run, keep their partial slots and KRP panels
+// between runs of other solvers, shapes and worker counts, and no run
+// reads what an earlier one left: the three
 // solvers on two shapes of different order and two worker counts, run
 // in turn twice and then all at once, each give bitwise the results
 // (and flops) of a run on a fresh engine.

@@ -1,12 +1,51 @@
 package dimtree
 
-// This file analyzes the *communication* side of the multi-MTTKRP
-// optimization under a streaming two-level-memory model: every
-// contraction reads its source once from slow memory, reads the
+import "repro/internal/costmodel"
+
+// This file prices the walk under a streaming two-level-memory model:
+// every contraction reads its source once from slow memory, reads the
 // dropped factor matrices once, and writes its result once. The
 // dimension tree reads the full tensor only twice (the two root
 // contractions) where N independent MTTKRPs read it N times; all other
 // tree traffic touches the much smaller partials.
+
+// AllModesCost returns the words and flops the planner charges for
+// one Sweep over a tensor of extents dims at rank R. A contraction
+// keeping [klo, khi) of the node [lo, hi) views its source as
+// L x M x Rt (the extents' products below, in and above the kept
+// range) and moves the source once, its M x R output once and each
+// dropped side's KRP panel twice (written, then read); its flops are
+// Sweep's count, one per panel element and 2·L·M·Rt·R.
+func AllModesCost(dims []int, R int) costmodel.EngineCost {
+	var c costmodel.EngineCost
+	r := float64(R)
+	prod := func(lo, hi int) float64 {
+		p := 1.0
+		for _, d := range dims[lo:hi] {
+			p *= float64(d)
+		}
+		return p
+	}
+	_ = walk(0, 0, len(dims), func(depth, lo, hi, klo, khi int) error {
+		L, M, Rt := prod(lo, klo), prod(klo, khi), prod(khi, hi)
+		if klo > lo {
+			c.Words += 2 * L * r
+			c.Flops += L * r
+		}
+		if khi < hi {
+			c.Words += 2 * Rt * r
+			c.Flops += Rt * r
+		}
+		src := L * M * Rt
+		if depth > 0 {
+			src *= r
+		}
+		c.Words += src + M*r
+		c.Flops += 2 * L * M * Rt * r
+		return nil
+	})
+	return c
+}
 
 // CommEstimate returns the streaming-model words moved (loads+stores)
 // by the balanced dimension tree and by N independent single-mode
@@ -28,50 +67,28 @@ func CommEstimate(dims []int, R int) (tree, independent int64) {
 		}
 		independent += int64(dims[n]) * int64(R)
 	}
-
-	// Tree: simulate the recursion's reads/writes.
-	allModes := make([]int, N)
-	for i := range allModes {
-		allModes[i] = i
-	}
-	size := func(modes []int) int64 {
+	// Tree: each contraction reads its source and the dropped factors,
+	// and writes the child.
+	size := func(lo, hi int) int64 {
 		s := int64(R)
-		for _, k := range modes {
-			s *= int64(dims[k])
+		for _, d := range dims[lo:hi] {
+			s *= int64(d)
 		}
 		return s
 	}
-	factorWords := func(drop []int) int64 {
-		var s int64
-		for _, k := range drop {
-			s += int64(dims[k]) * int64(R)
+	_ = walk(0, 0, N, func(depth, lo, hi, klo, khi int) error {
+		if depth == 0 {
+			tree += I
+		} else {
+			tree += size(lo, hi)
 		}
-		return s
-	}
-	var rec func(modes []int, srcWords int64)
-	rec = func(modes []int, srcWords int64) {
-		if len(modes) == 1 {
-			return // the node itself was already written by its parent
+		for k := lo; k < hi; k++ {
+			if k < klo || k >= khi {
+				tree += int64(dims[k]) * int64(R)
+			}
 		}
-		m := len(modes) / 2
-		left, right := modes[:m], modes[m:]
-		// Two contractions from this node: each reads the node and the
-		// dropped factors, and writes the child.
-		tree += srcWords + factorWords(right) + size(left)
-		tree += srcWords + factorWords(left) + size(right)
-		rec(left, size(left))
-		rec(right, size(right))
-	}
-	if N == 2 {
-		tree = 2*I + factorWords([]int{1}) + size([]int{0}) +
-			factorWords([]int{0}) + size([]int{1})
-		return tree, independent
-	}
-	m := N / 2
-	left, right := allModes[:m], allModes[m:]
-	tree += I + factorWords(right) + size(left)
-	tree += I + factorWords(left) + size(right)
-	rec(left, size(left))
-	rec(right, size(right))
+		tree += size(klo, khi)
+		return nil
+	})
 	return tree, independent
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/costmodel"
 	"repro/internal/memsim"
 	"repro/internal/seq"
 	"repro/internal/tensor"
@@ -93,6 +94,10 @@ func TestPanics(t *testing.T) {
 		func() { AllModes(x, []*tensor.Matrix{nil, fs[1]}) },
 		func() { AllModes(x, []*tensor.Matrix{fs[0], tensor.NewMatrix(5, 2)}) },
 		func() { AllModes(x, []*tensor.Matrix{fs[0], tensor.NewMatrix(4, 3)}) },
+		// Sweep: too few outputs, a wrong output shape, a wrong rank.
+		func() { _, _ = NewEngine(1).Sweep(fs[:1], x, fs, 2, nil) },
+		func() { _, _ = NewEngine(1).Sweep([]*tensor.Matrix{fs[0], tensor.NewMatrix(4, 3)}, x, fs, 2, nil) },
+		func() { _, _ = NewEngine(1).Sweep(fs, x, fs, 3, nil) },
 	} {
 		func() {
 			defer func() {
@@ -102,6 +107,45 @@ func TestPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestAllModesCostMatchesEngineFlops: the planner's price of a sweep
+// charges exactly the flops the engine counts, on random shapes of
+// orders 2-6.
+func TestAllModesCostMatchesEngineFlops(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	e := NewEngine(1)
+	for i := 0; i < 300; i++ {
+		dims := make([]int, 2+rng.Intn(5))
+		for k := range dims {
+			dims[k] = 1 + rng.Intn(6)
+		}
+		R := 1 + rng.Intn(5)
+		x := tensor.RandomDense(int64(i), dims...)
+		res := e.AllModes(x, tensor.RandomFactors(int64(i+1), dims, R))
+		if c := AllModesCost(dims, R); c.Flops != float64(res.Flops) { //repro:bitwise integer-valued counts below 2^53
+			t.Fatalf("dims %v R %d: priced %.0f flops, the engine counted %d", dims, R, c.Flops, res.Flops)
+		}
+	}
+}
+
+// TestTreeBeatsIndependentAtHighOrder: the dimension tree's raison
+// d'être. At order 5 the tree reuses partials across modes, so its
+// price does strictly less arithmetic than N independent kernels —
+// the ordering that makes the planner pick the tree for large sweeps.
+func TestTreeBeatsIndependentAtHighOrder(t *testing.T) {
+	tree := AllModesCost([]int{32, 32, 32, 32, 32}, 16)
+	ind := costmodel.CubicalModel(5, 32, 16).FastAllModesCost()
+	if tree.Flops >= ind.Flops {
+		t.Errorf("tree flops %.3g not below independent flops %.3g", tree.Flops, ind.Flops)
+	}
+}
+
+func TestTreeAllModesOrder2(t *testing.T) {
+	c := AllModesCost([]int{128, 128}, 8)
+	if c.Flops <= 0 || c.Words <= 0 {
+		t.Fatalf("degenerate order-2 tree cost: %+v", c)
 	}
 }
 

@@ -1,10 +1,10 @@
 package dimtree
 
 // The GEMM-based multi-MTTKRP engine. The balanced dimension tree only
-// ever holds *contiguous* mode ranges [lo, hi): the root splits
-// [0, N) into [0, m) and [m, N), and every descent splits a range at
-// its midpoint. In generalized column-major layout that contiguity is
-// everything — a node's partial needs no permutation to be contracted:
+// ever holds *contiguous* mode ranges [lo, hi), each split at its
+// midpoint by walk, the one traversal the engine, its prices and the
+// CP-ALS sweeps share. In generalized column-major layout that
+// contiguity is everything — a node's partial needs no permutation to be contracted:
 //
 //   - a root contraction keeping [lo, hi) views the tensor in place as
 //     an (L, M, Rt) 3-tensor (L = prod I_0..I_{lo-1},
@@ -24,10 +24,10 @@ package dimtree
 //     blocked linalg kernels. Ranks split into contiguous ranges, one
 //     chunk of a fanout section each, with disjoint output columns.
 //
-// Every temporary — partial tensors (a stack, depth <= log2 N), the
-// dropped-mode KRP panels, the kernel workspace's panels, slot scratch
-// and accumulation buckets, and the rank split's fanout task — lives
-// in a grow-only workspace owned by the Engine, so repeated
+// Every temporary — partial tensors (one slot per tree depth, at most
+// log2 N), the dropped-mode KRP panels, the kernel workspace's panels,
+// slot scratch and accumulation buckets, and the rank split's fanout
+// task — lives in a grow-only workspace owned by the Engine, so repeated
 // traversals allocate nothing in steady state at any worker count.
 // Results are bitwise independent of the worker count: the boundary
 // GEMMs compute each output element in a partition-invariant order,
@@ -60,10 +60,19 @@ type Engine struct {
 	kws   *kernel.Workspace // Contract3's KRP panels, slot scratch and buckets
 	kl    []float64         // a partial's dropped-prefix KRP panel
 	kr    []float64         // a partial's dropped-suffix KRP panel
-	stack [][]float64       // partial-tensor slots, stack discipline
-	sp    int
-	ranks rankTask     // the partial contraction's fanout task, set for one call
-	held  [2][]float64 // the caller-held partials (Held)
+	slots [][]float64       // partial tensors, one slot per tree depth
+	ranks rankTask          // the partial contraction's fanout task, set for one call
+	sweep sweepArgs         // Sweep's operands, set for one call
+}
+
+// sweepArgs carries one Sweep call's operands to the walk's visits.
+type sweepArgs struct {
+	bs      []*tensor.Matrix
+	x       *tensor.Dense
+	factors []*tensor.Matrix
+	R       int
+	leaf    func(n int) error
+	flops   int64
 }
 
 // NewEngine returns an engine with the given worker count (<= 0 means
@@ -101,45 +110,68 @@ func (e *Engine) AllModesInto(res *Result, x *tensor.Dense, factors []*tensor.Ma
 			res.B[n] = tensor.NewMatrix(x.Dim(n), R) //repro:ignore hotpath-alloc first-call/shape-change growth; steady state reuses res.B
 		}
 	}
-	res.Flops = 0
-	e.sp = 0
-	m := N / 2
-	e.rootBranch(res, x, factors, R, 0, m)
-	e.rootBranch(res, x, factors, R, m, N)
+	res.Flops, _ = e.Sweep(res.B, x, factors, R, nil)
 }
 
-// rootBranch materializes the root child holding modes [lo, hi) and
-// recursively splits it down to the leaves.
-func (e *Engine) rootBranch(res *Result, x *tensor.Dense, factors []*tensor.Matrix, R, lo, hi int) {
-	if hi-lo == 1 {
-		res.Flops += e.contractRoot(res.B[lo].Data(), x, factors, R, lo, hi)
-		return
+// Sweep computes B(n) for every mode n into bs[n] (I_n x R) on the
+// balanced dimension tree and returns the flops. When leaf is non-nil
+// it is called with n as soon as bs[n] holds B(n), and it may
+// overwrite factors[n]'s values: the walk runs each contraction in the
+// order of an ALS sweep (see walk), so B(n) contracts the modes below
+// n with the factors their leaves left and the modes above n with the
+// factors passed in. The first error leaf returns stops the sweep
+// before any further contraction and is returned. leaf must not start
+// another sweep on e. factors must pass tensor.CheckFactors at rank R;
+// a warmed engine allocates nothing.
+//
+//repro:hotpath
+func (e *Engine) Sweep(bs []*tensor.Matrix, x *tensor.Dense, factors []*tensor.Matrix, R int, leaf func(n int) error) (int64, error) {
+	if r, err := tensor.CheckFactors(x, factors, tensor.AllModes); err != nil || r != R {
+		panic(fmt.Sprintf("dimtree: Sweep at rank %d: factors of rank %d (%v)", R, r, err))
 	}
-	part := e.push(prodDims(x, lo, hi) * R)
-	res.Flops += e.contractRoot(part, x, factors, R, lo, hi)
-	e.descend(res, part, x, factors, R, lo, hi)
-	e.pop()
+	if len(bs) != x.Order() {
+		panic(fmt.Sprintf("dimtree: Sweep with %d outputs for an order-%d tensor", len(bs), x.Order()))
+	}
+	for n, b := range bs {
+		if b.Rows() != x.Dim(n) || b.Cols() != R {
+			panic(fmt.Sprintf("dimtree: Sweep output %d is %dx%d, want %dx%d", n, b.Rows(), b.Cols(), x.Dim(n), R))
+		}
+	}
+	e.sweep = sweepArgs{bs: bs, x: x, factors: factors, R: R, leaf: leaf}
+	err := walk(0, 0, x.Order(), e.visit)
+	flops := e.sweep.flops
+	e.sweep = sweepArgs{}
+	return flops, err
 }
 
-// descend splits the partial holding modes [lo, hi) at its midpoint.
-func (e *Engine) descend(res *Result, part []float64, x *tensor.Dense, factors []*tensor.Matrix, R, lo, hi int) {
-	mid := lo + (hi-lo)/2
-	if mid-lo == 1 {
-		res.Flops += e.contractPart(res.B[lo].Data(), part, x, factors, R, lo, hi, lo, mid)
+// visit runs one contraction of Sweep's walk: the node [lo, hi), the
+// tensor at depth 0 and partial slot depth-1 below it, down to the
+// child [klo, khi), into bs[klo] for a leaf, which then goes to the
+// sweep's leaf, or into slot depth. Slot d holds the last inner node
+// formed at depth d, which is the node the walk is descending through.
+//
+//repro:hotpath
+func (e *Engine) visit(depth, lo, hi, klo, khi int) error {
+	s := &e.sweep
+	var out []float64
+	if khi-klo == 1 {
+		out = s.bs[klo].Data()
 	} else {
-		child := e.push(prodDims(x, lo, mid) * R)
-		res.Flops += e.contractPart(child, part, x, factors, R, lo, hi, lo, mid)
-		e.descend(res, child, x, factors, R, lo, mid)
-		e.pop()
+		if depth == len(e.slots) {
+			e.slots = append(e.slots, nil) //repro:ignore hotpath-alloc grow-only slots, one per depth <= log2 N; settles after the first sweep
+		}
+		e.slots[depth] = growf(e.slots[depth], prodDims(s.x, klo, khi)*s.R)
+		out = e.slots[depth]
 	}
-	if hi-mid == 1 {
-		res.Flops += e.contractPart(res.B[mid].Data(), part, x, factors, R, lo, hi, mid, hi)
+	if depth == 0 {
+		s.flops += e.contractRoot(out, s.x, s.factors, s.R, klo, khi)
 	} else {
-		child := e.push(prodDims(x, mid, hi) * R)
-		res.Flops += e.contractPart(child, part, x, factors, R, lo, hi, mid, hi)
-		e.descend(res, child, x, factors, R, mid, hi)
-		e.pop()
+		s.flops += e.contractPart(out, e.slots[depth-1], s.x, s.factors, s.R, lo, hi, klo, khi)
 	}
+	if khi-klo > 1 || s.leaf == nil {
+		return nil
+	}
+	return s.leaf(klo)
 }
 
 // contractRoot computes the partial keeping the contiguous mode range
@@ -180,17 +212,9 @@ func (e *Engine) contractRoot(out []float64, x *tensor.Dense, factors []*tensor.
 }
 
 // contractPart contracts a partial holding modes [plo, phi) down to
-// the kept range [klo, khi), writing into out. Mode extents come from
-// the tensor.
-func (e *Engine) contractPart(out, part []float64, x *tensor.Dense, factors []*tensor.Matrix, R, plo, phi, klo, khi int) int64 {
-	return e.contractPartExtents(out, part, factors, R, plo, phi, klo, khi,
-		prodDims(x, plo, klo), prodDims(x, klo, khi), prodDims(x, khi, phi))
-}
-
-// contractPartExtents is the rank-split partial contraction. It drops
-// a prefix or a suffix of the partial's modes, never both: per rank r
-// the source slab is an (Lp, Mp, Rtp) column-major block with Lp = 1
-// or Rtp = 1, and
+// the kept range [klo, khi), a prefix or a suffix of it, writing into
+// out; mode extents come from the tensor. Per rank r the source slab
+// is an (Lp, Mp, Rtp) column-major block with Lp = 1 or Rtp = 1, and
 //
 //	out(:, r) = sum_{l, t} slab(l, :, t) * kl(l, r) * kr(t, r)
 //
@@ -200,10 +224,10 @@ func (e *Engine) contractPart(out, part []float64, x *tensor.Dense, factors []*t
 // bitwise worker-count independent.
 //
 //repro:hotpath
-func (e *Engine) contractPartExtents(out, part []float64, factors []*tensor.Matrix, R, plo, phi, klo, khi, Lp, Mp, Rtp int) int64 {
+func (e *Engine) contractPart(out, part []float64, x *tensor.Dense, factors []*tensor.Matrix, R, plo, phi, klo, khi int) int64 {
 	span := obs.Start(obs.PhaseTreePartial)
 	defer span.Stop()
-	S := Lp * Mp * Rtp
+	Lp, Mp, Rtp := prodDims(x, plo, klo), prodDims(x, klo, khi), prodDims(x, khi, phi)
 	var fl int64
 	var kl, kr []float64
 	if klo > plo {
@@ -218,17 +242,11 @@ func (e *Engine) contractPartExtents(out, part []float64, factors []*tensor.Matr
 		kr = e.kr
 		fl += int64(Rtp) * int64(R)
 	}
-	if kl == nil && kr == nil {
-		// Nothing dropped: the contraction is the identity.
-		obs.Copy(S * R)
-		copy(out[:S*R], part[:S*R])
-		return fl + int64(S)*int64(R)
-	}
 	workers := min(linalg.ResolveWorkers(e.Workers), R)
 	e.ranks = rankTask{out: out, part: part, kl: kl, kr: kr, Lp: Lp, Mp: Mp, Rtp: Rtp, R: R, parts: workers}
 	fanout.Run(&e.ranks, workers, workers)
 	e.ranks = rankTask{}
-	return fl + 2*int64(S)*int64(R)
+	return fl + 2*int64(Lp*Mp*Rtp)*int64(R)
 }
 
 // ContractTensorInto computes the partial MTTKRP keeping the
@@ -248,62 +266,6 @@ func (e *Engine) ContractTensorInto(out []float64, x *tensor.Dense, factors []*t
 	}
 	return e.contractRoot(out, x, factors, R, lo, hi)
 }
-
-// ContractPartialInto contracts a partial holding the mode range
-// [plo, plo+part.Order()-1) (its last dimension is r) down to a prefix
-// or a suffix [klo, khi) of that range into out (the kept extents
-// times R words, overwritten; it must not overlap part) and returns
-// the flop count.
-func (e *Engine) ContractPartialInto(out []float64, part *tensor.Dense, plo int, factors []*tensor.Matrix, R, klo, khi int) int64 {
-	phi := plo + part.Order() - 1
-	if klo < plo || klo >= khi || khi > phi || (klo > plo && khi < phi) {
-		panic(fmt.Sprintf("dimtree: keep [%d,%d) not a prefix or suffix of modes [%d,%d)", klo, khi, plo, phi))
-	}
-	Lp, Mp, Rtp := 1, 1, 1
-	for k := plo; k < phi; k++ {
-		d := part.Dim(k - plo)
-		switch {
-		case k < klo:
-			Lp *= d
-		case k < khi:
-			Mp *= d
-		default:
-			Rtp *= d
-		}
-	}
-	if len(out) < Mp*R {
-		panic("dimtree: ContractPartialInto output too short")
-	}
-	return e.contractPartExtents(out, part.Data(), factors, R, plo, phi, klo, khi, Lp, Mp, Rtp)
-}
-
-// Held returns the engine's held buffer i (0 or 1) resized to n words,
-// grow-only like its KRP panels: scratch for partials the caller keeps
-// between contractions, such as the two alternating prefix partials of
-// a CP-ALS sweep. The contents are whatever the last user left, and
-// every contraction overwrites its output. A later Held(i, ...) call
-// may move the buffer, so a caller takes both sizes it needs at once.
-func (e *Engine) Held(i, n int) []float64 {
-	e.held[i] = growf(e.held[i], n)
-	return e.held[i]
-}
-
-// push returns the grow-only buffer for the next partial-stack slot.
-// The traversal order is deterministic, so each slot settles on its
-// maximal size after the first call and push allocates nothing in
-// steady state. Contractions fully overwrite their output, so the
-// buffer is not cleared.
-func (e *Engine) push(n int) []float64 {
-	if e.sp == len(e.stack) {
-		e.stack = append(e.stack, nil) //repro:ignore hotpath-alloc grow-only partial stack, depth <= log2 N; settles after the first traversal
-	}
-	e.stack[e.sp] = growf(e.stack[e.sp], n)
-	buf := e.stack[e.sp]
-	e.sp++
-	return buf
-}
-
-func (e *Engine) pop() { e.sp-- }
 
 // enginePool lends engines to the package-level entry points and,
 // through GetEngine, to the CP-ALS solvers, so concurrent callers (e.g.
@@ -357,7 +319,7 @@ func growf(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// rankTask is contractPartExtents' rank split as a fanout task.
+// rankTask is contractPart's rank split as a fanout task.
 type rankTask struct {
 	out, part, kl, kr     []float64
 	Lp, Mp, Rtp, R, parts int

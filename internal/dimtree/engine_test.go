@@ -1,6 +1,8 @@
 package dimtree
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -168,41 +170,27 @@ func TestEngineContractTensorMatchesRef(t *testing.T) {
 
 // TestEngineContractPartialMatchesRef: partial contractions over a
 // mid-tree partial (modes 1..3 of an order-4 tensor) agree with the
-// direct contraction of the same range for every prefix and suffix
-// keep, including the degenerate keep == modes identity, and an
-// interior keep panics.
+// direct contraction of the same range for every proper prefix and
+// suffix keep, the two kinds a tree's partial contractions make.
 func TestEngineContractPartialMatchesRef(t *testing.T) {
 	dims := []int{3, 4, 2, 5}
 	R := 3
 	x := tensor.RandomDense(73, dims...)
 	fs := tensor.RandomFactors(79, dims, R)
 	e := NewEngine(2)
-	part := tensor.NewDense(4, 2, 5, R)
-	e.ContractTensorInto(part.Data(), x, fs, R, 1, 4)
-	for lo := 1; lo < 4; lo++ {
-		for hi := lo + 1; hi <= 4; hi++ {
-			m := R
-			for _, d := range dims[lo:hi] {
-				m *= d
-			}
-			want := make([]float64, m)
-			e.ContractTensorInto(want, x, fs, R, lo, hi)
-			got := make([]float64, len(want))
-			if lo > 1 && hi < 4 {
-				// An interior keep would drop both sides; no tree does.
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Fatalf("keep [%d,%d) of [1,4): no panic", lo, hi)
-						}
-					}()
-					e.ContractPartialInto(got, part, 1, fs, R, lo, hi)
-				}()
-				continue
-			}
-			e.ContractPartialInto(got, part, 1, fs, R, lo, hi)
-			assertClose(t, got, want, 1e-10, "partial keep", lo, hi)
+	part := make([]float64, 4*2*5*R)
+	e.ContractTensorInto(part, x, fs, R, 1, 4)
+	for _, k := range [][2]int{{1, 2}, {1, 3}, {2, 4}, {3, 4}} {
+		lo, hi := k[0], k[1]
+		m := R
+		for _, d := range dims[lo:hi] {
+			m *= d
 		}
+		want := make([]float64, m)
+		e.ContractTensorInto(want, x, fs, R, lo, hi)
+		got := make([]float64, len(want))
+		e.contractPart(got, part, x, fs, R, 1, 4, lo, hi)
+		assertClose(t, got, want, 1e-10, "partial keep", lo, hi)
 	}
 }
 
@@ -227,6 +215,153 @@ func assertClose(t *testing.T, got, want []float64, tol float64, what string, lo
 	for i := range got {
 		if d := math.Abs(got[i] - want[i]); d > tol {
 			t.Fatalf("%s [%d,%d): elem %d differs by %g (tol %g)", what, lo, hi, i, d, tol)
+		}
+	}
+}
+
+// TestSweepALSOrder: a Sweep whose leaf overwrites factors[n] with a
+// fixed function of B(n) forms every B(n) from the factors of an ALS
+// sweep — the modes below n as their leaves left them, the modes above
+// n as passed in — at orders 2-6 (5 and 6 split unevenly) and ranks
+// 1-4, within refBound of seq.Ref, and bitwise the same at 1 and 3
+// workers. A Sweep whose leaf changes nothing is bitwise AllModesInto,
+// flops included.
+func TestSweepALSOrder(t *testing.T) {
+	update := func(b *tensor.Matrix) *tensor.Matrix {
+		u := b.Clone()
+		for i, v := range u.Data() {
+			u.Data()[i] = math.Sin(v)
+		}
+		return u
+	}
+	for _, dims := range [][]int{{5, 4}, {4, 3, 5}, {3, 4, 2, 3}, {2, 3, 2, 3, 2}, {2, 2, 3, 2, 2, 3}} {
+		N := len(dims)
+		x := tensor.RandomDense(107, dims...)
+		for R := 1; R <= 4; R++ {
+			var runs [2][]*tensor.Matrix
+			for wi, w := range []int{1, 3} {
+				e := NewEngine(w)
+				orig := tensor.RandomFactors(109, dims, R)
+				fs := make([]*tensor.Matrix, N)
+				bs := make([]*tensor.Matrix, N)
+				for k := range fs {
+					fs[k] = orig[k].Clone()
+					bs[k] = tensor.NewMatrix(dims[k], R)
+				}
+				got := make([]*tensor.Matrix, N)
+				if _, err := e.Sweep(bs, x, fs, R, func(n int) error {
+					got[n] = bs[n].Clone()
+					copy(fs[n].Data(), update(bs[n]).Data())
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for n := range dims {
+					want := make([]*tensor.Matrix, N)
+					for k := range want {
+						switch {
+						case k < n:
+							want[k] = update(got[k])
+						case k > n:
+							want[k] = orig[k]
+						}
+					}
+					refBound(t, fmt.Sprintf("dims %v R %d workers %d mode %d", dims, R, w, n), got[n], x, want, n)
+				}
+				runs[wi] = got
+
+				// A leaf that changes nothing: bitwise AllModesInto.
+				fl, err := e.Sweep(bs, x, orig, R, func(n int) error {
+					got[n] = bs[n].Clone()
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := NewEngine(w).AllModes(x, orig)
+				if fl != res.Flops {
+					t.Fatalf("dims %v R %d: Sweep flops %d, AllModesInto %d", dims, R, fl, res.Flops)
+				}
+				for n := range dims {
+					bitwiseEqual(t, fmt.Sprintf("dims %v R %d mode %d vs AllModesInto", dims, R, n), got[n], res.B[n])
+				}
+			}
+			for n := range dims {
+				bitwiseEqual(t, fmt.Sprintf("dims %v R %d mode %d at 3 workers", dims, R, n), runs[1][n], runs[0][n])
+			}
+		}
+	}
+}
+
+// TestSweepLeafErrorStops: the first error a leaf returns is Sweep's,
+// and no output after that leaf is written.
+func TestSweepLeafErrorStops(t *testing.T) {
+	dims := []int{3, 4, 2, 3, 2}
+	R := 2
+	x := tensor.RandomDense(113, dims...)
+	fs := tensor.RandomFactors(127, dims, R)
+	stop := errors.New("stop")
+	for k := range dims {
+		bs := make([]*tensor.Matrix, len(dims))
+		for n := range bs {
+			bs[n] = tensor.NewMatrix(dims[n], R)
+			bs[n].Fill(math.NaN())
+		}
+		_, err := NewEngine(1).Sweep(bs, x, fs, R, func(n int) error {
+			if n == k {
+				return stop
+			}
+			return nil
+		})
+		if !errors.Is(err, stop) {
+			t.Fatalf("leaf %d: Sweep returned %v", k, err)
+		}
+		for n := k + 1; n < len(dims); n++ {
+			for _, v := range bs[n].Data() {
+				if !math.IsNaN(v) {
+					t.Fatalf("leaf %d errored, yet output %d was written", k, n)
+				}
+			}
+		}
+	}
+}
+
+// refBound fails unless got matches seq.Ref's mode-n MTTKRP of fs
+// elementwise to within 4(J+N)·eps of the same MTTKRP on |x| and |fs|,
+// J = I/I_n the contraction length: a first-order bound on the
+// rounding of two associations of one sum of N-fold products.
+func refBound(t *testing.T, at string, got *tensor.Matrix, x *tensor.Dense, fs []*tensor.Matrix, n int) {
+	t.Helper()
+	const eps = 0x1p-52
+	abs := func(d []float64) {
+		for i, v := range d {
+			d[i] = math.Abs(v)
+		}
+	}
+	want := seq.Ref(x, fs, n)
+	absX := x.Clone()
+	abs(absX.Data())
+	absFs := make([]*tensor.Matrix, len(fs))
+	for k, f := range fs {
+		if k != n {
+			absFs[k] = f.Clone()
+			abs(absFs[k].Data())
+		}
+	}
+	bound := seq.Ref(absX, absFs, n)
+	tol := 4 * float64(x.Elems()/x.Dim(n)+x.Order()) * eps
+	for i, w := range want.Data() {
+		if d := math.Abs(got.Data()[i] - w); d > tol*bound.Data()[i] {
+			t.Fatalf("%s: element %d differs from seq.Ref by %g, bound %g", at, i, d, tol*bound.Data()[i])
+		}
+	}
+}
+
+func bitwiseEqual(t *testing.T, at string, got, want *tensor.Matrix) {
+	t.Helper()
+	for i, v := range want.Data() {
+		if got.Data()[i] != v { //repro:bitwise the bitwise contract under test
+			t.Fatalf("%s: element %d is %x, want %x", at, i, got.Data()[i], v)
 		}
 	}
 }

@@ -32,12 +32,16 @@ func AllModesInstrumented(x *tensor.Dense, factors []*tensor.Matrix, mach *memsi
 		}
 		return w
 	}
-	// contract accounts for the contraction of a srcWords-word source
-	// holding modes [plo, phi) down to the kept range [klo, khi).
-	contract := func(srcWords int64, plo, phi, klo, khi int) error {
+	// Each contraction of the walk allocates its destination, loads
+	// the dropped factors and streams its source.
+	err = walk(0, 0, len(dims), func(depth, lo, hi, klo, khi int) error {
+		src := int64(x.Elems())
+		if depth > 0 {
+			src = words(lo, hi)
+		}
 		dst := words(klo, khi)
 		var fWords int64
-		for k := plo; k < phi; k++ {
+		for k := lo; k < hi; k++ {
 			if k < klo || k >= khi {
 				fWords += int64(dims[k]) * int64(R)
 			}
@@ -51,7 +55,7 @@ func AllModesInstrumented(x *tensor.Dense, factors []*tensor.Matrix, mach *memsi
 		// Stream the source one word at a time: window 1 keeps the
 		// requirement minimal, and larger windows change nothing in the
 		// totals.
-		for i := int64(0); i < srcWords; i++ {
+		for i := int64(0); i < src; i++ {
 			if err := mach.Load(1); err != nil {
 				return err
 			}
@@ -63,25 +67,8 @@ func AllModesInstrumented(x *tensor.Dense, factors []*tensor.Matrix, mach *memsi
 			return err
 		}
 		return mach.Store(dst)
-	}
-	// split contracts the node holding [lo, hi) (srcWords words) into
-	// its two halves and recurses, as Engine.AllModesInto does.
-	var split func(srcWords int64, lo, hi int) error
-	split = func(srcWords int64, lo, hi int) error {
-		mid := lo + (hi-lo)/2
-		for _, c := range [2][2]int{{lo, mid}, {mid, hi}} {
-			if err := contract(srcWords, lo, hi, c[0], c[1]); err != nil {
-				return err
-			}
-			if c[1]-c[0] > 1 {
-				if err := split(words(c[0], c[1]), c[0], c[1]); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := split(int64(x.Elems()), 0, len(dims)); err != nil {
+	})
+	if err != nil {
 		return nil, memsim.Counts{}, err
 	}
 	end := mach.Snapshot()

@@ -29,17 +29,11 @@ func MatMul(a, b *tensor.Matrix) *tensor.Matrix {
 // MatMulInto computes C = A * B into an existing matrix using the
 // blocked parallel engine with the package-default worker count.
 func MatMulInto(c, a, b *tensor.Matrix) {
-	MatMulIntoWorkers(c, a, b, 0)
-}
-
-// MatMulIntoWorkers is MatMulInto with an explicit goroutine count
-// (<= 0 selects the package default).
-func MatMulIntoWorkers(c, a, b *tensor.Matrix, workers int) {
 	if a.Cols() != b.Rows() || c.Rows() != a.Rows() || c.Cols() != b.Cols() {
 		panic(fmt.Sprintf("linalg: matmul shapes %dx%d * %dx%d -> %dx%d",
 			a.Rows(), a.Cols(), b.Rows(), b.Cols(), c.Rows(), c.Cols()))
 	}
-	GemmNN(c.Data(), a.Data(), b.Data(), a.Rows(), a.Cols(), b.Cols(), workers)
+	GemmNN(c.Data(), a.Data(), b.Data(), a.Rows(), a.Cols(), b.Cols(), 0)
 }
 
 // MatMulTransA returns C = A^T * B.
@@ -51,17 +45,11 @@ func MatMulTransA(a, b *tensor.Matrix) *tensor.Matrix {
 
 // MatMulTransAInto computes C = A^T * B into an existing matrix.
 func MatMulTransAInto(c, a, b *tensor.Matrix) {
-	MatMulTransAIntoWorkers(c, a, b, 0)
-}
-
-// MatMulTransAIntoWorkers is MatMulTransAInto with an explicit
-// goroutine count (<= 0 selects the package default).
-func MatMulTransAIntoWorkers(c, a, b *tensor.Matrix, workers int) {
 	if a.Rows() != b.Rows() || c.Rows() != a.Cols() || c.Cols() != b.Cols() {
 		panic(fmt.Sprintf("linalg: matmulTransA shapes (%dx%d)^T * %dx%d -> %dx%d",
 			a.Rows(), a.Cols(), b.Rows(), b.Cols(), c.Rows(), c.Cols()))
 	}
-	GemmTN(c.Data(), a.Data(), b.Data(), a.Rows(), a.Cols(), b.Cols(), workers)
+	GemmTN(c.Data(), a.Data(), b.Data(), a.Rows(), a.Cols(), b.Cols(), 0)
 }
 
 // MatMulTransB returns C = A * B^T.
@@ -73,17 +61,11 @@ func MatMulTransB(a, b *tensor.Matrix) *tensor.Matrix {
 
 // MatMulTransBInto computes C = A * B^T into an existing matrix.
 func MatMulTransBInto(c, a, b *tensor.Matrix) {
-	MatMulTransBIntoWorkers(c, a, b, 0)
-}
-
-// MatMulTransBIntoWorkers is MatMulTransBInto with an explicit
-// goroutine count (<= 0 selects the package default).
-func MatMulTransBIntoWorkers(c, a, b *tensor.Matrix, workers int) {
 	if a.Cols() != b.Cols() || c.Rows() != a.Rows() || c.Cols() != b.Rows() {
 		panic(fmt.Sprintf("linalg: matmulTransB shapes %dx%d * (%dx%d)^T -> %dx%d",
 			a.Rows(), a.Cols(), b.Rows(), b.Cols(), c.Rows(), c.Cols()))
 	}
-	GemmNT(c.Data(), a.Data(), b.Data(), a.Rows(), a.Cols(), b.Rows(), workers)
+	GemmNT(c.Data(), a.Data(), b.Data(), a.Rows(), a.Cols(), b.Rows(), 0)
 }
 
 // Gram returns A^T * A (R x R symmetric positive semidefinite).

@@ -172,7 +172,7 @@ func (treeEngine) Supports(p Problem) bool {
 }
 
 func (treeEngine) Cost(p Problem, cal *Calibration, workers int) Cost {
-	ec := p.model().TreeAllModesCost().Scale(p.reuses())
+	ec := dimtree.AllModesCost(p.Dims, p.R).Scale(p.reuses())
 	return Cost{Words: ec.Words, Flops: ec.Flops, Seconds: cal.Seconds(ec.Words, ec.Flops, workers)}
 }
 

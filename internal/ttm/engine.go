@@ -19,18 +19,11 @@ var ttmSlabName = flight.RegisterName("ttm-slab")
 // contiguous column-major slabs of the storage order (no unfolding is
 // materialized) at the default worker count.
 func TTM(x *tensor.Dense, u *tensor.Matrix, mode int) *tensor.Dense {
-	return TTMWorkers(x, u, mode, 0)
-}
-
-// TTMWorkers is TTM with an explicit worker count (<= 0 selects the
-// linalg default). The result is bitwise identical for every worker
-// count.
-func TTMWorkers(x *tensor.Dense, u *tensor.Matrix, mode, workers int) *tensor.Dense {
 	checkTTM(x, u, mode)
 	outDims := x.Dims()
 	outDims[mode] = u.Cols()
 	out := tensor.NewDense(outDims...)
-	TTMInto(out, x, u, mode, workers)
+	TTMInto(out, x, u, mode, 0)
 	return out
 }
 
@@ -52,27 +45,13 @@ func TTMInto(out, x *tensor.Dense, u *tensor.Matrix, mode, workers int) {
 // reconstruction needs — computing it directly avoids materializing
 // linalg.Transpose(U) at all.
 func TTMT(x *tensor.Dense, u *tensor.Matrix, mode int) *tensor.Dense {
-	return TTMTWorkers(x, u, mode, 0)
-}
-
-// TTMTWorkers is TTMT with an explicit worker count.
-func TTMTWorkers(x *tensor.Dense, u *tensor.Matrix, mode, workers int) *tensor.Dense {
 	checkTTMT(x, u, mode)
 	outDims := x.Dims()
 	outDims[mode] = u.Rows()
 	out := tensor.NewDense(outDims...)
-	TTMTInto(out, x, u, mode, workers)
-	return out
-}
-
-// TTMTInto computes Y = X x_mode U into out (extent u.Rows() on mode).
-//
-//repro:hotpath
-func TTMTInto(out, x *tensor.Dense, u *tensor.Matrix, mode, workers int) {
-	checkTTMT(x, u, mode)
-	checkInto(out, x, mode, u.Rows())
 	L, I, Rt := slabShape(x, mode)
-	ttmSlices(out.Data(), x.Data(), u, L, I, Rt, workers, true)
+	ttmSlices(out.Data(), x.Data(), u, L, I, Rt, 0, true)
+	return out
 }
 
 // checkTTMT validates the transposed-variant operands.

@@ -33,7 +33,10 @@ func TestEngineMatchesScalarEveryMode(t *testing.T) {
 		for mode := range dims {
 			for _, R := range []int{1, 3} {
 				u := tensor.RandomMatrix(int64(200+10*si+mode), dims[mode], R)
-				got := TTMWorkers(x, u, mode, 1)
+				outDims := x.Dims()
+				outDims[mode] = R
+				got := tensor.NewDense(outDims...)
+				TTMInto(got, x, u, mode, 1)
 				want := TTMScalar(x, u, mode)
 				if !got.EqualApprox(want, 1e-10) {
 					t.Fatalf("dims %v mode %d R %d: engine vs scalar diff %v",

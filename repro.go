@@ -79,7 +79,8 @@ func MTTKRPParallel(x *Dense, factors []*Matrix, n, workers int) (*Matrix, error
 	return kernel.FastWorkers(x, factors, n, workers), nil
 }
 
-// CPDecomposeTree runs CP-ALS with Phan-style prefix-partial reuse:
+// CPDecomposeTree runs CP-ALS on the balanced dimension tree, sharing
+// partial contractions across each sweep's modes (Phan et al.):
 // identical sweeps to CPDecompose at a fraction of the arithmetic. The
 // third return value is the total MTTKRP flops performed.
 func CPDecomposeTree(x *Dense, opts CPOptions) (*CPModel, []CPTraceEntry, int64, error) {
