@@ -67,28 +67,31 @@ func CommEstimate(dims []int, R int) (tree, independent int64) {
 		}
 		independent += int64(dims[n]) * int64(R)
 	}
-	// Tree: each contraction reads its source and the dropped factors,
-	// and writes the child.
-	size := func(lo, hi int) int64 {
-		s := int64(R)
-		for _, d := range dims[lo:hi] {
-			s *= int64(d)
-		}
-		return s
-	}
 	_ = walk(0, 0, N, func(depth, lo, hi, klo, khi int) error {
-		if depth == 0 {
-			tree += I
-		} else {
-			tree += size(lo, hi)
-		}
-		for k := lo; k < hi; k++ {
-			if k < klo || k >= khi {
-				tree += int64(dims[k]) * int64(R)
-			}
-		}
-		tree += size(klo, khi)
+		src, factors, dst := streamWords(dims, R, depth, lo, hi, klo, khi)
+		tree += src + factors + dst
 		return nil
 	})
 	return tree, independent
+}
+
+// streamWords returns the words one contraction of the walk moves in
+// the streaming model, over a tensor of extents dims at rank R: the
+// source it reads (the tensor at depth 0, the node [lo, hi)'s partial
+// below), the dropped factors it reads and the child [klo, khi) it
+// writes.
+func streamWords(dims []int, R, depth, lo, hi, klo, khi int) (src, factors, dst int64) {
+	src, dst = 1, int64(R)
+	for k := lo; k < hi; k++ {
+		src *= int64(dims[k])
+		if k < klo || k >= khi {
+			factors += int64(dims[k]) * int64(R)
+		} else {
+			dst *= int64(dims[k])
+		}
+	}
+	if depth > 0 {
+		src *= int64(R)
+	}
+	return src, factors, dst
 }

@@ -25,27 +25,10 @@ func AllModesInstrumented(x *tensor.Dense, factors []*tensor.Matrix, mach *memsi
 	}
 	start := mach.Snapshot()
 	dims := x.Dims()
-	words := func(lo, hi int) int64 {
-		w := int64(R)
-		for _, d := range dims[lo:hi] {
-			w *= int64(d)
-		}
-		return w
-	}
 	// Each contraction of the walk allocates its destination, loads
 	// the dropped factors and streams its source.
 	err = walk(0, 0, len(dims), func(depth, lo, hi, klo, khi int) error {
-		src := int64(x.Elems())
-		if depth > 0 {
-			src = words(lo, hi)
-		}
-		dst := words(klo, khi)
-		var fWords int64
-		for k := lo; k < hi; k++ {
-			if k < klo || k >= khi {
-				fWords += int64(dims[k]) * int64(R)
-			}
-		}
+		src, fWords, dst := streamWords(dims, R, depth, lo, hi, klo, khi)
 		if err := mach.Alloc(dst); err != nil {
 			return fmt.Errorf("dimtree: destination [%d,%d) does not fit: %w", klo, khi, err)
 		}
